@@ -6,9 +6,12 @@ randomized projector probe).  Four model systems provide degenerate
 pairs: coupled angular momenta (:mod:`entconvex.angular`), two harmonic
 oscillators (:mod:`entconvex.oscillator`), two electrons on a sphere
 (:mod:`entconvex.spherium`) and Laguerre-Gaussian photon modes
-(:mod:`entconvex.lgmodes`).  :mod:`entconvex.sweep` builds alpha curves
-and chord-convexity labels; :mod:`entconvex.benchmarks` holds the
-embedded reference tables; :mod:`entconvex.cli` is the console entry.
+(:mod:`entconvex.lgmodes`); each supplies only the amplitude matrices of
+its two states.  :mod:`entconvex.sweep` packages them as a
+:class:`PairSpec`, whose single trace-out feeds the alpha curves, the
+chord-convexity labels and the criterion; :mod:`entconvex.benchmarks`
+holds the embedded reference tables; :mod:`entconvex.cli` is the console
+entry.
 """
 
 from .criterion import (
@@ -41,6 +44,7 @@ from .sweep import (
     entropy_curve,
     lg_pair,
     oscillator_pair,
+    pair_criterion,
     spherium_pair,
 )
 
@@ -67,6 +71,7 @@ __all__ = [
     "not_shareable_entropy",
     "not_shared_entropy",
     "oscillator_pair",
+    "pair_criterion",
     "random_projector_probe",
     "reduce_pure_state",
     "refine_blocks_by_sector",

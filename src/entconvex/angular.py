@@ -1,9 +1,10 @@
-"""Coupled two-particle angular momentum states and their reduced densities.
+"""Coupled two-particle angular momentum states and their amplitudes.
 
 Clebsch-Gordan coefficients are computed by the Racah closed form in exact
 big-rational arithmetic (a sign together with the rational square of the
 value), so the reduced density matrices of coupled states come out exact
-at the superposition endpoints.  Condon-Shortley phases throughout.
+at the superposition endpoints; ``cg_matrix`` gives the floating point
+amplitudes for the whole alpha range.  Condon-Shortley phases throughout.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-from .spectra import HermitianMatrix
 
 MAX_ELL = 12
 
@@ -137,49 +136,25 @@ def coupled_reduced_density_exact(
     return rho
 
 
-def coupled_reduced_density(
-    l: int,
-    L: int,
-    M: int,
-    alpha: float,
-    Mprime: int | None = None,
-    l2: int | None = None,
-) -> HermitianMatrix:
-    """Reduced density of sqrt(alpha) Y^{L,M} + sqrt(1-alpha) Y^{L,M'}.
+@lru_cache(maxsize=None)
+def cg_matrix(l: int, L: int, M: int) -> np.ndarray:
+    """Amplitudes ``C[i, j]`` of the coupled state |L, M> of two angular momenta l.
 
-    Entries follow the coupled-state partial trace: for basis labels
-    ``i, j`` (magnetic numbers of particle 1) the alpha and 1-alpha parts
-    are diagonal squares of coefficients while the cross terms couple
-    ``i`` with ``j = i - (M - M')``.  ``l2`` defaults to ``l``; unequal
-    values are accepted but only the equal case is exercised against
-    reference data.
+    Row i and column j are the magnetic numbers l - i of particle 1 and
+    l - j of particle 2 (descending m-basis), so the state's reduced
+    density on particle 1 is ``C C^T``.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
     if l > MAX_ELL:
         raise ValueError(f"supported range is l <= {MAX_ELL}")
-    lb = l if l2 is None else l2
-    Mp = -M if Mprime is None else Mprime
-    AngularConfig(l, lb, L, M)
-    AngularConfig(l, lb, L, Mp)
-
+    AngularConfig(l, l, L, M)
     dim = 2 * l + 1
-    rho = np.zeros((dim, dim), dtype=complex)
-    ms = [l - i for i in range(dim)]
-    root = math.sqrt(alpha * (1.0 - alpha))
-    for i, mi in enumerate(ms):
-        for j, mj in enumerate(ms):
-            acc = 0.0
-            for m2 in range(-lb, lb + 1):
-                ci_m = cg(l, mi, lb, m2, L, M)
-                cj_m = cg(l, mj, lb, m2, L, M)
-                ci_p = cg(l, mi, lb, m2, L, Mp)
-                cj_p = cg(l, mj, lb, m2, L, Mp)
-                acc += alpha * ci_m * cj_m + (1.0 - alpha) * ci_p * cj_p
-                acc += root * (ci_m * cj_p + ci_p * cj_m)
-            rho[i, j] = acc
-    rho /= np.real(np.trace(rho))  # the two states need not be orthogonal
-    return HermitianMatrix(rho, basis_label=f"m-basis l={l}", is_density=True)
+    c = np.zeros((dim, dim))
+    for i in range(dim):
+        m2 = M - (l - i)
+        if abs(m2) <= l:
+            c[i, l - m2] = cg(l, l - i, l, m2, L, M)
+    c.setflags(write=False)
+    return c
 
 
 def coupled_energy_check(l: int, L: int, M: int) -> int:

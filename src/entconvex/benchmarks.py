@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .criterion import CriterionReport
 from .sweep import (
     ConvexityLabel,
@@ -28,6 +26,7 @@ from .sweep import (
     entropy_curve,
     lg_pair,
     oscillator_pair,
+    pair_criterion,
     spherium_pair,
 )
 
@@ -153,18 +152,6 @@ def rescale_report(report: CriterionReport, log_base: float) -> CriterionReport:
     )
 
 
-def _nat_report(row: ReferenceRow, **kwargs) -> CriterionReport:
-    from .criterion import evaluate_criterion
-
-    return evaluate_criterion(
-        row.pair.builder(1.0),
-        row.pair.builder(0.0),
-        log_base=math.e,
-        sector_operator=row.pair.sector_operator,
-        **kwargs,
-    )
-
-
 def detect_log_base(rows, nat_reports) -> float:
     """Base (2 or e) with the smaller worst-case magnitude error over a table.
 
@@ -203,7 +190,7 @@ def evaluate_table(
     skips it.  ``check_curves=False`` omits the chord-convexity scan.
     """
     rows = reference_table(table_id)
-    nat_reports = [_nat_report(r, **criterion_kwargs) for r in rows]
+    nat_reports = [pair_criterion(r.pair, math.e, **criterion_kwargs) for r in rows]
     base = detect_log_base(rows, nat_reports) if log_base is None else log_base
 
     results = []

@@ -6,7 +6,6 @@ table      compare one embedded benchmark table against fresh computations
 curve      entropy-vs-alpha grid for an ad-hoc pair (CSV, optional SVG)
 criterion  single criterion evaluation for an ad-hoc pair
 probe      randomized projector probe for an ad-hoc pair
-cache      list / clear / stats for the oscillator tensor cache
 
 Exit codes: 0 all rows agree, 1 a disagreement, 2 numerical/usage failure.
 CSV output is deterministic for a fixed configuration and seed: header
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 LOG_BASES = {"2": 2.0, "e": math.e, "10": 10.0}
@@ -97,11 +95,19 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill flags that were left at None from the config file, if any."""
-    cfg = load_config(args.config) if getattr(args, "config", None) else {}
-    for key, val in cfg.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, val)
+    """Fill flags that were left at None from the config file, if any.
+
+    Config keys are flag names without the dashes (``lambda``,
+    ``alpha-steps``); a key that names no flag is a usage error.
+    """
+    if not getattr(args, "config", None):
+        return args
+    dests = _add_common(argparse.ArgumentParser())
+    for key, val in load_config(args.config).items():
+        if key not in dests:
+            raise ValueError(f"unknown config key {key!r}")
+        if getattr(args, dests[key]) is None:
+            setattr(args, dests[key], val)
     return args
 
 
@@ -216,27 +222,19 @@ def cmd_curve(args) -> int:
 
 
 def cmd_criterion(args) -> int:
-    from .criterion import evaluate_criterion
-    from .sweep import classify_convexity, entropy_curve
+    from .sweep import criterion_vs_observation
 
     pair = build_pair(args)
-    base = _log_base(args.log_base)
-    rep = evaluate_criterion(
-        pair.builder(1.0), pair.builder(0.0),
-        log_base=base, sector_operator=pair.sector_operator,
-    )
-    curve = entropy_curve(pair, _int_or(args.alpha_steps, 41), base)
-    label = classify_convexity(curve, pair.chord_tol).label
-    if rep.qc == 0:
-        agree = ""
-    else:
-        agree = int(label == ("convex" if rep.qc > 0 else "concave"))
+    rec = criterion_vs_observation(pair, _int_or(args.alpha_steps, 41), _log_base(args.log_base))
+    rep = rec.report
+    agree = "" if rec.agree is None else int(rec.agree)
     _write_csv(
         args.out,
         ["pair", "s_vn", "s1", "s_ns", "s_r", "qc", "convexity_observed", "agree"],
-        [[pair.label.replace(",", ";"), rep.s0, rep.s1, rep.s_ns, rep.s_r, rep.qc, label, agree]],
+        [[pair.label.replace(",", ";"), rep.s0, rep.s1, rep.s_ns, rep.s_r, rep.qc,
+          rec.observed.label, agree]],
     )
-    return 0 if agree in ("", 1) else 1
+    return 0 if rec.agree is not False else 1
 
 
 def cmd_probe(args) -> int:
@@ -254,59 +252,47 @@ def cmd_probe(args) -> int:
     return 0 if rec.min_value >= rec.bound - 1e-9 else 1
 
 
-def cmd_cache(args) -> int:
-    from .oscillator import cache_clear, cache_entries, tensor_cache_dir
-
-    action = args.action
-    if action == "clear":
-        n = cache_clear()
-        print(f"cleared {n} entries")
-        return 0
-    entries = cache_entries()
-    if action == "list":
-        for name, label in entries:
-            print(f"{name}  {label}")
-        print(f"{len(entries)} entries")
-        return 0
-    if action == "stats":
-        root = tensor_cache_dir()
-        total = sum((root / name).stat().st_size for name, _ in entries)
-        print(f"dir: {root}")
-        print(f"entries: {len(entries)}")
-        print(f"bytes: {total}")
-        return 0
-    raise ValueError(f"unknown cache action {action!r}")
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--model", choices=["angular", "oscillator", "spherium", "lg"])
-    p.add_argument("--l", type=int)
-    p.add_argument("--L", type=int)
-    p.add_argument("--M", type=int)
-    p.add_argument("--Mprime", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--n2", type=int)
-    p.add_argument("--m2", type=int)
-    p.add_argument("--l2", type=int)
-    p.add_argument("--p2", type=int)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--alpha-steps", type=int)
-    p.add_argument("--log-base", choices=sorted(LOG_BASES))
-    p.add_argument("--lmax", type=int)
-    p.add_argument("--basis-size", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--out", help="CSV path ('-' or omitted: stdout)")
-    p.add_argument("--svg", help="SVG path for the curve plot")
-    p.add_argument("--cache-dir", help="tensor cache directory override")
+def _add_common(p: argparse.ArgumentParser) -> dict[str, str]:
+    """Add the flags every subcommand shares; return config key -> dest.
+
+    A config key is a flag without its dashes, with '-' read as '_'
+    (``--alpha-steps`` -> ``alpha_steps``, ``--lambda`` -> ``lambda``).
+    """
+    add = p.add_argument
+    actions = [
+        add("--config", help="key=value config file; flags override it"),
+        add("--model", choices=["angular", "oscillator", "spherium", "lg"]),
+        add("--l", type=int),
+        add("--L", type=int),
+        add("--M", type=int),
+        add("--Mprime", type=int),
+        add("--m", type=int),
+        add("--p", type=int),
+        add("--n", type=int),
+        add("--n2", type=int),
+        add("--m2", type=int),
+        add("--l2", type=int),
+        add("--p2", type=int),
+        add("--lambda", dest="lam", type=float),
+        add("--alpha-steps", type=int),
+        add("--log-base", choices=sorted(LOG_BASES)),
+        add("--lmax", type=int),
+        add("--basis-size", type=int),
+        add("--samples", type=int),
+        add("--seed", type=int),
+        add("--tol", type=float),
+        add("--out", help="CSV path ('-' or omitted: stdout)"),
+        add("--svg", help="SVG path for the curve plot"),
+    ]
+    return {
+        flag.lstrip("-").replace("-", "_"): action.dest
+        for action in actions
+        for flag in action.option_strings
+    }
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -333,11 +319,6 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_probe)
 
-    p = sub.add_parser("cache", help="tensor cache maintenance")
-    p.add_argument("action", choices=["list", "clear", "stats"])
-    _add_common(p)
-    p.set_defaults(func=cmd_cache)
-
     return parser
 
 
@@ -346,8 +327,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args = merge_config(args)
-        if getattr(args, "cache_dir", None):
-            os.environ["ENTCONVEX_CACHE_DIR"] = args.cache_dir
         alpha_steps = getattr(args, "alpha_steps", None)
         if alpha_steps is not None and int(alpha_steps) < 5:
             raise ValueError("--alpha-steps must be at least 5")

@@ -180,7 +180,6 @@ def refine_blocks_by_sector(
         blocks=tuple(blocks),
         support=spec0.support,
         support_floor=spec0.support_floor,
-        basis_label=spec0.basis_label,
     )
 
 
@@ -245,30 +244,6 @@ def remaining_entropy(s0: float, s_ns: float) -> float:
     if s_ns > s0 + 1e-10:
         raise ValueError(f"s_ns={s_ns!r} exceeds s0={s0!r}")
     return max(s0 - s_ns, 0.0)
-
-
-def simple_remaining_entropy(
-    spec0: Spectrum, spec1: Spectrum, log_base: float = 2.0
-) -> float:
-    """Non-degenerate commuting-case form of the remaining entropy.
-
-    ``-sum min(lambda_i^0, lambda_i^1) log(lambda_i^0)`` over eigenvectors
-    shared by both supports; eigenvectors are paired by maximal overlap,
-    which must be essentially exact.
-    """
-    if spec0.dim != spec1.dim:
-        raise ValueError("dimension mismatch")
-    overlaps = np.abs(spec0.eigenvectors.conj().T @ spec1.eigenvectors) ** 2
-    total = 0.0
-    for i in spec0.support:
-        j = int(np.argmax(overlaps[i]))
-        if overlaps[i, j] < 1.0 - 1e-8:
-            raise ValueError("eigenvector sets do not match")
-        if j in spec1.support:
-            lam0 = spec0.eigenvalues[i]
-            lam1 = spec1.eigenvalues[j]
-            total -= min(lam0, lam1) * math.log(lam0)
-    return total / math.log(log_base)
 
 
 def criterion_qc(s_ns: float, s_r: float, qc_tol: float = DEFAULT_QC_TOL) -> int:

@@ -2,10 +2,11 @@
 
 A one-photon state in a pure LG mode is a function of the two transverse
 coordinates; tracing one coordinate out of the (normalized) transverse
-profile defines single-particle entanglement.  Densities are expanded over
-one-coordinate Hermite functions; all integrals are Gauss-Hermite sums that
-are exact for the polynomial-times-Gaussian integrands at z = 0, where the
-waist parameter makes the mode weight exp(-r^2).
+profile defines single-particle entanglement.  Mode amplitudes are expanded
+over one-coordinate Hermite functions in x and quadrature nodes in y; all
+integrals are Gauss-Hermite sums that are exact for the
+polynomial-times-Gaussian integrands at z = 0, where the waist parameter
+makes the mode weight exp(-r^2).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import eval_genlaguerre
 
-from .spectra import HermitianMatrix
+from .oscillator import hermite_functions
 
 DEFAULT_BASIS_SIZE = 32
 DEFAULT_QUADRATURE_ORDER = 64
@@ -53,33 +54,24 @@ def lg_evaluate(mode: LGMode, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return azim * eval_genlaguerre(mode.l, am, r2 / WAIST**2) * np.exp(-r2 / WAIST**2)
 
 
-def hermite_basis(n_basis: int, x: np.ndarray) -> np.ndarray:
-    """Orthonormal Hermite functions f_a(x), rows indexed by a."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((n_basis, x.size))
-    out[0] = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
-    if n_basis > 1:
-        out[1] = math.sqrt(2.0) * x * out[0]
-    for a in range(2, n_basis):
-        out[a] = math.sqrt(2.0 / a) * x * out[a - 1] - math.sqrt((a - 1) / a) * out[a - 2]
-    return out
-
-
 @lru_cache(maxsize=64)
-def _mode_columns(l: int, m: int, n_basis: int, order: int) -> np.ndarray:
-    """v_a(y_q) = integral dx f_a(x) u(x, y_q), unit-norm mode, on y-nodes.
+def mode_columns(l: int, m: int, n_basis: int, order: int) -> np.ndarray:
+    """Amplitudes conj(v_a(y_q)) of the unit-norm mode over x-basis and y-nodes.
 
-    x-integral via Gauss-Hermite on x = sqrt(2/3) t (combined weight
-    exp(-3x^2/2)); y-nodes are y = u/sqrt(2) so that column Gram sums with
-    plain weights reproduce dy-integrals of the exp(-2y^2) products.
-    Returned columns are pre-scaled by exp(u^2/2) for those Gram sums.
+    v_a(y_q) = integral dx f_a(x) u(x, y_q).  The x-integral is
+    Gauss-Hermite on x = sqrt(2/3) t (combined weight exp(-3x^2/2));
+    y-nodes are y = u/sqrt(2) so that column Gram sums with plain weights
+    reproduce dy-integrals of the exp(-2y^2) products, and the columns are
+    pre-scaled by exp(u^2/2) for those sums.  The Gram matrix c c^dagger
+    of the returned c is the reduced density over x in the convention
+    rho_ab = integral dy conj(v_a) v_b.
     """
     t, wt = np.polynomial.hermite.hermgauss(order)
     xs = math.sqrt(2.0 / 3.0) * t
     u, wu = np.polynomial.hermite.hermgauss(order)
     ys = u / math.sqrt(2.0)
 
-    f = hermite_basis(n_basis, xs) * np.exp(0.5 * t * t)[None, :]
+    f = hermite_functions(n_basis - 1, xs) * np.exp(0.5 * t * t)[None, :]
     prof = lg_evaluate(LGMode(l, m), xs[:, None], ys[None, :])
     prof = prof * np.exp(0.5 * t * t)[:, None]
     v = math.sqrt(2.0 / 3.0) * np.einsum("ai,i,iq->aq", f, wt, prof)
@@ -88,56 +80,14 @@ def _mode_columns(l: int, m: int, n_basis: int, order: int) -> np.ndarray:
     nrm = math.sqrt(np.sum(np.abs(v) ** 2).real)
     if nrm <= 0.0:
         raise ValueError("mode quadrature produced a null profile")
-    v = v / nrm
-    v.setflags(write=False)
-    return v
+    c = v.conj() / nrm
+    c.setflags(write=False)
+    return c
 
 
 def mode_norm_capture(mode: LGMode, n_basis: int = DEFAULT_BASIS_SIZE,
                       order: int = DEFAULT_QUADRATURE_ORDER) -> float:
     """Fraction of the mode norm captured by the Hermite basis (should be ~1)."""
-    v = _mode_columns(mode.l, mode.m, n_basis, order)
-    big = _mode_columns(mode.l, mode.m, n_basis + 16, order)
+    v = mode_columns(mode.l, mode.m, n_basis, order)
+    big = mode_columns(mode.l, mode.m, n_basis + 16, order)
     return float(np.sum(np.abs(v) ** 2) / np.sum(np.abs(big) ** 2))
-
-
-def lg_reduced_density(
-    mode0: LGMode,
-    mode1: LGMode,
-    alpha: float,
-    n_basis: int = DEFAULT_BASIS_SIZE,
-    order: int = DEFAULT_QUADRATURE_ORDER,
-) -> HermitianMatrix:
-    """Trace over y of sqrt(alpha)|mode0> + sqrt(1-alpha)|mode1>.
-
-    rho_ab = integral dy conj(v_a) v_b assembled from the two mode column
-    sets; the superposed profile is renormalized before tracing.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    v0 = _mode_columns(mode0.l, mode0.m, n_basis, order)
-    v1 = _mode_columns(mode1.l, mode1.m, n_basis, order)
-    w = math.sqrt(alpha) * v0 + math.sqrt(1.0 - alpha) * v1
-    nrm2 = float(np.sum(np.abs(w) ** 2))
-    if nrm2 < 1e-12:
-        raise ValueError("superposition vanishes")
-    rho = (w @ w.conj().T).conj() / nrm2
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.real(np.trace(rho))
-    return HermitianMatrix(rho, basis_label=f"hermite n={n_basis}", is_density=True)
-
-
-def lg_criterion(
-    mode0: LGMode,
-    mode1: LGMode,
-    log_base: float = 2.0,
-    n_basis: int = DEFAULT_BASIS_SIZE,
-    order: int = DEFAULT_QUADRATURE_ORDER,
-    **kwargs,
-):
-    """Criterion report for a superposition of two LG modes."""
-    from .criterion import evaluate_criterion
-
-    rho0 = lg_reduced_density(mode0, mode1, 1.0, n_basis, order)
-    rho1 = lg_reduced_density(mode0, mode1, 0.0, n_basis, order)
-    return evaluate_criterion(rho0, rho1, log_base=log_base, **kwargs)

@@ -1,4 +1,4 @@
-"""Two harmonically coupled 2D oscillators: exact states and trace-out.
+"""Two harmonically coupled 2D oscillators: exact states as bipartite amplitudes.
 
 Eigenstates are products of centered- and relative-coordinate modes with
 frequencies 1 and sqrt(4*lambda + 1).  The bipartite coefficient tensor
@@ -7,27 +7,20 @@ functions ``f^1_k``; with the separated arguments scaled by 1/sqrt(2) the
 lambda = 0 expansion terminates exactly, and the interacting case is
 integrated by Gauss-Hermite quadrature (the integrands are polynomials
 times Gaussians, so the quadrature itself is exact at sufficient order).
-
-Coefficient tensors are cached on disk; see ``tensor_cache_dir``.
+Coefficient tensors are memoized in memory for the life of the process.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 from scipy.special import roots_hermite
 
-from .spectra import CoefficientTensor, HermitianMatrix
+from .spectra import CoefficientTensor
 
-CACHE_ENV_VAR = "ENTCONVEX_CACHE_DIR"
-CACHE_FORMAT_VERSION = 1
 NORM_DEFICIT_TOL = 1e-6
 
 
@@ -109,7 +102,7 @@ def kappa_coefficients(n: int, m: int) -> dict[tuple[int, int], complex]:
     return out
 
 
-def _hermite_functions(nmax: int, u: np.ndarray) -> np.ndarray:
+def hermite_functions(nmax: int, u: np.ndarray) -> np.ndarray:
     """Orthonormal Hermite functions psi_0..psi_nmax on the grid ``u``."""
     out = np.empty((nmax + 1, u.size))
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * u**2)
@@ -118,18 +111,6 @@ def _hermite_functions(nmax: int, u: np.ndarray) -> np.ndarray:
     for k in range(1, nmax):
         out[k + 1] = math.sqrt(2.0 / (k + 1)) * u * out[k] - math.sqrt(k / (k + 1)) * out[k - 1]
     return out
-
-
-def hermite_mode(n: int, omega: float, x) -> np.ndarray | float:
-    """Oscillator mode f_n^omega(x) ~ exp(-omega x^2/4) H_n(sqrt(omega/2) x).
-
-    Orthonormal under the plain dx measure.
-    """
-    if n < 0 or omega <= 0:
-        raise ValueError("need n >= 0 and omega > 0")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = (omega / 2.0) ** 0.25 * _hermite_functions(n, math.sqrt(omega / 2.0) * xs)[n]
-    return vals if np.ndim(x) else float(vals[0])
 
 
 @lru_cache(maxsize=32)
@@ -154,12 +135,12 @@ def _overlap_tensor(n_basis: int, a_max: int, c_max: int, omega_r: float, order:
     x1 = (uu + vv) / math.sqrt(2.0)
     x2 = (uu - vv) / math.sqrt(2.0)
     nmax = n_basis - 1
-    f1 = (0.5) ** 0.25 * _hermite_functions(nmax, (x1 / math.sqrt(2.0)).ravel())
-    f2 = (0.5) ** 0.25 * _hermite_functions(nmax, (x2 / math.sqrt(2.0)).ravel())
+    f1 = (0.5) ** 0.25 * hermite_functions(nmax, (x1 / math.sqrt(2.0)).ravel())
+    f2 = (0.5) ** 0.25 * hermite_functions(nmax, (x2 / math.sqrt(2.0)).ravel())
     f1 = f1.reshape(nmax + 1, order, order)
     f2 = f2.reshape(nmax + 1, order, order)
-    fa = (0.5) ** 0.25 * _hermite_functions(a_max, u / math.sqrt(2.0))
-    fc = (omega_r / 2.0) ** 0.25 * _hermite_functions(c_max, math.sqrt(omega_r / 2.0) * v)
+    fa = (0.5) ** 0.25 * hermite_functions(a_max, u / math.sqrt(2.0))
+    fc = (omega_r / 2.0) ** 0.25 * hermite_functions(c_max, math.sqrt(omega_r / 2.0) * v)
 
     out = np.einsum(
         "ipq,jpq,ap,cq,p,q->ijac", f1, f2, fa, fc, wu, wv, optimize=True
@@ -173,8 +154,8 @@ def coefficient_tensor(state: OscState, basis: OscBasisSpec | None = None) -> Co
 
     Side A groups particle 1's (x, y) Hermite indices, side B particle
     2's.  Raises when the truncated expansion loses more than 1e-6 of the
-    norm (basis too small).  Results are memoized in memory on top of the
-    disk cache (an alpha sweep calls this once per grid point).
+    norm (basis too small).  Results are memoized in memory (an alpha
+    sweep reads them once per grid point).
     """
     return _coefficient_tensor_cached(state, basis or OscBasisSpec())
 
@@ -182,10 +163,6 @@ def coefficient_tensor(state: OscState, basis: OscBasisSpec | None = None) -> Co
 @lru_cache(maxsize=64)
 def _coefficient_tensor_cached(state: OscState, basis: OscBasisSpec) -> CoefficientTensor:
     basis.check_state(state)
-    cached = _cache_load(state, basis)
-    if cached is not None:
-        return CoefficientTensor(cached)
-
     nb = basis.n_per_coordinate
     wr = omega_relative(state.lam)
     a_max = 2 * state.n + abs(state.m)
@@ -211,34 +188,7 @@ def _coefficient_tensor_cached(state: OscState, basis: OscBasisSpec) -> Coeffici
         raise ValueError(
             f"norm deficit {1.0 - norm**2:.3e} beyond {NORM_DEFICIT_TOL}; enlarge the basis"
         )
-    amp = amp / norm
-    _cache_store(state, basis, amp)
-    return CoefficientTensor(amp)
-
-
-def oscillator_reduced_density(
-    state0: OscState,
-    state1: OscState,
-    alpha: float,
-    basis: OscBasisSpec | None = None,
-) -> HermitianMatrix:
-    """Reduced density of sqrt(alpha)|state0> + sqrt(1-alpha)|state1>."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if state0.lam != state1.lam:
-        raise ValueError("states must share the coupling strength")
-    if abs(state0.energy - state1.energy) > 1e-9:
-        warnings.warn(
-            f"superposed states are not degenerate: E0={state0.energy}, E1={state1.energy}",
-            stacklevel=2,
-        )
-    c0 = coefficient_tensor(state0, basis).amplitudes
-    c1 = coefficient_tensor(state1, basis).amplitudes
-    amp = math.sqrt(alpha) * c0 + math.sqrt(1.0 - alpha) * c1
-    amp = amp / np.linalg.norm(amp)
-    rho = amp @ amp.conj().T
-    rho /= np.real(np.trace(rho))
-    return HermitianMatrix(rho, basis_label="hermite-f1-product", is_density=True)
+    return CoefficientTensor(amp / norm)
 
 
 # ---------------------------------------------------------------------------
@@ -320,30 +270,6 @@ def angular_momentum_matrix(basis: OscBasisSpec | None = None) -> np.ndarray:
     x, p = _ladder_matrices(nb)
     lz = np.kron(x, p) - np.kron(p, x)
     return 0.5 * (lz + lz.conj().T)
-
-
-def oscillator_criterion(
-    state0: OscState,
-    state1: OscState,
-    basis: OscBasisSpec | None = None,
-    log_base: float = 2.0,
-    use_sectors: bool = True,
-    **kwargs,
-):
-    """Criterion report for a degenerate oscillator pair.
-
-    By default the not-shared entropy respects the one-particle L_z sectors
-    (``use_sectors=True``); pass False for the unrestricted minimization.
-    """
-    from .criterion import evaluate_criterion
-
-    basis = basis or OscBasisSpec()
-    rho0 = oscillator_reduced_density(state0, state1, 1.0, basis)
-    rho1 = oscillator_reduced_density(state0, state1, 0.0, basis)
-    sector = angular_momentum_matrix(basis) if use_sectors else None
-    return evaluate_criterion(
-        rho0, rho1, log_base=log_base, sector_operator=sector, **kwargs
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -437,77 +363,3 @@ def coefficient_tensor_analytic(state: OscState, basis: OscBasisSpec | None = No
             c4 += (kr * kv) * np.einsum("ik,jl->ijkl", ox[:, :, a, cc], ox[:, :, b, d])
     amp = c4.reshape(nb * nb, nb * nb)
     return CoefficientTensor(amp / np.linalg.norm(amp))
-
-
-# ---------------------------------------------------------------------------
-# on-disk tensor cache
-
-def tensor_cache_dir() -> Path:
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "entconvex"
-
-
-def _cache_key(state: OscState, basis: OscBasisSpec) -> str:
-    raw = (
-        f"v{CACHE_FORMAT_VERSION}|{state.n}|{state.m}|{state.l}|{state.p}"
-        f"|{state.lam!r}|{basis.n_per_coordinate}|{basis.quadrature_order}"
-    )
-    return hashlib.sha256(raw.encode()).hexdigest()[:24]
-
-
-def _cache_path(state: OscState, basis: OscBasisSpec) -> Path:
-    return tensor_cache_dir() / f"tensor_{_cache_key(state, basis)}.npz"
-
-
-def _cache_load(state: OscState, basis: OscBasisSpec):
-    path = _cache_path(state, basis)
-    if not path.exists():
-        return None
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            if int(data["version"]) != CACHE_FORMAT_VERSION:
-                return None
-            return data["amplitudes"]
-    except (OSError, ValueError, KeyError):
-        return None
-
-
-def _cache_store(state: OscState, basis: OscBasisSpec, amp: np.ndarray):
-    path = _cache_path(state, basis)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(
-            path,
-            version=np.array(CACHE_FORMAT_VERSION),
-            key=np.array(_cache_key(state, basis)),
-            label=np.array(f"{state.label()} lam={state.lam} N={basis.n_per_coordinate} Q={basis.quadrature_order}"),
-            amplitudes=amp,
-        )
-    except OSError:
-        pass  # cache is best effort
-
-
-def cache_entries() -> list[tuple[str, str]]:
-    """(filename, human label) for every cached tensor, sorted."""
-    root = tensor_cache_dir()
-    out = []
-    if root.exists():
-        for path in sorted(root.glob("tensor_*.npz")):
-            try:
-                with np.load(path, allow_pickle=False) as data:
-                    out.append((path.name, str(data["label"])))
-            except (OSError, ValueError, KeyError):
-                out.append((path.name, "<unreadable>"))
-    return out
-
-
-def cache_clear() -> int:
-    root = tensor_cache_dir()
-    n = 0
-    if root.exists():
-        for path in root.glob("tensor_*.npz"):
-            path.unlink(missing_ok=True)
-            n += 1
-    return n

@@ -20,8 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import sph_harm_y
 
-from .angular import cg, clebsch_gordan
-from .spectra import HermitianMatrix
+from .angular import cg
 
 SPHERE_RADIUS_SQ = 6.0
 ENERGY = 0.25
@@ -193,26 +192,6 @@ def _state_coefficients(M: int, lmax: int) -> np.ndarray:
     return amp
 
 
-def spherium_reduced_density(
-    state0: SpheriumState,
-    state1: SpheriumState,
-    alpha: float,
-    ) -> HermitianMatrix:
-    """One-electron reduced density of sqrt(alpha)|state0> + sqrt(1-alpha)|state1>."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if state0.lmax != state1.lmax:
-        raise ValueError("states must share the expansion cut")
-    amp = math.sqrt(alpha) * state0.coefficients() + math.sqrt(1.0 - alpha) * state1.coefficients()
-    nrm = np.linalg.norm(amp)
-    if nrm < 1e-12:
-        raise ValueError("superposition vanishes")
-    amp = amp / nrm
-    rho = amp @ amp.conj().T
-    rho /= np.real(np.trace(rho))
-    return HermitianMatrix(rho, basis_label=f"sph-harm lcut={state0.lcut}", is_density=True)
-
-
 def angular_momentum_diagonal(lcut: int) -> np.ndarray:
     """One-particle L_z on the (l, m) harmonic basis (diagonal, eigenvalue m)."""
     diag = np.empty(basis_size(lcut))
@@ -220,32 +199,6 @@ def angular_momentum_diagonal(lcut: int) -> np.ndarray:
         for m in range(-l, l + 1):
             diag[_index(l, m)] = m
     return np.diag(diag)
-
-
-def spherium_criterion(
-    M: int,
-    Mprime: int | None = None,
-    log_base: float = 2.0,
-    lmax: int = DEFAULT_LMAX,
-    use_sectors: bool = True,
-    **kwargs,
-):
-    """Criterion report for the |L,M> / |L,M'> superposition pair.
-
-    ``use_sectors=True`` (default) keeps the not-shared-entropy projectors
-    inside one-particle L_z sectors, the convention of a symmetry-adapted
-    basis computation; pass False for the unrestricted minimization.
-    """
-    from .criterion import evaluate_criterion
-
-    s0 = SpheriumState(M, lmax)
-    s1 = SpheriumState(-M if Mprime is None else Mprime, lmax)
-    rho0 = spherium_reduced_density(s0, s1, 1.0)
-    rho1 = spherium_reduced_density(s0, s1, 0.0)
-    sector = angular_momentum_diagonal(s0.lcut) if use_sectors else None
-    return evaluate_criterion(
-        rho0, rho1, log_base=log_base, sector_operator=sector, **kwargs
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,24 +8,40 @@ between the endpoint entropies, not via second differences.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .criterion import CriterionReport, evaluate_criterion
-from .spectra import HermitianMatrix, eigendecompose, von_neumann_entropy
+from .spectra import (
+    UNIT_NORM_TOL,
+    CoefficientTensor,
+    HermitianMatrix,
+    eigendecompose,
+    reduce_pure_state,
+    von_neumann_entropy,
+)
 
 DEFAULT_GRID_SIZE = 41
 EXACT_CHORD_TOL = 1e-7  # closed-form models (angular)
 QUADRATURE_CHORD_TOL = 1e-5  # quadrature / truncated-expansion models
+VANISHING_NORM = 1e-12  # superposition norm below which there is no state
 
 
 @dataclass(frozen=True)
 class PairSpec:
-    """A degenerate pair packaged as an alpha -> reduced density builder."""
+    """A degenerate pair given by the amplitude matrices (c0, c1) of its states.
 
-    builder: Callable[[float], HermitianMatrix]
+    ``amplitudes()`` returns the two matrices over a common product basis
+    (rows: the kept particle or coordinate, columns: the traced one).  It
+    is called on demand, so building a pair does no model work, and the
+    models memoize the arrays.
+    """
+
+    amplitudes: Callable[[], tuple[np.ndarray, np.ndarray]]
     label: str
     exact: bool = False
     sector_operator: np.ndarray | None = field(default=None, compare=False)
@@ -33,6 +49,22 @@ class PairSpec:
     @property
     def chord_tol(self) -> float:
         return EXACT_CHORD_TOL if self.exact else QUADRATURE_CHORD_TOL
+
+    def builder(self, alpha: float) -> HermitianMatrix:
+        """Reduced density of the normalized sqrt(alpha) c0 + sqrt(1-alpha) c1."""
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError("alpha must lie in [0, 1]")
+        c0, c1 = self.amplitudes()
+        if c0.shape != c1.shape:
+            raise ValueError(f"amplitude shapes differ: {c0.shape} != {c1.shape}")
+        state = CoefficientTensor(math.sqrt(alpha) * c0 + math.sqrt(1.0 - alpha) * c1)
+        if state.norm < VANISHING_NORM:
+            raise ValueError("superposition vanishes")
+        # overlapping or unnormalized states; a unit-norm superposition is
+        # passed as is, because dividing it by its norm moves rho by an ulp
+        if abs(state.norm - 1.0) > UNIT_NORM_TOL:
+            state = state.normalized()
+        return reduce_pure_state(state)
 
 
 @dataclass(frozen=True)
@@ -120,6 +152,21 @@ class AgreementRecord:
         return self.agree is not None
 
 
+def pair_criterion(pair: PairSpec, log_base: float = 2.0, **criterion_kwargs) -> CriterionReport:
+    """Criterion report with the first state (alpha = 1) as the reference.
+
+    The pair's sector operator, if any, restricts the not-shared-entropy
+    minimization (see :func:`entconvex.criterion.evaluate_criterion`).
+    """
+    return evaluate_criterion(
+        pair.builder(1.0),
+        pair.builder(0.0),
+        log_base=log_base,
+        sector_operator=pair.sector_operator,
+        **criterion_kwargs,
+    )
+
+
 def criterion_vs_observation(
     pair: PairSpec,
     grid_size: int = DEFAULT_GRID_SIZE,
@@ -128,13 +175,7 @@ def criterion_vs_observation(
     **criterion_kwargs,
 ) -> AgreementRecord:
     """Evaluate the criterion on a pair and check it against the curve."""
-    report = evaluate_criterion(
-        pair.builder(1.0),
-        pair.builder(0.0),
-        log_base=log_base,
-        sector_operator=pair.sector_operator,
-        **criterion_kwargs,
-    )
+    report = pair_criterion(pair, log_base, **criterion_kwargs)
     curve = entropy_curve(pair, grid_size, log_base)
     observed = classify_convexity(curve, pair.chord_tol if chord_tol is None else chord_tol)
     if report.qc == 0:
@@ -145,26 +186,36 @@ def criterion_vs_observation(
 
 
 # ---------------------------------------------------------------------------
-# pair factories, one per model
+# pair factories, one per model; each supplies only the two amplitude matrices
 
 
 def angular_pair(l: int, L: int, M: int, Mprime: int | None = None) -> PairSpec:
-    from .angular import coupled_reduced_density
+    from . import angular
 
     Mp = -M if Mprime is None else Mprime
     return PairSpec(
-        builder=lambda a: coupled_reduced_density(l, L, M, a, Mprime=Mp),
+        amplitudes=lambda: (angular.cg_matrix(l, L, M), angular.cg_matrix(l, L, Mp)),
         label=f"angular l={l} L={L} M={M}/{Mp}",
         exact=True,
     )
 
 
 def oscillator_pair(state0, state1, basis=None, use_sectors: bool = True) -> PairSpec:
-    from .oscillator import angular_momentum_matrix, oscillator_reduced_density
+    from . import oscillator
 
-    sector = angular_momentum_matrix(basis) if use_sectors else None
+    if state0.lam != state1.lam:
+        raise ValueError("states must share the coupling strength")
+    if abs(state0.energy - state1.energy) > 1e-9:
+        warnings.warn(
+            f"superposed states are not degenerate: E0={state0.energy}, E1={state1.energy}",
+            stacklevel=2,
+        )
+    sector = oscillator.angular_momentum_matrix(basis) if use_sectors else None
     return PairSpec(
-        builder=lambda a: oscillator_reduced_density(state0, state1, a, basis),
+        amplitudes=lambda: (
+            oscillator.coefficient_tensor(state0, basis).amplitudes,
+            oscillator.coefficient_tensor(state1, basis).amplitudes,
+        ),
         label=f"oscillator {state0.label()}/{state1.label()}",
         sector_operator=sector,
     )
@@ -176,30 +227,28 @@ def spherium_pair(
     lmax: int | None = None,
     use_sectors: bool = True,
 ) -> PairSpec:
-    from .spherium import (
-        DEFAULT_LMAX,
-        SpheriumState,
-        angular_momentum_diagonal,
-        spherium_reduced_density,
-    )
+    from .spherium import DEFAULT_LMAX, SpheriumState, angular_momentum_diagonal
 
     lm = DEFAULT_LMAX if lmax is None else lmax
     s0 = SpheriumState(M, lm)
     s1 = SpheriumState(-M if Mprime is None else Mprime, lm)
     sector = angular_momentum_diagonal(s0.lcut) if use_sectors else None
     return PairSpec(
-        builder=lambda a: spherium_reduced_density(s0, s1, a),
+        amplitudes=lambda: (s0.coefficients(), s1.coefficients()),
         label=f"spherium M={s0.M}/{s1.M}",
         sector_operator=sector,
     )
 
 
 def lg_pair(mode0, mode1, n_basis: int | None = None, order: int | None = None) -> PairSpec:
-    from .lgmodes import DEFAULT_BASIS_SIZE, DEFAULT_QUADRATURE_ORDER, lg_reduced_density
+    from . import lgmodes
 
-    nb = DEFAULT_BASIS_SIZE if n_basis is None else n_basis
-    od = DEFAULT_QUADRATURE_ORDER if order is None else order
+    nb = lgmodes.DEFAULT_BASIS_SIZE if n_basis is None else n_basis
+    od = lgmodes.DEFAULT_QUADRATURE_ORDER if order is None else order
     return PairSpec(
-        builder=lambda a: lg_reduced_density(mode0, mode1, a, nb, od),
+        amplitudes=lambda: (
+            lgmodes.mode_columns(mode0.l, mode0.m, nb, od),
+            lgmodes.mode_columns(mode1.l, mode1.m, nb, od),
+        ),
         label=f"lg {mode0.label()}/{mode1.label()}",
     )

@@ -15,10 +15,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entconvex.angular import cg, clebsch_gordan, coupled_reduced_density, coupled_reduced_density_exact
+from entconvex.angular import cg, clebsch_gordan, coupled_reduced_density_exact
 from entconvex.benchmarks import evaluate_table
 from entconvex.criterion import random_projector_probe
-from entconvex.lgmodes import LGMode, lg_criterion
+from entconvex.lgmodes import LGMode
 from entconvex.spherium import radial_residual
 from entconvex.sweep import angular_pair, criterion_vs_observation, entropy_curve, lg_pair, spherium_pair
 
@@ -76,11 +76,10 @@ def test_criterion_2_angular_reference_table():
     _report(2, ok, f"{detail}, natural log, closed form {float(closed):.3f} nats, {elapsed:.1f}s")
 
 
-def test_criterion_3_decoupled_oscillator_table(tmp_path, monkeypatch):
+def test_criterion_3_decoupled_oscillator_table():
     from entconvex.oscillator import _coefficient_tensor_cached
 
-    monkeypatch.setenv("ENTCONVEX_CACHE_DIR", str(tmp_path))  # force a cold cache
-    _coefficient_tensor_cached.cache_clear()
+    _coefficient_tensor_cached.cache_clear()  # force a cold cache
     t0 = time.time()
     res = evaluate_table(1, value_tol=5e-3)
     elapsed = time.time() - t0
@@ -96,10 +95,9 @@ def test_criterion_3_decoupled_oscillator_table(tmp_path, monkeypatch):
     )
 
 
-def test_criterion_4_coupled_oscillator_table(tmp_path, monkeypatch):
+def test_criterion_4_coupled_oscillator_table():
     from entconvex.oscillator import OscState, _coefficient_tensor_cached, energy_expectation
 
-    monkeypatch.setenv("ENTCONVEX_CACHE_DIR", str(tmp_path))
     _coefficient_tensor_cached.cache_clear()
     t0 = time.time()
     res = evaluate_table(2, value_tol=5e-3)
@@ -231,7 +229,7 @@ def test_criterion_8_oracle_equivalence():
                     psi = psi + math.sqrt(1.0 - alpha) * _oracle_vector(l, l, L, -M)
                     psi /= np.linalg.norm(psi)
                     amp = psi.reshape(2 * l + 1, 2 * l + 1)
-                    got = coupled_reduced_density(l, L, M, alpha).entries
+                    got = angular_pair(l, L, M).builder(alpha).entries
                     worst = max(worst, float(np.max(np.abs(got - amp @ amp.conj().T))))
     assert worst < 1e-12
     # exact CG normalization and float cross-L orthogonality, l1, l2 <= 12
@@ -260,14 +258,14 @@ def test_criterion_8_oracle_equivalence():
 def test_criterion_9_probe_property():
     worst_gap = 0.0
     for L in range(1, 7):
-        rho0 = coupled_reduced_density(3, L, L, 1.0)
-        rho1 = coupled_reduced_density(3, L, L, 0.0)
+        pair = angular_pair(3, L, L)
+        rho0, rho1 = pair.builder(1.0), pair.builder(0.0)
         rec = random_projector_probe(rho0, rho1, samples=10_000, seed=42)
         assert rec.min_value >= rec.bound - 1e-9, f"L={L}"
         worst_gap = max(worst_gap, rec.bound - rec.min_value)
     # unbiased sampling closes the gap in small dimension
-    rho0 = coupled_reduced_density(1, 1, 1, 1.0)
-    rho1 = coupled_reduced_density(1, 1, 1, 0.0)
+    pair = angular_pair(1, 1, 1)
+    rho0, rho1 = pair.builder(1.0), pair.builder(0.0)
     haar = random_projector_probe(rho0, rho1, samples=100_000, seed=42, mode="haar")
     gap = abs(haar.min_value - haar.bound)
     ok = gap < 0.02
@@ -300,19 +298,15 @@ def test_criterion_10_structural_invariants():
     r = np.linspace(1e-3, 2.0 * math.sqrt(6.0), 4001)
     checks.append(radial_residual(r) <= 1e-10)
     # cut-size convergence
-    from entconvex.lgmodes import lg_reduced_density
     from entconvex.spectra import eigendecompose, von_neumann_entropy
-    from entconvex.spherium import SpheriumState, spherium_reduced_density
 
     lg_vals = [
-        von_neumann_entropy(eigendecompose(lg_reduced_density(LGMode(2, 2), LGMode(2, -2), 0.5, n_basis=nb)))
+        von_neumann_entropy(eigendecompose(lg_pair(LGMode(2, 2), LGMode(2, -2), n_basis=nb).builder(0.5)))
         for nb in (32, 36)
     ]
     checks.append(abs(lg_vals[0] - lg_vals[1]) < 1e-4)
     sp_vals = [
-        von_neumann_entropy(
-            eigendecompose(spherium_reduced_density(SpheriumState(1, lmax), SpheriumState(-1, lmax), 0.5))
-        )
+        von_neumann_entropy(eigendecompose(spherium_pair(1, lmax=lmax).builder(0.5)))
         for lmax in (16, 20)
     ]
     checks.append(abs(sp_vals[0] - sp_vals[1]) < 1e-4)

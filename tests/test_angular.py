@@ -17,9 +17,9 @@ from entconvex.angular import (
     cg,
     clebsch_gordan,
     coupled_energy_check,
-    coupled_reduced_density,
     coupled_reduced_density_exact,
 )
+from entconvex.sweep import angular_pair
 
 
 def _single_ops(j):
@@ -167,7 +167,7 @@ class TestCoupledReducedDensity:
 
     def test_endpoint_matches_float_assembly(self):
         exact = coupled_reduced_density_exact(3, 2, 2, 1)
-        num = coupled_reduced_density(3, 2, 2, 1.0)
+        num = angular_pair(3, 2, 2).builder(1.0)
         np.testing.assert_allclose(
             np.real(np.diag(num.entries)),
             [float(exact[i][i]) for i in range(7)],
@@ -180,20 +180,20 @@ class TestCoupledReducedDensity:
             for L in range(0, 2 * l + 1):
                 for M in range(0, L + 1):
                     for alpha in (0.0, 0.3, 1.0):
-                        got = coupled_reduced_density(l, L, M, alpha).entries
+                        got = angular_pair(l, L, M).builder(alpha).entries
                         want = _oracle_density(l, L, M, alpha)
                         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_mirror_pair_isospectral(self):
-        a = coupled_reduced_density(3, 2, 2, 1.0)
-        b = coupled_reduced_density(3, 2, 2, 0.0)
+        pair = angular_pair(3, 2, 2)
+        a, b = pair.builder(1.0), pair.builder(0.0)
         np.testing.assert_allclose(
             np.linalg.eigvalsh(a.entries), np.linalg.eigvalsh(b.entries), atol=1e-12
         )
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
-            coupled_reduced_density(1, 1, 1, 1.5)
+            angular_pair(1, 1, 1).builder(1.5)
 
 
 def test_energy_check_values():

@@ -97,25 +97,6 @@ class TestProbe:
         assert mins[-1] >= float(rows[-1][2]) - 1e-9
 
 
-class TestCache:
-    def test_cache_commands(self, capsys, tmp_path):
-        from entconvex.oscillator import _coefficient_tensor_cached
-
-        _coefficient_tensor_cached.cache_clear()
-        code, out, _ = run(capsys, "cache", "list", "--cache-dir", str(tmp_path))
-        assert code == 0 and out.strip().endswith("0 entries")
-        run(
-            capsys, "criterion", "--model", "oscillator", "--n", "0", "--m", "1",
-            "--l", "0", "--p", "0", "--basis-size", "8", "--alpha-steps", "5",
-            "--cache-dir", str(tmp_path),
-        )
-        code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(tmp_path))
-        assert code == 0 and "entries: 2" in out
-        code, out, _ = run(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
-        assert code == 0 and "cleared 2" in out
-        _coefficient_tensor_cached.cache_clear()
-
-
 class TestConfig:
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -123,6 +104,28 @@ class TestConfig:
         code, out, _ = run(capsys, "curve", "--config", str(cfg), "--alpha-steps", "7")
         assert code == 0
         assert len(out.strip().splitlines()) == 8  # flag overrides config
+
+    def test_config_lambda_reaches_the_coupling(self, capsys, tmp_path):
+        # the config key is the flag name "lambda"; its dest is "lam"
+        cfg = tmp_path / "osc.cfg"
+        cfg.write_text(
+            "model = oscillator\nn = 0\nm = 2\nl = 0\np = 0\nlambda = 0.7\n"
+            "basis-size = 12\nalpha-steps = 5\n"
+        )
+        code_cfg, out_cfg, _ = run(capsys, "criterion", "--config", str(cfg))
+        code_flag, out_flag, _ = run(
+            capsys, "criterion", "--model", "oscillator", "--n", "0", "--m", "2",
+            "--l", "0", "--p", "0", "--lambda", "0.7", "--basis-size", "12", "--alpha-steps", "5",
+        )
+        assert code_cfg == code_flag == 0
+        assert out_cfg == out_flag
+
+    def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("model = angular\nl = 1\nL = 1\nM = 1\nalpha_stepz = 9\n")
+        code, out, err = run(capsys, "curve", "--config", str(cfg))
+        assert code == 2
+        assert "alpha_stepz" in err and out == ""
 
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

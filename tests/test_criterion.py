@@ -189,11 +189,11 @@ class TestProbe:
     def test_min_never_below_bound_on_mirror_pairs(self):
         # the identity is a statement about degenerate mirror pairs, not
         # arbitrary density pairs; exercise it on coupled-momentum pairs
-        from entconvex.angular import coupled_reduced_density
+        from entconvex.sweep import angular_pair
 
         for l, L in [(1, 1), (2, 2), (3, 1)]:
-            rho0 = coupled_reduced_density(l, L, L, 1.0)
-            rho1 = coupled_reduced_density(l, L, L, 0.0)
+            pair = angular_pair(l, L, L)
+            rho0, rho1 = pair.builder(1.0), pair.builder(0.0)
             rec = random_projector_probe(rho0, rho1, samples=500, seed=11)
             assert rec.min_value >= rec.bound - 1e-9
 

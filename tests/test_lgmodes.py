@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from entconvex.lgmodes import (
-    LGMode,
-    lg_criterion,
-    lg_evaluate,
-    lg_reduced_density,
-    mode_norm_capture,
-)
+from entconvex.lgmodes import LGMode, lg_evaluate, mode_norm_capture
 from entconvex.spectra import eigendecompose, von_neumann_entropy
+from entconvex.sweep import lg_pair, pair_criterion
 
 
 class TestEvaluate:
@@ -45,13 +40,13 @@ class TestReducedDensity:
             assert mode_norm_capture(mode) == pytest.approx(1.0, abs=1e-10)
 
     def test_density_properties(self):
-        rho = lg_reduced_density(LGMode(1, 1), LGMode(1, -1), 0.3)
+        rho = lg_pair(LGMode(1, 1), LGMode(1, -1)).builder(0.3)
         assert rho.trace() == pytest.approx(1.0, abs=1e-10)
 
     def test_same_mode_alpha_independent(self):
         m = LGMode(2, 1)
         s = [
-            von_neumann_entropy(eigendecompose(lg_reduced_density(m, m, a)))
+            von_neumann_entropy(eigendecompose(lg_pair(m, m).builder(a)))
             for a in (0.0, 0.4, 1.0)
         ]
         assert max(s) - min(s) < 1e-10
@@ -60,8 +55,8 @@ class TestReducedDensity:
         # tracing x instead of y maps (l, m) to (l, -m) up to a phase, so
         # the two partial traces of one mode share a spectrum
         m0, m1 = LGMode(2, 1), LGMode(2, -1)
-        a = lg_reduced_density(m0, m0, 1.0)
-        b = lg_reduced_density(m1, m1, 1.0)
+        a = lg_pair(m0, m0).builder(1.0)
+        b = lg_pair(m1, m1).builder(1.0)
         np.testing.assert_allclose(
             np.linalg.eigvalsh(a.entries), np.linalg.eigvalsh(b.entries), atol=1e-8
         )
@@ -69,7 +64,7 @@ class TestReducedDensity:
     def test_entropy_stable_under_basis_growth(self):
         vals = [
             von_neumann_entropy(
-                eigendecompose(lg_reduced_density(LGMode(3, 3), LGMode(3, -3), 0.5, n_basis=nb))
+                eigendecompose(lg_pair(LGMode(3, 3), LGMode(3, -3), n_basis=nb).builder(0.5))
             )
             for nb in (32, 36)
         ]
@@ -77,12 +72,12 @@ class TestReducedDensity:
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(ValueError):
-            lg_reduced_density(LGMode(0, 0), LGMode(1, 1), 1.2)
+            lg_pair(LGMode(0, 0), LGMode(1, 1)).builder(1.2)
 
 
 class TestCriterion:
     def test_mirror_pair_not_shared_vanishes(self):
-        rep = lg_criterion(LGMode(1, 1), LGMode(1, -1))
+        rep = pair_criterion(lg_pair(LGMode(1, 1), LGMode(1, -1)))
         assert rep.s_ns == pytest.approx(0.0, abs=1e-10)
         assert rep.qc == 1
         assert rep.s0 == pytest.approx(rep.s1, abs=1e-10)

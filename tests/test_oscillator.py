@@ -10,18 +10,15 @@ from entconvex.oscillator import (
     OscBasisSpec,
     OscState,
     angular_momentum_matrix,
-    cache_clear,
-    cache_entries,
     coefficient_tensor,
     coefficient_tensor_analytic,
     energy_expectation,
     kappa_coefficients,
     lz_residual,
     omega_relative,
-    oscillator_criterion,
-    oscillator_reduced_density,
 )
 from entconvex.spectra import eigendecompose, von_neumann_entropy
+from entconvex.sweep import oscillator_pair, pair_criterion
 
 SMALL = OscBasisSpec(n_per_coordinate=10, quadrature_order=32)
 
@@ -79,7 +76,7 @@ class TestDecoupledLimit:
         }
         for q, expected in cases.items():
             s = OscState(*q, 0.0)
-            rho = oscillator_reduced_density(s, s, 1.0)
+            rho = oscillator_pair(s, s).builder(1.0)
             got = von_neumann_entropy(eigendecompose(rho), 2.0)
             assert got == pytest.approx(expected, abs=1e-8)
 
@@ -99,19 +96,17 @@ class TestCoupled:
 
     def test_mismatched_coupling_rejected(self):
         with pytest.raises(ValueError):
-            oscillator_reduced_density(OscState(0, 1, 0, 0, 0.0), OscState(0, -1, 0, 0, 0.7), 0.5)
+            oscillator_pair(OscState(0, 1, 0, 0, 0.0), OscState(0, -1, 0, 0, 0.7))
 
     def test_non_degenerate_pair_warns(self):
         with pytest.warns(UserWarning):
-            oscillator_reduced_density(
-                OscState(0, 1, 0, 0, 0.0), OscState(1, 1, 0, 0, 0.0), 0.5, SMALL
-            )
+            oscillator_pair(OscState(0, 1, 0, 0, 0.0), OscState(1, 1, 0, 0, 0.0), SMALL).builder(0.5)
 
     def test_mirror_pair_isospectral(self):
         s0 = OscState(0, -2, 0, 0, 0.7)
         s1 = OscState(0, 2, 0, 0, 0.7)
-        a = oscillator_reduced_density(s0, s1, 1.0)
-        b = oscillator_reduced_density(s0, s1, 0.0)
+        pair = oscillator_pair(s0, s1)
+        a, b = pair.builder(1.0), pair.builder(0.0)
         np.testing.assert_allclose(
             np.linalg.eigvalsh(a.entries), np.linalg.eigvalsh(b.entries), atol=1e-10
         )
@@ -126,32 +121,14 @@ class TestSectorConvention:
         basis = OscBasisSpec()
         s0 = OscState(1, -1, 0, 0, 0.7)
         s1 = OscState(1, 1, 0, 0, 0.7)
-        rho = oscillator_reduced_density(s0, s1, 1.0, basis).entries
+        rho = oscillator_pair(s0, s1, basis).builder(1.0).entries
         lz = angular_momentum_matrix(basis)
         assert np.max(np.abs(rho @ lz - lz @ rho)) < 1e-4  # truncation-level
 
     def test_sector_value_at_least_minimized(self):
         s0 = OscState(1, -1, 0, 0, 0.7)
         s1 = OscState(1, 1, 0, 0, 0.7)
-        with_sectors = oscillator_criterion(s0, s1, use_sectors=True)
-        without = oscillator_criterion(s0, s1, use_sectors=False)
+        with_sectors = pair_criterion(oscillator_pair(s0, s1, use_sectors=True))
+        without = pair_criterion(oscillator_pair(s0, s1, use_sectors=False))
         assert with_sectors.s_ns >= without.s_ns - 1e-9
         assert with_sectors.s0 == pytest.approx(without.s0, abs=1e-12)
-
-
-class TestCache:
-    def test_roundtrip_and_clear(self, tmp_path, monkeypatch):
-        from entconvex.oscillator import _coefficient_tensor_cached
-
-        monkeypatch.setenv("ENTCONVEX_CACHE_DIR", str(tmp_path))
-        _coefficient_tensor_cached.cache_clear()
-        assert cache_entries() == []
-        s = OscState(0, 1, 0, 0, 0.0)
-        a = coefficient_tensor(s, SMALL).amplitudes
-        assert len(cache_entries()) == 1
-        _coefficient_tensor_cached.cache_clear()
-        b = coefficient_tensor(s, SMALL).amplitudes  # served from disk
-        np.testing.assert_allclose(a, b, atol=0)
-        assert cache_clear() == 1
-        assert cache_entries() == []
-        _coefficient_tensor_cached.cache_clear()

@@ -18,11 +18,10 @@ from entconvex.spherium import (
     perkins_weight,
     radial_residual,
     sph_product,
-    spherium_criterion,
-    spherium_reduced_density,
     wave_function,
 )
 from entconvex.spectra import eigendecompose, von_neumann_entropy
+from entconvex.sweep import PairSpec, pair_criterion, spherium_pair
 
 RNG = np.random.default_rng(101)
 
@@ -103,10 +102,8 @@ class TestWaveFunction:
 
 class TestReducedDensity:
     def test_mirror_pair_isospectral(self):
-        s0 = SpheriumState(1, lmax=12)
-        s1 = SpheriumState(-1, lmax=12)
-        a = spherium_reduced_density(s0, s1, 1.0)
-        b = spherium_reduced_density(s0, s1, 0.0)
+        pair = spherium_pair(1, lmax=12)
+        a, b = pair.builder(1.0), pair.builder(0.0)
         np.testing.assert_allclose(
             np.linalg.eigvalsh(a.entries), np.linalg.eigvalsh(b.entries), atol=1e-10
         )
@@ -114,15 +111,16 @@ class TestReducedDensity:
     def test_entropy_stable_under_lmax(self):
         vals = []
         for lmax in (16, 20):
-            s0 = SpheriumState(1, lmax=lmax)
-            s1 = SpheriumState(-1, lmax=lmax)
-            rho = spherium_reduced_density(s0, s1, 0.5)
+            rho = spherium_pair(1, lmax=lmax).builder(0.5)
             vals.append(von_neumann_entropy(eigendecompose(rho), 2.0))
         assert vals[0] == pytest.approx(vals[1], abs=1e-4)
 
     def test_mismatched_cuts_rejected(self):
         with pytest.raises(ValueError):
-            spherium_reduced_density(SpheriumState(1, lmax=12), SpheriumState(-1, lmax=16), 0.5)
+            PairSpec(
+                lambda: (SpheriumState(1, lmax=12).coefficients(), SpheriumState(-1, lmax=16).coefficients()),
+                "spherium lmax 12/16",
+            ).builder(0.5)
 
     def test_sector_diagonal_is_m(self):
         d = np.diag(angular_momentum_diagonal(2))
@@ -131,8 +129,8 @@ class TestReducedDensity:
 
 class TestCriterion:
     def test_sector_report_consistent(self):
-        rep = spherium_criterion(1, lmax=12)
+        rep = pair_criterion(spherium_pair(1, lmax=12))
         assert rep.s_r == pytest.approx(rep.s0 - rep.s_ns, abs=1e-12)
         assert rep.qc == 1
-        unrestricted = spherium_criterion(1, lmax=12, use_sectors=False)
+        unrestricted = pair_criterion(spherium_pair(1, lmax=12, use_sectors=False))
         assert rep.s_ns >= unrestricted.s_ns - 1e-9

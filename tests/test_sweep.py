@@ -1,17 +1,96 @@
-"""Alpha curves, chord classification, criterion-vs-observation records."""
+"""The single trace-out, alpha curves, chord classification,
+criterion-vs-observation records."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from entconvex.spectra import eigendecompose, von_neumann_entropy
 from entconvex.sweep import (
     AgreementRecord,
     ConvexityLabel,
     EntropyCurve,
+    PairSpec,
     angular_pair,
     classify_convexity,
     criterion_vs_observation,
     entropy_curve,
 )
+
+ALPHAS = st.floats(0.0, 1.0)
+
+
+@st.composite
+def amplitude_pairs(draw):
+    """Two random complex amplitude matrices of one small shape."""
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    entries = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    return (
+        draw(hnp.arrays(np.complex128, shape, elements=entries)),
+        draw(hnp.arrays(np.complex128, shape, elements=entries)),
+    )
+
+
+def _pair(c0, c1):
+    return PairSpec(lambda: (c0, c1), "random")
+
+
+def _entropy(pair, alpha):
+    return von_neumann_entropy(eigendecompose(pair.builder(alpha)))
+
+
+def _superposition(c0, c1, alpha):
+    amp = np.sqrt(alpha) * c0 + np.sqrt(1.0 - alpha) * c1
+    norm = np.linalg.norm(amp)
+    assume(norm > 1e-3)  # far from a vanishing superposition
+    return amp / norm
+
+
+def _haar(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestSingleTraceOut:
+    @given(amplitude_pairs(), ALPHAS)
+    @settings(max_examples=60, deadline=None)
+    def test_entropy_is_schmidt_entropy(self, cs, alpha):
+        # oracle independent of reduce_pure_state: squared singular values
+        amp = _superposition(*cs, alpha)
+        p = np.linalg.svd(amp, compute_uv=False) ** 2
+        p = p[p > 0.0]
+        expected = -float(np.sum(p * np.log2(p)))
+        assert _entropy(_pair(*cs), alpha) == pytest.approx(expected, abs=1e-10)
+
+    @given(amplitude_pairs(), ALPHAS, st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_local_unitary_invariance(self, cs, alpha, seed):
+        c0, c1 = cs
+        _superposition(c0, c1, alpha)
+        rng = np.random.default_rng(seed)
+        u, v = _haar(rng, c0.shape[0]), _haar(rng, c0.shape[1])
+        moved = _pair(u @ c0 @ v.T, u @ c1 @ v.T)
+        assert _entropy(moved, alpha) == pytest.approx(_entropy(_pair(c0, c1), alpha), abs=1e-10)
+
+    @given(amplitude_pairs(), ALPHAS)
+    @settings(max_examples=60, deadline=None)
+    def test_swap_mirrors_alpha(self, cs, alpha):
+        c0, c1 = cs
+        _superposition(c0, c1, 1.0 - alpha)  # the state both sides build
+        swapped = _pair(c1, c0).builder(alpha).entries
+        mirrored = _pair(c0, c1).builder(1.0 - alpha).entries
+        np.testing.assert_allclose(swapped, mirrored, atol=1e-10)
+        assert _entropy(_pair(c1, c0), alpha) == pytest.approx(
+            _entropy(_pair(c0, c1), 1.0 - alpha), abs=1e-10
+        )
+
+    def test_rejects_vanishing_superposition(self):
+        c = np.eye(2) / np.sqrt(2.0)
+        with pytest.raises(ValueError):
+            _pair(c, -c).builder(0.5)
 
 
 def _curve(entropies):
