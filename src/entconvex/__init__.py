@@ -8,10 +8,10 @@ oscillators (:mod:`entconvex.oscillator`), two electrons on a sphere
 (:mod:`entconvex.spherium`) and Laguerre-Gaussian photon modes
 (:mod:`entconvex.lgmodes`); each supplies only the amplitude matrices of
 its two states.  :mod:`entconvex.sweep` packages them as a
-:class:`PairSpec`, whose single trace-out feeds the alpha curves, the
-chord-convexity labels and the criterion; :mod:`entconvex.benchmarks`
-holds the embedded reference tables; :mod:`entconvex.cli` is the console
-entry.
+:class:`PairSpec`, whose single trace-out feeds the criterion and whose
+amplitude blocks feed the alpha curves and their chord-convexity labels;
+:mod:`entconvex.benchmarks` holds the embedded reference tables;
+:mod:`entconvex.cli` is the console entry.
 """
 
 from .criterion import (

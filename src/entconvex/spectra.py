@@ -19,6 +19,9 @@ EIGENVALUE_FLOOR = -1e-10
 DEFAULT_DEGENERACY_TOL = 1e-8
 DEFAULT_SUPPORT_FLOOR = 1e-12
 UNIT_NORM_TOL = 1e-6  # a pure state's amplitude norm may deviate from 1 by this
+# an entry of the amplitude support product above this fraction of its
+# largest entry links two rows into one block
+BLOCK_LINK_TOL = 1e-15
 
 
 class NonHermitianError(ValueError):
@@ -168,6 +171,46 @@ def eigendecompose(
         support=support,
         support_floor=support_floor,
     )
+
+
+def amplitude_blocks(c0: np.ndarray, c1: np.ndarray) -> tuple[tuple[np.ndarray, ...], float]:
+    """Row blocks on which every product c_i c_j^dagger (i, j in {0, 1}) is block diagonal.
+
+    ``G = (|c0| + |c1|)(|c0| + |c1|)^T`` bounds the modulus of every entry of
+    c0 c0^dagger, c1 c1^dagger and of the cross terms c0 c1^dagger,
+    c1 c0^dagger, so rows linked by no entry of G above ``BLOCK_LINK_TOL``
+    times its largest entry are uncoupled in the reduced density of any
+    superposition of c0 and c1.  The blocks are the connected components of
+    that link graph.  Without the cross terms the components can be finer
+    than the density's true blocks.
+
+    Returns the blocks as sorted row-index arrays, ordered by their first
+    row, and the largest entry of G between two blocks relative to the
+    largest entry of G: the most any dropped entry can weigh.
+    """
+    if c0.ndim != 2 or c0.shape != c1.shape:
+        raise ValueError(f"amplitudes must be 2-d arrays of one shape: {c0.shape} != {c1.shape}")
+    a = np.abs(c0) + np.abs(c1)
+    g = a @ a.T
+    top = float(g.max())
+    linked = g > BLOCK_LINK_TOL * top
+    n = len(g)
+    label = np.full(n, -1)
+    blocks = []
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        members = np.zeros(n, dtype=bool)
+        members[start] = True
+        frontier = members.copy()
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~members
+            members |= frontier
+        label[members] = len(blocks)
+        blocks.append(np.flatnonzero(members))
+    between = label[:, None] != label[None, :]
+    dropped = float(g[between].max()) / top if top > 0.0 and len(blocks) > 1 else 0.0
+    return tuple(blocks), dropped
 
 
 def von_neumann_entropy(s: Spectrum, log_base: float = 2.0) -> float:

@@ -1,5 +1,10 @@
-"""The single trace-out, alpha curves, chord classification,
-criterion-vs-observation records."""
+"""The single trace-out, alpha curves against the dense oracle, chord
+classification, criterion-vs-observation records."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from entconvex.spectra import eigendecompose, von_neumann_entropy
+import entconvex
+from entconvex.benchmarks import reference_table
+from entconvex.spectra import NotDensityMatrixError, eigendecompose, von_neumann_entropy
 from entconvex.sweep import (
     AgreementRecord,
     ConvexityLabel,
@@ -17,20 +24,40 @@ from entconvex.sweep import (
     classify_convexity,
     criterion_vs_observation,
     entropy_curve,
+    spherium_pair,
 )
+from oracles import dense_entropy_curve
 
 ALPHAS = st.floats(0.0, 1.0)
+ENTRIES = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def amplitude_pairs(draw):
     """Two random complex amplitude matrices of one small shape."""
     shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
-    entries = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
     return (
-        draw(hnp.arrays(np.complex128, shape, elements=entries)),
-        draw(hnp.arrays(np.complex128, shape, elements=entries)),
+        draw(hnp.arrays(np.complex128, shape, elements=ENTRIES)),
+        draw(hnp.arrays(np.complex128, shape, elements=ENTRIES)),
     )
+
+
+@st.composite
+def blocked_amplitude_pairs(draw):
+    """(c0, c1, number of blocks): both block diagonal over one set of
+    row/column blocks, rows and columns then permuted."""
+    blocks = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=2, max_size=3))
+    rows, cols = sum(r for r, _ in blocks), sum(c for _, c in blocks)
+    c0 = np.zeros((rows, cols), dtype=complex)
+    c1 = np.zeros((rows, cols), dtype=complex)
+    r = c = 0
+    for nr, nc in blocks:
+        c0[r:r + nr, c:c + nc] = draw(hnp.arrays(np.complex128, (nr, nc), elements=ENTRIES))
+        c1[r:r + nr, c:c + nc] = draw(hnp.arrays(np.complex128, (nr, nc), elements=ENTRIES))
+        r, c = r + nr, c + nc
+    prow = draw(st.permutations(range(rows)))
+    pcol = draw(st.permutations(range(cols)))
+    return c0[np.ix_(prow, pcol)], c1[np.ix_(prow, pcol)], len(blocks)
 
 
 def _pair(c0, c1):
@@ -48,6 +75,13 @@ def _superposition(c0, c1, alpha):
     return amp / norm
 
 
+def _schmidt_entropy(amp):
+    """Entropy from the squared singular values, independent of any trace-out."""
+    p = np.linalg.svd(amp / np.linalg.norm(amp), compute_uv=False) ** 2
+    p = p[p > 0.0]
+    return -float(np.sum(p * np.log2(p)))
+
+
 def _haar(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
@@ -59,10 +93,7 @@ class TestSingleTraceOut:
     @settings(max_examples=60, deadline=None)
     def test_entropy_is_schmidt_entropy(self, cs, alpha):
         # oracle independent of reduce_pure_state: squared singular values
-        amp = _superposition(*cs, alpha)
-        p = np.linalg.svd(amp, compute_uv=False) ** 2
-        p = p[p > 0.0]
-        expected = -float(np.sum(p * np.log2(p)))
+        expected = _schmidt_entropy(_superposition(*cs, alpha))
         assert _entropy(_pair(*cs), alpha) == pytest.approx(expected, abs=1e-10)
 
     @given(amplitude_pairs(), ALPHAS, st.integers(0, 2**32 - 1))
@@ -91,6 +122,111 @@ class TestSingleTraceOut:
         c = np.eye(2) / np.sqrt(2.0)
         with pytest.raises(ValueError):
             _pair(c, -c).builder(0.5)
+
+
+GRID = 5  # the smallest grid entropy_curve accepts: endpoints and three interior points
+
+
+def _assume_no_cancellation(c0, c1):
+    # summing the block terms after the products costs relative accuracy
+    # (norm of the parts / norm of the superposition)^2; keep it near 1
+    for a in np.linspace(0.0, 1.0, GRID):
+        amp = np.sqrt(a) * c0 + np.sqrt(1.0 - a) * c1
+        parts = np.sqrt(a) * np.linalg.norm(c0) + np.sqrt(1.0 - a) * np.linalg.norm(c1)
+        assume(np.linalg.norm(amp) > max(0.1 * parts, 1e-3))
+
+
+class TestBlockCurve:
+    """The block-diagonal batched curve against the dense per-point oracle."""
+
+    @given(blocked_amplitude_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_planted_blocks_match_dense(self, planted):
+        c0, c1, nblocks = planted
+        _assume_no_cancellation(c0, c1)
+        pair = _pair(c0, c1)
+        curve = entropy_curve(pair, GRID)
+        np.testing.assert_allclose(curve.entropies, dense_entropy_curve(pair, GRID), rtol=0, atol=1e-12)
+        # each planted block holds one detected block or more
+        assert len(curve.block_sizes) >= nblocks
+        assert sum(curve.block_sizes) == c0.shape[0]
+
+    @given(amplitude_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_unstructured_match_dense(self, cs):
+        _assume_no_cancellation(*cs)
+        pair = _pair(*cs)
+        curve = entropy_curve(pair, GRID)
+        np.testing.assert_allclose(curve.entropies, dense_entropy_curve(pair, GRID), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "make_pair, sizes",
+        [
+            (lambda: reference_table(2)[0].pair, [128, 128]),
+            (lambda: spherium_pair(1), [1, 121, 132, 132, 143]),
+        ],
+        ids=["oscillator-table-2", "spherium-M1"],
+    )
+    def test_model_pairs_match_dense_and_report_blocks(self, make_pair, sizes):
+        pair = make_pair()
+        curve = entropy_curve(pair, GRID)
+        np.testing.assert_allclose(curve.entropies, dense_entropy_curve(pair, GRID), rtol=0, atol=1e-12)
+        assert sorted(curve.block_sizes) == sizes
+        assert 0.0 <= curve.offblock_dropped <= 1e-15
+
+    def test_cross_term_links_blocks(self):
+        # c0 c0^dagger lives on rows {0, 1} and c1 c1^dagger on rows {2, 3},
+        # but c0 c1^dagger couples them; blocks taken from the diagonal terms
+        # alone would miss the coupling and give the wrong entropy inside
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        y = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        zero = np.zeros((2, 3))
+        c0 = np.vstack([x, zero]) / np.linalg.norm(x)
+        c1 = np.vstack([zero, y]) / np.linalg.norm(y)
+        pair = _pair(c0, c1)
+        curve = entropy_curve(pair, GRID)
+        assert curve.block_sizes == (4,)
+        expected = [
+            _schmidt_entropy(np.sqrt(a) * c0 + np.sqrt(1.0 - a) * c1)
+            for a in np.linspace(0.0, 1.0, GRID)
+        ]
+        np.testing.assert_allclose(curve.entropies, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(curve.entropies, dense_entropy_curve(pair, GRID), rtol=0, atol=1e-12)
+
+    def test_rejects_vanishing_superposition(self):
+        c = np.eye(2) / np.sqrt(2.0)
+        with pytest.raises(ValueError, match="vanishes"):
+            entropy_curve(_pair(c, -c))
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            entropy_curve(_pair(np.eye(2), np.eye(3)))
+
+    def test_rejects_negative_eigenvalue(self, monkeypatch):
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solve(a) - 1e-9)
+        with pytest.raises(NotDensityMatrixError):
+            entropy_curve(angular_pair(2, 1, 1))
+
+    def test_import_and_curve_leave_scipy_sparse_unloaded(self):
+        # scipy.sparse adds about 11 MB of resident memory; the model modules
+        # import scipy.special, which must not pull it in either
+        code = (
+            "import sys, entconvex, entconvex.cli, entconvex.oscillator, entconvex.spherium\n"
+            "from entconvex.lgmodes import LGMode\n"
+            "entconvex.entropy_curve(entconvex.lg_pair(LGMode(1, 1), LGMode(1, -1)))\n"
+            "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse imported'\n"
+        )
+        src = str(Path(entconvex.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 def _curve(entropies):
