@@ -17,9 +17,7 @@ amplitude blocks feed the alpha curves and their chord-convexity labels;
 from .criterion import (
     CriterionReport,
     ProbeRecord,
-    ProjectorFamily,
     evaluate_criterion,
-    not_shareable_entropy,
     not_shared_entropy,
     random_projector_probe,
     refine_blocks_by_sector,
@@ -59,7 +57,6 @@ __all__ = [
     "HermitianMatrix",
     "PairSpec",
     "ProbeRecord",
-    "ProjectorFamily",
     "Spectrum",
     "angular_pair",
     "classify_convexity",
@@ -68,7 +65,6 @@ __all__ = [
     "entropy_curve",
     "evaluate_criterion",
     "lg_pair",
-    "not_shareable_entropy",
     "not_shared_entropy",
     "oscillator_pair",
     "pair_criterion",

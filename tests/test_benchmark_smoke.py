@@ -1,0 +1,23 @@
+"""The benchmark's probe workload, run once in quick mode.
+
+Checks the probe's outputs against the recorded ones in
+``perfbench/expected/``; timings are printed but not checked.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_quick_probe_run_matches_recorded_outputs():
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "probe", "--seed", "1",
+           "--seconds", "1", "--trace", "0", "--quick"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stdout
+    assert result["failed"] == 0
+    assert result["attempted"] >= 1

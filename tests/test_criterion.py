@@ -2,21 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entconvex import criterion
 from entconvex.criterion import (
-    ProjectorFamily,
     balanced_eigenbasis,
     criterion_qc,
     evaluate_criterion,
-    expectations_under_projectors,
-    not_shareable_entropy,
     not_shared_entropy,
-    not_shared_entropy_sampled,
+    orthonormalize,
     random_projector_probe,
     refine_blocks_by_sector,
     theta,
 )
 from entconvex.spectra import HermitianMatrix, eigendecompose, von_neumann_entropy
+from entconvex.sweep import angular_pair
+from oracles import (
+    ProjectorFamily,
+    dense_projector_probe,
+    expectations_under_projectors,
+    not_shareable_entropy,
+    not_shared_entropy_sampled,
+)
 
 
 def _density(mat):
@@ -189,8 +197,6 @@ class TestProbe:
     def test_min_never_below_bound_on_mirror_pairs(self):
         # the identity is a statement about degenerate mirror pairs, not
         # arbitrary density pairs; exercise it on coupled-momentum pairs
-        from entconvex.sweep import angular_pair
-
         for l, L in [(1, 1), (2, 2), (3, 1)]:
             pair = angular_pair(l, L, L)
             rho0, rho1 = pair.builder(1.0), pair.builder(0.0)
@@ -212,3 +218,109 @@ class TestProbe:
         rho1 = _random_density(rng, 3)
         base = balanced_eigenbasis(eigendecompose(rho0), rho1)
         ProjectorFamily(base)  # orthonormality enforced at construction
+
+    def test_argument_errors(self, monkeypatch):
+        rho = _density(np.diag([0.5, 0.5]))
+        with pytest.raises(ValueError, match="samples"):
+            random_projector_probe(rho, rho, samples=0)
+        with pytest.raises(ValueError, match="dimension"):
+            random_projector_probe(rho, _density(np.eye(3) / 3.0), samples=1)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("eigendecompose ran before the mode was checked")
+
+        monkeypatch.setattr(criterion, "eigendecompose", no_work)
+        with pytest.raises(ValueError, match="mode"):
+            random_projector_probe(rho, rho, samples=1, mode="uniform")
+
+
+def _planted_pair():
+    """rho0 with degenerate blocks of sizes 1, 2 and 3 in a random basis.
+
+    The partner is rho0 plus a random Hermitian term that is traceless on
+    each block, so each block's partner weight is d lambda: the balanced
+    family sits exactly at the threshold of every Theta term, and each
+    intra-block rotation moves the sampled value, so the checkpoints
+    depend on every draw.
+    """
+    rng = np.random.default_rng(67)
+    u, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    w = np.array([0.3, 0.15, 0.15, 0.4 / 3, 0.4 / 3, 0.4 / 3])
+    rho0 = _density((u * w) @ u.conj().T)
+    assert [len(b) for b in eigendecompose(rho0).blocks] == [1, 2, 3]
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    h = g + g.conj().T
+    for block in (slice(0, 1), slice(1, 3), slice(3, 6)):
+        h[block, block] -= np.trace(h[block, block]) / (block.stop - block.start) * np.eye(
+            block.stop - block.start
+        )
+    rho1 = _density(rho0.entries + 0.01 * u @ h @ u.conj().T)
+    return rho0, rho1
+
+
+def _angular_states(l, L):
+    pair = angular_pair(l, L, L)
+    return pair.builder(1.0), pair.builder(0.0)
+
+
+PROBE_PAIRS = {
+    "angular-1-1": lambda: _angular_states(1, 1),
+    "angular-3-1": lambda: _angular_states(3, 1),
+    "angular-3-3": lambda: _angular_states(3, 3),
+    "angular-3-6": lambda: _angular_states(3, 6),
+    "planted-1-2-3": _planted_pair,
+}
+
+
+class TestProbeOracle:
+    """The block-local probe against the dense-family probe, seed for seed."""
+
+    @pytest.mark.parametrize("mode", ["biased", "haar"])
+    @pytest.mark.parametrize("name", sorted(PROBE_PAIRS))
+    def test_same_seed_same_checkpoints(self, name, mode):
+        rho0, rho1 = PROBE_PAIRS[name]()
+        # 1 is the balanced family alone; 511-513 and 1025 straddle batches
+        for samples in (1, 3, 511, 512, 513, 1025):
+            got = random_projector_probe(rho0, rho1, samples, seed=samples, mode=mode)
+            want = dense_projector_probe(rho0, rho1, samples, seed=samples, mode=mode)
+            assert [c for c, _ in got.checkpoints] == [c for c, _ in want.checkpoints]
+            np.testing.assert_allclose(
+                [v for _, v in got.checkpoints], [v for _, v in want.checkpoints],
+                rtol=0, atol=1e-12,
+            )
+            assert got.min_value == pytest.approx(want.min_value, abs=1e-12)
+            assert (got.bound, got.entropy, got.samples) == (want.bound, want.entropy, samples)
+
+
+def _qr_positive(a):
+    """Householder QR's Q with each column rephased so that diag(R) > 0."""
+    q, r = np.linalg.qr(a)
+    return q * np.exp(-1j * np.angle(np.einsum("...ii->...i", r)))[..., None, :]
+
+
+def _gram_error(q):
+    """Largest infinity norm of Q^dagger Q - I over a stack."""
+    gram = np.swapaxes(q.conj(), -1, -2) @ q - np.eye(q.shape[-1])
+    return np.abs(gram).sum(axis=-1).max()
+
+
+class TestOrthonormalize:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_ginibre_stack(self, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((500, 3, 3)) + 1j * rng.standard_normal((500, 3, 3))
+        q = orthonormalize(g)
+        assert _gram_error(q) <= 1e-14
+        np.testing.assert_allclose(q, _qr_positive(g), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("d", [2, 3, 12])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_near_identity_stack(self, d, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((500, d, d)) + 1j * rng.standard_normal((500, d, d))
+        a = np.eye(d) + 0.01 * g
+        q = orthonormalize(a)
+        assert _gram_error(q) <= 1e-14
+        np.testing.assert_allclose(q, _qr_positive(a), rtol=0, atol=1e-10)
