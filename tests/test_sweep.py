@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -107,9 +107,14 @@ class TestSingleTraceOut:
         assert _entropy(moved, alpha) == pytest.approx(_entropy(_pair(c0, c1), alpha), abs=1e-10)
 
     @given(amplitude_pairs(), ALPHAS)
+    @example((np.array([[0j], [1.0]]), np.array([[1.0 + 0j], [0.0]])), 1.7257388681757115e-16)
     @settings(max_examples=60, deadline=None)
     def test_swap_mirrors_alpha(self, cs, alpha):
         c0, c1 = cs
+        # below about 1e-13, 1 - (1 - alpha) != alpha in floating point, and
+        # sqrt turns that rounding into a 1e-9 amplitude gap; mirror the alpha
+        # whose complement is exact, so both sides build one superposition
+        alpha = 1.0 - (1.0 - alpha)
         _superposition(c0, c1, 1.0 - alpha)  # the state both sides build
         swapped = _pair(c1, c0).builder(alpha).entries
         mirrored = _pair(c0, c1).builder(1.0 - alpha).entries
