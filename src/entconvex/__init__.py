@@ -1,17 +1,20 @@
 """Entropy convexity of superpositions of degenerate bipartite eigenstates.
 
-Core machinery lives in :mod:`entconvex.spectra` (spectra, entropies) and
-:mod:`entconvex.criterion` (not-shared entropy, convexity criterion, the
-randomized projector probe).  Four model systems provide degenerate
+The package is one pipeline.  Four model systems provide degenerate
 pairs: coupled angular momenta (:mod:`entconvex.angular`), two harmonic
 oscillators (:mod:`entconvex.oscillator`), two electrons on a sphere
 (:mod:`entconvex.spherium`) and Laguerre-Gaussian photon modes
 (:mod:`entconvex.lgmodes`); each supplies only the amplitude matrices of
 its two states.  :mod:`entconvex.sweep` packages them as a
-:class:`PairSpec`, whose single trace-out feeds the criterion and whose
-amplitude blocks feed the alpha curves and their chord-convexity labels;
+:class:`PairSpec`.  Its single trace-out gives the endpoint densities,
+whose one eigen-solve each (:mod:`entconvex.spectra`) feeds the entropies,
+the not-shared entropy and Q_c (:mod:`entconvex.criterion`, which also
+holds the randomized projector probe); its amplitude blocks feed the
+alpha curves and their chord-convexity labels.
 :mod:`entconvex.benchmarks` holds the embedded reference tables;
-:mod:`entconvex.cli` is the console entry.
+:mod:`entconvex.cli` is the console entry.  The slow reference
+implementations and analytic checks that the tests compare against live
+in ``tests/oracles.py``, outside the package.
 """
 
 from .criterion import (
@@ -23,12 +26,10 @@ from .criterion import (
     refine_blocks_by_sector,
 )
 from .spectra import (
-    CoefficientTensor,
     HermitianMatrix,
     Spectrum,
     eigendecompose,
     reduce_pure_state,
-    relative_entropy,
     von_neumann_entropy,
 )
 from .sweep import (
@@ -50,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgreementRecord",
-    "CoefficientTensor",
     "ConvexityLabel",
     "CriterionReport",
     "EntropyCurve",
@@ -71,7 +71,6 @@ __all__ = [
     "random_projector_probe",
     "reduce_pure_state",
     "refine_blocks_by_sector",
-    "relative_entropy",
     "spherium_pair",
     "von_neumann_entropy",
     "__version__",

@@ -52,17 +52,6 @@ class ExactCoefficient:
     def value(self) -> float:
         return self.sign * math.sqrt(self.square)
 
-    def product_with(self, other: "ExactCoefficient") -> Fraction:
-        """Exact value of self * other, valid when the product is rational.
-
-        The product of two square roots is rational only when the squares
-        share the same square-free part; callers use this for products of
-        a coefficient with itself (or with an equal-square partner).
-        """
-        if self.square != other.square:
-            raise ValueError("product is irrational for differing squares")
-        return self.sign * other.sign * self.square
-
 
 ZERO = ExactCoefficient(0, Fraction(0))
 
@@ -112,30 +101,6 @@ def cg(l1: int, m1: int, l2: int, m2: int, L: int, M: int) -> float:
     return clebsch_gordan(l1, m1, l2, m2, L, M).value
 
 
-def coupled_reduced_density_exact(
-    l: int, L: int, M: int, alpha: int, Mprime: int | None = None
-) -> list[list[Fraction]]:
-    """Exact rational reduced density matrix at an endpoint alpha in {0, 1}.
-
-    At the endpoints only squared coefficients appear, so every entry is
-    rational.  Basis order is the canonical m-basis m = l, l-1, ..., -l.
-    """
-    if alpha not in (0, 1):
-        raise ValueError("exact assembly only at alpha in {0, 1}")
-    if l > MAX_ELL:
-        raise ValueError(f"supported range is l <= {MAX_ELL}")
-    Mp = -M if Mprime is None else Mprime
-    Meff = M if alpha == 1 else Mp
-    AngularConfig(l, l, L, Meff)
-    dim = 2 * l + 1
-    rho = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        mi = l - i
-        c = clebsch_gordan(l, mi, l, Meff - mi, L, Meff)
-        rho[i][i] = c.square
-    return rho
-
-
 @lru_cache(maxsize=None)
 def cg_matrix(l: int, L: int, M: int) -> np.ndarray:
     """Amplitudes ``C[i, j]`` of the coupled state |L, M> of two angular momenta l.
@@ -155,9 +120,3 @@ def cg_matrix(l: int, L: int, M: int) -> np.ndarray:
             c[i, l - m2] = cg(l, l - i, l, m2, L, M)
     c.setflags(write=False)
     return c
-
-
-def coupled_energy_check(l: int, L: int, M: int) -> int:
-    """Eigenvalue of L_total^2 - L_z^2 on the coupled state: L(L+1) - M^2."""
-    AngularConfig(l, l, L, M)
-    return L * (L + 1) - M * M

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 from .criterion import CriterionReport
 from .sweep import (
+    DEFAULT_GRID_SIZE,
     ConvexityLabel,
     PairSpec,
     angular_pair,
@@ -57,16 +58,15 @@ class ReferenceRow:
 class RowResult:
     row: ReferenceRow
     report: CriterionReport
-    observed: ConvexityLabel | None
+    observed: ConvexityLabel
     value_errors: dict[str, float]
     values_agree: bool
     qc_agree: bool
-    convexity_agree: bool | None
+    convexity_agree: bool
 
     @property
     def agree(self) -> bool:
-        conv_ok = self.convexity_agree is None or self.convexity_agree
-        return self.values_agree and self.qc_agree and conv_ok
+        return self.values_agree and self.qc_agree and self.convexity_agree
 
 
 @dataclass(frozen=True)
@@ -179,18 +179,16 @@ def detect_log_base(rows, nat_reports) -> float:
 def evaluate_table(
     table_id: int,
     value_tol: float = DEFAULT_VALUE_TOL,
-    grid_size: int = 41,
-    check_curves: bool = True,
+    grid_size: int = DEFAULT_GRID_SIZE,
     log_base: float | None = None,
-    **criterion_kwargs,
 ) -> TableResult:
     """Compute a benchmark table and compare it against the reference rows.
 
     ``log_base=None`` selects the base by detection; an explicit value
-    skips it.  ``check_curves=False`` omits the chord-convexity scan.
+    skips it.
     """
     rows = reference_table(table_id)
-    nat_reports = [pair_criterion(r.pair, math.e, **criterion_kwargs) for r in rows]
+    nat_reports = [pair_criterion(r.pair, math.e) for r in rows]
     base = detect_log_base(rows, nat_reports) if log_base is None else log_base
 
     results = []
@@ -198,12 +196,7 @@ def evaluate_table(
         rep = rescale_report(nat, base)
         got = {"s_ns": rep.s_ns, "s_r": rep.s_r, "s_vn": rep.s0}
         errs = {k: abs(got[k] - ref) for k, ref in row.magnitudes().items()}
-        observed = None
-        conv_agree = None
-        if check_curves:
-            curve = entropy_curve(row.pair, grid_size, base)
-            observed = classify_convexity(curve, row.pair.chord_tol)
-            conv_agree = observed.label == row.convexity
+        observed = classify_convexity(entropy_curve(row.pair, grid_size, base), row.pair.chord_tol)
         results.append(
             RowResult(
                 row=row,
@@ -212,7 +205,7 @@ def evaluate_table(
                 value_errors=errs,
                 values_agree=all(e <= value_tol for e in errs.values()),
                 qc_agree=rep.qc == row.qc,
-                convexity_agree=conv_agree,
+                convexity_agree=observed.label == row.convexity,
             )
         )
     return TableResult(table_id, base, tuple(results))

@@ -18,6 +18,18 @@ import argparse
 import math
 import sys
 
+from .benchmarks import DEFAULT_VALUE_TOL, TABLE_IDS, evaluate_table
+from .criterion import random_projector_probe
+from .sweep import (
+    DEFAULT_GRID_SIZE,
+    angular_pair,
+    criterion_vs_observation,
+    entropy_curve,
+    lg_pair,
+    oscillator_pair,
+    spherium_pair,
+)
+
 LOG_BASES = {"2": 2.0, "e": math.e, "10": 10.0}
 
 
@@ -94,90 +106,66 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
-def merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill flags that were left at None from the config file, if any.
+def config_defaults(argv: list[str] | None) -> dict[str, str]:
+    """The values of the ``--config`` file in ``argv``, keyed by flag dest.
 
     Config keys are flag names without the dashes (``lambda``,
-    ``alpha-steps``); a key that names no flag is a usage error.
+    ``alpha-steps``); a key that names no flag is a usage error.  The
+    values become the subcommand parser's defaults, so argparse converts
+    and checks them as it does flag values, and explicit flags win.
     """
-    if not getattr(args, "config", None):
-        return args
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if not path:
+        return {}
     dests = _add_common(argparse.ArgumentParser())
-    for key, val in load_config(args.config).items():
+    out = {}
+    for key, val in load_config(path).items():
         if key not in dests:
             raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, dests[key]) is None:
-            setattr(args, dests[key], val)
-    return args
-
-
-def _log_base(val) -> float:
-    if val is None:
-        return 2.0
-    try:
-        return LOG_BASES[str(val)]
-    except KeyError:
-        raise ValueError(f"log base must be one of {sorted(LOG_BASES)}") from None
-
-
-def _int_or(val, default):
-    return default if val is None else int(val)
-
-
-def _float_or(val, default):
-    return default if val is None else float(val)
+        out[dests[key]] = val
+    return out
 
 
 def build_pair(args):
     """PairSpec from --model plus the per-model quantum-number flags."""
-    from . import sweep
-
     model = args.model
     if model is None:
         raise ValueError("--model is required")
     if model == "angular":
         if args.l is None or args.L is None or args.M is None:
             raise ValueError("angular pairs need --l --L --M")
-        return sweep.angular_pair(
-            int(args.l), int(args.L), int(args.M),
-            None if args.Mprime is None else int(args.Mprime),
-        )
+        return angular_pair(args.l, args.L, args.M, args.Mprime)
     if model == "oscillator":
         from .oscillator import OscBasisSpec, OscState
 
         if None in (args.n, args.m, args.l, args.p):
             raise ValueError("oscillator pairs need --n --m --l --p")
-        lam = _float_or(args.lam, 0.0)
-        n, m, l, p = int(args.n), int(args.m), int(args.l), int(args.p)
-        s0 = OscState(n, m, l, p, lam)
+        s0 = OscState(args.n, args.m, args.l, args.p, args.lam)
         s1 = OscState(
-            _int_or(args.n2, n), _int_or(args.m2, -m),
-            _int_or(args.l2, l), _int_or(args.p2, -p), lam,
+            args.n if args.n2 is None else args.n2,
+            -args.m if args.m2 is None else args.m2,
+            args.l if args.l2 is None else args.l2,
+            -args.p if args.p2 is None else args.p2,
+            args.lam,
         )
-        basis = None
-        if args.basis_size is not None:
-            basis = OscBasisSpec(n_per_coordinate=int(args.basis_size))
-        return sweep.oscillator_pair(s0, s1, basis)
+        basis = None if args.basis_size is None else OscBasisSpec(n_per_coordinate=args.basis_size)
+        return oscillator_pair(s0, s1, basis)
     if model == "spherium":
         if args.M is None:
             raise ValueError("spherium pairs need --M")
-        return sweep.spherium_pair(
-            int(args.M),
-            None if args.Mprime is None else int(args.Mprime),
-            lmax=None if args.lmax is None else int(args.lmax),
-        )
+        return spherium_pair(args.M, args.Mprime, lmax=args.lmax)
     if model == "lg":
         from .lgmodes import LGMode
 
         if args.l is None or args.m is None:
             raise ValueError("lg pairs need --l --m")
-        l, m = int(args.l), int(args.m)
-        mode0 = LGMode(l, m)
-        mode1 = LGMode(_int_or(args.l2, l), _int_or(args.m2, -m))
-        return sweep.lg_pair(
-            mode0, mode1,
-            n_basis=None if args.basis_size is None else int(args.basis_size),
+        mode1 = LGMode(
+            args.l if args.l2 is None else args.l2,
+            -args.m if args.m2 is None else args.m2,
         )
+        return lg_pair(LGMode(args.l, args.m), mode1, n_basis=args.basis_size)
     raise ValueError(f"unknown model {model!r}")
 
 
@@ -186,14 +174,7 @@ def build_pair(args):
 
 
 def cmd_table(args) -> int:
-    from .benchmarks import evaluate_table
-
-    res = evaluate_table(
-        int(args.table_id),
-        value_tol=_float_or(args.tol, 5e-3),
-        grid_size=_int_or(args.alpha_steps, 41),
-        log_base=None if args.log_base is None else _log_base(args.log_base),
-    )
+    res = evaluate_table(args.table_id, args.tol, args.alpha_steps, args.log_base)
     header = [
         "pair", "s_vn", "s_ns", "s_r", "qc",
         "convexity_observed", "convexity_reference", "agree", "log_base_used",
@@ -203,18 +184,14 @@ def cmd_table(args) -> int:
         rows.append([
             r.row.pair.label.replace(",", ";"),
             r.report.s0, r.report.s_ns, r.report.s_r, r.report.qc,
-            r.observed.label if r.observed else "",
-            r.row.convexity, int(r.agree), res.log_base,
+            r.observed.label, r.row.convexity, int(r.agree), res.log_base,
         ])
     _write_csv(args.out, header, rows)
     return 0 if res.agree else 1
 
 
 def cmd_curve(args) -> int:
-    from .sweep import entropy_curve
-
-    pair = build_pair(args)
-    curve = entropy_curve(pair, _int_or(args.alpha_steps, 41), _log_base(args.log_base))
+    curve = entropy_curve(build_pair(args), args.alpha_steps, args.log_base)
     _write_csv(args.out, ["alpha", "entropy"], [list(t) for t in zip(curve.alphas, curve.entropies)])
     if args.svg:
         write_svg(args.svg, curve.alphas, curve.entropies, curve.s0, curve.s1)
@@ -222,10 +199,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_criterion(args) -> int:
-    from .sweep import criterion_vs_observation
-
     pair = build_pair(args)
-    rec = criterion_vs_observation(pair, _int_or(args.alpha_steps, 41), _log_base(args.log_base))
+    rec = criterion_vs_observation(pair, args.alpha_steps, args.log_base)
     rep = rec.report
     agree = "" if rec.agree is None else int(rec.agree)
     _write_csv(
@@ -238,14 +213,10 @@ def cmd_criterion(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    from .criterion import random_projector_probe
-
     pair = build_pair(args)
     rec = random_projector_probe(
         pair.builder(1.0), pair.builder(0.0),
-        samples=_int_or(args.samples, 10_000),
-        seed=_int_or(args.seed, 0),
-        log_base=_log_base(args.log_base),
+        samples=args.samples, seed=args.seed, log_base=args.log_base,
     )
     rows = [[n, v, rec.bound] for n, v in rec.checkpoints]
     _write_csv(args.out, ["samples_so_far", "min_s_minus_2stilde", "bound_s_minus_2sns"], rows)
@@ -256,11 +227,20 @@ def cmd_probe(args) -> int:
 # argument parsing
 
 
+def _log_base(val: str) -> float:
+    try:
+        return LOG_BASES[val]
+    except KeyError:
+        raise argparse.ArgumentTypeError(f"log base must be one of {sorted(LOG_BASES)}") from None
+
+
 def _add_common(p: argparse.ArgumentParser) -> dict[str, str]:
     """Add the flags every subcommand shares; return config key -> dest.
 
     A config key is a flag without its dashes, with '-' read as '_'
     (``--alpha-steps`` -> ``alpha_steps``, ``--lambda`` -> ``lambda``).
+    A flag defaults to None where the model or the first state supplies
+    the value.
     """
     add = p.add_argument
     actions = [
@@ -277,14 +257,14 @@ def _add_common(p: argparse.ArgumentParser) -> dict[str, str]:
         add("--m2", type=int),
         add("--l2", type=int),
         add("--p2", type=int),
-        add("--lambda", dest="lam", type=float),
-        add("--alpha-steps", type=int),
-        add("--log-base", choices=sorted(LOG_BASES)),
+        add("--lambda", dest="lam", type=float, default=0.0),
+        add("--alpha-steps", type=int, default=DEFAULT_GRID_SIZE),
+        add("--log-base", type=_log_base, default=2.0, metavar="{2,e,10}"),
         add("--lmax", type=int),
         add("--basis-size", type=int),
-        add("--samples", type=int),
-        add("--seed", type=int),
-        add("--tol", type=float),
+        add("--samples", type=int, default=10_000),
+        add("--seed", type=int, default=0),
+        add("--tol", type=float, default=DEFAULT_VALUE_TOL),
         add("--out", help="CSV path ('-' or omitted: stdout)"),
         add("--svg", help="SVG path for the curve plot"),
     ]
@@ -295,40 +275,33 @@ def _add_common(p: argparse.ArgumentParser) -> dict[str, str]:
     }
 
 
-def make_parser() -> argparse.ArgumentParser:
+def make_parser(defaults: dict[str, str]) -> argparse.ArgumentParser:
+    """The CLI parser; ``defaults`` (config values by dest) override the flags' own."""
     parser = argparse.ArgumentParser(
         prog="entconvex",
         description="Entropy convexity of degenerate-pair superpositions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("table", help="run one embedded benchmark table")
-    p.add_argument("table_id", type=int, choices=[1, 2, 3, 4, 5])
-    _add_common(p)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("curve", help="entropy-vs-alpha grid for a pair")
-    _add_common(p)
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("criterion", help="criterion evaluation for a pair")
-    _add_common(p)
-    p.set_defaults(func=cmd_criterion)
-
-    p = sub.add_parser("probe", help="randomized projector probe for a pair")
-    _add_common(p)
-    p.set_defaults(func=cmd_probe)
-
+    for name, func, text in [
+        ("table", cmd_table, "run one embedded benchmark table"),
+        ("curve", cmd_curve, "entropy-vs-alpha grid for a pair"),
+        ("criterion", cmd_criterion, "criterion evaluation for a pair"),
+        ("probe", cmd_probe, "randomized projector probe for a pair"),
+    ]:
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        p.set_defaults(func=func)
+        if name == "table":
+            p.add_argument("table_id", type=int, choices=TABLE_IDS)
+            p.set_defaults(log_base=None)  # detected per table
+        p.set_defaults(**defaults)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
-        args = merge_config(args)
-        alpha_steps = getattr(args, "alpha_steps", None)
-        if alpha_steps is not None and int(alpha_steps) < 5:
+        args = make_parser(config_defaults(argv)).parse_args(argv)
+        if args.alpha_steps < 5:
             raise ValueError("--alpha-steps must be at least 5")
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:

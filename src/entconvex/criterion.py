@@ -18,7 +18,7 @@ import numpy as np
 
 from .spectra import (
     DEFAULT_DEGENERACY_TOL,
-    DEFAULT_SUPPORT_FLOOR,
+    SUPPORT_FLOOR,
     HermitianMatrix,
     Spectrum,
     eigendecompose,
@@ -26,6 +26,7 @@ from .spectra import (
 )
 
 DEFAULT_QC_TOL = 1e-9
+SECTOR_TOL = 1e-8  # sector eigenvalues further apart than this (relative) split a block
 
 
 def theta(x: float) -> float:
@@ -79,9 +80,7 @@ def _block_traces(spec0: Spectrum, rho1: HermitianMatrix) -> list[tuple[float, i
     return out
 
 
-def refine_blocks_by_sector(
-    spec0: Spectrum, sector_operator: np.ndarray, sector_tol: float = 1e-8
-) -> Spectrum:
+def refine_blocks_by_sector(spec0: Spectrum, sector_operator: np.ndarray) -> Spectrum:
     """Split degeneracy blocks along the eigenspaces of a symmetry operator.
 
     Rotates the eigenvectors inside each block so they also diagonalize the
@@ -107,7 +106,7 @@ def refine_blocks_by_sector(
         w, u = np.linalg.eigh(0.5 * (restriction + restriction.conj().T))
         v[:, cols] = vb @ u
         spread = float(w[-1] - w[0])
-        gap = sector_tol * max(spread, 1.0)
+        gap = SECTOR_TOL * max(spread, 1.0)
         current = [cols[0]]
         for k in range(1, len(cols)):
             if w[k] - w[k - 1] > gap:
@@ -120,7 +119,6 @@ def refine_blocks_by_sector(
         eigenvectors=v,
         blocks=tuple(blocks),
         support=spec0.support,
-        support_floor=spec0.support_floor,
     )
 
 
@@ -138,7 +136,7 @@ def not_shared_entropy(
         raise ValueError("dimension mismatch")
     total = 0.0
     for lam, d, tr in _block_traces(spec0, rho1):
-        if lam > spec0.support_floor:
+        if lam > SUPPORT_FLOOR:
             total += theta(d * lam - tr) * math.log(1.0 / lam)
     return total / math.log(log_base)
 
@@ -164,7 +162,6 @@ def evaluate_criterion(
     log_base: float = 2.0,
     qc_tol: float = DEFAULT_QC_TOL,
     degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-    support_floor: float = DEFAULT_SUPPORT_FLOOR,
     reference: int = 0,
     sector_operator: np.ndarray | None = None,
 ) -> CriterionReport:
@@ -180,8 +177,8 @@ def evaluate_criterion(
         rho0, rho1 = rho1, rho0
     elif reference != 0:
         raise ValueError("reference must be 0 or 1")
-    spec0 = eigendecompose(rho0, degeneracy_tol, support_floor)
-    spec1 = eigendecompose(rho1, degeneracy_tol, support_floor)
+    spec0 = eigendecompose(rho0, degeneracy_tol)
+    spec1 = eigendecompose(rho1, degeneracy_tol)
     if sector_operator is not None:
         spec0 = refine_blocks_by_sector(spec0, sector_operator)
     s0 = von_neumann_entropy(spec0, log_base)
@@ -222,6 +219,7 @@ def balanced_eigenbasis(spec0: Spectrum, rho1: HermitianMatrix) -> np.ndarray:
 
 
 PROBE_BATCH = 512  # families drawn and scored per step
+BIAS_STRENGTH = 0.01  # size of the random intra-block rotations of the biased probe
 
 
 def orthonormalize(a: np.ndarray) -> np.ndarray:
@@ -266,11 +264,11 @@ def _haar_expectations(rng, n, rho0, rho1):
     return _expectations(orthonormalize(g)[None], np.stack([rho0, rho1])[:, None])[:, 0]
 
 
-def _block_expectations(rng, n, a0, a1, blocks, strength, balanced_first):
+def _block_expectations(rng, n, a0, a1, blocks, balanced_first):
     """Expectations of a0 and a1 under n block-diagonal rotations R.
 
     Per block of size d > 1, in block order, draws a real and then an
-    imaginary (n, d, d) normal array G and takes R_b = Q of I + strength G;
+    imaginary (n, d, d) normal array G and takes R_b = Q of I + BIAS_STRENGTH G;
     a 1x1 block keeps R_b = 1 and so a constant expectation.  Blocks of one
     size are rotated and scored in one stacked call.  With
     ``balanced_first`` the first rotation is the identity.
@@ -287,7 +285,7 @@ def _block_expectations(rng, n, a0, a1, blocks, strength, balanced_first):
         by_size.setdefault(d, []).append((block, g))
     for d, group in by_size.items():
         cols = np.array([block for block, _ in group])
-        rot = orthonormalize(np.eye(d) + strength * np.stack([g for _, g in group]))
+        rot = orthonormalize(np.eye(d) + BIAS_STRENGTH * np.stack([g for _, g in group]))
         if balanced_first:
             rot[:, 0] = np.eye(d)
         sub = (cols[:, :, None], cols[:, None, :])
@@ -302,9 +300,7 @@ def random_projector_probe(
     seed: int = 0,
     log_base: float = 2.0,
     mode: str = "biased",
-    bias_strength: float = 0.01,
     degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-    support_floor: float = DEFAULT_SUPPORT_FLOOR,
 ) -> ProbeRecord:
     """Sample complete projector families and minimize S - 2*S_tilde.
 
@@ -328,7 +324,7 @@ def random_projector_probe(
         raise ValueError("samples must be >= 1")
     if rho0.dim != rho1.dim:
         raise ValueError("dimension mismatch")
-    spec0 = eigendecompose(rho0, degeneracy_tol, support_floor)
+    spec0 = eigendecompose(rho0, degeneracy_tol)
     s = von_neumann_entropy(spec0, log_base)
     s_ns = not_shared_entropy(spec0, rho1, log_base)
     bound = s - 2.0 * s_ns
@@ -348,12 +344,10 @@ def random_projector_probe(
         if mode == "haar":
             p, q1 = _haar_expectations(rng, n, rho0.entries, rho1.entries)
         else:
-            p, q1 = _block_expectations(
-                rng, n, a0, a1, spec0.blocks, bias_strength, balanced_first=done == 0
-            )
+            p, q1 = _block_expectations(rng, n, a0, a1, spec0.blocks, balanced_first=done == 0)
         p = np.clip(p, 0.0, 1.0)
         excess = np.maximum(p - q1, 0.0)
-        logs = np.where(p > support_floor, np.log(np.maximum(p, 1e-300)), 0.0)
+        logs = np.where(p > SUPPORT_FLOOR, np.log(np.maximum(p, 1e-300)), 0.0)
         stilde = -np.sum(excess * logs, axis=1) / log_conv
         running = np.minimum(np.minimum.accumulate(s - 2.0 * stilde), best)
         while next_checkpoint <= done + n:

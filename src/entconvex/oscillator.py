@@ -19,8 +19,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_hermite
 
-from .spectra import CoefficientTensor
-
 NORM_DEFICIT_TOL = 1e-6
 
 
@@ -149,19 +147,19 @@ def _overlap_tensor(n_basis: int, a_max: int, c_max: int, omega_r: float, order:
     return out
 
 
-def coefficient_tensor(state: OscState, basis: OscBasisSpec | None = None) -> CoefficientTensor:
-    """Bipartite amplitudes of one eigenstate over the f^1 product basis.
+def coefficient_tensor(state: OscState, basis: OscBasisSpec | None = None) -> np.ndarray:
+    """Unit-norm bipartite amplitudes of one eigenstate over the f^1 product basis.
 
-    Side A groups particle 1's (x, y) Hermite indices, side B particle
-    2's.  Raises when the truncated expansion loses more than 1e-6 of the
-    norm (basis too small).  Results are memoized in memory (an alpha
-    sweep reads them once per grid point).
+    Rows group particle 1's (x, y) Hermite indices, columns particle
+    2's; the array is read-only.  Raises when the truncated expansion
+    loses more than 1e-6 of the norm (basis too small).  Results are
+    memoized in memory (an alpha sweep reads them once per grid point).
     """
     return _coefficient_tensor_cached(state, basis or OscBasisSpec())
 
 
 @lru_cache(maxsize=64)
-def _coefficient_tensor_cached(state: OscState, basis: OscBasisSpec) -> CoefficientTensor:
+def _coefficient_tensor_cached(state: OscState, basis: OscBasisSpec) -> np.ndarray:
     basis.check_state(state)
     nb = basis.n_per_coordinate
     wr = omega_relative(state.lam)
@@ -188,11 +186,13 @@ def _coefficient_tensor_cached(state: OscState, basis: OscBasisSpec) -> Coeffici
         raise ValueError(
             f"norm deficit {1.0 - norm**2:.3e} beyond {NORM_DEFICIT_TOL}; enlarge the basis"
         )
-    return CoefficientTensor(amp / norm)
+    amp = amp / norm
+    amp.setflags(write=False)
+    return amp
 
 
 # ---------------------------------------------------------------------------
-# operator matrices in the f^1 basis (for energy / angular momentum checks)
+# one-particle operators in the f^1 basis
 
 @lru_cache(maxsize=8)
 def _ladder_matrices(nb: int):
@@ -204,56 +204,6 @@ def _ladder_matrices(nb: int):
     p[idx - 1, idx] = -0.5j * np.sqrt(idx)
     p[idx, idx - 1] = 0.5j * np.sqrt(idx)
     return x, p
-
-
-def _apply_1d(op: np.ndarray, c4: np.ndarray, axis: int) -> np.ndarray:
-    return np.moveaxis(np.tensordot(op, c4, axes=([1], [axis])), 0, axis)
-
-
-def energy_expectation(state: OscState, basis: OscBasisSpec | None = None) -> float:
-    """Variational energy of the expanded state.
-
-    The Hamiltonian is written in the separated-argument coordinates (in
-    which the expansion is performed); it is unitarily equivalent to the
-    particle-coordinate one, so its spectrum is the exact ladder
-    2n + |m| + 1 + (2l + |p| + 1) sqrt(4 lambda + 1).
-    """
-    basis = basis or OscBasisSpec()
-    nb = basis.n_per_coordinate
-    c4 = coefficient_tensor(state, basis).amplitudes.reshape(nb, nb, nb, nb)
-    x, p = _ladder_matrices(nb)
-    wr = omega_relative(state.lam)
-    x2 = x @ x
-    p2 = (p @ p).real
-    diag = p2 + ((1.0 + wr**2) / 8.0) * x2
-    total = 0.0
-    for axis in range(4):
-        total += np.real(np.vdot(c4, _apply_1d(diag, c4, axis)))
-    # cross terms (x1 x2 and y1 y2) from the frequency mismatch
-    xc = _apply_1d(x, c4, 0)
-    xc = _apply_1d(x, xc, 2)
-    total += ((1.0 - wr**2) / 4.0) * np.real(np.vdot(c4, xc))
-    yc = _apply_1d(x, c4, 1)
-    yc = _apply_1d(x, yc, 3)
-    total += ((1.0 - wr**2) / 4.0) * np.real(np.vdot(c4, yc))
-    return float(total)
-
-
-def lz_residual(state: OscState, basis: OscBasisSpec | None = None) -> float:
-    """|| (L_z - (m + p)) |psi> || in the truncated basis."""
-    basis = basis or OscBasisSpec()
-    nb = basis.n_per_coordinate
-    c4 = coefficient_tensor(state, basis).amplitudes.reshape(nb, nb, nb, nb)
-    x, p = _ladder_matrices(nb)
-    acc = np.zeros_like(c4)
-    # L_z = sum_particles x p_y - y p_x;  axes: (x1, y1, x2, y2)
-    for ax_x, ax_y in ((0, 1), (2, 3)):
-        t = _apply_1d(x, c4, ax_x)
-        acc += _apply_1d(p, t, ax_y)
-        t = _apply_1d(x, c4, ax_y)
-        acc -= _apply_1d(p, t, ax_x)
-    acc -= state.lz * c4
-    return float(np.linalg.norm(acc))
 
 
 def angular_momentum_matrix(basis: OscBasisSpec | None = None) -> np.ndarray:
@@ -270,96 +220,3 @@ def angular_momentum_matrix(basis: OscBasisSpec | None = None) -> np.ndarray:
     x, p = _ladder_matrices(nb)
     lz = np.kron(x, p) - np.kron(p, x)
     return 0.5 * (lz + lz.conj().T)
-
-
-# ---------------------------------------------------------------------------
-# analytic lambda = 0 construction (Gamma-function route)
-
-@lru_cache(maxsize=None)
-def _gauss_moment(k: int) -> float:
-    """Integral of x^k exp(-x^2/2) over the real line."""
-    if k % 2:
-        return 0.0
-    return math.sqrt(2.0) * 2.0 ** (k / 2) * math.gamma((k + 1) / 2.0)
-
-
-@lru_cache(maxsize=None)
-def _herm_coef(n: int, q: int) -> float:
-    return math.factorial(n) * (-1) ** q / (math.factorial(q) * math.factorial(n - 2 * q))
-
-
-@lru_cache(maxsize=None)
-def _binom_moment_sum(a: int, b: int, c1: int, c2: int) -> float:
-    total = 0.0
-    for s in range(a + 1):
-        for t in range(b + 1):
-            total += (
-                math.comb(a, s)
-                * math.comb(b, t)
-                * (-1) ** (b - t)
-                * _gauss_moment(s + t + c1)
-                * _gauss_moment(a - s + b - t + c2)
-            )
-    return total
-
-
-@lru_cache(maxsize=None)
-def overlap_analytic(a: int, c: int, i1: int, i2: int) -> float:
-    """Closed-form lambda = 0 overlap, the Gamma-route twin of the quadrature.
-
-    Expands every Hermite polynomial into monomials and integrates the
-    Gaussian moments term by term.  Independent of the quadrature path.
-    """
-    if (a + c + i1 + i2) % 2:
-        return 0.0
-    norm = 1.0
-    for n in (a, c, i1, i2):
-        norm *= (2.0 * math.pi) ** -0.25 / math.sqrt(2.0**n * math.factorial(n))
-    total = 0.0
-    for qa in range(a // 2 + 1):
-        aa = a - 2 * qa
-        for qc in range(c // 2 + 1):
-            bb = c - 2 * qc
-            for q1 in range(i1 // 2 + 1):
-                c1 = i1 - 2 * q1
-                for q2 in range(i2 // 2 + 1):
-                    c2 = i2 - 2 * q2
-                    coef = (
-                        _herm_coef(a, qa)
-                        * _herm_coef(c, qc)
-                        * _herm_coef(i1, q1)
-                        * _herm_coef(i2, q2)
-                        * 2.0 ** ((c1 + c2) / 2.0)
-                    )
-                    total += coef * _binom_moment_sum(aa, bb, c1, c2)
-    return norm * total
-
-
-def coefficient_tensor_analytic(state: OscState, basis: OscBasisSpec | None = None) -> CoefficientTensor:
-    """lambda = 0 tensor from the analytic overlaps; oracle for the quadrature."""
-    if state.lam != 0.0:
-        raise ValueError("analytic construction only at lambda = 0")
-    basis = basis or OscBasisSpec()
-    basis.check_state(state)
-    nb = basis.n_per_coordinate
-    a_max = 2 * state.n + abs(state.m)
-    c_max = 2 * state.l + abs(state.p)
-    ox = np.zeros((nb, nb, a_max + 1, c_max + 1))
-    for a in range(a_max + 1):
-        for c in range(c_max + 1):
-            for i1 in range(nb):
-                i2 = a + c - i1  # quanta conservation at lambda = 0
-                if 0 <= i2 < nb:
-                    ox[i1, i2, a, c] = overlap_analytic(a, c, i1, i2)
-    kap_r = kappa_coefficients(state.n, state.m)
-    kap_rel = kappa_coefficients(state.l, state.p)
-    c4 = np.zeros((nb, nb, nb, nb), dtype=complex)
-    for (j, k), kr in kap_r.items():
-        a = 2 * state.n + abs(state.m) - j - k
-        b = j + k
-        for (r, s), kv in kap_rel.items():
-            cc = 2 * state.l + abs(state.p) - r - s
-            d = r + s
-            c4 += (kr * kv) * np.einsum("ik,jl->ijkl", ox[:, :, a, cc], ox[:, :, b, d])
-    amp = c4.reshape(nb * nb, nb * nb)
-    return CoefficientTensor(amp / np.linalg.norm(amp))

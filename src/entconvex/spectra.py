@@ -1,4 +1,4 @@
-"""Hermitian matrices, spectra with degeneracy blocks, and entropies.
+"""Density matrices, spectra with degeneracy blocks, entropies and the trace-out.
 
 Everything downstream (criterion evaluation, model sweeps) consumes the
 types defined here.  All values are immutable after construction and the
@@ -17,7 +17,7 @@ TRACE_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-10
 
 DEFAULT_DEGENERACY_TOL = 1e-8
-DEFAULT_SUPPORT_FLOOR = 1e-12
+SUPPORT_FLOOR = 1e-12  # eigenvalues at or below this are outside the support
 UNIT_NORM_TOL = 1e-6  # a pure state's amplitude norm may deviate from 1 by this
 # an entry of the amplitude support product above this fraction of its
 # largest entry links two rows into one block
@@ -29,23 +29,25 @@ class NonHermitianError(ValueError):
 
 
 class NotDensityMatrixError(ValueError):
-    """Matrix flagged as a density matrix violates trace or positivity."""
+    """Matrix violates unit trace or positivity."""
 
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """A finite-dimensional Hermitian operator in a declared orthonormal basis.
+    """A density matrix: Hermitian, unit trace, positive semidefinite.
+
+    The constructor checks all three.  Its positivity check is the one
+    eigen-solve of the matrix: the eigenpairs are kept, sorted by
+    descending eigenvalue, for :func:`eigendecompose`.
 
     Parameters
     ----------
     entries : complex ndarray, shape (dim, dim)
-    is_density : bool
-        When True the constructor additionally checks unit trace and
-        positivity (eigenvalues >= -1e-10).
     """
 
     entries: np.ndarray
-    is_density: bool = False
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=complex)
@@ -57,13 +59,19 @@ class HermitianMatrix:
         a = 0.5 * (a + a.conj().T)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
-        if self.is_density:
-            tr = float(np.real(np.trace(a)))
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise NotDensityMatrixError(f"trace {tr!r} != 1")
-            w = np.linalg.eigvalsh(a)
-            if w.min() < EIGENVALUE_FLOOR:
-                raise NotDensityMatrixError(f"negative eigenvalue {w.min():.3e}")
+        tr = float(np.real(np.trace(a)))
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise NotDensityMatrixError(f"trace {tr!r} != 1")
+        w, v = np.linalg.eigh(a)
+        if w[0] < EIGENVALUE_FLOOR:
+            raise NotDensityMatrixError(f"negative eigenvalue {w[0]:.3e}")
+        order = np.argsort(w)[::-1]
+        w = np.ascontiguousarray(w[order])
+        v = np.ascontiguousarray(v[:, order])
+        w.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", w)
+        object.__setattr__(self, "eigenvectors", v)
 
     @property
     def dim(self) -> int:
@@ -80,14 +88,13 @@ class Spectrum:
     ``eigenvalues`` are sorted descending; ``eigenvectors[:, i]`` is the
     orthonormal eigenvector of ``eigenvalues[i]``.  ``blocks`` partitions
     the indices into near-degenerate groups, ``support`` lists the indices
-    with eigenvalue above the support floor.
+    with eigenvalue above ``SUPPORT_FLOOR``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     blocks: tuple[tuple[int, ...], ...]
     support: tuple[int, ...]
-    support_floor: float = DEFAULT_SUPPORT_FLOOR
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
@@ -97,61 +104,16 @@ class Spectrum:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
-    def projector(self, indices) -> np.ndarray:
-        v = self.eigenvectors[:, list(indices)]
-        return v @ v.conj().T
+def eigendecompose(m: HermitianMatrix, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> Spectrum:
+    """Group the eigenpairs of ``m`` into blocks of nearly equal eigenvalues.
 
-
-@dataclass(frozen=True)
-class CoefficientTensor:
-    """Amplitudes of a bipartite pure state over a product basis.
-
-    ``amplitudes[a, b]`` multiplies ``|a>_A |b>_B``.  The reduced density
-    matrix of side A is ``amplitudes @ amplitudes^dagger``; its nonzero
-    eigenvalues are the squared singular values of the amplitude matrix.
-    """
-
-    amplitudes: np.ndarray
-    norm: float = field(init=False)
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex)
-        if a.ndim != 2:
-            raise ValueError("amplitudes must be a 2-d array")
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-        object.__setattr__(self, "norm", float(np.linalg.norm(a)))
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.amplitudes.shape
-
-    def normalized(self) -> "CoefficientTensor":
-        if self.norm == 0.0:
-            raise ValueError("cannot normalize a zero tensor")
-        return CoefficientTensor(self.amplitudes / self.norm)
-
-
-def eigendecompose(
-    m: HermitianMatrix,
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-    support_floor: float = DEFAULT_SUPPORT_FLOOR,
-) -> Spectrum:
-    """Eigendecompose ``m`` and group nearly equal eigenvalues into blocks.
-
+    The eigenpairs are those the density check of ``m`` solved for.
     Blocks are formed by greedy clustering of the descending-sorted
     eigenvalues: a gap larger than ``degeneracy_tol`` (relative to the
     spectral range) starts a new block.
     """
-    w, v = np.linalg.eigh(m.entries)
-    order = np.argsort(w)[::-1]
-    w = np.ascontiguousarray(w[order])
-    v = np.ascontiguousarray(v[:, order])
-
+    w = m.eigenvalues
     spread = float(w[0] - w[-1])
     gap = degeneracy_tol * max(spread, 1.0)
     blocks: list[tuple[int, ...]] = []
@@ -163,14 +125,8 @@ def eigendecompose(
         current.append(i)
     blocks.append(tuple(current))
 
-    support = tuple(i for i in range(len(w)) if w[i] > support_floor)
-    return Spectrum(
-        eigenvalues=w,
-        eigenvectors=v,
-        blocks=tuple(blocks),
-        support=support,
-        support_floor=support_floor,
-    )
+    support = tuple(i for i in range(len(w)) if w[i] > SUPPORT_FLOOR)
+    return Spectrum(eigenvalues=w, eigenvectors=m.eigenvectors, blocks=tuple(blocks), support=support)
 
 
 def amplitude_blocks(c0: np.ndarray, c1: np.ndarray) -> tuple[tuple[np.ndarray, ...], float]:
@@ -225,56 +181,23 @@ def von_neumann_entropy(s: Spectrum, log_base: float = 2.0) -> float:
     return max(total, 0.0)
 
 
-def relative_entropy(rho: Spectrum, sigma: Spectrum, log_base: float = 2.0) -> float:
-    """Quantum relative entropy S(rho || sigma).
+def reduce_pure_state(c: np.ndarray) -> HermitianMatrix:
+    """Density of side A (the rows) of the unit-norm pure state with amplitudes ``c``.
 
-    Evaluated from the spectral decompositions as
-    ``sum_i p_i (log p_i - sum_j (log q_j) |<v_i|w_j>|^2)``.
-    Returns ``math.inf`` when the support of rho overlaps the kernel of
-    sigma.
+    The entries are ``rho_{a a'} = sum_b c_{a b} conj(c_{a' b}) / <c|c>``;
+    side B's density is ``reduce_pure_state(c.T)``.
     """
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch {rho.dim} != {sigma.dim}")
-    p = rho.eigenvalues
-    q = sigma.eigenvalues
-    overlaps = np.abs(rho.eigenvectors.conj().T @ sigma.eigenvectors) ** 2
-
-    supp = list(rho.support)
-    ker = [j for j in range(sigma.dim) if q[j] <= sigma.support_floor]
-    if ker:
-        leak = overlaps[np.ix_(supp, ker)].sum() if supp else 0.0
-        if leak > 1e-12:
-            return math.inf
-
-    total = 0.0
-    for i in supp:
-        cross = 0.0
-        for j in sigma.support:
-            cross += math.log(q[j]) * overlaps[i, j]
-        total += p[i] * (math.log(p[i]) - cross)
-    return total / math.log(log_base)
-
-
-def reduce_pure_state(c: CoefficientTensor, keep: str = "a") -> HermitianMatrix:
-    """Partial trace of the pure state |c><c| keeping side ``keep``.
-
-    The entries are ``rho_{a a'} = sum_b c_{a b} conj(c_{a' b}) / <c|c>``
-    for ``keep='a'`` and the transpose-side analogue for ``keep='b'``.
-    """
-    if abs(c.norm - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"tensor norm {c.norm!r} deviates from 1 beyond {UNIT_NORM_TOL}")
-    a = c.amplitudes
-    if keep == "a":
-        rho = a @ a.conj().T
-    elif keep == "b":
-        rho = a.T @ a.conj()
-    else:
-        raise ValueError("keep must be 'a' or 'b'")
+    a = np.asarray(c, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError("amplitudes must be a 2-d array")
+    norm = float(np.linalg.norm(a))
+    if abs(norm - 1.0) > UNIT_NORM_TOL:
+        raise ValueError(f"amplitude norm {norm!r} deviates from 1 beyond {UNIT_NORM_TOL}")
     # Divide by <c|c>, then renormalize roundoff so downstream density
     # checks are exact.  This order keeps LG densities bit-identical to
     # the benchmark's recorded outputs: S_NS of some LG pairs, with
     # eigenvalues just outside one degeneracy block, moves by ~1e-10
     # under a one-ulp change of rho.
-    rho = rho / np.sum(np.abs(a) ** 2)
+    rho = a @ a.conj().T / np.sum(np.abs(a) ** 2)
     rho = rho / np.real(np.trace(rho))
-    return HermitianMatrix(rho, is_density=True)
+    return HermitianMatrix(rho)

@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import sph_harm_y
 
 from .angular import cg
 
@@ -100,7 +99,7 @@ def coupled_pair_array(M: int, lcut: int) -> np.ndarray:
     if abs(M) > TOTAL_L:
         raise ValueError(f"|M| must not exceed {TOTAL_L}")
     dim = basis_size(lcut)
-    arr = np.zeros((dim, dim), dtype=complex)
+    arr = np.zeros((dim, dim))
     for m1 in range(-COUPLED_L1, COUPLED_L1 + 1):
         m2 = M - m1
         if abs(m2) > COUPLED_L2:
@@ -182,8 +181,7 @@ def _state_coefficients(M: int, lmax: int) -> np.ndarray:
     amp = pair + multiply_r12(pair, lcut, lmax) / CORRELATION_SCALE
     norm = np.linalg.norm(amp)
     # the angular tail of the distance series must be converged in norm
-    pair_lo = coupled_pair_array(M, lcut)
-    amp_lo = pair_lo + multiply_r12(pair_lo, lcut, max(lmax - 4, 4)) / CORRELATION_SCALE
+    amp_lo = pair + multiply_r12(pair, lcut, max(lmax - 4, 4)) / CORRELATION_SCALE
     tail = abs(np.linalg.norm(amp_lo) - norm) / norm
     if tail > NORM_TAIL_TOL:
         raise ValueError(f"norm tail {tail:.3e} beyond {NORM_TAIL_TOL}; raise lmax")
@@ -199,56 +197,3 @@ def angular_momentum_diagonal(lcut: int) -> np.ndarray:
         for m in range(-l, l + 1):
             diag[_index(l, m)] = m
     return np.diag(diag)
-
-
-# ---------------------------------------------------------------------------
-# analytic checks
-
-
-def radial_residual(r12: np.ndarray | float) -> float:
-    """Residual of the reduced radial equation on the correlation factor.
-
-    Phi'' + (4/r - 3 r / (2 R^2)) Phi' - Phi/r + E Phi with Phi = 1 + r/4
-    must vanish identically at E = 1/4, R^2 = 6.
-    """
-    r = np.atleast_1d(np.asarray(r12, dtype=float))
-    if np.any(r <= 0.0):
-        raise ValueError("r12 must be positive")
-    phi = 1.0 + r / CORRELATION_SCALE
-    dphi = 1.0 / CORRELATION_SCALE
-    res = (4.0 / r - 1.5 * r / SPHERE_RADIUS_SQ) * dphi - phi / r + ENERGY * phi
-    return float(np.max(np.abs(res)))
-
-
-def _sph(l: int, m: int, theta, phi):
-    return sph_harm_y(l, m, theta, phi)
-
-
-def wave_function(M: int, theta1, phi1, theta2, phi2) -> complex:
-    """Direct (un-normalized, un-truncated) wave function value."""
-    def coupled(ta, pa, tb, pb):
-        total = 0.0 + 0.0j
-        for m1 in range(-COUPLED_L1, COUPLED_L1 + 1):
-            m2 = M - m1
-            if abs(m2) > COUPLED_L2:
-                continue
-            c = cg(COUPLED_L1, m1, COUPLED_L2, m2, TOTAL_L, M)
-            if c:
-                total += c * _sph(COUPLED_L1, m1, ta, pa) * _sph(COUPLED_L2, m2, tb, pb)
-        return total
-
-    cosg = math.cos(theta1) * math.cos(theta2) + math.sin(theta1) * math.sin(theta2) * math.cos(phi1 - phi2)
-    r12 = math.sqrt(max(2.0 * SPHERE_RADIUS_SQ * (1.0 - cosg), 0.0))
-    pair = coupled(theta1, phi1, theta2, phi2) - coupled(theta2, phi2, theta1, phi1)
-    return pair * (1.0 + r12 / CORRELATION_SCALE)
-
-
-def expansion_value(arr: np.ndarray, lcut: int, theta1, phi1, theta2, phi2) -> complex:
-    """Evaluate a coefficient array at a pair of directions."""
-    vec1 = np.empty(basis_size(lcut), dtype=complex)
-    vec2 = np.empty(basis_size(lcut), dtype=complex)
-    for l in range(lcut + 1):
-        for m in range(-l, l + 1):
-            vec1[_index(l, m)] = _sph(l, m, theta1, phi1)
-            vec2[_index(l, m)] = _sph(l, m, theta2, phi2)
-    return complex(vec1 @ arr @ vec2)

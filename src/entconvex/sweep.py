@@ -17,10 +17,9 @@ import numpy as np
 
 from .criterion import CriterionReport, evaluate_criterion
 from .spectra import (
-    DEFAULT_SUPPORT_FLOOR,
     EIGENVALUE_FLOOR,
+    SUPPORT_FLOOR,
     UNIT_NORM_TOL,
-    CoefficientTensor,
     HermitianMatrix,
     NotDensityMatrixError,
     amplitude_blocks,
@@ -64,14 +63,15 @@ class PairSpec:
         c0, c1 = self.amplitudes()
         if c0.shape != c1.shape:
             raise ValueError(f"amplitude shapes differ: {c0.shape} != {c1.shape}")
-        state = CoefficientTensor(math.sqrt(alpha) * c0 + math.sqrt(1.0 - alpha) * c1)
-        if state.norm < VANISHING_NORM:
+        c = np.asarray(math.sqrt(alpha) * c0 + math.sqrt(1.0 - alpha) * c1, dtype=complex)
+        norm = float(np.linalg.norm(c))
+        if norm < VANISHING_NORM:
             raise ValueError("superposition vanishes")
         # overlapping or unnormalized states; a unit-norm superposition is
         # passed as is, because dividing it by its norm moves rho by an ulp
-        if abs(state.norm - 1.0) > UNIT_NORM_TOL:
-            state = state.normalized()
-        return reduce_pure_state(state)
+        if abs(norm - 1.0) > UNIT_NORM_TOL:
+            c = c / norm
+        return reduce_pure_state(c)
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def entropy_curve(
     w = np.concatenate(weights, axis=1) / norm2[:, None]
     if w.min() < EIGENVALUE_FLOOR:
         raise NotDensityMatrixError(f"negative eigenvalue {w.min():.3e}")
-    support = w > DEFAULT_SUPPORT_FLOOR
+    support = w > SUPPORT_FLOOR
     nats = -np.sum(w * np.log(np.where(support, w, 1.0)), axis=1)
     ents = [max(float(s) / math.log(log_base), 0.0) for s in nats]
     return EntropyCurve(
@@ -203,7 +203,7 @@ class AgreementRecord:
         return self.agree is not None
 
 
-def pair_criterion(pair: PairSpec, log_base: float = 2.0, **criterion_kwargs) -> CriterionReport:
+def pair_criterion(pair: PairSpec, log_base: float = 2.0) -> CriterionReport:
     """Criterion report with the first state (alpha = 1) as the reference.
 
     The pair's sector operator, if any, restricts the not-shared-entropy
@@ -214,7 +214,6 @@ def pair_criterion(pair: PairSpec, log_base: float = 2.0, **criterion_kwargs) ->
         pair.builder(0.0),
         log_base=log_base,
         sector_operator=pair.sector_operator,
-        **criterion_kwargs,
     )
 
 
@@ -222,13 +221,10 @@ def criterion_vs_observation(
     pair: PairSpec,
     grid_size: int = DEFAULT_GRID_SIZE,
     log_base: float = 2.0,
-    chord_tol: float | None = None,
-    **criterion_kwargs,
 ) -> AgreementRecord:
     """Evaluate the criterion on a pair and check it against the curve."""
-    report = pair_criterion(pair, log_base, **criterion_kwargs)
-    curve = entropy_curve(pair, grid_size, log_base)
-    observed = classify_convexity(curve, pair.chord_tol if chord_tol is None else chord_tol)
+    report = pair_criterion(pair, log_base)
+    observed = classify_convexity(entropy_curve(pair, grid_size, log_base), pair.chord_tol)
     if report.qc == 0:
         agree = None
     else:
@@ -264,8 +260,8 @@ def oscillator_pair(state0, state1, basis=None, use_sectors: bool = True) -> Pai
     sector = oscillator.angular_momentum_matrix(basis) if use_sectors else None
     return PairSpec(
         amplitudes=lambda: (
-            oscillator.coefficient_tensor(state0, basis).amplitudes,
-            oscillator.coefficient_tensor(state1, basis).amplitudes,
+            oscillator.coefficient_tensor(state0, basis),
+            oscillator.coefficient_tensor(state1, basis),
         ),
         label=f"oscillator {state0.label()}/{state1.label()}",
         sector_operator=sector,
@@ -291,11 +287,11 @@ def spherium_pair(
     )
 
 
-def lg_pair(mode0, mode1, n_basis: int | None = None, order: int | None = None) -> PairSpec:
+def lg_pair(mode0, mode1, n_basis: int | None = None) -> PairSpec:
     from . import lgmodes
 
     nb = lgmodes.DEFAULT_BASIS_SIZE if n_basis is None else n_basis
-    od = lgmodes.DEFAULT_QUADRATURE_ORDER if order is None else order
+    od = lgmodes.DEFAULT_QUADRATURE_ORDER
     return PairSpec(
         amplitudes=lambda: (
             lgmodes.mode_columns(mode0.l, mode0.m, nb, od),

@@ -1,24 +1,53 @@
-"""Slow reference implementations that tests compare the package against."""
+"""Slow reference implementations that tests compare the package against,
+and analytic checks of the model constructions."""
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
+from scipy.special import sph_harm_y
 
+from entconvex.angular import AngularConfig, cg, clebsch_gordan
 from entconvex.criterion import (
+    BIAS_STRENGTH,
     ProbeRecord,
     balanced_eigenbasis,
     not_shared_entropy,
     theta,
 )
+from entconvex.oscillator import (
+    OscBasisSpec,
+    OscState,
+    _ladder_matrices,
+    coefficient_tensor,
+    kappa_coefficients,
+    omega_relative,
+)
 from entconvex.spectra import (
-    DEFAULT_DEGENERACY_TOL,
-    DEFAULT_SUPPORT_FLOOR,
+    SUPPORT_FLOOR,
     HermitianMatrix,
     Spectrum,
     eigendecompose,
     von_neumann_entropy,
 )
+from entconvex.spherium import (
+    CORRELATION_SCALE,
+    COUPLED_L1,
+    COUPLED_L2,
+    ENERGY,
+    SPHERE_RADIUS_SQ,
+    TOTAL_L,
+    _index,
+    basis_size,
+)
+
+
+def reconstruct(spec: Spectrum) -> np.ndarray:
+    """The matrix sum_i lambda_i |v_i><v_i| of a spectrum."""
+    v = spec.eigenvectors
+    return (v * spec.eigenvalues) @ v.conj().T
 
 
 def dense_entropy_curve(pair, grid_size, log_base=2.0):
@@ -80,7 +109,7 @@ def not_shareable_entropy(
     """
     if spec0.dim != rho1.dim or fam.dim != spec0.dim:
         raise ValueError("dimension mismatch")
-    rho0 = spec0.reconstruct()
+    rho0 = reconstruct(spec0)
     lam = np.real(np.einsum("ia,ij,ja->a", fam.vectors.conj(), rho0, fam.vectors))
     resid = rho0 @ fam.vectors - fam.vectors * lam
     if np.max(np.abs(resid)) > 1e-8:
@@ -88,7 +117,7 @@ def not_shareable_entropy(
     expect1 = expectations_under_projectors(rho1, fam)
     total = 0.0
     for lam_i, q_i in zip(lam, expect1):
-        if lam_i > spec0.support_floor:
+        if lam_i > SUPPORT_FLOOR:
             total -= theta(lam_i - q_i) * math.log(lam_i)
     return total / math.log(log_base)
 
@@ -109,7 +138,7 @@ def not_shared_entropy_sampled(
     total = 0.0
     for block in spec0.blocks:
         lam = float(np.mean(spec0.eigenvalues[list(block)]))
-        if lam <= spec0.support_floor:
+        if lam <= SUPPORT_FLOOR:
             continue
         v = spec0.eigenvectors[:, list(block)]
         r = v.conj().T @ rho1.entries @ v
@@ -165,9 +194,6 @@ def dense_projector_probe(
     seed: int = 0,
     log_base: float = 2.0,
     mode: str = "biased",
-    bias_strength: float = 0.01,
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-    support_floor: float = DEFAULT_SUPPORT_FLOOR,
 ) -> ProbeRecord:
     """The probe with dense families: each sample is a full dim x dim unitary.
 
@@ -181,7 +207,7 @@ def dense_projector_probe(
         raise ValueError("samples must be >= 1")
     if rho0.dim != rho1.dim:
         raise ValueError("dimension mismatch")
-    spec0 = eigendecompose(rho0, degeneracy_tol, support_floor)
+    spec0 = eigendecompose(rho0)
     s = von_neumann_entropy(spec0, log_base)
     s_ns = not_shared_entropy(spec0, rho1, log_base)
     bound = s - 2.0 * s_ns
@@ -201,7 +227,7 @@ def dense_projector_probe(
         if mode == "haar":
             fams = _haar_batch(rng, n, dim)
         elif mode == "biased":
-            rot = _block_rotation_batch(rng, n, dim, spec0.blocks, bias_strength)
+            rot = _block_rotation_batch(rng, n, dim, spec0.blocks, BIAS_STRENGTH)
             fams = base[None, :, :] @ rot
             if done == 0:
                 fams[0] = base
@@ -212,7 +238,7 @@ def dense_projector_probe(
         p = np.clip(p, 0.0, 1.0)
         excess = np.maximum(p - q1, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(p > support_floor, np.log(np.maximum(p, 1e-300)), 0.0)
+            logs = np.where(p > SUPPORT_FLOOR, np.log(np.maximum(p, 1e-300)), 0.0)
         stilde = -np.sum(excess * logs, axis=1) / log_conv
         vals = s - 2.0 * stilde
         for k, val in enumerate(vals):
@@ -231,3 +257,229 @@ def dense_projector_probe(
         samples=samples,
         checkpoints=tuple(checkpoints),
     )
+
+
+# ---------------------------------------------------------------------------
+# oscillator: energy and L_z of the expanded state
+
+
+def _apply_1d(op: np.ndarray, c4: np.ndarray, axis: int) -> np.ndarray:
+    return np.moveaxis(np.tensordot(op, c4, axes=([1], [axis])), 0, axis)
+
+
+def energy_expectation(state: OscState, basis: OscBasisSpec | None = None) -> float:
+    """Variational energy of the expanded state.
+
+    The Hamiltonian is written in the separated-argument coordinates (in
+    which the expansion is performed); it is unitarily equivalent to the
+    particle-coordinate one, so its spectrum is the exact ladder
+    2n + |m| + 1 + (2l + |p| + 1) sqrt(4 lambda + 1).
+    """
+    basis = basis or OscBasisSpec()
+    nb = basis.n_per_coordinate
+    c4 = coefficient_tensor(state, basis).reshape(nb, nb, nb, nb)
+    x, p = _ladder_matrices(nb)
+    wr = omega_relative(state.lam)
+    x2 = x @ x
+    p2 = (p @ p).real
+    diag = p2 + ((1.0 + wr**2) / 8.0) * x2
+    total = 0.0
+    for axis in range(4):
+        total += np.real(np.vdot(c4, _apply_1d(diag, c4, axis)))
+    # cross terms (x1 x2 and y1 y2) from the frequency mismatch
+    xc = _apply_1d(x, c4, 0)
+    xc = _apply_1d(x, xc, 2)
+    total += ((1.0 - wr**2) / 4.0) * np.real(np.vdot(c4, xc))
+    yc = _apply_1d(x, c4, 1)
+    yc = _apply_1d(x, yc, 3)
+    total += ((1.0 - wr**2) / 4.0) * np.real(np.vdot(c4, yc))
+    return float(total)
+
+
+def lz_residual(state: OscState, basis: OscBasisSpec | None = None) -> float:
+    """|| (L_z - (m + p)) |psi> || in the truncated basis."""
+    basis = basis or OscBasisSpec()
+    nb = basis.n_per_coordinate
+    c4 = coefficient_tensor(state, basis).reshape(nb, nb, nb, nb)
+    x, p = _ladder_matrices(nb)
+    acc = np.zeros_like(c4)
+    # L_z = sum_particles x p_y - y p_x;  axes: (x1, y1, x2, y2)
+    for ax_x, ax_y in ((0, 1), (2, 3)):
+        t = _apply_1d(x, c4, ax_x)
+        acc += _apply_1d(p, t, ax_y)
+        t = _apply_1d(x, c4, ax_y)
+        acc -= _apply_1d(p, t, ax_x)
+    acc -= state.lz * c4
+    return float(np.linalg.norm(acc))
+
+
+# ---------------------------------------------------------------------------
+# analytic lambda = 0 construction (Gamma-function route)
+
+
+@lru_cache(maxsize=None)
+def _gauss_moment(k: int) -> float:
+    """Integral of x^k exp(-x^2/2) over the real line."""
+    if k % 2:
+        return 0.0
+    return math.sqrt(2.0) * 2.0 ** (k / 2) * math.gamma((k + 1) / 2.0)
+
+
+@lru_cache(maxsize=None)
+def _herm_coef(n: int, q: int) -> float:
+    return math.factorial(n) * (-1) ** q / (math.factorial(q) * math.factorial(n - 2 * q))
+
+
+@lru_cache(maxsize=None)
+def _binom_moment_sum(a: int, b: int, c1: int, c2: int) -> float:
+    total = 0.0
+    for s in range(a + 1):
+        for t in range(b + 1):
+            total += (
+                math.comb(a, s)
+                * math.comb(b, t)
+                * (-1) ** (b - t)
+                * _gauss_moment(s + t + c1)
+                * _gauss_moment(a - s + b - t + c2)
+            )
+    return total
+
+
+@lru_cache(maxsize=None)
+def overlap_analytic(a: int, c: int, i1: int, i2: int) -> float:
+    """Closed-form lambda = 0 overlap, the Gamma-route twin of the quadrature.
+
+    Expands every Hermite polynomial into monomials and integrates the
+    Gaussian moments term by term.  Independent of the quadrature path.
+    """
+    if (a + c + i1 + i2) % 2:
+        return 0.0
+    norm = 1.0
+    for n in (a, c, i1, i2):
+        norm *= (2.0 * math.pi) ** -0.25 / math.sqrt(2.0**n * math.factorial(n))
+    total = 0.0
+    for qa in range(a // 2 + 1):
+        aa = a - 2 * qa
+        for qc in range(c // 2 + 1):
+            bb = c - 2 * qc
+            for q1 in range(i1 // 2 + 1):
+                c1 = i1 - 2 * q1
+                for q2 in range(i2 // 2 + 1):
+                    c2 = i2 - 2 * q2
+                    coef = (
+                        _herm_coef(a, qa)
+                        * _herm_coef(c, qc)
+                        * _herm_coef(i1, q1)
+                        * _herm_coef(i2, q2)
+                        * 2.0 ** ((c1 + c2) / 2.0)
+                    )
+                    total += coef * _binom_moment_sum(aa, bb, c1, c2)
+    return norm * total
+
+
+def coefficient_tensor_analytic(state: OscState, basis: OscBasisSpec | None = None) -> np.ndarray:
+    """lambda = 0 tensor from the analytic overlaps; oracle for the quadrature."""
+    if state.lam != 0.0:
+        raise ValueError("analytic construction only at lambda = 0")
+    basis = basis or OscBasisSpec()
+    basis.check_state(state)
+    nb = basis.n_per_coordinate
+    a_max = 2 * state.n + abs(state.m)
+    c_max = 2 * state.l + abs(state.p)
+    ox = np.zeros((nb, nb, a_max + 1, c_max + 1))
+    for a in range(a_max + 1):
+        for c in range(c_max + 1):
+            for i1 in range(nb):
+                i2 = a + c - i1  # quanta conservation at lambda = 0
+                if 0 <= i2 < nb:
+                    ox[i1, i2, a, c] = overlap_analytic(a, c, i1, i2)
+    kap_r = kappa_coefficients(state.n, state.m)
+    kap_rel = kappa_coefficients(state.l, state.p)
+    c4 = np.zeros((nb, nb, nb, nb), dtype=complex)
+    for (j, k), kr in kap_r.items():
+        a = 2 * state.n + abs(state.m) - j - k
+        b = j + k
+        for (r, s), kv in kap_rel.items():
+            cc = 2 * state.l + abs(state.p) - r - s
+            d = r + s
+            c4 += (kr * kv) * np.einsum("ik,jl->ijkl", ox[:, :, a, cc], ox[:, :, b, d])
+    amp = c4.reshape(nb * nb, nb * nb)
+    return amp / np.linalg.norm(amp)
+
+
+# ---------------------------------------------------------------------------
+# spherium: the radial equation and pointwise wave-function values
+
+
+def radial_residual(r12: np.ndarray | float) -> float:
+    """Residual of the reduced radial equation on the correlation factor.
+
+    Phi'' + (4/r - 3 r / (2 R^2)) Phi' - Phi/r + E Phi with Phi = 1 + r/4
+    must vanish identically at E = 1/4, R^2 = 6.
+    """
+    r = np.atleast_1d(np.asarray(r12, dtype=float))
+    if np.any(r <= 0.0):
+        raise ValueError("r12 must be positive")
+    phi = 1.0 + r / CORRELATION_SCALE
+    dphi = 1.0 / CORRELATION_SCALE
+    res = (4.0 / r - 1.5 * r / SPHERE_RADIUS_SQ) * dphi - phi / r + ENERGY * phi
+    return float(np.max(np.abs(res)))
+
+
+def wave_function(M: int, theta1, phi1, theta2, phi2) -> complex:
+    """Direct (un-normalized, un-truncated) wave function value."""
+    def coupled(ta, pa, tb, pb):
+        total = 0.0 + 0.0j
+        for m1 in range(-COUPLED_L1, COUPLED_L1 + 1):
+            m2 = M - m1
+            if abs(m2) > COUPLED_L2:
+                continue
+            c = cg(COUPLED_L1, m1, COUPLED_L2, m2, TOTAL_L, M)
+            if c:
+                total += c * sph_harm_y(COUPLED_L1, m1, ta, pa) * sph_harm_y(COUPLED_L2, m2, tb, pb)
+        return total
+
+    cosg = math.cos(theta1) * math.cos(theta2) + math.sin(theta1) * math.sin(theta2) * math.cos(phi1 - phi2)
+    r12 = math.sqrt(max(2.0 * SPHERE_RADIUS_SQ * (1.0 - cosg), 0.0))
+    pair = coupled(theta1, phi1, theta2, phi2) - coupled(theta2, phi2, theta1, phi1)
+    return pair * (1.0 + r12 / CORRELATION_SCALE)
+
+
+def expansion_value(arr: np.ndarray, lcut: int, theta1, phi1, theta2, phi2) -> complex:
+    """Evaluate a coefficient array at a pair of directions."""
+    vec1 = np.empty(basis_size(lcut), dtype=complex)
+    vec2 = np.empty(basis_size(lcut), dtype=complex)
+    for l in range(lcut + 1):
+        for m in range(-l, l + 1):
+            vec1[_index(l, m)] = sph_harm_y(l, m, theta1, phi1)
+            vec2[_index(l, m)] = sph_harm_y(l, m, theta2, phi2)
+    return complex(vec1 @ arr @ vec2)
+
+
+# ---------------------------------------------------------------------------
+# angular: exact endpoint densities
+
+
+def coupled_reduced_density_exact(l: int, L: int, M: int, alpha: int) -> list[list[Fraction]]:
+    """Exact rational reduced density of the mirror pair M/-M at alpha in {0, 1}.
+
+    At the endpoints only squared coefficients appear, so every entry is
+    rational.  Basis order is the canonical m-basis m = l, l-1, ..., -l.
+    """
+    if alpha not in (0, 1):
+        raise ValueError("exact assembly only at alpha in {0, 1}")
+    Meff = M if alpha == 1 else -M
+    AngularConfig(l, l, L, Meff)
+    dim = 2 * l + 1
+    rho = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        mi = l - i
+        c = clebsch_gordan(l, mi, l, Meff - mi, L, Meff)
+        rho[i][i] = c.square
+    return rho
+
+
+def coupled_energy_check(l: int, L: int, M: int) -> int:
+    """Eigenvalue of L_total^2 - L_z^2 on the coupled state: L(L+1) - M^2."""
+    AngularConfig(l, l, L, M)
+    return L * (L + 1) - M * M

@@ -15,12 +15,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entconvex.angular import cg, clebsch_gordan, coupled_reduced_density_exact
+from entconvex.angular import cg, clebsch_gordan
 from entconvex.benchmarks import evaluate_table
 from entconvex.criterion import random_projector_probe
 from entconvex.lgmodes import LGMode
-from entconvex.spherium import radial_residual
 from entconvex.sweep import angular_pair, criterion_vs_observation, entropy_curve, lg_pair, spherium_pair
+from oracles import coupled_reduced_density_exact, energy_expectation, radial_residual
 
 SLOW = os.environ.get("ENTCONVEX_SLOW", "") not in ("", "0")
 
@@ -96,7 +96,7 @@ def test_criterion_3_decoupled_oscillator_table():
 
 
 def test_criterion_4_coupled_oscillator_table():
-    from entconvex.oscillator import OscState, _coefficient_tensor_cached, energy_expectation
+    from entconvex.oscillator import OscState, _coefficient_tensor_cached
 
     _coefficient_tensor_cached.cache_clear()
     t0 = time.time()

@@ -12,14 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entconvex.angular import (
-    AngularConfig,
-    cg,
-    clebsch_gordan,
-    coupled_energy_check,
-    coupled_reduced_density_exact,
-)
+from entconvex.angular import AngularConfig, cg, clebsch_gordan
 from entconvex.sweep import angular_pair
+from oracles import coupled_energy_check, coupled_reduced_density_exact
 
 
 def _single_ops(j):

@@ -127,6 +127,16 @@ class TestConfig:
         assert code == 2
         assert "alpha_stepz" in err and out == ""
 
+    def test_unconvertible_config_value_names_the_flag(self, capsys, tmp_path):
+        # config values are converted by argparse, like the flag they set
+        cfg = tmp_path / "value.cfg"
+        cfg.write_text("model = angular\nl = two\nL = 1\nM = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "argument --l:" in err and out == ""
+
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just words\n")

@@ -24,11 +24,12 @@ from oracles import (
     expectations_under_projectors,
     not_shareable_entropy,
     not_shared_entropy_sampled,
+    reconstruct,
 )
 
 
 def _density(mat):
-    return HermitianMatrix(np.asarray(mat, dtype=complex), is_density=True)
+    return HermitianMatrix(np.asarray(mat, dtype=complex))
 
 
 def _random_density(rng, dim):
@@ -151,7 +152,7 @@ class TestSectorRefinement:
         rho0 = _density(np.diag([0.25, 0.25, 0.25, 0.25]))
         op = np.diag([1.0, 1.0, -1.0, -1.0])
         refined = refine_blocks_by_sector(eigendecompose(rho0), op)
-        np.testing.assert_allclose(refined.reconstruct(), rho0.entries, atol=1e-12)
+        np.testing.assert_allclose(reconstruct(refined), rho0.entries, atol=1e-12)
         v = refined.eigenvectors
         off = v.conj().T @ op @ v
         np.testing.assert_allclose(off, np.diag(np.diag(off)), atol=1e-10)

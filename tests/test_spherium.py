@@ -13,15 +13,13 @@ from entconvex.spherium import (
     angular_momentum_diagonal,
     basis_size,
     coupled_pair_array,
-    expansion_value,
     multiply_r12,
     perkins_weight,
-    radial_residual,
     sph_product,
-    wave_function,
 )
 from entconvex.spectra import eigendecompose, von_neumann_entropy
 from entconvex.sweep import PairSpec, pair_criterion, spherium_pair
+from oracles import expansion_value, radial_residual, wave_function
 
 RNG = np.random.default_rng(101)
 

@@ -234,6 +234,11 @@ class TestBlockCurve:
         assert done.returncode == 0, done.stderr
 
 
+def test_public_names_resolve():
+    # __all__ must name only what the package still defines
+    assert [name for name in entconvex.__all__ if not hasattr(entconvex, name)] == []
+
+
 def _curve(entropies):
     alphas = tuple(np.linspace(0.0, 1.0, len(entropies)))
     return EntropyCurve(
