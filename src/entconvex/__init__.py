@@ -6,11 +6,14 @@ oscillators (:mod:`entconvex.oscillator`), two electrons on a sphere
 (:mod:`entconvex.spherium`) and Laguerre-Gaussian photon modes
 (:mod:`entconvex.lgmodes`); each supplies only the amplitude matrices of
 its two states.  :mod:`entconvex.sweep` packages them as a
-:class:`PairSpec`.  Its single trace-out gives the endpoint densities,
-whose one eigen-solve each (:mod:`entconvex.spectra`) feeds the entropies,
-the not-shared entropy and Q_c (:mod:`entconvex.criterion`, which also
-holds the randomized projector probe); its amplitude blocks feed the
-alpha curves and their chord-convexity labels.
+:class:`PairSpec`.  One trace-out per pair,
+:func:`entconvex.spectra.gram_blocks`, forms the reduced-density terms
+per amplitude block.  The criterion eigen-solves the two endpoint
+densities from them block by block and turns the spectra into the
+entropies, the not-shared entropy and Q_c (:mod:`entconvex.criterion`);
+the alpha curve takes the eigenvalues of every grid point from the same
+terms and labels its chord convexity.  The randomized projector probe
+works on the dense endpoint densities of ``PairSpec.builder``.
 :mod:`entconvex.benchmarks` holds the embedded reference tables;
 :mod:`entconvex.cli` is the console entry.  The slow reference
 implementations and analytic checks that the tests compare against live
@@ -20,7 +23,6 @@ in ``tests/oracles.py``, outside the package.
 from .criterion import (
     CriterionReport,
     ProbeRecord,
-    evaluate_criterion,
     not_shared_entropy,
     random_projector_probe,
     refine_blocks_by_sector,
@@ -63,7 +65,6 @@ __all__ = [
     "criterion_vs_observation",
     "eigendecompose",
     "entropy_curve",
-    "evaluate_criterion",
     "lg_pair",
     "not_shared_entropy",
     "oscillator_pair",

@@ -17,11 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectra import (
-    DEFAULT_DEGENERACY_TOL,
     SUPPORT_FLOOR,
     HermitianMatrix,
     Spectrum,
+    components,
     eigendecompose,
+    eigh_blocks,
+    gap_clusters,
+    size_groups,
     von_neumann_entropy,
 )
 
@@ -69,17 +72,6 @@ class ProbeRecord:
     checkpoints: tuple[tuple[int, float], ...]
 
 
-def _block_traces(spec0: Spectrum, rho1: HermitianMatrix) -> list[tuple[float, int, float]]:
-    """(eigenvalue, block dimension, Tr(Pi rho1 Pi)) for each block of spec0."""
-    out = []
-    for block in spec0.blocks:
-        lam = float(np.mean(spec0.eigenvalues[list(block)]))
-        v = spec0.eigenvectors[:, list(block)]
-        tr = float(np.real(np.trace(v.conj().T @ rho1.entries @ v)))
-        out.append((lam, len(block), tr))
-    return out
-
-
 def refine_blocks_by_sector(spec0: Spectrum, sector_operator: np.ndarray) -> Spectrum:
     """Split degeneracy blocks along the eigenspaces of a symmetry operator.
 
@@ -90,11 +82,15 @@ def refine_blocks_by_sector(spec0: Spectrum, sector_operator: np.ndarray) -> Spe
     conserved quantity reproduces computations carried out with
     symmetry-adapted basis sets, where exactly degenerate eigenvalues in
     different sectors are never mixed.
+
+    Each connected part of a block's restriction is solved alone: the
+    eigenvectors of two amplitude blocks meet no entry of an operator
+    that is block diagonal over them, so their restriction is exactly 0.
     """
-    op = np.asarray(sector_operator, dtype=complex)
+    op = np.asarray(sector_operator)
     if op.shape != (spec0.dim, spec0.dim):
         raise ValueError("sector operator dimension mismatch")
-    v = np.array(spec0.eigenvectors, dtype=complex)
+    v = np.array(spec0.eigenvectors, dtype=np.result_type(spec0.eigenvectors, op))
     blocks: list[tuple[int, ...]] = []
     for block in spec0.blocks:
         cols = list(block)
@@ -102,18 +98,14 @@ def refine_blocks_by_sector(spec0: Spectrum, sector_operator: np.ndarray) -> Spe
             blocks.append(tuple(cols))
             continue
         vb = v[:, cols]
-        restriction = vb.conj().T @ op @ vb
-        w, u = np.linalg.eigh(0.5 * (restriction + restriction.conj().T))
+        r = vb.conj().T @ op @ vb
+        r = 0.5 * (r + r.conj().T)
+        parts = size_groups(components(r != 0))
+        w, u = eigh_blocks([(p, r[p[:, :, None], p[:, None, :]]) for p in parts], len(cols))
+        # ascending sector values take the block's positions in order
+        w, u = w[::-1], u[:, ::-1]
         v[:, cols] = vb @ u
-        spread = float(w[-1] - w[0])
-        gap = SECTOR_TOL * max(spread, 1.0)
-        current = [cols[0]]
-        for k in range(1, len(cols)):
-            if w[k] - w[k - 1] > gap:
-                blocks.append(tuple(current))
-                current = []
-            current.append(cols[k])
-        blocks.append(tuple(current))
+        blocks += [tuple(cols[k] for k in run) for run in gap_clusters(-w, SECTOR_TOL)]
     return Spectrum(
         eigenvalues=np.array(spec0.eigenvalues),
         eigenvectors=v,
@@ -122,30 +114,25 @@ def refine_blocks_by_sector(spec0: Spectrum, sector_operator: np.ndarray) -> Spe
     )
 
 
-def not_shared_entropy(
-    spec0: Spectrum, rho1: HermitianMatrix, log_base: float = 2.0
-) -> float:
+def not_shared_entropy(spec0: Spectrum, rho1: np.ndarray, log_base: float = 2.0) -> float:
     """Not-shared entropy: the family-dependent sum minimized inside each block.
 
     A block with eigenvalue lambda and dimension d contributes
     ``Theta[d lambda - Tr(Pi rho1 Pi)] log(1/lambda)``; for d = 1 this is
     the plain projector term and for d = 2 it reproduces the explicit
-    twofold-degeneracy case analysis.
+    twofold-degeneracy case analysis.  ``rho1`` is the partner's density
+    as a dense matrix.
     """
-    if spec0.dim != rho1.dim:
+    if spec0.dim != len(rho1):
         raise ValueError("dimension mismatch")
     total = 0.0
-    for lam, d, tr in _block_traces(spec0, rho1):
+    for block in spec0.blocks:
+        lam = float(np.mean(spec0.eigenvalues[list(block)]))
         if lam > SUPPORT_FLOOR:
-            total += theta(d * lam - tr) * math.log(1.0 / lam)
+            v = spec0.eigenvectors[:, list(block)]
+            tr = float(np.real(np.trace(v.conj().T @ rho1 @ v)))
+            total += theta(len(block) * lam - tr) * math.log(1.0 / lam)
     return total / math.log(log_base)
-
-
-def remaining_entropy(s0: float, s_ns: float) -> float:
-    """S_R = S(rho_0) - S_NS(rho_0)."""
-    if s_ns > s0 + 1e-10:
-        raise ValueError(f"s_ns={s_ns!r} exceeds s0={s0!r}")
-    return max(s0 - s_ns, 0.0)
 
 
 def criterion_qc(s_ns: float, s_r: float, qc_tol: float = DEFAULT_QC_TOL) -> int:
@@ -156,43 +143,28 @@ def criterion_qc(s_ns: float, s_r: float, qc_tol: float = DEFAULT_QC_TOL) -> int
     return 1 if diff > 0 else -1
 
 
-def evaluate_criterion(
-    rho0: HermitianMatrix,
-    rho1: HermitianMatrix,
-    log_base: float = 2.0,
-    qc_tol: float = DEFAULT_QC_TOL,
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-    reference: int = 0,
-    sector_operator: np.ndarray | None = None,
+def criterion_report(
+    spec0: Spectrum,
+    spec1: Spectrum,
+    rho1: np.ndarray,
+    log_base: float,
+    sector_operator: np.ndarray | None,
 ) -> CriterionReport:
-    """Full criterion evaluation for a pair of reduced density matrices.
+    """The criterion for reference spectrum ``spec0`` and partner ``spec1``.
 
-    ``reference`` selects which state plays the role of the reference in
-    the not-shared entropy (the criterion can be stated either way).
+    ``rho1`` is the partner's density as a dense matrix.
     ``sector_operator``, when given, restricts the degenerate-subspace
     minimization to eigenprojectors that respect the sectors of a conserved
     quantity (see :func:`refine_blocks_by_sector`).
     """
-    if reference == 1:
-        rho0, rho1 = rho1, rho0
-    elif reference != 0:
-        raise ValueError("reference must be 0 or 1")
-    spec0 = eigendecompose(rho0, degeneracy_tol)
-    spec1 = eigendecompose(rho1, degeneracy_tol)
     if sector_operator is not None:
         spec0 = refine_blocks_by_sector(spec0, sector_operator)
     s0 = von_neumann_entropy(spec0, log_base)
     s1 = von_neumann_entropy(spec1, log_base)
     s_ns = min(not_shared_entropy(spec0, rho1, log_base), s0)
-    s_r = remaining_entropy(s0, s_ns)
+    s_r = s0 - s_ns
     return CriterionReport(
-        s0=s0,
-        s1=s1,
-        s_ns=s_ns,
-        s_r=s_r,
-        qc=criterion_qc(s_ns, s_r, qc_tol),
-        log_base=log_base,
-        qc_tol=qc_tol,
+        s0=s0, s1=s1, s_ns=s_ns, s_r=s_r, qc=criterion_qc(s_ns, s_r), log_base=log_base
     )
 
 
@@ -300,7 +272,6 @@ def random_projector_probe(
     seed: int = 0,
     log_base: float = 2.0,
     mode: str = "biased",
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
 ) -> ProbeRecord:
     """Sample complete projector families and minimize S - 2*S_tilde.
 
@@ -324,9 +295,9 @@ def random_projector_probe(
         raise ValueError("samples must be >= 1")
     if rho0.dim != rho1.dim:
         raise ValueError("dimension mismatch")
-    spec0 = eigendecompose(rho0, degeneracy_tol)
+    spec0 = eigendecompose(rho0)
     s = von_neumann_entropy(spec0, log_base)
-    s_ns = not_shared_entropy(spec0, rho1, log_base)
+    s_ns = not_shared_entropy(spec0, rho1.entries, log_base)
     bound = s - 2.0 * s_ns
 
     rng = np.random.default_rng(seed)

@@ -42,6 +42,8 @@ class OscState:
     def __post_init__(self):
         if self.n < 0 or self.l < 0:
             raise ValueError("radial quantum numbers must be non-negative")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"coupling strength lambda must be finite and >= 0, got {self.lam!r}")
 
     @property
     def energy(self) -> float:

@@ -16,7 +16,7 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-10
 
-DEFAULT_DEGENERACY_TOL = 1e-8
+DEGENERACY_TOL = 1e-8  # relative eigenvalue gap that starts a new degeneracy block
 SUPPORT_FLOOR = 1e-12  # eigenvalues at or below this are outside the support
 UNIT_NORM_TOL = 1e-6  # a pure state's amplitude norm may deviate from 1 by this
 # an entry of the amplitude support product above this fraction of its
@@ -53,6 +53,8 @@ class HermitianMatrix:
         a = np.asarray(self.entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite")
         dev = np.max(np.abs(a - a.conj().T))
         if dev > HERMITICITY_TOL * max(1.0, np.max(np.abs(a))):
             raise NonHermitianError(f"hermiticity deviation {dev:.3e}")
@@ -62,12 +64,9 @@ class HermitianMatrix:
         tr = float(np.real(np.trace(a)))
         if abs(tr - 1.0) > TRACE_TOL:
             raise NotDensityMatrixError(f"trace {tr!r} != 1")
-        w, v = np.linalg.eigh(a)
-        if w[0] < EIGENVALUE_FLOOR:
-            raise NotDensityMatrixError(f"negative eigenvalue {w[0]:.3e}")
-        order = np.argsort(w)[::-1]
-        w = np.ascontiguousarray(w[order])
-        v = np.ascontiguousarray(v[:, order])
+        w, v = eigh_blocks([(np.arange(len(a))[None], a[None])], len(a))
+        if w[-1] < EIGENVALUE_FLOOR:
+            raise NotDensityMatrixError(f"negative eigenvalue {w[-1]:.3e}")
         w.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "eigenvalues", w)
@@ -105,56 +104,54 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
 
-def eigendecompose(m: HermitianMatrix, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> Spectrum:
-    """Group the eigenpairs of ``m`` into blocks of nearly equal eigenvalues.
+def eigh_blocks(groups, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a block-diagonal Hermitian matrix, by descending eigenvalue.
 
-    The eigenpairs are those the density check of ``m`` solved for.
-    Blocks are formed by greedy clustering of the descending-sorted
-    eigenvalues: a gap larger than ``degeneracy_tol`` (relative to the
-    spectral range) starts a new block.
+    ``groups`` holds, per block size, the blocks' rows, shape (blocks, size),
+    and the blocks, shape (blocks, size, size); the rows partition
+    ``range(dim)``.  One batched ``eigh`` solves each size, and each
+    block's eigenvectors are embedded at its rows.
     """
-    w = m.eigenvalues
-    spread = float(w[0] - w[-1])
-    gap = degeneracy_tol * max(spread, 1.0)
-    blocks: list[tuple[int, ...]] = []
-    current = [0]
-    for i in range(1, len(w)):
-        if w[i - 1] - w[i] > gap:
-            blocks.append(tuple(current))
-            current = []
-        current.append(i)
-    blocks.append(tuple(current))
+    v = np.zeros((dim, dim), dtype=np.result_type(*(m for _, m in groups)))
+    ws, col = [], 0
+    for rows, mats in groups:
+        w, u = np.linalg.eigh(mats)
+        cols = col + np.arange(rows.size).reshape(rows.shape)
+        v[rows[:, :, None], cols[:, None, :]] = u
+        ws.append(w.ravel())
+        col += rows.size
+    w = np.concatenate(ws)
+    order = np.argsort(w)[::-1]
+    return np.ascontiguousarray(w[order]), np.ascontiguousarray(v[:, order])
 
+
+def gap_clusters(w: np.ndarray, tol: float) -> list[tuple[int, ...]]:
+    """Index runs of a descending sequence, split where a step exceeds ``tol`` times its range.
+
+    The range counts as at least 1.
+    """
+    cuts = np.flatnonzero(w[:-1] - w[1:] > tol * max(float(w[0] - w[-1]), 1.0)) + 1
+    return [tuple(run.tolist()) for run in np.split(np.arange(len(w)), cuts)]
+
+
+def group_eigenpairs(w: np.ndarray, v: np.ndarray) -> Spectrum:
+    """Descending eigenpairs with their degeneracy blocks: gaps above ``DEGENERACY_TOL``."""
     support = tuple(i for i in range(len(w)) if w[i] > SUPPORT_FLOOR)
-    return Spectrum(eigenvalues=w, eigenvectors=m.eigenvectors, blocks=tuple(blocks), support=support)
+    return Spectrum(w, v, blocks=tuple(gap_clusters(w, DEGENERACY_TOL)), support=support)
 
 
-def amplitude_blocks(c0: np.ndarray, c1: np.ndarray) -> tuple[tuple[np.ndarray, ...], float]:
-    """Row blocks on which every product c_i c_j^dagger (i, j in {0, 1}) is block diagonal.
+def eigendecompose(m: HermitianMatrix) -> Spectrum:
+    """The eigenpairs of the density check of ``m``, grouped into degeneracy blocks."""
+    return group_eigenpairs(m.eigenvalues, m.eigenvectors)
 
-    ``G = (|c0| + |c1|)(|c0| + |c1|)^T`` bounds the modulus of every entry of
-    c0 c0^dagger, c1 c1^dagger and of the cross terms c0 c1^dagger,
-    c1 c0^dagger, so rows linked by no entry of G above ``BLOCK_LINK_TOL``
-    times its largest entry are uncoupled in the reduced density of any
-    superposition of c0 and c1.  The blocks are the connected components of
-    that link graph.  Without the cross terms the components can be finer
-    than the density's true blocks.
 
-    Returns the blocks as sorted row-index arrays, ordered by their first
-    row, and the largest entry of G between two blocks relative to the
-    largest entry of G: the most any dropped entry can weigh.
-    """
-    if c0.ndim != 2 or c0.shape != c1.shape:
-        raise ValueError(f"amplitudes must be 2-d arrays of one shape: {c0.shape} != {c1.shape}")
-    a = np.abs(c0) + np.abs(c1)
-    g = a @ a.T
-    top = float(g.max())
-    linked = g > BLOCK_LINK_TOL * top
-    n = len(g)
-    label = np.full(n, -1)
-    blocks = []
+def components(linked: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a symmetric boolean link matrix, ordered by first index."""
+    n = len(linked)
+    seen = np.zeros(n, dtype=bool)
+    parts = []
     for start in range(n):
-        if label[start] >= 0:
+        if seen[start]:
             continue
         members = np.zeros(n, dtype=bool)
         members[start] = True
@@ -162,11 +159,84 @@ def amplitude_blocks(c0: np.ndarray, c1: np.ndarray) -> tuple[tuple[np.ndarray, 
         while frontier.any():
             frontier = linked[frontier].any(axis=0) & ~members
             members |= frontier
-        label[members] = len(blocks)
-        blocks.append(np.flatnonzero(members))
-    between = label[:, None] != label[None, :]
-    dropped = float(g[between].max()) / top if top > 0.0 and len(blocks) > 1 else 0.0
-    return tuple(blocks), dropped
+        seen |= members
+        parts.append(np.flatnonzero(members))
+    return parts
+
+
+def size_groups(parts) -> list[np.ndarray]:
+    """The index arrays of each size, stacked to shape (parts, size), by ascending size."""
+    sizes = sorted({len(p) for p in parts})
+    return [np.stack([p for p in parts if len(p) == size]) for size in sizes]
+
+
+@dataclass(frozen=True)
+class GramBlocks:
+    """The reduced-density terms of an amplitude pair (c0, c1), per amplitude block.
+
+    ``groups`` holds, per block size, the blocks' rows, shape (blocks, size),
+    and their terms c0c0^dagger, c1c1^dagger and c0c1^dagger + c1c0^dagger,
+    shape (3, blocks, size, size).  ``block_sizes`` lists the blocks in
+    order of their first row; ``dropped`` is the largest link between two
+    blocks relative to the largest link.
+    """
+
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    block_sizes: tuple[int, ...]
+    dropped: float
+    dim: int
+
+    def endpoint(self, state: int, c: np.ndarray) -> tuple[Spectrum, np.ndarray]:
+        """Spectrum and dense matrix of ``reduce_pure_state(c)``, ``c`` being state 0 or 1.
+
+        The blocks are normalized in that function's order: divided by
+        sum |c|^2, then by the whole trace, then symmetrized.  With one
+        block this is its arithmetic to the bit, which S_NS of some LG
+        pairs (one block of 32) needs, and the eigen-solve is its density
+        check's.  Each block is solved alone (:func:`eigh_blocks`).
+        """
+        n2 = np.sum(np.abs(c) ** 2)
+        if not n2 > 0.0:
+            raise ValueError("state vanishes")
+        mats = [terms[state] / n2 for _, terms in self.groups]
+        tr = sum(np.real(np.trace(m, axis1=1, axis2=2)).sum() for m in mats)
+        mats = [m / tr for m in mats]
+        blocks = [(g[0], 0.5 * (m + m.conj().swapaxes(1, 2))) for g, m in zip(self.groups, mats)]
+        rho = np.zeros((self.dim, self.dim), dtype=np.result_type(*(m for _, m in blocks)))
+        for rows, m in blocks:
+            rho[rows[:, :, None], rows[:, None, :]] = m
+        return group_eigenpairs(*eigh_blocks(blocks, self.dim)), rho
+
+
+def gram_blocks(c0: np.ndarray, c1: np.ndarray) -> GramBlocks:
+    """The one trace-out of an amplitude pair: its Gram terms per amplitude block.
+
+    ``G = (|c0| + |c1|)(|c0| + |c1|)^T`` bounds the modulus of every entry of
+    c0c0^dagger, c1c1^dagger and the cross terms, so rows linked by no entry
+    of G above ``BLOCK_LINK_TOL`` times its largest entry are uncoupled in
+    the reduced density of every superposition of c0 and c1.  The blocks
+    are the connected components of that link graph; without the cross
+    terms they could be finer than the density's true blocks.  Blocks of
+    one size are stacked, so each term is one batched product per size.
+    """
+    if c0.ndim != 2 or c0.shape != c1.shape:
+        raise ValueError(f"amplitudes must be 2-d arrays of one shape: {c0.shape} != {c1.shape}")
+    if not (np.isfinite(c0).all() and np.isfinite(c1).all()):
+        raise ValueError("amplitudes must be finite")
+    a = np.abs(c0) + np.abs(c1)
+    g = a @ a.T
+    top = float(g.max())
+    blocks = components(g > BLOCK_LINK_TOL * top)
+    for rows in blocks:
+        g[np.ix_(rows, rows)] = 0.0
+    dropped = float(g.max()) / top if top > 0.0 else 0.0
+    groups = []
+    for rows in size_groups(blocks):
+        a0, a1 = c0[rows], c1[rows]  # (blocks, size, columns)
+        a0h, a1h = a0.conj().swapaxes(1, 2), a1.conj().swapaxes(1, 2)
+        cross = a0 @ a1h
+        groups.append((rows, np.stack([a0 @ a0h, a1 @ a1h, cross + cross.conj().swapaxes(1, 2)])))
+    return GramBlocks(tuple(groups), tuple(len(b) for b in blocks), dropped, len(g))
 
 
 def von_neumann_entropy(s: Spectrum, log_base: float = 2.0) -> float:
@@ -194,10 +264,7 @@ def reduce_pure_state(c: np.ndarray) -> HermitianMatrix:
     if abs(norm - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"amplitude norm {norm!r} deviates from 1 beyond {UNIT_NORM_TOL}")
     # Divide by <c|c>, then renormalize roundoff so downstream density
-    # checks are exact.  This order keeps LG densities bit-identical to
-    # the benchmark's recorded outputs: S_NS of some LG pairs, with
-    # eigenvalues just outside one degeneracy block, moves by ~1e-10
-    # under a one-ulp change of rho.
+    # checks are exact; GramBlocks.endpoint keeps this order to the bit.
     rho = a @ a.conj().T / np.sum(np.abs(a) ** 2)
     rho = rho / np.real(np.trace(rho))
     return HermitianMatrix(rho)

@@ -15,14 +15,15 @@ from typing import Callable
 
 import numpy as np
 
-from .criterion import CriterionReport, evaluate_criterion
+from .criterion import CriterionReport, criterion_report
 from .spectra import (
     EIGENVALUE_FLOOR,
     SUPPORT_FLOOR,
     UNIT_NORM_TOL,
+    GramBlocks,
     HermitianMatrix,
     NotDensityMatrixError,
-    amplitude_blocks,
+    gram_blocks,
     reduce_pure_state,
 )
 
@@ -81,7 +82,7 @@ class EntropyCurve:
     s0: float  # entropy at alpha = 1 (first state)
     s1: float  # entropy at alpha = 0 (second state)
     log_base: float
-    block_sizes: tuple[int, ...] = ()  # rows per density block (amplitude_blocks)
+    block_sizes: tuple[int, ...] = ()  # rows per density block (gram_blocks)
     offblock_dropped: float = 0.0  # largest dropped inter-block link, relative
 
     def __post_init__(self):
@@ -111,18 +112,21 @@ def entropy_curve(
     pair: PairSpec,
     grid_size: int = DEFAULT_GRID_SIZE,
     log_base: float = 2.0,
+    *,
+    gram: GramBlocks | None = None,
 ) -> EntropyCurve:
     """Uniform alpha grid of von Neumann entropies for a pair.
 
     The reduced density of sqrt(alpha) c0 + sqrt(1-alpha) c1 is
     alpha c0c0^dagger + (1-alpha) c1c1^dagger + sqrt(alpha(1-alpha)) X with
     X = c0c1^dagger + c1c0^dagger, divided by its trace, the squared norm
-    of the superposition.  All three terms are block diagonal over
-    :func:`entconvex.spectra.amplitude_blocks`, so each block's terms are
-    formed once and the whole grid's eigenvalues come from batched
-    ``eigvalsh`` calls over equal-size blocks.  A call holds at most as many
-    entries as one dense density.  Only eigenvalues are computed; the
-    criterion path (``pair.builder``) is separate.
+    of the superposition.  The three terms per amplitude block come from
+    :func:`entconvex.spectra.gram_blocks`, the trace-out that
+    :func:`pair_criterion` reads too; ``gram`` passes them in when the
+    caller already has them.  The whole grid's eigenvalues come from
+    batched ``eigvalsh`` calls over equal-size blocks.  A call holds at
+    most as many entries as one dense density.  Only eigenvalues are
+    computed.
 
     Summing the terms after the products costs relative accuracy of order
     (norm of the parts / norm of the superposition)^2 where the two states
@@ -131,7 +135,8 @@ def entropy_curve(
     if grid_size < 5:
         raise ValueError("grid size must be at least 5")
     c0, c1 = pair.amplitudes()
-    blocks, dropped = amplitude_blocks(c0, c1)
+    if gram is None:
+        gram = gram_blocks(c0, c1)
     alphas = np.linspace(0.0, 1.0, grid_size)
     coef = np.stack([alphas, 1.0 - alphas, np.sqrt(alphas * (1.0 - alphas))], axis=1)
     # traces of the three terms: |c0|^2, |c1|^2 and 2 Re <c1|c0>
@@ -140,15 +145,10 @@ def entropy_curve(
     parts2 = (np.sqrt(alphas * n00) + np.sqrt((1.0 - alphas) * n11)) ** 2
     if np.any(norm2 <= CANCELLED_NORM2 * parts2):
         raise ValueError("superposition vanishes")
-    dim = c0.shape[0]
     weights = []
-    for size in sorted({len(b) for b in blocks}):
-        rows = np.stack([b for b in blocks if len(b) == size])
-        a0, a1 = c0[rows], c1[rows]  # (blocks, size, columns)
-        a0h, a1h = a0.conj().swapaxes(-1, -2), a1.conj().swapaxes(-1, -2)
-        cross = a0 @ a1h
-        terms = np.stack([a0 @ a0h, a1 @ a1h, cross + cross.conj().swapaxes(-1, -2)])
-        step = max(1, (dim // size) ** 2 // len(rows))
+    for rows, terms in gram.groups:
+        size = rows.shape[1]
+        step = max(1, (gram.dim // size) ** 2 // len(rows))
         w = [
             np.linalg.eigvalsh(np.tensordot(coef[i:i + step], terms, axes=1))
             for i in range(0, grid_size, step)
@@ -166,8 +166,8 @@ def entropy_curve(
         s0=ents[-1],
         s1=ents[0],
         log_base=log_base,
-        block_sizes=tuple(len(b) for b in blocks),
-        offblock_dropped=dropped,
+        block_sizes=gram.block_sizes,
+        offblock_dropped=gram.dropped,
     )
 
 
@@ -206,15 +206,19 @@ class AgreementRecord:
 def pair_criterion(pair: PairSpec, log_base: float = 2.0) -> CriterionReport:
     """Criterion report with the first state (alpha = 1) as the reference.
 
-    The pair's sector operator, if any, restricts the not-shared-entropy
-    minimization (see :func:`entconvex.criterion.evaluate_criterion`).
+    The endpoint densities come from the pair's amplitude blocks
+    (:func:`entconvex.spectra.gram_blocks`) and are eigen-solved block by
+    block.  The pair's sector operator, if any, restricts the
+    not-shared-entropy minimization (see
+    :func:`entconvex.criterion.criterion_report`).
     """
-    return evaluate_criterion(
-        pair.builder(1.0),
-        pair.builder(0.0),
-        log_base=log_base,
-        sector_operator=pair.sector_operator,
-    )
+    return _criterion(pair, gram_blocks(*pair.amplitudes()), log_base)
+
+
+def _criterion(pair: PairSpec, gram: GramBlocks, log_base: float) -> CriterionReport:
+    c0, c1 = pair.amplitudes()
+    (spec0, _), (spec1, rho1) = gram.endpoint(0, c0), gram.endpoint(1, c1)
+    return criterion_report(spec0, spec1, rho1, log_base, pair.sector_operator)
 
 
 def criterion_vs_observation(
@@ -222,9 +226,14 @@ def criterion_vs_observation(
     grid_size: int = DEFAULT_GRID_SIZE,
     log_base: float = 2.0,
 ) -> AgreementRecord:
-    """Evaluate the criterion on a pair and check it against the curve."""
-    report = pair_criterion(pair, log_base)
-    observed = classify_convexity(entropy_curve(pair, grid_size, log_base), pair.chord_tol)
+    """Evaluate the criterion on a pair and check it against the curve.
+
+    Both read one trace-out of the pair.
+    """
+    gram = gram_blocks(*pair.amplitudes())
+    report = _criterion(pair, gram, log_base)
+    curve = entropy_curve(pair, grid_size, log_base, gram=gram)
+    observed = classify_convexity(curve, pair.chord_tol)
     if report.qc == 0:
         agree = None
     else:

@@ -12,8 +12,10 @@ from scipy.special import sph_harm_y
 from entconvex.angular import AngularConfig, cg, clebsch_gordan
 from entconvex.criterion import (
     BIAS_STRENGTH,
+    CriterionReport,
     ProbeRecord,
     balanced_eigenbasis,
+    criterion_report,
     not_shared_entropy,
     theta,
 )
@@ -61,6 +63,29 @@ def dense_entropy_curve(pair, grid_size, log_base=2.0):
         von_neumann_entropy(eigendecompose(pair.builder(float(a))), log_base)
         for a in np.linspace(0.0, 1.0, grid_size)
     ]
+
+
+def evaluate_criterion(
+    rho0: HermitianMatrix,
+    rho1: HermitianMatrix,
+    log_base: float = 2.0,
+    reference: int = 0,
+    sector_operator: np.ndarray | None = None,
+) -> CriterionReport:
+    """The criterion from two dense reduced densities.
+
+    Each density's eigenpairs come from its own dense solve (the density
+    check of ``HermitianMatrix``); :func:`entconvex.sweep.pair_criterion`,
+    which solves the amplitude blocks instead, must agree.  ``reference``
+    selects which state plays the reference in the not-shared entropy.
+    """
+    if reference == 1:
+        rho0, rho1 = rho1, rho0
+    elif reference != 0:
+        raise ValueError("reference must be 0 or 1")
+    return criterion_report(
+        eigendecompose(rho0), eigendecompose(rho1), rho1.entries, log_base, sector_operator
+    )
 
 
 @dataclass(frozen=True)
@@ -209,7 +234,7 @@ def dense_projector_probe(
         raise ValueError("dimension mismatch")
     spec0 = eigendecompose(rho0)
     s = von_neumann_entropy(spec0, log_base)
-    s_ns = not_shared_entropy(spec0, rho1, log_base)
+    s_ns = not_shared_entropy(spec0, rho1.entries, log_base)
     bound = s - 2.0 * s_ns
 
     rng = np.random.default_rng(seed)

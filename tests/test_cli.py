@@ -80,6 +80,16 @@ class TestCriterion:
         assert vals["convexity_observed"] == "convex"
 
 
+    @pytest.mark.parametrize("lam", ["inf", "nan", "-0.5"])
+    def test_bad_lambda_is_usage_error(self, capsys, lam):
+        code, _, err = run(
+            capsys, "criterion", "--model", "oscillator", "--n", "0", "--m", "1",
+            "--l", "0", "--p", "0", f"--lambda={lam}",
+        )
+        assert code == 2
+        assert "lambda must be finite and >= 0" in err
+
+
 class TestProbe:
     def test_deterministic_and_bounded(self, capsys):
         args = (

@@ -9,7 +9,6 @@ from entconvex import criterion
 from entconvex.criterion import (
     balanced_eigenbasis,
     criterion_qc,
-    evaluate_criterion,
     not_shared_entropy,
     orthonormalize,
     random_projector_probe,
@@ -21,6 +20,7 @@ from entconvex.sweep import angular_pair
 from oracles import (
     ProjectorFamily,
     dense_projector_probe,
+    evaluate_criterion,
     expectations_under_projectors,
     not_shareable_entropy,
     not_shared_entropy_sampled,
@@ -87,7 +87,7 @@ class TestNotSharedEntropy:
         rho1 = _random_density(rng, 3)
         spec = eigendecompose(rho0)
         fam = ProjectorFamily(spec.eigenvectors)
-        assert not_shared_entropy(spec, rho1) == pytest.approx(
+        assert not_shared_entropy(spec, rho1.entries) == pytest.approx(
             not_shareable_entropy(spec, rho1, fam), abs=1e-12
         )
 
@@ -99,7 +99,7 @@ class TestNotSharedEntropy:
         rho1 = _density(np.diag([0.1, 0.15, 0.75]))
         spec = eigendecompose(rho0)
         expected = theta(2 * lam - 0.25) * math.log(1 / lam) + theta(mu - 0.75) * math.log(1 / mu)
-        got = not_shared_entropy(spec, rho1, math.e)
+        got = not_shared_entropy(spec, rho1.entries, math.e)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_closed_form_is_block_minimum(self):
@@ -109,7 +109,7 @@ class TestNotSharedEntropy:
         spec = eigendecompose(rho0)
         for _ in range(5):
             rho1 = _random_density(rng, 4)
-            closed = not_shared_entropy(spec, rho1)
+            closed = not_shared_entropy(spec, rho1.entries)
             sampled = not_shared_entropy_sampled(spec, rho1, samples=200, seed=7)
             assert closed <= sampled + 1e-9
 
@@ -120,7 +120,7 @@ class TestNotSharedEntropy:
             rho1 = _random_density(rng, 5)
             spec = eigendecompose(rho0)
             s = von_neumann_entropy(spec)
-            assert -1e-10 <= not_shared_entropy(spec, rho1) <= s + 1e-9
+            assert -1e-10 <= not_shared_entropy(spec, rho1.entries) <= s + 1e-9
 
 
 class TestSectorRefinement:
@@ -145,7 +145,8 @@ class TestSectorRefinement:
         refined = refine_blocks_by_sector(spec, op)
         for _ in range(5):
             rho1 = _random_density(rng, 4)
-            assert not_shared_entropy(refined, rho1) >= not_shared_entropy(spec, rho1) - 1e-9
+            restricted = not_shared_entropy(refined, rho1.entries)
+            assert restricted >= not_shared_entropy(spec, rho1.entries) - 1e-9
 
     def test_eigenvectors_still_diagonalize(self):
         rng = np.random.default_rng(41)

@@ -28,6 +28,11 @@ def _binomial_entropy_bits(n):
 
 
 class TestBasics:
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan, -0.1])
+    def test_rejects_bad_coupling(self, lam):
+        with pytest.raises(ValueError, match="lambda"):
+            OscState(1, 1, 0, 0, lam)
+
     def test_omega_relative(self):
         assert omega_relative(0.0) == 1.0
         assert omega_relative(0.7) == pytest.approx(math.sqrt(3.8), abs=1e-15)

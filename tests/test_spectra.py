@@ -10,6 +10,7 @@ from entconvex.spectra import (
     NonHermitianError,
     NotDensityMatrixError,
     eigendecompose,
+    gram_blocks,
     reduce_pure_state,
     von_neumann_entropy,
 )
@@ -42,6 +43,14 @@ class TestHermitianMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             HermitianMatrix(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            HermitianMatrix(np.full((2, 2), bad))
+        # a non-finite off-diagonal pair passes every comparison-based check
+        with pytest.raises(ValueError, match="finite"):
+            HermitianMatrix(np.array([[0.5, bad], [bad, 0.5]]))
 
     def test_entries_read_only(self):
         m = _density(np.eye(3) / 3.0)
@@ -137,3 +146,44 @@ class TestReducePureState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             reduce_pure_state(np.eye(2))
+
+
+class TestGramBlocks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.inf)])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        c = np.eye(2) / math.sqrt(2.0)
+        c_bad = c.astype(complex)
+        c_bad[0, 1] = bad
+        for pair in ((c_bad, c), (c, c_bad)):
+            with pytest.raises(ValueError, match="finite"):
+                gram_blocks(*pair)
+
+    def test_one_block_endpoint_is_reduce_pure_state(self):
+        # one block of every row: the criterion's endpoint density and its
+        # eigenpairs are those of reduce_pure_state to the bit
+        rng = np.random.default_rng(23)
+        c0, c1 = (rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)) for _ in range(2))
+        c0, c1 = c0 / np.linalg.norm(c0), c1 / np.linalg.norm(c1)
+        gram = gram_blocks(c0, c1)
+        assert gram.block_sizes == (4,)
+        for state, c in enumerate((c0, c1)):
+            spec, rho = gram.endpoint(state, c)
+            dense = reduce_pure_state(c)
+            assert np.array_equal(rho, dense.entries)
+            assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
+            assert np.array_equal(spec.eigenvectors, dense.eigenvectors)
+
+    def test_endpoint_of_blocks_matches_dense(self):
+        # two blocks, solved apart and embedded, against the dense density
+        c0 = np.zeros((3, 3))
+        c0[:2, :2] = [[0.6, 0.2], [0.1, 0.5]]
+        c0[2, 2] = 0.3
+        c0 /= np.linalg.norm(c0)
+        gram = gram_blocks(c0, c0)
+        assert sorted(gram.block_sizes) == [1, 2]
+        spec, rho = gram.endpoint(0, c0)
+        dense = reduce_pure_state(c0)
+        np.testing.assert_allclose(rho, dense.entries, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(spec.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(reconstruct(spec), dense.entries, rtol=0, atol=1e-15)
+        assert spec.blocks == eigendecompose(dense).blocks

@@ -1,6 +1,7 @@
 """The single trace-out, alpha curves against the dense oracle, chord
 classification, criterion-vs-observation records."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,7 +15,13 @@ from hypothesis.extra import numpy as hnp
 
 import entconvex
 from entconvex.benchmarks import reference_table
-from entconvex.spectra import NotDensityMatrixError, eigendecompose, von_neumann_entropy
+from entconvex.lgmodes import LGMode
+from entconvex.spectra import (
+    HermitianMatrix,
+    NotDensityMatrixError,
+    eigendecompose,
+    von_neumann_entropy,
+)
 from entconvex.sweep import (
     AgreementRecord,
     ConvexityLabel,
@@ -24,9 +31,11 @@ from entconvex.sweep import (
     classify_convexity,
     criterion_vs_observation,
     entropy_curve,
+    lg_pair,
+    pair_criterion,
     spherium_pair,
 )
-from oracles import dense_entropy_curve
+from oracles import dense_entropy_curve, evaluate_criterion
 
 ALPHAS = st.floats(0.0, 1.0)
 ENTRIES = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
@@ -232,6 +241,73 @@ class TestBlockCurve:
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
+
+
+def _assert_criterion_matches_dense(pair):
+    got = pair_criterion(pair)
+    want = evaluate_criterion(
+        pair.builder(1.0), pair.builder(0.0), sector_operator=pair.sector_operator
+    )
+    for name in ("s0", "s1", "s_ns", "s_r"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, (pair.label, name)
+    assert got.qc == want.qc, pair.label
+
+
+class TestBlockCriterion:
+    """pair_criterion from the amplitude blocks against the dense criterion chain."""
+
+    def test_lg_scan_matches_dense(self):
+        # the criterion-6 scan; the LG(3, 4)/LG(4, -3) and LG(3, 2)/LG(4, +-1)
+        # references have eigenvalues just outside one degeneracy block, where
+        # S_NS moves by ~1e-10 under a one-ulp change of rho
+        modes = [LGMode(l, m) for l in range(5) for m in range(-4, 5) if m != 0]
+        pairs = [lg_pair(m0, m1) for i, m0 in enumerate(modes) if m0.m > 0 for m1 in modes[i + 1:]]
+        assert len(pairs) == 350
+        labels = {pair.label for pair in pairs}
+        for m0, m1 in [((3, 4), (4, -3)), ((3, 2), (4, 1)), ((3, 2), (4, -1))]:
+            assert lg_pair(LGMode(*m0), LGMode(*m1)).label in labels
+        for pair in pairs:
+            _assert_criterion_matches_dense(pair)
+
+    def test_angular_mirror_pairs_match_dense(self):
+        for l in range(1, 7):
+            for L in range(1, 2 * l + 1):
+                for M in range(1, L + 1):
+                    _assert_criterion_matches_dense(angular_pair(l, L, M))
+
+    @pytest.mark.parametrize("use_sectors", [True, False], ids=["sectors", "no-sectors"])
+    @pytest.mark.parametrize(
+        "make_pair",
+        [lambda: reference_table(2)[0].pair, lambda: spherium_pair(1)],
+        ids=["oscillator-table-2", "spherium-M1"],
+    )
+    def test_sector_models_match_dense(self, make_pair, use_sectors):
+        pair = make_pair()
+        assert pair.sector_operator is not None
+        if not use_sectors:
+            pair = dataclasses.replace(pair, sector_operator=None)
+        _assert_criterion_matches_dense(pair)
+
+    @pytest.mark.parametrize("use_sectors", [True, False], ids=["sectors", "no-sectors"])
+    def test_spherium_solves_only_amplitude_blocks(self, monkeypatch, use_sectors):
+        pair = spherium_pair(1, use_sectors=use_sectors)
+        pair.amplitudes()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the criterion built a dense density")
+
+        monkeypatch.setattr(HermitianMatrix, "__post_init__", refuse)
+        monkeypatch.setattr(PairSpec, "builder", refuse)
+        sizes = []
+        for name in ("eigh", "eigvalsh"):
+            def spy(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+                sizes.append(np.shape(a)[-1])
+                return _solve(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        pair_criterion(pair)
+        # the density is 529 x 529; its largest amplitude block is 143
+        assert max(sizes) == 143
 
 
 def test_public_names_resolve():
