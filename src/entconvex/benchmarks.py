@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .criterion import CriterionReport
+from .spectra import gram_blocks
 from .sweep import (
     DEFAULT_GRID_SIZE,
     ConvexityLabel,
@@ -188,15 +189,17 @@ def evaluate_table(
     skips it.
     """
     rows = reference_table(table_id)
-    nat_reports = [pair_criterion(r.pair, math.e) for r in rows]
+    grams = [gram_blocks(*r.pair.amplitudes()) for r in rows]
+    nat_reports = [pair_criterion(r.pair, math.e, gram=g) for r, g in zip(rows, grams)]
     base = detect_log_base(rows, nat_reports) if log_base is None else log_base
 
     results = []
-    for row, nat in zip(rows, nat_reports):
+    for row, nat, gram in zip(rows, nat_reports, grams):
         rep = rescale_report(nat, base)
         got = {"s_ns": rep.s_ns, "s_r": rep.s_r, "s_vn": rep.s0}
         errs = {k: abs(got[k] - ref) for k, ref in row.magnitudes().items()}
-        observed = classify_convexity(entropy_curve(row.pair, grid_size, base), row.pair.chord_tol)
+        curve = entropy_curve(row.pair, grid_size, base, gram=gram)
+        observed = classify_convexity(curve, row.pair.chord_tol)
         results.append(
             RowResult(
                 row=row,

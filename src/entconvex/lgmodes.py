@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
-from .oscillator import hermite_functions
+from .oscillator import gauss_hermite, hermite_functions
 
 DEFAULT_BASIS_SIZE = 32
 DEFAULT_QUADRATURE_ORDER = 64
@@ -51,7 +50,21 @@ def lg_evaluate(mode: LGMode, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r2 = x * x + y * y
     am = abs(mode.m)
     azim = (x + 1j * np.sign(mode.m) * y) ** am if am else np.ones_like(r2, dtype=complex)
-    return azim * eval_genlaguerre(mode.l, am, r2 / WAIST**2) * np.exp(-r2 / WAIST**2)
+    return azim * _genlaguerre(mode.l, am, r2 / WAIST**2) * np.exp(-r2 / WAIST**2)
+
+
+def _genlaguerre(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
+    """L_n^alpha(x), n >= 0: forward recurrence of L_k^alpha / binom(k + alpha, k)."""
+    if n == 0:
+        return np.ones_like(x)
+    if n == 1:
+        return -x + alpha + 1
+    d = -x / (alpha + 1)
+    p = d + 1
+    for k in range(1, n):
+        d = -x / (k + alpha + 1) * p + k / (k + alpha + 1) * d
+        p = d + p
+    return float(math.comb(n + alpha, n)) * p
 
 
 @lru_cache(maxsize=64)
@@ -66,9 +79,9 @@ def mode_columns(l: int, m: int, n_basis: int, order: int) -> np.ndarray:
     of the returned c is the reduced density over x in the convention
     rho_ab = integral dy conj(v_a) v_b.
     """
-    t, wt = np.polynomial.hermite.hermgauss(order)
+    t, wt = gauss_hermite(order)
     xs = math.sqrt(2.0 / 3.0) * t
-    u, wu = np.polynomial.hermite.hermgauss(order)
+    u, wu = t, wt  # the y-nodes use the same rule
     ys = u / math.sqrt(2.0)
 
     f = hermite_functions(n_basis - 1, xs) * np.exp(0.5 * t * t)[None, :]

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_hermite
 
 NORM_DEFICIT_TOL = 1e-6
 
@@ -113,6 +112,14 @@ def hermite_functions(nmax: int, u: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
+def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the ``order``-point rule for weight exp(-t^2)."""
+    t, w = np.polynomial.hermite.hermgauss(order)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 @lru_cache(maxsize=32)
 def _overlap_tensor(n_basis: int, a_max: int, c_max: int, omega_r: float, order: int):
     """O[i1, i2, a, c] = <f_i1(x1) f_i2(x2) | f_a^1(u) f_c^wr(v)>.
@@ -121,7 +128,7 @@ def _overlap_tensor(n_basis: int, a_max: int, c_max: int, omega_r: float, order:
     weight is exp(-u^2/2) exp(-(1+wr) v^2/4), so scaled Gauss-Hermite
     nodes integrate the polynomial part exactly.
     """
-    t, wt = roots_hermite(order)
+    t, wt = gauss_hermite(order)
     su = math.sqrt(2.0)
     sv = 2.0 / math.sqrt(1.0 + omega_r)
     u = su * t

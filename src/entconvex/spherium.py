@@ -112,18 +112,20 @@ def coupled_pair_array(M: int, lcut: int) -> np.ndarray:
     return arr
 
 
-def multiply_r12(arr: np.ndarray, lcut: int, lmax: int = DEFAULT_LMAX) -> np.ndarray:
-    """Coefficient array of r12 * (input array) on the sphere surface.
+def multiply_r12(arr: np.ndarray, lcut: int,
+                 lmaxes: tuple[int, ...] = (DEFAULT_LMAX,)) -> list[np.ndarray]:
+    """Coefficient arrays of r12 * (input array) on the sphere surface.
 
-    Uses the distance expansion truncated at angular order ``lmax`` (the
-    k = 1 series is infinite); the caller is responsible for choosing
-    ``lcut`` large enough to hold the products.
+    One array per truncation order in ``lmaxes`` of the distance expansion
+    (the k = 1 series is infinite), all from one pass; each array gets its
+    terms in the order of a pass of its own, so it equals that pass to the
+    bit.  The caller chooses ``lcut`` large enough to hold the products.
     """
     dim = basis_size(lcut)
     if arr.shape != (dim, dim):
         raise ValueError("array does not match the basis cut")
     radius = math.sqrt(SPHERE_RADIUS_SQ)
-    out = np.zeros_like(arr)
+    outs = [np.zeros_like(arr) for _ in lmaxes]
     rows, cols = np.nonzero(arr)
     for r, c in zip(rows, cols):
         l1 = int(math.isqrt(r))
@@ -131,10 +133,11 @@ def multiply_r12(arr: np.ndarray, lcut: int, lmax: int = DEFAULT_LMAX) -> np.nda
         l2 = int(math.isqrt(c))
         m2 = c - l2 * l2 - l2
         val = arr[r, c]
-        for l in range(lmax + 1):
+        for l in range(max(lmaxes) + 1):
             w = 4.0 * math.pi * radius * float(perkins_weight(1, l))
             if w == 0.0:
                 continue
+            targets = [out for out, top in zip(outs, lmaxes) if l <= top]
             for m in range(-l, l + 1):
                 sign = (-1) ** m
                 left = sph_product(l1, m1, l, -m)
@@ -148,8 +151,10 @@ def multiply_r12(arr: np.ndarray, lcut: int, lmax: int = DEFAULT_LMAX) -> np.nda
                     for Lb, cb in right:
                         if Lb > lcut:
                             continue
-                        out[ia, _index(Lb, m2 + m)] += val * w * sign * ca * cb
-    return out
+                        term = val * w * sign * ca * cb
+                        for out in targets:
+                            out[ia, _index(Lb, m2 + m)] += term
+    return outs
 
 
 @dataclass(frozen=True)
@@ -178,10 +183,10 @@ class SpheriumState:
 def _state_coefficients(M: int, lmax: int) -> np.ndarray:
     lcut = lmax + COUPLED_L2
     pair = coupled_pair_array(M, lcut)
-    amp = pair + multiply_r12(pair, lcut, lmax) / CORRELATION_SCALE
-    norm = np.linalg.norm(amp)
     # the angular tail of the distance series must be converged in norm
-    amp_lo = pair + multiply_r12(pair, lcut, max(lmax - 4, 4)) / CORRELATION_SCALE
+    r12 = multiply_r12(pair, lcut, (lmax, max(lmax - 4, 4)))
+    amp, amp_lo = (pair + r / CORRELATION_SCALE for r in r12)
+    norm = np.linalg.norm(amp)
     tail = abs(np.linalg.norm(amp_lo) - norm) / norm
     if tail > NORM_TAIL_TOL:
         raise ValueError(f"norm tail {tail:.3e} beyond {NORM_TAIL_TOL}; raise lmax")

@@ -135,8 +135,7 @@ def entropy_curve(
     if grid_size < 5:
         raise ValueError("grid size must be at least 5")
     c0, c1 = pair.amplitudes()
-    if gram is None:
-        gram = gram_blocks(c0, c1)
+    gram = gram_blocks(c0, c1) if gram is None else gram
     alphas = np.linspace(0.0, 1.0, grid_size)
     coef = np.stack([alphas, 1.0 - alphas, np.sqrt(alphas * (1.0 - alphas))], axis=1)
     # traces of the three terms: |c0|^2, |c1|^2 and 2 Re <c1|c0>
@@ -203,20 +202,18 @@ class AgreementRecord:
         return self.agree is not None
 
 
-def pair_criterion(pair: PairSpec, log_base: float = 2.0) -> CriterionReport:
+def pair_criterion(pair: PairSpec, log_base: float = 2.0, *,
+                   gram: GramBlocks | None = None) -> CriterionReport:
     """Criterion report with the first state (alpha = 1) as the reference.
 
     The endpoint densities come from the pair's amplitude blocks
-    (:func:`entconvex.spectra.gram_blocks`) and are eigen-solved block by
-    block.  The pair's sector operator, if any, restricts the
-    not-shared-entropy minimization (see
-    :func:`entconvex.criterion.criterion_report`).
+    (:func:`entconvex.spectra.gram_blocks`; ``gram`` passes them in when
+    the caller already has them) and are eigen-solved block by block.  The
+    pair's sector operator, if any, restricts the not-shared-entropy
+    minimization (see :func:`entconvex.criterion.criterion_report`).
     """
-    return _criterion(pair, gram_blocks(*pair.amplitudes()), log_base)
-
-
-def _criterion(pair: PairSpec, gram: GramBlocks, log_base: float) -> CriterionReport:
     c0, c1 = pair.amplitudes()
+    gram = gram_blocks(c0, c1) if gram is None else gram
     (spec0, _), (spec1, rho1) = gram.endpoint(0, c0), gram.endpoint(1, c1)
     return criterion_report(spec0, spec1, rho1, log_base, pair.sector_operator)
 
@@ -231,7 +228,7 @@ def criterion_vs_observation(
     Both read one trace-out of the pair.
     """
     gram = gram_blocks(*pair.amplitudes())
-    report = _criterion(pair, gram, log_base)
+    report = pair_criterion(pair, log_base, gram=gram)
     curve = entropy_curve(pair, grid_size, log_base, gram=gram)
     observed = classify_convexity(curve, pair.chord_tol)
     if report.qc == 0:

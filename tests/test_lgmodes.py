@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre
 
-from entconvex.lgmodes import LGMode, lg_evaluate, mode_norm_capture
+from entconvex.lgmodes import LGMode, _genlaguerre, lg_evaluate, mode_norm_capture
 from entconvex.spectra import eigendecompose, von_neumann_entropy
 from entconvex.sweep import lg_pair, pair_criterion
 
@@ -32,6 +33,13 @@ class TestEvaluate:
     def test_negative_radial_index_rejected(self):
         with pytest.raises(ValueError):
             LGMode(-1, 0)
+
+    @pytest.mark.parametrize("l", range(9))
+    def test_laguerre_bitwise_equals_reference(self, l):
+        # the reference library's integer-order recurrence, to the bit
+        r2 = np.concatenate([np.linspace(0.0, 50.0, 10001), [0.0, 1e-300, 2.5e-8, 1.0 / 3.0]])
+        for am in range(9):
+            np.testing.assert_array_equal(_genlaguerre(l, am, r2), eval_genlaguerre(l, am, r2))
 
 
 class TestReducedDensity:

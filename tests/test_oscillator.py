@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_hermite
 
 from entconvex.oscillator import (
     OscBasisSpec,
     OscState,
     angular_momentum_matrix,
     coefficient_tensor,
+    gauss_hermite,
     kappa_coefficients,
     omega_relative,
 )
@@ -55,6 +57,29 @@ class TestBasics:
     def test_basis_too_small_raises(self):
         with pytest.raises(ValueError):
             OscBasisSpec(n_per_coordinate=4).check_state(OscState(0, 0, 3, -1))
+
+
+class TestGaussHermite:
+    @pytest.mark.parametrize("order", [1, 7, 32, 48, 64])
+    def test_matches_reference_rule(self, order):
+        t, w = gauss_hermite(order)
+        ref_t, ref_w = roots_hermite(order)
+        np.testing.assert_allclose(t, ref_t, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(w, ref_w, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("order", [1, 7, 32, 48, 64])
+    def test_even_moments_exact(self, order):
+        # integral of t^{2k} exp(-t^2) = Gamma(k + 1/2), exact for 2k < 2 order
+        t, w = gauss_hermite(order)
+        for k in range(order):
+            assert np.sum(w * t ** (2 * k)) == pytest.approx(math.gamma(k + 0.5), rel=1e-12)
+
+    def test_cached_and_read_only(self):
+        t, w = gauss_hermite(48)
+        assert gauss_hermite(48)[0] is t
+        for a in (t, w):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestDecoupledLimit:

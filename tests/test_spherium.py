@@ -64,10 +64,20 @@ class TestDistanceExpansion:
             lcut = lmax + 2
             arr = np.zeros((basis_size(lcut),) * 2, dtype=complex)
             arr[0, 0] = 1.0
-            got = expansion_value(multiply_r12(arr, lcut, lmax), lcut, th1, ph1, th2, ph2)
+            got = expansion_value(multiply_r12(arr, lcut, (lmax,))[0], lcut, th1, ph1, th2, ph2)
             errs.append(abs(got.real - r12 * y00sq) / (r12 * y00sq))
         assert errs[0] < 5e-3
         assert errs[1] < errs[0] / 5.0
+
+    def test_one_pass_equals_separate_passes(self):
+        # the norm-tail check reads the lmax - 4 product from the same pass
+        lmax = 20
+        lcut = lmax + 2
+        arr = coupled_pair_array(1, lcut)
+        both = multiply_r12(arr, lcut, (lmax, lmax - 4))
+        np.testing.assert_array_equal(both[0], multiply_r12(arr, lcut, (lmax,))[0])
+        np.testing.assert_array_equal(both[1], multiply_r12(arr, lcut, (lmax - 4,))[0])
+        assert not np.array_equal(both[0], both[1])
 
 
 class TestWaveFunction:

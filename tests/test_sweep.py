@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import entconvex
+from entconvex import benchmarks, sweep
 from entconvex.benchmarks import reference_table
 from entconvex.lgmodes import LGMode
 from entconvex.spectra import (
     HermitianMatrix,
     NotDensityMatrixError,
     eigendecompose,
+    gram_blocks,
     von_neumann_entropy,
 )
 from entconvex.sweep import (
@@ -223,14 +225,22 @@ class TestBlockCurve:
         with pytest.raises(NotDensityMatrixError):
             entropy_curve(angular_pair(2, 1, 1))
 
-    def test_import_and_curve_leave_scipy_sparse_unloaded(self):
-        # scipy.sparse adds about 11 MB of resident memory; the model modules
-        # import scipy.special, which must not pull it in either
+    def test_import_and_verdicts_leave_scipy_unloaded(self):
+        # the package runs on numpy alone; scipy would add its import time
+        # and resident memory to every process that builds a verdict
         code = (
-            "import sys, entconvex, entconvex.cli, entconvex.oscillator, entconvex.spherium\n"
-            "from entconvex.lgmodes import LGMode\n"
-            "entconvex.entropy_curve(entconvex.lg_pair(LGMode(1, 1), LGMode(1, -1)))\n"
-            "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse imported'\n"
+            "import sys, entconvex, entconvex.cli\n"
+            "from entconvex import angular, lgmodes, oscillator, spherium\n"
+            "from entconvex.sweep import (\n"
+            "    angular_pair, criterion_vs_observation, lg_pair, oscillator_pair, spherium_pair)\n"
+            "for pair in (\n"
+            "    angular_pair(2, 1, 1),\n"
+            "    lg_pair(lgmodes.LGMode(1, 1), lgmodes.LGMode(1, -1)),\n"
+            "    oscillator_pair(oscillator.OscState(0, 1, 0, 0), oscillator.OscState(0, -1, 0, 0)),\n"
+            "    spherium_pair(1, lmax=12),\n"
+            "):\n"
+            "    criterion_vs_observation(pair)\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
         )
         src = str(Path(entconvex.__file__).resolve().parents[1])
         done = subprocess.run(
@@ -308,6 +318,20 @@ class TestBlockCriterion:
         pair_criterion(pair)
         # the density is 529 x 529; its largest amplitude block is 143
         assert max(sizes) == 143
+
+
+def test_table_forms_one_trace_out_per_row(monkeypatch):
+    # the row's criterion and its curve read the same gram blocks
+    calls = []
+
+    def counted(c0, c1):
+        calls.append(c0.shape)
+        return gram_blocks(c0, c1)
+
+    monkeypatch.setattr(benchmarks, "gram_blocks", counted)
+    monkeypatch.setattr(sweep, "gram_blocks", counted)
+    table = benchmarks.evaluate_table(5)
+    assert len(calls) == len(table.rows) == 6
 
 
 def test_public_names_resolve():
