@@ -1,17 +1,18 @@
 """Coupled two-particle angular momentum states and their amplitudes.
 
 Clebsch-Gordan coefficients are computed by the Racah closed form in exact
-big-rational arithmetic (a sign together with the rational square of the
-value), so the reduced density matrices of coupled states come out exact
-at the superposition endpoints; ``cg_matrix`` gives the floating point
-amplitudes for the whole alpha range.  Condon-Shortley phases throughout.
+integer arithmetic (a sign together with the square of the value as a
+quotient of integers, rounded once), so every coefficient is the correctly
+rounded root of its exact rational square; the term-by-term ``Fraction``
+form of the same sum is the test oracle.  ``cg_matrix`` gives the
+amplitudes of a coupled state.  Condon-Shortley phases throughout.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -37,68 +38,52 @@ class AngularConfig:
             raise ValueError(f"|M|={abs(self.M)} exceeds L={self.L}")
 
 
-@dataclass(frozen=True)
-class ExactCoefficient:
-    """sign * sqrt(square) with an exact rational square."""
+def _racah(l1, m1, l2, m2, L, M) -> tuple[int, int, int]:
+    """Racah's closed form in integers: C(l1,m1; l2,m2; L,M) = sign*sqrt(num/den).
 
-    sign: int
-    square: Fraction
-
-    def __post_init__(self):
-        if self.square < 0:
-            raise ValueError("square must be non-negative")
-
-    @property
-    def value(self) -> float:
-        return self.sign * math.sqrt(self.square)
-
-
-ZERO = ExactCoefficient(0, Fraction(0))
-
-
-@lru_cache(maxsize=None)
-def clebsch_gordan(l1: int, m1: int, l2: int, m2: int, L: int, M: int) -> ExactCoefficient:
-    """Exact Clebsch-Gordan coefficient C(l1,m1; l2,m2; L,M).
-
-    Racah's closed form, evaluated over rationals.  Returns the exact zero
-    coefficient when m1 + m2 != M or a magnetic number is out of range;
-    raises on a triangle violation.
+    The alternating sum is put over P, a common multiple of its term
+    denominators, and each term follows from the one before by a ratio of
+    integers.  Arguments may be any integer type (numpy's too).
     """
+    l1, m1, l2, m2, L, M = map(operator.index, (l1, m1, l2, m2, L, M))
     if not abs(l1 - l2) <= L <= l1 + l2:
         raise ValueError(f"triangle violation for ({l1}, {l2}, {L})")
     if m1 + m2 != M or abs(m1) > l1 or abs(m2) > l2 or abs(M) > L:
-        return ZERO
+        return 0, 0, 1
 
     f = math.factorial
-    pref = Fraction(
-        (2 * L + 1) * f(L + l1 - l2) * f(L - l1 + l2) * f(l1 + l2 - L),
-        f(l1 + l2 + L + 1),
-    ) * Fraction(
-        f(L + M) * f(L - M) * f(l1 - m1) * f(l1 + m1) * f(l2 - m2) * f(l2 + m2), 1
-    )
-
-    kmin = max(0, l2 - L - m1, l1 + m2 - L)
-    kmax = min(l1 + l2 - L, l1 - m1, l2 + m2)
-    total = Fraction(0)
+    a, b, c = l1 + l2 - L, l1 - m1, l2 + m2
+    d, e = L - l2 + m1, L - l1 - m2
+    kmin = max(0, -d, -e)
+    kmax = min(a, b, c)
+    # the kmin term of P / (k! (a-k)! (b-k)! (c-k)! (d+k)! (e+k)!)
+    t = f(kmax) // f(kmin) * (f(d + kmax) // f(d + kmin)) * (f(e + kmax) // f(e + kmin))
+    total = 0
     for k in range(kmin, kmax + 1):
-        denom = (
-            f(k)
-            * f(l1 + l2 - L - k)
-            * f(l1 - m1 - k)
-            * f(l2 + m2 - k)
-            * f(L - l2 + m1 + k)
-            * f(L - l1 - m2 + k)
-        )
-        total += Fraction((-1) ** k, denom)
+        total += -t if k & 1 else t
+        t = t * (a - k) * (b - k) * (c - k) // ((k + 1) * (d + k + 1) * (e + k + 1))
     if total == 0:
-        return ZERO
-    sign = 1 if total > 0 else -1
-    return ExactCoefficient(sign, pref * total * total)
+        return 0, 0, 1
+    common = f(kmax) * f(a - kmin) * f(b - kmin) * f(c - kmin) * f(d + kmax) * f(e + kmax)
+    num = (
+        (2 * L + 1) * f(L + l1 - l2) * f(L - l1 + l2) * f(a)
+        * f(L + M) * f(L - M) * f(l1 - m1) * f(l1 + m1) * f(l2 - m2) * f(l2 + m2)
+        * total * total
+    )
+    return (1 if total > 0 else -1), num, f(l1 + l2 + L + 1) * common * common
 
 
+@lru_cache(maxsize=None)
 def cg(l1: int, m1: int, l2: int, m2: int, L: int, M: int) -> float:
-    """Floating point Clebsch-Gordan coefficient."""
-    return clebsch_gordan(l1, m1, l2, m2, L, M).value
+    """Floating point Clebsch-Gordan coefficient C(l1,m1; l2,m2; L,M).
+
+    Zero when m1 + m2 != M or a magnetic number is out of range; raises on
+    a triangle violation.  The integer quotient is rounded once (int / int
+    true division is correctly rounded), so the value is that of the exact
+    rational square.
+    """
+    sign, num, den = _racah(l1, m1, l2, m2, L, M)
+    return sign * math.sqrt(num / den)
 
 
 @lru_cache(maxsize=None)

@@ -126,34 +126,38 @@ def multiply_r12(arr: np.ndarray, lcut: int,
         raise ValueError("array does not match the basis cut")
     radius = math.sqrt(SPHERE_RADIUS_SQ)
     outs = [np.zeros_like(arr) for _ in lmaxes]
+    weights = []  # (l, weight, the outputs whose order reaches l) for nonzero weights
+    for l in range(max(lmaxes) + 1):
+        w = 4.0 * math.pi * radius * float(perkins_weight(1, l))
+        if w != 0.0:
+            weights.append((l, w, [out for out, top in zip(outs, lmaxes) if l <= top]))
     rows, cols = np.nonzero(arr)
-    for r, c in zip(rows, cols):
-        l1 = int(math.isqrt(r))
+    for r, c, val in zip(rows.tolist(), cols.tolist(), arr[rows, cols].tolist()):
+        l1 = math.isqrt(r)
         m1 = r - l1 * l1 - l1
-        l2 = int(math.isqrt(c))
+        l2 = math.isqrt(c)
         m2 = c - l2 * l2 - l2
-        val = arr[r, c]
-        for l in range(max(lmaxes) + 1):
-            w = 4.0 * math.pi * radius * float(perkins_weight(1, l))
-            if w == 0.0:
-                continue
-            targets = [out for out, top in zip(outs, lmaxes) if l <= top]
+        for l, w, targets in weights:
+            vw = val * w
             for m in range(-l, l + 1):
-                sign = (-1) ** m
                 left = sph_product(l1, m1, l, -m)
                 right = sph_product(l2, m2, l, m)
                 if not left or not right:
                     continue
+                # the products keep the association ((((val w) sign) ca) cb)
+                vws = vw * (-1) ** m
                 for La, ca in left:
                     if La > lcut:
                         continue
-                    ia = _index(La, m1 - m)
+                    ia = La * La + La + m1 - m
+                    vwsa = vws * ca
                     for Lb, cb in right:
                         if Lb > lcut:
                             continue
-                        term = val * w * sign * ca * cb
+                        term = vwsa * cb
+                        ib = Lb * Lb + Lb + m2 + m
                         for out in targets:
-                            out[ia, _index(Lb, m2 + m)] += term
+                            out[ia, ib] += term
     return outs
 
 

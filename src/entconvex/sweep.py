@@ -125,8 +125,8 @@ def entropy_curve(
     :func:`pair_criterion` reads too; ``gram`` passes them in when the
     caller already has them.  The whole grid's eigenvalues come from
     batched ``eigvalsh`` calls over equal-size blocks.  A call holds at
-    most as many entries as one dense density.  Only eigenvalues are
-    computed.
+    most max(dim**2, 2**16) entries, so a small density takes several grid
+    points per call.  Only eigenvalues are computed.
 
     Summing the terms after the products costs relative accuracy of order
     (norm of the parts / norm of the superposition)^2 where the two states
@@ -147,7 +147,8 @@ def entropy_curve(
     weights = []
     for rows, terms in gram.groups:
         size = rows.shape[1]
-        step = max(1, (gram.dim // size) ** 2 // len(rows))
+        # grid points per call: up to max(dim**2, 2**16) entries
+        step = max(1, (gram.dim // size) ** 2 // len(rows), 2**16 // (len(rows) * size * size))
         w = [
             np.linalg.eigvalsh(np.tensordot(coef[i:i + step], terms, axes=1))
             for i in range(0, grid_size, step)

@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import sph_harm_y
 
-from entconvex.angular import AngularConfig, cg, clebsch_gordan
+from entconvex.angular import AngularConfig, cg
 from entconvex.criterion import (
     BIAS_STRENGTH,
     CriterionReport,
@@ -43,6 +43,8 @@ from entconvex.spherium import (
     TOTAL_L,
     _index,
     basis_size,
+    perkins_weight,
+    sph_product,
 )
 
 
@@ -433,7 +435,46 @@ def coefficient_tensor_analytic(state: OscState, basis: OscBasisSpec | None = No
 
 
 # ---------------------------------------------------------------------------
-# spherium: the radial equation and pointwise wave-function values
+# spherium: the r12 product loop, the radial equation, pointwise values
+
+
+def multiply_r12_loop(arr: np.ndarray, lcut: int, lmaxes: tuple[int, ...]) -> list[np.ndarray]:
+    """r12 products term by term, the loop :func:`entconvex.spherium.multiply_r12`
+    must equal to the bit: weights recomputed per entry, numpy scalars."""
+    dim = basis_size(lcut)
+    if arr.shape != (dim, dim):
+        raise ValueError("array does not match the basis cut")
+    radius = math.sqrt(SPHERE_RADIUS_SQ)
+    outs = [np.zeros_like(arr) for _ in lmaxes]
+    rows, cols = np.nonzero(arr)
+    for r, c in zip(rows, cols):
+        l1 = int(math.isqrt(r))
+        m1 = r - l1 * l1 - l1
+        l2 = int(math.isqrt(c))
+        m2 = c - l2 * l2 - l2
+        val = arr[r, c]
+        for l in range(max(lmaxes) + 1):
+            w = 4.0 * math.pi * radius * float(perkins_weight(1, l))
+            if w == 0.0:
+                continue
+            targets = [out for out, top in zip(outs, lmaxes) if l <= top]
+            for m in range(-l, l + 1):
+                sign = (-1) ** m
+                left = sph_product(l1, m1, l, -m)
+                right = sph_product(l2, m2, l, m)
+                if not left or not right:
+                    continue
+                for La, ca in left:
+                    if La > lcut:
+                        continue
+                    ia = _index(La, m1 - m)
+                    for Lb, cb in right:
+                        if Lb > lcut:
+                            continue
+                        term = val * w * sign * ca * cb
+                        for out in targets:
+                            out[ia, _index(Lb, m2 + m)] += term
+    return outs
 
 
 def radial_residual(r12: np.ndarray | float) -> float:
@@ -482,7 +523,69 @@ def expansion_value(arr: np.ndarray, lcut: int, theta1, phi1, theta2, phi2) -> c
 
 
 # ---------------------------------------------------------------------------
-# angular: exact endpoint densities
+# angular: exact Racah coefficients and endpoint densities
+
+
+@dataclass(frozen=True)
+class ExactCoefficient:
+    """sign * sqrt(square) with an exact rational square."""
+
+    sign: int
+    square: Fraction
+
+    def __post_init__(self):
+        if self.square < 0:
+            raise ValueError("square must be non-negative")
+
+    @property
+    def value(self) -> float:
+        return self.sign * math.sqrt(self.square)
+
+
+ZERO = ExactCoefficient(0, Fraction(0))
+
+
+@lru_cache(maxsize=None)
+def clebsch_gordan(l1: int, m1: int, l2: int, m2: int, L: int, M: int) -> ExactCoefficient:
+    """Exact Clebsch-Gordan coefficient C(l1,m1; l2,m2; L,M).
+
+    Racah's closed form, evaluated over rationals term by term; the oracle
+    of the integer form behind :func:`entconvex.angular.cg`.  Returns the
+    exact zero coefficient when m1 + m2 != M or a magnetic number is out of
+    range; raises on a triangle violation.
+    """
+    if not abs(l1 - l2) <= L <= l1 + l2:
+        raise ValueError(f"triangle violation for ({l1}, {l2}, {L})")
+    if m1 + m2 != M or abs(m1) > l1 or abs(m2) > l2 or abs(M) > L:
+        return ZERO
+
+    f = math.factorial
+    pref = Fraction(
+        (2 * L + 1) * f(L + l1 - l2) * f(L - l1 + l2) * f(l1 + l2 - L),
+        f(l1 + l2 + L + 1),
+    ) * Fraction(
+        f(L + M) * f(L - M) * f(l1 - m1) * f(l1 + m1) * f(l2 - m2) * f(l2 + m2), 1
+    )
+
+    kmin = max(0, l2 - L - m1, l1 + m2 - L)
+    kmax = min(l1 + l2 - L, l1 - m1, l2 + m2)
+    total = Fraction(0)
+    for k in range(kmin, kmax + 1):
+        denom = (
+            f(k)
+            * f(l1 + l2 - L - k)
+            * f(l1 - m1 - k)
+            * f(l2 + m2 - k)
+            * f(L - l2 + m1 + k)
+            * f(L - l1 - m2 + k)
+        )
+        total += Fraction((-1) ** k, denom)
+    if total == 0:
+        return ZERO
+    sign = 1 if total > 0 else -1
+    return ExactCoefficient(sign, pref * total * total)
+
+
 
 
 def coupled_reduced_density_exact(l: int, L: int, M: int, alpha: int) -> list[list[Fraction]]:

@@ -15,12 +15,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entconvex.angular import cg, clebsch_gordan
+from entconvex.angular import cg
 from entconvex.benchmarks import evaluate_table
 from entconvex.criterion import random_projector_probe
 from entconvex.lgmodes import LGMode
 from entconvex.sweep import angular_pair, criterion_vs_observation, entropy_curve, lg_pair, spherium_pair
-from oracles import coupled_reduced_density_exact, energy_expectation, radial_residual
+from oracles import clebsch_gordan, coupled_reduced_density_exact, energy_expectation, radial_residual
 
 SLOW = os.environ.get("ENTCONVEX_SLOW", "") not in ("", "0")
 

@@ -6,15 +6,17 @@ and explicit L- lowering, with the usual phase fixed by making the
 largest-m1 component positive.
 """
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from entconvex.angular import AngularConfig, cg, clebsch_gordan
+from entconvex import angular, spherium
+from entconvex.angular import AngularConfig, cg
 from entconvex.sweep import angular_pair
-from oracles import coupled_energy_check, coupled_reduced_density_exact
+from oracles import clebsch_gordan, coupled_energy_check, coupled_reduced_density_exact
 
 
 def _single_ops(j):
@@ -135,6 +137,48 @@ class TestClebschGordan:
                         oracle_coupled_vector(l1, l2, L, M),
                         atol=1e-12,
                     )
+
+    @pytest.mark.parametrize("source", ["cg_matrix", "spherium"])
+    def test_bitwise_equals_exact_oracle(self, source):
+        # every key the pipeline reaches: the angular amplitudes up to
+        # MAX_ELL and the spherium states M = +-1, +-2 at lmax 20
+        keys = _reached_keys(source)
+        assert len(keys) > 5000
+        for k in keys:
+            assert cg(*k).hex() == clebsch_gordan(*k).value.hex(), k
+
+    def test_numpy_integer_arguments(self):
+        # np.int64 times a large Python int overflows; the integer Racah
+        # form must take numpy's integers as the exact values they hold
+        for k in [(12, 3, 12, -3, 12, 0), (12, 12, 12, -12, 0, 0), (6, 2, 5, -1, 7, 1),
+                  (20, 7, 22, -6, 24, 1), (1, 0, 1, 0, 1, 0), (2, 1, 2, 1, 2, 0)]:
+            got = cg.__wrapped__(*(np.int64(x) for x in k))
+            assert type(got) is float
+            assert got.hex() == cg(*k).hex() == clebsch_gordan(*k).value.hex(), k
+
+
+def _reached_keys(source):
+    """The cg arguments that building the angular or spherium amplitudes uses."""
+    keys = set()
+
+    def record(*k):
+        keys.add(k)
+        return cg(*k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if source == "cg_matrix":
+            mp.setattr(angular, "cg", record)
+            for l in range(angular.MAX_ELL + 1):
+                for L in range(2 * l + 1):
+                    for M in range(-L, L + 1):
+                        angular.cg_matrix.__wrapped__(l, L, M)
+        else:
+            mp.setattr(spherium, "cg", record)
+            mp.setattr(spherium, "sph_product",
+                       functools.lru_cache(maxsize=None)(spherium.sph_product.__wrapped__))
+            for M in (1, -1, 2, -2):
+                spherium._state_coefficients.__wrapped__(M, 20)
+    return keys
 
 
 class TestAngularConfig:

@@ -205,6 +205,17 @@ class TestProbe:
             rec = random_projector_probe(rho0, rho1, samples=500, seed=11)
             assert rec.min_value >= rec.bound - 1e-9
 
+    def test_l6_L2_dips_below_bound(self):
+        # the one mirror pair (with l = 6, L = 1) whose minimum is not the
+        # balanced family: at seed 0 a sampled rotation between checkpoints
+        # 8192 and 10000 lowers it 4.1e-3 below S - 2 S_NS, the benchmark's
+        # recorded finding; a probe that stopped sampling rotations stays
+        # at the bound
+        rho0, rho1 = _angular_states(6, 2)
+        rec = random_projector_probe(rho0, rho1, samples=10_000, seed=0)
+        assert rec.checkpoints[-2] == (8192, pytest.approx(rec.bound, abs=1e-12))
+        assert rec.bound - rec.min_value == pytest.approx(4.1418466e-3, rel=1e-6)
+
     def test_checkpoints_monotone(self):
         rng = np.random.default_rng(59)
         rec = random_projector_probe(

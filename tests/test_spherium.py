@@ -19,7 +19,7 @@ from entconvex.spherium import (
 )
 from entconvex.spectra import eigendecompose, von_neumann_entropy
 from entconvex.sweep import PairSpec, pair_criterion, spherium_pair
-from oracles import expansion_value, radial_residual, wave_function
+from oracles import expansion_value, multiply_r12_loop, radial_residual, wave_function
 
 RNG = np.random.default_rng(101)
 
@@ -78,6 +78,16 @@ class TestDistanceExpansion:
         np.testing.assert_array_equal(both[0], multiply_r12(arr, lcut, (lmax,))[0])
         np.testing.assert_array_equal(both[1], multiply_r12(arr, lcut, (lmax - 4,))[0])
         assert not np.array_equal(both[0], both[1])
+
+    @pytest.mark.parametrize("M", [1, -1, 2, -2])
+    def test_bitwise_equals_term_loop(self, M):
+        # hoisted weights and partial products keep every rounding step
+        lcut = 22
+        arr = coupled_pair_array(M, lcut)
+        got = multiply_r12(arr, lcut, (20, 16))
+        want = multiply_r12_loop(arr, lcut, (20, 16))
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w)
 
 
 class TestWaveFunction:

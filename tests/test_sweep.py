@@ -242,15 +242,62 @@ class TestBlockCurve:
             "    criterion_vs_observation(pair)\n"
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
         )
-        src = str(Path(entconvex.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
+        _run_fresh(code)
+
+    def test_angular_verdicts_leave_fractions_unloaded(self):
+        # Clebsch-Gordan coefficients are exact in integer arithmetic;
+        # only spherium's rational distance-expansion weights use Fraction
+        code = (
+            "import sys, entconvex, entconvex.cli\n"
+            "from entconvex import lgmodes, oscillator\n"
+            "from entconvex.sweep import angular_pair, criterion_vs_observation, lg_pair, oscillator_pair\n"
+            "for pair in (\n"
+            "    angular_pair(6, 2, 2),\n"
+            "    lg_pair(lgmodes.LGMode(1, 1), lgmodes.LGMode(1, -1)),\n"
+            "    oscillator_pair(oscillator.OscState(0, 1, 0, 0), oscillator.OscState(0, -1, 0, 0)),\n"
+            "):\n"
+            "    criterion_vs_observation(pair)\n"
+            "assert 'fractions' not in sys.modules\n"
         )
-        assert done.returncode == 0, done.stderr
+        _run_fresh(code)
+
+    @pytest.mark.parametrize(
+        "make_pair, calls",
+        [
+            (lambda: lg_pair(LGMode(1, 1), LGMode(1, -1)), 1),
+            (lambda: lg_pair(LGMode(3, 4), LGMode(4, -3)), 1),
+            (lambda: spherium_pair(1), 15),
+        ],
+        ids=["lg-1-1", "lg-3-4", "spherium-M1"],
+    )
+    def test_eigvalsh_calls_per_curve(self, monkeypatch, make_pair, calls):
+        # a dim-32 LG density is one block, and the whole grid goes in one
+        # call; the spherium blocks (dim 529, four sizes) keep one dense
+        # density's entries per call, 15 calls for the 41 points
+        pair = make_pair()
+        gram = gram_blocks(*pair.amplitudes())
+        solves = []
+
+        def spy(a, _solve=np.linalg.eigvalsh):
+            solves.append(np.shape(a))
+            return _solve(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        entropy_curve(pair, gram=gram)
+        assert len(solves) == calls
+
+
+def _run_fresh(code):
+    """Run ``code`` in a new interpreter that imports the package from source."""
+    src = str(Path(entconvex.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def _assert_criterion_matches_dense(pair):
