@@ -22,6 +22,9 @@ UNIT_NORM_TOL = 1e-6  # a pure state's amplitude norm may deviate from 1 by this
 # an entry of the amplitude support product above this fraction of its
 # largest entry links two rows into one block
 BLOCK_LINK_TOL = 1e-15
+# an eigenvalue of c0c0^dagger + c1c1^dagger at or below this fraction of
+# its block's largest is outside the range the alpha curve is solved on
+RANGE_TOL = 1e-16
 
 
 class NonHermitianError(ValueError):

@@ -66,8 +66,13 @@ def sph_product(l1: int, m1: int, l2: int, m2: int) -> tuple[tuple[int, float], 
     """Coupling of a product of spherical harmonics on one sphere.
 
     Y_{l1 m1} Y_{l2 m2} = sum_L c_L Y_{L, m1+m2}; returns the nonzero
-    (L, c_L) pairs.  Parity restricts L to l1 + l2 (mod 2).
+    (L, c_L) pairs.  Parity restricts L to l1 + l2 (mod 2), so the
+    mirror symmetry C(l1,-m1; l2,-m2; L,-M) = (-1)^(l1+l2-L) C(l1,m1;
+    l2,m2; L,M) has sign +1 on every kept L and a mirrored key returns
+    the same tuple: each key is computed with m1 > 0, or m1 = 0 <= m2.
     """
+    if m1 < 0 or (m1 == 0 and m2 < 0):
+        return sph_product(l1, -m1, l2, -m2)
     out = []
     for L in range(abs(l1 - l2), l1 + l2 + 1):
         if (l1 + l2 + L) % 2 != 0:

@@ -18,6 +18,7 @@ import numpy as np
 from .criterion import CriterionReport, criterion_report
 from .spectra import (
     EIGENVALUE_FLOOR,
+    RANGE_TOL,
     SUPPORT_FLOOR,
     UNIT_NORM_TOL,
     GramBlocks,
@@ -84,6 +85,8 @@ class EntropyCurve:
     log_base: float
     block_sizes: tuple[int, ...] = ()  # rows per density block (gram_blocks)
     offblock_dropped: float = 0.0  # largest dropped inter-block link, relative
+    solved_sizes: tuple[int, ...] = ()  # matrix size solved per block-size group
+    range_dropped: float = 0.0  # largest left-out eigenvalue of c0c0^dagger + c1c1^dagger, relative
 
     def __post_init__(self):
         if len(self.alphas) != len(self.entropies):
@@ -123,10 +126,29 @@ def entropy_curve(
     of the superposition.  The three terms per amplitude block come from
     :func:`entconvex.spectra.gram_blocks`, the trace-out that
     :func:`pair_criterion` reads too; ``gram`` passes them in when the
-    caller already has them.  The whole grid's eigenvalues come from
-    batched ``eigvalsh`` calls over equal-size blocks.  A call holds at
-    most max(dim**2, 2**16) entries, so a small density takes several grid
-    points per call.  Only eigenvalues are computed.
+    caller already has them.
+
+    Every such density is C C^dagger with C = sqrt(alpha) c0 +
+    sqrt(1-alpha) c1, so its range lies in that of S = c0c0^dagger +
+    c1c1^dagger.  Each size group of blocks larger than one row is
+    therefore solved on Q^dagger T Q, Q the top r eigenvectors of S per
+    block: r is the largest count, over the group, of eigenvalues above
+    ``RANGE_TOL`` times the block's largest, and a group with r equal to
+    its size is solved as it is.  This loses at most the projection onto
+    the dropped directions P: by Cauchy interlacing the kept eigenvalues
+    only rise from the compressed to the full density, and both their
+    total rise and the dropped eigenvalues are bounded by
+    tr(P^dagger rho P) <= 2 tr(P^dagger S P) / |psi(alpha)|^2, since
+    C C^dagger <= 2 (alpha c0c0^dagger + (1-alpha) c1c1^dagger).  Each
+    dropped eigenvalue of S is at most ``range_dropped`` times its block's
+    largest, so the bound is at most 2 (size - r) ``RANGE_TOL`` |S| /
+    |psi(alpha)|^2: about 1e-14 for a block of 128, far below
+    ``SUPPORT_FLOOR``.
+
+    The whole grid's eigenvalues then come from batched ``eigvalsh`` calls
+    over equal-size blocks.  A call holds at most max(dim**2, 2**16)
+    entries, so a small density takes several grid points per call.  Only
+    eigenvalues are computed.
 
     Summing the terms after the products costs relative accuracy of order
     (norm of the parts / norm of the superposition)^2 where the two states
@@ -144,9 +166,13 @@ def entropy_curve(
     parts2 = (np.sqrt(alphas * n00) + np.sqrt((1.0 - alphas) * n11)) ** 2
     if np.any(norm2 <= CANCELLED_NORM2 * parts2):
         raise ValueError("superposition vanishes")
-    weights = []
+    weights, solved, range_dropped = [], [], 0.0
     for rows, terms in gram.groups:
-        size = rows.shape[1]
+        if rows.shape[1] > 1:
+            terms, dropped = _on_range(terms)
+            range_dropped = max(range_dropped, dropped)
+        size = terms.shape[-1]
+        solved.append(size)
         # grid points per call: up to max(dim**2, 2**16) entries
         step = max(1, (gram.dim // size) ** 2 // len(rows), 2**16 // (len(rows) * size * size))
         w = [
@@ -168,7 +194,27 @@ def entropy_curve(
         log_base=log_base,
         block_sizes=gram.block_sizes,
         offblock_dropped=gram.dropped,
+        solved_sizes=tuple(solved),
+        range_dropped=range_dropped,
     )
+
+
+def _on_range(terms: np.ndarray) -> tuple[np.ndarray, float]:
+    """A size group's terms compressed onto the range of terms[0] + terms[1].
+
+    Returns Q^dagger T Q for each term, shape (3, blocks, r, r), and the
+    largest dropped eigenvalue of terms[0] + terms[1] relative to its
+    block's largest (0 when nothing is dropped); see :func:`entropy_curve`.
+    """
+    s, u = np.linalg.eigh(terms[0] + terms[1])  # ascending per block
+    top = s[:, -1:]
+    size = s.shape[1]
+    r = int(np.sum(s > RANGE_TOL * top, axis=1).max())
+    if r == size:
+        return terms, 0.0
+    q = u[:, :, size - r:]
+    dropped = max(float(np.max(s[:, size - r - 1] / top[:, 0])), 0.0)
+    return q.conj().swapaxes(1, 2) @ terms @ q, dropped
 
 
 def classify_convexity(curve: EntropyCurve, tol: float = QUADRATURE_CHORD_TOL) -> ConvexityLabel:

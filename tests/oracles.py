@@ -438,6 +438,24 @@ def coefficient_tensor_analytic(state: OscState, basis: OscBasisSpec | None = No
 # spherium: the r12 product loop, the radial equation, pointwise values
 
 
+def sph_product_unmirrored(l1: int, m1: int, l2: int, m2: int) -> tuple[tuple[int, float], ...]:
+    """Y_{l1 m1} Y_{l2 m2} coupled on every key, mirrored magnetic numbers
+    included: :func:`entconvex.spherium.sph_product` must equal it to the bit."""
+    out = []
+    for L in range(abs(l1 - l2), l1 + l2 + 1):
+        if (l1 + l2 + L) % 2 != 0:
+            continue
+        c0 = cg(l1, 0, l2, 0, L, 0)
+        if c0 == 0.0:
+            continue
+        c = cg(l1, m1, l2, m2, L, m1 + m2)
+        if c == 0.0:
+            continue
+        pref = math.sqrt((2 * l1 + 1) * (2 * l2 + 1) / (4.0 * math.pi * (2 * L + 1)))
+        out.append((L, pref * c * c0))
+    return tuple(out)
+
+
 def multiply_r12_loop(arr: np.ndarray, lcut: int, lmaxes: tuple[int, ...]) -> list[np.ndarray]:
     """r12 products term by term, the loop :func:`entconvex.spherium.multiply_r12`
     must equal to the bit: weights recomputed per entry, numpy scalars."""

@@ -141,9 +141,10 @@ class TestClebschGordan:
     @pytest.mark.parametrize("source", ["cg_matrix", "spherium"])
     def test_bitwise_equals_exact_oracle(self, source):
         # every key the pipeline reaches: the angular amplitudes up to
-        # MAX_ELL and the spherium states M = +-1, +-2 at lmax 20
+        # MAX_ELL (38,025 keys) and the spherium states M = +-1, +-2 at
+        # lmax 20 (4,677: sph_product computes one key of each mirror pair)
         keys = _reached_keys(source)
-        assert len(keys) > 5000
+        assert len(keys) > 4000
         for k in keys:
             assert cg(*k).hex() == clebsch_gordan(*k).value.hex(), k
 

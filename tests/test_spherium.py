@@ -1,6 +1,7 @@
 """Two electrons on a sphere: distance-expansion identities, a pointwise
 wave-function oracle, and the reduced radial equation."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
+from entconvex import spherium
 from entconvex.spherium import (
     SpheriumState,
     angular_momentum_diagonal,
@@ -19,7 +21,13 @@ from entconvex.spherium import (
 )
 from entconvex.spectra import eigendecompose, von_neumann_entropy
 from entconvex.sweep import PairSpec, pair_criterion, spherium_pair
-from oracles import expansion_value, multiply_r12_loop, radial_residual, wave_function
+from oracles import (
+    expansion_value,
+    multiply_r12_loop,
+    radial_residual,
+    sph_product_unmirrored,
+    wave_function,
+)
 
 RNG = np.random.default_rng(101)
 
@@ -88,6 +96,24 @@ class TestDistanceExpansion:
         want = multiply_r12_loop(arr, lcut, (20, 16))
         for g, w in zip(got, want, strict=True):
             assert np.array_equal(g, w)
+
+    def test_mirrored_keys_equal_unmirrored_coupling(self):
+        # every key the r12 products reach (l1 <= 2 from the coupled pair,
+        # l2 <= 20) and a margin, compared bit for bit by float.hex
+        for l1 in range(4):
+            for l2 in range(21):
+                for m1 in range(-l1, l1 + 1):
+                    for m2 in range(-l2, l2 + 1):
+                        got = sph_product(l1, m1, l2, m2)
+                        want = sph_product_unmirrored(l1, m1, l2, m2)
+                        assert [(L, c.hex()) for L, c in got] == [(L, c.hex()) for L, c in want]
+
+    @pytest.mark.parametrize("M", [1, -1, 2, -2])
+    def test_amplitudes_equal_unmirrored_build(self, monkeypatch, M):
+        got = spherium._state_coefficients.__wrapped__(M, 20)
+        unmirrored = functools.lru_cache(maxsize=None)(sph_product_unmirrored)
+        monkeypatch.setattr(spherium, "sph_product", unmirrored)
+        assert np.array_equal(got, spherium._state_coefficients.__wrapped__(M, 20))
 
 
 class TestWaveFunction:

@@ -18,6 +18,7 @@ from entconvex import benchmarks, sweep
 from entconvex.benchmarks import reference_table
 from entconvex.lgmodes import LGMode
 from entconvex.spectra import (
+    RANGE_TOL,
     HermitianMatrix,
     NotDensityMatrixError,
     eigendecompose,
@@ -71,8 +72,24 @@ def blocked_amplitude_pairs(draw):
     return c0[np.ix_(prow, pcol)], c1[np.ix_(prow, pcol)], len(blocks)
 
 
+@st.composite
+def low_rank_amplitude_pairs(draw):
+    """(c0, c1) of shape (n, k) with k < n: c0c0^dagger + c1c1^dagger has
+    rank at most 2k, below n when 2k < n, so the curve solves fewer rows."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n - 1))
+    return (
+        draw(hnp.arrays(np.complex128, (n, k), elements=ENTRIES)),
+        draw(hnp.arrays(np.complex128, (n, k), elements=ENTRIES)),
+    )
+
+
 def _pair(c0, c1):
     return PairSpec(lambda: (c0, c1), "random")
+
+
+def _row(table, i):
+    return lambda: reference_table(table)[i].pair
 
 
 def _entropy(pair, alpha):
@@ -167,6 +184,19 @@ class TestBlockCurve:
         assert len(curve.block_sizes) >= nblocks
         assert sum(curve.block_sizes) == c0.shape[0]
 
+    @given(low_rank_amplitude_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_low_rank_blocks_match_dense(self, cs):
+        c0, c1 = cs
+        _assume_no_cancellation(c0, c1)
+        pair = _pair(c0, c1)
+        curve = entropy_curve(pair, GRID)
+        np.testing.assert_allclose(curve.entropies, dense_entropy_curve(pair, GRID), rtol=0, atol=1e-12)
+        # rounding puts some of the 2k-rank's null directions above
+        # RANGE_TOL, so only the block size bounds the solved size
+        assert max(curve.solved_sizes) <= max(curve.block_sizes)
+        assert 0.0 <= curve.range_dropped <= RANGE_TOL
+
     @given(amplitude_pairs())
     @settings(max_examples=60, deadline=None)
     def test_unstructured_match_dense(self, cs):
@@ -178,17 +208,29 @@ class TestBlockCurve:
     @pytest.mark.parametrize(
         "make_pair, sizes",
         [
-            (lambda: reference_table(2)[0].pair, [128, 128]),
-            (lambda: spherium_pair(1), [1, 121, 132, 132, 143]),
+            *[(_row(1, i), sizes) for i, sizes in enumerate(
+                [[8, 12, 15], [8, 12, 15], [8, 12, 16], [7, 8, 12],
+                 [2, 3, 4, 5, 6, 7], [2, 3, 4, 5, 6, 7], [3, 5, 7]])],
+            (_row(2, 0), [128, 128]),
+            (lambda: spherium_pair(1), [121, 132, 132, 143]),
+            *[(_row(4, i), [32]) for i in range(5)],
         ],
-        ids=["oscillator-table-2", "spherium-M1"],
+        ids=[*(f"oscillator-table-1-{i}" for i in range(7)), "oscillator-table-2", "spherium-M1",
+             *(f"lg-table-4-{i}" for i in range(5))],
     )
     def test_model_pairs_match_dense_and_report_blocks(self, make_pair, sizes):
         pair = make_pair()
         curve = entropy_curve(pair, GRID)
         np.testing.assert_allclose(curve.entropies, dense_entropy_curve(pair, GRID), rtol=0, atol=1e-12)
-        assert sorted(curve.block_sizes) == sizes
+        # the blocks of more than one row; all other rows are blocks of one
+        assert sorted(n for n in curve.block_sizes if n > 1) == sizes
+        assert sum(curve.block_sizes) == len(pair.amplitudes()[0])
         assert 0.0 <= curve.offblock_dropped <= 1e-15
+        # one solved size per block size, none larger than its blocks
+        groups = sorted(set(curve.block_sizes))
+        assert len(curve.solved_sizes) == len(groups)
+        assert all(1 <= r <= n for r, n in zip(curve.solved_sizes, groups))
+        assert 0.0 <= curve.range_dropped <= RANGE_TOL
 
     def test_cross_term_links_blocks(self):
         # c0 c0^dagger lives on rows {0, 1} and c1 c1^dagger on rows {2, 3},
@@ -262,18 +304,22 @@ class TestBlockCurve:
         _run_fresh(code)
 
     @pytest.mark.parametrize(
-        "make_pair, calls",
+        "make_pair, calls, full",
         [
-            (lambda: lg_pair(LGMode(1, 1), LGMode(1, -1)), 1),
-            (lambda: lg_pair(LGMode(3, 4), LGMode(4, -3)), 1),
-            (lambda: spherium_pair(1), 15),
+            (lambda: lg_pair(LGMode(1, 1), LGMode(1, -1)), 1, 32),
+            (lambda: lg_pair(LGMode(3, 4), LGMode(4, -3)), 1, 32),
+            (_row(2, 0), None, 128),
+            (lambda: spherium_pair(1), 15, None),
         ],
-        ids=["lg-1-1", "lg-3-4", "spherium-M1"],
+        ids=["lg-1-1", "lg-3-4", "oscillator-table-2", "spherium-M1"],
     )
-    def test_eigvalsh_calls_per_curve(self, monkeypatch, make_pair, calls):
+    def test_eigvalsh_calls_per_curve(self, monkeypatch, make_pair, calls, full):
         # a dim-32 LG density is one block, and the whole grid goes in one
         # call; the spherium blocks (dim 529, four sizes) keep one dense
-        # density's entries per call, 15 calls for the 41 points
+        # density's entries per call, 15 calls for the 41 points.  LG and
+        # oscillator blocks are solved on their amplitudes' range, smaller
+        # than the block (``full``); the spherium blocks are full rank.  The
+        # oscillator's r, and so its call count, moves with rounding.
         pair = make_pair()
         gram = gram_blocks(*pair.amplitudes())
         solves = []
@@ -283,8 +329,18 @@ class TestBlockCurve:
             return _solve(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        entropy_curve(pair, gram=gram)
-        assert len(solves) == calls
+        curve = entropy_curve(pair, gram=gram)
+        solved = sorted({shape[-1] for shape in solves})
+        assert solved == sorted(curve.solved_sizes)
+        if calls is not None:
+            assert len(solves) == calls
+        if full is None:
+            assert solved == [1, 121, 132, 143]
+            assert curve.range_dropped == 0.0
+        else:
+            assert curve.block_sizes == (full,) * len(curve.block_sizes)
+            assert max(solved) < full
+            assert 0.0 < curve.range_dropped <= RANGE_TOL
 
 
 def _run_fresh(code):
