@@ -236,25 +236,42 @@ def _haar_expectations(rng, n, rho0, rho1):
     return _expectations(orthonormalize(g)[None], np.stack([rho0, rho1])[:, None])[:, 0]
 
 
-def _block_expectations(rng, n, a0, a1, blocks, balanced_first):
+def _block_expectations(rng, n, a0, a1, blocks, inert, balanced_first):
     """Expectations of a0 and a1 under n block-diagonal rotations R.
 
     Per block of size d > 1, in block order, draws a real and then an
     imaginary (n, d, d) normal array G and takes R_b = Q of I + BIAS_STRENGTH G;
     a 1x1 block keeps R_b = 1 and so a constant expectation.  Blocks of one
-    size are rotated and scored in one stacked call.  With
-    ``balanced_first`` the first rotation is the identity.
+    size are rotated and scored in one stacked call, so a sample costs
+    O(sum d^3) over the support blocks only.  With ``balanced_first`` the
+    first rotation is the identity.
+
+    A block in ``inert`` lies outside the support: ||a0_b||_F <= SUPPORT_FLOOR / 2.
+    For every unit vector r, <r, a0_b r> <= ||a0_b||_2 <= ||a0_b||_F, and the
+    computed value carries at most d eps relative rounding on top, so every
+    p of the block stays below SUPPORT_FLOOR whatever R_b is.  The caller's
+    log weight is then 0.0 there, and so is each term of S_tilde, so the
+    block's columns are filled with 0.0 and the per-sample sums add the
+    same values at the same positions: the minimum and every checkpoint are
+    bit-identical to rotating the block.  Its two normal arrays are still
+    drawn (into one reused buffer) and discarded, so the random stream,
+    and with it every other block's rotation, is unchanged.
     """
     out = np.empty((2, n, len(a0)))
+    discard = np.empty(n * max((len(block) ** 2 for block in inert), default=0))
     by_size: dict[int, list] = {}
     for block in blocks:
         d = len(block)
         if d == 1:
             i = block[0]
             out[:, :, i] = [[a0[i, i].real], [a1[i, i].real]]
-            continue
-        g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
-        by_size.setdefault(d, []).append((block, g))
+        elif block in inert:
+            rng.standard_normal(out=discard[: n * d * d])
+            rng.standard_normal(out=discard[: n * d * d])
+            out[:, :, list(block)] = 0.0
+        else:
+            g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+            by_size.setdefault(d, []).append((block, g))
     for d, group in by_size.items():
         cols = np.array([block for block, _ in group])
         rot = orthonormalize(np.eye(d) + BIAS_STRENGTH * np.stack([g for _, g in group]))
@@ -287,7 +304,11 @@ def random_projector_probe(
     A biased family is B R, with B the balanced eigenbasis and R
     block-diagonal over the degeneracy blocks, so both states are rotated
     into B once and each family is scored block by block, at O(sum d^3)
-    instead of O(dim^3).
+    instead of O(dim^3).  Blocks outside the support (Frobenius norm of the
+    reference's block at most SUPPORT_FLOOR / 2) have their normals drawn,
+    to keep the seed's random stream, but are neither rotated nor scored:
+    every expectation there is below SUPPORT_FLOOR and adds exactly 0 to
+    S_tilde (see :func:`_block_expectations`).
     """
     if mode not in ("haar", "biased"):
         raise ValueError("mode must be 'haar' or 'biased'")
@@ -304,6 +325,11 @@ def random_projector_probe(
     if mode == "biased":
         base = balanced_eigenbasis(spec0, rho1)
         a0, a1 = (base.conj().T @ rho.entries @ base for rho in (rho0, rho1))
+        inert = {
+            block
+            for block in spec0.blocks
+            if len(block) > 1 and np.linalg.norm(a0[np.ix_(block, block)]) <= 0.5 * SUPPORT_FLOOR
+        }
 
     log_conv = math.log(log_base)
     best = math.inf
@@ -315,7 +341,9 @@ def random_projector_probe(
         if mode == "haar":
             p, q1 = _haar_expectations(rng, n, rho0.entries, rho1.entries)
         else:
-            p, q1 = _block_expectations(rng, n, a0, a1, spec0.blocks, balanced_first=done == 0)
+            p, q1 = _block_expectations(
+                rng, n, a0, a1, spec0.blocks, inert, balanced_first=done == 0
+            )
         p = np.clip(p, 0.0, 1.0)
         excess = np.maximum(p - q1, 0.0)
         logs = np.where(p > SUPPORT_FLOOR, np.log(np.maximum(p, 1e-300)), 0.0)

@@ -15,12 +15,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entconvex.angular import cg
+from entconvex.angular import _racah, cg
 from entconvex.benchmarks import evaluate_table
 from entconvex.criterion import random_projector_probe
 from entconvex.lgmodes import LGMode
 from entconvex.sweep import angular_pair, criterion_vs_observation, entropy_curve, lg_pair, spherium_pair
-from oracles import clebsch_gordan, coupled_reduced_density_exact, energy_expectation, radial_residual
+from oracles import coupled_reduced_density_exact, energy_expectation, radial_residual
 
 SLOW = os.environ.get("ENTCONVEX_SLOW", "") not in ("", "0")
 
@@ -232,7 +232,9 @@ def test_criterion_8_oracle_equivalence():
                     got = angular_pair(l, L, M).builder(alpha).entries
                     worst = max(worst, float(np.max(np.abs(got - amp @ amp.conj().T))))
     assert worst < 1e-12
-    # exact CG normalization and float cross-L orthogonality, l1, l2 <= 12
+    # exact CG normalization and float cross-L orthogonality, l1, l2 <= 12;
+    # the exact squares are the integer quotients that `cg` rounds, tied
+    # bitwise to the Fraction oracle by test_angular's oracle test
     cross_worst = 0.0
     for l1 in range(13):
         for l2 in range(l1, 13):
@@ -242,7 +244,8 @@ def test_criterion_8_oracle_equivalence():
                     total = Fraction(0)
                     for m1 in range(-l1, l1 + 1):
                         if abs(M - m1) <= l2:
-                            total += clebsch_gordan(l1, m1, l2, M - m1, L, M).square
+                            _, num, den = _racah(l1, m1, l2, M - m1, L, M)
+                            total += Fraction(num, den)
                     assert total == Fraction(1), (l1, l2, L, M)
                     for Lp in ls[i + 1:]:
                         s = sum(

@@ -15,7 +15,7 @@ from entconvex.criterion import (
     refine_blocks_by_sector,
     theta,
 )
-from entconvex.spectra import HermitianMatrix, eigendecompose, von_neumann_entropy
+from entconvex.spectra import SUPPORT_FLOOR, HermitianMatrix, eigendecompose, von_neumann_entropy
 from entconvex.sweep import angular_pair
 from oracles import (
     ProjectorFamily,
@@ -247,22 +247,29 @@ class TestProbe:
             random_projector_probe(rho, rho, samples=1, mode="uniform")
 
 
-def _planted_pair():
+def _planted_pair(tiny=None):
     """rho0 with degenerate blocks of sizes 1, 2 and 3 in a random basis.
 
     The partner is rho0 plus a random Hermitian term that is traceless on
     each block, so each block's partner weight is d lambda: the balanced
     family sits exactly at the threshold of every Theta term, and each
     intra-block rotation moves the sampled value, so the checkpoints
-    depend on every draw.
+    depend on every draw.  With ``tiny``, rho0 has a fourth block of size 3
+    at eigenvalue ``tiny``, last in block order, on which the partner
+    equals rho0.
     """
+    sizes = [1, 2, 3] if tiny is None else [1, 2, 3, 3]
+    dim = sum(sizes)
     rng = np.random.default_rng(67)
-    u, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     w = np.array([0.3, 0.15, 0.15, 0.4 / 3, 0.4 / 3, 0.4 / 3])
+    if tiny is not None:
+        w = np.concatenate([w * (1.0 - 3.0 * tiny), [tiny] * 3])
     rho0 = _density((u * w) @ u.conj().T)
-    assert [len(b) for b in eigendecompose(rho0).blocks] == [1, 2, 3]
-    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    h = g + g.conj().T
+    assert [len(b) for b in eigendecompose(rho0).blocks] == sizes
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = np.zeros((dim, dim), dtype=complex)
+    h[:6, :6] = (g + g.conj().T)[:6, :6]
     for block in (slice(0, 1), slice(1, 3), slice(3, 6)):
         h[block, block] -= np.trace(h[block, block]) / (block.stop - block.start) * np.eye(
             block.stop - block.start
@@ -281,7 +288,14 @@ PROBE_PAIRS = {
     "angular-3-1": lambda: _angular_states(3, 1),
     "angular-3-3": lambda: _angular_states(3, 3),
     "angular-3-6": lambda: _angular_states(3, 6),
+    # a support block of 2, then a null block of 10 the biased probe skips
+    "angular-6-10": lambda: _angular_states(6, 10),
     "planted-1-2-3": _planted_pair,
+    # a null block of 3 after the planted ones, skipped
+    "planted-1-2-3-null": lambda: _planted_pair(tiny=1e-14),
+    # a block of 3 below the support floor whose norm exceeds half of it:
+    # rotated and scored, its expectations still carry no log weight
+    "planted-1-2-3-subfloor": lambda: _planted_pair(tiny=0.8 * SUPPORT_FLOOR),
 }
 
 
@@ -303,6 +317,60 @@ class TestProbeOracle:
             )
             assert got.min_value == pytest.approx(want.min_value, abs=1e-12)
             assert (got.bound, got.entropy, got.samples) == (want.bound, want.entropy, samples)
+
+
+class TestProbeSkipsNullBlocks:
+    """The biased probe rotates and scores the blocks inside the support only."""
+
+    PAIRS = dict(PROBE_PAIRS, **{"angular-6-12": lambda: _angular_states(6, 12)})
+
+    @pytest.mark.parametrize(
+        "name, stacks",
+        [
+            # (blocks stacked, block size) of every rotated stack
+            ("angular-6-12", set()),
+            ("angular-6-10", {(1, 2)}),
+            ("planted-1-2-3-null", {(1, 2), (1, 3)}),
+            ("planted-1-2-3-subfloor", {(1, 2), (2, 3)}),
+        ],
+    )
+    def test_rotated_stacks(self, monkeypatch, name, stacks):
+        rho0, rho1 = self.PAIRS[name]()
+        seen = []
+        for fname in ("orthonormalize", "_expectations"):
+            real = getattr(criterion, fname)
+
+            def spy(a, *rest, _real=real):
+                assert a.shape[-2] == a.shape[-1]
+                seen.append((a.shape[0], a.shape[-1]))
+                return _real(a, *rest)
+
+            monkeypatch.setattr(criterion, fname, spy)
+        random_projector_probe(rho0, rho1, samples=600, seed=3)
+        assert set(seen) == stacks
+        # two batches, each one orthonormalize and one _expectations call per size
+        assert len(seen) == 2 * 2 * len(stacks)
+
+    @pytest.mark.parametrize("name", ["angular-6-12", "angular-6-10", "planted-1-2-3-null"])
+    def test_skipped_blocks_are_still_drawn(self, monkeypatch, name):
+        # the seed contract: per batch, every block of size d > 1 draws a
+        # real and an imaginary (n, d, d) normal array, skipped or not.  The
+        # oracle cases miss a lost draw of a skipped block: it shifts only
+        # the batches after the first, and on these pairs, at the oracle
+        # cases' seeds, none of them beats the first batch's minimum
+        rho0, rho1 = self.PAIRS[name]()
+        made = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            criterion.np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1]
+        )
+        random_projector_probe(rho0, rho1, samples=1025, seed=5)
+        want = default_rng(5)
+        for n in (512, 512, 1):
+            for block in eigendecompose(rho0).blocks:
+                if len(block) > 1:
+                    want.standard_normal((2, n, len(block), len(block)))
+        assert made[0].bit_generator.state == want.bit_generator.state
 
 
 def _qr_positive(a):
