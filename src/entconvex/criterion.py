@@ -20,11 +20,8 @@ from .spectra import (
     SUPPORT_FLOOR,
     HermitianMatrix,
     Spectrum,
-    components,
     eigendecompose,
-    eigh_blocks,
     gap_clusters,
-    size_groups,
     von_neumann_entropy,
 )
 
@@ -72,7 +69,56 @@ class ProbeRecord:
     checkpoints: tuple[tuple[int, float], ...]
 
 
-def refine_blocks_by_sector(spec0: Spectrum, sector_operator: np.ndarray) -> Spectrum:
+def _check_partner(spec0: Spectrum, rho1) -> None:
+    shapes = [u.shape for _, u in spec0.groups]
+    if [np.shape(m) for m in rho1] != shapes:
+        raise ValueError(f"partner blocks {[np.shape(m) for m in rho1]} do not match {shapes}")
+
+
+def _partner_weights(spec0: Spectrum, rho1) -> np.ndarray:
+    """<v_i|rho1|v_i> for the eigenvector v_i at each position of ``spec0``.
+
+    One batched product per size group: Re diag(U^dagger rho1_b U).
+    """
+    _check_partner(spec0, rho1)
+    q = np.concatenate([
+        np.einsum("bij,bij->bj", u.conj(), m @ u).real.ravel() for (_, u), m in zip(spec0.groups, rho1)
+    ])
+    return q[spec0.source]
+
+
+def _check_sector_contract(spec0: Spectrum, op: np.ndarray, by_column: np.ndarray) -> None:
+    """Raise if ``op`` links two amplitude blocks that hold columns of one refined block.
+
+    ``by_column`` holds the degeneracy block of each column of ``spec0``
+    (flat order), -1 where the block is not refined.
+    """
+    inside = sum(np.count_nonzero(op[rows[:, :, None], rows[:, None, :]]) for rows, _ in spec0.groups)
+    if np.count_nonzero(op) == inside:
+        return
+    label = np.empty(spec0.dim, dtype=np.intp)  # each row's amplitude block
+    first: list[int] = []  # each amplitude block's first row
+    for rows, _ in spec0.groups:
+        label[rows] = len(first) + np.arange(len(rows))[:, None]
+        first += rows[:, 0].tolist()
+    i, j = np.nonzero(op)
+    off = label[i] != label[j]
+    held = []  # the refined blocks each amplitude block holds columns of
+    start = 0
+    for rows, _ in spec0.groups:
+        held += [set(k[k >= 0].tolist()) for k in by_column[start:start + rows.size].reshape(rows.shape)]
+        start += rows.size
+    for a, b in zip(i[off].tolist(), j[off].tolist()):
+        if held[label[a]] & held[label[b]]:
+            raise ValueError(
+                f"sector operator entry ({a}, {b}) couples the amplitude blocks starting at "
+                f"rows {first[label[a]]} and {first[label[b]]}, which share a degeneracy block"
+            )
+
+
+def refine_blocks_by_sector(
+    spec0: Spectrum, sector_operator: np.ndarray, rho1
+) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """Split degeneracy blocks along the eigenspaces of a symmetry operator.
 
     Rotates the eigenvectors inside each block so they also diagonalize the
@@ -83,55 +129,124 @@ def refine_blocks_by_sector(spec0: Spectrum, sector_operator: np.ndarray) -> Spe
     symmetry-adapted basis sets, where exactly degenerate eigenvalues in
     different sectors are never mixed.
 
-    Each connected part of a block's restriction is solved alone: the
-    eigenvectors of two amplitude blocks meet no entry of an operator
-    that is block diagonal over them, so their restriction is exactly 0.
+    A block whose eigenvalues all lie at or below ``SUPPORT_FLOOR`` adds
+    nothing to S_NS however it is split, and is left whole.  The operator
+    may not link two amplitude blocks that hold columns of one refined
+    block (a ``ValueError`` names the two), so the restriction of such a
+    block splits into one part per amplitude block.  Per size
+    group, U^dagger op_b U and U^dagger rho1_b U are formed once; each part
+    with more than one column is solved from its slices of them, batched by
+    part size, and a part of one column keeps its vector and its diagonal
+    entries.  The sector values of all parts of a block are then sorted
+    ascending across the block and take its positions in order, so the
+    sub-blocks are runs of positions, and each sub-block's eigenvalue stays
+    the mean at its positions.
+
+    ``rho1`` is the partner's density in the layout of ``spec0.groups``, one
+    (blocks, size, size) stack per group.  Returns the sub-blocks and the
+    partner weight <v|rho1|v> of the sector eigenvector v at each position.
     """
     op = np.asarray(sector_operator)
     if op.shape != (spec0.dim, spec0.dim):
         raise ValueError("sector operator dimension mismatch")
-    v = np.array(spec0.eigenvectors, dtype=np.result_type(spec0.eigenvectors, op))
+    _check_partner(spec0, rho1)
+    w = spec0.eigenvalues
+    cluster = np.repeat(np.arange(len(spec0.blocks)), [len(b) for b in spec0.blocks])
+    refined = np.array([len(b) > 1 and w[b[0]] > SUPPORT_FLOOR for b in spec0.blocks])  # per block
+    by_column = np.empty(spec0.dim, dtype=np.intp)
+    by_column[spec0.source] = np.where(refined[cluster], cluster, -1)
+    _check_sector_contract(spec0, op, by_column)
+    sector = np.empty(spec0.dim)
+    weight = np.empty(spec0.dim)
+    offset = 0
+    for (rows, u), m in zip(spec0.groups, rho1):
+        n, size = rows.shape
+        cols = slice(offset, offset + rows.size)
+        parts = list(_parts(by_column[cols].reshape(n, size)))
+        at = [offset + blk[:, None] * size + part for blk, part in parts]
+        index = [(blk[:, None, None], part[:, :, None], part[:, None, :]) for blk, part in parts]
+        uh = u.conj().swapaxes(1, 2)
+        # one product at a time, sliced and dropped: two group-sized arrays at most
+        ou = uh @ (op[rows[:, :, None], rows[:, None, :]] @ u)
+        sector[cols] = np.einsum("bjj->bj", ou).real.ravel()
+        rotations = []
+        for flat, ix in zip(at, index):
+            r = ou[ix]
+            sector[flat], rot = np.linalg.eigh(0.5 * (r + r.conj().swapaxes(1, 2)))
+            rotations.append(rot)
+        del ou
+        mu = uh @ (m @ u)
+        weight[cols] = np.einsum("bjj->bj", mu).real.ravel()
+        for flat, ix, rot in zip(at, index, rotations):
+            weight[flat] = np.einsum("bij,bij->bj", rot.conj(), mu[ix] @ rot).real
+        del mu
+        offset += rows.size
+    # ascending sector values take each refined block's positions in order
+    values, weights = sector[spec0.source], weight[spec0.source]
     blocks: list[tuple[int, ...]] = []
-    for block in spec0.blocks:
-        cols = list(block)
-        if len(cols) == 1:
-            blocks.append(tuple(cols))
+    for block, split in zip(spec0.blocks, refined):
+        if not split:
+            blocks.append(block)
             continue
-        vb = v[:, cols]
-        r = vb.conj().T @ op @ vb
-        r = 0.5 * (r + r.conj().T)
-        parts = size_groups(components(r != 0))
-        w, u = eigh_blocks([(p, r[p[:, :, None], p[:, None, :]]) for p in parts], len(cols))
-        # ascending sector values take the block's positions in order
-        w, u = w[::-1], u[:, ::-1]
-        v[:, cols] = vb @ u
-        blocks += [tuple(cols[k] for k in run) for run in gap_clusters(-w, SECTOR_TOL)]
-    return Spectrum(
-        eigenvalues=np.array(spec0.eigenvalues),
-        eigenvectors=v,
-        blocks=tuple(blocks),
-        support=spec0.support,
-    )
+        pos = np.array(block)
+        order = pos[np.argsort(values[pos], kind="stable")]
+        values[pos], weights[pos] = values[order], weights[order]
+        blocks += [tuple(block[k] for k in run) for run in gap_clusters(-values[pos], SECTOR_TOL)]
+    return tuple(blocks), weights
 
 
-def not_shared_entropy(spec0: Spectrum, rho1: np.ndarray, log_base: float = 2.0) -> float:
+def _parts(by_column: np.ndarray):
+    """The columns of one block of one degeneracy block, where there are more than one.
+
+    ``by_column`` holds each column's degeneracy block, shape (blocks,
+    size), -1 where that block is not refined.  Yields, per part size, the
+    amplitude blocks of the parts, shape (parts,), and their columns,
+    shape (parts, part size).
+    """
+    blk, col = np.nonzero(by_column >= 0)
+    if blk.size == 0:
+        return
+    key = blk * (by_column.max() + 1) + by_column[blk, col]
+    order = np.argsort(key, kind="stable")
+    key, blk, col = key[order], blk[order], col[order]
+    cuts = np.flatnonzero(np.diff(key)) + 1
+    parts = [p for p in np.split(np.arange(key.size), cuts) if p.size > 1]
+    for k in sorted({p.size for p in parts}):
+        idx = np.stack([p for p in parts if p.size == k])
+        yield blk[idx[:, 0]], col[idx]
+
+
+def not_shared_entropy(
+    spec0: Spectrum, rho1, log_base: float = 2.0, sector_operator: np.ndarray | None = None
+) -> float:
     """Not-shared entropy: the family-dependent sum minimized inside each block.
 
     A block with eigenvalue lambda and dimension d contributes
     ``Theta[d lambda - Tr(Pi rho1 Pi)] log(1/lambda)``; for d = 1 this is
     the plain projector term and for d = 2 it reproduces the explicit
-    twofold-degeneracy case analysis.  ``rho1`` is the partner's density
-    as a dense matrix.
+    twofold-degeneracy case analysis.  Every eigenvector lies in one
+    amplitude block, so Tr(Pi rho1 Pi) is the sum of its columns' partner
+    weights, Re diag(U^dagger rho1_b U), and lambda is the mean of the
+    block's eigenvalues.
+
+    ``rho1`` is the partner's density in the layout of ``spec0.groups``,
+    one (blocks, size, size) stack per group; a dense density ``r`` of a
+    dense spectrum is ``(r[None],)``.  ``sector_operator``, when given,
+    restricts the minimization to eigenprojectors that respect the sectors
+    of a conserved quantity (:func:`refine_blocks_by_sector`).
     """
-    if spec0.dim != len(rho1):
-        raise ValueError("dimension mismatch")
-    total = 0.0
-    for block in spec0.blocks:
-        lam = float(np.mean(spec0.eigenvalues[list(block)]))
-        if lam > SUPPORT_FLOOR:
-            v = spec0.eigenvectors[:, list(block)]
-            tr = float(np.real(np.trace(v.conj().T @ rho1 @ v)))
-            total += theta(len(block) * lam - tr) * math.log(1.0 / lam)
+    if sector_operator is None:
+        blocks, q = spec0.blocks, _partner_weights(spec0, rho1)
+    else:
+        blocks, q = refine_blocks_by_sector(spec0, sector_operator, rho1)
+    starts = np.array([b[0] for b in blocks])
+    sizes = np.diff(starts, append=spec0.dim)
+    lam = np.add.reduceat(spec0.eigenvalues, starts) / sizes
+    tr = np.add.reduceat(q, starts)
+    keep = lam > SUPPORT_FLOOR
+    terms = np.maximum(sizes[keep] * lam[keep] - tr[keep], 0.0) * np.log(1.0 / lam[keep])
+    # a running sum in block order: pairwise summation moves S_NS by a few ulps
+    total = float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
     return total / math.log(log_base)
 
 
@@ -145,23 +260,21 @@ def criterion_qc(s_ns: float, s_r: float, qc_tol: float = DEFAULT_QC_TOL) -> int
 
 def criterion_report(
     spec0: Spectrum,
-    spec1: Spectrum,
-    rho1: np.ndarray,
+    rho1,
+    s1: float,
     log_base: float,
     sector_operator: np.ndarray | None,
 ) -> CriterionReport:
-    """The criterion for reference spectrum ``spec0`` and partner ``spec1``.
+    """The criterion for reference spectrum ``spec0`` and a partner of entropy ``s1``.
 
-    ``rho1`` is the partner's density as a dense matrix.
-    ``sector_operator``, when given, restricts the degenerate-subspace
-    minimization to eigenprojectors that respect the sectors of a conserved
-    quantity (see :func:`refine_blocks_by_sector`).
+    ``rho1`` is the partner's density in the layout of ``spec0.groups``
+    (see :func:`not_shared_entropy`).  ``sector_operator``, when given,
+    restricts the degenerate-subspace minimization to eigenprojectors that
+    respect the sectors of a conserved quantity (see
+    :func:`refine_blocks_by_sector`).
     """
-    if sector_operator is not None:
-        spec0 = refine_blocks_by_sector(spec0, sector_operator)
     s0 = von_neumann_entropy(spec0, log_base)
-    s1 = von_neumann_entropy(spec1, log_base)
-    s_ns = min(not_shared_entropy(spec0, rho1, log_base), s0)
+    s_ns = min(not_shared_entropy(spec0, rho1, log_base, sector_operator), s0)
     s_r = s0 - s_ns
     return CriterionReport(
         s0=s0, s1=s1, s_ns=s_ns, s_r=s_r, qc=criterion_qc(s_ns, s_r), log_base=log_base
@@ -318,7 +431,7 @@ def random_projector_probe(
         raise ValueError("dimension mismatch")
     spec0 = eigendecompose(rho0)
     s = von_neumann_entropy(spec0, log_base)
-    s_ns = not_shared_entropy(spec0, rho1.entries, log_base)
+    s_ns = not_shared_entropy(spec0, (rho1.entries[None],), log_base)
     bound = s - 2.0 * s_ns
 
     rng = np.random.default_rng(seed)

@@ -40,8 +40,8 @@ class HermitianMatrix:
     """A density matrix: Hermitian, unit trace, positive semidefinite.
 
     The constructor checks all three.  Its positivity check is the one
-    eigen-solve of the matrix: the eigenpairs are kept, sorted by
-    descending eigenvalue, for :func:`eigendecompose`.
+    eigen-solve of the matrix, the one-block case of :func:`eigh_blocks`;
+    the spectrum is kept for :func:`eigendecompose`.
 
     Parameters
     ----------
@@ -49,8 +49,7 @@ class HermitianMatrix:
     """
 
     entries: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
-    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
+    spectrum: Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=complex)
@@ -67,13 +66,10 @@ class HermitianMatrix:
         tr = float(np.real(np.trace(a)))
         if abs(tr - 1.0) > TRACE_TOL:
             raise NotDensityMatrixError(f"trace {tr!r} != 1")
-        w, v = eigh_blocks([(np.arange(len(a))[None], a[None])], len(a))
-        if w[-1] < EIGENVALUE_FLOOR:
-            raise NotDensityMatrixError(f"negative eigenvalue {w[-1]:.3e}")
-        w.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
+        spec = eigh_blocks([(np.arange(len(a))[None], a[None])])
+        if spec.eigenvalues[-1] < EIGENVALUE_FLOOR:
+            raise NotDensityMatrixError(f"negative eigenvalue {spec.eigenvalues[-1]:.3e}")
+        object.__setattr__(self, "spectrum", spec)
 
     @property
     def dim(self) -> int:
@@ -85,47 +81,73 @@ class HermitianMatrix:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition with degeneracy blocks and support subspace.
+    """Eigendecomposition of a block-diagonal density, with degeneracy blocks and support.
 
-    ``eigenvalues`` are sorted descending; ``eigenvectors[:, i]`` is the
-    orthonormal eigenvector of ``eigenvalues[i]``.  ``blocks`` partitions
-    the indices into near-degenerate groups, ``support`` lists the indices
-    with eigenvalue above ``SUPPORT_FLOOR``.
+    ``eigenvalues`` are sorted descending.  The eigenvectors stay inside
+    their amplitude blocks: ``groups`` holds, per block size, the blocks'
+    rows, shape (blocks, size), and their eigenvector matrices ``u``, shape
+    (blocks, size, size).  Counting the columns of every ``u`` in (group,
+    block, column) order, ``source[i]`` is the column of ``eigenvalues[i]``.
+    A dense matrix is the one-block case.  ``blocks`` partitions the
+    positions into runs of near-degenerate eigenvalues, in order;
+    ``support`` lists the positions with eigenvalue above ``SUPPORT_FLOOR``.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    source: np.ndarray
     blocks: tuple[tuple[int, ...], ...]
     support: tuple[int, ...]
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
+        self.source.setflags(write=False)
+        for rows, u in self.groups:
+            rows.setflags(write=False)
+            u.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """The eigenvectors as dense columns: ``eigenvectors[:, i]`` belongs to
+        ``eigenvalues[i]``.  A dim x dim matrix, built on each call."""
+        v = np.zeros((self.dim, self.dim), dtype=np.result_type(*(u for _, u in self.groups)))
+        col = 0
+        for rows, u in self.groups:
+            cols = col + np.arange(rows.size).reshape(rows.shape)
+            v[rows[:, :, None], cols[:, None, :]] = u
+            col += rows.size
+        return v[:, self.source]
 
-def eigh_blocks(groups, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a block-diagonal Hermitian matrix, by descending eigenvalue.
+
+def eigh_blocks(groups) -> Spectrum:
+    """The spectrum of a block-diagonal Hermitian matrix.
 
     ``groups`` holds, per block size, the blocks' rows, shape (blocks, size),
     and the blocks, shape (blocks, size, size); the rows partition
-    ``range(dim)``.  One batched ``eigh`` solves each size, and each
-    block's eigenvectors are embedded at its rows.
+    ``range(dim)``.  One batched ``eigh`` solves each size; the
+    eigenvectors stay in their blocks.  The eigenvalues are sorted
+    descending and grouped into degeneracy blocks: a step above
+    ``DEGENERACY_TOL`` starts a new one.
     """
-    v = np.zeros((dim, dim), dtype=np.result_type(*(m for _, m in groups)))
-    ws, col = [], 0
+    ws, vectors = [], []
     for rows, mats in groups:
         w, u = np.linalg.eigh(mats)
-        cols = col + np.arange(rows.size).reshape(rows.shape)
-        v[rows[:, :, None], cols[:, None, :]] = u
         ws.append(w.ravel())
-        col += rows.size
+        vectors.append((rows, u))
     w = np.concatenate(ws)
     order = np.argsort(w)[::-1]
-    return np.ascontiguousarray(w[order]), np.ascontiguousarray(v[:, order])
+    w = np.ascontiguousarray(w[order])
+    return Spectrum(
+        w,
+        tuple(vectors),
+        np.ascontiguousarray(order),
+        blocks=tuple(gap_clusters(w, DEGENERACY_TOL)),
+        support=tuple(np.flatnonzero(w > SUPPORT_FLOOR).tolist()),
+    )
 
 
 def gap_clusters(w: np.ndarray, tol: float) -> list[tuple[int, ...]]:
@@ -137,15 +159,9 @@ def gap_clusters(w: np.ndarray, tol: float) -> list[tuple[int, ...]]:
     return [tuple(run.tolist()) for run in np.split(np.arange(len(w)), cuts)]
 
 
-def group_eigenpairs(w: np.ndarray, v: np.ndarray) -> Spectrum:
-    """Descending eigenpairs with their degeneracy blocks: gaps above ``DEGENERACY_TOL``."""
-    support = tuple(i for i in range(len(w)) if w[i] > SUPPORT_FLOOR)
-    return Spectrum(w, v, blocks=tuple(gap_clusters(w, DEGENERACY_TOL)), support=support)
-
-
 def eigendecompose(m: HermitianMatrix) -> Spectrum:
-    """The eigenpairs of the density check of ``m``, grouped into degeneracy blocks."""
-    return group_eigenpairs(m.eigenvalues, m.eigenvectors)
+    """The spectrum of the density check of ``m``."""
+    return m.spectrum
 
 
 def components(linked: np.ndarray) -> list[np.ndarray]:
@@ -181,34 +197,36 @@ class GramBlocks:
     and their terms c0c0^dagger, c1c1^dagger and c0c1^dagger + c1c0^dagger,
     shape (3, blocks, size, size).  ``block_sizes`` lists the blocks in
     order of their first row; ``dropped`` is the largest link between two
-    blocks relative to the largest link.
+    blocks relative to the largest link; ``norms`` holds sum |c|^2 of c0
+    and of c1.
     """
 
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
     block_sizes: tuple[int, ...]
     dropped: float
     dim: int
+    norms: tuple[float, float]
 
-    def endpoint(self, state: int, c: np.ndarray) -> tuple[Spectrum, np.ndarray]:
-        """Spectrum and dense matrix of ``reduce_pure_state(c)``, ``c`` being state 0 or 1.
+    def endpoint(self, state: int) -> tuple[Spectrum, tuple[np.ndarray, ...]]:
+        """Spectrum and blocks of ``reduce_pure_state(c)``, ``c`` being c0 or c1.
 
-        The blocks are normalized in that function's order: divided by
-        sum |c|^2, then by the whole trace, then symmetrized.  With one
-        block this is its arithmetic to the bit, which S_NS of some LG
-        pairs (one block of 32) needs, and the eigen-solve is its density
-        check's.  Each block is solved alone (:func:`eigh_blocks`).
+        The blocks, one stack per size group, are normalized in that
+        function's order: divided by sum |c|^2, then by the whole trace,
+        then symmetrized.  With one block this is its arithmetic to the bit,
+        which S_NS of some LG pairs (one block of 32) needs, and the
+        eigen-solve is its density check's.  Each block is solved alone
+        (:func:`eigh_blocks`), and no dim x dim matrix is formed.
         """
-        n2 = np.sum(np.abs(c) ** 2)
+        n2 = self.norms[state]
         if not n2 > 0.0:
             raise ValueError("state vanishes")
         mats = [terms[state] / n2 for _, terms in self.groups]
         tr = sum(np.real(np.trace(m, axis1=1, axis2=2)).sum() for m in mats)
-        mats = [m / tr for m in mats]
-        blocks = [(g[0], 0.5 * (m + m.conj().swapaxes(1, 2))) for g, m in zip(self.groups, mats)]
-        rho = np.zeros((self.dim, self.dim), dtype=np.result_type(*(m for _, m in blocks)))
-        for rows, m in blocks:
-            rho[rows[:, :, None], rows[:, None, :]] = m
-        return group_eigenpairs(*eigh_blocks(blocks, self.dim)), rho
+        for i, m in enumerate(mats):  # one group at a time, in place where it is bitwise
+            m /= tr
+            mats[i] = m + m.conj().swapaxes(1, 2)
+            mats[i] *= 0.5
+        return eigh_blocks([(g[0], m) for g, m in zip(self.groups, mats)]), tuple(mats)
 
 
 def gram_blocks(c0: np.ndarray, c1: np.ndarray) -> GramBlocks:
@@ -226,7 +244,11 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray) -> GramBlocks:
         raise ValueError(f"amplitudes must be 2-d arrays of one shape: {c0.shape} != {c1.shape}")
     if not (np.isfinite(c0).all() and np.isfinite(c1).all()):
         raise ValueError("amplitudes must be finite")
-    a = np.abs(c0) + np.abs(c1)
+    a = np.abs(c0)
+    n0 = np.sum(a ** 2)  # reduce_pure_state's sum |c|^2, read while |c| is at hand
+    b = np.abs(c1)
+    n1 = np.sum(b ** 2)
+    a += b
     g = a @ a.T
     top = float(g.max())
     blocks = components(g > BLOCK_LINK_TOL * top)
@@ -239,7 +261,7 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray) -> GramBlocks:
         a0h, a1h = a0.conj().swapaxes(1, 2), a1.conj().swapaxes(1, 2)
         cross = a0 @ a1h
         groups.append((rows, np.stack([a0 @ a0h, a1 @ a1h, cross + cross.conj().swapaxes(1, 2)])))
-    return GramBlocks(tuple(groups), tuple(len(b) for b in blocks), dropped, len(g))
+    return GramBlocks(tuple(groups), tuple(len(b) for b in blocks), dropped, len(g), (n0, n1))
 
 
 def von_neumann_entropy(s: Spectrum, log_base: float = 2.0) -> float:

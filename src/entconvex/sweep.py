@@ -26,6 +26,7 @@ from .spectra import (
     NotDensityMatrixError,
     gram_blocks,
     reduce_pure_state,
+    von_neumann_entropy,
 )
 
 DEFAULT_GRID_SIZE = 41
@@ -261,8 +262,11 @@ def pair_criterion(pair: PairSpec, log_base: float = 2.0, *,
     """
     c0, c1 = pair.amplitudes()
     gram = gram_blocks(c0, c1) if gram is None else gram
-    (spec0, _), (spec1, rho1) = gram.endpoint(0, c0), gram.endpoint(1, c1)
-    return criterion_report(spec0, spec1, rho1, log_base, pair.sector_operator)
+    spec1, rho1 = gram.endpoint(1)
+    s1 = von_neumann_entropy(spec1, log_base)
+    del spec1  # only its entropy is read: drop its eigenvectors before the reference's
+    spec0 = gram.endpoint(0)[0]
+    return criterion_report(spec0, rho1, s1, log_base, pair.sector_operator)
 
 
 def criterion_vs_observation(

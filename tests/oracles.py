@@ -12,11 +12,11 @@ from scipy.special import sph_harm_y
 from entconvex.angular import AngularConfig, cg
 from entconvex.criterion import (
     BIAS_STRENGTH,
+    SECTOR_TOL,
     CriterionReport,
     ProbeRecord,
     balanced_eigenbasis,
-    criterion_report,
-    not_shared_entropy,
+    criterion_qc,
     theta,
 )
 from entconvex.oscillator import (
@@ -32,6 +32,7 @@ from entconvex.spectra import (
     HermitianMatrix,
     Spectrum,
     eigendecompose,
+    gap_clusters,
     von_neumann_entropy,
 )
 from entconvex.spherium import (
@@ -67,6 +68,58 @@ def dense_entropy_curve(pair, grid_size, log_base=2.0):
     ]
 
 
+def dense_refine_blocks_by_sector(spec0: Spectrum, sector_operator: np.ndarray) -> Spectrum:
+    """Sector refinement on dense eigenvectors, the oracle of
+    :func:`entconvex.criterion.refine_blocks_by_sector`.
+
+    Inside each degeneracy block, the dense eigenvectors are rotated to
+    diagonalize the whole restriction of the operator; its ascending
+    eigenvalues take the block's positions in order, and a step above
+    ``SECTOR_TOL`` starts a sub-block.  The eigenvalues are unchanged, so
+    a sub-block's lambda is the mean at its positions.
+    """
+    op = np.asarray(sector_operator)
+    if op.shape != (spec0.dim, spec0.dim):
+        raise ValueError("sector operator dimension mismatch")
+    v = spec0.eigenvectors
+    v = np.array(v, dtype=np.result_type(v, op))
+    blocks: list[tuple[int, ...]] = []
+    for block in spec0.blocks:
+        cols = list(block)
+        if len(cols) == 1:
+            blocks.append(block)
+            continue
+        vb = v[:, cols]
+        r = vb.conj().T @ op @ vb
+        w, u = np.linalg.eigh(0.5 * (r + r.conj().T))  # ascending
+        v[:, cols] = vb @ u
+        blocks += [tuple(cols[k] for k in run) for run in gap_clusters(-w, SECTOR_TOL)]
+    dim = spec0.dim
+    return Spectrum(
+        np.array(spec0.eigenvalues),
+        ((np.arange(dim)[None], v[None]),),  # one block of every row
+        np.arange(dim),
+        blocks=tuple(blocks),
+        support=spec0.support,
+    )
+
+
+def dense_not_shared_entropy(spec0: Spectrum, rho1: np.ndarray, log_base: float = 2.0) -> float:
+    """S_NS from dense eigenvectors and a dense partner, block by block, the
+    oracle of :func:`entconvex.criterion.not_shared_entropy`."""
+    if spec0.dim != len(rho1):
+        raise ValueError("dimension mismatch")
+    vectors = spec0.eigenvectors
+    total = 0.0
+    for block in spec0.blocks:
+        lam = float(np.mean(spec0.eigenvalues[list(block)]))
+        if lam > SUPPORT_FLOOR:
+            v = vectors[:, list(block)]
+            tr = float(np.real(np.trace(v.conj().T @ rho1 @ v)))
+            total += theta(len(block) * lam - tr) * math.log(1.0 / lam)
+    return total / math.log(log_base)
+
+
 def evaluate_criterion(
     rho0: HermitianMatrix,
     rho1: HermitianMatrix,
@@ -77,16 +130,23 @@ def evaluate_criterion(
     """The criterion from two dense reduced densities.
 
     Each density's eigenpairs come from its own dense solve (the density
-    check of ``HermitianMatrix``); :func:`entconvex.sweep.pair_criterion`,
-    which solves the amplitude blocks instead, must agree.  ``reference``
-    selects which state plays the reference in the not-shared entropy.
+    check of ``HermitianMatrix``), and S_NS from the dense oracles above;
+    :func:`entconvex.sweep.pair_criterion`, which works on the amplitude
+    blocks instead, must agree.  ``reference`` selects which state plays
+    the reference in the not-shared entropy.
     """
     if reference == 1:
         rho0, rho1 = rho1, rho0
     elif reference != 0:
         raise ValueError("reference must be 0 or 1")
-    return criterion_report(
-        eigendecompose(rho0), eigendecompose(rho1), rho1.entries, log_base, sector_operator
+    spec0 = eigendecompose(rho0)
+    if sector_operator is not None:
+        spec0 = dense_refine_blocks_by_sector(spec0, sector_operator)
+    s0 = von_neumann_entropy(spec0, log_base)
+    s1 = von_neumann_entropy(eigendecompose(rho1), log_base)
+    s_ns = min(dense_not_shared_entropy(spec0, rho1.entries, log_base), s0)
+    return CriterionReport(
+        s0=s0, s1=s1, s_ns=s_ns, s_r=s0 - s_ns, qc=criterion_qc(s_ns, s0 - s_ns), log_base=log_base
     )
 
 
@@ -236,7 +296,7 @@ def dense_projector_probe(
         raise ValueError("dimension mismatch")
     spec0 = eigendecompose(rho0)
     s = von_neumann_entropy(spec0, log_base)
-    s_ns = not_shared_entropy(spec0, rho1.entries, log_base)
+    s_ns = dense_not_shared_entropy(spec0, rho1.entries, log_base)
     bound = s - 2.0 * s_ns
 
     rng = np.random.default_rng(seed)

@@ -20,6 +20,7 @@ from entconvex.sweep import angular_pair
 from oracles import (
     ProjectorFamily,
     dense_projector_probe,
+    dense_refine_blocks_by_sector,
     evaluate_criterion,
     expectations_under_projectors,
     not_shareable_entropy,
@@ -36,6 +37,11 @@ def _random_density(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return _density(rho / np.real(np.trace(rho)))
+
+
+def _blocks(rho):
+    """A dense density as the one amplitude block of a dense spectrum."""
+    return (rho.entries[None],)
 
 
 def test_theta_ramp():
@@ -87,7 +93,7 @@ class TestNotSharedEntropy:
         rho1 = _random_density(rng, 3)
         spec = eigendecompose(rho0)
         fam = ProjectorFamily(spec.eigenvectors)
-        assert not_shared_entropy(spec, rho1.entries) == pytest.approx(
+        assert not_shared_entropy(spec, _blocks(rho1)) == pytest.approx(
             not_shareable_entropy(spec, rho1, fam), abs=1e-12
         )
 
@@ -99,7 +105,7 @@ class TestNotSharedEntropy:
         rho1 = _density(np.diag([0.1, 0.15, 0.75]))
         spec = eigendecompose(rho0)
         expected = theta(2 * lam - 0.25) * math.log(1 / lam) + theta(mu - 0.75) * math.log(1 / mu)
-        got = not_shared_entropy(spec, rho1.entries, math.e)
+        got = not_shared_entropy(spec, _blocks(rho1), math.e)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_closed_form_is_block_minimum(self):
@@ -109,7 +115,7 @@ class TestNotSharedEntropy:
         spec = eigendecompose(rho0)
         for _ in range(5):
             rho1 = _random_density(rng, 4)
-            closed = not_shared_entropy(spec, rho1.entries)
+            closed = not_shared_entropy(spec, _blocks(rho1))
             sampled = not_shared_entropy_sampled(spec, rho1, samples=200, seed=7)
             assert closed <= sampled + 1e-9
 
@@ -120,21 +126,21 @@ class TestNotSharedEntropy:
             rho1 = _random_density(rng, 5)
             spec = eigendecompose(rho0)
             s = von_neumann_entropy(spec)
-            assert -1e-10 <= not_shared_entropy(spec, rho1.entries) <= s + 1e-9
+            assert -1e-10 <= not_shared_entropy(spec, _blocks(rho1)) <= s + 1e-9
 
 
 class TestSectorRefinement:
     def test_splits_degenerate_block_by_sector(self):
         rho0 = _density(np.diag([0.4, 0.4, 0.2]))
         op = np.diag([1.0, -1.0, 0.0])
-        spec = refine_blocks_by_sector(eigendecompose(rho0), op)
-        assert all(len(b) == 1 for b in spec.blocks)
+        blocks, _ = refine_blocks_by_sector(eigendecompose(rho0), op, _blocks(rho0))
+        assert blocks == ((0,), (1,), (2,))
 
     def test_noop_when_operator_constant_on_block(self):
         rho0 = _density(np.diag([0.4, 0.4, 0.2]))
         spec0 = eigendecompose(rho0)
-        spec = refine_blocks_by_sector(spec0, np.eye(3))
-        assert spec.blocks == spec0.blocks
+        blocks, _ = refine_blocks_by_sector(spec0, np.eye(3), _blocks(rho0))
+        assert blocks == spec0.blocks
 
     def test_sector_value_at_least_minimized(self):
         # restricting the projector freedom can only raise the minimum
@@ -142,21 +148,28 @@ class TestSectorRefinement:
         rho0 = _density(np.diag([0.3, 0.3, 0.3, 0.1]))
         op = np.diag([2.0, 1.0, -1.0, 0.0])
         spec = eigendecompose(rho0)
-        refined = refine_blocks_by_sector(spec, op)
         for _ in range(5):
             rho1 = _random_density(rng, 4)
-            restricted = not_shared_entropy(refined, rho1.entries)
-            assert restricted >= not_shared_entropy(spec, rho1.entries) - 1e-9
+            restricted = not_shared_entropy(spec, _blocks(rho1), sector_operator=op)
+            assert restricted >= not_shared_entropy(spec, _blocks(rho1)) - 1e-9
 
     def test_eigenvectors_still_diagonalize(self):
+        # the oracle's rotated eigenvectors diagonalize the operator, and the
+        # block path's weights sum, per sub-block, to the partner's trace
+        # over that sector: ascending values -1, then +1
         rng = np.random.default_rng(41)
         rho0 = _density(np.diag([0.25, 0.25, 0.25, 0.25]))
+        rho1 = _random_density(rng, 4)
         op = np.diag([1.0, 1.0, -1.0, -1.0])
-        refined = refine_blocks_by_sector(eigendecompose(rho0), op)
+        refined = dense_refine_blocks_by_sector(eigendecompose(rho0), op)
         np.testing.assert_allclose(reconstruct(refined), rho0.entries, atol=1e-12)
         v = refined.eigenvectors
         off = v.conj().T @ op @ v
         np.testing.assert_allclose(off, np.diag(np.diag(off)), atol=1e-10)
+        blocks, weights = refine_blocks_by_sector(eigendecompose(rho0), op, _blocks(rho1))
+        assert blocks == refined.blocks == ((0, 1), (2, 3))
+        sectors = [np.trace(rho1.entries[2:, 2:]).real, np.trace(rho1.entries[:2, :2]).real]
+        np.testing.assert_allclose([weights[list(b)].sum() for b in blocks], sectors, atol=1e-15)
 
 
 class TestEvaluateCriterion:

@@ -167,11 +167,11 @@ class TestGramBlocks:
         gram = gram_blocks(c0, c1)
         assert gram.block_sizes == (4,)
         for state, c in enumerate((c0, c1)):
-            spec, rho = gram.endpoint(state, c)
+            spec, (rho,) = gram.endpoint(state)
             dense = reduce_pure_state(c)
-            assert np.array_equal(rho, dense.entries)
-            assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
-            assert np.array_equal(spec.eigenvectors, dense.eigenvectors)
+            assert np.array_equal(rho[0], dense.entries)
+            assert np.array_equal(spec.eigenvalues, eigendecompose(dense).eigenvalues)
+            assert np.array_equal(spec.eigenvectors, eigendecompose(dense).eigenvectors)
 
     def test_endpoint_of_blocks_matches_dense(self):
         # two blocks, solved apart and embedded, against the dense density
@@ -181,9 +181,13 @@ class TestGramBlocks:
         c0 /= np.linalg.norm(c0)
         gram = gram_blocks(c0, c0)
         assert sorted(gram.block_sizes) == [1, 2]
-        spec, rho = gram.endpoint(0, c0)
+        spec, rho = gram.endpoint(0)
         dense = reduce_pure_state(c0)
-        np.testing.assert_allclose(rho, dense.entries, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(spec.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-15)
+        # each block's eigenvectors stay in its rows; the dense view embeds them
+        assert [u.shape for _, u in spec.groups] == [(1, 1, 1), (1, 2, 2)]
+        assert [m.shape for m in rho] == [(1, 1, 1), (1, 2, 2)]
+        for (rows, _), m in zip(spec.groups, rho):
+            np.testing.assert_allclose(m[0], dense.entries[np.ix_(rows[0], rows[0])], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(spec.eigenvalues, eigendecompose(dense).eigenvalues, rtol=0, atol=1e-15)
         np.testing.assert_allclose(reconstruct(spec), dense.entries, rtol=0, atol=1e-15)
         assert spec.blocks == eigendecompose(dense).blocks

@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import entconvex
 from entconvex import benchmarks, sweep
 from entconvex.benchmarks import reference_table
 from entconvex.lgmodes import LGMode
+from entconvex.oscillator import OscState
 from entconvex.spectra import (
     RANGE_TOL,
     HermitianMatrix,
@@ -35,6 +37,7 @@ from entconvex.sweep import (
     criterion_vs_observation,
     entropy_curve,
     lg_pair,
+    oscillator_pair,
     pair_criterion,
     spherium_pair,
 )
@@ -366,6 +369,69 @@ def _assert_criterion_matches_dense(pair):
     assert got.qc == want.qc, pair.label
 
 
+def _unitary(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+
+@st.composite
+def planted_sector_pairs(draw):
+    """(c0, c1, sector operator): amplitudes block diagonal over three or
+    four amplitude blocks of mixed sizes (A has 3-5 rows, B 2-4 and fewer
+    than A, C 2-3, and a fourth of 1-2 or none), rows and columns then
+    permuted.
+
+    Each row carries a sector value and an eigenvalue of rho0:
+    - a degeneracy block at ``lam_d`` on rows a1, a2 of block A and b1 of
+      block B; a1 and b1 share a sector value, a2 has another, so block A
+      holds two columns of it;
+    - a chain of three eigenvalues near 1e-8, one in each of A, B and C,
+      each step below the 1e-8 degeneracy gap, so they form one degeneracy
+      block whose positional means differ from its rows' own eigenvalues;
+      the partner is of the same size there, so its Theta terms are active;
+    - the other rows ("bulk") have spaced eigenvalues.
+    Within each block, rho0 and rho1 are rotated among the bulk and
+    lam_d rows of one sector, so both commute with the diagonal sector
+    operator; the chain rows are left in place.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    s, t = draw(st.permutations([-1, 0, 1]))[:2]
+    # bulk rows per block; block A stays larger than block B
+    extra = [draw(st.integers(0, 2))]
+    extra += [draw(st.integers(0, extra[0])), draw(st.integers(1, 2))]
+    fourth = draw(st.integers(0, 2))  # a fourth block of bulk rows, or none
+    rng = np.random.default_rng(seed)
+    lam_d = 0.05
+    chain = np.cumsum([0.8e-8, *rng.uniform(0.3e-8, 0.9e-8, 2)])[::-1]
+    # rows as (block, sector, role, eigenvalue); roles: d, chain, bulk
+    rows = [(0, s, "d", lam_d), (0, t, "d", lam_d), (0, s, "chain", chain[0]),
+            (1, s, "d", lam_d), (1, t, "chain", chain[1]), (2, s, "chain", chain[2])]
+    for block, n in enumerate(extra + [fourth]):
+        rows += [(block, draw(st.sampled_from([-1, 0, 1])), "bulk", 0.0) for _ in range(n)]
+    bulk = [i for i, r in enumerate(rows) if r[2] == "bulk"]
+    spaced = rng.permutation(len(bulk)) + 1.0
+    lam = np.array([r[3] for r in rows])
+    lam[bulk] = spaced * (1.0 - lam.sum()) / spaced.sum()
+    mu = np.array([rng.uniform(0.5, 1.5) * r[3] for r in rows])
+    mu[bulk] = rng.uniform(0.2, 1.0, len(bulk))
+    mu[bulk] *= (1.0 - mu.sum() + mu[bulk].sum()) / mu[bulk].sum()
+    assume(np.all(mu > 0.0) and np.all(np.abs(np.subtract.outer(lam[bulk], lam_d)) > 1e-3))
+    dim = len(rows)
+    c0 = np.zeros((dim, dim), dtype=complex)
+    c1 = np.zeros((dim, dim), dtype=complex)
+    for block in sorted({r[0] for r in rows}):
+        idx = [i for i, r in enumerate(rows) if r[0] == block]
+        q0, q1 = np.eye(len(idx), dtype=complex), np.eye(len(idx), dtype=complex)
+        for sector in (-1, 0, 1):
+            mix = [k for k, i in enumerate(idx) if rows[i][1] == sector and rows[i][2] != "chain"]
+            q0[np.ix_(mix, mix)] = _unitary(rng, len(mix))
+            q1[np.ix_(mix, mix)] = _unitary(rng, len(mix))
+        c0[np.ix_(idx, idx)] = (q0 * np.sqrt(lam[idx])) @ _unitary(rng, len(idx))
+        c1[np.ix_(idx, idx)] = (q1 * np.sqrt(mu[idx])) @ _unitary(rng, len(idx))
+    op = np.diag([float(r[1]) for r in rows])
+    prow, pcol = rng.permutation(dim), rng.permutation(dim)
+    return c0[np.ix_(prow, pcol)], c1[np.ix_(prow, pcol)], op[np.ix_(prow, prow)]
+
+
 class TestBlockCriterion:
     """pair_criterion from the amplitude blocks against the dense criterion chain."""
 
@@ -391,8 +457,16 @@ class TestBlockCriterion:
     @pytest.mark.parametrize("use_sectors", [True, False], ids=["sectors", "no-sectors"])
     @pytest.mark.parametrize(
         "make_pair",
-        [lambda: reference_table(2)[0].pair, lambda: spherium_pair(1)],
-        ids=["oscillator-table-2", "spherium-M1"],
+        [
+            _row(2, 0), lambda: spherium_pair(1),
+            _row(2, 1), _row(2, 2), _row(2, 3),
+            lambda: spherium_pair(2), lambda: spherium_pair(-2),
+            # at lambda = 0, L_z links amplitude blocks outside the support
+            lambda: oscillator_pair(OscState(0, 1, 0, 0), OscState(0, -1, 0, 0)),
+        ],
+        ids=["oscillator-table-2", "spherium-M1",
+             "oscillator-table-2-row-1", "oscillator-table-2-row-2", "oscillator-table-2-row-3",
+             "spherium-M2", "spherium-M-2", "oscillator-lambda-0"],
     )
     def test_sector_models_match_dense(self, make_pair, use_sectors):
         pair = make_pair()
@@ -401,10 +475,64 @@ class TestBlockCriterion:
             pair = dataclasses.replace(pair, sector_operator=None)
         _assert_criterion_matches_dense(pair)
 
+    def test_decoupled_oscillator_table_matches_dense(self):
+        # table 1 has no sectors; its densities split into 224-244 amplitude blocks
+        rows = reference_table(1)
+        assert len(gram_blocks(*rows[0].pair.amplitudes()).block_sizes) == 224
+        for row in rows:
+            assert row.pair.sector_operator is None
+            _assert_criterion_matches_dense(row.pair)
+
+    @given(planted_sector_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_planted_sector_blocks_match_dense(self, planted):
+        c0, c1, op = planted
+        pair = PairSpec(lambda: (c0, c1), "planted", sector_operator=op)
+        gram = gram_blocks(c0, c1)
+        assert len(gram.block_sizes) >= 3 and len(set(gram.block_sizes)) >= 2
+        spec0 = gram.endpoint(0)[0]
+        # the lam_d block spans two amplitude blocks; the chain is one block
+        sizes = [len(b) for b in spec0.blocks]
+        assert 3 in sizes and sizes[-1] == 3, sizes
+        _assert_criterion_matches_dense(pair)
+
+    def test_sector_operator_may_not_link_shared_blocks(self):
+        # amplitude blocks A (rows 0, 1), B (rows 2, 3) and C (row 4); one
+        # degeneracy block spans A and B.  An operator entry between A and B
+        # cannot be solved block by block; one between A and C can, since C
+        # holds no column of a degeneracy block that is refined
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        c0 = np.zeros((5, 5))
+        c0[:2, :2] = np.diag([0.6, 0.4]) @ h
+        c0[2:4, 2:4] = np.diag([0.6, 0.3]) @ h
+        c0[4, 4] = 0.5
+        c0 /= np.linalg.norm(c0)
+        c1 = c0[[1, 0, 3, 2, 4]]
+        gram = gram_blocks(c0, c1)
+        assert gram.block_sizes == (2, 2, 1)
+        assert [len(b) for b in gram.endpoint(0)[0].blocks] == [2, 1, 1, 1]
+        op = np.diag([1.0, -1.0, 1.0, -1.0, 0.0])
+        _assert_criterion_matches_dense(PairSpec(lambda: (c0, c1), "diagonal", sector_operator=op))
+        op[0, 4] = op[4, 0] = 0.5
+        _assert_criterion_matches_dense(PairSpec(lambda: (c0, c1), "A-C", sector_operator=op))
+        op[1, 3] = op[3, 1] = 0.5
+        with pytest.raises(ValueError, match=r"entry \(1, 3\) couples .* starting at rows 0 and 2"):
+            pair_criterion(PairSpec(lambda: (c0, c1), "A-B", sector_operator=op))
+
     @pytest.mark.parametrize("use_sectors", [True, False], ids=["sectors", "no-sectors"])
     def test_spherium_solves_only_amplitude_blocks(self, monkeypatch, use_sectors):
         pair = spherium_pair(1, use_sectors=use_sectors)
-        pair.amplitudes()
+        gram = gram_blocks(*pair.amplitudes())
+        # no dim x dim array: the traced peak stays below one dense 529 x 529 float64
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            pair_criterion(pair, gram=gram)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 529 * 529 * 8
 
         def refuse(*args, **kwargs):
             raise AssertionError("the criterion built a dense density")
