@@ -22,16 +22,12 @@ from .spectra import (
     Spectrum,
     eigendecompose,
     gap_clusters,
+    size_groups,
     von_neumann_entropy,
 )
 
 DEFAULT_QC_TOL = 1e-9
 SECTOR_TOL = 1e-8  # sector eigenvalues further apart than this (relative) split a block
-
-
-def theta(x: float) -> float:
-    """Ramp function x * heaviside(x): x for x > 0, else 0."""
-    return x if x > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -349,49 +345,27 @@ def _haar_expectations(rng, n, rho0, rho1):
     return _expectations(orthonormalize(g)[None], np.stack([rho0, rho1])[:, None])[:, 0]
 
 
-def _block_expectations(rng, n, a0, a1, blocks, inert, balanced_first):
+def _block_expectations(rng, n, diag, stacks, balanced_first):
     """Expectations of a0 and a1 under n block-diagonal rotations R.
 
-    Per block of size d > 1, in block order, draws a real and then an
-    imaginary (n, d, d) normal array G and takes R_b = Q of I + BIAS_STRENGTH G;
-    a 1x1 block keeps R_b = 1 and so a constant expectation.  Blocks of one
-    size are rotated and scored in one stacked call, so a sample costs
-    O(sum d^3) over the support blocks only.  With ``balanced_first`` the
-    first rotation is the identity.
-
-    A block in ``inert`` lies outside the support: ||a0_b||_F <= SUPPORT_FLOOR / 2.
-    For every unit vector r, <r, a0_b r> <= ||a0_b||_2 <= ||a0_b||_F, and the
-    computed value carries at most d eps relative rounding on top, so every
-    p of the block stays below SUPPORT_FLOOR whatever R_b is.  The caller's
-    log weight is then 0.0 there, and so is each term of S_tilde, so the
-    block's columns are filled with 0.0 and the per-sample sums add the
-    same values at the same positions: the minimum and every checkpoint are
-    bit-identical to rotating the block.  Its two normal arrays are still
-    drawn (into one reused buffer) and discarded, so the random stream,
-    and with it every other block's rotation, is unchanged.
+    ``diag`` holds the real diagonals of a0 and a1, shape (2, dim), the
+    expectations under R = I.  ``stacks`` holds, per block size d in
+    ascending order, the rotated blocks' columns, shape (blocks, d), and
+    both states' blocks, shape (2, blocks, d, d).  Per size, draws a real
+    and then an imaginary (blocks, n, d, d) normal array G and takes
+    R_b = Q of I + BIAS_STRENGTH G; all blocks of one size are rotated and
+    scored in one stacked call, so a sample costs O(sum d^3) over the
+    rotated blocks only.  Every other column keeps its diagonal value.
+    With ``balanced_first`` the first rotation is the identity.
     """
-    out = np.empty((2, n, len(a0)))
-    discard = np.empty(n * max((len(block) ** 2 for block in inert), default=0))
-    by_size: dict[int, list] = {}
-    for block in blocks:
-        d = len(block)
-        if d == 1:
-            i = block[0]
-            out[:, :, i] = [[a0[i, i].real], [a1[i, i].real]]
-        elif block in inert:
-            rng.standard_normal(out=discard[: n * d * d])
-            rng.standard_normal(out=discard[: n * d * d])
-            out[:, :, list(block)] = 0.0
-        else:
-            g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
-            by_size.setdefault(d, []).append((block, g))
-    for d, group in by_size.items():
-        cols = np.array([block for block, _ in group])
-        rot = orthonormalize(np.eye(d) + BIAS_STRENGTH * np.stack([g for _, g in group]))
+    out = np.repeat(diag[:, None], n, axis=1)
+    for cols, states in stacks:
+        k, d = cols.shape
+        g = rng.standard_normal((k, n, d, d)) + 1j * rng.standard_normal((k, n, d, d))
+        rot = orthonormalize(np.eye(d) + BIAS_STRENGTH * g)
         if balanced_first:
             rot[:, 0] = np.eye(d)
-        sub = (cols[:, :, None], cols[:, None, :])
-        out[:, :, cols] = np.swapaxes(_expectations(rot, np.stack([a0[sub], a1[sub]])), 1, 2)
+        out[:, :, cols] = np.swapaxes(_expectations(rot, states), 1, 2)
     return out
 
 
@@ -417,11 +391,17 @@ def random_projector_probe(
     A biased family is B R, with B the balanced eigenbasis and R
     block-diagonal over the degeneracy blocks, so both states are rotated
     into B once and each family is scored block by block, at O(sum d^3)
-    instead of O(dim^3).  Blocks outside the support (Frobenius norm of the
-    reference's block at most SUPPORT_FLOOR / 2) have their normals drawn,
-    to keep the seed's random stream, but are neither rotated nor scored:
-    every expectation there is below SUPPORT_FLOOR and adds exactly 0 to
-    S_tilde (see :func:`_block_expectations`).
+    instead of O(dim^3).  Every expectation starts from the diagonals of
+    the rotated states, and only blocks of size d > 1 inside the support
+    are rotated (:func:`_block_expectations`); the random stream holds
+    their normals alone.  A 1x1 block's diagonal is its value under any R.
+    A block outside the support has ||a0_b||_F <= SUPPORT_FLOOR / 2 for the
+    reference's block a0_b.  For every unit vector r, <r, a0_b r> <=
+    ||a0_b||_2 <= ||a0_b||_F, and the computed value carries at most d eps
+    relative rounding on top, so every p of the block, its diagonal
+    included, stays below SUPPORT_FLOOR whatever R_b is.  Its log weight is
+    then 0.0, and so is each of its terms of S_tilde: the minimum and every
+    checkpoint are bit-identical to rotating the block.
     """
     if mode not in ("haar", "biased"):
         raise ValueError("mode must be 'haar' or 'biased'")
@@ -437,12 +417,14 @@ def random_projector_probe(
     rng = np.random.default_rng(seed)
     if mode == "biased":
         base = balanced_eigenbasis(spec0, rho1)
-        a0, a1 = (base.conj().T @ rho.entries @ base for rho in (rho0, rho1))
-        inert = {
+        states = np.stack([base.conj().T @ rho.entries @ base for rho in (rho0, rho1)])
+        diag = np.diagonal(states, axis1=1, axis2=2).real
+        rotated = [
             block
             for block in spec0.blocks
-            if len(block) > 1 and np.linalg.norm(a0[np.ix_(block, block)]) <= 0.5 * SUPPORT_FLOOR
-        }
+            if len(block) > 1 and np.linalg.norm(states[0][np.ix_(block, block)]) > 0.5 * SUPPORT_FLOOR
+        ]
+        stacks = [(cols, states[:, cols[:, :, None], cols[:, None, :]]) for cols in size_groups(rotated)]
 
     log_conv = math.log(log_base)
     best = math.inf
@@ -454,9 +436,7 @@ def random_projector_probe(
         if mode == "haar":
             p, q1 = _haar_expectations(rng, n, rho0.entries, rho1.entries)
         else:
-            p, q1 = _block_expectations(
-                rng, n, a0, a1, spec0.blocks, inert, balanced_first=done == 0
-            )
+            p, q1 = _block_expectations(rng, n, diag, stacks, balanced_first=done == 0)
         p = np.clip(p, 0.0, 1.0)
         excess = np.maximum(p - q1, 0.0)
         logs = np.where(p > SUPPORT_FLOOR, np.log(np.maximum(p, 1e-300)), 0.0)

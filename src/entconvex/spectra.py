@@ -197,15 +197,16 @@ class GramBlocks:
     and their terms c0c0^dagger, c1c1^dagger and c0c1^dagger + c1c0^dagger,
     shape (3, blocks, size, size).  ``block_sizes`` lists the blocks in
     order of their first row; ``dropped`` is the largest link between two
-    blocks relative to the largest link; ``norms`` holds sum |c|^2 of c0
-    and of c1.
+    blocks relative to the largest link; ``norms`` holds the traces of the
+    three terms: sum |c|^2 of c0 and of c1, and 2 Re <c1|c0> summed over
+    the blocks.
     """
 
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
     block_sizes: tuple[int, ...]
     dropped: float
     dim: int
-    norms: tuple[float, float]
+    norms: tuple[float, float, float]
 
     def endpoint(self, state: int) -> tuple[Spectrum, tuple[np.ndarray, ...]]:
         """Spectrum and blocks of ``reduce_pure_state(c)``, ``c`` being c0 or c1.
@@ -256,12 +257,15 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray) -> GramBlocks:
         g[np.ix_(rows, rows)] = 0.0
     dropped = float(g.max()) / top if top > 0.0 else 0.0
     groups = []
+    n01 = 0.0
     for rows in size_groups(blocks):
         a0, a1 = c0[rows], c1[rows]  # (blocks, size, columns)
         a0h, a1h = a0.conj().swapaxes(1, 2), a1.conj().swapaxes(1, 2)
         cross = a0 @ a1h
-        groups.append((rows, np.stack([a0 @ a0h, a1 @ a1h, cross + cross.conj().swapaxes(1, 2)])))
-    return GramBlocks(tuple(groups), tuple(len(b) for b in blocks), dropped, len(g), (n0, n1))
+        x = cross + cross.conj().swapaxes(1, 2)
+        n01 += float(np.trace(x, axis1=1, axis2=2).real.sum())
+        groups.append((rows, np.stack([a0 @ a0h, a1 @ a1h, x])))
+    return GramBlocks(tuple(groups), tuple(len(b) for b in blocks), dropped, len(g), (n0, n1, n01))
 
 
 def von_neumann_entropy(s: Spectrum, log_base: float = 2.0) -> float:

@@ -157,13 +157,11 @@ def entropy_curve(
     """
     if grid_size < 5:
         raise ValueError("grid size must be at least 5")
-    c0, c1 = pair.amplitudes()
-    gram = gram_blocks(c0, c1) if gram is None else gram
+    gram = gram_blocks(*pair.amplitudes()) if gram is None else gram
     alphas = np.linspace(0.0, 1.0, grid_size)
     coef = np.stack([alphas, 1.0 - alphas, np.sqrt(alphas * (1.0 - alphas))], axis=1)
-    # traces of the three terms: |c0|^2, |c1|^2 and 2 Re <c1|c0>
-    n00, n11, n01 = np.vdot(c0, c0).real, np.vdot(c1, c1).real, np.vdot(c1, c0).real
-    norm2 = coef @ np.array([n00, n11, 2.0 * n01])
+    n00, n11, _ = gram.norms  # traces of the three terms
+    norm2 = coef @ np.array(gram.norms)
     parts2 = (np.sqrt(alphas * n00) + np.sqrt((1.0 - alphas) * n11)) ** 2
     if np.any(norm2 <= CANCELLED_NORM2 * parts2):
         raise ValueError("superposition vanishes")
@@ -260,8 +258,7 @@ def pair_criterion(pair: PairSpec, log_base: float = 2.0, *,
     pair's sector operator, if any, restricts the not-shared-entropy
     minimization (see :func:`entconvex.criterion.criterion_report`).
     """
-    c0, c1 = pair.amplitudes()
-    gram = gram_blocks(c0, c1) if gram is None else gram
+    gram = gram_blocks(*pair.amplitudes()) if gram is None else gram
     spec1, rho1 = gram.endpoint(1)
     s1 = von_neumann_entropy(spec1, log_base)
     del spec1  # only its entropy is read: drop its eigenvectors before the reference's

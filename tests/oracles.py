@@ -17,7 +17,6 @@ from entconvex.criterion import (
     ProbeRecord,
     balanced_eigenbasis,
     criterion_qc,
-    theta,
 )
 from entconvex.oscillator import (
     OscBasisSpec,
@@ -47,6 +46,11 @@ from entconvex.spherium import (
     perkins_weight,
     sph_product,
 )
+
+
+def theta(x: float) -> float:
+    """Ramp function x * heaviside(x): x for x > 0, else 0."""
+    return x if x > 0.0 else 0.0
 
 
 def reconstruct(spec: Spectrum) -> np.ndarray:
@@ -257,20 +261,23 @@ def _block_rotation_batch(
     rng: np.random.Generator,
     batch: int,
     dim: int,
-    blocks,
+    rotated,
     strength: float,
 ) -> np.ndarray:
-    """Batch of block-diagonal unitaries: a small random rotation per block."""
-    out = np.zeros((batch, dim, dim), dtype=complex)
-    for block in blocks:
-        cols = list(block)
-        d = len(cols)
-        if d == 1:
-            out[:, cols[0], cols[0]] = 1.0
-            continue
-        g = rng.standard_normal((batch, d, d)) + 1j * rng.standard_normal((batch, d, d))
-        q, _ = np.linalg.qr(np.eye(d)[None, :, :] + strength * g)
-        out[:, np.ix_(cols, cols)[0], np.ix_(cols, cols)[1]] = q
+    """Batch of block-diagonal unitaries: a small random rotation per rotated block.
+
+    The blocks are taken by ascending size; per size, one real and then one
+    imaginary (blocks, batch, d, d) normal array is drawn.  Every other
+    column keeps the identity.
+    """
+    out = np.broadcast_to(np.eye(dim, dtype=complex), (batch, dim, dim)).copy()
+    for d in sorted({len(block) for block in rotated}):
+        group = [list(block) for block in rotated if len(block) == d]
+        shape = (len(group), batch, d, d)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for cols, gb in zip(group, g):
+            q, _ = np.linalg.qr(np.eye(d)[None, :, :] + strength * gb)
+            out[:, np.ix_(cols, cols)[0], np.ix_(cols, cols)[1]] = q
     return out
 
 
@@ -301,7 +308,16 @@ def dense_projector_probe(
 
     rng = np.random.default_rng(seed)
     dim = rho0.dim
-    base = balanced_eigenbasis(spec0, rho1) if mode == "biased" else None
+    if mode == "biased":
+        base = balanced_eigenbasis(spec0, rho1)
+        a0 = base.conj().T @ rho0.entries @ base
+        # blocks outside the support (||a0_b||_F <= SUPPORT_FLOOR / 2) add 0
+        # under any rotation and draw nothing, nor do 1x1 blocks
+        rotated = [
+            block
+            for block in spec0.blocks
+            if len(block) > 1 and np.linalg.norm(a0[np.ix_(block, block)]) > 0.5 * SUPPORT_FLOOR
+        ]
 
     log_conv = math.log(log_base)
     best = math.inf
@@ -314,7 +330,7 @@ def dense_projector_probe(
         if mode == "haar":
             fams = _haar_batch(rng, n, dim)
         elif mode == "biased":
-            rot = _block_rotation_batch(rng, n, dim, spec0.blocks, BIAS_STRENGTH)
+            rot = _block_rotation_batch(rng, n, dim, rotated, BIAS_STRENGTH)
             fams = base[None, :, :] @ rot
             if done == 0:
                 fams[0] = base

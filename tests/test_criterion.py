@@ -13,7 +13,6 @@ from entconvex.criterion import (
     orthonormalize,
     random_projector_probe,
     refine_blocks_by_sector,
-    theta,
 )
 from entconvex.spectra import SUPPORT_FLOOR, HermitianMatrix, eigendecompose, von_neumann_entropy
 from entconvex.sweep import angular_pair
@@ -26,6 +25,7 @@ from oracles import (
     not_shareable_entropy,
     not_shared_entropy_sampled,
     reconstruct,
+    theta,
 )
 
 
@@ -220,14 +220,14 @@ class TestProbe:
 
     def test_l6_L2_dips_below_bound(self):
         # the one mirror pair (with l = 6, L = 1) whose minimum is not the
-        # balanced family: at seed 0 a sampled rotation between checkpoints
-        # 8192 and 10000 lowers it 4.1e-3 below S - 2 S_NS, the benchmark's
-        # recorded finding; a probe that stopped sampling rotations stays
-        # at the bound
+        # balanced family: at seed 1, the first of seeds 0-7 at which it
+        # dips, a sampled rotation between checkpoints 8192 and 10000
+        # lowers it 6.2e-3 below S - 2 S_NS, the benchmark's recorded
+        # finding; a probe that stopped sampling rotations stays at the bound
         rho0, rho1 = _angular_states(6, 2)
-        rec = random_projector_probe(rho0, rho1, samples=10_000, seed=0)
+        rec = random_projector_probe(rho0, rho1, samples=10_000, seed=1)
         assert rec.checkpoints[-2] == (8192, pytest.approx(rec.bound, abs=1e-12))
-        assert rec.bound - rec.min_value == pytest.approx(4.1418466e-3, rel=1e-6)
+        assert rec.bound - rec.min_value == pytest.approx(6.2246812e-3, rel=1e-6)
 
     def test_checkpoints_monotone(self):
         rng = np.random.default_rng(59)
@@ -331,22 +331,35 @@ class TestProbeOracle:
             assert got.min_value == pytest.approx(want.min_value, abs=1e-12)
             assert (got.bound, got.entropy, got.samples) == (want.bound, want.entropy, samples)
 
+    def test_minimum_set_after_first_batch(self):
+        # at seed 25 the l = 6, L = 2 minimum dips below the bound in the
+        # second or third batch only, so an extra or a missing draw, which
+        # shifts the rotations of every later batch, moves it
+        rho0, rho1 = _angular_states(6, 2)
+        got = random_projector_probe(rho0, rho1, 1025, seed=25)
+        want = dense_projector_probe(rho0, rho1, 1025, seed=25)
+        first = dict(got.checkpoints)[512]
+        assert first == pytest.approx(got.bound, abs=1e-12)
+        assert got.min_value < got.bound - 1e-3
+        assert [c for c, _ in got.checkpoints] == [c for c, _ in want.checkpoints]
+        np.testing.assert_allclose(
+            [v for _, v in got.checkpoints], [v for _, v in want.checkpoints], rtol=0, atol=1e-12
+        )
+
 
 class TestProbeSkipsNullBlocks:
-    """The biased probe rotates and scores the blocks inside the support only."""
+    """The biased probe draws for, rotates and scores the blocks inside the support only."""
 
     PAIRS = dict(PROBE_PAIRS, **{"angular-6-12": lambda: _angular_states(6, 12)})
+    # (blocks stacked, block size) of every rotated stack
+    STACKS = [
+        ("angular-6-12", set()),
+        ("angular-6-10", {(1, 2)}),
+        ("planted-1-2-3-null", {(1, 2), (1, 3)}),
+        ("planted-1-2-3-subfloor", {(1, 2), (2, 3)}),
+    ]
 
-    @pytest.mark.parametrize(
-        "name, stacks",
-        [
-            # (blocks stacked, block size) of every rotated stack
-            ("angular-6-12", set()),
-            ("angular-6-10", {(1, 2)}),
-            ("planted-1-2-3-null", {(1, 2), (1, 3)}),
-            ("planted-1-2-3-subfloor", {(1, 2), (2, 3)}),
-        ],
-    )
+    @pytest.mark.parametrize("name, stacks", STACKS)
     def test_rotated_stacks(self, monkeypatch, name, stacks):
         rho0, rho1 = self.PAIRS[name]()
         seen = []
@@ -364,13 +377,11 @@ class TestProbeSkipsNullBlocks:
         # two batches, each one orthonormalize and one _expectations call per size
         assert len(seen) == 2 * 2 * len(stacks)
 
-    @pytest.mark.parametrize("name", ["angular-6-12", "angular-6-10", "planted-1-2-3-null"])
-    def test_skipped_blocks_are_still_drawn(self, monkeypatch, name):
-        # the seed contract: per batch, every block of size d > 1 draws a
-        # real and an imaginary (n, d, d) normal array, skipped or not.  The
-        # oracle cases miss a lost draw of a skipped block: it shifts only
-        # the batches after the first, and on these pairs, at the oracle
-        # cases' seeds, none of them beats the first batch's minimum
+    @pytest.mark.parametrize("name, stacks", STACKS)
+    def test_draws_only_rotated_blocks(self, monkeypatch, name, stacks):
+        # the seed's stream: per batch and per rotated block size d, in
+        # ascending order, a real and an imaginary (blocks, n, d, d) normal
+        # array; nothing for 1x1 blocks or blocks outside the support
         rho0, rho1 = self.PAIRS[name]()
         made = []
         default_rng = np.random.default_rng
@@ -380,9 +391,8 @@ class TestProbeSkipsNullBlocks:
         random_projector_probe(rho0, rho1, samples=1025, seed=5)
         want = default_rng(5)
         for n in (512, 512, 1):
-            for block in eigendecompose(rho0).blocks:
-                if len(block) > 1:
-                    want.standard_normal((2, n, len(block), len(block)))
+            for k, d in sorted(stacks, key=lambda s: s[1]):
+                want.standard_normal((2, k, n, d, d))
         assert made[0].bit_generator.state == want.bit_generator.state
 
 

@@ -565,6 +565,28 @@ def test_table_forms_one_trace_out_per_row(monkeypatch):
     assert len(calls) == len(table.rows) == 6
 
 
+def test_gram_passed_in_reads_no_amplitudes():
+    # two amplitude blocks of non-orthogonal states: the curve's three
+    # traces come from the trace-out, summed over its blocks
+    rng = np.random.default_rng(71)
+    c0, c1 = np.zeros((2, 6, 5), dtype=complex)
+    for c in (c0, c1):
+        c[:3, :2] = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        c[3:, 2:] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    pair = PairSpec(amplitudes=lambda: (c0, c1), label="two blocks")
+    gram = gram_blocks(c0, c1)
+    assert gram.block_sizes == (3, 3)
+    want = [np.vdot(c0, c0).real, np.vdot(c1, c1).real, 2.0 * np.vdot(c1, c0).real]
+    np.testing.assert_allclose(gram.norms, want, rtol=1e-14, atol=0)
+
+    def no_amplitudes():
+        raise AssertionError("amplitudes() called although the trace-out was passed in")
+
+    blind = dataclasses.replace(pair, amplitudes=no_amplitudes)
+    assert entropy_curve(blind, gram=gram) == entropy_curve(pair)
+    assert pair_criterion(blind, gram=gram) == pair_criterion(pair)
+
+
 def test_public_names_resolve():
     # __all__ must name only what the package still defines
     assert [name for name in entconvex.__all__ if not hasattr(entconvex, name)] == []
