@@ -10,7 +10,7 @@ its two states.  :mod:`entconvex.sweep` packages them as a
 :func:`entconvex.spectra.gram_blocks`, forms the reduced-density terms
 per amplitude block.  The criterion eigen-solves the two endpoint
 densities from them block by block and turns the spectra into the
-entropies, the not-shared entropy and Q_c (:mod:`entconvex.criterion`);
+entropies, in bits, the not-shared entropy and Q_c (:mod:`entconvex.criterion`);
 the alpha curve takes the eigenvalues of every grid point from the same
 terms and labels its chord convexity.  The randomized projector probe
 works on the dense endpoint densities of ``PairSpec.builder``.

@@ -7,9 +7,10 @@ carries its own not-shared-entropy convention (sector-restricted or fully
 minimized) established when the reference values were matched; the log
 base is detected per table by comparing base 2 against base e.
 
-Every entropy-like quantity scales by 1/log(base), so each row is
-computed once in natural log and rescaled, and the convexity label is
-base independent.
+Every entropy-like quantity scales by 1/log(base), so each row runs
+through :func:`entconvex.sweep.criterion_vs_observation` once, in bits,
+and only its entropies are rescaled to the table's base.  Q_c and the
+convexity label are decided in bits, so they do not depend on the base.
 """
 
 from __future__ import annotations
@@ -18,17 +19,15 @@ import math
 from dataclasses import dataclass, replace
 
 from .criterion import CriterionReport
-from .spectra import gram_blocks
+from .spectra import LN2
 from .sweep import (
     DEFAULT_GRID_SIZE,
     ConvexityLabel,
     PairSpec,
     angular_pair,
-    classify_convexity,
-    entropy_curve,
+    criterion_vs_observation,
     lg_pair,
     oscillator_pair,
-    pair_criterion,
     spherium_pair,
 )
 
@@ -140,20 +139,18 @@ def reference_table(table_id: int) -> tuple[ReferenceRow, ...]:
     return tuple(rows)
 
 
+def bits_factor(log_base: float) -> float:
+    """ln 2 / ln b: the factor that converts bits to base b, exactly 1.0 for b = 2."""
+    return LN2 / math.log(log_base)
+
+
 def rescale_report(report: CriterionReport, log_base: float) -> CriterionReport:
-    """Convert a natural-log report to another base (entropies scale by 1/ln b)."""
-    f = 1.0 / math.log(log_base)
-    return replace(
-        report,
-        s0=report.s0 * f,
-        s1=report.s1 * f,
-        s_ns=report.s_ns * f,
-        s_r=report.s_r * f,
-        log_base=log_base,
-    )
+    """Convert a report in bits to base ``log_base`` (:func:`bits_factor`); Q_c is kept."""
+    f = bits_factor(log_base)
+    return replace(report, s0=report.s0 * f, s1=report.s1 * f, s_ns=report.s_ns * f, s_r=report.s_r * f)
 
 
-def detect_log_base(rows, nat_reports) -> float:
+def detect_log_base(rows, reports) -> float:
     """Base (2 or e) with the smaller worst-case magnitude error over a table.
 
     When the table quotes von Neumann entropies, only those are compared:
@@ -165,8 +162,8 @@ def detect_log_base(rows, nat_reports) -> float:
     best_base, best_err = CANDIDATE_BASES[0], None
     for base in CANDIDATE_BASES:
         worst = 0.0
-        for row, nat in zip(rows, nat_reports):
-            rep = rescale_report(nat, base)
+        for row, bits in zip(rows, reports):
+            rep = rescale_report(bits, base)
             got = {"s_ns": rep.s_ns, "s_r": rep.s_r, "s_vn": rep.s0}
             for key, ref in row.magnitudes().items():
                 if has_svn and key != "s_vn":
@@ -185,30 +182,28 @@ def evaluate_table(
 ) -> TableResult:
     """Compute a benchmark table and compare it against the reference rows.
 
-    ``log_base=None`` selects the base by detection; an explicit value
-    skips it.
+    Each row's verdict is :func:`entconvex.sweep.criterion_vs_observation`
+    in bits; ``log_base=None`` selects the base its entropies are rescaled
+    to by detection, and an explicit value skips it.
     """
     rows = reference_table(table_id)
-    grams = [gram_blocks(*r.pair.amplitudes()) for r in rows]
-    nat_reports = [pair_criterion(r.pair, math.e, gram=g) for r, g in zip(rows, grams)]
-    base = detect_log_base(rows, nat_reports) if log_base is None else log_base
+    records = [criterion_vs_observation(r.pair, grid_size) for r in rows]
+    base = detect_log_base(rows, [rec.report for rec in records]) if log_base is None else log_base
 
     results = []
-    for row, nat, gram in zip(rows, nat_reports, grams):
-        rep = rescale_report(nat, base)
+    for row, rec in zip(rows, records):
+        rep = rescale_report(rec.report, base)
         got = {"s_ns": rep.s_ns, "s_r": rep.s_r, "s_vn": rep.s0}
         errs = {k: abs(got[k] - ref) for k, ref in row.magnitudes().items()}
-        curve = entropy_curve(row.pair, grid_size, base, gram=gram)
-        observed = classify_convexity(curve, row.pair.chord_tol)
         results.append(
             RowResult(
                 row=row,
                 report=rep,
-                observed=observed,
+                observed=rec.observed,
                 value_errors=errs,
                 values_agree=all(e <= value_tol for e in errs.values()),
                 qc_agree=rep.qc == row.qc,
-                convexity_agree=observed.label == row.convexity,
+                convexity_agree=rec.observed.label == row.convexity,
             )
         )
     return TableResult(table_id, base, tuple(results))

@@ -9,7 +9,9 @@ probe      randomized projector probe for an ad-hoc pair
 
 Exit codes: 0 all rows agree, 1 a disagreement, 2 numerical/usage failure.
 CSV output is deterministic for a fixed configuration and seed: header
-row, comma separators, 12 significant digits.
+row, comma separators, 12 significant digits.  The library computes in
+bits; ``--log-base`` only converts the printed entropies, so labels, Q_c
+and exit codes do not depend on it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import argparse
 import math
 import sys
 
-from .benchmarks import DEFAULT_VALUE_TOL, TABLE_IDS, evaluate_table
+from .benchmarks import DEFAULT_VALUE_TOL, TABLE_IDS, bits_factor, evaluate_table, rescale_report
 from .criterion import random_projector_probe
 from .sweep import (
     DEFAULT_GRID_SIZE,
@@ -191,17 +193,19 @@ def cmd_table(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    curve = entropy_curve(build_pair(args), args.alpha_steps, args.log_base)
-    _write_csv(args.out, ["alpha", "entropy"], [list(t) for t in zip(curve.alphas, curve.entropies)])
+    curve = entropy_curve(build_pair(args), args.alpha_steps)
+    f = bits_factor(args.log_base)
+    entropies = [s * f for s in curve.entropies]
+    _write_csv(args.out, ["alpha", "entropy"], [list(t) for t in zip(curve.alphas, entropies)])
     if args.svg:
-        write_svg(args.svg, curve.alphas, curve.entropies, curve.s0, curve.s1)
+        write_svg(args.svg, curve.alphas, entropies, curve.s0 * f, curve.s1 * f)
     return 0
 
 
 def cmd_criterion(args) -> int:
     pair = build_pair(args)
-    rec = criterion_vs_observation(pair, args.alpha_steps, args.log_base)
-    rep = rec.report
+    rec = criterion_vs_observation(pair, args.alpha_steps)
+    rep = rescale_report(rec.report, args.log_base)
     agree = "" if rec.agree is None else int(rec.agree)
     _write_csv(
         args.out,
@@ -216,9 +220,10 @@ def cmd_probe(args) -> int:
     pair = build_pair(args)
     rec = random_projector_probe(
         pair.builder(1.0), pair.builder(0.0),
-        samples=args.samples, seed=args.seed, log_base=args.log_base,
+        samples=args.samples, seed=args.seed,
     )
-    rows = [[n, v, rec.bound] for n, v in rec.checkpoints]
+    f = bits_factor(args.log_base)
+    rows = [[n, v * f, rec.bound * f] for n, v in rec.checkpoints]
     _write_csv(args.out, ["samples_so_far", "min_s_minus_2stilde", "bound_s_minus_2sns"], rows)
     return 0 if rec.min_value >= rec.bound - 1e-9 else 1
 

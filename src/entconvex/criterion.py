@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectra import (
+    LN2,
     SUPPORT_FLOOR,
     HermitianMatrix,
     Spectrum,
@@ -26,17 +27,18 @@ from .spectra import (
     von_neumann_entropy,
 )
 
-DEFAULT_QC_TOL = 1e-9
+QC_TOL = 1e-9  # |S_R - S_NS| in bits at or below this gives Q_c = 0
 SECTOR_TOL = 1e-8  # sector eigenvalues further apart than this (relative) split a block
 
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Entropy bookkeeping for one superposition pair.
+    """Entropy bookkeeping for one superposition pair, in bits.
 
-    ``qc = sign(s_r - s_ns)`` with a zero band of width ``qc_tol``; +1
-    predicts a convex entropy-vs-alpha curve, -1 a concave one, 0 is
-    reported as indeterminate.
+    ``qc = sign(s_r - s_ns)`` with a zero band of width ``QC_TOL`` bits;
+    +1 predicts a convex entropy-vs-alpha curve, -1 a concave one, 0 is
+    reported as indeterminate.  :func:`entconvex.benchmarks.rescale_report`
+    converts the entropies to another base and keeps ``qc``.
     """
 
     s0: float
@@ -44,8 +46,6 @@ class CriterionReport:
     s_ns: float
     s_r: float
     qc: int
-    log_base: float
-    qc_tol: float = DEFAULT_QC_TOL
 
     def __post_init__(self):
         if abs(self.s_r - (self.s0 - self.s_ns)) > 1e-10:
@@ -212,13 +212,11 @@ def _parts(by_column: np.ndarray):
         yield blk[idx[:, 0]], col[idx]
 
 
-def not_shared_entropy(
-    spec0: Spectrum, rho1, log_base: float = 2.0, sector_operator: np.ndarray | None = None
-) -> float:
-    """Not-shared entropy: the family-dependent sum minimized inside each block.
+def not_shared_entropy(spec0: Spectrum, rho1, sector_operator: np.ndarray | None = None) -> float:
+    """Not-shared entropy in bits: the family-dependent sum minimized inside each block.
 
     A block with eigenvalue lambda and dimension d contributes
-    ``Theta[d lambda - Tr(Pi rho1 Pi)] log(1/lambda)``; for d = 1 this is
+    ``Theta[d lambda - Tr(Pi rho1 Pi)] log2(1/lambda)``; for d = 1 this is
     the plain projector term and for d = 2 it reproduces the explicit
     twofold-degeneracy case analysis.  Every eigenvector lies in one
     amplitude block, so Tr(Pi rho1 Pi) is the sum of its columns' partner
@@ -243,13 +241,13 @@ def not_shared_entropy(
     terms = np.maximum(sizes[keep] * lam[keep] - tr[keep], 0.0) * np.log(1.0 / lam[keep])
     # a running sum in block order: pairwise summation moves S_NS by a few ulps
     total = float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
-    return total / math.log(log_base)
+    return total / LN2
 
 
-def criterion_qc(s_ns: float, s_r: float, qc_tol: float = DEFAULT_QC_TOL) -> int:
-    """sgn(S_R - S_NS) with a zero band of width qc_tol."""
+def criterion_qc(s_ns: float, s_r: float) -> int:
+    """sgn(S_R - S_NS) with a zero band of width ``QC_TOL``, both in bits."""
     diff = s_r - s_ns
-    if abs(diff) <= qc_tol:
+    if abs(diff) <= QC_TOL:
         return 0
     return 1 if diff > 0 else -1
 
@@ -258,7 +256,6 @@ def criterion_report(
     spec0: Spectrum,
     rho1,
     s1: float,
-    log_base: float,
     sector_operator: np.ndarray | None,
 ) -> CriterionReport:
     """The criterion for reference spectrum ``spec0`` and a partner of entropy ``s1``.
@@ -269,12 +266,10 @@ def criterion_report(
     respect the sectors of a conserved quantity (see
     :func:`refine_blocks_by_sector`).
     """
-    s0 = von_neumann_entropy(spec0, log_base)
-    s_ns = min(not_shared_entropy(spec0, rho1, log_base, sector_operator), s0)
+    s0 = von_neumann_entropy(spec0)
+    s_ns = min(not_shared_entropy(spec0, rho1, sector_operator), s0)
     s_r = s0 - s_ns
-    return CriterionReport(
-        s0=s0, s1=s1, s_ns=s_ns, s_r=s_r, qc=criterion_qc(s_ns, s_r), log_base=log_base
-    )
+    return CriterionReport(s0=s0, s1=s1, s_ns=s_ns, s_r=s_r, qc=criterion_qc(s_ns, s_r))
 
 
 def balanced_eigenbasis(spec0: Spectrum, rho1: HermitianMatrix) -> np.ndarray:
@@ -374,12 +369,11 @@ def random_projector_probe(
     rho1: HermitianMatrix,
     samples: int,
     seed: int = 0,
-    log_base: float = 2.0,
     mode: str = "biased",
 ) -> ProbeRecord:
-    """Sample complete projector families and minimize S - 2*S_tilde.
+    """Sample complete projector families and minimize S - 2*S_tilde, in bits.
 
-    ``S_tilde = -sum max(<rho0>_a - <rho1>_a, 0) log <rho0>_a`` for each
+    ``S_tilde = -sum max(<rho0>_a - <rho1>_a, 0) log2 <rho0>_a`` for each
     sampled family.  ``mode='haar'`` draws rotation-invariant random bases;
     ``mode='biased'`` draws random eigenprojector families of the
     reference, obtained from small intra-block rotations around the
@@ -410,8 +404,8 @@ def random_projector_probe(
     if rho0.dim != rho1.dim:
         raise ValueError("dimension mismatch")
     spec0 = eigendecompose(rho0)
-    s = von_neumann_entropy(spec0, log_base)
-    s_ns = not_shared_entropy(spec0, (rho1.entries[None],), log_base)
+    s = von_neumann_entropy(spec0)
+    s_ns = not_shared_entropy(spec0, (rho1.entries[None],))
     bound = s - 2.0 * s_ns
 
     rng = np.random.default_rng(seed)
@@ -426,7 +420,6 @@ def random_projector_probe(
         ]
         stacks = [(cols, states[:, cols[:, :, None], cols[:, None, :]]) for cols in size_groups(rotated)]
 
-    log_conv = math.log(log_base)
     best = math.inf
     checkpoints: list[tuple[int, float]] = []
     next_checkpoint = 1
@@ -440,7 +433,7 @@ def random_projector_probe(
         p = np.clip(p, 0.0, 1.0)
         excess = np.maximum(p - q1, 0.0)
         logs = np.where(p > SUPPORT_FLOOR, np.log(np.maximum(p, 1e-300)), 0.0)
-        stilde = -np.sum(excess * logs, axis=1) / log_conv
+        stilde = -np.sum(excess * logs, axis=1) / LN2
         running = np.minimum(np.minimum.accumulate(s - 2.0 * stilde), best)
         while next_checkpoint <= done + n:
             checkpoints.append((next_checkpoint, float(running[next_checkpoint - done - 1])))

@@ -79,6 +79,8 @@ def mode_columns(l: int, m: int, n_basis: int, order: int) -> np.ndarray:
     of the returned c is the reduced density over x in the convention
     rho_ab = integral dy conj(v_a) v_b.
     """
+    if n_basis < 1 or order < 1:
+        raise ValueError("basis and quadrature sizes must be positive")
     t, wt = gauss_hermite(order)
     xs = math.sqrt(2.0 / 3.0) * t
     u, wu = t, wt  # the y-nodes use the same rule

@@ -3,6 +3,8 @@
 Everything downstream (criterion evaluation, model sweeps) consumes the
 types defined here.  All values are immutable after construction and the
 functions are pure, so they can be shared freely between threads.
+Entropies are in bits throughout the package; only the command line and
+the benchmark tables convert them to another base.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ BLOCK_LINK_TOL = 1e-15
 # an eigenvalue of c0c0^dagger + c1c1^dagger at or below this fraction of
 # its block's largest is outside the range the alpha curve is solved on
 RANGE_TOL = 1e-16
+LN2 = math.log(2.0)  # entropies are in bits: nats / LN2
 
 
 class NonHermitianError(ValueError):
@@ -268,15 +271,15 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray) -> GramBlocks:
     return GramBlocks(tuple(groups), tuple(len(b) for b in blocks), dropped, len(g), (n0, n1, n01))
 
 
-def von_neumann_entropy(s: Spectrum, log_base: float = 2.0) -> float:
-    """S = -sum lambda_i log(lambda_i) over the support (0 log 0 := 0)."""
+def von_neumann_entropy(s: Spectrum) -> float:
+    """S = -sum lambda_i log2(lambda_i) over the support (0 log 0 := 0), in bits."""
     w = s.eigenvalues
     if w.min() < EIGENVALUE_FLOOR:
         raise ValueError(f"negative eigenvalue {w.min():.3e}")
     lw = w[list(s.support)] if s.support else np.empty(0)
     if lw.size == 0:
         return 0.0
-    total = -float(np.sum(lw * np.log(lw))) / math.log(log_base)
+    total = -float(np.sum(lw * np.log(lw))) / LN2
     return max(total, 0.0)
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .criterion import CriterionReport, criterion_report
 from .spectra import (
     EIGENVALUE_FLOOR,
+    LN2,
     RANGE_TOL,
     SUPPORT_FLOOR,
     UNIT_NORM_TOL,
@@ -79,11 +80,12 @@ class PairSpec:
 
 @dataclass(frozen=True)
 class EntropyCurve:
+    """Entropies in bits on an alpha grid, and how the grid was solved."""
+
     alphas: tuple[float, ...]
     entropies: tuple[float, ...]
     s0: float  # entropy at alpha = 1 (first state)
     s1: float  # entropy at alpha = 0 (second state)
-    log_base: float
     block_sizes: tuple[int, ...] = ()  # rows per density block (gram_blocks)
     offblock_dropped: float = 0.0  # largest dropped inter-block link, relative
     solved_sizes: tuple[int, ...] = ()  # matrix size solved per block-size group
@@ -115,11 +117,10 @@ class ConvexityLabel:
 def entropy_curve(
     pair: PairSpec,
     grid_size: int = DEFAULT_GRID_SIZE,
-    log_base: float = 2.0,
     *,
     gram: GramBlocks | None = None,
 ) -> EntropyCurve:
-    """Uniform alpha grid of von Neumann entropies for a pair.
+    """Uniform alpha grid of von Neumann entropies for a pair, in bits.
 
     The reduced density of sqrt(alpha) c0 + sqrt(1-alpha) c1 is
     alpha c0c0^dagger + (1-alpha) c1c1^dagger + sqrt(alpha(1-alpha)) X with
@@ -184,13 +185,12 @@ def entropy_curve(
         raise NotDensityMatrixError(f"negative eigenvalue {w.min():.3e}")
     support = w > SUPPORT_FLOOR
     nats = -np.sum(w * np.log(np.where(support, w, 1.0)), axis=1)
-    ents = [max(float(s) / math.log(log_base), 0.0) for s in nats]
+    ents = [max(float(s) / LN2, 0.0) for s in nats]
     return EntropyCurve(
         alphas=tuple(float(a) for a in alphas),
         entropies=tuple(ents),
         s0=ents[-1],
         s1=ents[0],
-        log_base=log_base,
         block_sizes=gram.block_sizes,
         offblock_dropped=gram.dropped,
         solved_sizes=tuple(solved),
@@ -216,8 +216,8 @@ def _on_range(terms: np.ndarray) -> tuple[np.ndarray, float]:
     return q.conj().swapaxes(1, 2) @ terms @ q, dropped
 
 
-def classify_convexity(curve: EntropyCurve, tol: float = QUADRATURE_CHORD_TOL) -> ConvexityLabel:
-    """Chord comparison over the grid.
+def classify_convexity(curve: EntropyCurve, tol: float) -> ConvexityLabel:
+    """Chord comparison over the grid, ``tol`` in bits like the curve.
 
     convex: at least one point below the chord by more than tol, none
     above; concave symmetric; linear: neither side exceeds tol;
@@ -248,8 +248,7 @@ class AgreementRecord:
         return self.agree is not None
 
 
-def pair_criterion(pair: PairSpec, log_base: float = 2.0, *,
-                   gram: GramBlocks | None = None) -> CriterionReport:
+def pair_criterion(pair: PairSpec, *, gram: GramBlocks | None = None) -> CriterionReport:
     """Criterion report with the first state (alpha = 1) as the reference.
 
     The endpoint densities come from the pair's amplitude blocks
@@ -260,24 +259,20 @@ def pair_criterion(pair: PairSpec, log_base: float = 2.0, *,
     """
     gram = gram_blocks(*pair.amplitudes()) if gram is None else gram
     spec1, rho1 = gram.endpoint(1)
-    s1 = von_neumann_entropy(spec1, log_base)
+    s1 = von_neumann_entropy(spec1)
     del spec1  # only its entropy is read: drop its eigenvectors before the reference's
     spec0 = gram.endpoint(0)[0]
-    return criterion_report(spec0, rho1, s1, log_base, pair.sector_operator)
+    return criterion_report(spec0, rho1, s1, pair.sector_operator)
 
 
-def criterion_vs_observation(
-    pair: PairSpec,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    log_base: float = 2.0,
-) -> AgreementRecord:
+def criterion_vs_observation(pair: PairSpec, grid_size: int = DEFAULT_GRID_SIZE) -> AgreementRecord:
     """Evaluate the criterion on a pair and check it against the curve.
 
     Both read one trace-out of the pair.
     """
     gram = gram_blocks(*pair.amplitudes())
-    report = pair_criterion(pair, log_base, gram=gram)
-    curve = entropy_curve(pair, grid_size, log_base, gram=gram)
+    report = pair_criterion(pair, gram=gram)
+    curve = entropy_curve(pair, grid_size, gram=gram)
     observed = classify_convexity(curve, pair.chord_tol)
     if report.qc == 0:
         agree = None

@@ -27,6 +27,7 @@ from entconvex.oscillator import (
     omega_relative,
 )
 from entconvex.spectra import (
+    LN2,
     SUPPORT_FLOOR,
     HermitianMatrix,
     Spectrum,
@@ -59,15 +60,15 @@ def reconstruct(spec: Spectrum) -> np.ndarray:
     return (v * spec.eigenvalues) @ v.conj().T
 
 
-def dense_entropy_curve(pair, grid_size, log_base=2.0):
-    """Entropies on the uniform alpha grid, one dense density per point.
+def dense_entropy_curve(pair, grid_size):
+    """Entropies in bits on the uniform alpha grid, one dense density per point.
 
     Each point builds the full reduced density through ``pair.builder``
     (with its density checks), eigendecomposes it and takes the von
     Neumann entropy; :func:`entconvex.sweep.entropy_curve` must agree.
     """
     return [
-        von_neumann_entropy(eigendecompose(pair.builder(float(a))), log_base)
+        von_neumann_entropy(eigendecompose(pair.builder(float(a))))
         for a in np.linspace(0.0, 1.0, grid_size)
     ]
 
@@ -108,7 +109,7 @@ def dense_refine_blocks_by_sector(spec0: Spectrum, sector_operator: np.ndarray) 
     )
 
 
-def dense_not_shared_entropy(spec0: Spectrum, rho1: np.ndarray, log_base: float = 2.0) -> float:
+def dense_not_shared_entropy(spec0: Spectrum, rho1: np.ndarray) -> float:
     """S_NS from dense eigenvectors and a dense partner, block by block, the
     oracle of :func:`entconvex.criterion.not_shared_entropy`."""
     if spec0.dim != len(rho1):
@@ -121,13 +122,12 @@ def dense_not_shared_entropy(spec0: Spectrum, rho1: np.ndarray, log_base: float 
             v = vectors[:, list(block)]
             tr = float(np.real(np.trace(v.conj().T @ rho1 @ v)))
             total += theta(len(block) * lam - tr) * math.log(1.0 / lam)
-    return total / math.log(log_base)
+    return total / LN2
 
 
 def evaluate_criterion(
     rho0: HermitianMatrix,
     rho1: HermitianMatrix,
-    log_base: float = 2.0,
     reference: int = 0,
     sector_operator: np.ndarray | None = None,
 ) -> CriterionReport:
@@ -146,12 +146,10 @@ def evaluate_criterion(
     spec0 = eigendecompose(rho0)
     if sector_operator is not None:
         spec0 = dense_refine_blocks_by_sector(spec0, sector_operator)
-    s0 = von_neumann_entropy(spec0, log_base)
-    s1 = von_neumann_entropy(eigendecompose(rho1), log_base)
-    s_ns = min(dense_not_shared_entropy(spec0, rho1.entries, log_base), s0)
-    return CriterionReport(
-        s0=s0, s1=s1, s_ns=s_ns, s_r=s0 - s_ns, qc=criterion_qc(s_ns, s0 - s_ns), log_base=log_base
-    )
+    s0 = von_neumann_entropy(spec0)
+    s1 = von_neumann_entropy(eigendecompose(rho1))
+    s_ns = min(dense_not_shared_entropy(spec0, rho1.entries), s0)
+    return CriterionReport(s0=s0, s1=s1, s_ns=s_ns, s_r=s0 - s_ns, qc=criterion_qc(s_ns, s0 - s_ns))
 
 
 @dataclass(frozen=True)
@@ -191,9 +189,8 @@ def not_shareable_entropy(
     spec0: Spectrum,
     rho1: HermitianMatrix,
     fam: ProjectorFamily,
-    log_base: float = 2.0,
 ) -> float:
-    """Projector-family-dependent entropy -sum Theta[lambda_i - <rho_1>_i] log lambda_i.
+    """Projector-family-dependent entropy -sum Theta[lambda_i - <rho_1>_i] log2 lambda_i.
 
     The family must consist of eigenprojectors of the reference state
     (one admissible choice among many when degenerate).
@@ -210,13 +207,12 @@ def not_shareable_entropy(
     for lam_i, q_i in zip(lam, expect1):
         if lam_i > SUPPORT_FLOOR:
             total -= theta(lam_i - q_i) * math.log(lam_i)
-    return total / math.log(log_base)
+    return total / LN2
 
 
 def not_shared_entropy_sampled(
     spec0: Spectrum,
     rho1: HermitianMatrix,
-    log_base: float = 2.0,
     samples: int = 400,
     seed: int = 0,
 ) -> float:
@@ -243,7 +239,7 @@ def not_shared_entropy_sampled(
             diag = np.real(np.einsum("ia,ij,ja->a", q.conj(), r, q))
             best = min(best, _block_sum(diag, lam))
         total += best * math.log(1.0 / lam)
-    return total / math.log(log_base)
+    return total / LN2
 
 
 def _block_sum(diag: np.ndarray, lam: float) -> float:
@@ -286,7 +282,6 @@ def dense_projector_probe(
     rho1: HermitianMatrix,
     samples: int,
     seed: int = 0,
-    log_base: float = 2.0,
     mode: str = "biased",
 ) -> ProbeRecord:
     """The probe with dense families: each sample is a full dim x dim unitary.
@@ -302,8 +297,8 @@ def dense_projector_probe(
     if rho0.dim != rho1.dim:
         raise ValueError("dimension mismatch")
     spec0 = eigendecompose(rho0)
-    s = von_neumann_entropy(spec0, log_base)
-    s_ns = dense_not_shared_entropy(spec0, rho1.entries, log_base)
+    s = von_neumann_entropy(spec0)
+    s_ns = dense_not_shared_entropy(spec0, rho1.entries)
     bound = s - 2.0 * s_ns
 
     rng = np.random.default_rng(seed)
@@ -319,7 +314,6 @@ def dense_projector_probe(
             if len(block) > 1 and np.linalg.norm(a0[np.ix_(block, block)]) > 0.5 * SUPPORT_FLOOR
         ]
 
-    log_conv = math.log(log_base)
     best = math.inf
     checkpoints: list[tuple[int, float]] = []
     next_checkpoint = 1
@@ -342,7 +336,7 @@ def dense_projector_probe(
         excess = np.maximum(p - q1, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.where(p > SUPPORT_FLOOR, np.log(np.maximum(p, 1e-300)), 0.0)
-        stilde = -np.sum(excess * logs, axis=1) / log_conv
+        stilde = -np.sum(excess * logs, axis=1) / LN2
         vals = s - 2.0 * stilde
         for k, val in enumerate(vals):
             best = min(best, float(val))

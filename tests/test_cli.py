@@ -1,9 +1,11 @@
 """CLI contract: subcommands, exit codes, deterministic CSV, config files."""
 
+import math
+
 import numpy as np
 import pytest
 
-from entconvex.cli import load_config, main, write_svg
+from entconvex.cli import LOG_BASES, load_config, main, write_svg
 
 
 def run(capsys, *argv):
@@ -105,6 +107,59 @@ class TestProbe:
         assert mins == sorted(mins, reverse=True)
         assert int(rows[-1][0]) == 600
         assert mins[-1] >= float(rows[-1][2]) - 1e-9
+
+
+# a size each model rejects; exit 1 means a disagreement, so these must exit 2
+BAD_SIZES = {
+    "lg": "--model lg --l 1 --m 1 --basis-size 0",
+    "oscillator": "--model oscillator --n 0 --m 1 --l 0 --p 0 --basis-size 0",
+    "spherium": "--model spherium --M 1 --lmax 3",
+    "angular": "--model angular --l 13 --L 1 --M 1",
+}
+
+
+@pytest.mark.parametrize("command", ["curve", "criterion", "probe"])
+@pytest.mark.parametrize("model", sorted(BAD_SIZES))
+def test_bad_size_is_usage_error(capsys, command, model):
+    code, out, err = run(capsys, command, *BAD_SIZES[model].split(), "--samples", "10")
+    assert code == 2
+    assert err.startswith("error:") and out == ""
+
+
+REPORT = {"s_vn", "s1", "s_ns", "s_r"}
+PROBE = {"min_s_minus_2stilde", "bound_s_minus_2sns"}
+# (command, arguments, the columns holding entropies, exit code)
+CONVERTED = [
+    pytest.param("curve", "--l 3 --L 1 --M 1 --alpha-steps 9", {"entropy"}, 0, id="curve"),
+    pytest.param("criterion", "--l 3 --L 4 --M 4", REPORT, 0, id="criterion-agree"),
+    # Q_c = +1 on a concave curve
+    pytest.param("criterion", "--l 4 --L 5 --M 3", REPORT, 1, id="criterion-disagree"),
+    pytest.param("probe", "--l 3 --L 2 --M 2 --samples 600 --seed 5", PROBE, 0, id="probe-holds"),
+    # the sampled minimum dips below the bound
+    pytest.param("probe", "--l 6 --L 2 --M 2 --seed 1", PROBE, 1, id="probe-dips"),
+]
+
+
+@pytest.mark.parametrize("base", ["e", "10"])
+@pytest.mark.parametrize("command,args,entropies,want", CONVERTED)
+def test_log_base_converts_bits_once(capsys, base, command, args, entropies, want):
+    # the library computes in bits; --log-base scales the printed entropies
+    # by ln 2 / ln b and leaves every other column and the exit code alone
+    argv = [command, "--model", "angular", *args.split()]
+    code2, out2, _ = run(capsys, *argv)
+    code_b, out_b, _ = run(capsys, *argv, "--log-base", base)
+    assert code2 == code_b == want
+    header, *rows2 = [line.split(",") for line in out2.strip().splitlines()]
+    header_b, *rows_b = [line.split(",") for line in out_b.strip().splitlines()]
+    assert header_b == header and entropies <= set(header)
+    f = math.log(2.0) / math.log(LOG_BASES[base])
+    assert len(rows_b) == len(rows2)
+    for r2, rb in zip(rows2, rows_b):
+        for name, v2, vb in zip(header, r2, rb):
+            if name in entropies:
+                assert float(vb) == pytest.approx(float(v2) * f, rel=1e-11, abs=1e-15), name
+            else:
+                assert vb == v2, name
 
 
 class TestConfig:

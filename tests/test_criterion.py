@@ -73,11 +73,11 @@ class TestNotShareableEntropy:
 
     def test_hand_value_two_levels(self):
         # lambda = (0.7, 0.3) against partner diag (0.4, 0.6):
-        # only the first level exceeds, contributing -0.3 log 0.7
+        # only the first level exceeds, contributing -0.3 log2 0.7
         spec = eigendecompose(_density(np.diag([0.7, 0.3])))
         fam = ProjectorFamily(spec.eigenvectors)
-        got = not_shareable_entropy(spec, _density(np.diag([0.4, 0.6])), fam, math.e)
-        assert got == pytest.approx(-0.3 * math.log(0.7), abs=1e-12)
+        got = not_shareable_entropy(spec, _density(np.diag([0.4, 0.6])), fam)
+        assert got == pytest.approx(-0.3 * math.log2(0.7), abs=1e-12)
 
     def test_rejects_non_eigenprojector_family(self):
         spec = eigendecompose(_density(np.diag([0.7, 0.3])))
@@ -104,8 +104,8 @@ class TestNotSharedEntropy:
         rho0 = _density(np.diag([lam, lam, mu]))
         rho1 = _density(np.diag([0.1, 0.15, 0.75]))
         spec = eigendecompose(rho0)
-        expected = theta(2 * lam - 0.25) * math.log(1 / lam) + theta(mu - 0.75) * math.log(1 / mu)
-        got = not_shared_entropy(spec, _blocks(rho1), math.e)
+        expected = theta(2 * lam - 0.25) * math.log2(1 / lam) + theta(mu - 0.75) * math.log2(1 / mu)
+        got = not_shared_entropy(spec, _blocks(rho1))
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_closed_form_is_block_minimum(self):
@@ -179,7 +179,7 @@ class TestEvaluateCriterion:
         rho1 = _random_density(rng, 4)
         rep = evaluate_criterion(rho0, rho1)
         assert rep.s_r == pytest.approx(rep.s0 - rep.s_ns, abs=1e-12)
-        assert rep.qc == criterion_qc(rep.s_ns, rep.s_r, rep.qc_tol)
+        assert rep.qc == criterion_qc(rep.s_ns, rep.s_r)
 
     def test_identical_pair_is_flagged_convex(self):
         rho = _density(np.diag([0.6, 0.4]))

@@ -105,7 +105,7 @@ class TestDecoupledLimit:
         for q, expected in cases.items():
             s = OscState(*q, 0.0)
             rho = oscillator_pair(s, s).builder(1.0)
-            got = von_neumann_entropy(eigendecompose(rho), 2.0)
+            got = von_neumann_entropy(eigendecompose(rho))
             assert got == pytest.approx(expected, abs=1e-8)
 
     def test_energy_oracle_decoupled(self):

@@ -93,19 +93,13 @@ class TestVonNeumannEntropy:
 
     def test_maximally_mixed(self):
         spec = eigendecompose(_density(np.eye(4) / 4.0))
-        assert von_neumann_entropy(spec, 2.0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_base_conversion(self):
-        spec = eigendecompose(_density(np.diag([0.7, 0.3])))
-        s2 = von_neumann_entropy(spec, 2.0)
-        se = von_neumann_entropy(spec, math.e)
-        assert s2 * math.log(2.0) == pytest.approx(se, abs=1e-12)
+        assert von_neumann_entropy(spec) == pytest.approx(2.0, abs=1e-12)
 
     def test_binary_entropy_value(self):
         p = 0.25
         spec = eigendecompose(_density(np.diag([p, 1.0 - p])))
         expected = -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
-        assert von_neumann_entropy(spec, 2.0) == pytest.approx(expected, abs=1e-12)
+        assert von_neumann_entropy(spec) == pytest.approx(expected, abs=1e-12)
 
     @given(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=8))
     @settings(max_examples=50, deadline=None)

@@ -156,7 +156,7 @@ class TestReducedDensity:
         vals = []
         for lmax in (16, 20):
             rho = spherium_pair(1, lmax=lmax).builder(0.5)
-            vals.append(von_neumann_entropy(eigendecompose(rho), 2.0))
+            vals.append(von_neumann_entropy(eigendecompose(rho)))
         assert vals[0] == pytest.approx(vals[1], abs=1e-4)
 
     def test_mismatched_cuts_rejected(self):

@@ -559,7 +559,6 @@ def test_table_forms_one_trace_out_per_row(monkeypatch):
         calls.append(c0.shape)
         return gram_blocks(c0, c1)
 
-    monkeypatch.setattr(benchmarks, "gram_blocks", counted)
     monkeypatch.setattr(sweep, "gram_blocks", counted)
     table = benchmarks.evaluate_table(5)
     assert len(calls) == len(table.rows) == 6
@@ -599,14 +598,13 @@ def _curve(entropies):
         entropies=tuple(entropies),
         s0=entropies[-1],
         s1=entropies[0],
-        log_base=2.0,
     )
 
 
 class TestEntropyCurve:
     def test_endpoint_consistency_enforced(self):
         with pytest.raises(ValueError):
-            EntropyCurve((0.0, 0.5, 1.0), (1.0, 0.5, 1.0), s0=0.3, s1=1.0, log_base=2.0)
+            EntropyCurve((0.0, 0.5, 1.0), (1.0, 0.5, 1.0), s0=0.3, s1=1.0)
 
     def test_negative_entropy_rejected(self):
         with pytest.raises(ValueError):
