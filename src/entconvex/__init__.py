@@ -6,13 +6,16 @@ oscillators (:mod:`entconvex.oscillator`), two electrons on a sphere
 (:mod:`entconvex.spherium`) and Laguerre-Gaussian photon modes
 (:mod:`entconvex.lgmodes`); each supplies only the amplitude matrices of
 its two states.  :mod:`entconvex.sweep` packages them as a
-:class:`PairSpec`.  One trace-out per pair,
+:class:`PairSpec`; for a mirror pair, whose second state is the image of
+the first under a local symmetry that sends M to -M, the factory builds
+the second from the first.  One trace-out per pair,
 :func:`entconvex.spectra.gram_blocks`, forms the reduced-density terms
 per amplitude block.  The criterion eigen-solves the two endpoint
-densities from them block by block and turns the spectra into the
-entropies, in bits, the not-shared entropy and Q_c (:mod:`entconvex.criterion`);
-the alpha curve takes the eigenvalues of every grid point from the same
-terms and labels its chord convexity.  The randomized projector probe
+densities from them block by block (a mirror pair only the first) and
+turns the spectra into the entropies, in bits, the not-shared entropy
+and Q_c (:mod:`entconvex.criterion`); the alpha curve takes the
+eigenvalues of every grid point (a mirror pair's alpha <= 1/2 half) from
+the same terms and labels its chord convexity.  The randomized projector probe
 works on the dense endpoint densities of ``PairSpec.builder``.
 :mod:`entconvex.benchmarks` holds the embedded reference tables;
 :mod:`entconvex.cli` is the console entry.  The slow reference

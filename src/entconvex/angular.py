@@ -105,3 +105,8 @@ def cg_matrix(l: int, L: int, M: int) -> np.ndarray:
             c[i, l - m2] = cg(l, l - i, l, m2, L, M)
     c.setflags(write=False)
     return c
+
+
+def mirror_rows(dim: int) -> np.ndarray:
+    """The row of -m for each row m of one side of a ``cg_matrix`` (``dim`` = 2l + 1)."""
+    return np.arange(dim - 1, -1, -1)

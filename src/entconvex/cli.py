@@ -130,11 +130,30 @@ def config_defaults(argv: list[str] | None) -> dict[str, str]:
     return out
 
 
+# the quantum-number and basis flags each model reads, by dest
+MODEL_FLAGS = {
+    "angular": ("l", "L", "M", "Mprime"),
+    "oscillator": ("n", "m", "l", "p", "n2", "m2", "l2", "p2", "lam", "basis_size"),
+    "spherium": ("M", "Mprime", "lmax"),
+    "lg": ("l", "m", "l2", "m2", "basis_size"),
+}
+
+
 def build_pair(args):
-    """PairSpec from --model plus the per-model quantum-number flags."""
+    """PairSpec from --model plus the per-model quantum-number flags.
+
+    A model flag that the chosen model does not read is a usage error.
+    """
     model = args.model
     if model is None:
         raise ValueError("--model is required")
+    if model not in MODEL_FLAGS:
+        raise ValueError(f"unknown model {model!r}")
+    unread = sorted({d for dests in MODEL_FLAGS.values() for d in dests} - set(MODEL_FLAGS[model]))
+    given = ["--lambda" if d == "lam" else "--" + d.replace("_", "-")
+             for d in unread if getattr(args, d) is not None]
+    if given:
+        raise ValueError(f"the {model} model does not read {', '.join(given)}")
     if model == "angular":
         if args.l is None or args.L is None or args.M is None:
             raise ValueError("angular pairs need --l --L --M")
@@ -144,13 +163,14 @@ def build_pair(args):
 
         if None in (args.n, args.m, args.l, args.p):
             raise ValueError("oscillator pairs need --n --m --l --p")
-        s0 = OscState(args.n, args.m, args.l, args.p, args.lam)
+        lam = 0.0 if args.lam is None else args.lam
+        s0 = OscState(args.n, args.m, args.l, args.p, lam)
         s1 = OscState(
             args.n if args.n2 is None else args.n2,
             -args.m if args.m2 is None else args.m2,
             args.l if args.l2 is None else args.l2,
             -args.p if args.p2 is None else args.p2,
-            args.lam,
+            lam,
         )
         basis = None if args.basis_size is None else OscBasisSpec(n_per_coordinate=args.basis_size)
         return oscillator_pair(s0, s1, basis)
@@ -158,17 +178,15 @@ def build_pair(args):
         if args.M is None:
             raise ValueError("spherium pairs need --M")
         return spherium_pair(args.M, args.Mprime, lmax=args.lmax)
-    if model == "lg":
-        from .lgmodes import LGMode
+    from .lgmodes import LGMode
 
-        if args.l is None or args.m is None:
-            raise ValueError("lg pairs need --l --m")
-        mode1 = LGMode(
-            args.l if args.l2 is None else args.l2,
-            -args.m if args.m2 is None else args.m2,
-        )
-        return lg_pair(LGMode(args.l, args.m), mode1, n_basis=args.basis_size)
-    raise ValueError(f"unknown model {model!r}")
+    if args.l is None or args.m is None:
+        raise ValueError("lg pairs need --l --m")
+    mode1 = LGMode(
+        args.l if args.l2 is None else args.l2,
+        -args.m if args.m2 is None else args.m2,
+    )
+    return lg_pair(LGMode(args.l, args.m), mode1, n_basis=args.basis_size)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +280,7 @@ def _add_common(p: argparse.ArgumentParser) -> dict[str, str]:
         add("--m2", type=int),
         add("--l2", type=int),
         add("--p2", type=int),
-        add("--lambda", dest="lam", type=float, default=0.0),
+        add("--lambda", dest="lam", type=float),
         add("--alpha-steps", type=int, default=DEFAULT_GRID_SIZE),
         add("--log-base", type=_log_base, default=2.0, metavar="{2,e,10}"),
         add("--lmax", type=int),

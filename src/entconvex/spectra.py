@@ -211,15 +211,13 @@ class GramBlocks:
     dim: int
     norms: tuple[float, float, float]
 
-    def endpoint(self, state: int) -> tuple[Spectrum, tuple[np.ndarray, ...]]:
-        """Spectrum and blocks of ``reduce_pure_state(c)``, ``c`` being c0 or c1.
+    def endpoint(self, state: int) -> tuple[np.ndarray, ...]:
+        """The blocks of ``reduce_pure_state(c)``, ``c`` being c0 or c1, one stack per size group.
 
-        The blocks, one stack per size group, are normalized in that
-        function's order: divided by sum |c|^2, then by the whole trace,
-        then symmetrized.  With one block this is its arithmetic to the bit,
-        which S_NS of some LG pairs (one block of 32) needs, and the
-        eigen-solve is its density check's.  Each block is solved alone
-        (:func:`eigh_blocks`), and no dim x dim matrix is formed.
+        They are normalized in that function's order: divided by sum
+        |c|^2, then by the whole trace, then symmetrized.  With one block
+        this is its arithmetic to the bit, which S_NS of some LG pairs (one
+        block of 32) needs.  No dim x dim matrix is formed.
         """
         n2 = self.norms[state]
         if not n2 > 0.0:
@@ -230,7 +228,14 @@ class GramBlocks:
             m /= tr
             mats[i] = m + m.conj().swapaxes(1, 2)
             mats[i] *= 0.5
-        return eigh_blocks([(g[0], m) for g, m in zip(self.groups, mats)]), tuple(mats)
+        return tuple(mats)
+
+    def spectrum(self, blocks: tuple[np.ndarray, ...]) -> Spectrum:
+        """The spectrum of :meth:`endpoint` blocks, each block solved alone (:func:`eigh_blocks`).
+
+        With one block the eigen-solve is ``reduce_pure_state``'s density check's.
+        """
+        return eigh_blocks([(g[0], m) for g, m in zip(self.groups, blocks)])
 
 
 def gram_blocks(c0: np.ndarray, c1: np.ndarray) -> GramBlocks:

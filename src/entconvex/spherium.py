@@ -204,6 +204,13 @@ def _state_coefficients(M: int, lmax: int) -> np.ndarray:
     return amp
 
 
+def mirror_rows(dim: int) -> np.ndarray:
+    """The index of (l, -m) for each index (l, m) of a basis of ``dim`` harmonics."""
+    shells = math.isqrt(dim)
+    l = np.repeat(np.arange(shells), 2 * np.arange(shells) + 1)
+    return 2 * (l * l + l) - np.arange(dim)
+
+
 def angular_momentum_diagonal(lcut: int) -> np.ndarray:
     """One-particle L_z on the (l, m) harmonic basis (diagonal, eigenvalue m)."""
     diag = np.empty(basis_size(lcut))

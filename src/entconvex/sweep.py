@@ -42,6 +42,33 @@ CANCELLED_NORM2 = 1e-12
 
 
 @dataclass(frozen=True)
+class Mirror:
+    """A local symmetry T that maps the first state of a pair onto the second.
+
+    c1 = T(c0) = sign * P K(c0) P^T.  K is complex conjugation when
+    ``conj`` is set and the identity otherwise.  P is a real permutation
+    involution that acts alike on both parties; ``flip(n)`` gives the image
+    of each of n basis indices, and None stands for the identity.  T maps
+    M to -M, and it maps c1 back onto c0, since P^2 = K^2 = 1 and sign^2 = 1.
+    Being local, it keeps every entanglement spectrum, so a mirror pair has
+    S(alpha) = S(1 - alpha) and S1 = S0.
+    """
+
+    sign: int
+    conj: bool
+    flip: Callable[[int], np.ndarray] | None
+
+    def __call__(self, c0: np.ndarray) -> np.ndarray:
+        c = c0.conj() if self.conj else c0
+        if self.flip is not None:
+            c = c[np.ix_(self.flip(c.shape[0]), self.flip(c.shape[1]))]
+        if self.sign < 0:
+            c = 0.0 - c  # not -c: a directly built state holds no negative zeros
+        c.setflags(write=False)
+        return c
+
+
+@dataclass(frozen=True)
 class PairSpec:
     """A degenerate pair given by the amplitude matrices (c0, c1) of its states.
 
@@ -49,12 +76,19 @@ class PairSpec:
     (rows: the kept particle or coordinate, columns: the traced one).  It
     is called on demand, so building a pair does no model work, and the
     models memoize the arrays.
+
+    ``mirror`` declares a mirror pair, c1 = mirror(c0) (:class:`Mirror`).
+    Only the pair factories set it, and they then build c1 from c0 through
+    it, so the declaration cannot disagree with the amplitudes.  The curve
+    then solves only the grid points with alpha <= 1/2, and the criterion
+    takes S1 = S0.
     """
 
     amplitudes: Callable[[], tuple[np.ndarray, np.ndarray]]
     label: str
     exact: bool = False
     sector_operator: np.ndarray | None = field(default=None, compare=False)
+    mirror: Mirror | None = field(default=None, compare=False)
 
     @property
     def chord_tol(self) -> float:
@@ -89,6 +123,7 @@ class EntropyCurve:
     block_sizes: tuple[int, ...] = ()  # rows per density block (gram_blocks)
     offblock_dropped: float = 0.0  # largest dropped inter-block link, relative
     solved_sizes: tuple[int, ...] = ()  # matrix size solved per block-size group
+    solved_points: int = 0  # grid points eigen-solved; a mirror pair's others are mirrored
     range_dropped: float = 0.0  # largest left-out eigenvalue of c0c0^dagger + c1c1^dagger, relative
 
     def __post_init__(self):
@@ -155,6 +190,11 @@ def entropy_curve(
     Summing the terms after the products costs relative accuracy of order
     (norm of the parts / norm of the superposition)^2 where the two states
     nearly cancel; a point that cancels below ``CANCELLED_NORM2`` raises.
+
+    A mirror pair (``pair.mirror``) has S(alpha) = S(1 - alpha), so only
+    the first ceil(grid_size / 2) points, those with alpha <= 1/2, are
+    solved, and the point at 1 - alpha takes the entropy of the one at
+    alpha.  The cancellation check still covers the whole grid.
     """
     if grid_size < 5:
         raise ValueError("grid size must be at least 5")
@@ -166,6 +206,8 @@ def entropy_curve(
     parts2 = (np.sqrt(alphas * n00) + np.sqrt((1.0 - alphas) * n11)) ** 2
     if np.any(norm2 <= CANCELLED_NORM2 * parts2):
         raise ValueError("superposition vanishes")
+    points = grid_size if pair.mirror is None else (grid_size + 1) // 2
+    coef = coef[:points]
     weights, solved, range_dropped = [], [], 0.0
     for rows, terms in gram.groups:
         if rows.shape[1] > 1:
@@ -177,15 +219,17 @@ def entropy_curve(
         step = max(1, (gram.dim // size) ** 2 // len(rows), 2**16 // (len(rows) * size * size))
         w = [
             np.linalg.eigvalsh(np.tensordot(coef[i:i + step], terms, axes=1))
-            for i in range(0, grid_size, step)
+            for i in range(0, points, step)
         ]
-        weights.append(np.concatenate(w).reshape(grid_size, -1))
-    w = np.concatenate(weights, axis=1) / norm2[:, None]
+        weights.append(np.concatenate(w).reshape(points, -1))
+    w = np.concatenate(weights, axis=1) / norm2[:points, None]
     if w.min() < EIGENVALUE_FLOOR:
         raise NotDensityMatrixError(f"negative eigenvalue {w.min():.3e}")
     support = w > SUPPORT_FLOOR
     nats = -np.sum(w * np.log(np.where(support, w, 1.0)), axis=1)
     ents = [max(float(s) / LN2, 0.0) for s in nats]
+    if points < grid_size:  # a mirror pair: the point at 1 - alpha takes the entropy at alpha
+        ents += ents[grid_size - points - 1::-1]
     return EntropyCurve(
         alphas=tuple(float(a) for a in alphas),
         entropies=tuple(ents),
@@ -194,6 +238,7 @@ def entropy_curve(
         block_sizes=gram.block_sizes,
         offblock_dropped=gram.dropped,
         solved_sizes=tuple(solved),
+        solved_points=points,
         range_dropped=range_dropped,
     )
 
@@ -253,15 +298,18 @@ def pair_criterion(pair: PairSpec, *, gram: GramBlocks | None = None) -> Criteri
 
     The endpoint densities come from the pair's amplitude blocks
     (:func:`entconvex.spectra.gram_blocks`; ``gram`` passes them in when
-    the caller already has them) and are eigen-solved block by block.  The
-    pair's sector operator, if any, restricts the not-shared-entropy
-    minimization (see :func:`entconvex.criterion.criterion_report`).
+    the caller already has them).  The reference is eigen-solved block by
+    block; so is the partner, for its entropy, unless the pair is a mirror
+    pair, whose S1 is S0.  The pair's sector operator, if any, restricts
+    the not-shared-entropy minimization (see
+    :func:`entconvex.criterion.criterion_report`).
     """
     gram = gram_blocks(*pair.amplitudes()) if gram is None else gram
-    spec1, rho1 = gram.endpoint(1)
-    s1 = von_neumann_entropy(spec1)
-    del spec1  # only its entropy is read: drop its eigenvectors before the reference's
-    spec0 = gram.endpoint(0)[0]
+    rho1 = gram.endpoint(1)
+    # the partner's spectrum, when solved, is dropped before the reference's is formed
+    s1 = None if pair.mirror is not None else von_neumann_entropy(gram.spectrum(rho1))
+    spec0 = gram.spectrum(gram.endpoint(0))
+    s1 = von_neumann_entropy(spec0) if s1 is None else s1
     return criterion_report(spec0, rho1, s1, pair.sector_operator)
 
 
@@ -283,20 +331,50 @@ def criterion_vs_observation(pair: PairSpec, grid_size: int = DEFAULT_GRID_SIZE)
 
 # ---------------------------------------------------------------------------
 # pair factories, one per model; each supplies only the two amplitude matrices
+# and, for a mirror pair, the symmetry that maps the first onto the second
+
+
+def _amplitudes(first, second, mirror):
+    """A pair's ``amplitudes``: c0 = first(), and c1 = mirror(c0), or second() without a mirror."""
+    if mirror is None:
+        return lambda: (first(), second())
+
+    def amplitudes():
+        c0 = first()
+        return c0, mirror(c0)
+
+    return amplitudes
 
 
 def angular_pair(l: int, L: int, M: int, Mprime: int | None = None) -> PairSpec:
+    """|L, M> against |L, Mprime> (default -M) of two angular momenta l.
+
+    With Mprime = -M != 0 it is a mirror pair: C(l,-m1; l,-m2; L,-M) =
+    (-1)^(2l-L) C(l,m1; l,m2; L,M), so c1 is c0 with the rows and columns
+    reversed (m -> -m), times (-1)^(2l-L).
+    """
     from . import angular
 
     Mp = -M if Mprime is None else Mprime
+    mirror = Mirror((-1) ** (2 * l - L), False, angular.mirror_rows) if Mp == -M != 0 else None
     return PairSpec(
-        amplitudes=lambda: (angular.cg_matrix(l, L, M), angular.cg_matrix(l, L, Mp)),
+        amplitudes=_amplitudes(
+            lambda: angular.cg_matrix(l, L, M), lambda: angular.cg_matrix(l, L, Mp), mirror
+        ),
         label=f"angular l={l} L={L} M={M}/{Mp}",
         exact=True,
+        mirror=mirror,
     )
 
 
 def oscillator_pair(state0, state1, basis=None, use_sectors: bool = True) -> PairSpec:
+    """Two degenerate oscillator eigenstates over one Hermite basis.
+
+    When state1 is state0 with m -> -m and p -> -p, and another state, it
+    is a mirror pair: the cylindrical modes of -m are the complex
+    conjugates of those of m, and the Hermite basis is real, so c1 =
+    conj(c0).
+    """
     from . import oscillator
 
     if state0.lam != state1.lam:
@@ -306,14 +384,18 @@ def oscillator_pair(state0, state1, basis=None, use_sectors: bool = True) -> Pai
             f"superposed states are not degenerate: E0={state0.energy}, E1={state1.energy}",
             stacklevel=2,
         )
+    image = oscillator.OscState(state0.n, -state0.m, state0.l, -state0.p, state0.lam)
+    mirror = Mirror(1, True, None) if state1 == image != state0 else None
     sector = oscillator.angular_momentum_matrix(basis) if use_sectors else None
     return PairSpec(
-        amplitudes=lambda: (
-            oscillator.coefficient_tensor(state0, basis),
-            oscillator.coefficient_tensor(state1, basis),
+        amplitudes=_amplitudes(
+            lambda: oscillator.coefficient_tensor(state0, basis),
+            lambda: oscillator.coefficient_tensor(state1, basis),
+            mirror,
         ),
         label=f"oscillator {state0.label()}/{state1.label()}",
         sector_operator=sector,
+        mirror=mirror,
     )
 
 
@@ -323,28 +405,48 @@ def spherium_pair(
     lmax: int | None = None,
     use_sectors: bool = True,
 ) -> PairSpec:
-    from .spherium import DEFAULT_LMAX, SpheriumState, angular_momentum_diagonal
+    """Two members M and Mprime (default -M) of the spherium L = 2 multiplet.
 
-    lm = DEFAULT_LMAX if lmax is None else lmax
-    s0 = SpheriumState(M, lm)
-    s1 = SpheriumState(-M if Mprime is None else Mprime, lm)
-    sector = angular_momentum_diagonal(s0.lcut) if use_sectors else None
+    With Mprime = -M != 0 it is a mirror pair: c1 is -P c0 P^T, with P
+    sending the harmonic (l, m) to (l, -m).  The sign is (-1)^(l1+l2-L)
+    of the coupled pair (1, 2; 2); the r12 factor keeps it, since each of
+    its harmonic products has even l1 + l2 + L.
+    """
+    from . import spherium
+
+    lm = spherium.DEFAULT_LMAX if lmax is None else lmax
+    s0 = spherium.SpheriumState(M, lm)
+    s1 = spherium.SpheriumState(-M if Mprime is None else Mprime, lm)
+    sign = (-1) ** (spherium.COUPLED_L1 + spherium.COUPLED_L2 - spherium.TOTAL_L)
+    mirror = Mirror(sign, False, spherium.mirror_rows) if s1.M == -M != 0 else None
+    sector = spherium.angular_momentum_diagonal(s0.lcut) if use_sectors else None
     return PairSpec(
-        amplitudes=lambda: (s0.coefficients(), s1.coefficients()),
+        amplitudes=_amplitudes(lambda: s0.coefficients(), lambda: s1.coefficients(), mirror),
         label=f"spherium M={s0.M}/{s1.M}",
         sector_operator=sector,
+        mirror=mirror,
     )
 
 
 def lg_pair(mode0, mode1, n_basis: int | None = None) -> PairSpec:
+    """Two Laguerre-Gaussian modes over one x-basis and y-quadrature.
+
+    When mode1 is mode0 with m -> -m, and another mode, it is a mirror
+    pair: the profile's (x + i sgn(m) y)^|m| conjugates and the rest is
+    real, so c1 = conj(c0).
+    """
     from . import lgmodes
 
     nb = lgmodes.DEFAULT_BASIS_SIZE if n_basis is None else n_basis
     od = lgmodes.DEFAULT_QUADRATURE_ORDER
+    image = lgmodes.LGMode(mode0.l, -mode0.m)
+    mirror = Mirror(1, True, None) if mode1 == image != mode0 else None
     return PairSpec(
-        amplitudes=lambda: (
-            lgmodes.mode_columns(mode0.l, mode0.m, nb, od),
-            lgmodes.mode_columns(mode1.l, mode1.m, nb, od),
+        amplitudes=_amplitudes(
+            lambda: lgmodes.mode_columns(mode0.l, mode0.m, nb, od),
+            lambda: lgmodes.mode_columns(mode1.l, mode1.m, nb, od),
+            mirror,
         ),
         label=f"lg {mode0.label()}/{mode1.label()}",
+        mirror=mirror,
     )

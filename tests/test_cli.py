@@ -126,6 +126,38 @@ def test_bad_size_is_usage_error(capsys, command, model):
     assert err.startswith("error:") and out == ""
 
 
+# a valid pair of each model, and flags of other models that it does not read
+UNREAD = [
+    pytest.param("--model angular --l 3 --L 1 --M 1", "--basis-size 0 --lmax 2", id="angular"),
+    pytest.param("--model angular --l 3 --L 1 --M 1", "--lambda 0", id="angular-lambda-0"),
+    pytest.param("--model oscillator --n 0 --m 1 --l 0 --p 0", "--lmax 8", id="oscillator"),
+    pytest.param("--model oscillator --n 0 --m 1 --l 0 --p 0", "--Mprime -1", id="oscillator-Mprime"),
+    pytest.param("--model spherium --M 1", "--l 2", id="spherium"),
+    pytest.param("--model spherium --M 1", "--basis-size 10 --lambda 0.7", id="spherium-basis"),
+    pytest.param("--model lg --l 1 --m 1", "--lmax 3", id="lg"),
+    pytest.param("--model lg --l 1 --m 1", "--L 1", id="lg-L"),
+]
+
+
+@pytest.mark.parametrize("command", ["curve", "criterion", "probe"])
+@pytest.mark.parametrize("pair, unread", UNREAD)
+def test_unread_model_flag_is_usage_error(capsys, command, pair, unread):
+    code, out, err = run(capsys, command, *pair.split(), *unread.split(), "--samples", "10")
+    assert code == 2
+    assert err.startswith("error:") and out == ""
+    for flag in unread.split()[::2]:
+        assert flag in err
+
+
+def test_unread_config_key_is_usage_error(capsys, tmp_path):
+    # a config value is a flag default, and the model reads it or rejects it alike
+    cfg = tmp_path / "angular.cfg"
+    cfg.write_text("model = angular\nl = 3\nL = 1\nM = 1\nlambda = 0.7\n")
+    code, out, err = run(capsys, "criterion", "--config", str(cfg))
+    assert code == 2
+    assert "--lambda" in err and out == ""
+
+
 REPORT = {"s_vn", "s1", "s_ns", "s_r"}
 PROBE = {"min_s_minus_2stilde", "bound_s_minus_2sns"}
 # (command, arguments, the columns holding entropies, exit code)

@@ -161,7 +161,8 @@ class TestGramBlocks:
         gram = gram_blocks(c0, c1)
         assert gram.block_sizes == (4,)
         for state, c in enumerate((c0, c1)):
-            spec, (rho,) = gram.endpoint(state)
+            (rho,) = gram.endpoint(state)
+            spec = gram.spectrum((rho,))
             dense = reduce_pure_state(c)
             assert np.array_equal(rho[0], dense.entries)
             assert np.array_equal(spec.eigenvalues, eigendecompose(dense).eigenvalues)
@@ -175,7 +176,8 @@ class TestGramBlocks:
         c0 /= np.linalg.norm(c0)
         gram = gram_blocks(c0, c0)
         assert sorted(gram.block_sizes) == [1, 2]
-        spec, rho = gram.endpoint(0)
+        rho = gram.endpoint(0)
+        spec = gram.spectrum(rho)
         dense = reduce_pure_state(c0)
         # each block's eigenvectors stay in its rows; the dense view embeds them
         assert [u.shape for _, u in spec.groups] == [(1, 1, 1), (1, 2, 2)]

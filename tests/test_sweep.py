@@ -2,6 +2,7 @@
 classification, criterion-vs-observation records."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -15,12 +16,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import entconvex
-from entconvex import benchmarks, sweep
+from entconvex import benchmarks, cli, sweep
+from entconvex.angular import cg_matrix
 from entconvex.benchmarks import reference_table
-from entconvex.lgmodes import LGMode
-from entconvex.oscillator import OscState
+from entconvex.lgmodes import DEFAULT_BASIS_SIZE, DEFAULT_QUADRATURE_ORDER, LGMode, mode_columns
+from entconvex.oscillator import OscState, coefficient_tensor
+from entconvex.spherium import SpheriumState
 from entconvex.spectra import (
     RANGE_TOL,
+    GramBlocks,
     HermitianMatrix,
     NotDensityMatrixError,
     eigendecompose,
@@ -312,14 +316,15 @@ class TestBlockCurve:
             (lambda: lg_pair(LGMode(1, 1), LGMode(1, -1)), 1, 32),
             (lambda: lg_pair(LGMode(3, 4), LGMode(4, -3)), 1, 32),
             (_row(2, 0), None, 128),
-            (lambda: spherium_pair(1), 15, None),
+            (lambda: spherium_pair(1), 9, None),
         ],
         ids=["lg-1-1", "lg-3-4", "oscillator-table-2", "spherium-M1"],
     )
     def test_eigvalsh_calls_per_curve(self, monkeypatch, make_pair, calls, full):
         # a dim-32 LG density is one block, and the whole grid goes in one
         # call; the spherium blocks (dim 529, four sizes) keep one dense
-        # density's entries per call, 15 calls for the 41 points.  LG and
+        # density's entries per call, 9 calls for the 21 points with
+        # alpha <= 1/2 that a mirror pair solves of its 41.  LG and
         # oscillator blocks are solved on their amplitudes' range, smaller
         # than the block (``full``); the spherium blocks are full rank.  The
         # oscillator's r, and so its call count, moves with rounding.
@@ -335,6 +340,9 @@ class TestBlockCurve:
         curve = entropy_curve(pair, gram=gram)
         solved = sorted({shape[-1] for shape in solves})
         assert solved == sorted(curve.solved_sizes)
+        points = 21 if pair.mirror is not None else 41
+        assert curve.solved_points == points
+        assert sum(math.prod(shape[:-2]) for shape in solves) == points * len(curve.block_sizes)
         if calls is not None:
             assert len(solves) == calls
         if full is None:
@@ -490,7 +498,7 @@ class TestBlockCriterion:
         pair = PairSpec(lambda: (c0, c1), "planted", sector_operator=op)
         gram = gram_blocks(c0, c1)
         assert len(gram.block_sizes) >= 3 and len(set(gram.block_sizes)) >= 2
-        spec0 = gram.endpoint(0)[0]
+        spec0 = gram.spectrum(gram.endpoint(0))
         # the lam_d block spans two amplitude blocks; the chain is one block
         sizes = [len(b) for b in spec0.blocks]
         assert 3 in sizes and sizes[-1] == 3, sizes
@@ -510,7 +518,7 @@ class TestBlockCriterion:
         c1 = c0[[1, 0, 3, 2, 4]]
         gram = gram_blocks(c0, c1)
         assert gram.block_sizes == (2, 2, 1)
-        assert [len(b) for b in gram.endpoint(0)[0].blocks] == [2, 1, 1, 1]
+        assert [len(b) for b in gram.spectrum(gram.endpoint(0)).blocks] == [2, 1, 1, 1]
         op = np.diag([1.0, -1.0, 1.0, -1.0, 0.0])
         _assert_criterion_matches_dense(PairSpec(lambda: (c0, c1), "diagonal", sector_operator=op))
         op[0, 4] = op[4, 0] = 0.5
@@ -549,6 +557,155 @@ class TestBlockCriterion:
         pair_criterion(pair)
         # the density is 529 x 529; its largest amplitude block is 143
         assert max(sizes) == 143
+
+
+def _osc_state(lam, *q):
+    return lambda: coefficient_tensor(OscState(*q, lam))
+
+
+def _lg_mode(l, m):
+    return lambda: mode_columns(l, m, DEFAULT_BASIS_SIZE, DEFAULT_QUADRATURE_ORDER)
+
+
+def _cli_pair(argv):
+    return lambda: cli.build_pair(cli.make_parser({}).parse_args(["curve", *argv.split()]))
+
+
+# the second state of each mirror reference row, built directly by its model
+MIRROR_ROWS = {
+    (1, 0): _osc_state(0.0, 0, 0, 3, 1),
+    (1, 3): _osc_state(0.0, 0, 0, 2, 2),
+    (1, 6): _osc_state(0.0, 1, -1, 1, -1),
+    **{(2, i): _osc_state(0.7, n, m, 0, 0) for i, (n, m) in enumerate([(1, 1), (2, 1), (0, 2), (1, 2)])},
+    (3, 0): lambda: SpheriumState(-1).coefficients(),
+    (3, 1): lambda: SpheriumState(-2).coefficients(),
+    (4, 0): _lg_mode(1, -1),
+    (4, 1): _lg_mode(2, -1),
+    (4, 4): _lg_mode(3, -3),
+    **{(5, L - 1): (lambda L=L: cg_matrix(3, L, -L)) for L in range(1, 7)},
+}
+MIRROR_PARAMS = [pytest.param(table, row, id=f"table-{table}-{row}") for table, row in MIRROR_ROWS]
+
+
+def _assert_second_state(pair, second, spherium):
+    c0, c1 = pair.amplitudes()
+    want = second()
+    assert c1.dtype == want.dtype and not c1.flags.writeable
+    if spherium:  # the r12 sums run in another order for -M
+        assert np.max(np.abs(c1 - want)) <= 2e-16
+    else:
+        assert np.array_equal(c1, want)
+
+
+class TestMirrorPairs:
+    """Pairs declared mirrored: c1 = T(c0), half the grid solved, S1 = S0."""
+
+    def test_reference_rows_declared(self):
+        # 18 of the 24 rows; the others pair states that no local symmetry swaps
+        declared = {
+            (table, i)
+            for table in benchmarks.TABLE_IDS
+            for i, row in enumerate(reference_table(table))
+            if row.pair.mirror is not None
+        }
+        assert declared == set(MIRROR_ROWS)
+
+    @pytest.mark.parametrize("table, row", MIRROR_PARAMS)
+    def test_reference_row_second_state(self, table, row):
+        _assert_second_state(reference_table(table)[row].pair, MIRROR_ROWS[table, row], table == 3)
+
+    @pytest.mark.parametrize(
+        "make_pair, second",
+        [
+            *[(lambda l=l, L=L: angular_pair(l, L, L), lambda l=l, L=L: cg_matrix(l, L, -L))
+              for l in range(1, 7) for L in range(1, 2 * l + 1)],
+            (_cli_pair("--model oscillator --n 1 --m -1 --l 0 --p 0 --lambda 0.7"),
+             _osc_state(0.7, 1, 1, 0, 0)),
+            (_cli_pair("--model oscillator --n 0 --m 1 --l 1 --p -2"), _osc_state(0.0, 0, -1, 1, 2)),
+            (_cli_pair("--model lg --l 1 --m 1"), _lg_mode(1, -1)),
+            (_cli_pair("--model lg --l 2 --m -3"), _lg_mode(2, 3)),
+            (_cli_pair("--model angular --l 3 --L 2 --M 2"), lambda: cg_matrix(3, 2, -2)),
+            (_cli_pair("--model spherium --M 1"), lambda: SpheriumState(-1).coefficients()),
+        ],
+    )
+    def test_second_state(self, make_pair, second):
+        pair = make_pair()
+        assert pair.mirror is not None
+        _assert_second_state(pair, second, pair.label.startswith("spherium"))
+
+    @pytest.mark.parametrize(
+        "make_pair",
+        [
+            _row(1, 1), _row(1, 2), _row(4, 2),
+            lambda: lg_pair(LGMode(2, 1), LGMode(2, 2)),
+            lambda: angular_pair(3, 2, 2, 1), lambda: angular_pair(3, 2, 2, 2),
+            lambda: angular_pair(3, 2, 0), lambda: spherium_pair(0), lambda: spherium_pair(1, 1),
+            lambda: lg_pair(LGMode(1, 0), LGMode(1, 0)),
+            lambda: oscillator_pair(OscState(1, 0, 0, 0), OscState(1, 0, 0, 0)),
+        ],
+        ids=["table-1-1", "table-1-2", "table-4-2", "lg-2-1-2-2", "angular-M-1", "angular-M-M",
+             "angular-M0", "spherium-M0", "spherium-M-M", "lg-m0", "oscillator-m0-p0"],
+    )
+    def test_not_declared(self, make_pair):
+        pair = make_pair()
+        assert pair.mirror is None
+        assert entropy_curve(pair, 7).solved_points == 7
+
+    @pytest.mark.parametrize("table, row", MIRROR_PARAMS)
+    def test_mirrored_matches_full(self, table, row):
+        # the same amplitudes solved in full: only the mirrored half moves
+        pair = reference_table(table)[row].pair
+        full = dataclasses.replace(pair, mirror=None)
+        got, want = criterion_vs_observation(pair), criterion_vs_observation(full)
+        np.testing.assert_allclose(
+            entropy_curve(pair).entropies, entropy_curve(full).entropies, rtol=0, atol=1e-13
+        )
+        assert got.report.s0 == want.report.s0 and got.report.qc == want.report.qc
+        assert got.observed.label == want.observed.label
+        assert got.report.s1 == got.report.s0
+        assert abs(got.report.s1 - want.report.s1) <= 1e-13
+        tol = 1e-14 if table == 3 else 0.0
+        assert abs(got.report.s_ns - want.report.s_ns) <= tol
+        assert abs(got.report.s_r - want.report.s_r) <= tol
+
+    @pytest.mark.parametrize("grid", [5, 8, 41, 42])
+    def test_solved_points(self, monkeypatch, grid):
+        pair = angular_pair(4, 3, 2)
+        full = dataclasses.replace(pair, mirror=None)
+        points = []
+
+        def spy(a, _solve=np.linalg.eigvalsh):
+            points.append(np.shape(a)[0])
+            return _solve(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        half = entropy_curve(pair, grid)
+        assert half.solved_points == (grid + 1) // 2
+        # one call per block size, holding every solved point
+        assert set(points) == {half.solved_points}
+        points.clear()
+        whole = entropy_curve(full, grid)
+        assert whole.solved_points == grid and set(points) == {grid}
+        np.testing.assert_allclose(half.entropies, whole.entropies, rtol=0, atol=1e-13)
+        assert half.entropies == half.entropies[::-1]
+
+    def test_criterion_solves_only_the_reference(self, monkeypatch):
+        pair = reference_table(2)[0].pair
+        gram = gram_blocks(*pair.amplitudes())
+        rho0 = gram.endpoint(0)
+        solved = []
+
+        def spy(self, blocks, _solve=GramBlocks.spectrum):
+            solved.append(blocks)
+            return _solve(self, blocks)
+
+        monkeypatch.setattr(GramBlocks, "spectrum", spy)
+        pair_criterion(pair, gram=gram)
+        assert len(solved) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(solved[0], rho0))
+        solved.clear()
+        pair_criterion(dataclasses.replace(pair, mirror=None), gram=gram)
+        assert len(solved) == 2
 
 
 def test_table_forms_one_trace_out_per_row(monkeypatch):
@@ -659,7 +816,10 @@ class TestEntropyCurveBuilder:
         assert max(curve.entropies) - min(curve.entropies) < 1e-10
 
     def test_mirror_symmetry(self):
-        curve = entropy_curve(angular_pair(3, 2, 2), grid_size=11)
+        # the symmetry a mirror pair relies on, on the curve solved in full
+        pair = dataclasses.replace(angular_pair(3, 2, 2), mirror=None)
+        curve = entropy_curve(pair, grid_size=11)
+        assert curve.solved_points == 11
         s = np.array(curve.entropies)
         np.testing.assert_allclose(s, s[::-1], atol=1e-8)
 
