@@ -8,6 +8,9 @@ criterion  single criterion evaluation for an ad-hoc pair
 probe      randomized projector probe for an ad-hoc pair
 
 Exit codes: 0 all rows agree, 1 a disagreement, 2 numerical/usage failure.
+A flag that the subcommand or the chosen model does not read is a usage
+error: ``table`` reads only ``--tol``, ``--alpha-steps``, ``--log-base``,
+``--out`` and ``--config``, and only ``curve`` writes ``--svg``.
 CSV output is deterministic for a fixed configuration and seed: header
 row, comma separators, 12 significant digits.  The library computes in
 bits; ``--log-base`` only converts the printed entropies, so labels, Q_c
@@ -139,6 +142,24 @@ MODEL_FLAGS = {
 }
 
 
+ALL_MODEL_FLAGS = tuple(sorted({d for dests in MODEL_FLAGS.values() for d in dests}))
+# the shared flags each subcommand does not read, by dest; they default to
+# None there, so that a given one is seen
+UNREAD_FLAGS = {
+    "table": ("model", *ALL_MODEL_FLAGS, "samples", "seed", "svg"),
+    "criterion": ("svg",),
+    "probe": ("svg",),
+}
+
+
+def reject_unread(args, dests, reader: str) -> None:
+    """Raise a usage error naming every flag of ``dests`` that was given (is not None)."""
+    given = ["--lambda" if d == "lam" else "--" + d.replace("_", "-")
+             for d in dests if getattr(args, d) is not None]
+    if given:
+        raise ValueError(f"{reader} does not read {', '.join(given)}")
+
+
 def build_pair(args):
     """PairSpec from --model plus the per-model quantum-number flags.
 
@@ -149,11 +170,7 @@ def build_pair(args):
         raise ValueError("--model is required")
     if model not in MODEL_FLAGS:
         raise ValueError(f"unknown model {model!r}")
-    unread = sorted({d for dests in MODEL_FLAGS.values() for d in dests} - set(MODEL_FLAGS[model]))
-    given = ["--lambda" if d == "lam" else "--" + d.replace("_", "-")
-             for d in unread if getattr(args, d) is not None]
-    if given:
-        raise ValueError(f"the {model} model does not read {', '.join(given)}")
+    reject_unread(args, sorted(set(ALL_MODEL_FLAGS) - set(MODEL_FLAGS[model])), f"the {model} model")
     if model == "angular":
         if args.l is None or args.L is None or args.M is None:
             raise ValueError("angular pairs need --l --L --M")
@@ -313,7 +330,7 @@ def make_parser(defaults: dict[str, str]) -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=text)
         _add_common(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, **dict.fromkeys(UNREAD_FLAGS.get(name, ())))
         if name == "table":
             p.add_argument("table_id", type=int, choices=TABLE_IDS)
             p.set_defaults(log_base=None)  # detected per table
@@ -326,6 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         args = make_parser(config_defaults(argv)).parse_args(argv)
         if args.alpha_steps < 5:
             raise ValueError("--alpha-steps must be at least 5")
+        reject_unread(args, UNREAD_FLAGS.get(args.command, ()), f"entconvex {args.command}")
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,14 @@ lambda = 0 expansion terminates exactly, and the interacting case is
 integrated by Gauss-Hermite quadrature (the integrands are polynomials
 times Gaussians, so the quadrature itself is exact at sufficient order).
 Coefficient tensors are memoized in memory for the life of the process.
+
+Every array this module returns is in one fixed phase gauge: each
+particle's basis function f_kx(x) f_ky(y) is multiplied by i^(-ky)
+(:func:`gauge_phases`).  In that gauge x and p_y are real and y and p_x
+imaginary, so the Hamiltonian and each particle's L_z are real, and so
+is every eigenstate.  The gauge is a diagonal local unitary: it commutes
+with the truncation, keeps every reduced spectrum, and multiplying by a
+power of i is exact in floating point.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 NORM_DEFICIT_TOL = 1e-6
+# the imaginary part a gauged tensor drops, relative to its largest entry
+GAUGE_IMAG_TOL = 1e-12
 
 
 def omega_relative(lam: float) -> float:
@@ -156,13 +166,21 @@ def _overlap_tensor(n_basis: int, a_max: int, c_max: int, omega_r: float, order:
     return out
 
 
+def gauge_phases(nb: int) -> np.ndarray:
+    """i^(-k) for each one-coordinate Hermite index k < ``nb``, exactly."""
+    return np.array([1.0, -1.0j, -1.0, 1.0j])[np.arange(nb) % 4]
+
+
 def coefficient_tensor(state: OscState, basis: OscBasisSpec | None = None) -> np.ndarray:
-    """Unit-norm bipartite amplitudes of one eigenstate over the f^1 product basis.
+    """Unit-norm real bipartite amplitudes of one eigenstate over the gauged f^1 product basis.
 
     Rows group particle 1's (x, y) Hermite indices, columns particle
-    2's; the array is read-only.  Raises when the truncated expansion
-    loses more than 1e-6 of the norm (basis too small).  Results are
-    memoized in memory (an alpha sweep reads them once per grid point).
+    2's, y fastest; the array is read-only.  The Cartesian amplitudes c
+    are returned as D c D^T with D = diag(i^(-ky)) (the module's gauge),
+    which is real: a dropped imaginary part above ``GAUGE_IMAG_TOL`` of
+    the largest entry raises.  Raises when the truncated expansion loses
+    more than 1e-6 of the norm (basis too small).  Results are memoized in
+    memory (an alpha sweep reads them once per grid point).
     """
     return _coefficient_tensor_cached(state, basis or OscBasisSpec())
 
@@ -189,15 +207,32 @@ def _coefficient_tensor_cached(state: OscState, basis: OscBasisSpec) -> np.ndarr
             # c4[i1, j1, i2, j2] += coef * Ox[i1, i2, a, cc] * Oy[j1, j2, b, d]
             c4 += coef * np.einsum("ik,jl->ijkl", ox[:, :, a, cc], ox[:, :, b, d])
 
-    amp = c4.reshape(nb * nb, nb * nb)
+    gauged = c4.reshape(nb * nb, nb * nb)
+    phase = np.tile(gauge_phases(nb), nb)  # D, row by row
+    gauged *= phase[:, None]  # in place: each factor is a power of i, so exact
+    gauged *= phase
+    dropped = float(np.max(np.abs(gauged.imag)))
+    amp = gauged.real + 0.0  # no negative zeros, like the mirror's image (sweep.Mirror)
+    if dropped > GAUGE_IMAG_TOL * float(np.max(np.abs(amp))):
+        raise ValueError(f"gauged amplitudes keep an imaginary part {dropped:.3e}")
     norm = np.linalg.norm(amp)
     if norm**2 < 1.0 - NORM_DEFICIT_TOL:
         raise ValueError(
             f"norm deficit {1.0 - norm**2:.3e} beyond {NORM_DEFICIT_TOL}; enlarge the basis"
         )
-    amp = amp / norm
+    amp /= norm
     amp.setflags(write=False)
     return amp
+
+
+def mirror_parity(dim: int) -> np.ndarray:
+    """(-1)^ky for each of the ``dim`` rows of a :func:`coefficient_tensor`.
+
+    In the gauge this is the reflection y -> -y, which maps the state
+    (n, m, l, p) onto (n, -m, l, -p).
+    """
+    nb = math.isqrt(dim)
+    return 1 - 2 * (np.arange(dim) % nb % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +251,24 @@ def _ladder_matrices(nb: int):
 
 
 def angular_momentum_matrix(basis: OscBasisSpec | None = None) -> np.ndarray:
-    """One-particle L_z = x p_y - y p_x on the (x, y) Hermite product basis.
+    """One-particle L_z = x p_y - y p_x on the gauged (x, y) Hermite product basis.
 
     This is the conserved quantity of the reduced problem: both endpoint
     reduced densities commute with it, so it labels their eigenvectors by
     angular momentum sectors.  Used to restrict the not-shared-entropy
     projector freedom to symmetry-respecting choices (the convention of a
     symmetry-adapted variational treatment).
+
+    It is returned as D L_z D^dagger, D = diag(i^(-ky)) as for
+    :func:`coefficient_tensor`: the gauged y is imaginary and the gauged
+    p_y real, so both terms are products of two factors of one kind and
+    the operator is real symmetric, with no rounding from the gauge.
     """
     basis = basis or OscBasisSpec()
     nb = basis.n_per_coordinate
     x, p = _ladder_matrices(nb)
-    lz = np.kron(x, p) - np.kron(p, x)
-    return 0.5 * (lz + lz.conj().T)
+    d = gauge_phases(nb)
+    y = d[:, None] * x * d.conj()
+    py = d[:, None] * p * d.conj()
+    lz = (np.kron(x, py) - np.kron(p, y)).real
+    return 0.5 * (lz + lz.T)

@@ -46,23 +46,31 @@ class Mirror:
     """A local symmetry T that maps the first state of a pair onto the second.
 
     c1 = T(c0) = sign * P K(c0) P^T.  K is complex conjugation when
-    ``conj`` is set and the identity otherwise.  P is a real permutation
-    involution that acts alike on both parties; ``flip(n)`` gives the image
-    of each of n basis indices, and None stands for the identity.  T maps
-    M to -M, and it maps c1 back onto c0, since P^2 = K^2 = 1 and sign^2 = 1.
-    Being local, it keeps every entanglement spectrum, so a mirror pair has
-    S(alpha) = S(1 - alpha) and S1 = S0.
+    ``conj`` is set and the identity otherwise.  P is a real
+    signed-permutation involution that acts alike on both parties:
+    ``flip(n)`` gives the image of each of n basis indices (None: no
+    permutation), and ``parity(n)`` the sign, +1 or -1, that each image
+    carries (None: all +1).  T maps M to -M, and it maps c1 back onto c0,
+    since P^2 = K^2 = 1 and sign^2 = 1.  Being local, it keeps every
+    entanglement spectrum, so a mirror pair has S(alpha) = S(1 - alpha)
+    and S1 = S0.  Every sign is applied exactly, with no negative zeros.
+    The oscillator's P is diag((-1)^ky), with no conjugation, exact in its
+    phase gauge (:mod:`entconvex.oscillator`); only LG conjugates.
     """
 
     sign: int
     conj: bool
     flip: Callable[[int], np.ndarray] | None
+    parity: Callable[[int], np.ndarray] | None = None
 
     def __call__(self, c0: np.ndarray) -> np.ndarray:
         c = c0.conj() if self.conj else c0
         if self.flip is not None:
             c = c[np.ix_(self.flip(c.shape[0]), self.flip(c.shape[1]))]
-        if self.sign < 0:
+        if self.parity is not None:
+            negate = np.outer(self.parity(c.shape[0]), self.parity(c.shape[1])) != self.sign
+            c = np.where(negate, 0.0 - c, c)
+        elif self.sign < 0:
             c = 0.0 - c  # not -c: a directly built state holds no negative zeros
         c.setflags(write=False)
         return c
@@ -368,12 +376,16 @@ def angular_pair(l: int, L: int, M: int, Mprime: int | None = None) -> PairSpec:
 
 
 def oscillator_pair(state0, state1, basis=None, use_sectors: bool = True) -> PairSpec:
-    """Two degenerate oscillator eigenstates over one Hermite basis.
+    """Two degenerate oscillator eigenstates over one gauged Hermite basis.
 
     When state1 is state0 with m -> -m and p -> -p, and another state, it
-    is a mirror pair: the cylindrical modes of -m are the complex
-    conjugates of those of m, and the Hermite basis is real, so c1 =
-    conj(c0).
+    is a mirror pair.  The cylindrical modes of -m are the complex
+    conjugates of those of m over the real Hermite basis; in the
+    oscillator's phase gauge D = diag(i^(-ky)) (see
+    :mod:`entconvex.oscillator`), where both states are real, that
+    conjugation is D^2 = diag((-1)^ky), the reflection y -> -y.  So c1 =
+    P c0 P^T with P = diag((-1)^ky) on both parties and no conjugation,
+    which holds bitwise.
     """
     from . import oscillator
 
@@ -385,7 +397,7 @@ def oscillator_pair(state0, state1, basis=None, use_sectors: bool = True) -> Pai
             stacklevel=2,
         )
     image = oscillator.OscState(state0.n, -state0.m, state0.l, -state0.p, state0.lam)
-    mirror = Mirror(1, True, None) if state1 == image != state0 else None
+    mirror = Mirror(1, False, None, oscillator.mirror_parity) if state1 == image != state0 else None
     sector = oscillator.angular_momentum_matrix(basis) if use_sectors else None
     return PairSpec(
         amplitudes=_amplitudes(

@@ -23,6 +23,7 @@ from entconvex.oscillator import (
     OscState,
     _ladder_matrices,
     coefficient_tensor,
+    gauge_phases,
     kappa_coefficients,
     omega_relative,
 )
@@ -360,6 +361,19 @@ def dense_projector_probe(
 # oscillator: energy and L_z of the expanded state
 
 
+def cartesian_tensor(state: OscState, basis: OscBasisSpec | None = None) -> np.ndarray:
+    """The Cartesian amplitudes D^dagger c D^dagger^T of ``coefficient_tensor``'s c.
+
+    Undoes the phase gauge D = diag(i^(-ky)) exactly (each entry is
+    multiplied by a power of i), so the oscillator oracles, written in the
+    Cartesian Hermite basis, read the package's tensor through this alone.
+    """
+    basis = basis or OscBasisSpec()
+    nb = basis.n_per_coordinate
+    phase = np.tile(gauge_phases(nb), nb).conj()
+    return coefficient_tensor(state, basis) * np.outer(phase, phase)
+
+
 def _apply_1d(op: np.ndarray, c4: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(op, c4, axes=([1], [axis])), 0, axis)
 
@@ -374,7 +388,7 @@ def energy_expectation(state: OscState, basis: OscBasisSpec | None = None) -> fl
     """
     basis = basis or OscBasisSpec()
     nb = basis.n_per_coordinate
-    c4 = coefficient_tensor(state, basis).reshape(nb, nb, nb, nb)
+    c4 = cartesian_tensor(state, basis).reshape(nb, nb, nb, nb)
     x, p = _ladder_matrices(nb)
     wr = omega_relative(state.lam)
     x2 = x @ x
@@ -397,7 +411,7 @@ def lz_residual(state: OscState, basis: OscBasisSpec | None = None) -> float:
     """|| (L_z - (m + p)) |psi> || in the truncated basis."""
     basis = basis or OscBasisSpec()
     nb = basis.n_per_coordinate
-    c4 = coefficient_tensor(state, basis).reshape(nb, nb, nb, nb)
+    c4 = cartesian_tensor(state, basis).reshape(nb, nb, nb, nb)
     x, p = _ladder_matrices(nb)
     acc = np.zeros_like(c4)
     # L_z = sum_particles x p_y - y p_x;  axes: (x1, y1, x2, y2)
@@ -475,7 +489,8 @@ def overlap_analytic(a: int, c: int, i1: int, i2: int) -> float:
 
 
 def coefficient_tensor_analytic(state: OscState, basis: OscBasisSpec | None = None) -> np.ndarray:
-    """lambda = 0 tensor from the analytic overlaps; oracle for the quadrature."""
+    """lambda = 0 Cartesian tensor from the analytic overlaps; oracle for the
+    quadrature tensor as :func:`cartesian_tensor` returns it."""
     if state.lam != 0.0:
         raise ValueError("analytic construction only at lambda = 0")
     basis = basis or OscBasisSpec()

@@ -1,0 +1,39 @@
+"""Every dense-tables benchmark pair against its recorded outputs.
+
+The quick benchmark run checks two of the six pairs (tables 2 and 3 of the
+reference rows), so this runs each through the benchmark's own pair
+builder, verdict and check against ``perfbench/expected/dense-tables.json``:
+labels, Q_c and the convexity verdict exactly, every entropy and the
+whole curve within the benchmark's 1e-12.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(BENCH))
+
+from child import build_pairs, capture_curves, verdict  # noqa: E402
+from run import check_pair  # noqa: E402
+from workloads import canonical  # noqa: E402
+
+from entconvex import sweep  # noqa: E402
+
+
+def test_dense_tables_pairs_pass_the_benchmark_check(monkeypatch):
+    # capture_curves rebinds sweep.entropy_curve in every entconvex module;
+    # each binding is registered here first so that teardown restores it
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "entconvex" and getattr(mod, "entropy_curve", None) is sweep.entropy_curve:
+            monkeypatch.setattr(mod, "entropy_curve", sweep.entropy_curve)
+    curves = capture_curves()
+    specs = canonical("dense-tables")
+    recorded = json.loads((BENCH / "expected" / "dense-tables.json").read_text())["pairs"]
+    assert len(recorded) == len(specs) == 6
+    failures = []
+    for want, pair in zip(recorded, build_pairs(specs)):
+        error = check_pair(verdict(pair, curves), want)
+        if error:
+            failures.append(f"{want['label']}: {error}")
+    assert not failures

@@ -30,6 +30,36 @@ class TestTable:
         with pytest.raises(SystemExit):
             main(["table", "9"])
 
+    @pytest.mark.parametrize(
+        "unread",
+        ["--model angular", "--l 3 --L 1", "--lambda 0.7", "--basis-size 10", "--samples 10",
+         "--seed 1", "--svg table.svg"],
+    )
+    def test_unread_flag_is_usage_error(self, capsys, tmp_path, monkeypatch, unread):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "table", "5", *unread.split())
+        assert code == 2
+        assert err.startswith("error:") and out == ""
+        for flag in unread.split()[::2]:
+            assert flag in err
+        assert not (tmp_path / "table.svg").exists()
+
+    def test_unread_config_key_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\n")
+        code, out, err = run(capsys, "table", "5", "--config", str(cfg))
+        assert code == 2
+        assert "--seed" in err and out == ""
+
+    def test_read_flags_accepted(self, capsys, tmp_path):
+        out_file = tmp_path / "t.csv"
+        code, _, _ = run(
+            capsys, "table", "5", "--tol", "1e-3", "--alpha-steps", "9", "--log-base", "e",
+            "--out", str(out_file),
+        )
+        assert code == 0
+        assert len(out_file.read_text().strip().splitlines()) == 7
+
 
 class TestCurve:
     def test_csv_grid(self, capsys, tmp_path):
@@ -81,6 +111,18 @@ class TestCriterion:
         assert vals["qc"] == "1"
         assert vals["convexity_observed"] == "convex"
 
+
+    @pytest.mark.parametrize("command", ["criterion", "probe"])
+    def test_svg_is_usage_error(self, capsys, tmp_path, command):
+        # only the curve writes a plot
+        svg = tmp_path / "c.svg"
+        code, out, err = run(
+            capsys, command, "--model", "angular", "--l", "3", "--L", "1", "--M", "1",
+            "--samples", "10", "--svg", str(svg),
+        )
+        assert code == 2
+        assert "--svg" in err and out == ""
+        assert not svg.exists()
 
     @pytest.mark.parametrize("lam", ["inf", "nan", "-0.5"])
     def test_bad_lambda_is_usage_error(self, capsys, lam):

@@ -7,18 +7,21 @@ import numpy as np
 import pytest
 from scipy.special import roots_hermite
 
+from entconvex import oscillator
 from entconvex.oscillator import (
     OscBasisSpec,
     OscState,
+    _ladder_matrices,
     angular_momentum_matrix,
     coefficient_tensor,
+    gauge_phases,
     gauss_hermite,
     kappa_coefficients,
     omega_relative,
 )
-from entconvex.spectra import eigendecompose, von_neumann_entropy
+from entconvex.spectra import eigendecompose, gram_blocks, von_neumann_entropy
 from entconvex.sweep import oscillator_pair, pair_criterion
-from oracles import coefficient_tensor_analytic, energy_expectation, lz_residual
+from oracles import cartesian_tensor, coefficient_tensor_analytic, energy_expectation, lz_residual
 
 SMALL = OscBasisSpec(n_per_coordinate=10, quadrature_order=32)
 
@@ -87,7 +90,7 @@ class TestDecoupledLimit:
         for q in [(0, 0, 1, -1), (1, 1, 0, 0), (0, -2, 0, 0)]:
             s = OscState(*q, 0.0)
             a = coefficient_tensor_analytic(s, SMALL)
-            b = coefficient_tensor(s, SMALL)
+            b = cartesian_tensor(s, SMALL)
             assert min(
                 np.max(np.abs(a - b)), np.max(np.abs(a + b))
             ) < 1e-10  # global phase free
@@ -138,6 +141,77 @@ class TestCoupled:
         np.testing.assert_allclose(
             np.linalg.eigvalsh(a.entries), np.linalg.eigvalsh(b.entries), atol=1e-10
         )
+
+
+class TestGauge:
+    """The phase gauge D = diag(i^(-ky)) makes every oscillator array real."""
+
+    STATES = [(0, 0, 3, -1, 0.0), (1, 1, 2, 0, 0.0), (1, -1, 0, 0, 0.7), (2, 1, 0, 0, 0.7),
+              (0, -2, 0, 0, 0.7), (0, 1, 1, -2, 0.3)]
+
+    def test_gauge_phases_exact(self):
+        assert np.array_equal(gauge_phases(9), [1, -1j, -1, 1j, 1, -1j, -1, 1j, 1])
+
+    @pytest.mark.parametrize("q", STATES)
+    def test_tensor_real(self, q):
+        c = coefficient_tensor(OscState(*q))
+        assert c.dtype == np.float64 and not c.flags.writeable
+        assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-14)
+
+    # (1, 1, 2, 0) is left out: its p = 0, l = 2 mode is real only after
+    # its i^(k - j) phases cancel, to 4e-17, so its image is not bitwise
+    @pytest.mark.parametrize("q", [q for q in STATES if q[:4] != (1, 1, 2, 0)])
+    def test_mirror_bitwise(self, q):
+        # P = diag((-1)^ky), with no conjugation, maps the state onto its image exactly
+        s0 = OscState(*q)
+        image = OscState(s0.n, -s0.m, s0.l, -s0.p, s0.lam)
+        pair = oscillator_pair(s0, image)
+        c0, c1 = pair.amplitudes()
+        want = coefficient_tensor(image)
+        assert not pair.mirror.conj
+        assert np.array_equal(c1, want)
+        assert np.array_equal(np.signbit(c1), np.signbit(want))
+
+    def test_cartesian_tensor_is_exact_inverse(self):
+        s = OscState(1, -1, 0, 0, 0.7)
+        c = cartesian_tensor(s)
+        nb = OscBasisSpec().n_per_coordinate
+        phase = np.tile(gauge_phases(nb), nb)
+        assert np.array_equal((c * np.outer(phase, phase)).real, coefficient_tensor(s))
+
+    def test_imaginary_remainder_raises(self, monkeypatch):
+        # a kappa phase off the gauge's powers of i leaves the amplitudes complex
+        kappa = oscillator.kappa_coefficients
+        monkeypatch.setattr(
+            oscillator, "kappa_coefficients",
+            lambda n, m: {k: v * np.exp(0.25j * np.pi) for k, v in kappa(n, m).items()},
+        )
+        oscillator._coefficient_tensor_cached.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="imaginary"):
+                coefficient_tensor(OscState(1, 1, 0, 0, 0.0), SMALL)
+        finally:
+            oscillator._coefficient_tensor_cached.cache_clear()
+
+    @pytest.mark.parametrize("basis", [SMALL, OscBasisSpec()])
+    def test_lz_real_symmetric(self, basis):
+        lz = angular_momentum_matrix(basis)
+        assert lz.dtype == np.float64
+        assert np.array_equal(lz, lz.T)
+        # D L_z D^dagger of the Cartesian x p_y - y p_x
+        nb = basis.n_per_coordinate
+        x, p = _ladder_matrices(nb)
+        cart = np.kron(x, p) - np.kron(p, x)
+        d = np.tile(gauge_phases(nb), nb)
+        np.testing.assert_allclose(lz, d[:, None] * cart * d.conj(), rtol=0, atol=1e-14)
+
+    def test_pair_solved_in_real_arithmetic(self):
+        pair = oscillator_pair(OscState(1, -1, 0, 0, 0.7), OscState(1, 1, 0, 0, 0.7))
+        gram = gram_blocks(*pair.amplitudes())
+        assert all(terms.dtype == np.float64 for _, terms in gram.groups)
+        for state in (0, 1):
+            spec = gram.spectrum(gram.endpoint(state))
+            assert all(u.dtype == np.float64 for _, u in spec.groups)
 
 
 class TestSectorConvention:
