@@ -9,8 +9,8 @@ probe      randomized projector probe for an ad-hoc pair
 
 Exit codes: 0 all rows agree, 1 a disagreement, 2 numerical/usage failure.
 A flag that the subcommand or the chosen model does not read is a usage
-error: ``table`` reads only ``--tol``, ``--alpha-steps``, ``--log-base``,
-``--out`` and ``--config``, and only ``curve`` writes ``--svg``.
+error, whether given on the command line or in a config file; ``READS``
+declares what each subcommand reads.
 CSV output is deterministic for a fixed configuration and seed: header
 row, comma separators, 12 significant digits.  The library computes in
 bits; ``--log-base`` only converts the printed entropies, so labels, Q_c
@@ -141,14 +141,14 @@ MODEL_FLAGS = {
     "lg": ("l", "m", "l2", "m2", "basis_size"),
 }
 
-
 ALL_MODEL_FLAGS = tuple(sorted({d for dests in MODEL_FLAGS.values() for d in dests}))
-# the shared flags each subcommand does not read, by dest; they default to
-# None there, so that a given one is seen
-UNREAD_FLAGS = {
-    "table": ("model", *ALL_MODEL_FLAGS, "samples", "seed", "svg"),
-    "criterion": ("svg",),
-    "probe": ("svg",),
+PAIR_FLAGS = ("model", *ALL_MODEL_FLAGS, "log_base", "out", "config")
+# the flags each subcommand reads, by dest; the others default to None, so a given one is seen
+READS = {
+    "table": ("tol", "alpha_steps", "log_base", "out", "config"),
+    "curve": (*PAIR_FLAGS, "alpha_steps", "svg"),
+    "criterion": (*PAIR_FLAGS, "alpha_steps"),
+    "probe": (*PAIR_FLAGS, "samples", "seed"),
 }
 
 
@@ -329,8 +329,8 @@ def make_parser(defaults: dict[str, str]) -> argparse.ArgumentParser:
         ("probe", cmd_probe, "randomized projector probe for a pair"),
     ]:
         p = sub.add_parser(name, help=text)
-        _add_common(p)
-        p.set_defaults(func=func, **dict.fromkeys(UNREAD_FLAGS.get(name, ())))
+        unread = sorted(set(_add_common(p).values()) - set(READS[name]))
+        p.set_defaults(func=func, unread=unread, **dict.fromkeys(unread))
         if name == "table":
             p.add_argument("table_id", type=int, choices=TABLE_IDS)
             p.set_defaults(log_base=None)  # detected per table
@@ -341,9 +341,9 @@ def make_parser(defaults: dict[str, str]) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = make_parser(config_defaults(argv)).parse_args(argv)
-        if args.alpha_steps < 5:
+        reject_unread(args, args.unread, f"entconvex {args.command}")
+        if args.alpha_steps is not None and args.alpha_steps < 5:
             raise ValueError("--alpha-steps must be at least 5")
-        reject_unread(args, UNREAD_FLAGS.get(args.command, ()), f"entconvex {args.command}")
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

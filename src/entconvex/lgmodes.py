@@ -67,6 +67,22 @@ def _genlaguerre(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
     return float(math.comb(n + alpha, n)) * p
 
 
+def _mode_profile(l: int, m: int, n_basis: int, order: int) -> np.ndarray:
+    """The amplitudes v_a(y_q) of :func:`mode_columns` before conjugation and normalization."""
+    if n_basis < 1 or order < 1:
+        raise ValueError("basis and quadrature sizes must be positive")
+    t, wt = gauss_hermite(order)
+    xs = math.sqrt(2.0 / 3.0) * t
+    u, wu = t, wt  # the y-nodes use the same rule
+    ys = u / math.sqrt(2.0)
+
+    f = hermite_functions(n_basis - 1, xs) * np.exp(0.5 * t * t)[None, :]
+    prof = lg_evaluate(LGMode(l, m), xs[:, None], ys[None, :])
+    prof = prof * np.exp(0.5 * t * t)[:, None]
+    v = math.sqrt(2.0 / 3.0) * np.einsum("ai,i,iq->aq", f, wt, prof)
+    return v * np.exp(0.5 * u * u)[None, :] * np.sqrt(wu)[None, :] / 2.0 ** 0.25
+
+
 @lru_cache(maxsize=64)
 def mode_columns(l: int, m: int, n_basis: int, order: int) -> np.ndarray:
     """Amplitudes conj(v_a(y_q)) of the unit-norm mode over x-basis and y-nodes.
@@ -79,18 +95,7 @@ def mode_columns(l: int, m: int, n_basis: int, order: int) -> np.ndarray:
     of the returned c is the reduced density over x in the convention
     rho_ab = integral dy conj(v_a) v_b.
     """
-    if n_basis < 1 or order < 1:
-        raise ValueError("basis and quadrature sizes must be positive")
-    t, wt = gauss_hermite(order)
-    xs = math.sqrt(2.0 / 3.0) * t
-    u, wu = t, wt  # the y-nodes use the same rule
-    ys = u / math.sqrt(2.0)
-
-    f = hermite_functions(n_basis - 1, xs) * np.exp(0.5 * t * t)[None, :]
-    prof = lg_evaluate(LGMode(l, m), xs[:, None], ys[None, :])
-    prof = prof * np.exp(0.5 * t * t)[:, None]
-    v = math.sqrt(2.0 / 3.0) * np.einsum("ai,i,iq->aq", f, wt, prof)
-    v = v * np.exp(0.5 * u * u)[None, :] * np.sqrt(wu)[None, :] / 2.0 ** 0.25
+    v = _mode_profile(l, m, n_basis, order)
     # unit norm: the Gram trace is the squared L2 norm of the captured profile
     nrm = math.sqrt(np.sum(np.abs(v) ** 2).real)
     if nrm <= 0.0:
@@ -102,7 +107,11 @@ def mode_columns(l: int, m: int, n_basis: int, order: int) -> np.ndarray:
 
 def mode_norm_capture(mode: LGMode, n_basis: int = DEFAULT_BASIS_SIZE,
                       order: int = DEFAULT_QUADRATURE_ORDER) -> float:
-    """Fraction of the mode norm captured by the Hermite basis (should be ~1)."""
-    v = mode_columns(mode.l, mode.m, n_basis, order)
-    big = mode_columns(mode.l, mode.m, n_basis + 16, order)
+    """Fraction of the mode norm the Hermite basis captures, against 16 more functions.
+
+    A diagnostic: it reads the squared norms of the profiles before
+    :func:`mode_columns` normalizes them.
+    """
+    v = _mode_profile(mode.l, mode.m, n_basis, order)
+    big = _mode_profile(mode.l, mode.m, n_basis + 16, order)
     return float(np.sum(np.abs(v) ** 2) / np.sum(np.abs(big) ** 2))

@@ -15,7 +15,8 @@ particle's basis function f_kx(x) f_ky(y) is multiplied by i^(-ky)
 imaginary, so the Hamiltonian and each particle's L_z are real, and so
 is every eigenstate.  The gauge is a diagonal local unitary: it commutes
 with the truncation, keeps every reduced spectrum, and multiplying by a
-power of i is exact in floating point.
+power of i is exact in floating point.  It acts on the y-factors alone,
+so only their small table is complex, and one real contraction follows.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 NORM_DEFICIT_TOL = 1e-6
-# the imaginary part a gauged tensor drops, relative to its largest entry
+# the imaginary part the gauged y-factor table drops, relative to its largest entry
 GAUGE_IMAG_TOL = 1e-12
 
 
@@ -175,12 +176,15 @@ def coefficient_tensor(state: OscState, basis: OscBasisSpec | None = None) -> np
     """Unit-norm real bipartite amplitudes of one eigenstate over the gauged f^1 product basis.
 
     Rows group particle 1's (x, y) Hermite indices, columns particle
-    2's, y fastest; the array is read-only.  The Cartesian amplitudes c
-    are returned as D c D^T with D = diag(i^(-ky)) (the module's gauge),
-    which is real: a dropped imaginary part above ``GAUGE_IMAG_TOL`` of
-    the largest entry raises.  Raises when the truncated expansion loses
-    more than 1e-6 of the norm (basis too small).  Results are memoized in
-    memory (an alpha sweep reads them once per grid point).
+    2's, y fastest; the array is read-only.  It is D c D^T, with c the
+    Cartesian amplitudes and D = diag(i^(-ky)) the module's gauge.  With
+    kappa summed per y-quantum (b = j + k, d = r + s), D c D^T[x1 y1,
+    x2 y2] = sum_bd O[x1, x2, a_max - b, c_max - d] T[y1, y2, b, d], where
+    T = i^-(y1 + y2) kappa_c[b] kappa_r[d] O[y1, y2, b, d] is the only
+    complex array; an imaginary part of T above ``GAUGE_IMAG_TOL`` of its
+    largest real entry raises.  Raises when the truncated expansion loses
+    more than 1e-6 of the norm (basis too small).  Results are memoized
+    in memory (an alpha sweep reads them once per grid point).
     """
     return _coefficient_tensor_cached(state, basis or OscBasisSpec())
 
@@ -194,27 +198,20 @@ def _coefficient_tensor_cached(state: OscState, basis: OscBasisSpec) -> np.ndarr
     c_max = 2 * state.l + abs(state.p)
     ox = _overlap_tensor(nb, a_max, c_max, wr, basis.quadrature_order)
 
-    kap_r = kappa_coefficients(state.n, state.m)
-    kap_rel = kappa_coefficients(state.l, state.p)
-    c4 = np.zeros((nb, nb, nb, nb), dtype=complex)
-    for (j, k), kr in kap_r.items():
-        a = 2 * state.n + abs(state.m) - j - k
-        b = j + k
-        for (r, s), kv in kap_rel.items():
-            cc = 2 * state.l + abs(state.p) - r - s
-            d = r + s
-            coef = kr * kv
-            # c4[i1, j1, i2, j2] += coef * Ox[i1, i2, a, cc] * Oy[j1, j2, b, d]
-            c4 += coef * np.einsum("ik,jl->ijkl", ox[:, :, a, cc], ox[:, :, b, d])
-
-    gauged = c4.reshape(nb * nb, nb * nb)
-    phase = np.tile(gauge_phases(nb), nb)  # D, row by row
-    gauged *= phase[:, None]  # in place: each factor is a power of i, so exact
-    gauged *= phase
-    dropped = float(np.max(np.abs(gauged.imag)))
-    amp = gauged.real + 0.0  # no negative zeros, like the mirror's image (sweep.Mirror)
-    if dropped > GAUGE_IMAG_TOL * float(np.max(np.abs(amp))):
+    kap = []  # kappa summed per y-quantum: b = j + k, then d = r + s
+    for (n, m), top in (((state.n, state.m), a_max), ((state.l, state.p), c_max)):
+        per_quantum = np.zeros(top + 1, dtype=complex)
+        for (j, k), v in kappa_coefficients(n, m).items():
+            per_quantum[j + k] += v
+        kap.append(per_quantum)
+    # the y-factor table T; its phases are powers of i, so T.real is exact
+    ph = gauge_phases(nb)
+    t = np.outer(ph, ph)[:, :, None, None] * (np.outer(*kap) * ox)
+    dropped = float(np.max(np.abs(t.imag)))
+    if dropped > GAUGE_IMAG_TOL * float(np.max(np.abs(t.real))):
         raise ValueError(f"gauged amplitudes keep an imaginary part {dropped:.3e}")
+    amp = np.einsum("ikbd,jlbd->ijkl", ox[:, :, a_max::-1, c_max::-1], t.real, optimize=True)
+    amp = amp.reshape(nb * nb, nb * nb) + 0.0  # no negative zeros, like sweep.Mirror's image
     norm = np.linalg.norm(amp)
     if norm**2 < 1.0 - NORM_DEFICIT_TOL:
         raise ValueError(
@@ -240,14 +237,15 @@ def mirror_parity(dim: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _ladder_matrices(nb: int):
+    """Real x and P, with p = iP, on one coordinate's Hermite functions."""
     idx = np.arange(1, nb)
     x = np.zeros((nb, nb))
     x[idx - 1, idx] = np.sqrt(idx)
     x[idx, idx - 1] = np.sqrt(idx)
-    p = np.zeros((nb, nb), dtype=complex)
-    p[idx - 1, idx] = -0.5j * np.sqrt(idx)
-    p[idx, idx - 1] = 0.5j * np.sqrt(idx)
-    return x, p
+    P = np.zeros((nb, nb))
+    P[idx - 1, idx] = -0.5 * np.sqrt(idx)
+    P[idx, idx - 1] = 0.5 * np.sqrt(idx)
+    return x, P
 
 
 def angular_momentum_matrix(basis: OscBasisSpec | None = None) -> np.ndarray:
@@ -260,15 +258,15 @@ def angular_momentum_matrix(basis: OscBasisSpec | None = None) -> np.ndarray:
     symmetry-adapted variational treatment).
 
     It is returned as D L_z D^dagger, D = diag(i^(-ky)) as for
-    :func:`coefficient_tensor`: the gauged y is imaginary and the gauged
-    p_y real, so both terms are products of two factors of one kind and
-    the operator is real symmetric, with no rounding from the gauge.
+    :func:`coefficient_tensor`.  On a matrix M[a, b] that is nonzero only
+    at |a - b| = 1, as x and p are, D M D^dagger = i sgn(b - a) M; so with
+    p = iP the gauged p_y = -sgn P is real, the gauged y = iY has the real
+    Y = sgn x, and L_z = kron(x, p_y) + kron(P, Y) is formed from real
+    factors alone, with no rounding from the gauge.
     """
     basis = basis or OscBasisSpec()
     nb = basis.n_per_coordinate
-    x, p = _ladder_matrices(nb)
-    d = gauge_phases(nb)
-    y = d[:, None] * x * d.conj()
-    py = d[:, None] * p * d.conj()
-    lz = (np.kron(x, py) - np.kron(p, y)).real
+    x, P = _ladder_matrices(nb)
+    sgn = np.sign(np.arange(nb) - np.arange(nb)[:, None])  # sgn(b - a)
+    lz = np.kron(x, -sgn * P) + np.kron(P, sgn * x)
     return 0.5 * (lz + lz.T)

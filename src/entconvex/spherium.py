@@ -193,7 +193,7 @@ def _state_coefficients(M: int, lmax: int) -> np.ndarray:
     lcut = lmax + COUPLED_L2
     pair = coupled_pair_array(M, lcut)
     # the angular tail of the distance series must be converged in norm
-    r12 = multiply_r12(pair, lcut, (lmax, max(lmax - 4, 4)))
+    r12 = multiply_r12(pair, lcut, (lmax, lmax - 4))
     amp, amp_lo = (pair + r / CORRELATION_SCALE for r in r12)
     norm = np.linalg.norm(amp)
     tail = abs(np.linalg.norm(amp_lo) - norm) / norm

@@ -389,7 +389,8 @@ def energy_expectation(state: OscState, basis: OscBasisSpec | None = None) -> fl
     basis = basis or OscBasisSpec()
     nb = basis.n_per_coordinate
     c4 = cartesian_tensor(state, basis).reshape(nb, nb, nb, nb)
-    x, p = _ladder_matrices(nb)
+    x, P = _ladder_matrices(nb)
+    p = 1j * P
     wr = omega_relative(state.lam)
     x2 = x @ x
     p2 = (p @ p).real
@@ -412,7 +413,8 @@ def lz_residual(state: OscState, basis: OscBasisSpec | None = None) -> float:
     basis = basis or OscBasisSpec()
     nb = basis.n_per_coordinate
     c4 = cartesian_tensor(state, basis).reshape(nb, nb, nb, nb)
-    x, p = _ladder_matrices(nb)
+    x, P = _ladder_matrices(nb)
+    p = 1j * P
     acc = np.zeros_like(c4)
     # L_z = sum_particles x p_y - y p_x;  axes: (x1, y1, x2, y2)
     for ax_x, ax_y in ((0, 1), (2, 3)):
@@ -505,6 +507,15 @@ def coefficient_tensor_analytic(state: OscState, basis: OscBasisSpec | None = No
                 i2 = a + c - i1  # quanta conservation at lambda = 0
                 if 0 <= i2 < nb:
                     ox[i1, i2, a, c] = overlap_analytic(a, c, i1, i2)
+    amp = cartesian_from_overlaps(state, ox)
+    return amp / np.linalg.norm(amp)
+
+
+def cartesian_from_overlaps(state: OscState, ox: np.ndarray) -> np.ndarray:
+    """Un-normalized complex Cartesian tensor from an overlap tensor
+    ox[i1, i2, a, c], accumulated one kappa pair at a time: the slow path
+    :func:`entconvex.oscillator.coefficient_tensor` contracts in one step."""
+    nb = ox.shape[0]
     kap_r = kappa_coefficients(state.n, state.m)
     kap_rel = kappa_coefficients(state.l, state.p)
     c4 = np.zeros((nb, nb, nb, nb), dtype=complex)
@@ -515,8 +526,7 @@ def coefficient_tensor_analytic(state: OscState, basis: OscBasisSpec | None = No
             cc = 2 * state.l + abs(state.p) - r - s
             d = r + s
             c4 += (kr * kv) * np.einsum("ik,jl->ijkl", ox[:, :, a, cc], ox[:, :, b, d])
-    amp = c4.reshape(nb * nb, nb * nb)
-    return amp / np.linalg.norm(amp)
+    return c4.reshape(nb * nb, nb * nb)
 
 
 # ---------------------------------------------------------------------------

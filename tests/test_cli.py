@@ -118,7 +118,7 @@ class TestCriterion:
         svg = tmp_path / "c.svg"
         code, out, err = run(
             capsys, command, "--model", "angular", "--l", "3", "--L", "1", "--M", "1",
-            "--samples", "10", "--svg", str(svg),
+            *SAMPLES[command], "--svg", str(svg),
         )
         assert code == 2
         assert "--svg" in err and out == ""
@@ -151,6 +151,15 @@ class TestProbe:
         assert mins[-1] >= float(rows[-1][2]) - 1e-9
 
 
+def test_spherium_norm_tail_is_usage_error(capsys):
+    code, out, err = run(capsys, "criterion", "--model", "spherium", "--M", "1", "--lmax", "4")
+    assert code == 2
+    assert err.startswith("error: norm tail") and out == ""
+
+
+# a small probe keeps these fast; only the probe reads --samples
+SAMPLES = {"curve": (), "criterion": (), "probe": ("--samples", "10")}
+
 # a size each model rejects; exit 1 means a disagreement, so these must exit 2
 BAD_SIZES = {
     "lg": "--model lg --l 1 --m 1 --basis-size 0",
@@ -163,7 +172,7 @@ BAD_SIZES = {
 @pytest.mark.parametrize("command", ["curve", "criterion", "probe"])
 @pytest.mark.parametrize("model", sorted(BAD_SIZES))
 def test_bad_size_is_usage_error(capsys, command, model):
-    code, out, err = run(capsys, command, *BAD_SIZES[model].split(), "--samples", "10")
+    code, out, err = run(capsys, command, *BAD_SIZES[model].split(), *SAMPLES[command])
     assert code == 2
     assert err.startswith("error:") and out == ""
 
@@ -184,11 +193,43 @@ UNREAD = [
 @pytest.mark.parametrize("command", ["curve", "criterion", "probe"])
 @pytest.mark.parametrize("pair, unread", UNREAD)
 def test_unread_model_flag_is_usage_error(capsys, command, pair, unread):
-    code, out, err = run(capsys, command, *pair.split(), *unread.split(), "--samples", "10")
+    code, out, err = run(capsys, command, *pair.split(), *unread.split(), *SAMPLES[command])
     assert code == 2
     assert err.startswith("error:") and out == ""
     for flag in unread.split()[::2]:
         assert flag in err
+
+
+# the shared flags each pair subcommand does not read
+UNREAD_BY_COMMAND = [
+    *((command, flag) for command in ("curve", "criterion")
+      for flag in ("--samples 4", "--seed 3", "--tol 9")),
+    ("probe", "--tol 9"),
+    ("probe", "--alpha-steps 3"),  # not checked against the grid minimum: the probe has no grid
+]
+
+
+@pytest.mark.parametrize("command, unread", UNREAD_BY_COMMAND,
+                         ids=[command + unread.split()[0] for command, unread in UNREAD_BY_COMMAND])
+def test_unread_shared_flag_is_usage_error(capsys, command, unread):
+    code, out, err = run(
+        capsys, command, "--model", "angular", "--l", "1", "--L", "1", "--M", "1", *unread.split(),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: entconvex {command} does not read {unread.split()[0]}\n"
+
+
+@pytest.mark.parametrize("command, unread", UNREAD_BY_COMMAND,
+                         ids=[command + unread.split()[0] for command, unread in UNREAD_BY_COMMAND])
+def test_unread_shared_config_key_is_usage_error(capsys, tmp_path, command, unread):
+    cfg = tmp_path / "run.cfg"
+    key, value = unread.lstrip("-").split()
+    cfg.write_text(f"model = angular\nl = 1\nL = 1\nM = 1\n{key} = {value}\n")
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: entconvex {command} does not read {unread.split()[0]}\n"
 
 
 def test_unread_config_key_is_usage_error(capsys, tmp_path):

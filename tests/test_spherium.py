@@ -139,6 +139,12 @@ class TestWaveFunction:
         arr = coupled_pair_array(1, 4)
         np.testing.assert_allclose(arr, -arr.T, atol=1e-14)
 
+    def test_shortest_series_fails_norm_tail(self):
+        # the tail compares lmax with lmax - 4, so lmax = 4 is measured against
+        # lmax = 0 (a tail of 3.3e-2), not against itself
+        with pytest.raises(ValueError, match="norm tail"):
+            SpheriumState(1, 4).coefficients()
+
     def test_radial_equation_residual(self):
         r = np.linspace(1e-3, 2.0 * math.sqrt(6.0), 2001)
         assert radial_residual(r) <= 1e-10
