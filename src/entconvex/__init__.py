@@ -10,7 +10,8 @@ its two states.  :mod:`entconvex.sweep` packages them as a
 the first under a local symmetry that sends M to -M, the factory builds
 the second from the first.  One trace-out per pair,
 :func:`entconvex.spectra.gram_blocks`, forms the reduced-density terms
-per amplitude block.  The criterion eigen-solves the two endpoint
+per amplitude block, and the blocks of the pair's sector operator, whose
+linked rows share a block.  The criterion eigen-solves the two endpoint
 densities from them block by block (a mirror pair only the first) and
 turns the spectra into the entropies, in bits, the not-shared entropy
 and Q_c (:mod:`entconvex.criterion`); the alpha curve takes the

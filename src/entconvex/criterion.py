@@ -65,10 +65,10 @@ class ProbeRecord:
     checkpoints: tuple[tuple[int, float], ...]
 
 
-def _check_partner(spec0: Spectrum, rho1) -> None:
+def _check_partner(spec0: Spectrum, blocks) -> None:
     shapes = [u.shape for _, u in spec0.groups]
-    if [np.shape(m) for m in rho1] != shapes:
-        raise ValueError(f"partner blocks {[np.shape(m) for m in rho1]} do not match {shapes}")
+    if [np.shape(m) for m in blocks] != shapes:
+        raise ValueError(f"blocks {[np.shape(m) for m in blocks]} do not match {shapes}")
 
 
 def _partner_weights(spec0: Spectrum, rho1) -> np.ndarray:
@@ -83,97 +83,60 @@ def _partner_weights(spec0: Spectrum, rho1) -> np.ndarray:
     return q[spec0.source]
 
 
-def _check_sector_contract(spec0: Spectrum, op: np.ndarray, by_column: np.ndarray) -> None:
-    """Raise if ``op`` links two amplitude blocks that hold columns of one refined block.
-
-    ``by_column`` holds the degeneracy block of each column of ``spec0``
-    (flat order), -1 where the block is not refined.
-    """
-    inside = sum(np.count_nonzero(op[rows[:, :, None], rows[:, None, :]]) for rows, _ in spec0.groups)
-    if np.count_nonzero(op) == inside:
-        return
-    label = np.empty(spec0.dim, dtype=np.intp)  # each row's amplitude block
-    first: list[int] = []  # each amplitude block's first row
-    for rows, _ in spec0.groups:
-        label[rows] = len(first) + np.arange(len(rows))[:, None]
-        first += rows[:, 0].tolist()
-    i, j = np.nonzero(op)
-    off = label[i] != label[j]
-    held = []  # the refined blocks each amplitude block holds columns of
-    start = 0
-    for rows, _ in spec0.groups:
-        held += [set(k[k >= 0].tolist()) for k in by_column[start:start + rows.size].reshape(rows.shape)]
-        start += rows.size
-    for a, b in zip(i[off].tolist(), j[off].tolist()):
-        if held[label[a]] & held[label[b]]:
-            raise ValueError(
-                f"sector operator entry ({a}, {b}) couples the amplitude blocks starting at "
-                f"rows {first[label[a]]} and {first[label[b]]}, which share a degeneracy block"
-            )
-
-
 def refine_blocks_by_sector(
-    spec0: Spectrum, sector_operator: np.ndarray, rho1
+    spec0: Spectrum, sector_operator, rho1
 ) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """Split degeneracy blocks along the eigenspaces of a symmetry operator.
 
     Rotates the eigenvectors inside each block so they also diagonalize the
-    restriction of ``sector_operator`` (which must commute with the
-    reconstructed state on each block), then subdivides blocks wherever the
-    operator eigenvalues differ.  Restricting the projector freedom to a
-    conserved quantity reproduces computations carried out with
-    symmetry-adapted basis sets, where exactly degenerate eigenvalues in
-    different sectors are never mixed.
+    restriction of the operator (which must commute with the reconstructed
+    state on each block), then subdivides blocks wherever the operator
+    eigenvalues differ.  Restricting the projector freedom to a conserved
+    quantity reproduces computations carried out with symmetry-adapted
+    basis sets, where exactly degenerate eigenvalues in different sectors
+    are never mixed.
 
-    A block whose eigenvalues all lie at or below ``SUPPORT_FLOOR`` adds
-    nothing to S_NS however it is split, and is left whole.  The operator
-    may not link two amplitude blocks that hold columns of one refined
-    block (a ``ValueError`` names the two), so the restriction of such a
-    block splits into one part per amplitude block.  Per size
-    group, U^dagger op_b U and U^dagger rho1_b U are formed once; each part
-    with more than one column is solved from its slices of them, batched by
-    part size, and a part of one column keeps its vector and its diagonal
-    entries.  The sector values of all parts of a block are then sorted
-    ascending across the block and take its positions in order, so the
-    sub-blocks are runs of positions, and each sub-block's eigenvalue stays
-    the mean at its positions.
+    ``sector_operator`` and the partner ``rho1`` are in the layout of
+    ``spec0.groups`` (``GramBlocks.sector`` and ``GramBlocks.endpoint(1)``).
+    The trace-out links the rows the operator links, so the operator has
+    no entry between two amplitude blocks, and a degeneracy block's
+    restriction splits into one part per amplitude block.  A block wholly
+    at or below ``SUPPORT_FLOOR`` adds nothing to S_NS and is left whole.
+    Per size group, U^dagger op_b U and U^dagger rho1_b U are formed once;
+    each part of more than one column is solved from its slices, batched
+    by part size, and a part of one column keeps its vector and diagonal
+    entries.  The sector values of a block's parts are sorted ascending
+    across the block and take its positions in order, so sub-blocks are
+    runs of positions, each with the mean eigenvalue at its positions.
 
-    ``rho1`` is the partner's density in the layout of ``spec0.groups``, one
-    (blocks, size, size) stack per group.  Returns the sub-blocks and the
-    partner weight <v|rho1|v> of the sector eigenvector v at each position.
+    Returns the sub-blocks and the partner weight <v|rho1|v> of the sector
+    eigenvector v at each position.
     """
-    op = np.asarray(sector_operator)
-    if op.shape != (spec0.dim, spec0.dim):
-        raise ValueError("sector operator dimension mismatch")
+    _check_partner(spec0, sector_operator)
     _check_partner(spec0, rho1)
     w = spec0.eigenvalues
     cluster = np.repeat(np.arange(len(spec0.blocks)), [len(b) for b in spec0.blocks])
     refined = np.array([len(b) > 1 and w[b[0]] > SUPPORT_FLOOR for b in spec0.blocks])  # per block
     by_column = np.empty(spec0.dim, dtype=np.intp)
     by_column[spec0.source] = np.where(refined[cluster], cluster, -1)
-    _check_sector_contract(spec0, op, by_column)
-    sector = np.empty(spec0.dim)
-    weight = np.empty(spec0.dim)
+    sector, weight = np.empty(spec0.dim), np.empty(spec0.dim)
     offset = 0
-    for (rows, u), m in zip(spec0.groups, rho1):
-        n, size = rows.shape
+    for (rows, u), o, m in zip(spec0.groups, sector_operator, rho1):
         cols = slice(offset, offset + rows.size)
-        parts = list(_parts(by_column[cols].reshape(n, size)))
-        at = [offset + blk[:, None] * size + part for blk, part in parts]
-        index = [(blk[:, None, None], part[:, :, None], part[:, None, :]) for blk, part in parts]
+        parts = list(_parts(by_column[cols].reshape(rows.shape), offset))
         uh = u.conj().swapaxes(1, 2)
         # one product at a time, sliced and dropped: two group-sized arrays at most
-        ou = uh @ (op[rows[:, :, None], rows[:, None, :]] @ u)
+        ou = uh @ (o @ u)
         sector[cols] = np.einsum("bjj->bj", ou).real.ravel()
         rotations = []
-        for flat, ix in zip(at, index):
+        for flat, ix in parts:
             r = ou[ix]
             sector[flat], rot = np.linalg.eigh(0.5 * (r + r.conj().swapaxes(1, 2)))
             rotations.append(rot)
         del ou
         mu = uh @ (m @ u)
         weight[cols] = np.einsum("bjj->bj", mu).real.ravel()
-        for flat, ix, rot in zip(at, index, rotations):
+        for (flat, ix), rot in zip(parts, rotations):
             weight[flat] = np.einsum("bij,bij->bj", rot.conj(), mu[ix] @ rot).real
         del mu
         offset += rows.size
@@ -191,17 +154,15 @@ def refine_blocks_by_sector(
     return tuple(blocks), weights
 
 
-def _parts(by_column: np.ndarray):
+def _parts(by_column: np.ndarray, offset: int):
     """The columns of one block of one degeneracy block, where there are more than one.
 
     ``by_column`` holds each column's degeneracy block, shape (blocks,
-    size), -1 where that block is not refined.  Yields, per part size, the
-    amplitude blocks of the parts, shape (parts,), and their columns,
-    shape (parts, part size).
+    size), -1 where it is not refined; the group's flat columns start at
+    ``offset``.  Yields, per part size, the parts' flat columns, shape
+    (parts, part size), and their index into a (blocks, size, size) stack.
     """
     blk, col = np.nonzero(by_column >= 0)
-    if blk.size == 0:
-        return
     key = blk * (by_column.max() + 1) + by_column[blk, col]
     order = np.argsort(key, kind="stable")
     key, blk, col = key[order], blk[order], col[order]
@@ -209,10 +170,11 @@ def _parts(by_column: np.ndarray):
     parts = [p for p in np.split(np.arange(key.size), cuts) if p.size > 1]
     for k in sorted({p.size for p in parts}):
         idx = np.stack([p for p in parts if p.size == k])
-        yield blk[idx[:, 0]], col[idx]
+        b, c = blk[idx[:, 0], None], col[idx]
+        yield offset + b * by_column.shape[1] + c, (b[:, :, None], c[:, :, None], c[:, None, :])
 
 
-def not_shared_entropy(spec0: Spectrum, rho1, sector_operator: np.ndarray | None = None) -> float:
+def not_shared_entropy(spec0: Spectrum, rho1, sector_operator=None) -> float:
     """Not-shared entropy in bits: the family-dependent sum minimized inside each block.
 
     A block with eigenvalue lambda and dimension d contributes
@@ -225,9 +187,10 @@ def not_shared_entropy(spec0: Spectrum, rho1, sector_operator: np.ndarray | None
 
     ``rho1`` is the partner's density in the layout of ``spec0.groups``,
     one (blocks, size, size) stack per group; a dense density ``r`` of a
-    dense spectrum is ``(r[None],)``.  ``sector_operator``, when given,
-    restricts the minimization to eigenprojectors that respect the sectors
-    of a conserved quantity (:func:`refine_blocks_by_sector`).
+    dense spectrum is ``(r[None],)``.  ``sector_operator``, when given in
+    the same layout (``GramBlocks.sector``), restricts the minimization to
+    eigenprojectors that respect the sectors of a conserved quantity
+    (:func:`refine_blocks_by_sector`).
     """
     if sector_operator is None:
         blocks, q = spec0.blocks, _partner_weights(spec0, rho1)
@@ -252,19 +215,14 @@ def criterion_qc(s_ns: float, s_r: float) -> int:
     return 1 if diff > 0 else -1
 
 
-def criterion_report(
-    spec0: Spectrum,
-    rho1,
-    s1: float,
-    sector_operator: np.ndarray | None,
-) -> CriterionReport:
+def criterion_report(spec0: Spectrum, rho1, s1: float, sector_operator) -> CriterionReport:
     """The criterion for reference spectrum ``spec0`` and a partner of entropy ``s1``.
 
-    ``rho1`` is the partner's density in the layout of ``spec0.groups``
-    (see :func:`not_shared_entropy`).  ``sector_operator``, when given,
-    restricts the degenerate-subspace minimization to eigenprojectors that
-    respect the sectors of a conserved quantity (see
-    :func:`refine_blocks_by_sector`).
+    ``rho1`` and ``sector_operator`` (or None) are in the layout of
+    ``spec0.groups``, like ``GramBlocks.endpoint(1)`` and
+    ``GramBlocks.sector``.  The operator restricts the degenerate-subspace
+    minimization to eigenprojectors that respect the sectors of a
+    conserved quantity (see :func:`not_shared_entropy`).
     """
     s0 = von_neumann_entropy(spec0)
     s_ns = min(not_shared_entropy(spec0, rho1, sector_operator), s0)

@@ -80,6 +80,8 @@ class OscBasisSpec:
             raise ValueError("basis and quadrature sizes must be positive")
 
     def check_state(self, state: OscState):
+        """Raise when the basis is below the state's exactness bound, exact only at
+        lambda = 0; at lambda > 0 the norm-deficit check of :func:`coefficient_tensor` guards."""
         need = 2 * state.n + abs(state.m) + 2 * state.l + abs(state.p) + 2
         if self.n_per_coordinate < need:
             raise ValueError(
@@ -215,7 +217,8 @@ def _coefficient_tensor_cached(state: OscState, basis: OscBasisSpec) -> np.ndarr
     norm = np.linalg.norm(amp)
     if norm**2 < 1.0 - NORM_DEFICIT_TOL:
         raise ValueError(
-            f"norm deficit {1.0 - norm**2:.3e} beyond {NORM_DEFICIT_TOL}; enlarge the basis"
+            f"norm deficit {1.0 - norm**2:.3e} beyond {NORM_DEFICIT_TOL} at basis size {nb}; "
+            "enlarge the basis"
         )
     amp /= norm
     amp.setflags(write=False)

@@ -18,7 +18,9 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-10
 
-DEGENERACY_TOL = 1e-8  # relative eigenvalue gap that starts a new degeneracy block
+# an eigenvalue step above this starts a new degeneracy block; gap_clusters scales
+# it by max(range, 1), which is 1 for a density, so it is an absolute gap
+DEGENERACY_TOL = 1e-8
 SUPPORT_FLOOR = 1e-12  # eigenvalues at or below this are outside the support
 UNIT_NORM_TOL = 1e-6  # a pure state's amplitude norm may deviate from 1 by this
 # an entry of the amplitude support product above this fraction of its
@@ -202,7 +204,8 @@ class GramBlocks:
     order of their first row; ``dropped`` is the largest link between two
     blocks relative to the largest link; ``norms`` holds the traces of the
     three terms: sum |c|^2 of c0 and of c1, and 2 Re <c1|c0> summed over
-    the blocks.
+    the blocks.  ``sector`` holds, per group, the sector operator's blocks,
+    shape (blocks, size, size), or is None when no operator was given.
     """
 
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -210,6 +213,7 @@ class GramBlocks:
     dropped: float
     dim: int
     norms: tuple[float, float, float]
+    sector: tuple[np.ndarray, ...] | None
 
     def endpoint(self, state: int) -> tuple[np.ndarray, ...]:
         """The blocks of ``reduce_pure_state(c)``, ``c`` being c0 or c1, one stack per size group.
@@ -238,21 +242,25 @@ class GramBlocks:
         return eigh_blocks([(g[0], m) for g, m in zip(self.groups, blocks)])
 
 
-def gram_blocks(c0: np.ndarray, c1: np.ndarray) -> GramBlocks:
+def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None) -> GramBlocks:
     """The one trace-out of an amplitude pair: its Gram terms per amplitude block.
 
     ``G = (|c0| + |c1|)(|c0| + |c1|)^T`` bounds the modulus of every entry of
     c0c0^dagger, c1c1^dagger and the cross terms, so rows linked by no entry
     of G above ``BLOCK_LINK_TOL`` times its largest entry are uncoupled in
-    the reduced density of every superposition of c0 and c1.  The blocks
-    are the connected components of that link graph; without the cross
-    terms they could be finer than the density's true blocks.  Blocks of
-    one size are stacked, so each term is one batched product per size.
+    the reduced density of every superposition of c0 and c1.  A nonzero
+    entry of ``sector``, an operator on the rows, links its two rows too,
+    so the operator couples no two blocks.  The blocks are the connected
+    components of that link graph; without the cross terms they could be
+    finer than the density's true blocks.  Blocks of one size are stacked,
+    so each term, and the operator's blocks, is one batched product per size.
     """
     if c0.ndim != 2 or c0.shape != c1.shape:
         raise ValueError(f"amplitudes must be 2-d arrays of one shape: {c0.shape} != {c1.shape}")
     if not (np.isfinite(c0).all() and np.isfinite(c1).all()):
         raise ValueError("amplitudes must be finite")
+    if sector is not None and np.shape(sector) != (len(c0), len(c0)):
+        raise ValueError(f"sector operator shape {np.shape(sector)} does not match {len(c0)} rows")
     a = np.abs(c0)
     n0 = np.sum(a ** 2)  # reduce_pure_state's sum |c|^2, read while |c| is at hand
     b = np.abs(c1)
@@ -260,7 +268,8 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray) -> GramBlocks:
     a += b
     g = a @ a.T
     top = float(g.max())
-    blocks = components(g > BLOCK_LINK_TOL * top)
+    linked = g > BLOCK_LINK_TOL * top
+    blocks = components(linked if sector is None else linked | (sector != 0))
     for rows in blocks:
         g[np.ix_(rows, rows)] = 0.0
     dropped = float(g.max()) / top if top > 0.0 else 0.0
@@ -273,7 +282,9 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray) -> GramBlocks:
         x = cross + cross.conj().swapaxes(1, 2)
         n01 += float(np.trace(x, axis1=1, axis2=2).real.sum())
         groups.append((rows, np.stack([a0 @ a0h, a1 @ a1h, x])))
-    return GramBlocks(tuple(groups), tuple(len(b) for b in blocks), dropped, len(g), (n0, n1, n01))
+    if sector is not None:
+        sector = tuple(sector[rows[:, :, None], rows[:, None, :]] for rows, _ in groups)
+    return GramBlocks(tuple(groups), tuple(len(b) for b in blocks), dropped, len(g), (n0, n1, n01), sector)
 
 
 def von_neumann_entropy(s: Spectrum) -> float:

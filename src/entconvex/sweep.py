@@ -83,7 +83,10 @@ class PairSpec:
     ``amplitudes()`` returns the two matrices over a common product basis
     (rows: the kept particle or coordinate, columns: the traced one).  It
     is called on demand, so building a pair does no model work, and the
-    models memoize the arrays.
+    models memoize the arrays.  ``sector_operator`` is the kept particle's
+    L_z on the rows, dense, or None: both states are J_z eigenstates, so
+    every superposition's reduced density commutes with it, and its
+    sectors restrict S_NS.
 
     ``mirror`` declares a mirror pair, c1 = mirror(c0) (:class:`Mirror`).
     Only the pair factories set it, and they then build c1 from c0 through
@@ -206,7 +209,7 @@ def entropy_curve(
     """
     if grid_size < 5:
         raise ValueError("grid size must be at least 5")
-    gram = gram_blocks(*pair.amplitudes()) if gram is None else gram
+    gram = gram_blocks(*pair.amplitudes(), pair.sector_operator) if gram is None else gram
     alphas = np.linspace(0.0, 1.0, grid_size)
     coef = np.stack([alphas, 1.0 - alphas, np.sqrt(alphas * (1.0 - alphas))], axis=1)
     n00, n11, _ = gram.norms  # traces of the three terms
@@ -308,17 +311,21 @@ def pair_criterion(pair: PairSpec, *, gram: GramBlocks | None = None) -> Criteri
     (:func:`entconvex.spectra.gram_blocks`; ``gram`` passes them in when
     the caller already has them).  The reference is eigen-solved block by
     block; so is the partner, for its entropy, unless the pair is a mirror
-    pair, whose S1 is S0.  The pair's sector operator, if any, restricts
-    the not-shared-entropy minimization (see
-    :func:`entconvex.criterion.criterion_report`).
+    pair, whose S1 is S0.  The pair's sector operator, if any, enters with
+    the trace-out and restricts S_NS (``gram.sector``); a ``gram`` formed
+    without the pair's operator, or with one that the pair lacks, raises.
     """
-    gram = gram_blocks(*pair.amplitudes()) if gram is None else gram
+    if gram is None:
+        gram = gram_blocks(*pair.amplitudes(), pair.sector_operator)
+    elif (gram.sector is None) != (pair.sector_operator is None):
+        lacking = "gram lacks the pair's" if gram.sector is None else "the pair lacks gram's"
+        raise ValueError(f"{pair.label}: {lacking} sector operator")
     rho1 = gram.endpoint(1)
     # the partner's spectrum, when solved, is dropped before the reference's is formed
     s1 = None if pair.mirror is not None else von_neumann_entropy(gram.spectrum(rho1))
     spec0 = gram.spectrum(gram.endpoint(0))
     s1 = von_neumann_entropy(spec0) if s1 is None else s1
-    return criterion_report(spec0, rho1, s1, pair.sector_operator)
+    return criterion_report(spec0, rho1, s1, gram.sector)
 
 
 def criterion_vs_observation(pair: PairSpec, grid_size: int = DEFAULT_GRID_SIZE) -> AgreementRecord:
@@ -326,7 +333,7 @@ def criterion_vs_observation(pair: PairSpec, grid_size: int = DEFAULT_GRID_SIZE)
 
     Both read one trace-out of the pair.
     """
-    gram = gram_blocks(*pair.amplitudes())
+    gram = gram_blocks(*pair.amplitudes(), pair.sector_operator)
     report = pair_criterion(pair, gram=gram)
     curve = entropy_curve(pair, grid_size, gram=gram)
     observed = classify_convexity(curve, pair.chord_tol)

@@ -176,12 +176,17 @@ def test_criterion_7_angular_agreement(lmax):
             if rec.asserted:
                 asserted += 1
                 if not rec.agree:
-                    misses.append((l, L))
+                    misses.append((l, L, rec))
     detail = f"l<={lmax}: {asserted - len(misses)}/{asserted} asserted pairs agree"
-    if misses:
+    for l, L, rec in misses:
+        # how far the miss is from flipping, on both sides
+        curve = entropy_curve(angular_pair(l, L, L))
+        lowest = float(np.min(np.asarray(curve.entropies) - curve.chord()))
         detail += (
-            f"; mispredicted {misses} (verified robust on both sides: "
-            "Q_c margin ~0.2 bits, curve ~0.03 bits above the chord and never below)"
+            f"; mispredicted (l, L=M) = ({l}, {L}): Q_c margin S_R - S_NS "
+            f"{round(rec.report.s_r - rec.report.s_ns, 4)} bits, curve {rec.observed.label}, "
+            f"at most {round(rec.observed.max_deviation, 4)} bits from the chord, "
+            f"S - chord >= {round(lowest, 4)} bits"
         )
     if not SLOW:
         detail += " (l<=12 behind ENTCONVEX_SLOW=1)"

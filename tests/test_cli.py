@@ -157,6 +157,19 @@ def test_spherium_norm_tail_is_usage_error(capsys):
     assert err.startswith("error: norm tail") and out == ""
 
 
+def test_oscillator_norm_deficit_names_the_basis_size(capsys):
+    # five quanta at lambda = 0.7 pass the exactness bound of the default
+    # basis (16 per coordinate) but not its norm-deficit check; 20 suffice
+    pair = "criterion --model oscillator --n 0 --m 2 --l 1 --p 1 --lambda 0.7".split()
+    code, out, err = run(capsys, *pair)
+    assert code == 2 and out == ""
+    assert err.startswith("error: norm deficit") and "at basis size 16" in err
+    code, out, err = run(capsys, *pair, "--basis-size", "20")
+    assert code == 0 and err == ""
+    row = out.strip().splitlines()[1].split(",")
+    assert row[5:] == ["-1", "concave", "1"]
+
+
 # a small probe keeps these fast; only the probe reads --samples
 SAMPLES = {"curve": (), "criterion": (), "probe": ("--samples", "10")}
 

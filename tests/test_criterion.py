@@ -133,13 +133,19 @@ class TestSectorRefinement:
     def test_splits_degenerate_block_by_sector(self):
         rho0 = _density(np.diag([0.4, 0.4, 0.2]))
         op = np.diag([1.0, -1.0, 0.0])
-        blocks, _ = refine_blocks_by_sector(eigendecompose(rho0), op, _blocks(rho0))
+        blocks, _ = refine_blocks_by_sector(eigendecompose(rho0), (op[None],), _blocks(rho0))
         assert blocks == ((0,), (1,), (2,))
+
+    def test_rejects_operator_outside_the_block_layout(self):
+        # a dense operator is one block only when wrapped as (op[None],)
+        rho0 = _density(np.diag([0.4, 0.4, 0.2]))
+        with pytest.raises(ValueError, match="do not match"):
+            refine_blocks_by_sector(eigendecompose(rho0), np.diag([1.0, -1.0, 0.0]), _blocks(rho0))
 
     def test_noop_when_operator_constant_on_block(self):
         rho0 = _density(np.diag([0.4, 0.4, 0.2]))
         spec0 = eigendecompose(rho0)
-        blocks, _ = refine_blocks_by_sector(spec0, np.eye(3), _blocks(rho0))
+        blocks, _ = refine_blocks_by_sector(spec0, (np.eye(3)[None],), _blocks(rho0))
         assert blocks == spec0.blocks
 
     def test_sector_value_at_least_minimized(self):
@@ -150,7 +156,7 @@ class TestSectorRefinement:
         spec = eigendecompose(rho0)
         for _ in range(5):
             rho1 = _random_density(rng, 4)
-            restricted = not_shared_entropy(spec, _blocks(rho1), sector_operator=op)
+            restricted = not_shared_entropy(spec, _blocks(rho1), sector_operator=(op[None],))
             assert restricted >= not_shared_entropy(spec, _blocks(rho1)) - 1e-9
 
     def test_eigenvectors_still_diagonalize(self):
@@ -166,7 +172,7 @@ class TestSectorRefinement:
         v = refined.eigenvectors
         off = v.conj().T @ op @ v
         np.testing.assert_allclose(off, np.diag(np.diag(off)), atol=1e-10)
-        blocks, weights = refine_blocks_by_sector(eigendecompose(rho0), op, _blocks(rho1))
+        blocks, weights = refine_blocks_by_sector(eigendecompose(rho0), (op[None],), _blocks(rho1))
         assert blocks == refined.blocks == ((0, 1), (2, 3))
         sectors = [np.trace(rho1.entries[2:, 2:]).real, np.trace(rho1.entries[:2, :2]).real]
         np.testing.assert_allclose([weights[list(b)].sum() for b in blocks], sectors, atol=1e-15)

@@ -152,6 +152,12 @@ class TestGramBlocks:
             with pytest.raises(ValueError, match="finite"):
                 gram_blocks(*pair)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (3,)])
+    def test_rejects_sector_operator_of_another_shape(self, shape):
+        c = np.eye(3) / math.sqrt(3.0)
+        with pytest.raises(ValueError, match="sector operator shape"):
+            gram_blocks(c, c, np.ones(shape))
+
     def test_one_block_endpoint_is_reduce_pure_state(self):
         # one block of every row: the criterion's endpoint density and its
         # eigenpairs are those of reduce_pure_state to the bit

@@ -398,8 +398,9 @@ def planted_sector_pairs(draw):
       the partner is of the same size there, so its Theta terms are active;
     - the other rows ("bulk") have spaced eigenvalues.
     Within each block, rho0 and rho1 are rotated among the bulk and
-    lam_d rows of one sector, so both commute with the diagonal sector
-    operator; the chain rows are left in place.
+    lam_d rows of one sector, so both commute with the diagonal of the
+    sector operator; the chain rows are left in place.  The operator also
+    holds an entry between a1 and b1, which links blocks A and B.
     """
     seed = draw(st.integers(0, 2**32 - 1))
     s, t = draw(st.permutations([-1, 0, 1]))[:2]
@@ -436,6 +437,7 @@ def planted_sector_pairs(draw):
         c0[np.ix_(idx, idx)] = (q0 * np.sqrt(lam[idx])) @ _unitary(rng, len(idx))
         c1[np.ix_(idx, idx)] = (q1 * np.sqrt(mu[idx])) @ _unitary(rng, len(idx))
     op = np.diag([float(r[1]) for r in rows])
+    op[0, 3] = op[3, 0] = rng.uniform(0.2, 0.5)  # a1 and b1
     prow, pcol = rng.permutation(dim), rng.permutation(dim)
     return c0[np.ix_(prow, pcol)], c1[np.ix_(prow, pcol)], op[np.ix_(prow, prow)]
 
@@ -469,7 +471,7 @@ class TestBlockCriterion:
             _row(2, 0), lambda: spherium_pair(1),
             _row(2, 1), _row(2, 2), _row(2, 3),
             lambda: spherium_pair(2), lambda: spherium_pair(-2),
-            # at lambda = 0, L_z links amplitude blocks outside the support
+            # at lambda = 0, L_z links the amplitude blocks of each shell kx + ky
             lambda: oscillator_pair(OscState(0, 1, 0, 0), OscState(0, -1, 0, 0)),
         ],
         ids=["oscillator-table-2", "spherium-M1",
@@ -502,13 +504,17 @@ class TestBlockCriterion:
         # the lam_d block spans two amplitude blocks; the chain is one block
         sizes = [len(b) for b in spec0.blocks]
         assert 3 in sizes and sizes[-1] == 3, sizes
+        # the operator's entry between A and B merges them, and it couples no two blocks
+        merged = gram_blocks(c0, c1, op)
+        assert len(merged.block_sizes) == len(gram.block_sizes) - 1
+        assert sum(np.count_nonzero(o) for o in merged.sector) == np.count_nonzero(op)
         _assert_criterion_matches_dense(pair)
 
-    def test_sector_operator_may_not_link_shared_blocks(self):
+    def test_sector_operator_links_shared_blocks(self):
         # amplitude blocks A (rows 0, 1), B (rows 2, 3) and C (row 4); one
-        # degeneracy block spans A and B.  An operator entry between A and B
-        # cannot be solved block by block; one between A and C can, since C
-        # holds no column of a degeneracy block that is refined
+        # degeneracy block spans A and B.  An operator entry between two
+        # blocks links their rows in the trace-out, so the blocks merge and
+        # the operator couples no two of them
         h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         c0 = np.zeros((5, 5))
         c0[:2, :2] = np.diag([0.6, 0.4]) @ h
@@ -520,17 +526,64 @@ class TestBlockCriterion:
         assert gram.block_sizes == (2, 2, 1)
         assert [len(b) for b in gram.spectrum(gram.endpoint(0)).blocks] == [2, 1, 1, 1]
         op = np.diag([1.0, -1.0, 1.0, -1.0, 0.0])
+        assert gram_blocks(c0, c1, op).block_sizes == (2, 2, 1)
         _assert_criterion_matches_dense(PairSpec(lambda: (c0, c1), "diagonal", sector_operator=op))
         op[0, 4] = op[4, 0] = 0.5
+        assert gram_blocks(c0, c1, op).block_sizes == (3, 2)
         _assert_criterion_matches_dense(PairSpec(lambda: (c0, c1), "A-C", sector_operator=op))
         op[1, 3] = op[3, 1] = 0.5
-        with pytest.raises(ValueError, match=r"entry \(1, 3\) couples .* starting at rows 0 and 2"):
-            pair_criterion(PairSpec(lambda: (c0, c1), "A-B", sector_operator=op))
+        assert gram_blocks(c0, c1, op).block_sizes == (5,)
+        _assert_criterion_matches_dense(PairSpec(lambda: (c0, c1), "A-B", sector_operator=op))
+
+    @pytest.mark.parametrize(
+        "make_pair",
+        [*(_row(2, i) for i in range(4)), lambda: spherium_pair(1), lambda: spherium_pair(2)],
+        ids=[*(f"oscillator-table-2-row-{i}" for i in range(4)), "spherium-M1", "spherium-M2"],
+    )
+    def test_table_sector_operators_keep_the_blocks(self, make_pair):
+        # L_z and l_z link no two amplitude blocks of tables 2 and 3: the
+        # trace-out is the one without the operator, bit for bit
+        pair = make_pair()
+        c0, c1 = pair.amplitudes()
+        op = pair.sector_operator
+        plain, gram = gram_blocks(c0, c1), gram_blocks(c0, c1, op)
+        assert plain.sector is None
+        for name in ("block_sizes", "dropped", "norms"):
+            assert getattr(gram, name) == getattr(plain, name)
+        assert len(gram.groups) == len(plain.groups) == len(gram.sector)
+        for (rows, terms), (want_rows, want_terms), o in zip(gram.groups, plain.groups, gram.sector):
+            assert np.array_equal(rows, want_rows) and np.array_equal(terms, want_terms)
+            assert np.array_equal(o, op[rows[:, :, None], rows[:, None, :]])
+
+    def test_oscillator_lambda_0_sectors_are_shells(self):
+        # at lambda = 0, L_z links the rows of each shell kx + ky = s; the
+        # 255 amplitude blocks of at most 2 rows become the 31 shells
+        pair = oscillator_pair(OscState(0, 1, 0, 0), OscState(0, -1, 0, 0))
+        c0, c1 = pair.amplitudes()
+        nb = math.isqrt(len(c0))
+        assert len(gram_blocks(c0, c1).block_sizes) == 255
+        gram = gram_blocks(c0, c1, pair.sector_operator)
+        assert len(gram.block_sizes) == 2 * nb - 1 and max(gram.block_sizes) == nb
+        for rows, _ in gram.groups:
+            shell = rows // nb + rows % nb
+            assert np.all(shell == shell[:, :1])
+        _assert_criterion_matches_dense(pair)
+        curve = entropy_curve(pair, GRID, gram=gram)
+        np.testing.assert_allclose(curve.entropies, dense_entropy_curve(pair, GRID), rtol=0, atol=1e-12)
+
+    def test_gram_must_carry_the_pairs_operator(self):
+        pair = _row(2, 0)()
+        c0, c1 = pair.amplitudes()
+        with pytest.raises(ValueError, match="gram lacks the pair's sector operator"):
+            pair_criterion(pair, gram=gram_blocks(c0, c1))
+        bare = dataclasses.replace(pair, sector_operator=None)
+        with pytest.raises(ValueError, match="the pair lacks gram's sector operator"):
+            pair_criterion(bare, gram=gram_blocks(c0, c1, pair.sector_operator))
 
     @pytest.mark.parametrize("use_sectors", [True, False], ids=["sectors", "no-sectors"])
     def test_spherium_solves_only_amplitude_blocks(self, monkeypatch, use_sectors):
         pair = spherium_pair(1, use_sectors=use_sectors)
-        gram = gram_blocks(*pair.amplitudes())
+        gram = gram_blocks(*pair.amplitudes(), pair.sector_operator)
         # no dim x dim array: the traced peak stays below one dense 529 x 529 float64
         tracemalloc.start()
         try:
@@ -691,7 +744,7 @@ class TestMirrorPairs:
 
     def test_criterion_solves_only_the_reference(self, monkeypatch):
         pair = reference_table(2)[0].pair
-        gram = gram_blocks(*pair.amplitudes())
+        gram = gram_blocks(*pair.amplitudes(), pair.sector_operator)
         rho0 = gram.endpoint(0)
         solved = []
 
@@ -712,9 +765,9 @@ def test_table_forms_one_trace_out_per_row(monkeypatch):
     # the row's criterion and its curve read the same gram blocks
     calls = []
 
-    def counted(c0, c1):
+    def counted(c0, c1, sector=None):
         calls.append(c0.shape)
-        return gram_blocks(c0, c1)
+        return gram_blocks(c0, c1, sector)
 
     monkeypatch.setattr(sweep, "gram_blocks", counted)
     table = benchmarks.evaluate_table(5)
