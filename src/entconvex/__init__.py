@@ -11,17 +11,17 @@ the first under a local symmetry that sends M to -M, the factory builds
 the second from the first.  One trace-out per pair,
 :func:`entconvex.spectra.gram_blocks`, forms the reduced-density terms
 per amplitude block, and the blocks of the pair's sector operator, whose
-linked rows share a block.  The criterion eigen-solves the two endpoint
-densities from them block by block (a mirror pair only the first) and
-turns the spectra into the entropies, in bits, the not-shared entropy
-and Q_c (:mod:`entconvex.criterion`); the alpha curve takes the
-eigenvalues of every grid point (a mirror pair's alpha <= 1/2 half) from
-the same terms and labels its chord convexity.  The randomized projector probe
-works on the dense endpoint densities of ``PairSpec.builder``.
-:mod:`entconvex.benchmarks` holds the embedded reference tables;
-:mod:`entconvex.cli` is the console entry.  The slow reference
-implementations and analytic checks that the tests compare against live
-in ``tests/oracles.py``, outside the package.
+linked rows share a block.  The criterion eigen-solves the reference
+density block by block, rotates its degenerate eigenvectors into the
+operator's sectors, solves the partner (not for a mirror pair) and reads
+S, S_NS and Q_c, in bits, off the spectra (:mod:`entconvex.criterion`);
+the alpha curve takes the eigenvalues of every grid point (a mirror
+pair's alpha <= 1/2 half) from the same terms and labels its chord
+convexity.  The randomized projector probe works on the dense endpoint
+densities of ``PairSpec.builder``.  :mod:`entconvex.benchmarks` holds
+the embedded reference tables; :mod:`entconvex.cli` is the console
+entry.  The slow reference implementations and analytic checks that the
+tests compare against live in ``tests/oracles.py``, outside the package.
 """
 
 from .criterion import (

@@ -12,7 +12,7 @@ cross-check against a numerical intra-block minimizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,110 +71,76 @@ def _check_partner(spec0: Spectrum, blocks) -> None:
         raise ValueError(f"blocks {[np.shape(m) for m in blocks]} do not match {shapes}")
 
 
-def _partner_weights(spec0: Spectrum, rho1) -> np.ndarray:
-    """<v_i|rho1|v_i> for the eigenvector v_i at each position of ``spec0``.
+def _partner_weights(spec0: Spectrum, b) -> np.ndarray:
+    """Re <v_i|b|v_i> for the eigenvector v_i at each position of ``spec0``.
 
-    One batched product per size group: Re diag(U^dagger rho1_b U).
+    ``b`` is in the layout of ``spec0.groups``: the partner's density gives
+    the partner weights, a sector operator its diagonal.  One batched
+    product per size group: Re diag(U^dagger b_g U).
     """
-    _check_partner(spec0, rho1)
+    _check_partner(spec0, b)
     q = np.concatenate([
-        np.einsum("bij,bij->bj", u.conj(), m @ u).real.ravel() for (_, u), m in zip(spec0.groups, rho1)
+        np.einsum("bij,bij->bj", u.conj(), m @ u).real.ravel() for (_, u), m in zip(spec0.groups, b)
     ])
     return q[spec0.source]
 
 
-def refine_blocks_by_sector(
-    spec0: Spectrum, sector_operator, rho1
-) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """Split degeneracy blocks along the eigenspaces of a symmetry operator.
+def refine_blocks_by_sector(spec0: Spectrum, sector_operator) -> Spectrum:
+    """``spec0`` with its degeneracy blocks split along the sectors of a symmetry operator.
 
-    Rotates the eigenvectors inside each block so they also diagonalize the
-    restriction of the operator (which must commute with the reconstructed
-    state on each block), then subdivides blocks wherever the operator
-    eigenvalues differ.  Restricting the projector freedom to a conserved
-    quantity reproduces computations carried out with symmetry-adapted
-    basis sets, where exactly degenerate eigenvalues in different sectors
-    are never mixed.
+    Restricting the projector freedom to a conserved quantity reproduces
+    computations carried out with symmetry-adapted basis sets, where
+    exactly degenerate eigenvalues in different sectors are never mixed.
 
-    ``sector_operator`` and the partner ``rho1`` are in the layout of
-    ``spec0.groups`` (``GramBlocks.sector`` and ``GramBlocks.endpoint(1)``).
-    The trace-out links the rows the operator links, so the operator has
-    no entry between two amplitude blocks, and a degeneracy block's
-    restriction splits into one part per amplitude block.  A block wholly
-    at or below ``SUPPORT_FLOOR`` adds nothing to S_NS and is left whole.
-    Per size group, U^dagger op_b U and U^dagger rho1_b U are formed once;
-    each part of more than one column is solved from its slices, batched
-    by part size, and a part of one column keeps its vector and diagonal
-    entries.  The sector values of a block's parts are sorted ascending
-    across the block and take its positions in order, so sub-blocks are
-    runs of positions, each with the mean eigenvalue at its positions.
-
-    Returns the sub-blocks and the partner weight <v|rho1|v> of the sector
-    eigenvector v at each position.
+    ``sector_operator`` is in the layout of ``spec0.groups``
+    (``GramBlocks.sector``); the trace-out links the rows it links, so it
+    has no entry between two amplitude blocks.  Inside each degeneracy
+    block of more than one column in the support, the columns of each
+    amplitude block rotate into the eigenvectors of the operator's
+    restriction to them; the block's columns then take its positions
+    (``source``) by ascending sector value, the operator's diagonal, and a
+    step above ``SECTOR_TOL`` starts a sub-block, whose lambda is the mean
+    eigenvalue at its positions.  A block wholly at or below
+    ``SUPPORT_FLOOR`` adds nothing to S_NS and is left whole.  The
+    eigenvalues, ``support`` and every other block are ``spec0``'s; only
+    the eigenvector groups that hold a rotated part are copied.
     """
     _check_partner(spec0, sector_operator)
-    _check_partner(spec0, rho1)
     w = spec0.eigenvalues
-    cluster = np.repeat(np.arange(len(spec0.blocks)), [len(b) for b in spec0.blocks])
-    refined = np.array([len(b) > 1 and w[b[0]] > SUPPORT_FLOOR for b in spec0.blocks])  # per block
-    by_column = np.empty(spec0.dim, dtype=np.intp)
-    by_column[spec0.source] = np.where(refined[cluster], cluster, -1)
-    sector, weight = np.empty(spec0.dim), np.empty(spec0.dim)
-    offset = 0
-    for (rows, u), o, m in zip(spec0.groups, sector_operator, rho1):
-        cols = slice(offset, offset + rows.size)
-        parts = list(_parts(by_column[cols].reshape(rows.shape), offset))
-        uh = u.conj().swapaxes(1, 2)
-        # one product at a time, sliced and dropped: two group-sized arrays at most
-        ou = uh @ (o @ u)
-        sector[cols] = np.einsum("bjj->bj", ou).real.ravel()
-        rotations = []
-        for flat, ix in parts:
-            r = ou[ix]
-            sector[flat], rot = np.linalg.eigh(0.5 * (r + r.conj().swapaxes(1, 2)))
-            rotations.append(rot)
-        del ou
-        mu = uh @ (m @ u)
-        weight[cols] = np.einsum("bjj->bj", mu).real.ravel()
-        for (flat, ix), rot in zip(parts, rotations):
-            weight[flat] = np.einsum("bij,bij->bj", rot.conj(), mu[ix] @ rot).real
-        del mu
-        offset += rows.size
-    # ascending sector values take each refined block's positions in order
-    values, weights = sector[spec0.source], weight[spec0.source]
+    split = [len(b) > 1 and w[b[0]] > SUPPORT_FLOOR for b in spec0.blocks]
+    flat = [(g, b, c) for g, (rows, _) in enumerate(spec0.groups) for b, c in np.ndindex(rows.shape)]
+    where = [flat[i] for i in spec0.source.tolist()]  # the (group, block, column) at each position
+    groups = list(spec0.groups)
+    for block in (b for b, s in zip(spec0.blocks, split) if s):
+        parts: dict[tuple[int, int], list[int]] = {}
+        for g, b, c in (where[p] for p in block):
+            parts.setdefault((g, b), []).append(c)
+        for (g, b), cols in parts.items():
+            if len(cols) == 1:
+                continue
+            rows, u = groups[g]
+            if u is spec0.groups[g][1]:  # the group's first rotated part: copy it
+                u = np.array(u, dtype=np.result_type(u, sector_operator[g]))
+                groups[g] = (rows, u)
+            v = u[b][:, cols]
+            r = v.conj().T @ sector_operator[g][b] @ v
+            u[b][:, cols] = v @ np.linalg.eigh(0.5 * (r + r.conj().T))[1]
+    rotated = replace(spec0, groups=tuple(groups))
+    values = _partner_weights(rotated, sector_operator)
+    source = np.array(spec0.source)
     blocks: list[tuple[int, ...]] = []
-    for block, split in zip(spec0.blocks, refined):
-        if not split:
+    for block, s in zip(spec0.blocks, split):
+        if not s:
             blocks.append(block)
             continue
         pos = np.array(block)
         order = pos[np.argsort(values[pos], kind="stable")]
-        values[pos], weights[pos] = values[order], weights[order]
-        blocks += [tuple(block[k] for k in run) for run in gap_clusters(-values[pos], SECTOR_TOL)]
-    return tuple(blocks), weights
+        source[pos] = spec0.source[order]
+        blocks += [tuple(block[k] for k in run) for run in gap_clusters(-values[order], SECTOR_TOL)]
+    return replace(rotated, source=source, blocks=tuple(blocks))
 
 
-def _parts(by_column: np.ndarray, offset: int):
-    """The columns of one block of one degeneracy block, where there are more than one.
-
-    ``by_column`` holds each column's degeneracy block, shape (blocks,
-    size), -1 where it is not refined; the group's flat columns start at
-    ``offset``.  Yields, per part size, the parts' flat columns, shape
-    (parts, part size), and their index into a (blocks, size, size) stack.
-    """
-    blk, col = np.nonzero(by_column >= 0)
-    key = blk * (by_column.max() + 1) + by_column[blk, col]
-    order = np.argsort(key, kind="stable")
-    key, blk, col = key[order], blk[order], col[order]
-    cuts = np.flatnonzero(np.diff(key)) + 1
-    parts = [p for p in np.split(np.arange(key.size), cuts) if p.size > 1]
-    for k in sorted({p.size for p in parts}):
-        idx = np.stack([p for p in parts if p.size == k])
-        b, c = blk[idx[:, 0], None], col[idx]
-        yield offset + b * by_column.shape[1] + c, (b[:, :, None], c[:, :, None], c[:, None, :])
-
-
-def not_shared_entropy(spec0: Spectrum, rho1, sector_operator=None) -> float:
+def not_shared_entropy(spec0: Spectrum, rho1) -> float:
     """Not-shared entropy in bits: the family-dependent sum minimized inside each block.
 
     A block with eigenvalue lambda and dimension d contributes
@@ -187,16 +153,12 @@ def not_shared_entropy(spec0: Spectrum, rho1, sector_operator=None) -> float:
 
     ``rho1`` is the partner's density in the layout of ``spec0.groups``,
     one (blocks, size, size) stack per group; a dense density ``r`` of a
-    dense spectrum is ``(r[None],)``.  ``sector_operator``, when given in
-    the same layout (``GramBlocks.sector``), restricts the minimization to
-    eigenprojectors that respect the sectors of a conserved quantity
-    (:func:`refine_blocks_by_sector`).
+    dense spectrum is ``(r[None],)``.  On a spectrum refined by
+    :func:`refine_blocks_by_sector`, the minimization runs over the
+    eigenprojectors that respect the sectors of a conserved quantity.
     """
-    if sector_operator is None:
-        blocks, q = spec0.blocks, _partner_weights(spec0, rho1)
-    else:
-        blocks, q = refine_blocks_by_sector(spec0, sector_operator, rho1)
-    starts = np.array([b[0] for b in blocks])
+    q = _partner_weights(spec0, rho1)
+    starts = np.array([b[0] for b in spec0.blocks])
     sizes = np.diff(starts, append=spec0.dim)
     lam = np.add.reduceat(spec0.eigenvalues, starts) / sizes
     tr = np.add.reduceat(q, starts)
@@ -215,17 +177,15 @@ def criterion_qc(s_ns: float, s_r: float) -> int:
     return 1 if diff > 0 else -1
 
 
-def criterion_report(spec0: Spectrum, rho1, s1: float, sector_operator) -> CriterionReport:
+def criterion_report(spec0: Spectrum, rho1, s1: float) -> CriterionReport:
     """The criterion for reference spectrum ``spec0`` and a partner of entropy ``s1``.
 
-    ``rho1`` and ``sector_operator`` (or None) are in the layout of
-    ``spec0.groups``, like ``GramBlocks.endpoint(1)`` and
-    ``GramBlocks.sector``.  The operator restricts the degenerate-subspace
-    minimization to eigenprojectors that respect the sectors of a
-    conserved quantity (see :func:`not_shared_entropy`).
+    ``rho1`` is in the layout of ``spec0.groups``, like
+    ``GramBlocks.endpoint(1)``.  S_NS respects the sectors that ``spec0``
+    was refined by, if any (:func:`refine_blocks_by_sector`).
     """
     s0 = von_neumann_entropy(spec0)
-    s_ns = min(not_shared_entropy(spec0, rho1, sector_operator), s0)
+    s_ns = min(not_shared_entropy(spec0, rho1), s0)
     s_r = s0 - s_ns
     return CriterionReport(s0=s0, s1=s1, s_ns=s_ns, s_r=s_r, qc=criterion_qc(s_ns, s_r))
 

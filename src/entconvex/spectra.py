@@ -92,10 +92,12 @@ class Spectrum:
     their amplitude blocks: ``groups`` holds, per block size, the blocks'
     rows, shape (blocks, size), and their eigenvector matrices ``u``, shape
     (blocks, size, size).  Counting the columns of every ``u`` in (group,
-    block, column) order, ``source[i]`` is the column of ``eigenvalues[i]``.
-    A dense matrix is the one-block case.  ``blocks`` partitions the
-    positions into runs of near-degenerate eigenvalues, in order;
-    ``support`` lists the positions with eigenvalue above ``SUPPORT_FLOOR``.
+    block, column) order, ``source[i]`` is the column of ``eigenvalues[i]``,
+    or, once refined (:func:`~entconvex.criterion.refine_blocks_by_sector`),
+    a column of its degeneracy block.  A dense matrix is the one-block case.
+    ``blocks`` partitions the positions into runs of near-degenerate
+    eigenvalues (refined: their sub-blocks), in order; ``support`` lists
+    the positions with eigenvalue above ``SUPPORT_FLOOR``.
     """
 
     eigenvalues: np.ndarray
@@ -205,7 +207,8 @@ class GramBlocks:
     blocks relative to the largest link; ``norms`` holds the traces of the
     three terms: sum |c|^2 of c0 and of c1, and 2 Re <c1|c0> summed over
     the blocks.  ``sector`` holds, per group, the sector operator's blocks,
-    shape (blocks, size, size), or is None when no operator was given.
+    shape (blocks, size, size), or is None when no operator was given;
+    ``operator`` is the operator itself, as given, not a copy.
     """
 
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -214,6 +217,7 @@ class GramBlocks:
     dim: int
     norms: tuple[float, float, float]
     sector: tuple[np.ndarray, ...] | None
+    operator: np.ndarray | None = field(compare=False, repr=False)
 
     def endpoint(self, state: int) -> tuple[np.ndarray, ...]:
         """The blocks of ``reduce_pure_state(c)``, ``c`` being c0 or c1, one stack per size group.
@@ -250,7 +254,8 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     of G above ``BLOCK_LINK_TOL`` times its largest entry are uncoupled in
     the reduced density of every superposition of c0 and c1.  A nonzero
     entry of ``sector``, an operator on the rows, links its two rows too,
-    so the operator couples no two blocks.  The blocks are the connected
+    so the operator couples no two blocks; its blocks must be finite and
+    Hermitian within ``HERMITICITY_TOL``.  The blocks are the connected
     components of that link graph; without the cross terms they could be
     finer than the density's true blocks.  Blocks of one size are stacked,
     so each term, and the operator's blocks, is one batched product per size.
@@ -282,9 +287,16 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
         x = cross + cross.conj().swapaxes(1, 2)
         n01 += float(np.trace(x, axis1=1, axis2=2).real.sum())
         groups.append((rows, np.stack([a0 @ a0h, a1 @ a1h, x])))
-    if sector is not None:
-        sector = tuple(sector[rows[:, :, None], rows[:, None, :]] for rows, _ in groups)
-    return GramBlocks(tuple(groups), tuple(len(b) for b in blocks), dropped, len(g), (n0, n1, n01), sector)
+    op = None
+    if sector is not None:  # every nonzero entry, NaN included, lies in one of these blocks
+        op = tuple(sector[rows[:, :, None], rows[:, None, :]] for rows, _ in groups)
+        if not all(np.isfinite(o).all() for o in op):
+            raise ValueError("sector operator entries must be finite")
+        dev = max(np.max(np.abs(o - o.conj().swapaxes(1, 2))) for o in op)
+        if dev > HERMITICITY_TOL * max(1.0, *(np.max(np.abs(o)) for o in op)):
+            raise NonHermitianError(f"sector operator hermiticity deviation {dev:.3e}")
+    sizes = tuple(len(b) for b in blocks)
+    return GramBlocks(tuple(groups), sizes, dropped, len(g), (n0, n1, n01), op, sector)
 
 
 def von_neumann_entropy(s: Spectrum) -> float:

@@ -133,20 +133,18 @@ class TestSectorRefinement:
     def test_splits_degenerate_block_by_sector(self):
         rho0 = _density(np.diag([0.4, 0.4, 0.2]))
         op = np.diag([1.0, -1.0, 0.0])
-        blocks, _ = refine_blocks_by_sector(eigendecompose(rho0), (op[None],), _blocks(rho0))
-        assert blocks == ((0,), (1,), (2,))
+        assert refine_blocks_by_sector(eigendecompose(rho0), (op[None],)).blocks == ((0,), (1,), (2,))
 
     def test_rejects_operator_outside_the_block_layout(self):
         # a dense operator is one block only when wrapped as (op[None],)
         rho0 = _density(np.diag([0.4, 0.4, 0.2]))
         with pytest.raises(ValueError, match="do not match"):
-            refine_blocks_by_sector(eigendecompose(rho0), np.diag([1.0, -1.0, 0.0]), _blocks(rho0))
+            refine_blocks_by_sector(eigendecompose(rho0), np.diag([1.0, -1.0, 0.0]))
 
     def test_noop_when_operator_constant_on_block(self):
         rho0 = _density(np.diag([0.4, 0.4, 0.2]))
         spec0 = eigendecompose(rho0)
-        blocks, _ = refine_blocks_by_sector(spec0, (np.eye(3)[None],), _blocks(rho0))
-        assert blocks == spec0.blocks
+        assert refine_blocks_by_sector(spec0, (np.eye(3)[None],)).blocks == spec0.blocks
 
     def test_sector_value_at_least_minimized(self):
         # restricting the projector freedom can only raise the minimum
@@ -154,28 +152,31 @@ class TestSectorRefinement:
         rho0 = _density(np.diag([0.3, 0.3, 0.3, 0.1]))
         op = np.diag([2.0, 1.0, -1.0, 0.0])
         spec = eigendecompose(rho0)
+        refined = refine_blocks_by_sector(spec, (op[None],))
         for _ in range(5):
             rho1 = _random_density(rng, 4)
-            restricted = not_shared_entropy(spec, _blocks(rho1), sector_operator=(op[None],))
+            restricted = not_shared_entropy(refined, _blocks(rho1))
             assert restricted >= not_shared_entropy(spec, _blocks(rho1)) - 1e-9
 
     def test_eigenvectors_still_diagonalize(self):
-        # the oracle's rotated eigenvectors diagonalize the operator, and the
-        # block path's weights sum, per sub-block, to the partner's trace
-        # over that sector: ascending values -1, then +1
+        # both refinements' eigenvectors diagonalize the operator and
+        # reconstruct rho0, and each sub-block's partner weights sum to the
+        # partner's trace over that sector: ascending values -1, then +1
         rng = np.random.default_rng(41)
         rho0 = _density(np.diag([0.25, 0.25, 0.25, 0.25]))
         rho1 = _random_density(rng, 4)
         op = np.diag([1.0, 1.0, -1.0, -1.0])
-        refined = dense_refine_blocks_by_sector(eigendecompose(rho0), op)
-        np.testing.assert_allclose(reconstruct(refined), rho0.entries, atol=1e-12)
-        v = refined.eigenvectors
-        off = v.conj().T @ op @ v
-        np.testing.assert_allclose(off, np.diag(np.diag(off)), atol=1e-10)
-        blocks, weights = refine_blocks_by_sector(eigendecompose(rho0), (op[None],), _blocks(rho1))
-        assert blocks == refined.blocks == ((0, 1), (2, 3))
+        dense = dense_refine_blocks_by_sector(eigendecompose(rho0), op)
+        refined = refine_blocks_by_sector(eigendecompose(rho0), (op[None],))
+        assert refined.blocks == dense.blocks == ((0, 1), (2, 3))
         sectors = [np.trace(rho1.entries[2:, 2:]).real, np.trace(rho1.entries[:2, :2]).real]
-        np.testing.assert_allclose([weights[list(b)].sum() for b in blocks], sectors, atol=1e-15)
+        for spec in (dense, refined):
+            np.testing.assert_allclose(reconstruct(spec), rho0.entries, atol=1e-12)
+            v = spec.eigenvectors
+            off = v.conj().T @ op @ v
+            np.testing.assert_allclose(off, np.diag([-1.0, -1.0, 1.0, 1.0]), atol=1e-10)
+            weights = np.einsum("ij,ij->j", v.conj(), rho1.entries @ v).real
+            np.testing.assert_allclose([weights[list(b)].sum() for b in spec.blocks], sectors, atol=1e-15)
 
 
 class TestEvaluateCriterion:

@@ -158,6 +158,21 @@ class TestGramBlocks:
         with pytest.raises(ValueError, match="sector operator shape"):
             gram_blocks(c, c, np.ones(shape))
 
+    @pytest.mark.parametrize(
+        "entry, value, error",
+        [((2, 2), math.nan, "finite"), ((0, 1), math.inf, "finite"), ((0, 1), 0.3, "hermiticity")],
+        ids=["nan-diagonal", "inf-link", "asymmetric"],
+    )
+    def test_rejects_a_bad_sector_operator(self, entry, value, error):
+        # every nonzero entry lies in one of the operator's blocks, where it is
+        # checked: a NaN used to fail later in eigh, and an entry without its
+        # mirror was symmetrized silently
+        c = np.eye(3) / math.sqrt(3.0)
+        op = np.diag([1.0, -1.0, 0.0])
+        op[entry] = value
+        with pytest.raises(ValueError, match=error):
+            gram_blocks(c, c, op)
+
     def test_one_block_endpoint_is_reduce_pure_state(self):
         # one block of every row: the criterion's endpoint density and its
         # eigenpairs are those of reduce_pure_state to the bit

@@ -19,6 +19,7 @@ import entconvex
 from entconvex import benchmarks, cli, sweep
 from entconvex.angular import cg_matrix
 from entconvex.benchmarks import reference_table
+from entconvex.criterion import not_shared_entropy, refine_blocks_by_sector
 from entconvex.lgmodes import DEFAULT_BASIS_SIZE, DEFAULT_QUADRATURE_ORDER, LGMode, mode_columns
 from entconvex.oscillator import OscState, coefficient_tensor
 from entconvex.spherium import SpheriumState
@@ -45,7 +46,12 @@ from entconvex.sweep import (
     pair_criterion,
     spherium_pair,
 )
-from oracles import dense_entropy_curve, evaluate_criterion
+from oracles import (
+    dense_entropy_curve,
+    dense_not_shared_entropy,
+    dense_refine_blocks_by_sector,
+    evaluate_criterion,
+)
 
 ALPHAS = st.floats(0.0, 1.0)
 ENTRIES = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
@@ -375,6 +381,32 @@ def _assert_criterion_matches_dense(pair):
     for name in ("s0", "s1", "s_ns", "s_r"):
         assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, (pair.label, name)
     assert got.qc == want.qc, pair.label
+    if pair.sector_operator is not None:
+        _assert_refinement_matches_dense(pair)
+
+
+def _assert_refinement_matches_dense(pair):
+    """The block refinement of the reference against the dense oracle's
+    refinement of the same spectrum."""
+    op = pair.sector_operator
+    gram = gram_blocks(*pair.amplitudes(), op)
+    spec0 = gram.spectrum(gram.endpoint(0))
+    refined = refine_blocks_by_sector(spec0, gram.sector)
+    dense = dense_refine_blocks_by_sector(spec0, op)
+    on_support = [b for b in refined.blocks if b[0] in refined.support]
+    assert on_support == [b for b in dense.blocks if b[0] in dense.support], pair.label
+    assert np.array_equal(refined.eigenvalues, spec0.eigenvalues) and refined.support == spec0.support
+    # each degeneracy block's columns diagonalize the operator, in ascending order
+    v = refined.eigenvectors
+    for block in spec0.blocks:
+        if len(block) > 1 and block[0] in spec0.support:
+            vb = v[:, list(block)]
+            r = vb.conj().T @ op @ vb
+            assert np.max(np.abs(r - np.diag(np.diag(r)))) <= 1e-10, pair.label
+            assert np.all(np.diff(np.diag(r).real) >= -1e-12), pair.label
+    rho1 = pair.builder(0.0).entries
+    got = not_shared_entropy(refined, gram.endpoint(1))
+    assert abs(got - dense_not_shared_entropy(dense, rho1)) <= 1e-12, pair.label
 
 
 def _unitary(rng, n):
@@ -579,6 +611,11 @@ class TestBlockCriterion:
         bare = dataclasses.replace(pair, sector_operator=None)
         with pytest.raises(ValueError, match="the pair lacks gram's sector operator"):
             pair_criterion(bare, gram=gram_blocks(c0, c1, pair.sector_operator))
+        # another operator, even one that splits nothing, is not the pair's
+        pair = spherium_pair(1)
+        c0, c1 = pair.amplitudes()
+        with pytest.raises(ValueError, match="gram lacks the pair's sector operator"):
+            pair_criterion(pair, gram=gram_blocks(c0, c1, np.eye(529)))
 
     @pytest.mark.parametrize("use_sectors", [True, False], ids=["sectors", "no-sectors"])
     def test_spherium_solves_only_amplitude_blocks(self, monkeypatch, use_sectors):
