@@ -17,8 +17,8 @@ operator's sectors, solves the partner (not for a mirror pair) and reads
 S, S_NS and Q_c, in bits, off the spectra (:mod:`entconvex.criterion`);
 the alpha curve takes the eigenvalues of every grid point (a mirror
 pair's alpha <= 1/2 half) from the same terms and labels its chord
-convexity.  The randomized projector probe works on the dense endpoint
-densities of ``PairSpec.builder``.  :mod:`entconvex.benchmarks` holds
+convexity.  Only the randomized projector probe reads a dense density,
+``PairSpec.builder``'s endpoints.  :mod:`entconvex.benchmarks` holds
 the embedded reference tables; :mod:`entconvex.cli` is the console
 entry.  The slow reference implementations and analytic checks that the
 tests compare against live in ``tests/oracles.py``, outside the package.
@@ -35,7 +35,6 @@ from .spectra import (
     HermitianMatrix,
     Spectrum,
     eigendecompose,
-    reduce_pure_state,
     von_neumann_entropy,
 )
 from .sweep import (
@@ -74,7 +73,6 @@ __all__ = [
     "oscillator_pair",
     "pair_criterion",
     "random_projector_probe",
-    "reduce_pure_state",
     "refine_blocks_by_sector",
     "spherium_pair",
     "von_neumann_entropy",

@@ -22,7 +22,7 @@ EIGENVALUE_FLOOR = -1e-10
 # it by max(range, 1), which is 1 for a density, so it is an absolute gap
 DEGENERACY_TOL = 1e-8
 SUPPORT_FLOOR = 1e-12  # eigenvalues at or below this are outside the support
-UNIT_NORM_TOL = 1e-6  # a pure state's amplitude norm may deviate from 1 by this
+UNIT_NORM_TOL = 1e-6  # an amplitude norm within this of 1 counts as unit norm
 # an entry of the amplitude support product above this fraction of its
 # largest entry links two rows into one block
 BLOCK_LINK_TOL = 1e-15
@@ -207,8 +207,7 @@ class GramBlocks:
     blocks relative to the largest link; ``norms`` holds the traces of the
     three terms: sum |c|^2 of c0 and of c1, and 2 Re <c1|c0> summed over
     the blocks.  ``sector`` holds, per group, the sector operator's blocks,
-    shape (blocks, size, size), or is None when no operator was given;
-    ``operator`` is the operator itself, as given, not a copy.
+    shape (blocks, size, size), or is None when no operator was given.
     """
 
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -217,15 +216,15 @@ class GramBlocks:
     dim: int
     norms: tuple[float, float, float]
     sector: tuple[np.ndarray, ...] | None
-    operator: np.ndarray | None = field(compare=False, repr=False)
 
     def endpoint(self, state: int) -> tuple[np.ndarray, ...]:
-        """The blocks of ``reduce_pure_state(c)``, ``c`` being c0 or c1, one stack per size group.
+        """The reduced density of c0 or c1, one stack of blocks per size group.
 
-        They are normalized in that function's order: divided by sum
-        |c|^2, then by the whole trace, then symmetrized.  With one block
-        this is its arithmetic to the bit, which S_NS of some LG pairs (one
-        block of 32) needs.  No dim x dim matrix is formed.
+        Normalized as ``PairSpec.builder`` and its reference
+        ``tests/oracles.py::reduce_pure_state`` do: divided by sum |c|^2,
+        then by the whole trace, then symmetrized.  With one block this is
+        their arithmetic to the bit, which S_NS of some LG pairs (one block
+        of 32) needs.  No dim x dim matrix is formed.
         """
         n2 = self.norms[state]
         if not n2 > 0.0:
@@ -241,7 +240,7 @@ class GramBlocks:
     def spectrum(self, blocks: tuple[np.ndarray, ...]) -> Spectrum:
         """The spectrum of :meth:`endpoint` blocks, each block solved alone (:func:`eigh_blocks`).
 
-        With one block the eigen-solve is ``reduce_pure_state``'s density check's.
+        With one block the eigen-solve is the density check's of ``PairSpec.builder``.
         """
         return eigh_blocks([(g[0], m) for g, m in zip(self.groups, blocks)])
 
@@ -267,7 +266,7 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     if sector is not None and np.shape(sector) != (len(c0), len(c0)):
         raise ValueError(f"sector operator shape {np.shape(sector)} does not match {len(c0)} rows")
     a = np.abs(c0)
-    n0 = np.sum(a ** 2)  # reduce_pure_state's sum |c|^2, read while |c| is at hand
+    n0 = np.sum(a ** 2)  # the builder's sum |c|^2, read while |c| is at hand
     b = np.abs(c1)
     n1 = np.sum(b ** 2)
     a += b
@@ -296,7 +295,7 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
         if dev > HERMITICITY_TOL * max(1.0, *(np.max(np.abs(o)) for o in op)):
             raise NonHermitianError(f"sector operator hermiticity deviation {dev:.3e}")
     sizes = tuple(len(b) for b in blocks)
-    return GramBlocks(tuple(groups), sizes, dropped, len(g), (n0, n1, n01), op, sector)
+    return GramBlocks(tuple(groups), sizes, dropped, len(g), (n0, n1, n01), op)
 
 
 def von_neumann_entropy(s: Spectrum) -> float:
@@ -309,22 +308,3 @@ def von_neumann_entropy(s: Spectrum) -> float:
         return 0.0
     total = -float(np.sum(lw * np.log(lw))) / LN2
     return max(total, 0.0)
-
-
-def reduce_pure_state(c: np.ndarray) -> HermitianMatrix:
-    """Density of side A (the rows) of the unit-norm pure state with amplitudes ``c``.
-
-    The entries are ``rho_{a a'} = sum_b c_{a b} conj(c_{a' b}) / <c|c>``;
-    side B's density is ``reduce_pure_state(c.T)``.
-    """
-    a = np.asarray(c, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError("amplitudes must be a 2-d array")
-    norm = float(np.linalg.norm(a))
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"amplitude norm {norm!r} deviates from 1 beyond {UNIT_NORM_TOL}")
-    # Divide by <c|c>, then renormalize roundoff so downstream density
-    # checks are exact; GramBlocks.endpoint keeps this order to the bit.
-    rho = a @ a.conj().T / np.sum(np.abs(a) ** 2)
-    rho = rho / np.real(np.trace(rho))
-    return HermitianMatrix(rho)

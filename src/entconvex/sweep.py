@@ -26,7 +26,6 @@ from .spectra import (
     HermitianMatrix,
     NotDensityMatrixError,
     gram_blocks,
-    reduce_pure_state,
     von_neumann_entropy,
 )
 
@@ -107,7 +106,11 @@ class PairSpec:
         return EXACT_CHORD_TOL if self.exact else QUADRATURE_CHORD_TOL
 
     def builder(self, alpha: float) -> HermitianMatrix:
-        """Reduced density of the normalized sqrt(alpha) c0 + sqrt(1-alpha) c1."""
+        """Dense reduced density of the normalized sqrt(alpha) c0 + sqrt(1-alpha) c1.
+
+        c c^dagger is divided by sum |c|^2, then by its trace, the order
+        that :meth:`entconvex.spectra.GramBlocks.endpoint` keeps to the bit.
+        """
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         c0, c1 = self.amplitudes()
@@ -121,7 +124,8 @@ class PairSpec:
         # passed as is, because dividing it by its norm moves rho by an ulp
         if abs(norm - 1.0) > UNIT_NORM_TOL:
             c = c / norm
-        return reduce_pure_state(c)
+        rho = c @ c.conj().T / np.sum(np.abs(c) ** 2)
+        return HermitianMatrix(rho / np.real(np.trace(rho)))
 
 
 @dataclass(frozen=True)
@@ -173,9 +177,10 @@ def entropy_curve(
     alpha c0c0^dagger + (1-alpha) c1c1^dagger + sqrt(alpha(1-alpha)) X with
     X = c0c1^dagger + c1c0^dagger, divided by its trace, the squared norm
     of the superposition.  The three terms per amplitude block come from
-    :func:`entconvex.spectra.gram_blocks`, the trace-out that
-    :func:`pair_criterion` reads too; ``gram`` passes them in when the
-    caller already has them.
+    :func:`entconvex.spectra.gram_blocks`; ``gram`` passes them in, as
+    :func:`criterion_vs_observation` does with its criterion's trace-out.
+    A sector operator only coarsens the blocks: with or without it, the
+    entropies agree up to rounding.
 
     Every such density is C C^dagger with C = sqrt(alpha) c0 +
     sqrt(1-alpha) c1, so its range lies in that of S = c0c0^dagger +
@@ -305,24 +310,22 @@ class AgreementRecord:
         return self.agree is not None
 
 
-def pair_criterion(pair: PairSpec, *, gram: GramBlocks | None = None) -> CriterionReport:
+def pair_criterion(pair: PairSpec) -> CriterionReport:
     """Criterion report with the first state (alpha = 1) as the reference.
 
-    The endpoint densities come from the pair's amplitude blocks
-    (:func:`entconvex.spectra.gram_blocks`; ``gram`` passes them in when
-    the caller already has them).  The reference is eigen-solved block by
-    block and, when the pair has a sector operator (``gram.sector``),
-    refined by its sectors (:func:`entconvex.criterion.refine_blocks_by_sector`);
-    only then are the partner's blocks formed.  The partner is solved for
-    its entropy unless the pair is a mirror pair, whose S1 is S0.  A
-    ``gram`` formed with another operator than the pair's raises: the
-    restriction is never dropped or swapped silently.
+    The endpoint densities come from the pair's own trace-out,
+    :func:`entconvex.spectra.gram_blocks` of its amplitudes and sector
+    operator, formed here.  The reference is eigen-solved block by block
+    and, when the pair has a sector operator, refined by its sectors
+    (:func:`entconvex.criterion.refine_blocks_by_sector`); only then are
+    the partner's blocks formed.  The partner is solved for its entropy
+    unless the pair is a mirror pair, whose S1 is S0.
     """
-    if gram is None:
-        gram = gram_blocks(*pair.amplitudes(), pair.sector_operator)
-    elif gram.operator is not pair.sector_operator:
-        lacking = "the pair lacks gram's" if pair.sector_operator is None else "gram lacks the pair's"
-        raise ValueError(f"{pair.label}: {lacking} sector operator")
+    return _criterion(pair, gram_blocks(*pair.amplitudes(), pair.sector_operator))
+
+
+def _criterion(pair: PairSpec, gram: GramBlocks) -> CriterionReport:
+    """:func:`pair_criterion` on ``gram``, the pair's own trace-out."""
     spec0 = gram.spectrum(gram.endpoint(0))
     if gram.sector is not None:
         spec0 = refine_blocks_by_sector(spec0, gram.sector)
@@ -334,10 +337,10 @@ def pair_criterion(pair: PairSpec, *, gram: GramBlocks | None = None) -> Criteri
 def criterion_vs_observation(pair: PairSpec, grid_size: int = DEFAULT_GRID_SIZE) -> AgreementRecord:
     """Evaluate the criterion on a pair and check it against the curve.
 
-    Both read one trace-out of the pair.
+    Both read one trace-out of the pair, formed here.
     """
     gram = gram_blocks(*pair.amplitudes(), pair.sector_operator)
-    report = pair_criterion(pair, gram=gram)
+    report = _criterion(pair, gram)
     curve = entropy_curve(pair, grid_size, gram=gram)
     observed = classify_convexity(curve, pair.chord_tol)
     if report.qc == 0:

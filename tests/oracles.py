@@ -30,6 +30,7 @@ from entconvex.oscillator import (
 from entconvex.spectra import (
     LN2,
     SUPPORT_FLOOR,
+    UNIT_NORM_TOL,
     HermitianMatrix,
     Spectrum,
     eigendecompose,
@@ -59,6 +60,26 @@ def reconstruct(spec: Spectrum) -> np.ndarray:
     """The matrix sum_i lambda_i |v_i><v_i| of a spectrum."""
     v = spec.eigenvectors
     return (v * spec.eigenvalues) @ v.conj().T
+
+
+def reduce_pure_state(c: np.ndarray) -> HermitianMatrix:
+    """Density of side A (the rows) of the unit-norm pure state with amplitudes ``c``.
+
+    The entries are ``rho_{a a'} = sum_b c_{a b} conj(c_{a' b}) / <c|c>``;
+    side B's density is ``reduce_pure_state(c.T)``.  Divided by <c|c>, then
+    by the trace, so the density check sees unit trace to rounding: the
+    order that ``PairSpec.builder`` and ``GramBlocks.endpoint`` keep to
+    the bit.
+    """
+    a = np.asarray(c, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError("amplitudes must be a 2-d array")
+    norm = float(np.linalg.norm(a))
+    if abs(norm - 1.0) > UNIT_NORM_TOL:
+        raise ValueError(f"amplitude norm {norm!r} deviates from 1 beyond {UNIT_NORM_TOL}")
+    rho = a @ a.conj().T / np.sum(np.abs(a) ** 2)
+    rho = rho / np.real(np.trace(rho))
+    return HermitianMatrix(rho)
 
 
 def dense_entropy_curve(pair, grid_size):

@@ -11,10 +11,9 @@ from entconvex.spectra import (
     NotDensityMatrixError,
     eigendecompose,
     gram_blocks,
-    reduce_pure_state,
     von_neumann_entropy,
 )
-from oracles import reconstruct
+from oracles import reconstruct, reduce_pure_state
 
 
 def _density(mat):
@@ -116,6 +115,8 @@ class TestVonNeumannEntropy:
 
 
 class TestReducePureState:
+    """The dense trace-out oracle that ``PairSpec.builder`` matches bit for bit."""
+
     def test_bell_state_halves(self):
         rho = reduce_pure_state(np.eye(2) / math.sqrt(2.0))
         np.testing.assert_allclose(rho.entries, np.eye(2) / 2.0, atol=1e-14)

@@ -25,6 +25,7 @@ from entconvex.oscillator import OscState, coefficient_tensor
 from entconvex.spherium import SpheriumState
 from entconvex.spectra import (
     RANGE_TOL,
+    UNIT_NORM_TOL,
     GramBlocks,
     HermitianMatrix,
     NotDensityMatrixError,
@@ -51,6 +52,7 @@ from oracles import (
     dense_not_shared_entropy,
     dense_refine_blocks_by_sector,
     evaluate_criterion,
+    reduce_pure_state,
 )
 
 ALPHAS = st.floats(0.0, 1.0)
@@ -103,6 +105,26 @@ def _pair(c0, c1):
 
 def _row(table, i):
     return lambda: reference_table(table)[i].pair
+
+
+def _overlapping_pair():
+    # c1 overlaps c0 and neither has unit norm, so the builder renormalizes
+    rng = np.random.default_rng(29)
+    c0 = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    return _pair(c0, 0.5 * c0 + rng.standard_normal((4, 3)))
+
+
+def _assert_builder_is_oracle(pair, alpha):
+    """``pair.builder(alpha)`` is the oracle trace-out of the same normalized
+    superposition, bit for bit; returns whether the builder renormalized it."""
+    c0, c1 = pair.amplitudes()
+    c = np.asarray(math.sqrt(alpha) * c0 + math.sqrt(1.0 - alpha) * c1, dtype=complex)
+    norm = float(np.linalg.norm(c))
+    renormalized = abs(norm - 1.0) > UNIT_NORM_TOL
+    if renormalized:
+        c = c / norm
+    assert np.array_equal(pair.builder(alpha).entries, reduce_pure_state(c).entries)
+    return renormalized
 
 
 def _entropy(pair, alpha):
@@ -163,6 +185,24 @@ class TestSingleTraceOut:
         assert _entropy(_pair(c1, c0), alpha) == pytest.approx(
             _entropy(_pair(c0, c1), 1.0 - alpha), abs=1e-10
         )
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize(
+        "make_pair",
+        [
+            lambda: angular_pair(3, 2, 1),
+            _row(2, 0),
+            lambda: spherium_pair(1),
+            lambda: lg_pair(LGMode(1, 1), LGMode(2, -1)),
+        ],
+        ids=["angular", "oscillator", "spherium", "lg"],
+    )
+    def test_builder_is_the_oracle_trace_out(self, make_pair, alpha):
+        _assert_builder_is_oracle(make_pair(), alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    def test_builder_renormalizes_as_the_oracle_needs(self, alpha):
+        assert _assert_builder_is_oracle(_overlapping_pair(), alpha)
 
     def test_rejects_vanishing_superposition(self):
         c = np.eye(2) / np.sqrt(2.0)
@@ -603,20 +643,6 @@ class TestBlockCriterion:
         curve = entropy_curve(pair, GRID, gram=gram)
         np.testing.assert_allclose(curve.entropies, dense_entropy_curve(pair, GRID), rtol=0, atol=1e-12)
 
-    def test_gram_must_carry_the_pairs_operator(self):
-        pair = _row(2, 0)()
-        c0, c1 = pair.amplitudes()
-        with pytest.raises(ValueError, match="gram lacks the pair's sector operator"):
-            pair_criterion(pair, gram=gram_blocks(c0, c1))
-        bare = dataclasses.replace(pair, sector_operator=None)
-        with pytest.raises(ValueError, match="the pair lacks gram's sector operator"):
-            pair_criterion(bare, gram=gram_blocks(c0, c1, pair.sector_operator))
-        # another operator, even one that splits nothing, is not the pair's
-        pair = spherium_pair(1)
-        c0, c1 = pair.amplitudes()
-        with pytest.raises(ValueError, match="gram lacks the pair's sector operator"):
-            pair_criterion(pair, gram=gram_blocks(c0, c1, np.eye(529)))
-
     @pytest.mark.parametrize("use_sectors", [True, False], ids=["sectors", "no-sectors"])
     def test_spherium_solves_only_amplitude_blocks(self, monkeypatch, use_sectors):
         pair = spherium_pair(1, use_sectors=use_sectors)
@@ -626,7 +652,7 @@ class TestBlockCriterion:
         try:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            pair_criterion(pair, gram=gram)
+            sweep._criterion(pair, gram)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -790,11 +816,11 @@ class TestMirrorPairs:
             return _solve(self, blocks)
 
         monkeypatch.setattr(GramBlocks, "spectrum", spy)
-        pair_criterion(pair, gram=gram)
+        sweep._criterion(pair, gram)
         assert len(solved) == 1
         assert all(np.array_equal(a, b) for a, b in zip(solved[0], rho0))
         solved.clear()
-        pair_criterion(dataclasses.replace(pair, mirror=None), gram=gram)
+        sweep._criterion(dataclasses.replace(pair, mirror=None), gram)
         assert len(solved) == 2
 
 
@@ -809,6 +835,14 @@ def test_table_forms_one_trace_out_per_row(monkeypatch):
     monkeypatch.setattr(sweep, "gram_blocks", counted)
     table = benchmarks.evaluate_table(5)
     assert len(calls) == len(table.rows) == 6
+
+
+@pytest.mark.parametrize("table", benchmarks.TABLE_IDS)
+def test_shared_trace_out_gives_the_pairs_own_criterion(table):
+    # criterion_vs_observation hands its one trace-out to the criterion;
+    # the report is, bitwise, the one pair_criterion forms from the pair
+    for row in reference_table(table):
+        assert criterion_vs_observation(row.pair).report == pair_criterion(row.pair)
 
 
 def test_gram_passed_in_reads_no_amplitudes():
@@ -830,7 +864,7 @@ def test_gram_passed_in_reads_no_amplitudes():
 
     blind = dataclasses.replace(pair, amplitudes=no_amplitudes)
     assert entropy_curve(blind, gram=gram) == entropy_curve(pair)
-    assert pair_criterion(blind, gram=gram) == pair_criterion(pair)
+    assert sweep._criterion(blind, gram) == pair_criterion(pair)
 
 
 def test_public_names_resolve():
