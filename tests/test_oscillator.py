@@ -137,7 +137,7 @@ class TestCoupled:
 
     def test_non_degenerate_pair_warns(self):
         with pytest.warns(UserWarning):
-            oscillator_pair(OscState(0, 1, 0, 0, 0.0), OscState(1, 1, 0, 0, 0.0), SMALL).builder(0.5)
+            oscillator_pair(OscState(0, 1, 0, 0, 0.0), OscState(1, 1, 0, 0, 0.0), SMALL)
 
     def test_mirror_pair_isospectral(self):
         s0 = OscState(0, -2, 0, 0, 0.7)

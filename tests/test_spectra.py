@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entconvex.spectra import (
+    SUPPORT_FLOOR,
     HermitianMatrix,
     NonHermitianError,
     NotDensityMatrixError,
     eigendecompose,
+    entropy_bits,
     gram_blocks,
     von_neumann_entropy,
 )
@@ -82,7 +84,7 @@ class TestEigendecompose:
 
     def test_support_excludes_kernel(self):
         spec = eigendecompose(_density(np.diag([0.5, 0.5, 0.0])))
-        assert spec.support == (0, 1)
+        assert np.flatnonzero(spec.eigenvalues > SUPPORT_FLOOR).tolist() == [0, 1]
 
 
 class TestVonNeumannEntropy:
@@ -99,6 +101,15 @@ class TestVonNeumannEntropy:
         spec = eigendecompose(_density(np.diag([p, 1.0 - p])))
         expected = -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
         assert von_neumann_entropy(spec) == pytest.approx(expected, abs=1e-12)
+
+    def test_entropy_bits_per_row(self):
+        # one entropy per set along the last axis; kernel and pure rows give 0
+        w = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.25, 0.25, 0.5]])
+        np.testing.assert_allclose(entropy_bits(w), [1.0, 0.0, 1.5], rtol=0, atol=1e-15)
+
+    def test_rejects_negative_eigenvalue(self):
+        with pytest.raises(NotDensityMatrixError, match="negative eigenvalue"):
+            entropy_bits(np.array([1.0 + 1e-9, -1e-9]))
 
     @given(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=8))
     @settings(max_examples=50, deadline=None)

@@ -1,6 +1,7 @@
 """Two electrons on a sphere: distance-expansion identities, a pointwise
 wave-function oracle, and the reduced radial equation."""
 
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -22,6 +23,7 @@ from entconvex.spherium import (
 from entconvex.spectra import eigendecompose, von_neumann_entropy
 from entconvex.sweep import PairSpec, pair_criterion, spherium_pair
 from oracles import (
+    block_density,
     expansion_value,
     multiply_r12_loop,
     radial_residual,
@@ -161,16 +163,15 @@ class TestReducedDensity:
     def test_entropy_stable_under_lmax(self):
         vals = []
         for lmax in (16, 20):
-            rho = spherium_pair(1, lmax=lmax).builder(0.5)
+            rho = block_density(spherium_pair(1, lmax=lmax), 0.5)
             vals.append(von_neumann_entropy(eigendecompose(rho)))
         assert vals[0] == pytest.approx(vals[1], abs=1e-4)
 
     def test_mismatched_cuts_rejected(self):
-        with pytest.raises(ValueError):
-            PairSpec(
-                lambda: (SpheriumState(1, lmax=12).coefficients(), SpheriumState(-1, lmax=16).coefficients()),
-                "spherium lmax 12/16",
-            ).builder(0.5)
+        c0 = SpheriumState(1, lmax=12).coefficients()
+        c1 = SpheriumState(-1, lmax=16).coefficients()
+        with pytest.raises(ValueError, match="of one shape"):
+            pair_criterion(PairSpec(lambda: (c0, c1), "spherium lmax 12/16"))
 
     def test_sector_diagonal_is_m(self):
         d = np.diag(angular_momentum_diagonal(2))
@@ -182,5 +183,5 @@ class TestCriterion:
         rep = pair_criterion(spherium_pair(1, lmax=12))
         assert rep.s_r == pytest.approx(rep.s0 - rep.s_ns, abs=1e-12)
         assert rep.qc == 1
-        unrestricted = pair_criterion(spherium_pair(1, lmax=12, use_sectors=False))
+        unrestricted = pair_criterion(dataclasses.replace(spherium_pair(1, lmax=12), sector_operator=None))
         assert rep.s_ns >= unrestricted.s_ns - 1e-9

@@ -25,7 +25,7 @@ from entconvex.oscillator import OscState, coefficient_tensor
 from entconvex.spherium import SpheriumState
 from entconvex.spectra import (
     RANGE_TOL,
-    UNIT_NORM_TOL,
+    SUPPORT_FLOOR,
     GramBlocks,
     HermitianMatrix,
     NotDensityMatrixError,
@@ -48,11 +48,12 @@ from entconvex.sweep import (
     spherium_pair,
 )
 from oracles import (
+    block_density,
     dense_entropy_curve,
     dense_not_shared_entropy,
     dense_refine_blocks_by_sector,
     evaluate_criterion,
-    reduce_pure_state,
+    superposition_density,
 )
 
 ALPHAS = st.floats(0.0, 1.0)
@@ -107,28 +108,8 @@ def _row(table, i):
     return lambda: reference_table(table)[i].pair
 
 
-def _overlapping_pair():
-    # c1 overlaps c0 and neither has unit norm, so the builder renormalizes
-    rng = np.random.default_rng(29)
-    c0 = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    return _pair(c0, 0.5 * c0 + rng.standard_normal((4, 3)))
-
-
-def _assert_builder_is_oracle(pair, alpha):
-    """``pair.builder(alpha)`` is the oracle trace-out of the same normalized
-    superposition, bit for bit; returns whether the builder renormalized it."""
-    c0, c1 = pair.amplitudes()
-    c = np.asarray(math.sqrt(alpha) * c0 + math.sqrt(1.0 - alpha) * c1, dtype=complex)
-    norm = float(np.linalg.norm(c))
-    renormalized = abs(norm - 1.0) > UNIT_NORM_TOL
-    if renormalized:
-        c = c / norm
-    assert np.array_equal(pair.builder(alpha).entries, reduce_pure_state(c).entries)
-    return renormalized
-
-
 def _entropy(pair, alpha):
-    return von_neumann_entropy(eigendecompose(pair.builder(alpha)))
+    return von_neumann_entropy(eigendecompose(block_density(pair, alpha)))
 
 
 def _superposition(c0, c1, alpha):
@@ -143,6 +124,18 @@ def _schmidt_entropy(amp):
     p = np.linalg.svd(amp / np.linalg.norm(amp), compute_uv=False) ** 2
     p = p[p > 0.0]
     return -float(np.sum(p * np.log2(p)))
+
+
+MODEL_PAIRS = pytest.mark.parametrize(
+    "make_pair",
+    [
+        lambda: angular_pair(3, 2, 1),
+        _row(2, 0),
+        lambda: spherium_pair(1),
+        lambda: lg_pair(LGMode(1, 1), LGMode(2, -1)),
+    ],
+    ids=["angular", "oscillator", "spherium", "lg"],
+)
 
 
 def _haar(rng, dim):
@@ -179,35 +172,32 @@ class TestSingleTraceOut:
         # whose complement is exact, so both sides build one superposition
         alpha = 1.0 - (1.0 - alpha)
         _superposition(c0, c1, 1.0 - alpha)  # the state both sides build
-        swapped = _pair(c1, c0).builder(alpha).entries
-        mirrored = _pair(c0, c1).builder(1.0 - alpha).entries
+        swapped = block_density(_pair(c1, c0), alpha).entries
+        mirrored = block_density(_pair(c0, c1), 1.0 - alpha).entries
         np.testing.assert_allclose(swapped, mirrored, atol=1e-10)
         assert _entropy(_pair(c1, c0), alpha) == pytest.approx(
             _entropy(_pair(c0, c1), 1.0 - alpha), abs=1e-10
         )
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
-    @pytest.mark.parametrize(
-        "make_pair",
-        [
-            lambda: angular_pair(3, 2, 1),
-            _row(2, 0),
-            lambda: spherium_pair(1),
-            lambda: lg_pair(LGMode(1, 1), LGMode(2, -1)),
-        ],
-        ids=["angular", "oscillator", "spherium", "lg"],
-    )
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @MODEL_PAIRS
     def test_builder_is_the_oracle_trace_out(self, make_pair, alpha):
-        _assert_builder_is_oracle(make_pair(), alpha)
+        pair = make_pair()
+        assert np.array_equal(pair.builder(alpha).entries, superposition_density(pair, alpha).entries)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
-    def test_builder_renormalizes_as_the_oracle_needs(self, alpha):
-        assert _assert_builder_is_oracle(_overlapping_pair(), alpha)
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    @MODEL_PAIRS
+    def test_block_density_is_the_oracle_trace_out(self, make_pair, alpha):
+        # the pipeline's rho(alpha), from the amplitude blocks, against the
+        # dense superposition; the oscillator's blocks drop links
+        pair = make_pair()
+        got = block_density(pair, alpha).entries
+        np.testing.assert_allclose(got, superposition_density(pair, alpha).entries, rtol=0, atol=1e-15)
 
-    def test_rejects_vanishing_superposition(self):
-        c = np.eye(2) / np.sqrt(2.0)
-        with pytest.raises(ValueError):
-            _pair(c, -c).builder(0.5)
+    @pytest.mark.parametrize("alpha", [0.3, 1e-300, 1.0 - 2.0**-53, math.nan])
+    def test_builder_forms_only_the_endpoints(self, alpha):
+        with pytest.raises(ValueError, match="only for an endpoint"):
+            angular_pair(3, 2, 1).builder(alpha)
 
 
 GRID = 5  # the smallest grid entropy_curve accepts: endpoints and three interior points
@@ -433,13 +423,14 @@ def _assert_refinement_matches_dense(pair):
     spec0 = gram.spectrum(gram.endpoint(0))
     refined = refine_blocks_by_sector(spec0, gram.sector)
     dense = dense_refine_blocks_by_sector(spec0, op)
-    on_support = [b for b in refined.blocks if b[0] in refined.support]
-    assert on_support == [b for b in dense.blocks if b[0] in dense.support], pair.label
-    assert np.array_equal(refined.eigenvalues, spec0.eigenvalues) and refined.support == spec0.support
+    w = spec0.eigenvalues
+    on_support = [b for b in refined.blocks if w[b[0]] > SUPPORT_FLOOR]
+    assert on_support == [b for b in dense.blocks if dense.eigenvalues[b[0]] > SUPPORT_FLOOR], pair.label
+    assert np.array_equal(refined.eigenvalues, w) and np.array_equal(dense.eigenvalues, w)
     # each degeneracy block's columns diagonalize the operator, in ascending order
     v = refined.eigenvectors
     for block in spec0.blocks:
-        if len(block) > 1 and block[0] in spec0.support:
+        if len(block) > 1 and w[block[0]] > SUPPORT_FLOOR:
             vb = v[:, list(block)]
             r = vb.conj().T @ op @ vb
             assert np.max(np.abs(r - np.diag(np.diag(r)))) <= 1e-10, pair.label
@@ -645,7 +636,9 @@ class TestBlockCriterion:
 
     @pytest.mark.parametrize("use_sectors", [True, False], ids=["sectors", "no-sectors"])
     def test_spherium_solves_only_amplitude_blocks(self, monkeypatch, use_sectors):
-        pair = spherium_pair(1, use_sectors=use_sectors)
+        pair = spherium_pair(1)
+        if not use_sectors:
+            pair = dataclasses.replace(pair, sector_operator=None)
         gram = gram_blocks(*pair.amplitudes(), pair.sector_operator)
         # no dim x dim array: the traced peak stays below one dense 529 x 529 float64
         tracemalloc.start()
