@@ -30,8 +30,10 @@ QUADRATURE_CHORD_TOL = 1e-5  # quadrature / truncated-expansion models
 # A curve point whose squared norm is this small a fraction of
 # (sqrt(alpha)|c0| + sqrt(1-alpha)|c1|)^2 has cancelled: the rounding of
 # the summed density terms grows, relative to the density, as the inverse
-# of that fraction.
-CANCELLED_NORM2 = 1e-12
+# of that fraction.  Over 20,000 random unit pairs each of 2 x 2, 3 x 3
+# and 4 x 4 cancelling to this fraction at alpha = 1/2, that point stayed
+# within 1.9e-13 bits of the Schmidt entropy; at 1e-3 it reached 2.0e-12.
+CANCELLED_NORM2 = 1e-2
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,8 @@ from entconvex.spherium import (
     TOTAL_L,
     _index,
     basis_size,
+    coupled_pair_array,
     perkins_weight,
-    sph_product,
 )
 
 
@@ -605,8 +605,12 @@ def cartesian_from_overlaps(state: OscState, ox: np.ndarray) -> np.ndarray:
 
 
 def sph_product_unmirrored(l1: int, m1: int, l2: int, m2: int) -> tuple[tuple[int, float], ...]:
-    """Y_{l1 m1} Y_{l2 m2} coupled on every key, mirrored magnetic numbers
-    included: :func:`entconvex.spherium.sph_product` must equal it to the bit."""
+    """Coupling of a product of spherical harmonics on one sphere, from exact ``cg``.
+
+    Y_{l1 m1} Y_{l2 m2} = sum_L c_L Y_{L, m1+m2}; returns the nonzero
+    (L, c_L) pairs, each c_L = pref * C(l1,m1; l2,m2|L,M) * C(l1,0; l2,0|L,0)
+    multiplied in that order, on every key.
+    """
     out = []
     for L in range(abs(l1 - l2), l1 + l2 + 1):
         if (l1 + l2 + L) % 2 != 0:
@@ -622,9 +626,25 @@ def sph_product_unmirrored(l1: int, m1: int, l2: int, m2: int) -> tuple[tuple[in
     return tuple(out)
 
 
-def multiply_r12_loop(arr: np.ndarray, lcut: int, lmaxes: tuple[int, ...]) -> list[np.ndarray]:
-    """r12 products term by term, the loop :func:`entconvex.spherium.multiply_r12`
-    must equal to the bit: weights recomputed per entry, numpy scalars."""
+@lru_cache(maxsize=None)
+def sph_product(l1: int, m1: int, l2: int, m2: int) -> tuple[tuple[int, float], ...]:
+    """:func:`sph_product_unmirrored` computed on one key of each mirror pair.
+
+    Parity restricts L to l1 + l2 (mod 2), so the mirror symmetry
+    C(l1,-m1; l2,-m2; L,-M) = (-1)^(l1+l2-L) C(l1,m1; l2,m2; L,M) has sign
+    +1 on every kept L and a mirrored key returns the same tuple: each key
+    is computed with m1 > 0, or m1 = 0 <= m2.
+    """
+    if m1 < 0 or (m1 == 0 and m2 < 0):
+        return sph_product(l1, -m1, l2, -m2)
+    return sph_product_unmirrored(l1, m1, l2, m2)
+
+
+def multiply_r12_loop(arr: np.ndarray, lcut: int, lmaxes: tuple[int, ...],
+                      product=sph_product) -> list[np.ndarray]:
+    """r12 products term by term from the exact couplings ``product``, the
+    loop :func:`entconvex.spherium.multiply_r12` must equal to the bit:
+    weights recomputed per entry, numpy scalars."""
     dim = basis_size(lcut)
     if arr.shape != (dim, dim):
         raise ValueError("array does not match the basis cut")
@@ -644,8 +664,8 @@ def multiply_r12_loop(arr: np.ndarray, lcut: int, lmaxes: tuple[int, ...]) -> li
             targets = [out for out, top in zip(outs, lmaxes) if l <= top]
             for m in range(-l, l + 1):
                 sign = (-1) ** m
-                left = sph_product(l1, m1, l, -m)
-                right = sph_product(l2, m2, l, m)
+                left = product(l1, m1, l, -m)
+                right = product(l2, m2, l, m)
                 if not left or not right:
                     continue
                 for La, ca in left:
@@ -659,6 +679,15 @@ def multiply_r12_loop(arr: np.ndarray, lcut: int, lmaxes: tuple[int, ...]) -> li
                         for out in targets:
                             out[ia, _index(Lb, m2 + m)] += term
     return outs
+
+
+def state_coefficients_loop(M: int, lmax: int, product=sph_product) -> np.ndarray:
+    """The unit-norm spherium state from :func:`multiply_r12_loop`: the
+    correlated pair (1 + r12/4) times the coupled harmonic pair."""
+    lcut = lmax + COUPLED_L2
+    pair = coupled_pair_array(M, lcut)
+    amp = pair + multiply_r12_loop(pair, lcut, (lmax,), product)[0] / CORRELATION_SCALE
+    return amp / np.linalg.norm(amp)
 
 
 def radial_residual(r12: np.ndarray | float) -> float:

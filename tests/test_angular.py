@@ -6,7 +6,6 @@ and explicit L- lowering, with the usual phase fixed by making the
 largest-m1 component positive.
 """
 
-import functools
 import math
 from fractions import Fraction
 
@@ -140,13 +139,27 @@ class TestClebschGordan:
 
     @pytest.mark.parametrize("source", ["cg_matrix", "spherium"])
     def test_bitwise_equals_exact_oracle(self, source):
-        # every key the pipeline reaches: the angular amplitudes up to
-        # MAX_ELL (38,025 keys) and the spherium states M = +-1, +-2 at
-        # lmax 20 (4,677: sph_product computes one key of each mirror pair)
+        # every coefficient the pipeline reaches: the angular amplitudes up
+        # to MAX_ELL (38,025 keys, from ``cg``) and the spherium states at
+        # lmax 20 (the Gaunt table's j = 1, 2 coefficients, every key)
         keys = _reached_keys(source)
         assert len(keys) > 4000
-        for k in keys:
-            assert cg(*k).hex() == clebsch_gordan(*k).value.hex(), k
+        for k, value in keys.items():
+            assert value.hex() == clebsch_gordan(*k).value.hex(), k
+
+    def test_table_guards_exact_conversion(self):
+        # the integer squares stay exact up to the 2**53 bound (l = 4000 is
+        # beyond any basis the package can hold), and raise beyond it rather
+        # than round twice
+        l, m = np.array([4000, 4000, 3999]), np.array([4000, 0, -1])
+        table = spherium.cg_table(2, l, m)
+        for i, mj, k in [(0, 2, 2), (0, -2, 1), (1, 0, 0), (1, 1, 1), (2, -2, 0), (2, 1, 2)]:
+            key = (2, mj, int(l[i]), int(m[i]), int(l[i]) - 2 + 2 * k, int(m[i]) + mj)
+            assert table[2 + mj, i, k].hex() == clebsch_gordan(*key).value.hex(), key
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            spherium.cg_table(2, np.array([5000]), np.array([0]))
+        with pytest.raises(ValueError, match="beyond the exact"):
+            spherium.cg_table(1, np.array([10**5]), np.array([0]))
 
     def test_numpy_integer_arguments(self):
         # np.int64 times a large Python int overflows; the integer Racah
@@ -159,7 +172,18 @@ class TestClebschGordan:
 
 
 def _reached_keys(source):
-    """The cg arguments that building the angular or spherium amplitudes uses."""
+    """The Clebsch-Gordan keys that building the angular or spherium
+    amplitudes reads, each with the value it reads."""
+    if source == "spherium":
+        keys = {}
+        l, m = spherium._harmonics(spherium.basis_size(20))
+        for j in (spherium.COUPLED_L1, spherium.COUPLED_L2):
+            table = spherium.cg_table(j, l, m)
+            for (row, i, k), value in np.ndenumerate(table):
+                L = int(l[i]) - j + 2 * k
+                if L >= abs(int(l[i]) - j):
+                    keys[(j, row - j, int(l[i]), int(m[i]), L, row - j + int(m[i]))] = value
+        return keys
     keys = set()
 
     def record(*k):
@@ -167,19 +191,12 @@ def _reached_keys(source):
         return cg(*k)
 
     with pytest.MonkeyPatch.context() as mp:
-        if source == "cg_matrix":
-            mp.setattr(angular, "cg", record)
-            for l in range(angular.MAX_ELL + 1):
-                for L in range(2 * l + 1):
-                    for M in range(-L, L + 1):
-                        angular.cg_matrix.__wrapped__(l, L, M)
-        else:
-            mp.setattr(spherium, "cg", record)
-            mp.setattr(spherium, "sph_product",
-                       functools.lru_cache(maxsize=None)(spherium.sph_product.__wrapped__))
-            for M in (1, -1, 2, -2):
-                spherium._state_coefficients.__wrapped__(M, 20)
-    return keys
+        mp.setattr(angular, "cg", record)
+        for l in range(angular.MAX_ELL + 1):
+            for L in range(2 * l + 1):
+                for M in range(-L, L + 1):
+                    angular.cg_matrix.__wrapped__(l, L, M)
+    return {k: cg(*k) for k in keys}
 
 
 class TestAngularConfig:

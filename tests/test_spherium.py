@@ -2,7 +2,6 @@
 wave-function oracle, and the reduced radial equation."""
 
 import dataclasses
-import functools
 import math
 from fractions import Fraction
 
@@ -10,15 +9,15 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
-from entconvex import spherium
+from entconvex import angular, spherium
 from entconvex.spherium import (
     SpheriumState,
     angular_momentum_diagonal,
     basis_size,
     coupled_pair_array,
+    gaunt_table,
     multiply_r12,
     perkins_weight,
-    sph_product,
 )
 from entconvex.spectra import eigendecompose, von_neumann_entropy
 from entconvex.sweep import PairSpec, pair_criterion, spherium_pair
@@ -27,7 +26,9 @@ from oracles import (
     expansion_value,
     multiply_r12_loop,
     radial_residual,
+    sph_product,
     sph_product_unmirrored,
+    state_coefficients_loop,
     wave_function,
 )
 
@@ -81,41 +82,71 @@ class TestDistanceExpansion:
 
     def test_one_pass_equals_separate_passes(self):
         # the norm-tail check reads the lmax - 4 product from the same pass
-        lmax = 20
-        lcut = lmax + 2
-        arr = coupled_pair_array(1, lcut)
-        both = multiply_r12(arr, lcut, (lmax, lmax - 4))
-        np.testing.assert_array_equal(both[0], multiply_r12(arr, lcut, (lmax,))[0])
-        np.testing.assert_array_equal(both[1], multiply_r12(arr, lcut, (lmax - 4,))[0])
-        assert not np.array_equal(both[0], both[1])
+        for lmax in (12, 16, 20):
+            lcut = lmax + 2
+            arr = coupled_pair_array(1, lcut)
+            both = multiply_r12(arr, lcut, (lmax, lmax - 4))
+            for got, top in zip(both, (lmax, lmax - 4)):
+                assert np.array_equal(got, multiply_r12(arr, lcut, (top,))[0])
+                assert np.array_equal(got, multiply_r12_loop(arr, lcut, (top,))[0])
+            assert not np.array_equal(both[0], both[1])
 
     @pytest.mark.parametrize("M", [1, -1, 2, -2])
     def test_bitwise_equals_term_loop(self, M):
-        # hoisted weights and partial products keep every rounding step
-        lcut = 22
-        arr = coupled_pair_array(M, lcut)
-        got = multiply_r12(arr, lcut, (20, 16))
-        want = multiply_r12_loop(arr, lcut, (20, 16))
-        for g, w in zip(got, want, strict=True):
-            assert np.array_equal(g, w)
+        # the table's couplings and the ordered scatter keep every rounding step
+        for lmax in (12, 16, 20):
+            lcut = lmax + 2
+            arr = coupled_pair_array(M, lcut)
+            got = multiply_r12(arr, lcut, (lmax, lmax - 4))
+            want = multiply_r12_loop(arr, lcut, (lmax, lmax - 4))
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(g, w)
 
     def test_mirrored_keys_equal_unmirrored_coupling(self):
         # every key the r12 products reach (l1 <= 2 from the coupled pair,
-        # l2 <= 20) and a margin, compared bit for bit by float.hex
-        for l1 in range(4):
-            for l2 in range(21):
-                for m1 in range(-l1, l1 + 1):
-                    for m2 in range(-l2, l2 + 1):
-                        got = sph_product(l1, m1, l2, m2)
-                        want = sph_product_unmirrored(l1, m1, l2, m2)
-                        assert [(L, c.hex()) for L, c in got] == [(L, c.hex()) for L, c in want]
+        # l2 <= lmax): the package's table and the oracle's mirrored keys
+        # against the unmirrored exact coupling, bit for bit by float.hex
+        for lmax in (12, 16, 20):
+            table = gaunt_table(lmax)
+            for l1 in range(3):
+                for l2 in range(lmax + 1):
+                    for m1 in range(-l1, l1 + 1):
+                        for m2 in range(-l2, l2 + 1):
+                            want = [(L, c.hex()) for L, c in sph_product_unmirrored(l1, m1, l2, m2)]
+                            coeffs = table[l1, l1 + m1, l2 * l2 + l2 + m2]
+                            got = [(l2 - l1 + 2 * k, c.hex()) for k, c in enumerate(coeffs.tolist()) if c]
+                            assert got == want
+                            assert [(L, c.hex()) for L, c in sph_product(l1, m1, l2, m2)] == want
+
+    def test_rejects_entries_beyond_the_table(self):
+        arr = np.zeros((basis_size(4),) * 2)
+        arr[9, 1] = 1.0  # (l, m) = (3, -3)
+        with pytest.raises(ValueError, match="l <= 2"):
+            multiply_r12(arr, 4, (2,))
 
     @pytest.mark.parametrize("M", [1, -1, 2, -2])
-    def test_amplitudes_equal_unmirrored_build(self, monkeypatch, M):
-        got = spherium._state_coefficients.__wrapped__(M, 20)
-        unmirrored = functools.lru_cache(maxsize=None)(sph_product_unmirrored)
-        monkeypatch.setattr(spherium, "sph_product", unmirrored)
-        assert np.array_equal(got, spherium._state_coefficients.__wrapped__(M, 20))
+    def test_amplitudes_equal_unmirrored_build(self, M):
+        for lmax in (12, 16, 20):
+            got = SpheriumState(M, lmax).coefficients()
+            assert np.array_equal(got, state_coefficients_loop(M, lmax, sph_product_unmirrored))
+
+    @pytest.mark.parametrize("M", [1, -1, 2, -2])
+    def test_exact_cg_only_for_the_coupled_pair(self, monkeypatch, M):
+        # a cold state evaluates exact Racah sums only for the coupled pair's
+        # <= 3 coefficients; the Gaunt table supplies every other coupling
+        calls = []
+        racah = angular._racah
+
+        def counting(*key):
+            calls.append(key)
+            return racah(*key)
+
+        uncached = angular.cg.__wrapped__
+        monkeypatch.setattr(angular, "_racah", counting)
+        for owner in (angular, spherium):
+            monkeypatch.setattr(owner, "cg", uncached)
+        spherium._state_coefficients.__wrapped__(M, 20)
+        assert 0 < len(calls) <= 3
 
 
 class TestWaveFunction:

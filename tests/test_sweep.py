@@ -300,6 +300,30 @@ class TestBlockCurve:
         with pytest.raises(ValueError, match="vanishes"):
             entropy_curve(_pair(c, -c))
 
+    @pytest.mark.parametrize("fraction", [1.2, 0.8])
+    def test_cancellation_bound(self, fraction):
+        # unit 4 x 4 states with c1 = -cos(t) c0 + sin(t) e, e a unit vector
+        # orthogonal to c0: the alpha = 1/2 point has squared norm sin^2(t/2)
+        # of its parts'.  Just above the bound the curve holds to 1e-12;
+        # just below it raises
+        rng = np.random.default_rng(2024)
+        c0 = rng.standard_normal((4, 4))
+        c0 /= np.linalg.norm(c0)
+        e = rng.standard_normal((4, 4))
+        e -= np.vdot(c0, e) * c0
+        e /= np.linalg.norm(e)
+        t = 2.0 * np.arcsin(np.sqrt(fraction * sweep.CANCELLED_NORM2))
+        c1 = -np.cos(t) * c0 + np.sin(t) * e
+        pair = _pair(c0, c1)
+        if fraction < 1.0:
+            with pytest.raises(ValueError, match="vanishes"):
+                entropy_curve(pair, GRID)
+            return
+        curve = entropy_curve(pair, GRID)
+        assert curve.alphas[GRID // 2] == 0.5
+        expected = [_schmidt_entropy(np.sqrt(a) * c0 + np.sqrt(1.0 - a) * c1) for a in curve.alphas]
+        np.testing.assert_allclose(curve.entropies, expected, rtol=0, atol=1e-12)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             entropy_curve(_pair(np.eye(2), np.eye(3)))
