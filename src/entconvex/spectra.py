@@ -3,6 +3,10 @@
 Everything downstream (criterion evaluation, model sweeps) consumes the
 types defined here.  All values are immutable after construction and the
 functions are pure, so they can be shared freely between threads.
+:meth:`GramBlocks.spectrum` memoizes its spectra by the exact content of
+their input (:class:`_SpectrumMemo`): a scan meets one state in many
+pairs, and a repeated endpoint gets back the spectrum solved the first
+time, bit for bit, read-only and behind a lock.
 Entropies are in bits throughout the package; only the command line and
 the benchmark tables convert them to another base.
 """
@@ -10,6 +14,8 @@ the benchmark tables convert them to another base.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +35,11 @@ BLOCK_LINK_TOL = 1e-15
 # its block's largest is outside the range the alpha curve is solved on
 RANGE_TOL = 1e-16
 LN2 = math.log(2.0)  # entropies are in bits: nats / LN2
+# GramBlocks.spectrum's memo (_SpectrumMemo) stores no input whose blocks
+# hold more bytes than the first, and holds at most the second in all; no
+# workload repeats an endpoint above the first (dense-tables' are all above)
+MEMO_ENTRY_BYTES = 64 * 1024
+MEMO_BYTES = 2 * 1024 * 1024
 
 
 class NonHermitianError(ValueError):
@@ -155,8 +166,59 @@ def gap_clusters(w: np.ndarray, tol: float) -> list[tuple[int, ...]]:
 
     The range counts as at least 1.
     """
-    cuts = np.flatnonzero(w[:-1] - w[1:] > tol * max(float(w[0] - w[-1]), 1.0)) + 1
-    return [tuple(run.tolist()) for run in np.split(np.arange(len(w)), cuts)]
+    cuts = (np.flatnonzero(w[:-1] - w[1:] > tol * max(float(w[0] - w[-1]), 1.0)) + 1).tolist()
+    bounds = [0, *cuts, len(w)]
+    return [tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+
+
+class _SpectrumMemo:
+    """:func:`eigh_blocks` of small inputs, keyed by their exact content.
+
+    The key holds, per size group, the shape, dtype and bytes of the rows
+    and of the blocks, so a hit is an input equal to a stored one bit for
+    bit, and it gets back the stored :class:`Spectrum` object, whose
+    arrays are read-only.  An input whose blocks hold more than
+    ``MEMO_ENTRY_BYTES`` is solved and not stored.  Past ``MEMO_BYTES``,
+    counting keys and spectra, the least recently used entries go.  A lock
+    guards the entries; the solve runs outside it.
+    """
+
+    def __init__(self):
+        self.nbytes = 0
+        self._entries: OrderedDict[tuple, tuple[Spectrum, int]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __call__(self, groups) -> Spectrum:
+        if sum(m.nbytes for _, m in groups) > MEMO_ENTRY_BYTES:
+            return eigh_blocks(groups)
+        key = tuple((a.shape, a.dtype.str, a.tobytes()) for group in groups for a in group)
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                self._entries.move_to_end(key)
+                return hit[0]
+        spec = eigh_blocks(groups)
+        size = sum(len(data) for *_, data in key) + sum(
+            a.nbytes for a in (spec.eigenvalues, spec.source, *(a for g in spec.groups for a in g)))
+        with self._lock:
+            if key in self._entries:  # solved meanwhile by another thread
+                return self._entries[key][0]
+            self._entries[key] = (spec, size)
+            self.nbytes += size
+            while self.nbytes > MEMO_BYTES:
+                self.nbytes -= self._entries.popitem(last=False)[1][1]
+        return spec
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+
+_spectrum_memo = _SpectrumMemo()
 
 
 def eigendecompose(m: HermitianMatrix) -> Spectrum:
@@ -234,8 +296,10 @@ class GramBlocks:
         """The spectrum of :meth:`endpoint` blocks, each block solved alone (:func:`eigh_blocks`).
 
         With one block the eigen-solve is the density check's of ``PairSpec.builder``.
+        Blocks of at most ``MEMO_ENTRY_BYTES`` are memoized by content, so a
+        repeated endpoint returns the same read-only spectrum (:class:`_SpectrumMemo`).
         """
-        return eigh_blocks([(g[0], m) for g, m in zip(self.groups, blocks)])
+        return _spectrum_memo([(g[0], m) for g, m in zip(self.groups, blocks)])
 
 
 def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None) -> GramBlocks:

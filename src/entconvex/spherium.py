@@ -150,8 +150,12 @@ def cg_table(j: int, l: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
 def gaunt_table(lmax: int) -> np.ndarray:
     """Coupling of harmonic products Y_{j mj} Y_{l m} with j <= 2, l <= lmax.
+
+    Built once per ``lmax`` and returned read-only, since every M of a
+    multiplet reads the same table.
 
     Y_{j mj} Y_{l m} = sum_k G[j, j + mj, i, k] Y_{l - j + 2k, mj + m} for
     the harmonic i = (l, m); unused mj and k slots are zero.  Each entry is
@@ -166,6 +170,7 @@ def gaunt_table(lmax: int) -> np.ndarray:
         ratio = np.divide((2 * j + 1) * (2 * l[:, None] + 1), 4.0 * math.pi * (2 * L + 1),
                           out=np.zeros(L.shape), where=L >= np.abs(l[:, None] - j))
         table[j, :2 * j + 1, :, :j + 1] = np.sqrt(ratio) * c * c[j, l * l + l]
+    table.setflags(write=False)
     return table
 
 

@@ -136,7 +136,8 @@ class EntropyCurve:
     def __post_init__(self):
         if len(self.alphas) != len(self.entropies):
             raise ValueError("grid/entropy length mismatch")
-        if any(not np.isfinite(s) or s < -1e-12 for s in self.entropies):
+        e = np.asarray(self.entropies, dtype=float)
+        if not np.all(np.isfinite(e) & (e >= -1e-12)):
             raise ValueError("entropies must be finite and non-negative")
         if abs(self.entropies[0] - self.s1) > 1e-8 or abs(self.entropies[-1] - self.s0) > 1e-8:
             raise ValueError("endpoint entropies inconsistent with curve")

@@ -12,6 +12,7 @@ from entconvex.spectra import (
     NotDensityMatrixError,
     eigendecompose,
     entropy_bits,
+    gap_clusters,
     gram_blocks,
     von_neumann_entropy,
 )
@@ -85,6 +86,32 @@ class TestEigendecompose:
     def test_support_excludes_kernel(self):
         spec = eigendecompose(_density(np.diag([0.5, 0.5, 0.0])))
         assert np.flatnonzero(spec.eigenvalues > SUPPORT_FLOOR).tolist() == [0, 1]
+
+
+class TestGapClusters:
+    @staticmethod
+    def _split_runs(w, tol):
+        # the np.split form gap_clusters replaced
+        cuts = np.flatnonzero(w[:-1] - w[1:] > tol * max(float(w[0] - w[-1]), 1.0)) + 1
+        return [tuple(run.tolist()) for run in np.split(np.arange(len(w)), cuts)]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_split_runs_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        # few distinct values, so ties and near ties repeat
+        w = np.sort(rng.choice(rng.random(max(1, n // 3)), n) + rng.choice([0.0, 1e-9], n))[::-1]
+        for tol in (1e-8, 0.05):
+            got = gap_clusters(w, tol)
+            assert got == self._split_runs(w, tol)
+            assert all(type(i) is int for run in got for i in run)
+
+    @pytest.mark.parametrize(
+        "w", [np.array([0.3]), np.full(5, 0.2), np.array([0.5, 0.5 - 1e-9, 0.5 - 2e-9])],
+        ids=["single", "all-tied", "one-chain"],
+    )
+    def test_one_cluster(self, w):
+        assert gap_clusters(w, 1e-8) == self._split_runs(w, 1e-8) == [tuple(range(len(w)))]
 
 
 class TestVonNeumannEntropy:

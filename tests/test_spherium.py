@@ -118,6 +118,13 @@ class TestDistanceExpansion:
                             assert got == want
                             assert [(L, c.hex()) for L, c in sph_product(l1, m1, l2, m2)] == want
 
+    def test_table_built_once_and_read_only(self):
+        table = gaunt_table(20)
+        assert gaunt_table(20) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0, 0] = 1.0
+
     def test_rejects_entries_beyond_the_table(self):
         arr = np.zeros((basis_size(4),) * 2)
         arr[9, 1] = 1.0  # (l, m) = (3, -3)

@@ -659,7 +659,7 @@ class TestBlockCriterion:
         np.testing.assert_allclose(curve.entropies, dense_entropy_curve(pair, GRID), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("use_sectors", [True, False], ids=["sectors", "no-sectors"])
-    def test_spherium_solves_only_amplitude_blocks(self, monkeypatch, use_sectors):
+    def test_spherium_solves_only_amplitude_blocks(self, monkeypatch, use_sectors, empty_spectrum_memo):
         pair = spherium_pair(1)
         if not use_sectors:
             pair = dataclasses.replace(pair, sector_operator=None)
@@ -822,7 +822,7 @@ class TestMirrorPairs:
         np.testing.assert_allclose(half.entropies, whole.entropies, rtol=0, atol=1e-13)
         assert half.entropies == half.entropies[::-1]
 
-    def test_criterion_solves_only_the_reference(self, monkeypatch):
+    def test_criterion_solves_only_the_reference(self, monkeypatch, empty_spectrum_memo):
         pair = reference_table(2)[0].pair
         gram = gram_blocks(*pair.amplitudes(), pair.sector_operator)
         rho0 = gram.endpoint(0)
@@ -907,6 +907,16 @@ class TestEntropyCurve:
     def test_negative_entropy_rejected(self):
         with pytest.raises(ValueError):
             _curve([0.0, -0.5, 0.0])
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, -2e-12], ids=["nan", "inf", "-inf", "below-floor"]
+    )
+    def test_each_bad_entropy_rejected(self, bad):
+        with pytest.raises(ValueError, match="entropies must be finite and non-negative"):
+            _curve([0.0, bad, 0.0])
+
+    def test_rounding_below_zero_accepted(self):
+        assert _curve([0.0, -1e-12, 0.0]).entropies[1] == -1e-12
 
     def test_chord_endpoints(self):
         c = _curve([1.0, 0.6, 2.0])
