@@ -25,6 +25,7 @@ import sys
 
 from .benchmarks import DEFAULT_VALUE_TOL, TABLE_IDS, bits_factor, evaluate_table, rescale_report
 from .criterion import random_projector_probe
+from .oscillator import NormDeficitError
 from .sweep import (
     DEFAULT_GRID_SIZE,
     angular_pair,
@@ -345,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.alpha_steps is not None and args.alpha_steps < 5:
             raise ValueError("--alpha-steps must be at least 5")
         return args.func(args)
+    except NormDeficitError as exc:  # only the oscillator flags reach one
+        print(f"error: {exc} with --basis-size", file=sys.stderr)
+        return 2
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -68,6 +68,10 @@ class OscState:
         return f"{self.n},{self.m},{self.l},{self.p}"
 
 
+class NormDeficitError(ValueError):
+    """The basis keeps less than 1 - ``NORM_DEFICIT_TOL`` of a state's norm."""
+
+
 @dataclass(frozen=True)
 class OscBasisSpec:
     """Hermite-basis size per coordinate and quadrature order."""
@@ -184,8 +188,9 @@ def coefficient_tensor(state: OscState, basis: OscBasisSpec | None = None) -> np
     x2 y2] = sum_bd O[x1, x2, a_max - b, c_max - d] T[y1, y2, b, d], where
     T = i^-(y1 + y2) kappa_c[b] kappa_r[d] O[y1, y2, b, d] is the only
     complex array; an imaginary part of T above ``GAUGE_IMAG_TOL`` of its
-    largest real entry raises.  Raises when the truncated expansion loses
-    more than 1e-6 of the norm (basis too small).  Results are memoized
+    largest real entry raises.  Raises :class:`NormDeficitError` when the
+    truncated expansion loses more than 1e-6 of the norm (basis too small;
+    at lambda > 0 a state within ``check_state``'s bound can).  Results are memoized
     in memory (an alpha sweep reads them once per grid point).
     """
     return _coefficient_tensor_cached(state, basis or OscBasisSpec())
@@ -216,7 +221,7 @@ def _coefficient_tensor_cached(state: OscState, basis: OscBasisSpec) -> np.ndarr
     amp = amp.reshape(nb * nb, nb * nb) + 0.0  # no negative zeros, like sweep.Mirror's image
     norm = np.linalg.norm(amp)
     if norm**2 < 1.0 - NORM_DEFICIT_TOL:
-        raise ValueError(
+        raise NormDeficitError(
             f"norm deficit {1.0 - norm**2:.3e} beyond {NORM_DEFICIT_TOL} at basis size {nb}; "
             "enlarge the basis"
         )

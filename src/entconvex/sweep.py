@@ -8,6 +8,7 @@ between the endpoint entropies, not via second differences.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -132,6 +133,7 @@ class EntropyCurve:
     solved_sizes: tuple[int, ...] = ()  # matrix size solved per block-size group
     solved_points: int = 0  # grid points eigen-solved; a mirror pair's others are mirrored
     range_dropped: float = 0.0  # largest left-out eigenvalue of c0c0^dagger + c1c1^dagger, relative
+    imag_dropped: float = 0.0  # largest dropped imaginary term entry, relative to its rounding bound
 
     def __post_init__(self):
         if len(self.alphas) != len(self.entropies):
@@ -191,6 +193,16 @@ def entropy_curve(
     |psi(alpha)|^2: about 1e-14 for a block of 128, far below
     ``SUPPORT_FLOOR``.
 
+    A size group of complex terms whose imaginary entries all lie within
+    the rounding of their products, |Im T_ij| <= gamma_(K+1) d_i d_j for K
+    the traced dimension (:func:`_imag_ratio`), is solved on the real parts
+    of its terms, range step included.  By Weyl each eigenvalue then moves
+    by at most |Im T(alpha)|_2, no more than the rounding the complex
+    products already carry, so no tolerance is added; ``imag_dropped`` is
+    the largest such ratio, 0 when no group was solved real.  Every LG
+    group is real this way, since the profile's imaginary part is odd in
+    y: its ratios stay below 0.006.  Real terms skip the check.
+
     The whole grid's eigenvalues then come from batched ``eigvalsh`` calls
     over equal-size blocks.  A call holds at most max(dim**2, 2**16)
     entries, so a small density takes several grid points per call.  Only
@@ -217,8 +229,13 @@ def entropy_curve(
         raise ValueError("superposition vanishes")
     points = grid_size if pair.mirror is None else (grid_size + 1) // 2
     coef = coef[:points]
-    weights, solved, range_dropped = [], [], 0.0
+    weights, solved, range_dropped, imag_dropped = [], [], 0.0, 0.0
     for rows, terms in gram.groups:
+        if np.iscomplexobj(terms):
+            ratio = _imag_ratio(terms, gram.traced)
+            if ratio <= 1.0:
+                terms = np.ascontiguousarray(terms.real)
+                imag_dropped = max(imag_dropped, ratio)
         if rows.shape[1] > 1:
             terms, dropped = _on_range(terms)
             range_dropped = max(range_dropped, dropped)
@@ -244,7 +261,29 @@ def entropy_curve(
         solved_sizes=tuple(solved),
         solved_points=points,
         range_dropped=range_dropped,
+        imag_dropped=imag_dropped,
     )
+
+
+def _imag_ratio(terms: np.ndarray, traced: int) -> float:
+    """The largest |Im T_ij| of a complex size group's three terms over its rounding bound.
+
+    Each entry of the three terms sums ``traced`` complex products of row
+    entries, so its computed value is off by at most gamma_(traced+1) d_i d_j,
+    with gamma_n = n eps / (1 - n eps), eps the machine epsilon (twice the
+    unit roundoff, which also covers the complex products' own rounding),
+    and d_i = sqrt(T0_ii) + sqrt(T1_ii) the sum of row i's norms in c0 and
+    c1: by Cauchy-Schwarz, d_i d_j bounds the sum of the moduli of the
+    products behind entry ij of each term.  A ratio of at most 1 is an imaginary part that the
+    products' rounding can hold; a nonzero entry whose bound is 0 gives
+    inf.  See :func:`entropy_curve`.
+    """
+    n = (traced + 1) * np.finfo(float).eps
+    diag = np.sqrt(np.diagonal(terms[:2], axis1=2, axis2=3).real).sum(axis=0)
+    bound = n / (1.0 - n) * (diag[:, :, None] * diag[:, None, :])
+    excess = np.abs(terms.imag)
+    past = np.where(excess > 0.0, math.inf, 0.0)  # where the bound is 0
+    return float(np.divide(excess, bound, out=past, where=bound > 0.0).max())
 
 
 def _on_range(terms: np.ndarray) -> tuple[np.ndarray, float]:

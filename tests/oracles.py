@@ -110,6 +110,29 @@ def superposition_density(pair, alpha: float) -> HermitianMatrix:
     return HermitianMatrix(rho / np.real(np.trace(rho)))
 
 
+def components_by_search(linked: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a symmetric boolean link matrix, ordered by first index.
+
+    A frontier search from every row not yet seen, singletons included: the
+    oracle of :func:`entconvex.spectra.components`.
+    """
+    n = len(linked)
+    seen = np.zeros(n, dtype=bool)
+    parts = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        members = np.zeros(n, dtype=bool)
+        members[start] = True
+        frontier = members.copy()
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~members
+            members |= frontier
+        seen |= members
+        parts.append(np.flatnonzero(members))
+    return parts
+
+
 def block_density(pair, alpha: float) -> HermitianMatrix:
     """The package's own reduced density at ``alpha``, embedded densely.
 

@@ -170,6 +170,22 @@ def test_oscillator_norm_deficit_names_the_basis_size(capsys):
     assert row[5:] == ["-1", "concave", "1"]
 
 
+@pytest.mark.parametrize("command", ["curve", "criterion", "probe"])
+def test_oscillator_norm_deficit_suggests_the_flag(capsys, command):
+    # check_state's bound is exact only at lambda = 0: this state passes it at
+    # the default basis and fails the norm-deficit check, whose message names
+    # the flag that mends it; 24 per coordinate suffice
+    pair = "--model oscillator --n 0 --m 2 --l 1 --p 1 --lambda 0.7".split()
+    code, out, err = run(capsys, command, *pair, *SAMPLES[command])
+    assert code == 2 and out == ""
+    assert err == (
+        "error: norm deficit 1.113e-06 beyond 1e-06 at basis size 16; "
+        "enlarge the basis with --basis-size\n"
+    )
+    code, out, err = run(capsys, command, *pair, *SAMPLES[command], "--basis-size", "24")
+    assert code == 0 and err == "" and out
+
+
 # a small probe keeps these fast; only the probe reads --samples
 SAMPLES = {"curve": (), "criterion": (), "probe": ("--samples", "10")}
 

@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from entconvex.spectra import (
+    BLOCK_LINK_TOL,
     SUPPORT_FLOOR,
     HermitianMatrix,
     NonHermitianError,
     NotDensityMatrixError,
+    components,
     eigendecompose,
     entropy_bits,
     gap_clusters,
     gram_blocks,
     von_neumann_entropy,
 )
-from oracles import reconstruct, reduce_pure_state
+from oracles import components_by_search, reconstruct, reduce_pure_state
 
 
 def _density(mat):
@@ -247,3 +250,55 @@ class TestGramBlocks:
         np.testing.assert_allclose(spec.eigenvalues, eigendecompose(dense).eigenvalues, rtol=0, atol=1e-15)
         np.testing.assert_allclose(reconstruct(spec), dense.entries, rtol=0, atol=1e-15)
         assert spec.blocks == eigendecompose(dense).blocks
+
+
+@st.composite
+def symmetric_links(draw):
+    """A symmetric boolean link matrix of 1-12 rows, links and self-links drawn
+    apart, so some rows are isolated and some have no self-link."""
+    n = draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.7]))
+    upper = np.triu(draw(hnp.arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0))) < density, 1)
+    diag = draw(hnp.arrays(np.bool_, n))
+    return upper | upper.T | np.diag(diag)
+
+
+class TestComponents:
+    @given(symmetric_links())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_frontier_search_from_every_row(self, linked):
+        got = components(linked)
+        want = components_by_search(linked)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_isolated_rows_without_self_links(self):
+        linked = np.zeros((5, 5), dtype=bool)
+        linked[1, 3] = linked[3, 1] = True  # rows 1 and 3 carry no self-link
+        linked[4, 4] = True
+        assert [p.tolist() for p in components(linked)] == [[0], [1, 3], [2], [4]]
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_trace_out_keeps_the_blocks_and_the_dropped_link(self, seed):
+        # the within-block links zeroed by one label comparison give the
+        # per-block np.ix_ assignment's largest dropped link, to the bit
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(2, 9, 2)
+        keep = rng.random((rows, cols)) < 0.3
+        c0 = np.where(keep, rng.standard_normal((rows, cols)), 0.0)
+        c1 = np.where(keep, 1e-9 * rng.standard_normal((rows, cols)), 0.0)
+        gram = gram_blocks(c0, c1)
+        a = np.abs(c0) + np.abs(c1)
+        g = a @ a.T
+        top = g.max()
+        blocks = components_by_search(g > BLOCK_LINK_TOL * top)
+        assert gram.block_sizes == tuple(len(b) for b in blocks)
+        assert [r.tolist() for r, _ in gram.groups] == [
+            [b.tolist() for b in blocks if len(b) == size] for size in sorted(set(gram.block_sizes))
+        ]
+        for b in blocks:
+            g[np.ix_(b, b)] = 0.0
+        assert gram.dropped == (g.max() / top if top > 0.0 else 0.0)
+        assert gram.traced == cols

@@ -414,6 +414,118 @@ class TestBlockCurve:
             assert 0.0 < curve.range_dropped <= RANGE_TOL
 
 
+def _criterion_6_pairs():
+    """The criterion-6 LG pairs: the l, |m| <= 4 scan and table 4."""
+    modes = [LGMode(l, m) for l in range(5) for m in range(-4, 5) if m != 0]
+    pairs = [lg_pair(m0, m1) for i, m0 in enumerate(modes) if m0.m > 0 for m1 in modes[i + 1:]]
+    return pairs + [row.pair for row in reference_table(4)]
+
+
+def _spy_dtypes(monkeypatch):
+    """Record the dtype of every matrix stack the curve hands to eigh and eigvalsh."""
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        def spy(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            seen.append(np.asarray(a).dtype)
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return seen
+
+
+class TestRealCurve:
+    """Complex terms that are real within their products' rounding are solved
+    on their real parts; the complex solve is the oracle."""
+
+    def test_criterion_6_pairs_solve_real(self, monkeypatch):
+        pairs = _criterion_6_pairs()
+        assert len(pairs) == 355
+        grams = [gram_blocks(*pair.amplitudes()) for pair in pairs]
+        assert all(np.iscomplexobj(terms) for gram in grams for _, terms in gram.groups)
+        seen = _spy_dtypes(monkeypatch)
+        curves = [entropy_curve(pair, gram=gram) for pair, gram in zip(pairs, grams)]
+        assert seen and all(dtype == np.float64 for dtype in seen)
+        assert max(c.imag_dropped for c in curves) <= 0.006
+        monkeypatch.setattr(sweep, "_imag_ratio", lambda terms, traced: math.inf)
+        seen.clear()
+        for pair, gram, curve in zip(pairs, grams, curves):
+            full = entropy_curve(pair, gram=gram)
+            assert full.imag_dropped == 0.0
+            np.testing.assert_allclose(curve.entropies, full.entropies, rtol=0, atol=1e-13, err_msg=pair.label)
+        assert all(dtype == np.complex128 for dtype in seen)
+
+    def test_criterion_6_pairs_match_dense(self):
+        # on the scan's own 13-point grid
+        for pair in _criterion_6_pairs():
+            got = entropy_curve(pair, grid_size=13).entropies
+            np.testing.assert_allclose(got, dense_entropy_curve(pair, 13), rtol=0, atol=1e-12, err_msg=pair.label)
+
+    @pytest.mark.parametrize("make", ["random", "perturbed-lg"])
+    def test_complex_terms_stay_complex(self, monkeypatch, make):
+        if make == "random":  # |Im| about 1e14 times the bound
+            rng = np.random.default_rng(4)
+            c0, c1 = (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)) for _ in range(2))
+            least = 1e12
+        else:  # an LG pair, c1 shifted by 1e-12 i: about 1e8 times the bound
+            c0, c1 = lg_pair(LGMode(1, 1), LGMode(2, -1)).amplitudes()
+            c1 = c1 + 1e-12j
+            least = 1e7
+        gram = gram_blocks(c0, c1)
+        assert min(sweep._imag_ratio(terms, gram.traced) for _, terms in gram.groups) > least
+        seen = _spy_dtypes(monkeypatch)
+        curve = entropy_curve(_pair(c0, c1), gram=gram)
+        assert curve.imag_dropped == 0.0
+        assert seen and all(dtype == np.complex128 for dtype in seen)
+        want = dense_entropy_curve(_pair(c0, c1), len(curve.alphas))
+        np.testing.assert_allclose(curve.entropies, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "make_pair",
+        [
+            lambda: angular_pair(3, 2, 1),
+            _row(2, 0),
+            lambda: spherium_pair(1),
+            lambda: _pair(*np.random.default_rng(6).standard_normal((2, 4, 6))),
+        ],
+        ids=["angular", "oscillator", "spherium", "random-real"],
+    )
+    def test_real_terms_skip_the_check(self, monkeypatch, make_pair):
+        def fail(terms, traced):
+            raise AssertionError("real terms were checked")
+
+        monkeypatch.setattr(sweep, "_imag_ratio", fail)
+        pair = make_pair()
+        gram = gram_blocks(*pair.amplitudes(), pair.sector_operator)
+        assert not any(np.iscomplexobj(terms) for _, terms in gram.groups)
+        assert entropy_curve(pair, gram=gram).imag_dropped == 0.0
+
+
+def test_support_floor_shared_with_dense_oracle():
+    # a 4 x 4 pair whose superposition at alpha = 0.475 has a Schmidt weight
+    # of 9e-13, below SUPPORT_FLOOR: the curve and the dense oracle drop it
+    # alike, and both read about -p log2 p = 3.6e-11 bits below the exact
+    # Schmidt entropy, more than the 1e-12 by which they agree
+    rng = np.random.default_rng(5)
+    p = np.array([0.9, 0.07, 0.03, 9.0e-13])
+    p /= p.sum()
+    target = _haar(rng, 4) @ np.diag(np.sqrt(p)) @ _haar(rng, 4)
+    alpha = 0.475
+    c1 = _haar(rng, 4) / 2.0
+    c0 = (target - math.sqrt(1.0 - alpha) * c1) / math.sqrt(alpha)
+    pair = _pair(c0, c1)
+    curve = entropy_curve(pair)
+    i = 19
+    assert curve.alphas[i] == pytest.approx(alpha, abs=1e-15)
+    dense = dense_entropy_curve(pair, len(curve.alphas))
+    assert abs(curve.entropies[i] - dense[i]) <= 1e-12
+    amp = math.sqrt(curve.alphas[i]) * c0 + math.sqrt(1.0 - curve.alphas[i]) * c1
+    weights = np.linalg.svd(amp / np.linalg.norm(amp), compute_uv=False) ** 2
+    assert weights[-1] == pytest.approx(9.0e-13, rel=1e-3)
+    exact = _schmidt_entropy(amp)
+    for got in (curve.entropies[i], dense[i]):
+        assert 3.5e-11 < exact - got < 3.7e-11
+
+
 def _run_fresh(code):
     """Run ``code`` in a new interpreter that imports the package from source."""
     src = str(Path(entconvex.__file__).resolve().parents[1])
