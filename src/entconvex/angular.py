@@ -86,7 +86,6 @@ def cg(l1: int, m1: int, l2: int, m2: int, L: int, M: int) -> float:
     return sign * math.sqrt(num / den)
 
 
-@lru_cache(maxsize=None)
 def cg_matrix(l: int, L: int, M: int) -> np.ndarray:
     """Amplitudes ``C[i, j]`` of the coupled state |L, M> of two angular momenta l.
 

@@ -83,7 +83,9 @@ class TableResult:
 def _osc_row(q0, q1, lam, convexity, qc, s_vn, s_ns, s_r, use_sectors) -> ReferenceRow:
     from .oscillator import OscState
 
-    pair = oscillator_pair(OscState(*q0, lam), OscState(*q1, lam), use_sectors=use_sectors)
+    pair = oscillator_pair(OscState(*q0, lam), OscState(*q1, lam))
+    if not use_sectors:
+        pair = replace(pair, sector_operator=None)
     return ReferenceRow(pair, convexity, qc, s_ns, s_r, s_vn)
 
 

@@ -191,7 +191,9 @@ def coefficient_tensor(state: OscState, basis: OscBasisSpec | None = None) -> np
     largest real entry raises.  Raises :class:`NormDeficitError` when the
     truncated expansion loses more than 1e-6 of the norm (basis too small;
     at lambda > 0 a state within ``check_state``'s bound can).  Results are memoized
-    in memory (an alpha sweep reads them once per grid point).
+    in memory: a pair's curve reads its amplitudes once, but one state joins
+    several pairs (table 1 reuses states across rows), and a pair's criterion,
+    curve and probe endpoints, asked for one by one, each read them again.
     """
     return _coefficient_tensor_cached(state, basis or OscBasisSpec())
 

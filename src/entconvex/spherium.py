@@ -4,10 +4,12 @@ The wave function is an antisymmetrized coupled pair of spherical harmonics
 times the correlation factor (1 + r12/4), which solves the interacting
 problem exactly at energy E = 1/4 when the sphere radius satisfies R^2 = 6.
 Everything is expanded over products of one-particle spherical harmonics:
-the interelectronic distance is converted with the Perkins expansion, whose
-radial coefficients are kept as exact rationals, and products of harmonics
-on one sphere are recoupled with Clebsch-Gordan algebra.  Reduced density
-matrices then come out as Gram matrices of the coefficient array.
+the interelectronic distance is its k = 1 Perkins series on the sphere,
+whose weights w_l = -4 / ((2l - 1)(2l + 1)(2l + 3)) are integer quotients
+rounded once (:func:`r12_weights`), so no rational arithmetic is left at
+run time; products of harmonics on one sphere are recoupled with
+Clebsch-Gordan algebra.  Reduced density matrices then come out as Gram
+matrices of the coefficient array.
 
 Every product the state needs couples one of the pair's harmonics (l <= 2)
 with a harmonic of the distance expansion, so the couplings form one numpy
@@ -16,15 +18,15 @@ Its Clebsch-Gordan factors come from integer closed forms, each an exact
 square num / den with both below 2**53, rounded once as sign * sqrt(num /
 den) -- the value :func:`entconvex.angular.cg` gives from Racah's sum.  The
 r12 product scatters its terms in the order of the term-by-term loop, so the
-state is that loop's to the bit; the loop and its exact couplings are the
-test oracle.
+state is that loop's to the bit; the loop, its exact couplings, the general
+Perkins series in exact rationals and the dense coupled pair are the test
+oracle.  The coupled pair enters only as its at most six nonzero entries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -40,36 +42,6 @@ CORRELATION_SCALE = 4.0  # Phi = 1 + r12/4
 DEFAULT_LMAX = 20
 GAUNT_J = 2  # the small side of every harmonic product: the coupled pair's l
 NORM_TAIL_TOL = 1e-6
-
-
-def perkins_coefficient(k: int, l: int, t: int) -> Fraction:
-    """Radial coefficient C_{klt} of the interelectronic-distance expansion.
-
-    Exact rational closed form; returns 0 outside the admissible t range.
-    """
-    if k < -1:
-        raise ValueError("expansion defined for k >= -1")
-    if l < 0 or t < 0:
-        raise ValueError("l and t must be non-negative")
-    tmax = (k // 2 - l) if k % 2 == 0 else (k + 1) // 2
-    if t > tmax:
-        return Fraction(0)
-    base = Fraction(math.comb(k + 2, 2 * t + 1), k + 2)
-    if l == 0:
-        return base
-    upper = min(l - 1, (k + 1) // 2)
-    for a in range(upper + 1):
-        base *= Fraction(2 * t - k + 2 * a, 2 * t + 1 + 2 * l - 2 * a)
-    return base
-
-
-@lru_cache(maxsize=None)
-def perkins_weight(k: int, l: int) -> Fraction:
-    """sum_t C_{klt}: the on-sphere radial factor (r< = r> = R gives R^k)."""
-    tmax = (k // 2 - l) if k % 2 == 0 else (k + 1) // 2
-    if tmax < 0:
-        return Fraction(0)
-    return sum((perkins_coefficient(k, l, t) for t in range(tmax + 1)), Fraction(0))
 
 
 def _index(l: int, m: int) -> int:
@@ -174,15 +146,27 @@ def gaunt_table(lmax: int) -> np.ndarray:
     return table
 
 
-def coupled_pair_array(M: int, lcut: int) -> np.ndarray:
-    """Antisymmetrized coupled harmonic pair as a coefficient array.
+def r12_weights(lmax: int) -> np.ndarray:
+    """4 pi R w_l for l <= lmax: the k = 1 distance series on the sphere.
 
-    Entry [(l1,m1), (l2,m2)] multiplies Y_{l1 m1}(Omega_1) Y_{l2 m2}(Omega_2).
+    w_l = -4 / ((2l - 1)(2l + 1)(2l + 3)) is an integer quotient, so one
+    division rounds it, as ``float`` rounds the exact rational.
+    """
+    l = np.arange(lmax + 1)
+    radius = math.sqrt(SPHERE_RADIUS_SQ)
+    return 4.0 * math.pi * radius * (-4 / ((2 * l - 1) * (2 * l + 1) * (2 * l + 3)))
+
+
+def coupled_pair_entries(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Antisymmetrized coupled harmonic pair as its nonzero (rows, cols, values).
+
+    Entry [(l1,m1), (l2,m2)] multiplies Y_{l1 m1}(Omega_1) Y_{l2 m2}(Omega_2);
+    C(1, m1; 2, m2 | 2, M) sits at ((1, m1), (2, m2)) and its negative at
+    the transpose.  The entries come in row-major order.
     """
     if abs(M) > TOTAL_L:
         raise ValueError(f"|M| must not exceed {TOTAL_L}")
-    dim = basis_size(lcut)
-    arr = np.zeros((dim, dim))
+    entries = []
     for m1 in range(-COUPLED_L1, COUPLED_L1 + 1):
         m2 = M - m1
         if abs(m2) > COUPLED_L2:
@@ -190,42 +174,39 @@ def coupled_pair_array(M: int, lcut: int) -> np.ndarray:
         c = cg(COUPLED_L1, m1, COUPLED_L2, m2, TOTAL_L, M)
         if c == 0.0:
             continue
-        arr[_index(COUPLED_L1, m1), _index(COUPLED_L2, m2)] += c
-        arr[_index(COUPLED_L2, m2), _index(COUPLED_L1, m1)] -= c
-    return arr
+        entries.append((_index(COUPLED_L1, m1), _index(COUPLED_L2, m2), c))
+        entries.append((_index(COUPLED_L2, m2), _index(COUPLED_L1, m1), -c))
+    rows, cols, vals = zip(*sorted(entries))
+    return np.array(rows), np.array(cols), np.array(vals)
 
 
-def multiply_r12(arr: np.ndarray, lcut: int,
+def multiply_r12(entries: tuple[np.ndarray, np.ndarray, np.ndarray], lcut: int,
                  lmaxes: tuple[int, ...] = (DEFAULT_LMAX,)) -> list[np.ndarray]:
-    """Coefficient arrays of r12 * (input array) on the sphere surface.
+    """Coefficient arrays of r12 * (input) on the sphere surface.
 
-    One array per truncation order in ``lmaxes`` of the distance expansion
-    (the k = 1 series is infinite), all from one table.  The expansion is
-    the addition theorem sum_l w_l sum_m (-1)^m Y_{l,-m}(1) Y_{l m}(2), so
-    each nonzero input entry at (l1, m1), (l2, m2) gives the terms
+    The input is its nonzero entries (rows, cols, values) in row-major
+    order; the arrays are ``basis_size(lcut)`` square, of the values'
+    dtype.  One array per truncation order in ``lmaxes`` of the distance
+    expansion (the k = 1 series is infinite), all from one table.  The
+    expansion is the addition theorem sum_l w_l sum_m (-1)^m Y_{l,-m}(1)
+    Y_{l m}(2), so each input entry at (l1, m1), (l2, m2) gives the terms
     (((val w_l) (-1)^m) G_{l1 m1; l,-m}) G_{l2 m2; l m}.  They are summed by
-    one ordered ``np.add.at`` per array, entry by entry in row-major order,
-    then by (l, m) and the two output L: each array is the term-by-term
-    loop of its order to the bit.  Input entries must have l <= 2 (the
-    Gaunt table's side); the caller chooses ``lcut`` large enough to hold
-    the products.
+    one ordered ``np.add.at`` per array, entry by entry, then by (l, m) and
+    the two output L: each array is the term-by-term loop of its order to
+    the bit.  Input entries must have l <= 2 (the Gaunt table's side); the
+    caller chooses ``lcut`` large enough to hold the products.
     """
-    dim = basis_size(lcut)
-    if arr.shape != (dim, dim):
-        raise ValueError("array does not match the basis cut")
-    rows, cols = np.nonzero(arr)
-    shell, mag = _harmonics(dim)
-    l1, m1, l2, m2 = shell[rows], mag[rows], shell[cols], mag[cols]
-    if max(l1.max(initial=0), l2.max(initial=0)) > GAUNT_J:
+    rows, cols, vals = entries
+    if max(rows.max(initial=0), cols.max(initial=0)) >= basis_size(GAUNT_J):
         raise ValueError(f"r12 products take input entries with l <= {GAUNT_J} only")
-    radius = math.sqrt(SPHERE_RADIUS_SQ)
+    shell, mag = _harmonics(basis_size(GAUNT_J))
+    l1, m1, l2, m2 = shell[rows], mag[rows], shell[cols], mag[cols]
     top = max(lmaxes)
-    weights = [4.0 * math.pi * radius * float(perkins_weight(1, l)) for l in range(top + 1)]
     l, m = _harmonics(basis_size(top))  # the terms (l, m) of the expansion
     table = gaunt_table(top)
     left = table[l1, l1 + m1][:, mirror_rows(l.size)]  # Y_{l1 m1} Y_{l,-m}
     right = table[l2, l2 + m2]  # Y_{l2 m2} Y_{l m}
-    vws = arr[rows, cols][:, None] * np.array(weights)[l] * np.where(m % 2 == 0, 1.0, -1.0)
+    vws = vals[:, None] * r12_weights(top)[l] * np.where(m % 2 == 0, 1.0, -1.0)
     terms = (vws[:, :, None] * left)[..., None] * right[:, :, None, :]
     slot = 2 * np.arange(GAUNT_J + 1)
     La = l[:, None] - l1[:, None, None] + slot  # entry, (l, m), k
@@ -236,9 +217,10 @@ def multiply_r12(arr: np.ndarray, lcut: int,
     ia, ib, order = (np.broadcast_to(x, terms.shape)[keep]
                      for x in (ia, ib, l[:, None, None]))
     terms = terms[keep]
+    dim = basis_size(lcut)
     outs = []
     for lmax in lmaxes:
-        out = np.zeros_like(arr)
+        out = np.zeros((dim, dim), dtype=vals.dtype)
         sel = order <= lmax
         np.add.at(out, (ia[sel], ib[sel]), terms[sel])
         outs.append(out)
@@ -269,16 +251,20 @@ class SpheriumState:
 
 @lru_cache(maxsize=32)
 def _state_coefficients(M: int, lmax: int) -> np.ndarray:
-    lcut = lmax + COUPLED_L2
-    pair = coupled_pair_array(M, lcut)
+    # (1 + r12/4) times the pair, in place: the scatter starts from +0.0, so
+    # adding the pair's entries after the quarter is the dense sum to the bit
+    pair = coupled_pair_entries(M)
+    rows, cols, vals = pair
     # the angular tail of the distance series must be converged in norm
-    r12 = multiply_r12(pair, lcut, (lmax, lmax - 4))
-    amp, amp_lo = (pair + r / CORRELATION_SCALE for r in r12)
+    amp, amp_lo = multiply_r12(pair, lmax + COUPLED_L2, (lmax, lmax - 4))
+    for r in (amp, amp_lo):
+        r /= CORRELATION_SCALE
+        r[rows, cols] += vals
     norm = np.linalg.norm(amp)
     tail = abs(np.linalg.norm(amp_lo) - norm) / norm
     if tail > NORM_TAIL_TOL:
         raise ValueError(f"norm tail {tail:.3e} beyond {NORM_TAIL_TOL}; raise lmax")
-    amp = amp / norm
+    amp /= norm
     amp.setflags(write=False)
     return amp
 

@@ -252,7 +252,7 @@ def entropy_curve(
     if points < grid_size:  # a mirror pair: the point at 1 - alpha takes the entropy at alpha
         ents += ents[grid_size - points - 1::-1]
     return EntropyCurve(
-        alphas=tuple(float(a) for a in alphas),
+        alphas=tuple(alphas.tolist()),
         entropies=tuple(ents),
         s0=ents[-1],
         s1=ents[0],
@@ -414,7 +414,7 @@ def angular_pair(l: int, L: int, M: int, Mprime: int | None = None) -> PairSpec:
     )
 
 
-def oscillator_pair(state0, state1, basis=None, use_sectors: bool = True) -> PairSpec:
+def oscillator_pair(state0, state1, basis=None) -> PairSpec:
     """Two degenerate oscillator eigenstates over one gauged Hermite basis.
 
     When state1 is state0 with m -> -m and p -> -p, and another state, it
@@ -425,6 +425,9 @@ def oscillator_pair(state0, state1, basis=None, use_sectors: bool = True) -> Pai
     conjugation is D^2 = diag((-1)^ky), the reflection y -> -y.  So c1 =
     P c0 P^T with P = diag((-1)^ky) on both parties and no conjugation,
     which holds bitwise.
+
+    The sector operator is particle 1's L_z; ``dataclasses.replace(pair,
+    sector_operator=None)`` gives the unrestricted S_NS.
     """
     from . import oscillator
 
@@ -437,7 +440,6 @@ def oscillator_pair(state0, state1, basis=None, use_sectors: bool = True) -> Pai
         )
     image = oscillator.OscState(state0.n, -state0.m, state0.l, -state0.p, state0.lam)
     mirror = Mirror(1, False, None, oscillator.mirror_parity) if state1 == image != state0 else None
-    sector = oscillator.angular_momentum_matrix(basis) if use_sectors else None
     return PairSpec(
         amplitudes=_amplitudes(
             lambda: oscillator.coefficient_tensor(state0, basis),
@@ -445,7 +447,7 @@ def oscillator_pair(state0, state1, basis=None, use_sectors: bool = True) -> Pai
             mirror,
         ),
         label=f"oscillator {state0.label()}/{state1.label()}",
-        sector_operator=sector,
+        sector_operator=oscillator.angular_momentum_matrix(basis),
         mirror=mirror,
     )
 

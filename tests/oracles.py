@@ -46,8 +46,6 @@ from entconvex.spherium import (
     TOTAL_L,
     _index,
     basis_size,
-    coupled_pair_array,
-    perkins_weight,
 )
 
 
@@ -624,7 +622,66 @@ def cartesian_from_overlaps(state: OscState, ox: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# spherium: the r12 product loop, the radial equation, pointwise values
+# spherium: the exact distance series, the dense pair, the r12 product loop,
+# the radial equation, pointwise values
+
+
+def perkins_coefficient(k: int, l: int, t: int) -> Fraction:
+    """Radial coefficient C_{klt} of the interelectronic-distance expansion.
+
+    Exact rational closed form; returns 0 outside the admissible t range.
+    """
+    if k < -1:
+        raise ValueError("expansion defined for k >= -1")
+    if l < 0 or t < 0:
+        raise ValueError("l and t must be non-negative")
+    tmax = (k // 2 - l) if k % 2 == 0 else (k + 1) // 2
+    if t > tmax:
+        return Fraction(0)
+    base = Fraction(math.comb(k + 2, 2 * t + 1), k + 2)
+    if l == 0:
+        return base
+    upper = min(l - 1, (k + 1) // 2)
+    for a in range(upper + 1):
+        base *= Fraction(2 * t - k + 2 * a, 2 * t + 1 + 2 * l - 2 * a)
+    return base
+
+
+@lru_cache(maxsize=None)
+def perkins_weight(k: int, l: int) -> Fraction:
+    """sum_t C_{klt}: the on-sphere radial factor (r< = r> = R gives R^k)."""
+    tmax = (k // 2 - l) if k % 2 == 0 else (k + 1) // 2
+    if tmax < 0:
+        return Fraction(0)
+    return sum((perkins_coefficient(k, l, t) for t in range(tmax + 1)), Fraction(0))
+
+
+def coupled_pair_array(M: int, lcut: int) -> np.ndarray:
+    """Antisymmetrized coupled harmonic pair as a dense coefficient array.
+
+    Entry [(l1,m1), (l2,m2)] multiplies Y_{l1 m1}(Omega_1) Y_{l2 m2}(Omega_2).
+    """
+    if abs(M) > TOTAL_L:
+        raise ValueError(f"|M| must not exceed {TOTAL_L}")
+    dim = basis_size(lcut)
+    arr = np.zeros((dim, dim))
+    for m1 in range(-COUPLED_L1, COUPLED_L1 + 1):
+        m2 = M - m1
+        if abs(m2) > COUPLED_L2:
+            continue
+        c = cg(COUPLED_L1, m1, COUPLED_L2, m2, TOTAL_L, M)
+        if c == 0.0:
+            continue
+        arr[_index(COUPLED_L1, m1), _index(COUPLED_L2, m2)] += c
+        arr[_index(COUPLED_L2, m2), _index(COUPLED_L1, m1)] -= c
+    return arr
+
+
+def nonzero_entries(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero (rows, cols, values) of ``arr`` in row-major order, the
+    input :func:`entconvex.spherium.multiply_r12` takes."""
+    rows, cols = np.nonzero(arr)
+    return rows, cols, arr[rows, cols]
 
 
 def sph_product_unmirrored(l1: int, m1: int, l2: int, m2: int) -> tuple[tuple[int, float], ...]:

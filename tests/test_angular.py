@@ -195,7 +195,7 @@ def _reached_keys(source):
         for l in range(angular.MAX_ELL + 1):
             for L in range(2 * l + 1):
                 for M in range(-L, L + 1):
-                    angular.cg_matrix.__wrapped__(l, L, M)
+                    angular.cg_matrix(l, L, M)
     return {k: cg(*k) for k in keys}
 
 

@@ -1,6 +1,7 @@
 """Two-oscillator model: analytic oracles for the decoupled limit, energy
 and angular-momentum checks for the coupled one."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -288,7 +289,8 @@ class TestSectorConvention:
     def test_sector_value_at_least_minimized(self):
         s0 = OscState(1, -1, 0, 0, 0.7)
         s1 = OscState(1, 1, 0, 0, 0.7)
-        with_sectors = pair_criterion(oscillator_pair(s0, s1, use_sectors=True))
-        without = pair_criterion(oscillator_pair(s0, s1, use_sectors=False))
+        pair = oscillator_pair(s0, s1)
+        with_sectors = pair_criterion(pair)
+        without = pair_criterion(dataclasses.replace(pair, sector_operator=None))
         assert with_sectors.s_ns >= without.s_ns - 1e-9
         assert with_sectors.s0 == pytest.approx(without.s0, abs=1e-12)

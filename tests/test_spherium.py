@@ -13,18 +13,20 @@ from entconvex import angular, spherium
 from entconvex.spherium import (
     SpheriumState,
     angular_momentum_diagonal,
-    basis_size,
-    coupled_pair_array,
+    coupled_pair_entries,
     gaunt_table,
     multiply_r12,
-    perkins_weight,
+    r12_weights,
 )
 from entconvex.spectra import eigendecompose, von_neumann_entropy
 from entconvex.sweep import PairSpec, pair_criterion, spherium_pair
 from oracles import (
     block_density,
+    coupled_pair_array,
     expansion_value,
     multiply_r12_loop,
+    nonzero_entries,
+    perkins_weight,
     radial_residual,
     sph_product,
     sph_product_unmirrored,
@@ -43,6 +45,12 @@ def _angles():
 
 
 class TestDistanceExpansion:
+    def test_closed_form_weights_equal_exact_series(self):
+        # -4 / ((2l - 1)(2l + 1)(2l + 3)) rounds once, as float() of the Fraction
+        radius = math.sqrt(spherium.SPHERE_RADIUS_SQ)
+        want = [4.0 * math.pi * radius * float(perkins_weight(1, l)) for l in range(200)]
+        assert [w.hex() for w in r12_weights(199).tolist()] == [w.hex() for w in want]
+
     def test_first_order_weights(self):
         assert perkins_weight(1, 0) == Fraction(4, 3)
         assert perkins_weight(1, 1) == Fraction(-4, 15)
@@ -73,9 +81,8 @@ class TestDistanceExpansion:
         errs = []
         for lmax in (6, 24):
             lcut = lmax + 2
-            arr = np.zeros((basis_size(lcut),) * 2, dtype=complex)
-            arr[0, 0] = 1.0
-            got = expansion_value(multiply_r12(arr, lcut, (lmax,))[0], lcut, th1, ph1, th2, ph2)
+            y00y00 = (np.array([0]), np.array([0]), np.array([1.0 + 0.0j]))
+            got = expansion_value(multiply_r12(y00y00, lcut, (lmax,))[0], lcut, th1, ph1, th2, ph2)
             errs.append(abs(got.real - r12 * y00sq) / (r12 * y00sq))
         assert errs[0] < 5e-3
         assert errs[1] < errs[0] / 5.0
@@ -85,9 +92,10 @@ class TestDistanceExpansion:
         for lmax in (12, 16, 20):
             lcut = lmax + 2
             arr = coupled_pair_array(1, lcut)
-            both = multiply_r12(arr, lcut, (lmax, lmax - 4))
+            entries = nonzero_entries(arr)
+            both = multiply_r12(entries, lcut, (lmax, lmax - 4))
             for got, top in zip(both, (lmax, lmax - 4)):
-                assert np.array_equal(got, multiply_r12(arr, lcut, (top,))[0])
+                assert np.array_equal(got, multiply_r12(entries, lcut, (top,))[0])
                 assert np.array_equal(got, multiply_r12_loop(arr, lcut, (top,))[0])
             assert not np.array_equal(both[0], both[1])
 
@@ -97,7 +105,7 @@ class TestDistanceExpansion:
         for lmax in (12, 16, 20):
             lcut = lmax + 2
             arr = coupled_pair_array(M, lcut)
-            got = multiply_r12(arr, lcut, (lmax, lmax - 4))
+            got = multiply_r12(nonzero_entries(arr), lcut, (lmax, lmax - 4))
             want = multiply_r12_loop(arr, lcut, (lmax, lmax - 4))
             for g, w in zip(got, want, strict=True):
                 assert np.array_equal(g, w)
@@ -126,10 +134,18 @@ class TestDistanceExpansion:
             table[0, 0, 0, 0] = 1.0
 
     def test_rejects_entries_beyond_the_table(self):
-        arr = np.zeros((basis_size(4),) * 2)
-        arr[9, 1] = 1.0  # (l, m) = (3, -3)
+        entry = (np.array([9]), np.array([1]), np.array([1.0]))  # (l, m) = (3, -3)
         with pytest.raises(ValueError, match="l <= 2"):
-            multiply_r12(arr, 4, (2,))
+            multiply_r12(entry, 4, (2,))
+
+    @pytest.mark.parametrize("M", [0, 1, -1, 2, -2])
+    def test_pair_entries_equal_dense_nonzeros(self, M):
+        # the entries are the dense pair's np.nonzero scan, order and bits
+        rows, cols, vals = coupled_pair_entries(M)
+        want_rows, want_cols, want_vals = nonzero_entries(coupled_pair_array(M, 4))
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        assert vals.dtype == want_vals.dtype
+        assert [v.hex() for v in vals.tolist()] == [v.hex() for v in want_vals.tolist()]
 
     @pytest.mark.parametrize("M", [1, -1, 2, -2])
     def test_amplitudes_equal_unmirrored_build(self, M):
@@ -176,8 +192,11 @@ class TestWaveFunction:
         assert a == pytest.approx(-b, abs=1e-12)
 
     def test_pair_array_antisymmetric(self):
-        arr = coupled_pair_array(1, 4)
-        np.testing.assert_allclose(arr, -arr.T, atol=1e-14)
+        # on the pair's entries: each has its negative at the transpose
+        for M in (0, 1, 2):
+            rows, cols, vals = coupled_pair_entries(M)
+            entries = dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist()))
+            assert entries == {(c, r): -v for (r, c), v in entries.items()}
 
     def test_shortest_series_fails_norm_tail(self):
         # the tail compares lmax with lmax - 4, so lmax = 4 is measured against

@@ -353,17 +353,19 @@ class TestBlockCurve:
         )
         _run_fresh(code)
 
-    def test_angular_verdicts_leave_fractions_unloaded(self):
-        # Clebsch-Gordan coefficients are exact in integer arithmetic;
-        # only spherium's rational distance-expansion weights use Fraction
+    def test_verdicts_leave_fractions_unloaded(self):
+        # Clebsch-Gordan coefficients are exact in integer arithmetic and
+        # spherium's distance weights are integer quotients: no verdict of
+        # any model loads fractions
         code = (
             "import sys, entconvex, entconvex.cli\n"
             "from entconvex import lgmodes, oscillator\n"
-            "from entconvex.sweep import angular_pair, criterion_vs_observation, lg_pair, oscillator_pair\n"
+            "from entconvex.sweep import angular_pair, criterion_vs_observation, lg_pair, oscillator_pair, spherium_pair\n"
             "for pair in (\n"
             "    angular_pair(6, 2, 2),\n"
             "    lg_pair(lgmodes.LGMode(1, 1), lgmodes.LGMode(1, -1)),\n"
             "    oscillator_pair(oscillator.OscState(0, 1, 0, 0), oscillator.OscState(0, -1, 0, 0)),\n"
+            "    spherium_pair(1),\n"
             "):\n"
             "    criterion_vs_observation(pair)\n"
             "assert 'fractions' not in sys.modules\n"
