@@ -3,7 +3,7 @@
 Clebsch-Gordan coefficients are computed by the Racah closed form in exact
 integer arithmetic (a sign together with the square of the value as a
 quotient of integers, rounded once), so every coefficient is the correctly
-rounded root of its exact rational square; the term-by-term ``Fraction``
+rounded root of its exact rational square; the term-by-term exact-rational
 form of the same sum is the test oracle.  ``cg_matrix`` gives the
 amplitudes of a coupled state.  Condon-Shortley phases throughout.
 """

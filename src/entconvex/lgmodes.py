@@ -107,7 +107,7 @@ def mode_columns(l: int, m: int, n_basis: int, order: int) -> np.ndarray:
 
 def mode_norm_capture(mode: LGMode, n_basis: int = DEFAULT_BASIS_SIZE,
                       order: int = DEFAULT_QUADRATURE_ORDER) -> float:
-    """Fraction of the mode norm the Hermite basis captures, against 16 more functions.
+    """Share of the mode norm the Hermite basis captures, against 16 more functions.
 
     A diagnostic: it reads the squared norms of the profiles before
     :func:`mode_columns` normalizes them.
