@@ -67,20 +67,30 @@ def _genlaguerre(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
     return float(math.comb(n + alpha, n)) * p
 
 
+@lru_cache(maxsize=8)
+def _x_basis(n_basis: int, order: int) -> tuple[np.ndarray, ...]:
+    """What :func:`_mode_profile` shares between modes, read-only: the nodes,
+    their weights, exp(t^2/2), and the pre-scaled x-basis f_a(x_i) exp(t_i^2/2)."""
+    t, wt = gauss_hermite(order)
+    xs = math.sqrt(2.0 / 3.0) * t
+    ys = t / math.sqrt(2.0)  # the y-nodes use the same rule
+    scale = np.exp(0.5 * t * t)
+    f = hermite_functions(n_basis - 1, xs) * scale[None, :]
+    root_wt = np.sqrt(wt)
+    for a in (xs, ys, scale, f, root_wt):
+        a.setflags(write=False)
+    return xs, ys, wt, scale, f, root_wt
+
+
 def _mode_profile(l: int, m: int, n_basis: int, order: int) -> np.ndarray:
     """The amplitudes v_a(y_q) of :func:`mode_columns` before conjugation and normalization."""
     if n_basis < 1 or order < 1:
         raise ValueError("basis and quadrature sizes must be positive")
-    t, wt = gauss_hermite(order)
-    xs = math.sqrt(2.0 / 3.0) * t
-    u, wu = t, wt  # the y-nodes use the same rule
-    ys = u / math.sqrt(2.0)
-
-    f = hermite_functions(n_basis - 1, xs) * np.exp(0.5 * t * t)[None, :]
+    xs, ys, wt, scale, f, root_wt = _x_basis(n_basis, order)
     prof = lg_evaluate(LGMode(l, m), xs[:, None], ys[None, :])
-    prof = prof * np.exp(0.5 * t * t)[:, None]
+    prof = prof * scale[:, None]
     v = math.sqrt(2.0 / 3.0) * np.einsum("ai,i,iq->aq", f, wt, prof)
-    return v * np.exp(0.5 * u * u)[None, :] * np.sqrt(wu)[None, :] / 2.0 ** 0.25
+    return v * scale[None, :] * root_wt[None, :] / 2.0 ** 0.25
 
 
 @lru_cache(maxsize=64)

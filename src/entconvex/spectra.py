@@ -3,10 +3,18 @@
 Everything downstream (criterion evaluation, model sweeps) consumes the
 types defined here.  All values are immutable after construction and the
 functions are pure, so they can be shared freely between threads.
-:meth:`GramBlocks.spectrum` memoizes its spectra by the exact content of
-their input (:class:`_SpectrumMemo`): a scan meets one state in many
-pairs, and a repeated endpoint gets back the spectrum solved the first
-time, bit for bit, read-only and behind a lock.
+
+A scan meets one state in many pairs, so everything one amplitude matrix
+determines on its own is formed once per process and reused bit for bit
+(:class:`_StateMemo`): |c|, sum |c|^2, and, per block layout, its own
+term c c^dagger, its endpoint density and that density's spectrum.  A
+matrix is found by its exact content (shape, dtype and bytes) or, when
+read-only and owning its data, by identity; a matrix above
+``MEMO_ENTRY_BYTES`` only by identity.  No layout whose own terms hold
+more than ``MEMO_ENTRY_BYTES`` is stored, the whole memo holds at most
+``MEMO_BYTES``, least recently used states going first, and a lock
+guards it.  Every stored value is the output of the same call, on the
+same inputs, as without the memo, so no result changes by a bit.
 Entropies are in bits throughout the package; only the command line and
 the benchmark tables convert them to another base.
 """
@@ -35,11 +43,12 @@ BLOCK_LINK_TOL = 1e-15
 # its block's largest is outside the range the alpha curve is solved on
 RANGE_TOL = 1e-16
 LN2 = math.log(2.0)  # entropies are in bits: nats / LN2
-# GramBlocks.spectrum's memo (_SpectrumMemo) stores no input whose blocks
-# hold more bytes than the first, and holds at most the second in all; no
-# workload repeats an endpoint above the first (dense-tables' are all above)
+# the per-state memo (_StateMemo) content-keys no matrix and stores no
+# layout's own terms above the first (dense-tables' are all above), and
+# holds at most the second in all: the criterion-6 scan's 36 LG states
+# take about 4.7 MB of it and must all stay
 MEMO_ENTRY_BYTES = 64 * 1024
-MEMO_BYTES = 2 * 1024 * 1024
+MEMO_BYTES = 8 * 1024 * 1024
 
 
 class NonHermitianError(ValueError):
@@ -171,54 +180,186 @@ def gap_clusters(w: np.ndarray, tol: float) -> list[tuple[int, ...]]:
     return [tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
-class _SpectrumMemo:
-    """:func:`eigh_blocks` of small inputs, keyed by their exact content.
+def _content_key(c: np.ndarray) -> tuple:
+    """The memo key of an amplitude matrix: its shape, dtype and bytes."""
+    return c.shape, c.dtype.str, c.tobytes()
 
-    The key holds, per size group, the shape, dtype and bytes of the rows
-    and of the blocks, so a hit is an input equal to a stored one bit for
-    bit, and it gets back the stored :class:`Spectrum` object, whose
-    arrays are read-only.  An input whose blocks hold more than
-    ``MEMO_ENTRY_BYTES`` is solved and not stored.  Past ``MEMO_BYTES``,
-    counting keys and spectra, the least recently used entries go.  A lock
-    guards the entries; the solve runs outside it.
+
+def _aliasable(c: np.ndarray) -> bool:
+    """Whether ``c`` may be found by identity: read-only and owning its data."""
+    flags = c.flags
+    return not flags.writeable and flags.owndata
+
+
+def _endpoint_blocks(own, n2) -> tuple[np.ndarray, ...]:
+    """The reduced density of one state from its own terms, one stack of blocks per size group.
+
+    Divided by sum |c|^2, then by the whole trace, then symmetrized, the
+    order of ``PairSpec.builder`` and its reference
+    ``tests/oracles.py::reduce_pure_state``.
+    """
+    mats = [t / n2 for t in own]
+    tr = sum(np.real(np.trace(m, axis1=1, axis2=2)).sum() for m in mats)
+    for i, m in enumerate(mats):  # one group at a time, in place where it is bitwise
+        m /= tr
+        mats[i] = m + m.conj().swapaxes(1, 2)
+        mats[i] *= 0.5
+    return tuple(mats)
+
+
+class _State:
+    """What one amplitude matrix determines on its own, as :class:`_StateMemo` holds it.
+
+    ``key`` is the matrix's content key (:func:`_content_key`), None above
+    ``MEMO_ENTRY_BYTES``; ``array`` is the matrix itself when it is its
+    identity alias.  ``magnitude`` (|c|) and ``norm2`` (sum |c|^2) are
+    kept for a content-keyed matrix only.  ``layouts`` maps a block
+    layout, the rows of the size groups, to a dict of the state's own
+    terms ``"own"`` (c c^dagger, one stack per size group), its
+    ``"endpoint"`` blocks (:func:`_endpoint_blocks`, read-only) and, once
+    solved, their ``"spectrum"``.  An evicted state loses its key, alias
+    and layouts, so it is never stored again.
+    """
+
+    __slots__ = ("key", "array", "magnitude", "norm2", "layouts", "nbytes")
+
+    def __init__(self, key, array, magnitude, norm2):
+        self.key, self.array, self.magnitude, self.norm2 = key, array, magnitude, norm2
+        self.layouts: dict[tuple, dict] = {}
+        self.nbytes = 0 if array is None else array.nbytes
+        if key is not None:
+            self.nbytes += len(key[2]) + magnitude.nbytes
+
+
+class _StateMemo:
+    """Everything one amplitude matrix determines on its own, formed once per process.
+
+    A matrix of at most ``MEMO_ENTRY_BYTES`` is found by its content key,
+    the shape, dtype and bytes, so a hit is a matrix equal to the stored
+    one bit for bit (no hash, so no collision argument).  The matrix a
+    state was made from is also its identity alias when it is read-only
+    and owns its data (the models' cached arrays), so that object pays for
+    its key once; the memo holds it, so its id cannot be reused.  A larger
+    matrix is never content-keyed, only found by its alias.  A state is
+    stored with its first layout whose own terms hold at most
+    ``MEMO_ENTRY_BYTES``; a content-keyed one also without one.  Past
+    ``MEMO_BYTES``, counting every array the memo holds, the least
+    recently used states go.  ``len()`` is the number of stored spectra.
+    Lookups read the tables without the lock, and every change to them
+    holds it; the arithmetic runs outside it, and the first value stored
+    wins, so every caller gets the same arrays.
     """
 
     def __init__(self):
         self.nbytes = 0
-        self._entries: OrderedDict[tuple, tuple[Spectrum, int]] = OrderedDict()
+        self._spectra = 0
+        self._order: OrderedDict[_State, None] = OrderedDict()  # least recently used first
+        self._by_key: dict[tuple, _State] = {}
+        self._by_id: dict[int, _State] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._spectra
 
-    def __call__(self, groups) -> Spectrum:
-        if sum(m.nbytes for _, m in groups) > MEMO_ENTRY_BYTES:
-            return eigh_blocks(groups)
-        key = tuple((a.shape, a.dtype.str, a.tobytes()) for group in groups for a in group)
+    def find(self, c: np.ndarray) -> tuple[_State | None, tuple | None]:
+        """The stored state of ``c``, or None, and the content key built on the way, or None."""
+        st = self._by_id.get(id(c)) if _aliasable(c) else None
+        key = None
+        if st is None and c.nbytes <= MEMO_ENTRY_BYTES:
+            key = _content_key(c)
+            st = self._by_key.get(key)
+        if st is not None:
+            self._touch(st)
+        return st, key
+
+    def layout(self, st: _State | None, layout: tuple) -> dict | None:
+        """The stored entry of ``layout`` in ``st``, or None."""
+        entry = None if st is None else st.layouts.get(layout)
+        if entry is not None:
+            self._touch(st)
+        return entry
+
+    def store(self, st, c, key, magnitude, norm2, layout, own) -> _State | None:
+        """Store what the trace-out formed of ``c``: a state for it when ``st``
+        (``find(c)``) is None, and its own terms and endpoint for ``layout``
+        when they hold at most ``MEMO_ENTRY_BYTES``.  Returns the state."""
+        size = sum(m.nbytes for m in own)  # the endpoint's too
+        small = size <= MEMO_ENTRY_BYTES
+        alias = st is None and _aliasable(c)
+        if st is None and key is None and not (alias and small):
+            return None
+        endpoint = None
+        if small and norm2 > 0.0:
+            endpoint = _endpoint_blocks(own, norm2)
+            for m in endpoint:
+                m.setflags(write=False)
         with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None:
-                self._entries.move_to_end(key)
-                return hit[0]
-        spec = eigh_blocks(groups)
-        size = sum(len(data) for *_, data in key) + sum(
-            a.nbytes for a in (spec.eigenvalues, spec.source, *(a for g in spec.groups for a in g)))
+            if st is None:  # another thread may have stored it meanwhile
+                st = self._by_key.get(key) if key is not None else self._by_id.get(id(c))
+            if st is None:  # |c| and sum |c|^2 are kept with a content key only
+                kept = (magnitude, norm2) if key is not None else (None, None)
+                st = self._insert(_State(key, c if alias else None, *kept))
+            if small and st in self._order and layout not in st.layouts:
+                st.layouts[layout] = {"own": own, "endpoint": endpoint}
+                self._grow(st, sum(len(rows) for _, rows in layout) + size * (1 if endpoint is None else 2))
+        return st
+
+    def add_spectrum(self, st: _State, layout: tuple, spec: Spectrum) -> Spectrum:
+        """Store the spectrum of a stored layout's endpoint; returns the stored one."""
         with self._lock:
-            if key in self._entries:  # solved meanwhile by another thread
-                return self._entries[key][0]
-            self._entries[key] = (spec, size)
-            self.nbytes += size
-            while self.nbytes > MEMO_BYTES:
-                self.nbytes -= self._entries.popitem(last=False)[1][1]
-        return spec
+            entry = st.layouts.get(layout)
+            if entry is None:  # evicted meanwhile
+                return spec
+            if "spectrum" not in entry:
+                entry["spectrum"] = spec
+                self._spectra += 1
+                size = spec.eigenvalues.nbytes + spec.source.nbytes
+                self._grow(st, size + sum(rows.nbytes + u.nbytes for rows, u in spec.groups))
+            return entry["spectrum"]
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
-            self.nbytes = 0
+            while self._order:
+                self._evict()
+
+    def _touch(self, st: _State) -> None:
+        with self._lock:
+            if st in self._order:  # not evicted meanwhile
+                self._order.move_to_end(st)
+
+    def _insert(self, st: _State) -> _State:
+        self._order[st] = None
+        if st.key is not None:
+            self._by_key[st.key] = st
+        if st.array is not None:
+            self._by_id[id(st.array)] = st
+        self.nbytes += st.nbytes
+        self._trim()
+        return st
+
+    def _grow(self, st: _State, size: int) -> None:
+        st.nbytes += size
+        self.nbytes += size
+        self._order.move_to_end(st)
+        self._trim()
+
+    def _trim(self) -> None:
+        while self.nbytes > MEMO_BYTES:
+            self._evict()
+
+    def _evict(self) -> None:
+        st, _ = self._order.popitem(last=False)
+        self.nbytes -= st.nbytes
+        self._spectra -= sum("spectrum" in entry for entry in st.layouts.values())
+        if st.key is not None:
+            del self._by_key[st.key]
+        if st.array is not None:
+            del self._by_id[id(st.array)]
+        st.key = st.array = None
+        st.layouts = {}
 
 
-_spectrum_memo = _SpectrumMemo()
+_state_memo = _StateMemo()
 
 
 def eigendecompose(m: HermitianMatrix) -> Spectrum:
@@ -268,6 +409,8 @@ class GramBlocks:
     three terms: sum |c|^2 of c0 and of c1, and 2 Re <c1|c0> summed over
     the blocks.  ``sector`` holds, per group, the sector operator's blocks,
     shape (blocks, size, size), or is None when no operator was given.
+    ``states`` holds the memo states of c0 and c1 (:class:`_StateMemo`),
+    None where not stored, and ``layout`` the key of the groups' rows in them.
     """
 
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -277,35 +420,54 @@ class GramBlocks:
     traced: int
     norms: tuple[float, float, float]
     sector: tuple[np.ndarray, ...] | None
+    states: tuple[_State | None, _State | None] = field(default=(None, None), repr=False, compare=False)
+    layout: tuple = field(default=(), repr=False, compare=False)
 
     def endpoint(self, state: int) -> tuple[np.ndarray, ...]:
         """The reduced density of c0 or c1, one stack of blocks per size group.
 
         Normalized as ``PairSpec.builder`` and its reference
-        ``tests/oracles.py::reduce_pure_state`` do: divided by sum |c|^2,
-        then by the whole trace, then symmetrized.  With one block this is
-        their arithmetic to the bit, which S_NS of some LG pairs (one block
-        of 32) needs.  No dim x dim matrix is formed.
+        ``tests/oracles.py::reduce_pure_state`` do (:func:`_endpoint_blocks`).
+        With one block this is their arithmetic to the bit, which S_NS of
+        some LG pairs (one block of 32) needs.  No dim x dim matrix is
+        formed.  A stored state gives back its stored, read-only blocks
+        (:class:`_StateMemo`).
         """
         n2 = self.norms[state]
         if not n2 > 0.0:
             raise ValueError("state vanishes")
-        mats = [terms[state] / n2 for _, terms in self.groups]
-        tr = sum(np.real(np.trace(m, axis1=1, axis2=2)).sum() for m in mats)
-        for i, m in enumerate(mats):  # one group at a time, in place where it is bitwise
-            m /= tr
-            mats[i] = m + m.conj().swapaxes(1, 2)
-            mats[i] *= 0.5
-        return tuple(mats)
+        entry = _state_memo.layout(self.states[state], self.layout)
+        if entry is not None:
+            return entry["endpoint"]
+        return _endpoint_blocks([terms[state] for _, terms in self.groups], n2)
 
     def spectrum(self, blocks: tuple[np.ndarray, ...]) -> Spectrum:
         """The spectrum of :meth:`endpoint` blocks, each block solved alone (:func:`eigh_blocks`).
 
         With one block the eigen-solve is the density check's of ``PairSpec.builder``.
-        Blocks of at most ``MEMO_ENTRY_BYTES`` are memoized by content, so a
-        repeated endpoint returns the same read-only spectrum (:class:`_SpectrumMemo`).
+        Blocks that are a stored endpoint, the very arrays :meth:`endpoint`
+        returned, are solved once per process: every later call gets the
+        same read-only spectrum (:class:`_StateMemo`).  Other blocks are
+        solved on each call.
         """
-        return _spectrum_memo([(g[0], m) for g, m in zip(self.groups, blocks)])
+        groups = [(g[0], m) for g, m in zip(self.groups, blocks)]
+        for st in self.states:
+            entry = _state_memo.layout(st, self.layout)
+            stored = () if entry is None else entry["endpoint"] or ()
+            if len(stored) == len(blocks) and all(a is b for a, b in zip(stored, blocks)):
+                spec = entry.get("spectrum")
+                if spec is None:
+                    spec = _state_memo.add_spectrum(st, self.layout, eigh_blocks(groups))
+                return spec
+        return eigh_blocks(groups)
+
+
+def _magnitude(c: np.ndarray, st: _State | None) -> tuple[np.ndarray, float]:
+    """|c| and sum |c|^2: the stored ones, or formed here."""
+    if st is not None and st.magnitude is not None:
+        return st.magnitude, st.norm2
+    a = np.abs(c)
+    return a, np.sum(a ** 2)
 
 
 def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None) -> GramBlocks:
@@ -321,6 +483,11 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     components of that link graph; without the cross terms they could be
     finer than the density's true blocks.  Blocks of one size are stacked,
     so each term, and the operator's blocks, is one batched product per size.
+
+    What each state determines alone, |c|, sum |c|^2 and, per block
+    layout, its own term c c^dagger and endpoint, comes from the per-state
+    memo (:class:`_StateMemo`) and is formed only on its first sight; only
+    the link graph and the cross term are formed for every pair.
     """
     if c0.ndim != 2 or c0.shape != c1.shape:
         raise ValueError(f"amplitudes must be 2-d arrays of one shape: {c0.shape} != {c1.shape}")
@@ -328,29 +495,40 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
         raise ValueError("amplitudes must be finite")
     if sector is not None and np.shape(sector) != (len(c0), len(c0)):
         raise ValueError(f"sector operator shape {np.shape(sector)} does not match {len(c0)} rows")
-    a = np.abs(c0)
-    n0 = np.sum(a ** 2)  # the builder's sum |c|^2, read while |c| is at hand
-    b = np.abs(c1)
-    n1 = np.sum(b ** 2)
-    a += b
-    g = a @ a.T
+    (st0, key0), (st1, key1) = _state_memo.find(c0), _state_memo.find(c1)
+    a, n0 = _magnitude(c0, st0)  # n0: the builder's sum |c|^2
+    b, n1 = _magnitude(c1, st1)
+    kept = key0 is not None or (st0 is not None and a is st0.magnitude)  # |c0| is or will be stored
+    s = a + b if kept else np.add(a, b, out=a)
+    g = s @ s.T
     top = float(g.max())
     linked = g > BLOCK_LINK_TOL * top
-    blocks = components(linked if sector is None else linked | (sector != 0))
-    sizes = [len(b) for b in blocks]
-    label = np.empty(len(g), dtype=np.intp)
-    label[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), sizes)
-    np.putmask(g, label[:, None] == label, 0.0)  # the links within a block
-    dropped = float(g.max()) / top if top > 0.0 else 0.0
-    groups = []
+    if linked.all():  # one block: no search, and no link between blocks
+        blocks, dropped = [np.arange(len(g))], 0.0
+    else:
+        blocks = components(linked if sector is None else linked | (sector != 0))
+        label = np.empty(len(g), dtype=np.intp)
+        label[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), [len(p) for p in blocks])
+        np.putmask(g, label[:, None] == label, 0.0)  # the links within a block
+        dropped = float(g.max()) / top if top > 0.0 else 0.0
+    layout = size_groups(blocks)
+    key = tuple((rows.shape, rows.tobytes()) for rows in layout)
+    own0, own1 = _state_memo.layout(st0, key), _state_memo.layout(st1, key)
+    groups, terms0, terms1 = [], [], []
     n01 = 0.0
-    for rows in size_groups(blocks):
+    for i, rows in enumerate(layout):
         a0, a1 = c0[rows], c1[rows]  # (blocks, size, columns)
-        a0h, a1h = a0.conj().swapaxes(1, 2), a1.conj().swapaxes(1, 2)
+        a1h = a1.conj().swapaxes(1, 2)
         cross = a0 @ a1h
         x = cross + cross.conj().swapaxes(1, 2)
         n01 += float(np.trace(x, axis1=1, axis2=2).real.sum())
-        groups.append((rows, np.stack([a0 @ a0h, a1 @ a1h, x])))
+        terms0.append(a0 @ a0.conj().swapaxes(1, 2) if own0 is None else own0["own"][i])
+        terms1.append(a1 @ a1h if own1 is None else own1["own"][i])
+        groups.append((rows, np.stack([terms0[-1], terms1[-1], x])))
+    if own0 is None:
+        st0 = _state_memo.store(st0, c0, key0, a, n0, key, tuple(terms0))
+    if own1 is None:
+        st1 = _state_memo.store(st1, c1, key1, b, n1, key, tuple(terms1))
     op = None
     if sector is not None:  # every nonzero entry, NaN included, lies in one of these blocks
         op = tuple(sector[rows[:, :, None], rows[:, None, :]] for rows, _ in groups)
@@ -359,7 +537,8 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
         dev = max(np.max(np.abs(o - o.conj().swapaxes(1, 2))) for o in op)
         if dev > HERMITICITY_TOL * max(1.0, *(np.max(np.abs(o)) for o in op)):
             raise NonHermitianError(f"sector operator hermiticity deviation {dev:.3e}")
-    return GramBlocks(tuple(groups), tuple(sizes), dropped, len(g), c0.shape[1], (n0, n1, n01), op)
+    return GramBlocks(tuple(groups), tuple(len(p) for p in blocks), dropped, len(g), c0.shape[1],
+                      (n0, n1, n01), op, (st0, st1), key)
 
 
 def entropy_bits(w: np.ndarray) -> np.ndarray:

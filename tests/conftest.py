@@ -7,11 +7,11 @@ from entconvex import spectra
 
 @pytest.fixture
 def empty_spectrum_memo():
-    """The memo of ``GramBlocks.spectrum``, empty on entry and on exit.
+    """The per-state memo of the trace-out, entries and aliases, empty on entry and on exit.
 
-    A test that counts eigen-solves takes it, so that its counts do not
-    depend on which endpoints the tests before it solved.
+    A test that counts eigen-solves or products takes it, so that its
+    counts do not depend on which states the tests before it met.
     """
-    spectra._spectrum_memo.clear()
-    yield spectra._spectrum_memo
-    spectra._spectrum_memo.clear()
+    spectra._state_memo.clear()
+    yield spectra._state_memo
+    spectra._state_memo.clear()

@@ -18,23 +18,30 @@ from entconvex.criterion import (
     balanced_eigenbasis,
     criterion_qc,
 )
+from entconvex.lgmodes import LGMode, lg_evaluate
 from entconvex.oscillator import (
     OscBasisSpec,
     OscState,
     _ladder_matrices,
     coefficient_tensor,
     gauge_phases,
+    gauss_hermite,
+    hermite_functions,
     kappa_coefficients,
     omega_relative,
 )
 from entconvex.spectra import (
+    BLOCK_LINK_TOL,
     LN2,
     SUPPORT_FLOOR,
+    GramBlocks,
     HermitianMatrix,
     Spectrum,
     eigendecompose,
+    components,
     gap_clusters,
     gram_blocks,
+    size_groups,
     von_neumann_entropy,
 )
 from entconvex.spherium import (
@@ -129,6 +136,54 @@ def components_by_search(linked: np.ndarray) -> list[np.ndarray]:
         seen |= members
         parts.append(np.flatnonzero(members))
     return parts
+
+
+def gram_blocks_unmemoized(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None) -> GramBlocks:
+    """The trace-out as :func:`entconvex.spectra.gram_blocks` formed it for
+    every pair before the per-state memo: |c|, sum |c|^2 and both own terms
+    formed here, and the blocks always found by :func:`components`, one
+    block included.  The oracle of the memo and of the one-block exit."""
+    a = np.abs(c0)
+    n0 = np.sum(a ** 2)
+    b = np.abs(c1)
+    n1 = np.sum(b ** 2)
+    a += b
+    g = a @ a.T
+    top = float(g.max())
+    linked = g > BLOCK_LINK_TOL * top
+    blocks = components(linked if sector is None else linked | (sector != 0))
+    sizes = [len(b) for b in blocks]
+    label = np.empty(len(g), dtype=np.intp)
+    label[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), sizes)
+    np.putmask(g, label[:, None] == label, 0.0)
+    dropped = float(g.max()) / top if top > 0.0 else 0.0
+    groups = []
+    n01 = 0.0
+    for rows in size_groups(blocks):
+        a0, a1 = c0[rows], c1[rows]
+        a0h, a1h = a0.conj().swapaxes(1, 2), a1.conj().swapaxes(1, 2)
+        cross = a0 @ a1h
+        x = cross + cross.conj().swapaxes(1, 2)
+        n01 += float(np.trace(x, axis1=1, axis2=2).real.sum())
+        groups.append((rows, np.stack([a0 @ a0h, a1 @ a1h, x])))
+    op = None if sector is None else tuple(sector[rows[:, :, None], rows[:, None, :]] for rows, _ in groups)
+    return GramBlocks(tuple(groups), tuple(sizes), dropped, len(g), c0.shape[1], (n0, n1, n01), op)
+
+
+def mode_columns_per_mode(l: int, m: int, n_basis: int, order: int) -> np.ndarray:
+    """:func:`entconvex.lgmodes.mode_columns` with the x-basis and the y
+    factors rebuilt for the mode, as it was formed before they were
+    cached per basis: the oracle of that cache, to the bit."""
+    t, wt = gauss_hermite(order)
+    xs = math.sqrt(2.0 / 3.0) * t
+    u, wu = t, wt
+    ys = u / math.sqrt(2.0)
+    f = hermite_functions(n_basis - 1, xs) * np.exp(0.5 * t * t)[None, :]
+    prof = lg_evaluate(LGMode(l, m), xs[:, None], ys[None, :])
+    prof = prof * np.exp(0.5 * t * t)[:, None]
+    v = math.sqrt(2.0 / 3.0) * np.einsum("ai,i,iq->aq", f, wt, prof)
+    v = v * np.exp(0.5 * u * u)[None, :] * np.sqrt(wu)[None, :] / 2.0 ** 0.25
+    return v.conj() / math.sqrt(np.sum(np.abs(v) ** 2).real)
 
 
 def block_density(pair, alpha: float) -> HermitianMatrix:

@@ -4,10 +4,22 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
-from entconvex.lgmodes import LGMode, _genlaguerre, lg_evaluate, mode_norm_capture
+from entconvex.lgmodes import (
+    DEFAULT_BASIS_SIZE,
+    DEFAULT_QUADRATURE_ORDER,
+    LGMode,
+    _genlaguerre,
+    lg_evaluate,
+    mode_columns,
+    mode_norm_capture,
+)
 from entconvex.spectra import eigendecompose, von_neumann_entropy
 from entconvex.sweep import lg_pair, pair_criterion
-from oracles import block_density
+from oracles import block_density, mode_columns_per_mode
+
+# the criterion-6 scan's modes; table 4's are among them
+SCAN_MODES = [(l, m) for l in range(5) for m in range(-4, 5) if m != 0]
+TABLE_4_MODES = [(1, 1), (1, -1), (2, 1), (2, -1), (2, 2), (2, -2), (3, 3), (3, -3)]
 
 
 class TestEvaluate:
@@ -97,3 +109,22 @@ class TestCriterion:
         assert rep.s_ns == pytest.approx(0.0, abs=1e-10)
         assert rep.qc == 1
         assert rep.s0 == pytest.approx(rep.s1, abs=1e-10)
+
+
+class TestModeColumns:
+    @pytest.mark.parametrize("lm", sorted(set(SCAN_MODES) | set(TABLE_4_MODES)), ids=str)
+    def test_cached_basis_equals_the_per_mode_formula(self, lm):
+        # the x-basis and y factors are built once per basis, to the bit
+        got = mode_columns(*lm, DEFAULT_BASIS_SIZE, DEFAULT_QUADRATURE_ORDER)
+        want = mode_columns_per_mode(*lm, DEFAULT_BASIS_SIZE, DEFAULT_QUADRATURE_ORDER)
+        assert np.array_equal(got, want)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+    def test_basis_table_is_read_only_and_shared(self):
+        from entconvex.lgmodes import _x_basis
+
+        table = _x_basis(DEFAULT_BASIS_SIZE, DEFAULT_QUADRATURE_ORDER)
+        assert _x_basis(DEFAULT_BASIS_SIZE, DEFAULT_QUADRATURE_ORDER) is table
+        assert not any(a.flags.writeable for a in table)
+        assert table[4].shape == (DEFAULT_BASIS_SIZE, DEFAULT_QUADRATURE_ORDER)

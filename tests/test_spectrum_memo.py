@@ -1,14 +1,24 @@
-"""The content-keyed memo of ``GramBlocks.spectrum``: hits, bypasses, bound, sharing."""
+"""The per-state memo of the trace-out: hits, bypasses, bound, sharing, keys, bitwise results."""
+
+import math
 
 import numpy as np
 import pytest
 
-from entconvex import benchmarks, spectra
+from entconvex import benchmarks, spectra, sweep
 from entconvex.criterion import refine_blocks_by_sector
 from entconvex.lgmodes import LGMode
 from entconvex.oscillator import OscState
 from entconvex.spectra import MEMO_BYTES, MEMO_ENTRY_BYTES, eigh_blocks, gram_blocks
-from entconvex.sweep import lg_pair, oscillator_pair, pair_criterion, spherium_pair
+from entconvex.sweep import (
+    angular_pair,
+    criterion_vs_observation,
+    lg_pair,
+    oscillator_pair,
+    pair_criterion,
+    spherium_pair,
+)
+from oracles import gram_blocks_unmemoized
 
 
 @pytest.fixture
@@ -66,7 +76,7 @@ def test_lg_scan_solves_each_mode_once(solves):
     reports = [pair_criterion(pair) for pair in pairs]
     assert len(solves) == 36
     for pair, report in zip(pairs, reports):
-        spectra._spectrum_memo.clear()
+        spectra._state_memo.clear()
         assert pair_criterion(pair) == report
 
 
@@ -85,21 +95,24 @@ def test_large_endpoints_bypass_the_memo(solves, make_pair):
         assert again is not first
         _assert_bitwise(again, first)
     assert len(solves) == 4
-    assert len(spectra._spectrum_memo) == 0 and spectra._spectrum_memo.nbytes == 0
+    assert len(spectra._state_memo) == 0 and spectra._state_memo.nbytes == 0
 
 
 def test_byte_bound_evicts_the_least_recently_used(solves):
-    memo = spectra._spectrum_memo
+    memo = spectra._state_memo
     rng = np.random.default_rng(5)
 
     def random_gram():
         c = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
         return gram_blocks(c, c)
 
-    grams = [random_gram()]
-    while sum(m.nbytes for g in grams for m in g.endpoint(0)) <= 2 * MEMO_BYTES:
+    # each state is solved as it is made, so the memo stores whole states in order
+    grams, specs, total = [], [], 0
+    while total <= 2 * MEMO_BYTES:
         grams.append(random_gram())
-    specs = [g.spectrum(g.endpoint(0)) for g in grams]
+        blocks = grams[-1].endpoint(0)
+        specs.append(grams[-1].spectrum(blocks))
+        total += sum(m.nbytes for m in blocks)
     kept = len(memo)
     assert len(solves) == len(grams) and 0 < kept < len(grams)
     assert 0 < memo.nbytes <= MEMO_BYTES
@@ -129,7 +142,7 @@ def test_threads_share_one_memo(solves):
         got = list(pool.map(lambda g: g.spectrum(g.endpoint(0)), grams * 4))
     for i, spec in enumerate(got):
         _assert_bitwise(spec, want[i % len(grams)])
-    assert len(spectra._spectrum_memo) == len(grams)
+    assert len(spectra._state_memo) == len(grams)
     assert all(got[i] is got[i % len(grams)] for i in range(len(got)))
 
 
@@ -144,7 +157,7 @@ def test_sector_refinement_leaves_the_stored_entry_unchanged(solves, states, rot
     pair = oscillator_pair(*(OscState(*q) for q in states))
     gram = gram_blocks(*pair.amplitudes(), pair.sector_operator)
     spec = gram.spectrum(gram.endpoint(0))
-    assert len(spectra._spectrum_memo) == 1
+    assert len(spectra._state_memo) == 1
     before = [a.copy() for a in _arrays(spec)]
     blocks = spec.blocks
     refined = refine_blocks_by_sector(spec, gram.sector)
@@ -153,3 +166,164 @@ def test_sector_refinement_leaves_the_stored_entry_unchanged(solves, states, rot
     assert gram.spectrum(gram.endpoint(0)) is spec and len(solves) == 1
     assert all(np.array_equal(a, b) for a, b in zip(_arrays(spec), before, strict=True))
     assert spec.blocks == blocks
+
+
+# ---------------------------------------------------------------------------
+# the per-state memo: own terms, endpoints and spectra formed once per state
+
+
+@pytest.fixture
+def own_terms(monkeypatch, empty_spectrum_memo):
+    """Every state whose own terms the trace-out forms: it stores each with one ``store``."""
+    calls = []
+
+    def counted(self, st, c, *args, _store=spectra._StateMemo.store):
+        calls.append(c)
+        return _store(self, st, c, *args)
+
+    monkeypatch.setattr(spectra._StateMemo, "store", counted)
+    return calls
+
+
+@pytest.fixture
+def keyed(monkeypatch):
+    """Every array the memo builds a content key for."""
+    calls = []
+
+    def counted(c, _key=spectra._content_key):
+        calls.append(c)
+        return _key(c)
+
+    monkeypatch.setattr(spectra, "_content_key", counted)
+    return calls
+
+
+def _same_array(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_same_gram(got, want):
+    assert (got.block_sizes, got.dim, got.traced) == (want.block_sizes, want.dim, want.traced)
+    assert got.dropped == want.dropped and math.copysign(1.0, got.dropped) == math.copysign(1.0, want.dropped)
+    assert [type(n) for n in got.norms] == [type(n) for n in want.norms] and got.norms == want.norms
+    assert len(got.groups) == len(want.groups)
+    for (rows, terms), (rows_want, terms_want) in zip(got.groups, want.groups):
+        assert _same_array(rows, rows_want) and _same_array(terms, terms_want)
+    assert (got.sector is None) == (want.sector is None)
+    if got.sector is not None:
+        assert all(_same_array(a, b) for a, b in zip(got.sector, want.sector, strict=True))
+
+
+def _partly_linked():
+    # inputs whose link graph is not complete: sectors, blocks, isolated rows
+    rng = np.random.default_rng(11)
+    c = np.zeros((6, 5))
+    c[:3, :2] = rng.standard_normal((3, 2))
+    c[3:5, 2:] = rng.standard_normal((2, 3))
+    pairs = [benchmarks.reference_table(1)[0].pair, benchmarks.reference_table(5)[1].pair, spherium_pair(2)]
+    amplitudes = [(*p.amplitudes(), p.sector_operator) for p in pairs]
+    d = c.copy()
+    d[:3] *= -0.5
+    return amplitudes + [(c, d, None), (c, c, None)]
+
+
+def test_one_block_exit_keeps_every_field(monkeypatch, empty_spectrum_memo):
+    # every scan pair links all 32 rows: one block, found without a search,
+    # and every field is the searched, unmemoized trace-out's, cold or warm
+    pairs = _lg_scan()
+    want = [gram_blocks_unmemoized(*p.amplitudes()) for p in pairs]
+    assert all(w.block_sizes == (32,) and w.dropped == 0.0 for w in want)
+
+    def refuse(linked):
+        raise AssertionError("searched a complete link graph")
+
+    monkeypatch.setattr(spectra, "components", refuse)
+    for warm in (False, True):
+        for pair, w in zip(pairs, want):
+            if not warm:
+                spectra._state_memo.clear()
+            _assert_same_gram(gram_blocks(*pair.amplitudes()), w)
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_partly_linked_inputs_keep_every_field(empty_spectrum_memo, index):
+    c0, c1, sector = _partly_linked()[index]
+    want = gram_blocks_unmemoized(c0, c1, sector)
+    assert len(want.block_sizes) > 1
+    for _ in range(2):  # cold, then from the memo
+        _assert_same_gram(gram_blocks(c0, c1, sector), want)
+
+
+def test_own_terms_are_formed_once_per_state(own_terms):
+    # the scan plus table 4: 710 state sightings of 36 distinct matrices
+    pairs = _lg_scan()
+    for pair in pairs:
+        criterion_vs_observation(pair)
+    assert len(own_terms) == 36
+    assert len({c.tobytes() for pair in pairs for c in pair.amplitudes()}) == 36
+    assert len(spectra._state_memo) == 36
+
+
+def _results(pairs, cold: bool):
+    out = []
+    for pair in pairs:
+        if cold:
+            spectra._state_memo.clear()
+        gram = gram_blocks(*pair.amplitudes(), pair.sector_operator)
+        out.append((sweep._criterion(pair, gram), sweep.entropy_curve(pair, gram=gram)))
+    return out
+
+
+def test_reports_and_curves_equal_a_memo_cleared_before_each_pair(empty_spectrum_memo):
+    # LG's S_NS moves by 1e-10 under a one-ulp change of rho: equal means bit for bit
+    pairs = _lg_scan() + [row.pair for row in benchmarks.reference_table(1)]
+    pairs += [angular_pair(l, L, L) for l in (1, 2, 3) for L in range(1, 2 * l + 1)]
+    warm = _results(pairs, cold=False)
+    assert _results(pairs, cold=True) == warm
+    assert _results(pairs, cold=False) == warm
+
+
+def test_writeable_arrays_and_views_are_never_aliased(keyed, own_terms):
+    memo = spectra._state_memo
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
+    owned = rng.standard_normal((8, 6)) + 0j
+    owned.setflags(write=False)
+    view = owned[:, :]
+    assert not view.flags.writeable and not view.flags.owndata
+    for _ in range(3):
+        gram_blocks(c, view)
+    assert len(keyed) == 6 and len(own_terms) == 2  # two states, keyed on every call
+    assert not memo._by_id
+    # owned's state was made from the view, so owned is keyed on every call too
+    gram_blocks(owned, owned)
+    gram_blocks(owned, owned)
+    assert len(keyed) == 10 and len(own_terms) == 2 and not memo._by_id
+    c[2, 3] += 1.0  # a mutated writeable array is keyed again and is another state
+    _assert_same_gram(gram_blocks(c, view), gram_blocks_unmemoized(c, view))
+    assert len(keyed) == 12 and len(own_terms) == 3
+    # a read-only array that owns its data is keyed once, then found by identity
+    fresh = rng.standard_normal((8, 6))
+    fresh.setflags(write=False)
+    gram_blocks(fresh, c)
+    gram_blocks(fresh, c)
+    assert len(keyed) == 15 and len(own_terms) == 4
+    assert memo._by_id == {id(fresh): memo.find(fresh)[0]}
+
+
+@pytest.mark.parametrize(
+    "make_pair, stored",
+    [(lambda: benchmarks.reference_table(1)[0].pair, True),
+     (lambda: benchmarks.reference_table(2)[0].pair, False),
+     (lambda: spherium_pair(1), False)],
+    ids=["table-1-0", "table-2-0", "spherium-1"],
+)
+def test_large_arrays_are_never_content_keyed(keyed, solves, make_pair, stored):
+    # table 1's layouts are small, so its reference is stored, found by
+    # identity alone; the others' are too large, so nothing of them is stored
+    pair = make_pair()
+    assert all(c.nbytes > MEMO_ENTRY_BYTES for c in pair.amplitudes())
+    reports = [pair_criterion(pair) for _ in range(2)]
+    assert keyed == [] and reports[0] == reports[1]
+    assert not spectra._state_memo._by_key
+    assert len(spectra._state_memo) == stored and len(solves) == (1 if stored else 2)
