@@ -8,13 +8,15 @@ A scan meets one state in many pairs, so everything one amplitude matrix
 determines on its own is formed once per process and reused bit for bit
 (:class:`_StateMemo`): |c|, sum |c|^2, and, per block layout, its own
 term c c^dagger, its endpoint density and that density's spectrum.  A
-matrix is found by its exact content (shape, dtype and bytes) or, when
-read-only and owning its data, by identity; a matrix above
-``MEMO_ENTRY_BYTES`` only by identity.  No layout whose own terms hold
-more than ``MEMO_ENTRY_BYTES`` is stored, the whole memo holds at most
-``MEMO_BYTES``, least recently used states going first, and a lock
-guards it.  Every stored value is the output of the same call, on the
-same inputs, as without the memo, so no result changes by a bit.
+matrix is found by its exact content (shape, dtype and bytes), and a
+recurring read-only array that owns its data also by identity, which
+assumes it is not written again.  A matrix above ``MEMO_ENTRY_BYTES`` is
+found by identity alone, and its state lasts no longer than its array.
+No layout whose own terms hold more than ``MEMO_ENTRY_BYTES`` is stored,
+the whole memo holds at most ``MEMO_BYTES``, least recently used states
+going first, and a lock guards it.  Every stored value is the output of
+the same call, on the same inputs, as without the memo, so no result
+changes by a bit.
 Entropies are in bits throughout the package; only the command line and
 the benchmark tables convert them to another base.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -46,7 +49,7 @@ LN2 = math.log(2.0)  # entropies are in bits: nats / LN2
 # the per-state memo (_StateMemo) content-keys no matrix and stores no
 # layout's own terms above the first (dense-tables' are all above), and
 # holds at most the second in all: the criterion-6 scan's 36 LG states
-# take about 4.7 MB of it and must all stay
+# take about 3.6 MB of it and must all stay
 MEMO_ENTRY_BYTES = 64 * 1024
 MEMO_BYTES = 8 * 1024 * 1024
 
@@ -210,39 +213,44 @@ def _endpoint_blocks(own, n2) -> tuple[np.ndarray, ...]:
 class _State:
     """What one amplitude matrix determines on its own, as :class:`_StateMemo` holds it.
 
-    ``key`` is the matrix's content key (:func:`_content_key`), None above
-    ``MEMO_ENTRY_BYTES``; ``array`` is the matrix itself when it is its
-    identity alias.  ``magnitude`` (|c|) and ``norm2`` (sum |c|^2) are
-    kept for a content-keyed matrix only.  ``layouts`` maps a block
-    layout, the rows of the size groups, to a dict of the state's own
-    terms ``"own"`` (c c^dagger, one stack per size group), its
-    ``"endpoint"`` blocks (:func:`_endpoint_blocks`, read-only) and, once
-    solved, their ``"spectrum"``.  An evicted state loses its key, alias
-    and layouts, so it is never stored again.
+    ``key`` is the matrix's content key (:func:`_content_key`), None for a
+    matrix above ``MEMO_ENTRY_BYTES``; ``magnitude`` (|c|) and ``norm2``
+    (sum |c|^2) are kept with a key only.  ``alias`` is a weak reference
+    to the array the state is also found by, whose id is ``alias_id``, or
+    None.  ``layouts`` maps a block layout, the rows of the size groups,
+    to a dict of the state's own terms ``"own"`` (c c^dagger, one stack
+    per size group), its ``"endpoint"`` blocks (:func:`_endpoint_blocks`,
+    read-only) and, once solved, their ``"spectrum"``.  A dropped state
+    loses its layouts and its place in the memo's tables.
     """
 
-    __slots__ = ("key", "array", "magnitude", "norm2", "layouts", "nbytes")
+    __slots__ = ("key", "magnitude", "norm2", "alias", "alias_id", "layouts", "nbytes")
 
-    def __init__(self, key, array, magnitude, norm2):
-        self.key, self.array, self.magnitude, self.norm2 = key, array, magnitude, norm2
+    def __init__(self, key, magnitude, norm2):
+        self.key, self.magnitude, self.norm2 = key, magnitude, norm2
+        self.alias = self.alias_id = None
         self.layouts: dict[tuple, dict] = {}
-        self.nbytes = 0 if array is None else array.nbytes
-        if key is not None:
-            self.nbytes += len(key[2]) + magnitude.nbytes
+        self.nbytes = 0 if key is None else len(key[2]) + magnitude.nbytes
 
 
 class _StateMemo:
     """Everything one amplitude matrix determines on its own, formed once per process.
 
     A matrix of at most ``MEMO_ENTRY_BYTES`` is found by its content key,
-    the shape, dtype and bytes, so a hit is a matrix equal to the stored
-    one bit for bit (no hash, so no collision argument).  The matrix a
-    state was made from is also its identity alias when it is read-only
-    and owns its data (the models' cached arrays), so that object pays for
-    its key once; the memo holds it, so its id cannot be reused.  A larger
-    matrix is never content-keyed, only found by its alias.  A state is
-    stored with its first layout whose own terms hold at most
-    ``MEMO_ENTRY_BYTES``; a content-keyed one also without one.  Past
+    the shape, dtype and bytes, so a content hit is a matrix equal to the
+    stored one bit for bit (no hash, so no collision argument).  A content
+    hit by a read-only array that owns its data (the models' cached
+    arrays) makes that array the state's identity alias, unless the
+    state's alias still lives, so a recurring array pays for its key twice
+    and is then found by its id.  A larger matrix is never content-keyed:
+    its state is stored only when it is read-only, owns its data and has a
+    layout to store, and it is found by identity alone.  Aliases are held
+    weakly and checked to still be the array their id names; the state of
+    a larger matrix whose array is gone is dropped when the next such
+    state is stored.  An identity hit assumes the array is not written
+    again, which a writeable view taken before it was made read-only
+    could still do.  A layout is stored only when its own terms hold at
+    most ``MEMO_ENTRY_BYTES`` and its state does not vanish.  Past
     ``MEMO_BYTES``, counting every array the memo holds, the least
     recently used states go.  ``len()`` is the number of stored spectra.
     Lookups read the tables without the lock, and every change to them
@@ -263,99 +271,120 @@ class _StateMemo:
 
     def find(self, c: np.ndarray) -> tuple[_State | None, tuple | None]:
         """The stored state of ``c``, or None, and the content key built on the way, or None."""
-        st = self._by_id.get(id(c)) if _aliasable(c) else None
+        aliasable = _aliasable(c)
+        st = self._aliased(c) if aliasable else None
         key = None
-        if st is None and c.nbytes <= MEMO_ENTRY_BYTES:
+        if st is None:
+            if c.nbytes > MEMO_ENTRY_BYTES:
+                return None, None
             key = _content_key(c)
             st = self._by_key.get(key)
-        if st is not None:
-            self._touch(st)
+            if st is None:
+                return None, key
+        with self._lock:
+            if st in self._order:  # not dropped meanwhile
+                self._order.move_to_end(st)
+                if key is not None and aliasable and (st.alias is None or st.alias() is None):
+                    self._alias(st, c)
         return st, key
 
-    def layout(self, st: _State | None, layout: tuple) -> dict | None:
+    @staticmethod
+    def layout(st: _State | None, layout: tuple) -> dict | None:
         """The stored entry of ``layout`` in ``st``, or None."""
-        entry = None if st is None else st.layouts.get(layout)
-        if entry is not None:
-            self._touch(st)
-        return entry
+        return None if st is None else st.layouts.get(layout)
 
     def store(self, st, c, key, magnitude, norm2, layout, own) -> _State | None:
-        """Store what the trace-out formed of ``c``: a state for it when ``st``
-        (``find(c)``) is None, and its own terms and endpoint for ``layout``
-        when they hold at most ``MEMO_ENTRY_BYTES``.  Returns the state."""
+        """Store what the trace-out formed of ``c``: a state when ``st``, its
+        ``find``, is None, and its own terms and endpoint for ``layout``.
+
+        ``key`` is the content key ``find`` built.  Returns the state, or
+        None when ``c`` bypasses the memo.
+        """
         size = sum(m.nbytes for m in own)  # the endpoint's too
-        small = size <= MEMO_ENTRY_BYTES
-        alias = st is None and _aliasable(c)
-        if st is None and key is None and not (alias and small):
+        small = size <= MEMO_ENTRY_BYTES and norm2 > 0.0
+        if st is None and key is None and not (small and _aliasable(c)):
             return None
-        endpoint = None
-        if small and norm2 > 0.0:
-            endpoint = _endpoint_blocks(own, norm2)
-            for m in endpoint:
+        entry = None
+        if small:
+            entry = {"own": own, "endpoint": _endpoint_blocks(own, norm2)}
+            for m in entry["endpoint"]:
                 m.setflags(write=False)
         with self._lock:
             if st is None:  # another thread may have stored it meanwhile
-                st = self._by_key.get(key) if key is not None else self._by_id.get(id(c))
-            if st is None:  # |c| and sum |c|^2 are kept with a content key only
-                kept = (magnitude, norm2) if key is not None else (None, None)
-                st = self._insert(_State(key, c if alias else None, *kept))
-            if small and st in self._order and layout not in st.layouts:
-                st.layouts[layout] = {"own": own, "endpoint": endpoint}
-                self._grow(st, sum(len(rows) for _, rows in layout) + size * (1 if endpoint is None else 2))
+                st = self._by_key.get(key) if key is not None else self._aliased(c)
+            if st is None:
+                st = self._insert(c, key, magnitude, norm2)
+            if entry is not None and st in self._order and layout not in st.layouts:
+                st.layouts[layout] = entry
+                self._grow(st, sum(len(rows) for _, rows in layout) + 2 * size)
+            self._trim()
         return st
 
-    def add_spectrum(self, st: _State, layout: tuple, spec: Spectrum) -> Spectrum:
-        """Store the spectrum of a stored layout's endpoint; returns the stored one."""
+    def spectrum(self, st: _State, entry: dict, groups) -> Spectrum:
+        """The spectrum of ``entry``, a stored layout of ``st``, whose endpoint
+        blocks ``groups`` holds: the stored one, or solved and stored."""
+        spec = entry.get("spectrum")
+        solved = eigh_blocks(groups) if spec is None else None
         with self._lock:
-            entry = st.layouts.get(layout)
-            if entry is None:  # evicted meanwhile
+            if st not in self._order:  # dropped meanwhile
+                return solved if spec is None else spec
+            if spec is not None:
+                self._order.move_to_end(st)
                 return spec
-            if "spectrum" not in entry:
-                entry["spectrum"] = spec
+            spec = entry.setdefault("spectrum", solved)  # another thread may have stored one
+            if spec is solved:
                 self._spectra += 1
                 size = spec.eigenvalues.nbytes + spec.source.nbytes
                 self._grow(st, size + sum(rows.nbytes + u.nbytes for rows, u in spec.groups))
-            return entry["spectrum"]
+                self._trim()
+        return spec
 
     def clear(self) -> None:
         with self._lock:
             while self._order:
-                self._evict()
+                self._drop(next(iter(self._order)))
 
-    def _touch(self, st: _State) -> None:
-        with self._lock:
-            if st in self._order:  # not evicted meanwhile
-                self._order.move_to_end(st)
-
-    def _insert(self, st: _State) -> _State:
+    def _insert(self, c, key, magnitude, norm2) -> _State:
+        if key is not None:
+            st = self._by_key[key] = _State(key, magnitude, norm2)
+        else:  # found by identity alone: the states of such arrays that are gone go first
+            for gone in [s for s in self._order if s.key is None and s.alias() is None]:
+                self._drop(gone)
+            st = _State(None, None, None)
+            self._alias(st, c)
         self._order[st] = None
-        if st.key is not None:
-            self._by_key[st.key] = st
-        if st.array is not None:
-            self._by_id[id(st.array)] = st
         self.nbytes += st.nbytes
-        self._trim()
         return st
+
+    def _aliased(self, c: np.ndarray) -> _State | None:
+        """The state whose alias is ``c``, or None."""
+        st = self._by_id.get(id(c))
+        ref = None if st is None else st.alias
+        return st if ref is not None and ref() is c else None
+
+    def _alias(self, st: _State, c: np.ndarray) -> None:
+        if self._by_id.get(st.alias_id) is st:  # a reused id may name another state now
+            del self._by_id[st.alias_id]
+        st.alias, st.alias_id = weakref.ref(c), id(c)
+        self._by_id[id(c)] = st
 
     def _grow(self, st: _State, size: int) -> None:
         st.nbytes += size
         self.nbytes += size
         self._order.move_to_end(st)
-        self._trim()
 
     def _trim(self) -> None:
         while self.nbytes > MEMO_BYTES:
-            self._evict()
+            self._drop(next(iter(self._order)))
 
-    def _evict(self) -> None:
-        st, _ = self._order.popitem(last=False)
+    def _drop(self, st: _State) -> None:
+        del self._order[st]
         self.nbytes -= st.nbytes
         self._spectra -= sum("spectrum" in entry for entry in st.layouts.values())
         if st.key is not None:
             del self._by_key[st.key]
-        if st.array is not None:
-            del self._by_id[id(st.array)]
-        st.key = st.array = None
+        if self._by_id.get(st.alias_id) is st:
+            del self._by_id[st.alias_id]
         st.layouts = {}
 
 
@@ -445,20 +474,15 @@ class GramBlocks:
         """The spectrum of :meth:`endpoint` blocks, each block solved alone (:func:`eigh_blocks`).
 
         With one block the eigen-solve is the density check's of ``PairSpec.builder``.
-        Blocks that are a stored endpoint, the very arrays :meth:`endpoint`
-        returned, are solved once per process: every later call gets the
-        same read-only spectrum (:class:`_StateMemo`).  Other blocks are
-        solved on each call.
+        A stored endpoint, the very tuple :meth:`endpoint` returned, is
+        solved once per process: every later call gets the same read-only
+        spectrum (:class:`_StateMemo`).  Other blocks are solved on each call.
         """
         groups = [(g[0], m) for g, m in zip(self.groups, blocks)]
         for st in self.states:
             entry = _state_memo.layout(st, self.layout)
-            stored = () if entry is None else entry["endpoint"] or ()
-            if len(stored) == len(blocks) and all(a is b for a, b in zip(stored, blocks)):
-                spec = entry.get("spectrum")
-                if spec is None:
-                    spec = _state_memo.add_spectrum(st, self.layout, eigh_blocks(groups))
-                return spec
+            if entry is not None and entry["endpoint"] is blocks:
+                return _state_memo.spectrum(st, entry, groups)
         return eigh_blocks(groups)
 
 
@@ -503,7 +527,7 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     g = s @ s.T
     top = float(g.max())
     linked = g > BLOCK_LINK_TOL * top
-    if linked.all():  # one block: no search, and no link between blocks
+    if np.count_nonzero(linked) == linked.size:  # one block: no search, no link between blocks
         blocks, dropped = [np.arange(len(g))], 0.0
     else:
         blocks = components(linked if sector is None else linked | (sector != 0))

@@ -1,6 +1,8 @@
 """The per-state memo of the trace-out: hits, bypasses, bound, sharing, keys, bitwise results."""
 
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -146,6 +148,52 @@ def test_threads_share_one_memo(solves):
     assert all(got[i] is got[i % len(grams)] for i in range(len(got)))
 
 
+def test_threads_trace_out_and_solve_while_states_are_dropped(monkeypatch, empty_spectrum_memo):
+    # four threads run the trace-out and the criterion of 22 pairs of eight
+    # LG modes, each pair three times, in a memo that holds about three
+    # states, so they meet the same new states, store them and lose them to
+    # eviction; every trace-out is the unmemoized one and every report the
+    # serial one of a memo cleared before the pair
+    from concurrent.futures import ThreadPoolExecutor
+
+    memo = spectra._state_memo
+    modes = [LGMode(l, m) for l in (1, 2) for m in (-2, -1, 1, 2)]
+    pairs = [lg_pair(m0, m1) for i, m0 in enumerate(modes) for m1 in modes[i + 1:] if m0.m > 0 or m1.m > 0]
+    assert len(pairs) == 22
+    want = []
+    for pair in pairs:
+        memo.clear()
+        gram = gram_blocks_unmemoized(*pair.amplitudes())
+        want.append((gram, sweep._criterion(pair, gram_blocks(*pair.amplitudes()))))
+    memo.clear()
+    dropped = []
+
+    def counted(self, st, _drop=spectra._StateMemo._drop):
+        dropped.append(st)
+        _drop(self, st)
+
+    monkeypatch.setattr(spectra._StateMemo, "_drop", counted)
+    monkeypatch.setattr(spectra, "MEMO_BYTES", 400_000)
+
+    def run(i):
+        pair = pairs[i]
+        gram = gram_blocks(*pair.amplitudes())
+        return i, gram, sweep._criterion(pair, gram)
+
+    order = [i for _ in range(3) for i in range(len(pairs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the memo's steps
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(run, order, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, gram, report in got:
+        _assert_same_gram(gram, want[i][0])
+        assert report == want[i][1]
+    assert len(dropped) > len(pairs) and 0 < memo.nbytes <= 400_000
+
+
 @pytest.mark.parametrize(
     "states, rotates",
     [(((0, 1, 0, 0), (0, -1, 0, 0)), False), (((0, 0, 2, -2), (0, 0, 2, 2)), True)],
@@ -174,11 +222,11 @@ def test_sector_refinement_leaves_the_stored_entry_unchanged(solves, states, rot
 
 @pytest.fixture
 def own_terms(monkeypatch, empty_spectrum_memo):
-    """Every state whose own terms the trace-out forms: it stores each with one ``store``."""
+    """The id of every array whose own terms the trace-out forms: it stores each with one ``store``."""
     calls = []
 
     def counted(self, st, c, *args, _store=spectra._StateMemo.store):
-        calls.append(c)
+        calls.append(id(c))  # not the array: the memo's aliases are weak
         return _store(self, st, c, *args)
 
     monkeypatch.setattr(spectra._StateMemo, "store", counted)
@@ -295,20 +343,62 @@ def test_writeable_arrays_and_views_are_never_aliased(keyed, own_terms):
         gram_blocks(c, view)
     assert len(keyed) == 6 and len(own_terms) == 2  # two states, keyed on every call
     assert not memo._by_id
-    # owned's state was made from the view, so owned is keyed on every call too
-    gram_blocks(owned, owned)
-    gram_blocks(owned, owned)
-    assert len(keyed) == 10 and len(own_terms) == 2 and not memo._by_id
     c[2, 3] += 1.0  # a mutated writeable array is keyed again and is another state
     _assert_same_gram(gram_blocks(c, view), gram_blocks_unmemoized(c, view))
-    assert len(keyed) == 12 and len(own_terms) == 3
-    # a read-only array that owns its data is keyed once, then found by identity
-    fresh = rng.standard_normal((8, 6))
-    fresh.setflags(write=False)
-    gram_blocks(fresh, c)
-    gram_blocks(fresh, c)
-    assert len(keyed) == 15 and len(own_terms) == 4
-    assert memo._by_id == {id(fresh): memo.find(fresh)[0]}
+    assert len(keyed) == 8 and len(own_terms) == 3 and not memo._by_id
+    # a read-only array that owns its data becomes the alias of its state on
+    # a content hit, here its first sighting, as the view made the state
+    gram_blocks(owned, owned)
+    gram_blocks(owned, owned)
+    assert len(keyed) == 9 and len(own_terms) == 3
+    assert memo._by_id == {id(owned): memo.find(owned)[0]}
+    owned.setflags(write=True)  # writeable again: keyed, and not found by identity
+    st, key = memo.find(owned)
+    assert key is not None and st is memo._by_id[id(owned)] and len(keyed) == 10
+
+
+def test_recurring_arrays_are_found_by_identity_and_held_weakly(keyed, own_terms):
+    memo = spectra._state_memo
+    rng = np.random.default_rng(4)
+    cached, other = rng.standard_normal((8, 6)), rng.standard_normal((8, 6))
+    cached.setflags(write=False)
+    for _ in range(3):  # keyed on its first two sightings, then found by identity
+        gram_blocks(cached, other)
+    assert [k is cached for k in keyed] == [True, False, True, False, False]
+    assert len(own_terms) == 2 and list(memo._by_id) == [id(cached)]
+    # a fresh array of equal content hits by content and leaves the live alias
+    image = cached.copy()
+    image.setflags(write=False)
+    gram_blocks(image, other)
+    assert list(memo._by_id) == [id(cached)] and len(own_terms) == 2
+    # the memo holds no alias alive: once it is gone, the next equal array
+    # is keyed and becomes the alias
+    gone = weakref.ref(cached)
+    keyed.clear()
+    del cached
+    assert gone() is None
+    gram_blocks(image, other)
+    assert memo._by_id == {id(image): memo.find(image)[0]} and len(own_terms) == 2
+
+
+def test_evaluating_a_mirror_pair_again_adds_no_state(empty_spectrum_memo):
+    # the mirror image is a fresh array on every call: an LG image (small)
+    # hits by content, and a table-1 image (large, found by identity alone)
+    # leaves a state that goes once the image is gone
+    memo = spectra._state_memo
+    for pair in (lg_pair(LGMode(1, 2), LGMode(1, -2)), benchmarks.reference_table(1)[0].pair):
+        assert pair.mirror is not None
+        memo.clear()
+        report = pair_criterion(pair)
+        states = len(memo._order)
+        assert states == 2
+        for _ in range(2):
+            assert pair_criterion(pair) == report and len(memo._order) == states
+        image = pair.amplitudes()[1]
+        held = weakref.ref(image)
+        gram_blocks(*pair.amplitudes(), pair.sector_operator)
+        del image
+        assert held() is None and len(memo._order) == states
 
 
 @pytest.mark.parametrize(
