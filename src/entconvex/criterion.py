@@ -111,6 +111,7 @@ def refine_blocks_by_sector(spec0: Spectrum, sector_operator) -> Spectrum:
     flat = [(g, b, c) for g, (rows, _) in enumerate(spec0.groups) for b, c in np.ndindex(rows.shape)]
     where = [flat[i] for i in spec0.source.tolist()]  # the (group, block, column) at each position
     groups = list(spec0.groups)
+    scalar: dict[tuple[int, int], bool] = {}
     for block in (b for b, s in zip(spec0.blocks, split) if s):
         parts: dict[tuple[int, int], list[int]] = {}
         for g, b, c in (where[p] for p in block):
@@ -118,12 +119,18 @@ def refine_blocks_by_sector(spec0: Spectrum, sector_operator) -> Spectrum:
         for (g, b), cols in parts.items():
             if len(cols) == 1:
                 continue
+            op = sector_operator[g][b]
+            if (g, b) not in scalar:  # a multiple of the identity: every rotation diagonalizes it
+                d = np.diagonal(op)
+                scalar[g, b] = np.count_nonzero(op) == np.count_nonzero(d) and bool(np.all(d == d[0]))
+            if scalar[g, b]:
+                continue
             rows, u = groups[g]
             if u is spec0.groups[g][1]:  # the group's first rotated part: copy it
                 u = np.array(u, dtype=np.result_type(u, sector_operator[g]))
                 groups[g] = (rows, u)
             v = u[b][:, cols]
-            r = v.conj().T @ sector_operator[g][b] @ v
+            r = v.conj().T @ op @ v
             u[b][:, cols] = v @ np.linalg.eigh(0.5 * (r + r.conj().T))[1]
     rotated = replace(spec0, groups=tuple(groups))
     values = _partner_weights(rotated, sector_operator)
@@ -177,14 +184,17 @@ def criterion_qc(s_ns: float, s_r: float) -> int:
     return 1 if diff > 0 else -1
 
 
-def criterion_report(spec0: Spectrum, rho1, s1: float) -> CriterionReport:
+def criterion_report(spec0: Spectrum, rho1, s1: float | None) -> CriterionReport:
     """The criterion for reference spectrum ``spec0`` and a partner of entropy ``s1``.
 
-    ``rho1`` is in the layout of ``spec0.groups``, like
-    ``GramBlocks.endpoint(1)``.  S_NS respects the sectors that ``spec0``
-    was refined by, if any (:func:`refine_blocks_by_sector`).
+    ``s1`` None is a partner with the reference's spectrum, as a mirror
+    pair's, so S1 = S0.  ``rho1`` is in the layout of ``spec0.groups``,
+    like ``GramBlocks.restrict`` cuts ``GramBlocks.endpoint(1)``.  S_NS
+    respects the sectors that ``spec0`` was refined by, if any
+    (:func:`refine_blocks_by_sector`).
     """
     s0 = von_neumann_entropy(spec0)
+    s1 = s0 if s1 is None else s1
     s_ns = min(not_shared_entropy(spec0, rho1), s0)
     s_r = s0 - s_ns
     return CriterionReport(s0=s0, s1=s1, s_ns=s_ns, s_r=s_r, qc=criterion_qc(s_ns, s_r))

@@ -17,6 +17,14 @@ the whole memo holds at most ``MEMO_BYTES``, least recently used states
 going first, and a lock guards it.  Every stored value is the output of
 the same call, on the same inputs, as without the memo, so no result
 changes by a bit.
+Every endpoint is solved on its own exact blocks
+(:meth:`GramBlocks.spectrum`).  Where the rows carry an m1 label
+(angular, spherium), each state's density is exactly zero between rows
+of different m1, so the amplitude blocks, which the pair links, split
+into the connected components of that nonzero pattern
+(:func:`own_blocks`).  Blocks with no zero entry (LG, the coupled
+oscillator) and diagonal ones (angular) are solved whole.
+
 Entropies are in bits throughout the package; only the command line and
 the benchmark tables convert them to another base.
 """
@@ -320,11 +328,11 @@ class _StateMemo:
             self._trim()
         return st
 
-    def spectrum(self, st: _State, entry: dict, groups) -> Spectrum:
-        """The spectrum of ``entry``, a stored layout of ``st``, whose endpoint
-        blocks ``groups`` holds: the stored one, or solved and stored."""
+    def spectrum(self, st: _State, entry: dict, solve) -> Spectrum:
+        """The spectrum of ``entry``, a stored layout of ``st``: the stored one,
+        or ``solve()``, the spectrum of its endpoint blocks, stored."""
         spec = entry.get("spectrum")
-        solved = eigh_blocks(groups) if spec is None else None
+        solved = solve() if spec is None else None
         with self._lock:
             if st not in self._order:  # dropped meanwhile
                 return solved if spec is None else spec
@@ -425,6 +433,64 @@ def size_groups(parts) -> list[np.ndarray]:
     return [np.stack([p for p in parts if len(p) == size]) for size in sizes]
 
 
+def component_labels(linked: np.ndarray) -> np.ndarray:
+    """The first row of each row's connected component, per block of a stack.
+
+    ``linked`` holds symmetric boolean link matrices, shape (blocks, size,
+    size).  Each step gives a row the smallest label among its own and its
+    links', then the label of that label, until no label changes; a label
+    is always a row of the same component, so the fixed point is its
+    first row.
+    """
+    size = linked.shape[-1]
+    label = np.arange(size)
+    while True:
+        least = np.where(linked, label[..., None, :], size).min(axis=2)
+        np.minimum(least, label, out=least)
+        if (least == label).all():
+            return least
+        label = np.take_along_axis(least, least, axis=1)
+
+
+def own_blocks(layout, mats, sector=None) -> list[np.ndarray] | None:
+    """The rows of block-diagonal ``mats`` split into the blocks of their exact nonzero pattern.
+
+    ``layout`` holds, per size group, the blocks' rows, shape (blocks,
+    size), and ``mats`` the blocks, shape (blocks, size, size).  Each
+    block splits into the connected components of its entries that are
+    not exactly zero, and of the nonzero entries of ``sector``, operator
+    blocks in the same layout, so that it couples no two parts.  Returns
+    the parts' rows per size, shape (parts, size), by ascending size, the
+    parts of one size in group, block and first-row order; or None when
+    no block splits.  A group with no zero entry is one zero test, and a
+    diagonal group (every angular one) is kept whole too: the solve of a
+    diagonal block is its diagonal, exactly, split or not.
+    """
+    labels, split = [], False  # per group the first row of each row's part, 0 for whole blocks
+    for i, (rows, m) in enumerate(zip(layout, mats)):
+        linked = m != 0 if sector is None else (m != 0) | (sector[i] != 0)
+        links = np.count_nonzero(linked)
+        if rows.shape[1] == 1 or links == linked.size or links == np.count_nonzero(linked.diagonal(0, 1, 2)):
+            label = 0  # solved whole: no zero entry, or diagonal, which splitting would not change
+        else:
+            label = component_labels(linked)
+            split = split or bool(label.any())  # a label past 0: a second part in its block
+        labels.append(label)
+    if not split:
+        return None
+    flat = np.concatenate([rows.reshape(-1) for rows in layout])
+    keys, base = [], 0
+    for rows, label in zip(layout, labels):  # a part's key: its group, block and first row
+        keys.append(np.broadcast_to(base + np.arange(len(rows))[:, None] * rows.shape[1] + label, rows.shape))
+        base += rows.size
+    key = np.concatenate([k.reshape(-1) for k in keys])
+    order = np.argsort(key, kind="stable")
+    key, flat = key[order], flat[order]
+    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    counts = np.diff(starts, append=len(key))
+    return [flat[starts[counts == size][:, None] + np.arange(size)] for size in sorted(set(counts.tolist()))]
+
+
 @dataclass(frozen=True)
 class GramBlocks:
     """The reduced-density terms of an amplitude pair (c0, c1), per amplitude block.
@@ -471,19 +537,92 @@ class GramBlocks:
         return _endpoint_blocks([terms[state] for _, terms in self.groups], n2)
 
     def spectrum(self, blocks: tuple[np.ndarray, ...]) -> Spectrum:
-        """The spectrum of :meth:`endpoint` blocks, each block solved alone (:func:`eigh_blocks`).
+        """The spectrum of :meth:`endpoint` blocks, each solved on its own exact blocks.
 
-        With one block the eigen-solve is the density check's of ``PairSpec.builder``.
+        A J_z eigenstate in an m-labelled basis couples a row m1 only to
+        the columns with m2 = M - m1, so its density is zero between rows
+        of different m1 however the pair links them.  Each block is
+        therefore split into the connected components of its exact
+        nonzero pattern and of the sector operator's links
+        (:func:`own_blocks`), and the parts are solved alone
+        (:func:`eigh_blocks`).  Blocks with no zero entry, as all of LG's
+        and the coupled oscillator's, and diagonal ones, as angular's, are
+        solved as they are; one block is then the density check's
+        eigen-solve of ``PairSpec.builder``.  :meth:`restrict` cuts the
+        partner's blocks to the parts.
+
         A stored endpoint, the very tuple :meth:`endpoint` returned, is
-        solved once per process: every later call gets the same read-only
-        spectrum (:class:`_StateMemo`).  Other blocks are solved on each call.
+        split and solved once per process, without the sector's links,
+        which depend on the pair: every later call gets the same read-only
+        spectrum (:class:`_StateMemo`), unless the sector operator links
+        two of its parts.  Other blocks are solved on each call.
         """
-        groups = [(g[0], m) for g, m in zip(self.groups, blocks)]
+        rows = [g[0] for g in self.groups]
         for st in self.states:
             entry = _state_memo.layout(st, self.layout)
             if entry is not None and entry["endpoint"] is blocks:
-                return _state_memo.spectrum(st, entry, groups)
-        return eigh_blocks(groups)
+                spec = _state_memo.spectrum(st, entry, lambda: _own_spectrum(rows, blocks))
+                if self.sector is None or not self._links_parts(spec):
+                    return spec
+                break
+        return _own_spectrum(rows, blocks, self.sector)
+
+    def restrict(self, stacks: tuple[np.ndarray, ...], spec: Spectrum) -> tuple[np.ndarray, ...]:
+        """``stacks``, blocks in the layout of ``groups``, cut to the blocks of
+        ``spec``'s groups, which split them (:meth:`spectrum`).
+
+        Gives ``stacks`` itself when ``spec`` has the layout of ``groups``.
+        """
+        parts = [rows for rows, _ in spec.groups]
+        return stacks if self._is_layout(parts) else cut_blocks([g[0] for g in self.groups], stacks, parts)
+
+    def _is_layout(self, parts) -> bool:
+        if len(parts) != len(self.groups):
+            return False
+        return all(p is rows or (p.shape == rows.shape and np.array_equal(p, rows))
+                   for p, (rows, _) in zip(parts, self.groups))
+
+    def _links_parts(self, spec: Spectrum) -> bool:
+        """Whether the sector operator links two blocks of ``spec``."""
+        parts = [rows for rows, _ in spec.groups]
+        if self._is_layout(parts):
+            return False
+        part = np.empty(self.dim, dtype=np.intp)
+        first = 0
+        for p in parts:
+            part[p] = first + np.arange(len(p))[:, None]
+            first += len(p)
+        for (rows, _), op in zip(self.groups, self.sector):
+            label = part[rows]
+            if np.any((op != 0) & (label[:, :, None] != label[:, None, :])):
+                return True
+        return False
+
+def _own_spectrum(layout, blocks, sector=None) -> Spectrum:
+    """The spectrum of ``blocks``, in ``layout``, solved on their own exact blocks (:func:`own_blocks`)."""
+    parts = own_blocks(layout, blocks, sector)
+    if parts is None:
+        return eigh_blocks(list(zip(layout, blocks)))
+    return eigh_blocks(list(zip(parts, cut_blocks(layout, blocks, parts))))
+
+
+def cut_blocks(layout, stacks, parts) -> tuple[np.ndarray, ...]:
+    """``stacks``, blocks in ``layout``, cut to the diagonal blocks on the rows of ``parts``.
+
+    ``layout`` holds the blocks' rows per size group, ``stacks`` the
+    blocks, and ``parts`` the rows of finer blocks per size, shape (parts,
+    size), each inside one block of ``layout``.  One gather per size.
+    """
+    dim = sum(rows.size for rows in layout)
+    base = np.empty(dim, dtype=np.intp)  # a row's first entry in the flat stacks
+    local = np.empty(dim, dtype=np.intp)  # its column in its block
+    offset = 0
+    for rows, m in zip(layout, stacks):
+        local[rows] = np.arange(rows.shape[1])
+        base[rows] = offset + np.arange(rows.size).reshape(rows.shape) * rows.shape[1]
+        offset += m.size
+    flat = np.concatenate([m.reshape(-1) for m in stacks])
+    return tuple(flat[base[p][:, :, None] + local[p][:, None, :]] for p in parts)
 
 
 def _magnitude(c: np.ndarray, st: _State | None) -> tuple[np.ndarray, float]:
@@ -511,7 +650,11 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     What each state determines alone, |c|, sum |c|^2 and, per block
     layout, its own term c c^dagger and endpoint, comes from the per-state
     memo (:class:`_StateMemo`) and is formed only on its first sight; only
-    the link graph and the cross term are formed for every pair.
+    the link graph and the cross term are formed for every pair.  Each own
+    term is a product over the columns its state touches on the group's
+    rows, and the cross term over those both states touch, so the terms
+    do not depend on the partner and a stored own term is the one a fresh
+    trace-out forms.
     """
     if c0.ndim != 2 or c0.shape != c1.shape:
         raise ValueError(f"amplitudes must be 2-d arrays of one shape: {c0.shape} != {c1.shape}")
@@ -540,13 +683,24 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     own0, own1 = _state_memo.layout(st0, key), _state_memo.layout(st1, key)
     groups, terms0, terms1 = [], [], []
     n01 = 0.0
+    dense = c0.all() and c1.all()  # no zero entry, as LG's: every product over all columns
     for i, rows in enumerate(layout):
         a0, a1 = c0[rows], c1[rows]  # (blocks, size, columns)
-        a1h = a1.conj().swapaxes(1, 2)
-        cross = a0 @ a1h
+        if not dense:  # the columns each state touches on these rows
+            t0, t1 = a0.any(axis=(0, 1)), a1.any(axis=(0, 1))
+            both = t0 & t1
+        if dense or both.all():  # every product as it always was
+            b0, b1 = a0, a1
+        else:
+            b0, b1 = a0.compress(both, axis=2), a1.compress(both, axis=2)
+            a0 = a0 if t0.all() else a0.compress(t0, axis=2)
+            a1 = a1 if t1.all() else a1.compress(t1, axis=2)
+        b1h = b1.conj().swapaxes(1, 2)
+        cross = b0 @ b1h
         x = cross + cross.conj().swapaxes(1, 2)
         n01 += float(np.trace(x, axis1=1, axis2=2).real.sum())
         terms0.append(a0 @ a0.conj().swapaxes(1, 2) if own0 is None else own0["own"][i])
+        a1h = b1h if a1 is b1 else a1.conj().swapaxes(1, 2)
         terms1.append(a1 @ a1h if own1 is None else own1["own"][i])
         groups.append((rows, np.stack([terms0[-1], terms1[-1], x])))
     if own0 is None:

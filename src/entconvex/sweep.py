@@ -20,8 +20,10 @@ from .spectra import (
     RANGE_TOL,
     GramBlocks,
     HermitianMatrix,
+    cut_blocks,
     entropy_bits,
     gram_blocks,
+    own_blocks,
     von_neumann_entropy,
 )
 
@@ -182,7 +184,8 @@ def entropy_curve(
     therefore solved on Q^dagger T Q, Q the top r eigenvectors of S per
     block: r is the largest count, over the group, of eigenvalues above
     ``RANGE_TOL`` times the block's largest, and a group with r equal to
-    its size is solved as it is.  This loses at most the projection onto
+    its size is solved as it is.  S is eigen-solved on its own exact
+    blocks (:func:`_eigh_own`).  This loses at most the projection onto
     the dropped directions P: by Cauchy interlacing the kept eigenvalues
     only rise from the compressed to the full density, and both their
     total rise and the dropped eigenvalues are bounded by
@@ -287,13 +290,14 @@ def _imag_ratio(terms: np.ndarray, traced: int) -> float:
 
 
 def _on_range(terms: np.ndarray) -> tuple[np.ndarray, float]:
-    """A size group's terms compressed onto the range of terms[0] + terms[1].
+    """A size group's terms compressed onto the range of S = terms[0] + terms[1].
 
     Returns Q^dagger T Q for each term, shape (3, blocks, r, r), and the
-    largest dropped eigenvalue of terms[0] + terms[1] relative to its
-    block's largest (0 when nothing is dropped); see :func:`entropy_curve`.
+    largest dropped eigenvalue of S relative to its block's largest (0
+    when nothing is dropped); see :func:`entropy_curve`.  S is solved on
+    its own exact blocks (:func:`_eigh_own`).
     """
-    s, u = np.linalg.eigh(terms[0] + terms[1])  # ascending per block
+    s, u = _eigh_own(terms[0] + terms[1])  # ascending per block
     top = s[:, -1:]
     size = s.shape[1]
     r = int(np.sum(s > RANGE_TOL * top, axis=1).max())
@@ -302,6 +306,35 @@ def _on_range(terms: np.ndarray) -> tuple[np.ndarray, float]:
     q = u[:, :, size - r:]
     dropped = max(float(np.max(s[:, size - r - 1] / top[:, 0])), 0.0)
     return q.conj().swapaxes(1, 2) @ terms @ q, dropped
+
+
+def _eigh_own(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a stack of Hermitian blocks, each solved on its own exact blocks.
+
+    Where the rows carry an m1 label, c0c0^dagger and c1c1^dagger of two
+    J_z eigenstates couple a row m1 only to rows of the same m1, and so
+    does their sum: it is exactly zero between rows of different m1
+    however the pair links them.  Each block is split into the connected
+    components of its exact nonzero pattern
+    (:func:`entconvex.spectra.own_blocks`), spherium's into parts of at
+    most 11 rows, the oscillator's mirror blocks of 128 into the two of 64
+    that its P's sectors give.  A stack with no zero entry, as LG's, or a
+    diagonal one, as angular's, is one ``eigh``, the same arithmetic as
+    without the split.  The eigenvalues come ascending per block, as
+    ``np.linalg.eigh`` gives them.
+    """
+    blocks, size = sym.shape[:2]
+    layout = np.arange(blocks * size).reshape(blocks, size)  # a row of the stack as block * size + row
+    parts = None if sym.all() else own_blocks([layout], [sym])
+    if parts is None:
+        return np.linalg.eigh(sym)
+    w = np.empty((blocks, size))
+    u = np.zeros_like(sym)
+    for p, m in zip(parts, cut_blocks([layout], [sym], parts)):
+        b, rows = p[:, :1] // size, p % size
+        w[b, rows], u[b[:, :, None], rows[:, :, None], rows[:, None, :]] = np.linalg.eigh(m)
+    order = np.argsort(w, axis=1)
+    return np.take_along_axis(w, order, 1), np.take_along_axis(u, order[:, None, :], 2)
 
 
 def classify_convexity(curve: EntropyCurve, tol: float) -> ConvexityLabel:
@@ -354,10 +387,10 @@ def _criterion(pair: PairSpec, gram: GramBlocks) -> CriterionReport:
     """:func:`pair_criterion` on ``gram``, the pair's own trace-out."""
     spec0 = gram.spectrum(gram.endpoint(0))
     if gram.sector is not None:
-        spec0 = refine_blocks_by_sector(spec0, gram.sector)
+        spec0 = refine_blocks_by_sector(spec0, gram.restrict(gram.sector, spec0))
     rho1 = gram.endpoint(1)
-    s1 = von_neumann_entropy(spec0 if pair.mirror is not None else gram.spectrum(rho1))
-    return criterion_report(spec0, rho1, s1)
+    s1 = None if pair.mirror is not None else von_neumann_entropy(gram.spectrum(rho1))
+    return criterion_report(spec0, gram.restrict(rho1, spec0), s1)
 
 
 def criterion_vs_observation(pair: PairSpec, grid_size: int = DEFAULT_GRID_SIZE) -> AgreementRecord:

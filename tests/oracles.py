@@ -17,6 +17,8 @@ from entconvex.criterion import (
     ProbeRecord,
     balanced_eigenbasis,
     criterion_qc,
+    criterion_report,
+    refine_blocks_by_sector,
 )
 from entconvex.lgmodes import LGMode, lg_evaluate
 from entconvex.oscillator import (
@@ -33,11 +35,13 @@ from entconvex.oscillator import (
 from entconvex.spectra import (
     BLOCK_LINK_TOL,
     LN2,
+    RANGE_TOL,
     SUPPORT_FLOOR,
     GramBlocks,
     HermitianMatrix,
     Spectrum,
     eigendecompose,
+    eigh_blocks,
     components,
     gap_clusters,
     gram_blocks,
@@ -142,7 +146,10 @@ def gram_blocks_unmemoized(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | 
     """The trace-out as :func:`entconvex.spectra.gram_blocks` formed it for
     every pair before the per-state memo: |c|, sum |c|^2 and both own terms
     formed here, and the blocks always found by :func:`components`, one
-    block included.  The oracle of the memo and of the one-block exit."""
+    block included.  Each own term runs over the columns its state touches
+    on the group's rows, and the cross term over those both touch, when
+    that is fewer than all.  The oracle of the memo and of the one-block
+    exit."""
     a = np.abs(c0)
     n0 = np.sum(a ** 2)
     b = np.abs(c1)
@@ -161,13 +168,47 @@ def gram_blocks_unmemoized(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | 
     n01 = 0.0
     for rows in size_groups(blocks):
         a0, a1 = c0[rows], c1[rows]
-        a0h, a1h = a0.conj().swapaxes(1, 2), a1.conj().swapaxes(1, 2)
-        cross = a0 @ a1h
+        t0, t1 = a0.any(axis=(0, 1)), a1.any(axis=(0, 1))
+        pairs = ((a0, t0), (a1, t1), (a0, t0 & t1), (a1, t0 & t1))
+        x0, x1, y0, y1 = (a if t.all() else np.compress(t, a, axis=2) for a, t in pairs)
+        cross = y0 @ y1.conj().swapaxes(1, 2)
         x = cross + cross.conj().swapaxes(1, 2)
         n01 += float(np.trace(x, axis1=1, axis2=2).real.sum())
-        groups.append((rows, np.stack([a0 @ a0h, a1 @ a1h, x])))
+        groups.append((rows, np.stack([x0 @ x0.conj().swapaxes(1, 2), x1 @ x1.conj().swapaxes(1, 2), x])))
     op = None if sector is None else tuple(sector[rows[:, :, None], rows[:, None, :]] for rows, _ in groups)
     return GramBlocks(tuple(groups), tuple(sizes), dropped, len(g), c0.shape[1], (n0, n1, n01), op)
+
+
+def pair_block_criterion(pair, gram: GramBlocks) -> CriterionReport:
+    """The criterion on the pair's own amplitude blocks, as
+    :func:`entconvex.sweep.pair_criterion` formed it before the reference
+    was split on its own exact blocks: each pair block of rho0 solved whole
+    (:func:`eigh_blocks`), refined by the sector operator's pair blocks,
+    and the partner weights read off rho1's whole pair blocks.  The oracle
+    of :meth:`entconvex.spectra.GramBlocks.spectrum`'s split."""
+    layout = [rows for rows, _ in gram.groups]
+    rho0, rho1 = gram.endpoint(0), gram.endpoint(1)
+    spec0 = eigh_blocks(list(zip(layout, rho0)))
+    if gram.sector is not None:
+        spec0 = refine_blocks_by_sector(spec0, gram.sector)
+    s1 = None if pair.mirror is not None else von_neumann_entropy(eigh_blocks(list(zip(layout, rho1))))
+    return criterion_report(spec0, rho1, s1)
+
+
+def plain_on_range(terms: np.ndarray) -> tuple[np.ndarray, float]:
+    """The curve's range step with one ``eigh`` of c0c0^dagger + c1c1^dagger
+    per amplitude block, as :func:`entconvex.sweep.entropy_curve` took it
+    before that sum was split on its own exact blocks: the oracle of
+    :func:`entconvex.sweep._on_range`."""
+    s, u = np.linalg.eigh(terms[0] + terms[1])
+    top = s[:, -1:]
+    size = s.shape[1]
+    r = int(np.sum(s > RANGE_TOL * top, axis=1).max())
+    if r == size:
+        return terms, 0.0
+    q = u[:, :, size - r:]
+    dropped = max(float(np.max(s[:, size - r - 1] / top[:, 0])), 0.0)
+    return q.conj().swapaxes(1, 2) @ terms @ q, dropped
 
 
 def mode_columns_per_mode(l: int, m: int, n_basis: int, order: int) -> np.ndarray:

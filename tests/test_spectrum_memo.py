@@ -24,7 +24,7 @@ from oracles import gram_blocks_unmemoized
 
 
 @pytest.fixture
-def solves(monkeypatch, empty_spectrum_memo):
+def solves(monkeypatch, empty_state_memo):
     """Every ``eigh_blocks`` call the memo makes, by its groups."""
     calls = []
 
@@ -148,7 +148,7 @@ def test_threads_share_one_memo(solves):
     assert all(got[i] is got[i % len(grams)] for i in range(len(got)))
 
 
-def test_threads_trace_out_and_solve_while_states_are_dropped(monkeypatch, empty_spectrum_memo):
+def test_threads_trace_out_and_solve_while_states_are_dropped(monkeypatch, empty_state_memo):
     # four threads run the trace-out and the criterion of 22 pairs of eight
     # LG modes, each pair three times, in a memo that holds about three
     # states, so they meet the same new states, store them and lose them to
@@ -221,7 +221,7 @@ def test_sector_refinement_leaves_the_stored_entry_unchanged(solves, states, rot
 
 
 @pytest.fixture
-def own_terms(monkeypatch, empty_spectrum_memo):
+def own_terms(monkeypatch, empty_state_memo):
     """The id of every array whose own terms the trace-out forms: it stores each with one ``store``."""
     calls = []
 
@@ -275,7 +275,7 @@ def _partly_linked():
     return amplitudes + [(c, d, None), (c, c, None)]
 
 
-def test_one_block_exit_keeps_every_field(monkeypatch, empty_spectrum_memo):
+def test_one_block_exit_keeps_every_field(monkeypatch, empty_state_memo):
     # every scan pair links all 32 rows: one block, found without a search,
     # and every field is the searched, unmemoized trace-out's, cold or warm
     pairs = _lg_scan()
@@ -294,7 +294,7 @@ def test_one_block_exit_keeps_every_field(monkeypatch, empty_spectrum_memo):
 
 
 @pytest.mark.parametrize("index", range(5))
-def test_partly_linked_inputs_keep_every_field(empty_spectrum_memo, index):
+def test_partly_linked_inputs_keep_every_field(empty_state_memo, index):
     c0, c1, sector = _partly_linked()[index]
     want = gram_blocks_unmemoized(c0, c1, sector)
     assert len(want.block_sizes) > 1
@@ -322,7 +322,7 @@ def _results(pairs, cold: bool):
     return out
 
 
-def test_reports_and_curves_equal_a_memo_cleared_before_each_pair(empty_spectrum_memo):
+def test_reports_and_curves_equal_a_memo_cleared_before_each_pair(empty_state_memo):
     # LG's S_NS moves by 1e-10 under a one-ulp change of rho: equal means bit for bit
     pairs = _lg_scan() + [row.pair for row in benchmarks.reference_table(1)]
     pairs += [angular_pair(l, L, L) for l in (1, 2, 3) for L in range(1, 2 * l + 1)]
@@ -381,7 +381,7 @@ def test_recurring_arrays_are_found_by_identity_and_held_weakly(keyed, own_terms
     assert memo._by_id == {id(image): memo.find(image)[0]} and len(own_terms) == 2
 
 
-def test_evaluating_a_mirror_pair_again_adds_no_state(empty_spectrum_memo):
+def test_evaluating_a_mirror_pair_again_adds_no_state(empty_state_memo):
     # the mirror image is a fresh array on every call: an LG image (small)
     # hits by content, and a table-1 image (large, found by identity alone)
     # leaves a state that goes once the image is gone

@@ -559,7 +559,7 @@ def _assert_refinement_matches_dense(pair):
     op = pair.sector_operator
     gram = gram_blocks(*pair.amplitudes(), op)
     spec0 = gram.spectrum(gram.endpoint(0))
-    refined = refine_blocks_by_sector(spec0, gram.sector)
+    refined = refine_blocks_by_sector(spec0, gram.restrict(gram.sector, spec0))
     dense = dense_refine_blocks_by_sector(spec0, op)
     w = spec0.eigenvalues
     on_support = [b for b in refined.blocks if w[b[0]] > SUPPORT_FLOOR]
@@ -574,7 +574,7 @@ def _assert_refinement_matches_dense(pair):
             assert np.max(np.abs(r - np.diag(np.diag(r)))) <= 1e-10, pair.label
             assert np.all(np.diff(np.diag(r).real) >= -1e-12), pair.label
     rho1 = pair.builder(0.0).entries
-    got = not_shared_entropy(refined, gram.endpoint(1))
+    got = not_shared_entropy(refined, gram.restrict(gram.endpoint(1), spec0))
     assert abs(got - dense_not_shared_entropy(dense, rho1)) <= 1e-12, pair.label
 
 
@@ -773,7 +773,7 @@ class TestBlockCriterion:
         np.testing.assert_allclose(curve.entropies, dense_entropy_curve(pair, GRID), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("use_sectors", [True, False], ids=["sectors", "no-sectors"])
-    def test_spherium_solves_only_amplitude_blocks(self, monkeypatch, use_sectors, empty_spectrum_memo):
+    def test_spherium_solves_only_amplitude_blocks(self, monkeypatch, use_sectors, empty_state_memo):
         pair = spherium_pair(1)
         if not use_sectors:
             pair = dataclasses.replace(pair, sector_operator=None)
@@ -794,16 +794,31 @@ class TestBlockCriterion:
 
         monkeypatch.setattr(HermitianMatrix, "__post_init__", refuse)
         monkeypatch.setattr(PairSpec, "builder", refuse)
-        sizes = []
+        sizes, refined, inside = [], [], [False]
         for name in ("eigh", "eigvalsh"):
             def spy(a, *args, _solve=getattr(np.linalg, name), **kwargs):
                 sizes.append(np.shape(a)[-1])
+                if inside[0]:
+                    refined.append(np.shape(a))
                 return _solve(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, spy)
+
+        def refine(spec0, op, _refine=sweep.refine_blocks_by_sector):
+            inside[0] = True
+            try:
+                return _refine(spec0, op)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(sweep, "refine_blocks_by_sector", refine)
         pair_criterion(pair)
-        # the density is 529 x 529; its largest amplitude block is 143
-        assert max(sizes) == 143
+        # the density is 529 x 529 and its largest amplitude block 143, but
+        # rho0 splits on its own exact pattern into parts of at most 11 rows
+        assert max(sizes) == 11
+        # each part holds one m1, so l_z is a multiple of the identity on it
+        # and the sector refinement solves nothing
+        assert refined == []
 
 
 def _osc_state(lam, *q):
@@ -936,7 +951,7 @@ class TestMirrorPairs:
         np.testing.assert_allclose(half.entropies, whole.entropies, rtol=0, atol=1e-13)
         assert half.entropies == half.entropies[::-1]
 
-    def test_criterion_solves_only_the_reference(self, monkeypatch, empty_spectrum_memo):
+    def test_criterion_solves_only_the_reference(self, monkeypatch, empty_state_memo):
         pair = reference_table(2)[0].pair
         gram = gram_blocks(*pair.amplitudes(), pair.sector_operator)
         rho0 = gram.endpoint(0)
