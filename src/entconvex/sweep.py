@@ -9,7 +9,10 @@ between the endpoint entropies, not via second differences.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -209,7 +212,11 @@ def entropy_curve(
     The whole grid's eigenvalues then come from batched ``eigvalsh`` calls
     over equal-size blocks.  A call holds at most max(dim**2, 2**16)
     entries, so a small density takes several grid points per call.  Only
-    eigenvalues are computed.
+    eigenvalues are computed.  When some size group needs more than one
+    call, the calls run on every usable CPU (:func:`_solve_on_all_cpus`),
+    at most one in flight per thread; each is the same ``eigvalsh`` of the
+    same input as in the serial loop, so every entropy is bitwise the
+    serial loop's.  Otherwise the calling thread solves the grid alone.
 
     Summing the terms after the products costs relative accuracy of order
     (norm of the parts / norm of the superposition)^2 where the two states
@@ -232,7 +239,7 @@ def entropy_curve(
         raise ValueError("superposition vanishes")
     points = grid_size if pair.mirror is None else (grid_size + 1) // 2
     coef = coef[:points]
-    weights, solved, range_dropped, imag_dropped = [], [], 0.0, 0.0
+    weights, chunks, solved, range_dropped, imag_dropped = [], [], [], 0.0, 0.0
     for rows, terms in gram.groups:
         if np.iscomplexobj(terms):
             ratio = _imag_ratio(terms, gram.traced)
@@ -246,11 +253,13 @@ def entropy_curve(
         solved.append(size)
         # grid points per call: up to max(dim**2, 2**16) entries
         step = max(1, (gram.dim // size) ** 2 // len(rows), 2**16 // (len(rows) * size * size))
-        w = [
-            np.linalg.eigvalsh(np.tensordot(coef[i:i + step], terms, axes=1))
-            for i in range(0, points, step)
-        ]
-        weights.append(np.concatenate(w).reshape(points, -1))
+        weights.append(np.empty((points, len(rows) * size)))
+        chunks += [(coef[i:i + step], terms, weights[-1][i:i + step]) for i in range(0, points, step)]
+    if len(chunks) > len(weights):  # some group needs more than one call
+        _solve_on_all_cpus(chunks)
+    else:
+        for chunk in chunks:
+            _solve_chunk(*chunk)
     ents = entropy_bits(np.concatenate(weights, axis=1) / norm2[:points, None]).tolist()
     if points < grid_size:  # a mirror pair: the point at 1 - alpha takes the entropy at alpha
         ents += ents[grid_size - points - 1::-1]
@@ -266,6 +275,79 @@ def entropy_curve(
         range_dropped=range_dropped,
         imag_dropped=imag_dropped,
     )
+
+
+def _solve_chunk(coef: np.ndarray, terms: np.ndarray, out: np.ndarray) -> None:
+    """One ``eigvalsh`` call: a size group's eigenvalues at the grid points ``coef``, into ``out``."""
+    out[...] = np.linalg.eigvalsh(np.tensordot(coef, terms, axes=1)).reshape(len(coef), -1)
+
+
+def _drain(queue: deque) -> None:
+    """Solve chunks from ``queue`` (:func:`_solve_chunk`) until it is empty."""
+    while True:
+        try:
+            chunk = queue.popleft()
+        except IndexError:
+            return
+        _solve_chunk(*chunk)
+
+
+def _solve_on_all_cpus(chunks: list) -> None:
+    """Solve a grid's chunks in the calling thread and the grid helpers, largest first.
+
+    One queue holds the chunks, ordered by points x size**3; the caller
+    and up to :func:`_grid_helpers` helper threads take chunks from it
+    until it is empty, each chunk's ``tensordot`` and ``eigvalsh`` in the
+    thread that took it.  numpy releases the GIL in both.  Once the
+    queue is empty the caller cancels each helper job that has not
+    started, so it never waits for a thread that is not there, as in a
+    child forked after the helpers were made, and waits for the others,
+    each of which is at most one chunk from done.  A failed chunk empties
+    the queue, and the error is raised once the helpers have stopped.
+    """
+    queue = deque(sorted(chunks, key=lambda c: len(c[0]) * c[1].shape[-1] ** 3, reverse=True))
+    helpers = _grid_helpers()
+    jobs = [] if helpers is None else [
+        helpers[0].submit(_drain, queue) for _ in range(min(helpers[1], len(queue) - 1))
+    ]
+    try:
+        _drain(queue)
+    finally:
+        queue.clear()  # after a failure the helpers stop at their current chunk
+        errors = [job.exception() for job in jobs if not job.cancel()]
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+_helpers_lock = threading.Lock()
+_helpers = None  # (executor, threads): the grid helpers, made on first use
+
+
+def _grid_helpers():
+    """The process's grid helper threads and their count, one fewer than its usable CPUs.
+
+    Made on first use, under a lock, and kept for the life of the
+    process; None, and no thread, where only one CPU is usable.
+    """
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None:
+            threads = _usable_cpus() - 1
+            if threads < 1:
+                return None
+            from concurrent.futures import ThreadPoolExecutor  # about 6 ms to import
+
+            _helpers = ThreadPoolExecutor(threads, thread_name_prefix="entconvex-grid"), threads
+    return _helpers
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or ``os.cpu_count()`` where there is none."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _imag_ratio(terms: np.ndarray, traced: int) -> float:

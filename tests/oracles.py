@@ -43,6 +43,7 @@ from entconvex.spectra import (
     eigendecompose,
     eigh_blocks,
     components,
+    entropy_bits,
     gap_clusters,
     gram_blocks,
     size_groups,
@@ -58,6 +59,7 @@ from entconvex.spherium import (
     _index,
     basis_size,
 )
+from entconvex.sweep import CANCELLED_NORM2, DEFAULT_GRID_SIZE, EntropyCurve, _imag_ratio, _on_range
 
 
 UNIT_NORM_TOL = 1e-6  # an amplitude norm within this of 1 counts as unit norm
@@ -209,6 +211,58 @@ def plain_on_range(terms: np.ndarray) -> tuple[np.ndarray, float]:
     q = u[:, :, size - r:]
     dropped = max(float(np.max(s[:, size - r - 1] / top[:, 0])), 0.0)
     return q.conj().swapaxes(1, 2) @ terms @ q, dropped
+
+
+def serial_entropy_curve(pair, grid_size=DEFAULT_GRID_SIZE, *, gram=None) -> EntropyCurve:
+    """:func:`entconvex.sweep.entropy_curve` with its grid solved in the
+    calling thread, one size group after another and each group's calls in
+    grid order, the group's eigenvalues joined by concatenation: the loop
+    as it was before the calls ran on every usable CPU.  Each call is the
+    same ``eigvalsh`` of the same input, so the curve must equal this one
+    bit for bit."""
+    gram = gram_blocks(*pair.amplitudes(), pair.sector_operator) if gram is None else gram
+    alphas = np.linspace(0.0, 1.0, grid_size)
+    coef = np.stack([alphas, 1.0 - alphas, np.sqrt(alphas * (1.0 - alphas))], axis=1)
+    n00, n11, _ = gram.norms
+    norm2 = coef @ np.array(gram.norms)
+    parts2 = (np.sqrt(alphas * n00) + np.sqrt((1.0 - alphas) * n11)) ** 2
+    if np.any(norm2 <= CANCELLED_NORM2 * parts2):
+        raise ValueError("superposition vanishes")
+    points = grid_size if pair.mirror is None else (grid_size + 1) // 2
+    coef = coef[:points]
+    weights, solved, range_dropped, imag_dropped = [], [], 0.0, 0.0
+    for rows, terms in gram.groups:
+        if np.iscomplexobj(terms):
+            ratio = _imag_ratio(terms, gram.traced)
+            if ratio <= 1.0:
+                terms = np.ascontiguousarray(terms.real)
+                imag_dropped = max(imag_dropped, ratio)
+        if rows.shape[1] > 1:
+            terms, dropped = _on_range(terms)
+            range_dropped = max(range_dropped, dropped)
+        size = terms.shape[-1]
+        solved.append(size)
+        step = max(1, (gram.dim // size) ** 2 // len(rows), 2**16 // (len(rows) * size * size))
+        w = [
+            np.linalg.eigvalsh(np.tensordot(coef[i:i + step], terms, axes=1))
+            for i in range(0, points, step)
+        ]
+        weights.append(np.concatenate(w).reshape(points, -1))
+    ents = entropy_bits(np.concatenate(weights, axis=1) / norm2[:points, None]).tolist()
+    if points < grid_size:
+        ents += ents[grid_size - points - 1::-1]
+    return EntropyCurve(
+        alphas=tuple(alphas.tolist()),
+        entropies=tuple(ents),
+        s0=ents[-1],
+        s1=ents[0],
+        block_sizes=gram.block_sizes,
+        offblock_dropped=gram.dropped,
+        solved_sizes=tuple(solved),
+        solved_points=points,
+        range_dropped=range_dropped,
+        imag_dropped=imag_dropped,
+    )
 
 
 def mode_columns_per_mode(l: int, m: int, n_basis: int, order: int) -> np.ndarray:
