@@ -54,6 +54,11 @@ BLOCK_LINK_TOL = 1e-15
 # its block's largest is outside the range the alpha curve is solved on
 RANGE_TOL = 1e-16
 LN2 = math.log(2.0)  # entropies are in bits: nats / LN2
+# exchange pairs of blocks are sought only where a block has at least this
+# many rows: below it the search (about 50 us) costs more than the solves
+# it saves, on planted pairs of 41 grid points the crossover lay at blocks
+# of 4 to 6 rows (one BLAS thread)
+EXCHANGE_MIN_ROWS = 5
 # the per-state memo (_StateMemo) content-keys no matrix and stores no
 # layout's own terms above the first (dense-tables' are all above), and
 # holds at most the second in all: the criterion-6 scan's 36 LG states
@@ -506,6 +511,11 @@ class GramBlocks:
     shape (blocks, size, size), or is None when no operator was given.
     ``states`` holds the memo states of c0 and c1 (:class:`_StateMemo`),
     None where not stored, and ``layout`` the key of the groups' rows in them.
+    ``repeats`` holds, per group, how many times each block's eigenvalues
+    count in the alpha curve, shape (blocks,): 2 for the solved side of an
+    exchange pair, 0 for the side it stands in for, 1 otherwise; None when
+    no block pairs (:func:`exchange_repeats`).  ``exchange_dropped`` is the
+    largest accepted exchange defect relative to its rounding bound.
     """
 
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -517,6 +527,8 @@ class GramBlocks:
     sector: tuple[np.ndarray, ...] | None
     states: tuple[_State | None, _State | None] = field(default=(None, None), repr=False, compare=False)
     layout: tuple = field(default=(), repr=False, compare=False)
+    repeats: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
+    exchange_dropped: float = 0.0
 
     def endpoint(self, state: int) -> tuple[np.ndarray, ...]:
         """The reduced density of c0 or c1, one stack of blocks per size group.
@@ -655,6 +667,23 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     rows, and the cross term over those both states touch, so the terms
     do not depend on the partner and a stored own term is the one a fresh
     trace-out forms.
+
+    Identical particles pair blocks.  When rows and columns run over one
+    basis (square amplitudes) and both states are exchange-symmetric or
+    -antisymmetric with one sign, c = +-c^T, a block b whose columns are
+    the rows of blocks P, which touch only b's rows, has the nonzero
+    spectrum of P in every superposition, so the alpha curve solves only
+    the cheaper side and counts it twice (:func:`exchange_repeats`;
+    ``GramBlocks.repeats``).  Spherium M = +-1 pairs 121 <-> 132 and
+    132 <-> 1 + 143, M = +-2 pairs 60 <-> 1 + 71, 61 <-> 72 and two
+    66 <-> 66.  A pair is accepted only while the exchange defect, by
+    Weyl, moves no eigenvalue by more than the rounding of solving the
+    stood-in side directly.  Amplitudes with no zero entry (LG, the coupled
+    oscillator) and layouts whose blocks all have fewer than
+    ``EXCHANGE_MIN_ROWS`` rows skip the search: LG is not square, every
+    oscillator block touches every column, and small blocks cost less to
+    solve than to pair.  Every block's terms are still formed, so
+    ``norms``, the endpoints and the criterion do not move.
     """
     if c0.ndim != 2 or c0.shape != c1.shape:
         raise ValueError(f"amplitudes must be 2-d arrays of one shape: {c0.shape} != {c1.shape}")
@@ -715,8 +744,81 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
         dev = max(np.max(np.abs(o - o.conj().swapaxes(1, 2))) for o in op)
         if dev > HERMITICITY_TOL * max(1.0, *(np.max(np.abs(o)) for o in op)):
             raise NonHermitianError(f"sector operator hermiticity deviation {dev:.3e}")
+    # exchange pairs, where rows and columns run over one basis and some
+    # block is large enough to be worth the search
+    repeats, exchange = None, 0.0
+    if not dense and len(blocks) > 1 and layout[-1].shape[1] >= EXCHANGE_MIN_ROWS and len(c0) == c0.shape[1]:
+        counts, exchange = exchange_repeats(c0, c1, s, label, len(blocks))
+        if counts is not None:
+            repeats = tuple(counts[label[rows[:, 0]]] for rows in layout)
     return GramBlocks(tuple(groups), tuple(len(p) for p in blocks), dropped, len(g), c0.shape[1],
-                      (n0, n1, n01), op, (st0, st1), key)
+                      (n0, n1, n01), op, (st0, st1), key, repeats, exchange)
+
+
+def exchange_repeats(c0: np.ndarray, c1: np.ndarray, support: np.ndarray, label: np.ndarray, n: int):
+    """How many times each block's eigenvalues count in the alpha curve, and the largest accepted defect.
+
+    ``c0`` and ``c1`` are square, rows and columns over one basis;
+    ``support`` is |c0| + |c1|, whose nonzero entries are the exact
+    pattern of both, and ``label`` gives each row's block of ``n``.  A
+    block b pairs with the set P of blocks holding its columns when b is
+    not in P and every block of P touches only b's rows.  If then both
+    states satisfy c = sign c^T with one sign on the coupling, so does
+    every superposition C, and C[P, b] = sign C[b, P]^T: P's density
+    C[P, b] C[P, b]^dagger and b's C[b, P] C[b, P]^dagger share their
+    nonzero spectrum, and one side's eigenvalues, counted twice, stand in
+    for both.  The side solved is the cheaper by the sum of its blocks'
+    size**3, b on a tie; its blocks count 2, the other side's 0.
+
+    The exchange holds only to rounding (spherium's electrons to 1.1e-16).
+    With D_k = c_k[b, P] - sign c_k[P, b]^T, by Weyl every squared
+    singular value of C[P, b] lies within delta (2 N + delta) of its
+    counterpart in C[b, P], at every alpha, for delta^2 = |D_0|_F^2 +
+    |D_1|_F^2 and N^2 the mean of the two sides' |c_0|_F^2 + |c_1|_F^2 on
+    the coupling, at least the smaller.  A pair is accepted when that bound
+    is at most m eps N^2, the rounding of solving the stood-in side of m
+    rows directly, eps the machine epsilon.  Each sum runs over the
+    coupling's nonzero entries, once from each side, halved; an entry
+    nonzero on one side only is a defect of its own size.  States of
+    opposite signs leave a defect of their own size too, so such a pair
+    is solved as before.  States exchange-symmetric to the bit, as
+    angular's, skip the sums: their defect is 0.
+
+    Returns the counts per block, 0, 1 or 2, or None when no pair is
+    accepted, and the largest accepted ratio of bound to rounding, 0.0
+    when none.
+    """
+    i, j = np.divmod(np.flatnonzero(support.ravel() > 0.0), len(support))  # the nonzero entries of c0 or c1
+    bi, bj = label[i], label[j]
+    touch = np.zeros((n, n), dtype=bool)
+    touch[bi, bj] = True  # touch[b, q]: block b's columns meet block q's rows
+    hits = touch.sum(axis=1)
+    # b pairs when every block it touches touches b alone, and b is not one of them
+    hub = ((touch & touch.T & (hits == 1)).sum(axis=1) == hits) & (hits > touch.diagonal())
+    # two single blocks pair from both ends: the first is the hub
+    hub &= (hits > 1) | (touch.argmax(axis=1) > np.arange(n))
+    if not hub.any():
+        return None, 0.0
+    size = np.bincount(label, minlength=n)
+    solve_hub = size ** 3 <= touch @ size ** 3
+    v, w = np.stack([c0[i, j], c1[i, j]]), np.stack([c0[j, i], c1[j, i]])
+    plus, minus = v - w, v + w  # the defects with sign +1 and -1
+    ok, ratio = hub, 0.0
+    if plus.any() and minus.any():  # no exact exchange of the whole states, as angular's
+        # each coupling entry, from a hub's rows or turned over from its partners', once per side
+        coupling = hub[bi] | hub[bj] & touch[bj, bi]
+        x = np.stack([plus, minus, v])[:, :, coupling]
+        of = np.where(hub[bi], bi, bj)[coupling]
+        plus, minus, norm2 = (np.bincount(of, y, minlength=n) for y in (x * x.conj()).real.sum(axis=1) / 2.0)
+        delta = np.sqrt(np.minimum(plus, minus))
+        bound = delta * (2.0 * np.sqrt(norm2) + delta)
+        rounding = np.where(solve_hub, touch @ size, size) * np.finfo(float).eps * norm2
+        ok = hub & (bound <= rounding)
+        if not ok.any():
+            return None, 0.0
+        ratio = float(np.divide(bound, rounding, out=np.zeros(n), where=ok).max())
+    side = np.where(ok, np.where(solve_hub, 1, -1), 0)  # +1: the hub solved, -1: its partners
+    return 1 + side - side @ touch, ratio
 
 
 def entropy_bits(w: np.ndarray) -> np.ndarray:

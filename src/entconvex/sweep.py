@@ -139,6 +139,7 @@ class EntropyCurve:
     solved_points: int = 0  # grid points eigen-solved; a mirror pair's others are mirrored
     range_dropped: float = 0.0  # largest left-out eigenvalue of c0c0^dagger + c1c1^dagger, relative
     imag_dropped: float = 0.0  # largest dropped imaginary term entry, relative to its rounding bound
+    exchange_dropped: float = 0.0  # largest accepted exchange defect, relative to its rounding bound
 
     def __post_init__(self):
         if len(self.alphas) != len(self.entropies):
@@ -209,6 +210,23 @@ def entropy_curve(
     group is real this way, since the profile's imaginary part is odd in
     y: its ratios stay below 0.006.  Real terms skip the check.
 
+    Identical particles halve the solve where they can.  When both states
+    are exchange-symmetric or -antisymmetric with one sign, c = +-c^T,
+    and the columns of block b are the rows of blocks P that touch only
+    b's rows, then C[P, b] = +-C[b, P]^T for every superposition C, so
+    P's density and b's share their nonzero spectrum.  ``gram.repeats``
+    (:func:`entconvex.spectra.exchange_repeats`) counts each block's
+    eigenvalues 2, 0 or 1 times; only the blocks counted at least once
+    are gathered, checked for imaginary parts, compressed onto their
+    range and solved, and each solved block's eigenvalues are repeated as
+    often as they count before the entropy is taken.  Spherium M = +-1
+    solves blocks 121 and 132 for 121 <-> 132 and 132 <-> 1 + 143.  The
+    exchange holds to rounding only: a pair is taken only while its
+    defect, by Weyl, moves no eigenvalue by more than the rounding of
+    solving the stood-in side directly, and ``exchange_dropped`` is the
+    largest such bound over that rounding (0 when no pair or an exact
+    exchange).
+
     The whole grid's eigenvalues then come from batched ``eigvalsh`` calls
     over equal-size blocks.  A call holds at most max(dim**2, 2**16)
     entries, so a small density takes several grid points per call.  Only
@@ -217,6 +235,8 @@ def entropy_curve(
     at most one in flight per thread; each is the same ``eigvalsh`` of the
     same input as in the serial loop, so every entropy is bitwise the
     serial loop's.  Otherwise the calling thread solves the grid alone.
+    The helpers assume a single-threaded BLAS: at OpenBLAS's default
+    count they compete with its own threads (see the README).
 
     Summing the terms after the products costs relative accuracy of order
     (norm of the parts / norm of the superposition)^2 where the two states
@@ -239,8 +259,8 @@ def entropy_curve(
         raise ValueError("superposition vanishes")
     points = grid_size if pair.mirror is None else (grid_size + 1) // 2
     coef = coef[:points]
-    weights, chunks, solved, range_dropped, imag_dropped = [], [], [], 0.0, 0.0
-    for rows, terms in gram.groups:
+    weights, repeats, chunks, solved, range_dropped, imag_dropped = [], [], [], [], 0.0, 0.0
+    for rows, terms, repeat in _counted_groups(gram):
         if np.iscomplexobj(terms):
             ratio = _imag_ratio(terms, gram.traced)
             if ratio <= 1.0:
@@ -254,12 +274,14 @@ def entropy_curve(
         # grid points per call: up to max(dim**2, 2**16) entries
         step = max(1, (gram.dim // size) ** 2 // len(rows), 2**16 // (len(rows) * size * size))
         weights.append(np.empty((points, len(rows) * size)))
+        repeats.append(repeat)
         chunks += [(coef[i:i + step], terms, weights[-1][i:i + step]) for i in range(0, points, step)]
     if len(chunks) > len(weights):  # some group needs more than one call
         _solve_on_all_cpus(chunks)
     else:
         for chunk in chunks:
             _solve_chunk(*chunk)
+    weights = [_repeated(w, repeat) for w, repeat in zip(weights, repeats)]
     ents = entropy_bits(np.concatenate(weights, axis=1) / norm2[:points, None]).tolist()
     if points < grid_size:  # a mirror pair: the point at 1 - alpha takes the entropy at alpha
         ents += ents[grid_size - points - 1::-1]
@@ -274,7 +296,31 @@ def entropy_curve(
         solved_points=points,
         range_dropped=range_dropped,
         imag_dropped=imag_dropped,
+        exchange_dropped=gram.exchange_dropped,
     )
+
+
+def _counted_groups(gram: GramBlocks):
+    """Each size group's rows and terms cut to the blocks whose eigenvalues count, and their repeats.
+
+    Repeats are None where no block pairs; a group whose blocks all stand
+    in for their exchange partners is left out (``GramBlocks.repeats``).
+    """
+    for (rows, terms), repeat in zip(gram.groups, gram.repeats or (None,) * len(gram.groups)):
+        if repeat is not None:
+            kept = repeat > 0
+            if not kept.any():
+                continue
+            if not kept.all():
+                rows, terms, repeat = rows[kept], terms[:, kept], repeat[kept]
+        yield rows, terms, repeat
+
+
+def _repeated(w: np.ndarray, repeat: np.ndarray | None) -> np.ndarray:
+    """A group's eigenvalues per grid point, shape (points, blocks * size), each block's ``repeat`` times."""
+    if repeat is None:
+        return w
+    return np.repeat(w.reshape(len(w), len(repeat), -1), repeat, axis=1).reshape(len(w), -1)
 
 
 def _solve_chunk(coef: np.ndarray, terms: np.ndarray, out: np.ndarray) -> None:
@@ -293,53 +339,41 @@ def _drain(queue: deque) -> None:
 
 
 def _solve_on_all_cpus(chunks: list) -> None:
-    """Solve a grid's chunks in the calling thread and the grid helpers, largest first.
+    """Solve a grid's chunks in the calling thread and its grid helpers, largest first.
 
     One queue holds the chunks, ordered by points x size**3; the caller
-    and up to :func:`_grid_helpers` helper threads take chunks from it
-    until it is empty, each chunk's ``tensordot`` and ``eigvalsh`` in the
-    thread that took it.  numpy releases the GIL in both.  Once the
-    queue is empty the caller cancels each helper job that has not
-    started, so it never waits for a thread that is not there, as in a
-    child forked after the helpers were made, and waits for the others,
-    each of which is at most one chunk from done.  A failed chunk empties
-    the queue, and the error is raised once the helpers have stopped.
+    and one helper thread per further usable CPU (:func:`_usable_cpus`),
+    started here and joined before this returns, take chunks from it until
+    it is empty, each chunk's ``tensordot`` and ``eigvalsh`` in the thread
+    that took it.  numpy releases the GIL in both.  A failed chunk empties
+    the queue, so every thread stops after its current chunk, and the
+    first error is raised once all have stopped.  With one usable CPU no
+    thread is started.
     """
     queue = deque(sorted(chunks, key=lambda c: len(c[0]) * c[1].shape[-1] ** 3, reverse=True))
-    helpers = _grid_helpers()
-    jobs = [] if helpers is None else [
-        helpers[0].submit(_drain, queue) for _ in range(min(helpers[1], len(queue) - 1))
+    errors = []
+
+    def helper():
+        try:
+            _drain(queue)
+        except Exception as error:  # raised by the caller once every thread has stopped
+            queue.clear()
+            errors.append(error)
+
+    threads = [
+        threading.Thread(target=helper, name="entconvex-grid", daemon=True)
+        for _ in range(min(_usable_cpus() - 1, len(queue) - 1))
     ]
+    for thread in threads:
+        thread.start()
     try:
         _drain(queue)
     finally:
         queue.clear()  # after a failure the helpers stop at their current chunk
-        errors = [job.exception() for job in jobs if not job.cancel()]
-    for error in errors:
-        if error is not None:
-            raise error
-
-
-_helpers_lock = threading.Lock()
-_helpers = None  # (executor, threads): the grid helpers, made on first use
-
-
-def _grid_helpers():
-    """The process's grid helper threads and their count, one fewer than its usable CPUs.
-
-    Made on first use, under a lock, and kept for the life of the
-    process; None, and no thread, where only one CPU is usable.
-    """
-    global _helpers
-    with _helpers_lock:
-        if _helpers is None:
-            threads = _usable_cpus() - 1
-            if threads < 1:
-                return None
-            from concurrent.futures import ThreadPoolExecutor  # about 6 ms to import
-
-            _helpers = ThreadPoolExecutor(threads, thread_name_prefix="entconvex-grid"), threads
-    return _helpers
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _usable_cpus() -> int:

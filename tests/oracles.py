@@ -59,7 +59,15 @@ from entconvex.spherium import (
     _index,
     basis_size,
 )
-from entconvex.sweep import CANCELLED_NORM2, DEFAULT_GRID_SIZE, EntropyCurve, _imag_ratio, _on_range
+from entconvex.sweep import (
+    CANCELLED_NORM2,
+    DEFAULT_GRID_SIZE,
+    EntropyCurve,
+    _counted_groups,
+    _imag_ratio,
+    _on_range,
+    _repeated,
+)
 
 
 UNIT_NORM_TOL = 1e-6  # an amplitude norm within this of 1 counts as unit norm
@@ -217,9 +225,10 @@ def serial_entropy_curve(pair, grid_size=DEFAULT_GRID_SIZE, *, gram=None) -> Ent
     """:func:`entconvex.sweep.entropy_curve` with its grid solved in the
     calling thread, one size group after another and each group's calls in
     grid order, the group's eigenvalues joined by concatenation: the loop
-    as it was before the calls ran on every usable CPU.  Each call is the
-    same ``eigvalsh`` of the same input, so the curve must equal this one
-    bit for bit."""
+    as it was before the calls ran on every usable CPU, over the same
+    blocks (only those whose eigenvalues count, repeated as they count).
+    Each call is the same ``eigvalsh`` of the same input, so the curve
+    must equal this one bit for bit."""
     gram = gram_blocks(*pair.amplitudes(), pair.sector_operator) if gram is None else gram
     alphas = np.linspace(0.0, 1.0, grid_size)
     coef = np.stack([alphas, 1.0 - alphas, np.sqrt(alphas * (1.0 - alphas))], axis=1)
@@ -231,7 +240,7 @@ def serial_entropy_curve(pair, grid_size=DEFAULT_GRID_SIZE, *, gram=None) -> Ent
     points = grid_size if pair.mirror is None else (grid_size + 1) // 2
     coef = coef[:points]
     weights, solved, range_dropped, imag_dropped = [], [], 0.0, 0.0
-    for rows, terms in gram.groups:
+    for rows, terms, repeat in _counted_groups(gram):
         if np.iscomplexobj(terms):
             ratio = _imag_ratio(terms, gram.traced)
             if ratio <= 1.0:
@@ -247,7 +256,7 @@ def serial_entropy_curve(pair, grid_size=DEFAULT_GRID_SIZE, *, gram=None) -> Ent
             np.linalg.eigvalsh(np.tensordot(coef[i:i + step], terms, axes=1))
             for i in range(0, points, step)
         ]
-        weights.append(np.concatenate(w).reshape(points, -1))
+        weights.append(_repeated(np.concatenate(w).reshape(points, -1), repeat))
     ents = entropy_bits(np.concatenate(weights, axis=1) / norm2[:points, None]).tolist()
     if points < grid_size:
         ents += ents[grid_size - points - 1::-1]
@@ -262,6 +271,7 @@ def serial_entropy_curve(pair, grid_size=DEFAULT_GRID_SIZE, *, gram=None) -> Ent
         solved_points=points,
         range_dropped=range_dropped,
         imag_dropped=imag_dropped,
+        exchange_dropped=gram.exchange_dropped,
     )
 
 

@@ -2,8 +2,8 @@
 
 A grid whose size groups each fit one ``eigvalsh`` call is solved in the
 calling thread; one with a group split into several calls puts all its
-chunks in one queue, drained by the caller and the grid helpers
-(``sweep._solve_on_all_cpus``).  Each chunk is the same ``eigvalsh`` of the
+chunks in one queue, drained by the caller and grid helper threads
+started and joined for that grid (``sweep._solve_on_all_cpus``).  Each chunk is the same ``eigvalsh`` of the
 same input as in the serial loop (``oracles.serial_entropy_curve``), so
 every curve must equal it bit for bit.
 """
@@ -14,7 +14,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +44,10 @@ def _without_sectors(pair):
 CURVES = {
     "spherium-1": (lambda: spherium_pair(1), 41, True),
     "spherium-1-no-sectors": (lambda: _without_sectors(spherium_pair(1)), 41, True),
-    "spherium-2": (lambda: spherium_pair(2), 41, True),
-    "spherium-2-no-sectors": (lambda: _without_sectors(spherium_pair(2)), 41, True),
+    # each exchange pair of blocks solves one side, so the M = +-2 groups,
+    # at most two blocks of 60-66, fit one call each
+    "spherium-2": (lambda: spherium_pair(2), 41, False),
+    "spherium-2-no-sectors": (lambda: _without_sectors(spherium_pair(2)), 41, False),
     **{f"table-2-row-{i}": (lambda i=i: reference_table(2)[i].pair, 41, True) for i in range(4)},
     "table-1-row-0": (lambda: reference_table(1)[0].pair, 41, False),
     # a mirror pair solved at size 19 on 201 of 401 points: two calls
@@ -112,8 +113,12 @@ def test_threaded_exactly_where_a_group_needs_two_calls(threaded_spy, name):
     assert _takes_threaded_path(make(), grid, threaded_spy) is threaded
 
 
-def test_every_dense_tables_pair_is_threaded(threaded_spy):
-    assert all(_takes_threaded_path(p, sweep.DEFAULT_GRID_SIZE, threaded_spy) for p in DENSE_TABLES)
+def test_dense_tables_pairs_threaded_but_spherium_m2(threaded_spy):
+    # the oscillator rows and spherium M = +-1 split a group into several
+    # calls; spherium M = +-2 solves one side of each exchange pair, whose
+    # groups fit one call each
+    threaded = [_takes_threaded_path(p, sweep.DEFAULT_GRID_SIZE, threaded_spy) for p in DENSE_TABLES]
+    assert threaded == [p.label != "spherium M=2/-2" for p in DENSE_TABLES]
 
 
 @pytest.mark.parametrize(
@@ -186,7 +191,7 @@ def test_a_failed_chunk_propagates(monkeypatch, where):
     # the caller solves no chunk before a helper has taken one, so each
     # side meets the grid; the first chunk solved on the side ``where``
     # raises, and the error leaves entropy_curve
-    if sweep._grid_helpers() is None:
+    if sweep._usable_cpus() < 2:
         pytest.skip("one usable CPU: no helper thread")
     pair = spherium_pair(1)
     want = serial_entropy_curve(pair)
@@ -220,10 +225,9 @@ def _forked_curve(pair, want):
     "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
 )
 def test_forked_child_finishes_a_threaded_curve():
-    # the child inherits the helper pool without its thread: its job is
-    # never started, so the caller drains the queue alone and cancels it
+    # a child forked after a threaded curve starts its own helpers
     pair = spherium_pair(1)
-    want = entropy_curve(pair)  # makes the helpers in this process
+    want = entropy_curve(pair)  # starts and joins helpers in this process
     child = multiprocessing.get_context("fork").Process(target=_forked_curve, args=(pair, want))
     child.start()
     child.join(JOIN_TIMEOUT)
@@ -244,70 +248,58 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
 
 
 def test_one_usable_cpu_starts_no_helper(monkeypatch):
-    monkeypatch.setattr(sweep, "_helpers", None)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a helper thread was made")
+
     monkeypatch.setattr(sweep, "_usable_cpus", lambda: 1)
     pair = spherium_pair(1)
-    before = threading.active_count()
-    assert entropy_curve(pair) == serial_entropy_curve(pair)
-    assert sweep._helpers is None
-    assert threading.active_count() == before
-
-
-def test_first_callers_make_one_pool(monkeypatch):
-    # a slow CPU count widens the window in which two first callers could
-    # both find no pool
-    def slow_count():
-        time.sleep(0.01)
-        return 2
-
-    monkeypatch.setattr(sweep, "_helpers", None)
-    monkeypatch.setattr(sweep, "_usable_cpus", slow_count)
-    barrier = threading.Barrier(4)
-    got = []
-
-    def first_call():
-        barrier.wait()
-        got.append(sweep._grid_helpers())
-
-    threads = [threading.Thread(target=first_call) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(JOIN_TIMEOUT)
-    assert not any(t.is_alive() for t in threads)
-    try:
-        assert len(got) == 4
-        assert all(g is got[0] for g in got)
-        assert got[0][1] == 1
-    finally:
-        for pool, _ in got:
-            pool.shutdown()
+    want = serial_entropy_curve(pair)
+    monkeypatch.setattr(sweep.threading, "Thread", refuse)
+    assert entropy_curve(pair) == want
 
 
 def test_import_starts_no_thread():
-    # helpers, and the concurrent.futures import, wait for the first grid
-    # with a group split into several calls
+    # helpers start only inside a grid with a group split into several
+    # calls, and none outlives it; concurrent.futures is never loaded
     code = (
         "import sys, threading\n"
         "import entconvex\n"
         "from entconvex.lgmodes import LGMode\n"
-        "from entconvex.sweep import _usable_cpus, criterion_vs_observation, lg_pair, spherium_pair\n"
+        "from entconvex.sweep import criterion_vs_observation, lg_pair, spherium_pair\n"
         "assert threading.active_count() == 1\n"
-        "assert 'concurrent.futures' not in sys.modules\n"
         "criterion_vs_observation(lg_pair(LGMode(1, 1), LGMode(1, -1)))\n"
         "assert threading.active_count() == 1\n"
-        "assert 'concurrent.futures' not in sys.modules\n"
         "criterion_vs_observation(spherium_pair(1))\n"
-        "helpers = [t.name for t in threading.enumerate() if t.name.startswith('entconvex-grid')]\n"
-        "assert len(helpers) == _usable_cpus() - 1, helpers\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
     )
     _run_fresh(code)
+
+
+def test_helpers_start_and_stop_within_a_curve(monkeypatch):
+    # a threaded curve starts one helper per further usable CPU and joins
+    # each before it returns
+    started = []
+    thread = threading.Thread
+
+    def recorded(*args, **kwargs):
+        started.append(thread(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(sweep.threading, "Thread", recorded)
+    pair = spherium_pair(1)
+    curve = entropy_curve(pair)
+    monkeypatch.undo()
+    assert len(started) == 2
+    assert not any(t.is_alive() for t in started)
+    assert curve == serial_entropy_curve(pair)
 
 
 def test_queue_runs_largest_first(monkeypatch):
     # with no helper the caller drains the queue alone, in queue order: by
     # points x size**3, descending, each group's points covered once
-    monkeypatch.setattr(sweep, "_grid_helpers", lambda: None)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 1)
     seen = []
     solve = sweep._solve_chunk
 

@@ -249,19 +249,21 @@ class TestBlockCurve:
         np.testing.assert_allclose(curve.entropies, dense_entropy_curve(pair, GRID), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "make_pair, sizes",
+        "make_pair, sizes, groups",
         [
-            *[(_row(1, i), sizes) for i, sizes in enumerate(
+            *[(_row(1, i), sizes, None) for i, sizes in enumerate(
                 [[8, 12, 15], [8, 12, 15], [8, 12, 16], [7, 8, 12],
                  [2, 3, 4, 5, 6, 7], [2, 3, 4, 5, 6, 7], [3, 5, 7]])],
-            (_row(2, 0), [128, 128]),
-            (lambda: spherium_pair(1), [121, 132, 132, 143]),
-            *[(_row(4, i), [32]) for i in range(5)],
+            (_row(2, 0), [128, 128], None),
+            # the exchange pairs 121 <-> 132 and 132 <-> 1 + 143 solve one
+            # side each: the groups of 121 and 132
+            (lambda: spherium_pair(1), [121, 132, 132, 143], [121, 132]),
+            *[(_row(4, i), [32], None) for i in range(5)],
         ],
         ids=[*(f"oscillator-table-1-{i}" for i in range(7)), "oscillator-table-2", "spherium-M1",
              *(f"lg-table-4-{i}" for i in range(5))],
     )
-    def test_model_pairs_match_dense_and_report_blocks(self, make_pair, sizes):
+    def test_model_pairs_match_dense_and_report_blocks(self, make_pair, sizes, groups):
         pair = make_pair()
         curve = entropy_curve(pair, GRID)
         np.testing.assert_allclose(curve.entropies, dense_entropy_curve(pair, GRID), rtol=0, atol=1e-12)
@@ -269,8 +271,9 @@ class TestBlockCurve:
         assert sorted(n for n in curve.block_sizes if n > 1) == sizes
         assert sum(curve.block_sizes) == len(pair.amplitudes()[0])
         assert 0.0 <= curve.offblock_dropped <= 1e-15
-        # one solved size per block size, none larger than its blocks
-        groups = sorted(set(curve.block_sizes))
+        # one solved size per solved block size (every size where no block
+        # pairs), none larger than its blocks
+        groups = sorted(set(curve.block_sizes)) if groups is None else groups
         assert len(curve.solved_sizes) == len(groups)
         assert all(1 <= r <= n for r, n in zip(curve.solved_sizes, groups))
         assert 0.0 <= curve.range_dropped <= RANGE_TOL
@@ -329,10 +332,14 @@ class TestBlockCurve:
             entropy_curve(_pair(np.eye(2), np.eye(3)))
 
     def test_rejects_negative_eigenvalue(self, monkeypatch):
+        # an exchange pair whose solved blocks hold a zero eigenvalue: the
+        # shifted zero, repeated for its partner, is caught
+        pair = angular_pair(5, 3, -1, -2)
+        assert any((r == 2).any() for r in gram_blocks(*pair.amplitudes()).repeats)
         solve = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solve(a) - 1e-9)
         with pytest.raises(NotDensityMatrixError):
-            entropy_curve(angular_pair(2, 1, 1))
+            entropy_curve(pair)
 
     def test_import_and_verdicts_leave_scipy_unloaded(self):
         # the package runs on numpy alone; scipy would add its import time
@@ -378,18 +385,19 @@ class TestBlockCurve:
             (lambda: lg_pair(LGMode(1, 1), LGMode(1, -1)), 1, 32),
             (lambda: lg_pair(LGMode(3, 4), LGMode(4, -3)), 1, 32),
             (_row(2, 0), None, 128),
-            (lambda: spherium_pair(1), 9, None),
+            (lambda: spherium_pair(1), 4, None),
         ],
         ids=["lg-1-1", "lg-3-4", "oscillator-table-2", "spherium-M1"],
     )
     def test_eigvalsh_calls_per_curve(self, monkeypatch, make_pair, calls, full):
         # a dim-32 LG density is one block, and the whole grid goes in one
-        # call; the spherium blocks (dim 529, four sizes) keep one dense
-        # density's entries per call, 9 calls for the 21 points with
-        # alpha <= 1/2 that a mirror pair solves of its 41.  LG and
-        # oscillator blocks are solved on their amplitudes' range, smaller
-        # than the block (``full``); the spherium blocks are full rank.  The
-        # oscillator's r, and so its call count, moves with rounding.
+        # call; the spherium blocks (dim 529) solve one side of each
+        # exchange pair, 121 and 132, and keep one dense density's entries
+        # per call, 4 calls for the 21 points with alpha <= 1/2 that a
+        # mirror pair solves of its 41.  LG and oscillator blocks are solved
+        # on their amplitudes' range, smaller than the block (``full``); the
+        # spherium blocks are full rank.  The oscillator's r, and so its call
+        # count, moves with rounding.
         pair = make_pair()
         gram = gram_blocks(*pair.amplitudes())
         solves = []
@@ -404,11 +412,12 @@ class TestBlockCurve:
         assert solved == sorted(curve.solved_sizes)
         points = 21 if pair.mirror is not None else 41
         assert curve.solved_points == points
-        assert sum(math.prod(shape[:-2]) for shape in solves) == points * len(curve.block_sizes)
+        blocks = len(curve.block_sizes) if gram.repeats is None else sum(int(np.count_nonzero(r)) for r in gram.repeats)
+        assert sum(math.prod(shape[:-2]) for shape in solves) == points * blocks
         if calls is not None:
             assert len(solves) == calls
         if full is None:
-            assert solved == [1, 121, 132, 143]
+            assert solved == [121, 132]
             assert curve.range_dropped == 0.0
         else:
             assert curve.block_sizes == (full,) * len(curve.block_sizes)
