@@ -7,16 +7,14 @@ functions are pure, so they can be shared freely between threads.
 A scan meets one state in many pairs, so everything one amplitude matrix
 determines on its own is formed once per process and reused bit for bit
 (:class:`_StateMemo`): |c|, sum |c|^2, and, per block layout, its own
-term c c^dagger, its endpoint density and that density's spectrum.  A
-matrix is found by its exact content (shape, dtype and bytes), and a
-recurring read-only array that owns its data also by identity, which
-assumes it is not written again.  A matrix above ``MEMO_ENTRY_BYTES`` is
-found by identity alone, and its state lasts no longer than its array.
-No layout whose own terms hold more than ``MEMO_ENTRY_BYTES`` is stored,
-the whole memo holds at most ``MEMO_BYTES``, least recently used states
-going first, and a lock guards it.  Every stored value is the output of
-the same call, on the same inputs, as without the memo, so no result
-changes by a bit.
+term c c^dagger, its endpoint density and, for pairs without a sector
+operator, that density's spectrum.  Only read-only arrays that own their
+data and hold at most ``MEMO_ENTRY_BYTES`` are stored, on their first
+sighting; one is found by its identity, which assumes it is not written
+again, and its state goes when the array is freed.  No layout whose own
+terms hold more than ``MEMO_ENTRY_BYTES`` is stored, and a lock guards
+the memo.  Every stored value is the output of the same call, on the
+same inputs, as without the memo, so no result changes by a bit.
 Every endpoint is solved on its own exact blocks
 (:meth:`GramBlocks.spectrum`).  Where the rows carry an m1 label
 (angular, spherium), each state's density is exactly zero between rows
@@ -34,7 +32,6 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,12 +56,9 @@ LN2 = math.log(2.0)  # entropies are in bits: nats / LN2
 # it saves, on planted pairs of 41 grid points the crossover lay at blocks
 # of 4 to 6 rows (one BLAS thread)
 EXCHANGE_MIN_ROWS = 5
-# the per-state memo (_StateMemo) content-keys no matrix and stores no
-# layout's own terms above the first (dense-tables' are all above), and
-# holds at most the second in all: the criterion-6 scan's 36 LG states
-# take about 3.6 MB of it and must all stay
+# the per-state memo (_StateMemo) stores no amplitude matrix, and no
+# layout's own terms, above this (dense-tables' are all above)
 MEMO_ENTRY_BYTES = 64 * 1024
-MEMO_BYTES = 8 * 1024 * 1024
 
 
 class NonHermitianError(ValueError):
@@ -196,17 +190,6 @@ def gap_clusters(w: np.ndarray, tol: float) -> list[tuple[int, ...]]:
     return [tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
-def _content_key(c: np.ndarray) -> tuple:
-    """The memo key of an amplitude matrix: its shape, dtype and bytes."""
-    return c.shape, c.dtype.str, c.tobytes()
-
-
-def _aliasable(c: np.ndarray) -> bool:
-    """Whether ``c`` may be found by identity: read-only and owning its data."""
-    flags = c.flags
-    return not flags.writeable and flags.owndata
-
-
 def _endpoint_blocks(own, n2) -> tuple[np.ndarray, ...]:
     """The reduced density of one state from its own terms, one stack of blocks per size group.
 
@@ -226,179 +209,100 @@ def _endpoint_blocks(own, n2) -> tuple[np.ndarray, ...]:
 class _State:
     """What one amplitude matrix determines on its own, as :class:`_StateMemo` holds it.
 
-    ``key`` is the matrix's content key (:func:`_content_key`), None for a
-    matrix above ``MEMO_ENTRY_BYTES``; ``magnitude`` (|c|) and ``norm2``
-    (sum |c|^2) are kept with a key only.  ``alias`` is a weak reference
-    to the array the state is also found by, whose id is ``alias_id``, or
-    None.  ``layouts`` maps a block layout, the rows of the size groups,
-    to a dict of the state's own terms ``"own"`` (c c^dagger, one stack
-    per size group), its ``"endpoint"`` blocks (:func:`_endpoint_blocks`,
-    read-only) and, once solved, their ``"spectrum"``.  A dropped state
-    loses its layouts and its place in the memo's tables.
+    ``ref`` is a weak reference to the array, ``magnitude`` its |c| and
+    ``norm2`` its sum |c|^2.  ``layouts`` maps a block layout, the rows of
+    the size groups, to a dict of the state's own terms ``"own"`` (c
+    c^dagger, one stack per size group), its ``"endpoint"`` blocks
+    (:func:`_endpoint_blocks`, read-only) and, once solved, their
+    ``"spectrum"``.
     """
 
-    __slots__ = ("key", "magnitude", "norm2", "alias", "alias_id", "layouts", "nbytes")
+    __slots__ = ("ref", "magnitude", "norm2", "layouts")
 
-    def __init__(self, key, magnitude, norm2):
-        self.key, self.magnitude, self.norm2 = key, magnitude, norm2
-        self.alias = self.alias_id = None
+    def __init__(self, c, magnitude, norm2, table):
+        self.ref = weakref.ref(c, lambda _, key=id(c): table.pop(key, None))
+        self.magnitude, self.norm2 = magnitude, norm2
         self.layouts: dict[tuple, dict] = {}
-        self.nbytes = 0 if key is None else len(key[2]) + magnitude.nbytes
+
+
+def _storable(c: np.ndarray) -> bool:
+    """Whether :class:`_StateMemo` stores ``c``: read-only, owning its data, at most ``MEMO_ENTRY_BYTES``."""
+    flags = c.flags
+    return not flags.writeable and flags.owndata and c.nbytes <= MEMO_ENTRY_BYTES
 
 
 class _StateMemo:
     """Everything one amplitude matrix determines on its own, formed once per process.
 
-    A matrix of at most ``MEMO_ENTRY_BYTES`` is found by its content key,
-    the shape, dtype and bytes, so a content hit is a matrix equal to the
-    stored one bit for bit (no hash, so no collision argument).  A content
-    hit by a read-only array that owns its data (the models' cached
-    arrays) makes that array the state's identity alias, unless the
-    state's alias still lives, so a recurring array pays for its key twice
-    and is then found by its id.  A larger matrix is never content-keyed:
-    its state is stored only when it is read-only, owns its data and has a
-    layout to store, and it is found by identity alone.  Aliases are held
-    weakly and checked to still be the array their id names; the state of
-    a larger matrix whose array is gone is dropped when the next such
-    state is stored.  An identity hit assumes the array is not written
-    again, which a writeable view taken before it was made read-only
-    could still do.  A layout is stored only when its own terms hold at
-    most ``MEMO_ENTRY_BYTES`` and its state does not vanish.  Past
-    ``MEMO_BYTES``, counting every array the memo holds, the least
-    recently used states go.  ``len()`` is the number of stored spectra.
-    Lookups read the tables without the lock, and every change to them
-    holds it; the arithmetic runs outside it, and the first value stored
-    wins, so every caller gets the same arrays.
+    A read-only array that owns its data and holds at most
+    ``MEMO_ENTRY_BYTES`` (the models' cached arrays) is stored on its first
+    sighting and found by its id, checked against a weak reference, so the
+    memo keeps no array alive; the reference's callback drops the state
+    when the array is freed.  Any other array bypasses the memo, so it
+    holds one state per live array of at most ``MEMO_ENTRY_BYTES``.  A hit
+    assumes the array was not written after it was stored, which only
+    ``setflags(write=True)``, or a writeable view taken before it was made
+    read-only, could do.  A layout is stored only when its own terms hold
+    at most ``MEMO_ENTRY_BYTES`` and the state does not vanish.
+    ``len()`` is the number of stored spectra.  Lookups read the table
+    without the lock and every store holds it; the arithmetic runs outside
+    it, and the first value stored wins, so every caller gets the same
+    arrays.  The callback only pops the state's entry and never takes the
+    lock, since it can run inside a locked step.
     """
 
     def __init__(self):
-        self.nbytes = 0
-        self._spectra = 0
-        self._order: OrderedDict[_State, None] = OrderedDict()  # least recently used first
-        self._by_key: dict[tuple, _State] = {}
-        self._by_id: dict[int, _State] = {}
+        self._states: dict[int, _State] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return self._spectra
+        return sum("spectrum" in entry for st in list(self._states.values()) for entry in st.layouts.values())
 
-    def find(self, c: np.ndarray) -> tuple[_State | None, tuple | None]:
-        """The stored state of ``c``, or None, and the content key built on the way, or None."""
-        aliasable = _aliasable(c)
-        st = self._aliased(c) if aliasable else None
-        key = None
-        if st is None:
-            if c.nbytes > MEMO_ENTRY_BYTES:
-                return None, None
-            key = _content_key(c)
-            st = self._by_key.get(key)
-            if st is None:
-                return None, key
-        with self._lock:
-            if st in self._order:  # not dropped meanwhile
-                self._order.move_to_end(st)
-                if key is not None and aliasable and (st.alias is None or st.alias() is None):
-                    self._alias(st, c)
-        return st, key
+    def find(self, c: np.ndarray) -> _State | None:
+        """The stored state of ``c``, or None."""
+        st = self._states.get(id(c))
+        return st if st is not None and st.ref() is c else None
 
     @staticmethod
     def layout(st: _State | None, layout: tuple) -> dict | None:
         """The stored entry of ``layout`` in ``st``, or None."""
         return None if st is None else st.layouts.get(layout)
 
-    def store(self, st, c, key, magnitude, norm2, layout, own) -> _State | None:
+    def store(self, st, c, magnitude, norm2, layout, own) -> _State | None:
         """Store what the trace-out formed of ``c``: a state when ``st``, its
         ``find``, is None, and its own terms and endpoint for ``layout``.
 
-        ``key`` is the content key ``find`` built.  Returns the state, or
-        None when ``c`` bypasses the memo.
+        Returns the state, or None when ``c`` bypasses the memo.
         """
-        size = sum(m.nbytes for m in own)  # the endpoint's too
-        small = size <= MEMO_ENTRY_BYTES and norm2 > 0.0
-        if st is None and key is None and not (small and _aliasable(c)):
+        if st is None and not _storable(c):
             return None
         entry = None
-        if small:
+        if sum(m.nbytes for m in own) <= MEMO_ENTRY_BYTES and norm2 > 0.0:
             entry = {"own": own, "endpoint": _endpoint_blocks(own, norm2)}
             for m in entry["endpoint"]:
                 m.setflags(write=False)
         with self._lock:
             if st is None:  # another thread may have stored it meanwhile
-                st = self._by_key.get(key) if key is not None else self._aliased(c)
+                st = self.find(c)
             if st is None:
-                st = self._insert(c, key, magnitude, norm2)
-            if entry is not None and st in self._order and layout not in st.layouts:
-                st.layouts[layout] = entry
-                self._grow(st, sum(len(rows) for _, rows in layout) + 2 * size)
-            self._trim()
+                st = self._states[id(c)] = _State(c, magnitude, norm2, self._states)
+            if entry is not None:
+                st.layouts.setdefault(layout, entry)
         return st
 
-    def spectrum(self, st: _State, entry: dict, solve) -> Spectrum:
-        """The spectrum of ``entry``, a stored layout of ``st``: the stored one,
-        or ``solve()``, the spectrum of its endpoint blocks, stored."""
+    def spectrum(self, entry: dict, solve) -> Spectrum:
+        """The spectrum of ``entry``, a stored layout: the stored one, or
+        ``solve()``, the spectrum of its endpoint blocks, stored."""
         spec = entry.get("spectrum")
-        solved = solve() if spec is None else None
-        with self._lock:
-            if st not in self._order:  # dropped meanwhile
-                return solved if spec is None else spec
-            if spec is not None:
-                self._order.move_to_end(st)
-                return spec
-            spec = entry.setdefault("spectrum", solved)  # another thread may have stored one
-            if spec is solved:
-                self._spectra += 1
-                size = spec.eigenvalues.nbytes + spec.source.nbytes
-                self._grow(st, size + sum(rows.nbytes + u.nbytes for rows, u in spec.groups))
-                self._trim()
+        if spec is None:
+            solved = solve()
+            with self._lock:  # another thread may have stored one
+                spec = entry.setdefault("spectrum", solved)
         return spec
 
     def clear(self) -> None:
         with self._lock:
-            while self._order:
-                self._drop(next(iter(self._order)))
-
-    def _insert(self, c, key, magnitude, norm2) -> _State:
-        if key is not None:
-            st = self._by_key[key] = _State(key, magnitude, norm2)
-        else:  # found by identity alone: the states of such arrays that are gone go first
-            for gone in [s for s in self._order if s.key is None and s.alias() is None]:
-                self._drop(gone)
-            st = _State(None, None, None)
-            self._alias(st, c)
-        self._order[st] = None
-        self.nbytes += st.nbytes
-        return st
-
-    def _aliased(self, c: np.ndarray) -> _State | None:
-        """The state whose alias is ``c``, or None."""
-        st = self._by_id.get(id(c))
-        ref = None if st is None else st.alias
-        return st if ref is not None and ref() is c else None
-
-    def _alias(self, st: _State, c: np.ndarray) -> None:
-        if self._by_id.get(st.alias_id) is st:  # a reused id may name another state now
-            del self._by_id[st.alias_id]
-        st.alias, st.alias_id = weakref.ref(c), id(c)
-        self._by_id[id(c)] = st
-
-    def _grow(self, st: _State, size: int) -> None:
-        st.nbytes += size
-        self.nbytes += size
-        self._order.move_to_end(st)
-
-    def _trim(self) -> None:
-        while self.nbytes > MEMO_BYTES:
-            self._drop(next(iter(self._order)))
-
-    def _drop(self, st: _State) -> None:
-        del self._order[st]
-        self.nbytes -= st.nbytes
-        self._spectra -= sum("spectrum" in entry for entry in st.layouts.values())
-        if st.key is not None:
-            del self._by_key[st.key]
-        if self._by_id.get(st.alias_id) is st:
-            del self._by_id[st.alias_id]
-        st.layouts = {}
+            self._states.clear()
 
 
 _state_memo = _StateMemo()
@@ -510,7 +414,8 @@ class GramBlocks:
     the blocks.  ``sector`` holds, per group, the sector operator's blocks,
     shape (blocks, size, size), or is None when no operator was given.
     ``states`` holds the memo states of c0 and c1 (:class:`_StateMemo`),
-    None where not stored, and ``layout`` the key of the groups' rows in them.
+    None where the array bypasses the memo, and ``layout`` the key of the
+    groups' rows in them.
     ``repeats`` holds, per group, how many times each block's eigenvalues
     count in the alpha curve, shape (blocks,): 2 for the solved side of an
     exchange pair, 0 for the side it stands in for, 1 otherwise; None when
@@ -563,20 +468,19 @@ class GramBlocks:
         eigen-solve of ``PairSpec.builder``.  :meth:`restrict` cuts the
         partner's blocks to the parts.
 
-        A stored endpoint, the very tuple :meth:`endpoint` returned, is
-        split and solved once per process, without the sector's links,
-        which depend on the pair: every later call gets the same read-only
-        spectrum (:class:`_StateMemo`), unless the sector operator links
-        two of its parts.  Other blocks are solved on each call.
+        Without a sector operator, a stored endpoint, the very tuple
+        :meth:`endpoint` returned, is split and solved once per process:
+        every later call gets the same read-only spectrum
+        (:class:`_StateMemo`).  Other blocks, and every endpoint of a pair
+        with a sector operator, whose links depend on the pair, are solved
+        on each call.
         """
         rows = [g[0] for g in self.groups]
-        for st in self.states:
-            entry = _state_memo.layout(st, self.layout)
-            if entry is not None and entry["endpoint"] is blocks:
-                spec = _state_memo.spectrum(st, entry, lambda: _own_spectrum(rows, blocks))
-                if self.sector is None or not self._links_parts(spec):
-                    return spec
-                break
+        if self.sector is None:
+            for st in self.states:
+                entry = _state_memo.layout(st, self.layout)
+                if entry is not None and entry["endpoint"] is blocks:
+                    return _state_memo.spectrum(entry, lambda: _own_spectrum(rows, blocks))
         return _own_spectrum(rows, blocks, self.sector)
 
     def restrict(self, stacks: tuple[np.ndarray, ...], spec: Spectrum) -> tuple[np.ndarray, ...]:
@@ -594,21 +498,6 @@ class GramBlocks:
         return all(p is rows or (p.shape == rows.shape and np.array_equal(p, rows))
                    for p, (rows, _) in zip(parts, self.groups))
 
-    def _links_parts(self, spec: Spectrum) -> bool:
-        """Whether the sector operator links two blocks of ``spec``."""
-        parts = [rows for rows, _ in spec.groups]
-        if self._is_layout(parts):
-            return False
-        part = np.empty(self.dim, dtype=np.intp)
-        first = 0
-        for p in parts:
-            part[p] = first + np.arange(len(p))[:, None]
-            first += len(p)
-        for (rows, _), op in zip(self.groups, self.sector):
-            label = part[rows]
-            if np.any((op != 0) & (label[:, :, None] != label[:, None, :])):
-                return True
-        return False
 
 def _own_spectrum(layout, blocks, sector=None) -> Spectrum:
     """The spectrum of ``blocks``, in ``layout``, solved on their own exact blocks (:func:`own_blocks`)."""
@@ -639,7 +528,7 @@ def cut_blocks(layout, stacks, parts) -> tuple[np.ndarray, ...]:
 
 def _magnitude(c: np.ndarray, st: _State | None) -> tuple[np.ndarray, float]:
     """|c| and sum |c|^2: the stored ones, or formed here."""
-    if st is not None and st.magnitude is not None:
+    if st is not None:
         return st.magnitude, st.norm2
     a = np.abs(c)
     return a, np.sum(a ** 2)
@@ -661,12 +550,12 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
 
     What each state determines alone, |c|, sum |c|^2 and, per block
     layout, its own term c c^dagger and endpoint, comes from the per-state
-    memo (:class:`_StateMemo`) and is formed only on its first sight; only
-    the link graph and the cross term are formed for every pair.  Each own
-    term is a product over the columns its state touches on the group's
-    rows, and the cross term over those both states touch, so the terms
-    do not depend on the partner and a stored own term is the one a fresh
-    trace-out forms.
+    memo (:class:`_StateMemo`) and, for an array the memo stores, is formed
+    only on its first sight; only the link graph and the cross term are
+    formed for every pair.  Each own term is a product over the columns
+    its state touches on the group's rows, and the cross term over those
+    both states touch, so the terms do not depend on the partner and a
+    stored own term is the one a fresh trace-out forms.
 
     Identical particles pair blocks.  When rows and columns run over one
     basis (square amplitudes) and both states are exchange-symmetric or
@@ -691,10 +580,10 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
         raise ValueError("amplitudes must be finite")
     if sector is not None and np.shape(sector) != (len(c0), len(c0)):
         raise ValueError(f"sector operator shape {np.shape(sector)} does not match {len(c0)} rows")
-    (st0, key0), (st1, key1) = _state_memo.find(c0), _state_memo.find(c1)
+    st0, st1 = _state_memo.find(c0), _state_memo.find(c1)
     a, n0 = _magnitude(c0, st0)  # n0: the builder's sum |c|^2
     b, n1 = _magnitude(c1, st1)
-    kept = key0 is not None or (st0 is not None and a is st0.magnitude)  # |c0| is or will be stored
+    kept = st0 is not None or _storable(c0)  # |c0| is or will be stored
     s = a + b if kept else np.add(a, b, out=a)
     g = s @ s.T
     top = float(g.max())
@@ -708,7 +597,7 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
         np.putmask(g, label[:, None] == label, 0.0)  # the links within a block
         dropped = float(g.max()) / top if top > 0.0 else 0.0
     layout = size_groups(blocks)
-    key = tuple((rows.shape, rows.tobytes()) for rows in layout)
+    key = tuple(tuple(map(tuple, rows.tolist())) for rows in layout)
     own0, own1 = _state_memo.layout(st0, key), _state_memo.layout(st1, key)
     groups, terms0, terms1 = [], [], []
     n01 = 0.0
@@ -733,9 +622,9 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
         terms1.append(a1 @ a1h if own1 is None else own1["own"][i])
         groups.append((rows, np.stack([terms0[-1], terms1[-1], x])))
     if own0 is None:
-        st0 = _state_memo.store(st0, c0, key0, a, n0, key, tuple(terms0))
+        st0 = _state_memo.store(st0, c0, a, n0, key, tuple(terms0))
     if own1 is None:
-        st1 = _state_memo.store(st1, c1, key1, b, n1, key, tuple(terms1))
+        st1 = _state_memo.store(st1, c1, b, n1, key, tuple(terms1))
     op = None
     if sector is not None:  # every nonzero entry, NaN included, lies in one of these blocks
         op = tuple(sector[rows[:, :, None], rows[:, None, :]] for rows, _ in groups)

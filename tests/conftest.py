@@ -7,7 +7,7 @@ from entconvex import spectra
 
 @pytest.fixture
 def empty_state_memo():
-    """The per-state memo of the trace-out, entries and aliases, empty on entry and on exit.
+    """The per-state memo of the trace-out, empty on entry and on exit.
 
     A test that counts eigen-solves or products takes it, so that its
     counts do not depend on which states the tests before it met.

@@ -114,17 +114,20 @@ class TestAgainstPairBlockOracles:
     def test_sector_links_merge_parts(self, empty_state_memo, link, parts):
         # rows 0-2 are one amplitude block, which rho0 splits into {0, 1} and
         # {2}; an operator entry between rows 1 and 2 joins the two parts,
-        # so it couples no two of them, although the memo holds the split
+        # so it couples no two of them; read-only, so the memo stores c0 and
+        # c1, whose endpoints a pair with an operator still solves on each call
         c0 = np.zeros((4, 4))
         c0[0, :2], c0[1, :2], c0[2, 2], c0[3, 3] = [0.5, 0.3], [0.2, -0.4], 0.6, 0.3
         c0 /= np.linalg.norm(c0)
         c1 = c0[[2, 1, 0, 3]]
+        c0.setflags(write=False)
+        c1.setflags(write=False)
         op = np.diag([1.0, 1.0, 2.0, 0.0])
         op[1, 2] = op[2, 1] = link
         pair = sweep.PairSpec(lambda: (c0, c1), "rho0 split", sector_operator=op)
-        for _ in range(2):  # solved, then from the memo
+        for _ in range(2):  # cold, then with both states stored
             gram = gram_blocks(c0, c1, op)
-            assert gram.block_sizes == (3, 1)
+            assert gram.block_sizes == (3, 1) and None not in gram.states
             spec = gram.spectrum(gram.endpoint(0))
             assert sorted(sorted(p.tolist()) for rows, _ in spec.groups for p in rows) == parts
             got, want = sweep._criterion(pair, gram), pair_block_criterion(pair, gram)

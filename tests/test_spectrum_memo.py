@@ -1,7 +1,8 @@
-"""The per-state memo of the trace-out: hits, bypasses, bound, sharing, keys, bitwise results."""
+"""The per-state memo of the trace-out: hits, bypasses, lifetimes, sharing, bitwise results."""
 
 import math
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -10,8 +11,8 @@ import pytest
 from entconvex import benchmarks, spectra, sweep
 from entconvex.criterion import refine_blocks_by_sector
 from entconvex.lgmodes import LGMode
-from entconvex.oscillator import OscState
-from entconvex.spectra import MEMO_BYTES, MEMO_ENTRY_BYTES, eigh_blocks, gram_blocks
+from entconvex.oscillator import OscBasisSpec, OscState
+from entconvex.spectra import MEMO_ENTRY_BYTES, eigh_blocks, gram_blocks
 from entconvex.sweep import (
     angular_pair,
     criterion_vs_observation,
@@ -65,7 +66,8 @@ def test_hit_is_the_stored_spectrum_bit_for_bit(solves):
 
 
 def test_equal_content_from_another_trace_out_hits(solves):
-    # LG(2, 1) is the reference of two pairs: the second gets the first's spectrum
+    # LG(2, 1) is the reference of two pairs, the one cached array of
+    # mode_columns: the second gets the first's spectrum
     a = gram_blocks(*lg_pair(LGMode(2, 1), LGMode(2, 2)).amplitudes())
     b = gram_blocks(*lg_pair(LGMode(2, 1), LGMode(3, -1)).amplitudes())
     assert b.spectrum(b.endpoint(0)) is a.spectrum(a.endpoint(0))
@@ -97,63 +99,53 @@ def test_large_endpoints_bypass_the_memo(solves, make_pair):
         assert again is not first
         _assert_bitwise(again, first)
     assert len(solves) == 4
-    assert len(spectra._state_memo) == 0 and spectra._state_memo.nbytes == 0
-
-
-def test_byte_bound_evicts_the_least_recently_used(solves):
-    memo = spectra._state_memo
-    rng = np.random.default_rng(5)
-
-    def random_gram():
-        c = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        return gram_blocks(c, c)
-
-    # each state is solved as it is made, so the memo stores whole states in order
-    grams, specs, total = [], [], 0
-    while total <= 2 * MEMO_BYTES:
-        grams.append(random_gram())
-        blocks = grams[-1].endpoint(0)
-        specs.append(grams[-1].spectrum(blocks))
-        total += sum(m.nbytes for m in blocks)
-    kept = len(memo)
-    assert len(solves) == len(grams) and 0 < kept < len(grams)
-    assert 0 < memo.nbytes <= MEMO_BYTES
-    # equal entries: the oldest held is the first of the last `kept`; a hit
-    # moves it to the back, so one more insert evicts the entry after it
-    oldest = len(grams) - kept
-    assert grams[oldest].spectrum(grams[oldest].endpoint(0)) is specs[oldest]
-    extra = random_gram()
-    extra.spectrum(extra.endpoint(0))
-    assert len(memo) == kept and memo.nbytes <= MEMO_BYTES
-    assert grams[oldest].spectrum(grams[oldest].endpoint(0)) is specs[oldest]
-    again = grams[oldest + 1].spectrum(grams[oldest + 1].endpoint(0))
-    assert again is not specs[oldest + 1]
-    _assert_bitwise(again, specs[oldest + 1])
-    assert len(solves) == len(grams) + 2 and memo.nbytes <= MEMO_BYTES
+    assert len(spectra._state_memo) == 0 and not spectra._state_memo._states
 
 
 def test_threads_share_one_memo(solves):
-    # four threads ask for the same twelve endpoints; every answer is the
-    # serial spectrum, bit for bit, and the memo holds each once
+    # four threads trace out the same twelve pairs and ask for their
+    # endpoints, so they race to store each state and each spectrum; every
+    # answer is the serial spectrum, bit for bit, and the first stored wins
     from concurrent.futures import ThreadPoolExecutor
 
     modes = [LGMode(l, m) for l in range(1, 4) for m in (-2, -1, 1, 2)]
-    grams = [gram_blocks(*lg_pair(m, LGMode(0, 1)).amplitudes()) for m in modes]
-    want = [eigh_blocks([(g.groups[0][0], g.endpoint(0)[0])]) for g in grams]
-    with ThreadPoolExecutor(4) as pool:
-        got = list(pool.map(lambda g: g.spectrum(g.endpoint(0)), grams * 4))
-    for i, spec in enumerate(got):
-        _assert_bitwise(spec, want[i % len(grams)])
-    assert len(spectra._state_memo) == len(grams)
-    assert all(got[i] is got[i % len(grams)] for i in range(len(got)))
+    pairs = [lg_pair(m, LGMode(0, 1)) for m in modes]
+    want = []
+    for pair in pairs:
+        gram = gram_blocks_unmemoized(*pair.amplitudes())
+        want.append(eigh_blocks([(gram.groups[0][0], gram.endpoint(0)[0])]))
+
+    def run(pair):
+        gram = gram_blocks(*pair.amplitudes())
+        return gram.states, gram.spectrum(gram.endpoint(0))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the memo's steps
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(run, pairs * 4, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, (states, spec) in enumerate(got):
+        _assert_bitwise(spec, want[i % len(pairs)])
+        assert spec is got[i % len(pairs)][1]
+        assert all(a is b for a, b in zip(states, got[i % len(pairs)][0], strict=True))
+    assert len(spectra._state_memo) == len(pairs)
 
 
-def test_threads_trace_out_and_solve_while_states_are_dropped(monkeypatch, empty_state_memo):
+def _read_only_copy(c: np.ndarray) -> np.ndarray:
+    c = c.copy()
+    c.setflags(write=False)
+    return c
+
+
+def test_threads_trace_out_and_solve_while_states_are_dropped(own_terms):
     # four threads run the trace-out and the criterion of 22 pairs of eight
-    # LG modes, each pair three times, in a memo that holds about three
-    # states, so they meet the same new states, store them and lose them to
-    # eviction; every trace-out is the unmemoized one and every report the
-    # serial one of a memo cleared before the pair
+    # LG modes, each pair three times, on fresh read-only copies of the
+    # amplitudes, so each run stores two new states and drops them when it
+    # frees its copies, while other threads store and solve; every
+    # trace-out is the unmemoized one and every report the serial one of a
+    # memo cleared before the pair
     from concurrent.futures import ThreadPoolExecutor
 
     memo = spectra._state_memo
@@ -166,18 +158,12 @@ def test_threads_trace_out_and_solve_while_states_are_dropped(monkeypatch, empty
         gram = gram_blocks_unmemoized(*pair.amplitudes())
         want.append((gram, sweep._criterion(pair, gram_blocks(*pair.amplitudes()))))
     memo.clear()
-    dropped = []
-
-    def counted(self, st, _drop=spectra._StateMemo._drop):
-        dropped.append(st)
-        _drop(self, st)
-
-    monkeypatch.setattr(spectra._StateMemo, "_drop", counted)
-    monkeypatch.setattr(spectra, "MEMO_BYTES", 400_000)
+    own_terms.clear()
 
     def run(i):
         pair = pairs[i]
-        gram = gram_blocks(*pair.amplitudes())
+        gram = gram_blocks(*map(_read_only_copy, pair.amplitudes()))
+        assert all(st is not None for st in gram.states)
         return i, gram, sweep._criterion(pair, gram)
 
     order = [i for _ in range(3) for i in range(len(pairs))]
@@ -191,7 +177,8 @@ def test_threads_trace_out_and_solve_while_states_are_dropped(monkeypatch, empty
     for i, gram, report in got:
         _assert_same_gram(gram, want[i][0])
         assert report == want[i][1]
-    assert len(dropped) > len(pairs) and 0 < memo.nbytes <= 400_000
+    assert len(own_terms) == 2 * len(order)  # each run stored both its copies
+    assert not memo._states
 
 
 @pytest.mark.parametrize(
@@ -200,20 +187,26 @@ def test_threads_trace_out_and_solve_while_states_are_dropped(monkeypatch, empty
     ids=["0,1,0,0", "0,0,2,-2"],
 )
 def test_sector_refinement_leaves_the_stored_entry_unchanged(solves, states, rotates):
-    # at lambda = 0 the sectors join the rows of each shell into 26-31 blocks,
-    # small enough to be stored; the second pair's refinement also rotates columns
-    pair = oscillator_pair(*(OscState(*q) for q in states))
+    # at lambda = 0 in a basis of 8 functions per coordinate both amplitude
+    # matrices (64 x 64, real) are stored; a pair with a sector operator
+    # solves its endpoint on every call, with the operator's links, and
+    # stores no spectrum, so the refinement, which in the second pair also
+    # rotates columns, leaves the stored own terms and endpoint unchanged
+    pair = oscillator_pair(*(OscState(*q) for q in states), basis=OscBasisSpec(8))
     gram = gram_blocks(*pair.amplitudes(), pair.sector_operator)
+    entry = spectra._state_memo.layout(gram.states[0], gram.layout)
+    stored = [*entry["own"], *entry["endpoint"]]
+    before = [a.copy() for a in stored]
     spec = gram.spectrum(gram.endpoint(0))
-    assert len(spectra._state_memo) == 1
-    before = [a.copy() for a in _arrays(spec)]
     blocks = spec.blocks
-    refined = refine_blocks_by_sector(spec, gram.sector)
+    refined = refine_blocks_by_sector(spec, gram.restrict(gram.sector, spec))
     assert refined.blocks != blocks
     assert any(u is not u0 for (_, u), (_, u0) in zip(refined.groups, spec.groups)) == rotates
-    assert gram.spectrum(gram.endpoint(0)) is spec and len(solves) == 1
-    assert all(np.array_equal(a, b) for a, b in zip(_arrays(spec), before, strict=True))
-    assert spec.blocks == blocks
+    again = gram.spectrum(gram.endpoint(0))
+    assert again is not spec and len(solves) == 2 and len(spectra._state_memo) == 0
+    _assert_bitwise(again, spec)
+    assert "spectrum" not in entry and spec.blocks == blocks
+    assert all(np.array_equal(a, b) for a, b in zip(stored, before, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -222,27 +215,16 @@ def test_sector_refinement_leaves_the_stored_entry_unchanged(solves, states, rot
 
 @pytest.fixture
 def own_terms(monkeypatch, empty_state_memo):
-    """The id of every array whose own terms the trace-out forms: it stores each with one ``store``."""
+    """The id of every stored array whose own terms the trace-out forms: one ``store`` each."""
     calls = []
 
     def counted(self, st, c, *args, _store=spectra._StateMemo.store):
-        calls.append(id(c))  # not the array: the memo's aliases are weak
-        return _store(self, st, c, *args)
+        st = _store(self, st, c, *args)
+        if st is not None:
+            calls.append(id(c))  # not the array, which the memo holds weakly
+        return st
 
     monkeypatch.setattr(spectra._StateMemo, "store", counted)
-    return calls
-
-
-@pytest.fixture
-def keyed(monkeypatch):
-    """Every array the memo builds a content key for."""
-    calls = []
-
-    def counted(c, _key=spectra._content_key):
-        calls.append(c)
-        return _key(c)
-
-    monkeypatch.setattr(spectra, "_content_key", counted)
     return calls
 
 
@@ -263,7 +245,8 @@ def _assert_same_gram(got, want):
 
 
 def _partly_linked():
-    # inputs whose link graph is not complete: sectors, blocks, isolated rows
+    # inputs whose link graph is not complete: sectors, blocks, isolated
+    # rows; the last two are read-only, so the memo stores them
     rng = np.random.default_rng(11)
     c = np.zeros((6, 5))
     c[:3, :2] = rng.standard_normal((3, 2))
@@ -272,6 +255,8 @@ def _partly_linked():
     amplitudes = [(*p.amplitudes(), p.sector_operator) for p in pairs]
     d = c.copy()
     d[:3] *= -0.5
+    c.setflags(write=False)
+    d.setflags(write=False)
     return amplitudes + [(c, d, None), (c, c, None)]
 
 
@@ -303,13 +288,17 @@ def test_partly_linked_inputs_keep_every_field(empty_state_memo, index):
 
 
 def test_own_terms_are_formed_once_per_state(own_terms):
-    # the scan plus table 4: 710 state sightings of 36 distinct matrices
+    # the scan plus table 4: 710 state sightings of 36 distinct matrices, all
+    # cached arrays of mode_columns but the images of table 4's three mirror
+    # pairs, which are built afresh for each evaluation and so are new states
     pairs = _lg_scan()
     for pair in pairs:
         criterion_vs_observation(pair)
-    assert len(own_terms) == 36
+    assert len(own_terms) == 36 + 3
     assert len({c.tobytes() for pair in pairs for c in pair.amplitudes()}) == 36
-    assert len(spectra._state_memo) == 36
+    assert sum(pair.mirror is not None for pair in pairs) == 3
+    assert len(spectra._state_memo) == 36  # a mirror pair's S1 is S0: no image is solved
+    assert len(spectra._state_memo._states) == 36  # the images went with their arrays
 
 
 def _results(pairs, cold: bool):
@@ -331,7 +320,8 @@ def test_reports_and_curves_equal_a_memo_cleared_before_each_pair(empty_state_me
     assert _results(pairs, cold=False) == warm
 
 
-def test_writeable_arrays_and_views_are_never_aliased(keyed, own_terms):
+def test_writeable_arrays_and_views_are_never_aliased(own_terms):
+    # neither is stored: each call forms their own terms again and leaves no state
     memo = spectra._state_memo
     rng = np.random.default_rng(3)
     c = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
@@ -340,80 +330,146 @@ def test_writeable_arrays_and_views_are_never_aliased(keyed, own_terms):
     view = owned[:, :]
     assert not view.flags.writeable and not view.flags.owndata
     for _ in range(3):
-        gram_blocks(c, view)
-    assert len(keyed) == 6 and len(own_terms) == 2  # two states, keyed on every call
-    assert not memo._by_id
-    c[2, 3] += 1.0  # a mutated writeable array is keyed again and is another state
+        gram = gram_blocks(c, view)
+        assert gram.states == (None, None)
+    assert own_terms == [] and not memo._states and memo.find(c) is None and memo.find(view) is None
+    c[2, 3] += 1.0  # a written writeable array gives the trace-out of its new content
     _assert_same_gram(gram_blocks(c, view), gram_blocks_unmemoized(c, view))
-    assert len(keyed) == 8 and len(own_terms) == 3 and not memo._by_id
-    # a read-only array that owns its data becomes the alias of its state on
-    # a content hit, here its first sighting, as the view made the state
-    gram_blocks(owned, owned)
-    gram_blocks(owned, owned)
-    assert len(keyed) == 9 and len(own_terms) == 3
-    assert memo._by_id == {id(owned): memo.find(owned)[0]}
-    owned.setflags(write=True)  # writeable again: keyed, and not found by identity
-    st, key = memo.find(owned)
-    assert key is not None and st is memo._by_id[id(owned)] and len(keyed) == 10
+    # a read-only array that owns its data is stored on its first sighting
+    gram = gram_blocks(owned, view)
+    assert own_terms == [id(owned)] and gram.states[0] is memo.find(owned) is not None
+    assert gram.states[1] is None and list(memo._states) == [id(owned)]
 
 
-def test_recurring_arrays_are_found_by_identity_and_held_weakly(keyed, own_terms):
+def test_recurring_arrays_are_found_by_identity_and_held_weakly(solves, own_terms):
+    # stored on the first sighting, then found by id: one own term, one spectrum
     memo = spectra._state_memo
     rng = np.random.default_rng(4)
     cached, other = rng.standard_normal((8, 6)), rng.standard_normal((8, 6))
     cached.setflags(write=False)
-    for _ in range(3):  # keyed on its first two sightings, then found by identity
-        gram_blocks(cached, other)
-    assert [k is cached for k in keyed] == [True, False, True, False, False]
-    assert len(own_terms) == 2 and list(memo._by_id) == [id(cached)]
-    # a fresh array of equal content hits by content and leaves the live alias
-    image = cached.copy()
-    image.setflags(write=False)
-    gram_blocks(image, other)
-    assert list(memo._by_id) == [id(cached)] and len(own_terms) == 2
-    # the memo holds no alias alive: once it is gone, the next equal array
-    # is keyed and becomes the alias
+    specs = []
+    for _ in range(3):
+        gram = gram_blocks(cached, other)
+        specs.append(gram.spectrum(gram.endpoint(0)))
+    assert own_terms == [id(cached)] and len(solves) == 1
+    assert all(spec is specs[0] for spec in specs)
+    # the memo holds no reference to the array
     gone = weakref.ref(cached)
-    keyed.clear()
-    del cached
+    del cached, gram
+    assert gone() is None and not memo._states
+
+
+def test_a_state_goes_when_its_array_is_freed(empty_state_memo):
+    memo = spectra._state_memo
+    rng = np.random.default_rng(6)
+    kept, freed = (_read_only_copy(rng.standard_normal((8, 6))) for _ in range(2))
+    gram = gram_blocks(kept, freed)
+    gram.spectrum(gram.endpoint(1))
+    st = memo.find(freed)
+    assert st is gram.states[1] and len(memo) == 1
+    assert set(memo._states) == {id(kept), id(freed)}
+    gone = weakref.ref(freed)
+    del freed
     assert gone() is None
-    gram_blocks(image, other)
-    assert memo._by_id == {id(image): memo.find(image)[0]} and len(own_terms) == 2
+    assert list(memo._states) == [id(kept)] and len(memo) == 0
+    assert memo.find(kept) is gram.states[0]
+
+
+def test_an_equal_fresh_copy_misses_but_reports_bitwise(solves, own_terms):
+    # a fresh read-only copy of a stored mode array is another state, whose
+    # own terms, endpoint and spectrum are formed again by the same calls
+    pair = lg_pair(LGMode(2, 1), LGMode(3, -1))
+    report = pair_criterion(pair)
+    c0, c1 = pair.amplitudes()
+    copy = _read_only_copy(c0)
+    gram = gram_blocks(copy, c1)
+    assert gram.states[0] is not None and gram.states[0] is not spectra._state_memo.find(c0)
+    assert own_terms == [id(c0), id(c1), id(copy)]
+    assert sweep._criterion(pair, gram) == report and len(solves) == 3
+    stored = gram_blocks(c0, c1)
+    _assert_bitwise(gram.spectrum(gram.endpoint(0)), stored.spectrum(stored.endpoint(0)))
+    assert all(np.array_equal(a, b) for a, b in zip(gram.endpoint(0), stored.endpoint(0), strict=True))
+
+
+def test_freeing_a_stored_array_inside_a_locked_step(empty_state_memo, monkeypatch):
+    # the last reference to a stored array goes while the memo's lock is
+    # held: its callback drops the state without the lock, so the memo call
+    # neither deadlocks nor leaves the table wrong.  The memo runs on a lock
+    # of its own here, which the fixtures' order puts back before the memo
+    # is cleared, so a deadlock fails this test rather than hanging the rest
+    memo = spectra._state_memo
+    rng = np.random.default_rng(7)
+    held = [_read_only_copy(rng.standard_normal((8, 6)))]
+    gram_blocks(held[0], held[0])
+    freed_id, gone = id(held[0]), weakref.ref(held[0])
+    dropped_inside = []
+
+    class FreeingLock:
+        def __init__(self, lock):
+            self.lock = lock
+
+        def __enter__(self):
+            self.lock.acquire()
+            if held:
+                held.clear()  # the callback runs here, under the lock
+                dropped_inside.append(freed_id not in memo._states)
+
+        def __exit__(self, *exc):
+            self.lock.release()
+
+    monkeypatch.setattr(memo, "_lock", FreeingLock(threading.Lock()))
+    c0, c1 = (_read_only_copy(rng.standard_normal((8, 6))) for _ in range(2))
+    out = []
+
+    def run():
+        gram = gram_blocks(c0, c1)
+        out.append((gram, gram.spectrum(gram.endpoint(0))))
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "the memo deadlocked on a callback"
+    assert gone() is None and dropped_inside == [True]
+    assert set(memo._states) == {id(c0), id(c1)} and len(memo) == 1
+    gram, spec = out[0]
+    _assert_same_gram(gram, gram_blocks_unmemoized(c0, c1))
+    assert gram.states == (memo.find(c0), memo.find(c1))
+    again = gram_blocks(c0, c1)
+    assert again.spectrum(again.endpoint(0)) is spec
 
 
 def test_evaluating_a_mirror_pair_again_adds_no_state(empty_state_memo):
     # the mirror image is a fresh array on every call: an LG image (small)
-    # hits by content, and a table-1 image (large, found by identity alone)
-    # leaves a state that goes once the image is gone
+    # is stored and goes when the evaluation frees it, and table 1's arrays
+    # (large) are never stored
     memo = spectra._state_memo
-    for pair in (lg_pair(LGMode(1, 2), LGMode(1, -2)), benchmarks.reference_table(1)[0].pair):
+    for pair, states in ((lg_pair(LGMode(1, 2), LGMode(1, -2)), 1), (benchmarks.reference_table(1)[0].pair, 0)):
         assert pair.mirror is not None
         memo.clear()
         report = pair_criterion(pair)
-        states = len(memo._order)
-        assert states == 2
+        assert len(memo._states) == states
         for _ in range(2):
-            assert pair_criterion(pair) == report and len(memo._order) == states
+            assert pair_criterion(pair) == report and len(memo._states) == states
         image = pair.amplitudes()[1]
         held = weakref.ref(image)
-        gram_blocks(*pair.amplitudes(), pair.sector_operator)
-        del image
-        assert held() is None and len(memo._order) == states
+        gram = gram_blocks(*pair.amplitudes(), pair.sector_operator)
+        assert (gram.states[1] is not None) == (states > 0)
+        del image, gram
+        assert held() is None and len(memo._states) == states
 
 
 @pytest.mark.parametrize(
-    "make_pair, stored",
-    [(lambda: benchmarks.reference_table(1)[0].pair, True),
-     (lambda: benchmarks.reference_table(2)[0].pair, False),
-     (lambda: spherium_pair(1), False)],
+    "make_pair",
+    [lambda: benchmarks.reference_table(1)[0].pair,
+     lambda: benchmarks.reference_table(2)[0].pair,
+     lambda: spherium_pair(1)],
     ids=["table-1-0", "table-2-0", "spherium-1"],
 )
-def test_large_arrays_are_never_content_keyed(keyed, solves, make_pair, stored):
-    # table 1's layouts are small, so its reference is stored, found by
-    # identity alone; the others' are too large, so nothing of them is stored
+def test_large_arrays_are_never_content_keyed(solves, make_pair):
+    # arrays above MEMO_ENTRY_BYTES bypass the memo: nothing of them is
+    # stored, and every call solves the reference again
     pair = make_pair()
     assert all(c.nbytes > MEMO_ENTRY_BYTES for c in pair.amplitudes())
     reports = [pair_criterion(pair) for _ in range(2)]
-    assert keyed == [] and reports[0] == reports[1]
-    assert not spectra._state_memo._by_key
-    assert len(spectra._state_memo) == stored and len(solves) == (1 if stored else 2)
+    assert reports[0] == reports[1]
+    assert not spectra._state_memo._states and len(solves) == 2
