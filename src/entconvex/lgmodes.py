@@ -89,7 +89,11 @@ def _mode_profile(l: int, m: int, n_basis: int, order: int) -> np.ndarray:
     xs, ys, wt, scale, f, root_wt = _x_basis(n_basis, order)
     prof = lg_evaluate(LGMode(l, m), xs[:, None], ys[None, :])
     prof = prof * scale[:, None]
-    v = math.sqrt(2.0 / 3.0) * np.einsum("ai,i,iq->aq", f, wt, prof)
+    # the x-integral as two real two-operand einsums: together bit for bit
+    # the three-operand einsum, which numpy runs in its unoptimized loop; a
+    # BLAS product would reorder the sums and move LG's S_NS
+    w = f * wt
+    v = math.sqrt(2.0 / 3.0) * (np.einsum("ai,iq->aq", w, prof.real) + 1j * np.einsum("ai,iq->aq", w, prof.imag))
     return v * scale[None, :] * root_wt[None, :] / 2.0 ** 0.25
 
 

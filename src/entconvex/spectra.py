@@ -9,19 +9,27 @@ determines on its own is formed once per process and reused bit for bit
 (:class:`_StateMemo`): |c|, sum |c|^2, and, per block layout, its own
 term c c^dagger, its endpoint density and, for pairs without a sector
 operator, that density's spectrum.  Only read-only arrays that own their
-data and hold at most ``MEMO_ENTRY_BYTES`` are stored, on their first
-sighting; one is found by its identity, which assumes it is not written
-again, and its state goes when the array is freed.  No layout whose own
-terms hold more than ``MEMO_ENTRY_BYTES`` is stored, and a lock guards
-the memo.  Every stored value is the output of the same call, on the
-same inputs, as without the memo, so no result changes by a bit.
+data, have more than ``SMALL_ROWS`` rows and hold at most
+``MEMO_ENTRY_BYTES`` are stored, on their first sighting; one is found
+by its identity, which assumes it is not written again, and its state
+goes when the array is freed.  No layout whose own terms hold more than
+``MEMO_ENTRY_BYTES`` is stored, and a lock guards the memo.  Every stored
+value is the output of the same call, on the same inputs, as without the
+memo, so no result changes by a bit.
 Every endpoint is solved on its own exact blocks
 (:meth:`GramBlocks.spectrum`).  Where the rows carry an m1 label
 (angular, spherium), each state's density is exactly zero between rows
 of different m1, so the amplitude blocks, which the pair links, split
 into the connected components of that nonzero pattern
 (:func:`own_blocks`).  Blocks with no zero entry (LG, the coupled
-oscillator) and diagonal ones (angular) are solved whole.
+oscillator) are solved whole.
+
+Small pairs are solved whole (the small-pair rule, ``SMALL_ROWS``): a
+pair of at most ``SMALL_ROWS`` rows, as every angular one, is one block,
+found without a link graph, and a block of at most ``SMALL_ROWS`` rows,
+as table 1's, is neither split on its own exact blocks nor, in the alpha
+curve, compressed onto its range.  Below that size, finding the
+structure costs more than solving the whole.
 
 Entropies are in bits throughout the package; only the command line and
 the benchmark tables convert them to another base.
@@ -56,6 +64,16 @@ LN2 = math.log(2.0)  # entropies are in bits: nats / LN2
 # it saves, on planted pairs of 41 grid points the crossover lay at blocks
 # of 4 to 6 rows (one BLAS thread)
 EXCHANGE_MIN_ROWS = 5
+# the small-pair rule: a pair of at most this many rows is one block, a
+# block of at most this many rows is solved whole, with no own-block split
+# or range step, and the memo stores no array of at most this many rows.
+# Measured crossover (warm, one BLAS thread, 15 interleaved rounds,
+# against the paths without the rule): angular verdicts of 3 to 25 rows
+# (l = 1 to 12) gain x1.39 to x1.08, and table 1 row 0's curve, blocks of
+# 2 to 16 rows, x1.77; LG's low-rank pairs would run at 0.37x at 32 rows
+# with the rule (no range step, no memo), and already at 0.61x at 16, so
+# the rule stops below 32
+SMALL_ROWS = 25
 # the per-state memo (_StateMemo) stores no amplitude matrix, and no
 # layout's own terms, above this (dense-tables' are all above)
 MEMO_ENTRY_BYTES = 64 * 1024
@@ -226,20 +244,23 @@ class _State:
 
 
 def _storable(c: np.ndarray) -> bool:
-    """Whether :class:`_StateMemo` stores ``c``: read-only, owning its data, at most ``MEMO_ENTRY_BYTES``."""
+    """Whether :class:`_StateMemo` stores ``c``: read-only, owning its data, of
+    more than ``SMALL_ROWS`` rows and at most ``MEMO_ENTRY_BYTES``."""
     flags = c.flags
-    return not flags.writeable and flags.owndata and c.nbytes <= MEMO_ENTRY_BYTES
+    return not flags.writeable and flags.owndata and len(c) > SMALL_ROWS and c.nbytes <= MEMO_ENTRY_BYTES
 
 
 class _StateMemo:
     """Everything one amplitude matrix determines on its own, formed once per process.
 
-    A read-only array that owns its data and holds at most
-    ``MEMO_ENTRY_BYTES`` (the models' cached arrays) is stored on its first
-    sighting and found by its id, checked against a weak reference, so the
-    memo keeps no array alive; the reference's callback drops the state
-    when the array is freed.  Any other array bypasses the memo, so it
-    holds one state per live array of at most ``MEMO_ENTRY_BYTES``.  A hit
+    A read-only array that owns its data, has more than ``SMALL_ROWS`` rows
+    and holds at most ``MEMO_ENTRY_BYTES`` (the models' cached arrays) is
+    stored on its first sighting and found by its id, checked against a
+    weak reference, so the memo keeps no array alive; the reference's
+    callback drops the state when the array is freed.  Any other array
+    bypasses the memo, so it holds one state per such live array.  A small
+    pair's arrays, as angular's, are built afresh for each pair and never
+    met again, so storing them would only cost.  A hit
     assumes the array was not written after it was stored, which only
     ``setflags(write=True)``, or a writeable view taken before it was made
     read-only, could do.  A layout is stored only when its own terms hold
@@ -372,18 +393,16 @@ def own_blocks(layout, mats, sector=None) -> list[np.ndarray] | None:
     the parts' rows per size, shape (parts, size), by ascending size, the
     parts of one size in group, block and first-row order; or None when
     no block splits.  A group with no zero entry is one zero test, and a
-    diagonal group (every angular one) is kept whole too: the solve of a
-    diagonal block is its diagonal, exactly, split or not.
+    group of blocks of at most ``SMALL_ROWS`` rows is kept whole untested.
     """
     labels, split = [], False  # per group the first row of each row's part, 0 for whole blocks
     for i, (rows, m) in enumerate(zip(layout, mats)):
-        linked = m != 0 if sector is None else (m != 0) | (sector[i] != 0)
-        links = np.count_nonzero(linked)
-        if rows.shape[1] == 1 or links == linked.size or links == np.count_nonzero(linked.diagonal(0, 1, 2)):
-            label = 0  # solved whole: no zero entry, or diagonal, which splitting would not change
-        else:
-            label = component_labels(linked)
-            split = split or bool(label.any())  # a label past 0: a second part in its block
+        label = 0  # solved whole: small, or no zero entry
+        if rows.shape[1] > SMALL_ROWS:
+            linked = m != 0 if sector is None else (m != 0) | (sector[i] != 0)
+            if np.count_nonzero(linked) < linked.size:
+                label = component_labels(linked)
+                split = split or bool(label.any())  # a label past 0: a second part in its block
         labels.append(label)
     if not split:
         return None
@@ -463,9 +482,10 @@ class GramBlocks:
         nonzero pattern and of the sector operator's links
         (:func:`own_blocks`), and the parts are solved alone
         (:func:`eigh_blocks`).  Blocks with no zero entry, as all of LG's
-        and the coupled oscillator's, and diagonal ones, as angular's, are
-        solved as they are; one block is then the density check's
-        eigen-solve of ``PairSpec.builder``.  :meth:`restrict` cuts the
+        and the coupled oscillator's, and blocks of at most ``SMALL_ROWS``
+        rows, as angular's and table 1's, are solved as they are; one
+        block is then the density check's eigen-solve of
+        ``PairSpec.builder``.  :meth:`restrict` cuts the
         partner's blocks to the parts.
 
         Without a sector operator, a stored endpoint, the very tuple
@@ -547,6 +567,9 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     components of that link graph; without the cross terms they could be
     finer than the density's true blocks.  Blocks of one size are stacked,
     so each term, and the operator's blocks, is one batched product per size.
+    A pair of at most ``SMALL_ROWS`` rows, as every angular one, is one
+    block: it forms no G, runs no component or exchange search, and its
+    ``dropped`` is 0.0.
 
     What each state determines alone, |c|, sum |c|^2 and, per block
     layout, its own term c c^dagger and endpoint, comes from the per-state
@@ -583,19 +606,23 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     st0, st1 = _state_memo.find(c0), _state_memo.find(c1)
     a, n0 = _magnitude(c0, st0)  # n0: the builder's sum |c|^2
     b, n1 = _magnitude(c1, st1)
-    kept = st0 is not None or _storable(c0)  # |c0| is or will be stored
-    s = a + b if kept else np.add(a, b, out=a)
-    g = s @ s.T
-    top = float(g.max())
-    linked = g > BLOCK_LINK_TOL * top
-    if np.count_nonzero(linked) == linked.size:  # one block: no search, no link between blocks
-        blocks, dropped = [np.arange(len(g))], 0.0
+    dim = len(c0)
+    if dim <= SMALL_ROWS:  # a small pair is one block: no link graph, no search
+        blocks, dropped = [np.arange(dim)], 0.0
     else:
-        blocks = components(linked if sector is None else linked | (sector != 0))
-        label = np.empty(len(g), dtype=np.intp)
-        label[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), [len(p) for p in blocks])
-        np.putmask(g, label[:, None] == label, 0.0)  # the links within a block
-        dropped = float(g.max()) / top if top > 0.0 else 0.0
+        kept = st0 is not None or _storable(c0)  # |c0| is or will be stored
+        s = a + b if kept else np.add(a, b, out=a)
+        g = s @ s.T
+        top = float(g.max())
+        linked = g > BLOCK_LINK_TOL * top
+        if np.count_nonzero(linked) == linked.size:  # one block: no search, no link between blocks
+            blocks, dropped = [np.arange(dim)], 0.0
+        else:
+            blocks = components(linked if sector is None else linked | (sector != 0))
+            label = np.empty(dim, dtype=np.intp)
+            label[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), [len(p) for p in blocks])
+            np.putmask(g, label[:, None] == label, 0.0)  # the links within a block
+            dropped = float(g.max()) / top if top > 0.0 else 0.0
     layout = size_groups(blocks)
     key = tuple(tuple(map(tuple, rows.tolist())) for rows in layout)
     own0, own1 = _state_memo.layout(st0, key), _state_memo.layout(st1, key)
@@ -640,7 +667,7 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
         counts, exchange = exchange_repeats(c0, c1, s, label, len(blocks))
         if counts is not None:
             repeats = tuple(counts[label[rows[:, 0]]] for rows in layout)
-    return GramBlocks(tuple(groups), tuple(len(p) for p in blocks), dropped, len(g), c0.shape[1],
+    return GramBlocks(tuple(groups), tuple(len(p) for p in blocks), dropped, dim, c0.shape[1],
                       (n0, n1, n01), op, (st0, st1), key, repeats, exchange)
 
 

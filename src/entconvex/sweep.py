@@ -21,6 +21,7 @@ import numpy as np
 from .criterion import CriterionReport, criterion_report, refine_blocks_by_sector
 from .spectra import (
     RANGE_TOL,
+    SMALL_ROWS,
     GramBlocks,
     HermitianMatrix,
     cut_blocks,
@@ -184,11 +185,14 @@ def entropy_curve(
 
     Every such density is C C^dagger with C = sqrt(alpha) c0 +
     sqrt(1-alpha) c1, so its range lies in that of S = c0c0^dagger +
-    c1c1^dagger.  Each size group of blocks larger than one row is
-    therefore solved on Q^dagger T Q, Q the top r eigenvectors of S per
-    block: r is the largest count, over the group, of eigenvalues above
-    ``RANGE_TOL`` times the block's largest, and a group with r equal to
-    its size is solved as it is.  S is eigen-solved on its own exact
+    c1c1^dagger.  Each size group of blocks larger than ``SMALL_ROWS``
+    rows (spherium's, LG's 32) is therefore solved on Q^dagger T Q, Q the
+    top r eigenvectors of S per block: r is the largest count, over the
+    group, of eigenvalues above ``RANGE_TOL`` times the block's largest,
+    and a group with r equal to its size is solved as it is.  Smaller
+    blocks (every angular pair, table 1's) are solved as they are: for
+    them the step costs more than it saves (the small-pair rule,
+    ``entconvex.spectra.SMALL_ROWS``).  S is eigen-solved on its own exact
     blocks (:func:`_eigh_own`).  This loses at most the projection onto
     the dropped directions P: by Cauchy interlacing the kept eigenvalues
     only rise from the compressed to the full density, and both their
@@ -266,7 +270,7 @@ def entropy_curve(
             if ratio <= 1.0:
                 terms = np.ascontiguousarray(terms.real)
                 imag_dropped = max(imag_dropped, ratio)
-        if rows.shape[1] > 1:
+        if rows.shape[1] > SMALL_ROWS:
             terms, dropped = _on_range(terms)
             range_dropped = max(range_dropped, dropped)
         size = terms.shape[-1]
@@ -434,10 +438,9 @@ def _eigh_own(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     components of its exact nonzero pattern
     (:func:`entconvex.spectra.own_blocks`), spherium's into parts of at
     most 11 rows, the oscillator's mirror blocks of 128 into the two of 64
-    that its P's sectors give.  A stack with no zero entry, as LG's, or a
-    diagonal one, as angular's, is one ``eigh``, the same arithmetic as
-    without the split.  The eigenvalues come ascending per block, as
-    ``np.linalg.eigh`` gives them.
+    that its P's sectors give.  A stack with no zero entry, as LG's, is
+    one ``eigh``, the same arithmetic as without the split.  The
+    eigenvalues come ascending per block, as ``np.linalg.eigh`` gives them.
     """
     blocks, size = sym.shape[:2]
     layout = np.arange(blocks * size).reshape(blocks, size)  # a row of the stack as block * size + row

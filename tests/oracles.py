@@ -1,5 +1,6 @@
 """Slow reference implementations that tests compare the package against,
-and analytic checks of the model constructions."""
+analytic checks of the model constructions, and the zero padding that
+lifts a small test input past the small-pair rule (:func:`above_small_rows`)."""
 
 import math
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ from entconvex.spectra import (
     BLOCK_LINK_TOL,
     LN2,
     RANGE_TOL,
+    SMALL_ROWS,
     SUPPORT_FLOOR,
     GramBlocks,
     HermitianMatrix,
@@ -127,6 +129,25 @@ def superposition_density(pair, alpha: float) -> HermitianMatrix:
         c = c / norm
     rho = c @ c.conj().T / np.sum(np.abs(c) ** 2)
     return HermitianMatrix(rho / np.real(np.trace(rho)))
+
+
+def above_small_rows(*cs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Amplitudes ``cs`` padded with rows of zeros to ``SMALL_ROWS`` + 1 rows.
+
+    Square ones get as many columns of zeros, so they stay square, rows
+    and columns over one basis.  Each zero row is a block of one row
+    with no eigenvalue, so the pair keeps its blocks beside these, its
+    exchange pairs and every entropy, but takes the path of pairs above
+    ``SMALL_ROWS`` rows: the link graph and the exchange search.
+    Read-only inputs give read-only copies, which the memo stores.
+    """
+    out = []
+    for c in cs:
+        pad = max(SMALL_ROWS + 1 - c.shape[0], 0)
+        wide = np.pad(c, ((0, pad), (0, pad if c.shape[0] == c.shape[1] else 0)))
+        wide.setflags(write=c.flags.writeable)
+        out.append(wide)
+    return tuple(out)
 
 
 def components_by_search(linked: np.ndarray) -> list[np.ndarray]:
@@ -246,7 +267,7 @@ def serial_entropy_curve(pair, grid_size=DEFAULT_GRID_SIZE, *, gram=None) -> Ent
             if ratio <= 1.0:
                 terms = np.ascontiguousarray(terms.real)
                 imag_dropped = max(imag_dropped, ratio)
-        if rows.shape[1] > 1:
+        if rows.shape[1] > SMALL_ROWS:
             terms, dropped = _on_range(terms)
             range_dropped = max(range_dropped, dropped)
         size = terms.shape[-1]

@@ -16,7 +16,7 @@ from entconvex import spectra, sweep
 from entconvex.lgmodes import LGMode
 from entconvex.spectra import gram_blocks
 from entconvex.sweep import PairSpec, angular_pair, entropy_curve, lg_pair, spherium_pair
-from oracles import dense_entropy_curve
+from oracles import above_small_rows, dense_entropy_curve
 
 GRID = 5
 
@@ -62,26 +62,29 @@ def test_spherium_pairs(M, Mprime, solved, use_sectors):
 
 
 def test_angular_pairs_that_pair_match_dense():
-    # every pair M > M' of l <= 6: 188 of the 2,933 pair, all exactly; the
-    # others have no partners or only blocks below EXCHANGE_MIN_ROWS rows,
-    # which are solved whole
+    # every pair M > M' of l <= 6, lifted past the small-pair rule with rows
+    # of zeros: 188 of the 2,933 pair, all exactly; the others have no
+    # partners or only blocks below EXCHANGE_MIN_ROWS rows, which are solved
+    # whole
     pairs = [angular_pair(l, L, M, Mp) for l in range(1, 7) for L in range(1, 2 * l + 1)
              for M in range(-L, L + 1) for Mp in range(-L, M)]
     paired = 0
     for pair in pairs:
-        gram = gram_blocks(*pair.amplitudes())
+        c0, c1 = above_small_rows(*pair.amplitudes())
+        gram = gram_blocks(c0, c1)
         if gram.repeats is None:
             continue
         paired += 1
         assert gram.exchange_dropped == 0.0
-        _assert_matches_dense(pair, gram)
+        _assert_matches_dense(_pair(c0, c1, pair.label), gram)
     assert (len(pairs), paired) == (2933, 188)
 
 
-def _planted(rng, sign, complex_, a=6, b=5, own=3):
+def _planted(rng, sign, complex_, a=6, b=5, own=spectra.SMALL_ROWS):
     """c0, c1 of one exchange sign: block A of ``a`` rows coupled to B of
     ``b``, and a block C of ``own`` rows coupled to itself; rows and
-    columns then permuted alike."""
+    columns then permuted alike.  C's rows lift the pair past the
+    small-pair rule (``spectra.SMALL_ROWS``)."""
     dim = a + b + own
     perm = rng.permutation(dim)
     cs = []
@@ -107,7 +110,7 @@ def test_planted_pairs_solve_the_smaller_side(seed, a, b, sign, complex_):
     (c0, c1), where = _planted(rng, sign, complex_, a, b)
     gram = gram_blocks(c0, c1)
     counts = _counts(gram)
-    A, B, C = (tuple(sorted(where[list(r)].tolist())) for r in (range(a), range(a, a + b), range(a + b, a + b + 3)))
+    A, B, C = (tuple(sorted(where[list(r)].tolist())) for r in (range(a), range(a, a + b), range(a + b, len(c0))))
     assert counts == {A: 2 if a < b else 0, B: 0 if a < b else 2, C: 1}
     assert 0.0 <= gram.exchange_dropped <= 1.0
     _assert_matches_dense(_pair(c0, c1))
@@ -145,13 +148,15 @@ def test_perturbed_coupling_solves_its_blocks():
 @pytest.mark.parametrize("args, sizes", [((2, 3, 3), (1,) * 5), ((3, 2, 2), (2, 2, 2, 1)), ((3, 1, 1), (4, 3))])
 def test_small_blocks_solve_every_block(args, sizes):
     # exchange pairs (one-row blocks; 1 <-> 2; 3 <-> 4) of blocks below
-    # EXCHANGE_MIN_ROWS rows: cheaper to solve than to pair
+    # EXCHANGE_MIN_ROWS rows: cheaper to solve than to pair.  Lifted past
+    # the small-pair rule by rows of zeros, each a block of one row
     pair = angular_pair(*args)
-    c0, c1 = pair.amplitudes()
+    small = len(pair.amplitudes()[0])
+    c0, c1 = above_small_rows(*pair.amplitudes())
     assert max(sizes) < spectra.EXCHANGE_MIN_ROWS
     gram = gram_blocks(c0, c1)
-    assert gram.block_sizes == sizes and gram.repeats is None
-    _assert_matches_dense(pair, gram)
+    assert gram.block_sizes == sizes + (1,) * (len(c0) - small) and gram.repeats is None
+    _assert_matches_dense(_pair(c0, c1, pair.label), gram)
     wide = np.zeros((len(c0) + spectra.EXCHANGE_MIN_ROWS,) * 2)
     wide[:len(c0), :len(c0)] = c0
     wide[len(c0):, len(c0):] = 0.1  # an unpaired block large enough for the search

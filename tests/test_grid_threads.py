@@ -54,7 +54,7 @@ CURVES = {
     "lg-6-6-401": (lambda: lg_pair(LGMode(6, 6), LGMode(6, -6)), 401, True),
     # solved at size 5: one call for up to 2,621 solved points
     "lg-1-1-401": (lambda: lg_pair(LGMode(1, 1), LGMode(1, -1)), 401, False),
-    # groups of at most 6 rows: one call each for up to 1,820 solved points
+    # one block of 11 rows (the small-pair rule): one call for up to 541 solved points
     **{f"angular-5-{L}-201": (lambda L=L: angular_pair(5, L, L), 201, False) for L in (1, 2, 5, 10)},
 }
 # the dense-tables pairs; the lg-scan and angular-sweep ones are below

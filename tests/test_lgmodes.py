@@ -121,6 +121,19 @@ class TestModeColumns:
         for part in (np.real, np.imag):
             assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
+    @pytest.mark.parametrize("n_basis", [32, 48])
+    def test_real_einsums_equal_the_three_operand_einsum(self, n_basis):
+        # the x-integral as two real einsums, against the oracle's one
+        # complex three-operand einsum: every entry and sign bit of l <= 6,
+        # |m| <= 6 (uncached, so the scan's cached columns stay in place)
+        for l in range(7):
+            for m in range(-6, 7):
+                got = mode_columns.__wrapped__(l, m, n_basis, DEFAULT_QUADRATURE_ORDER)
+                want = mode_columns_per_mode(l, m, n_basis, DEFAULT_QUADRATURE_ORDER)
+                assert np.array_equal(got, want), (l, m)
+                for part in (np.real, np.imag):
+                    assert np.array_equal(np.signbit(part(got)), np.signbit(part(want))), (l, m)
+
     def test_basis_table_is_read_only_and_shared(self):
         from entconvex.lgmodes import _x_basis
 

@@ -75,7 +75,7 @@ class TestAgainstPairBlockOracles:
         assert curve.solved_sizes == plain.solved_sizes
 
     def test_angular_mirror_pairs(self, monkeypatch):
-        # rho0 and S are diagonal on every amplitude block: nothing splits
+        # every angular pair is small: one block, solved whole, so nothing splits
         pairs = _angular_mirror_pairs()
         assert len(pairs) == 203 and all(p.mirror is not None for p in pairs)
         for pair in pairs:
@@ -112,24 +112,28 @@ class TestAgainstPairBlockOracles:
 
     @pytest.mark.parametrize("link, parts", [(0.0, [[0, 1], [2], [3]]), (0.5, [[0, 1, 2], [3]])])
     def test_sector_links_merge_parts(self, empty_state_memo, link, parts):
-        # rows 0-2 are one amplitude block, which rho0 splits into {0, 1} and
-        # {2}; an operator entry between rows 1 and 2 joins the two parts,
+        # rows 0-2 and 4 on are one amplitude block, larger than SMALL_ROWS,
+        # which rho0 splits into {0, 1}, {2} and one part per row from 4 on;
+        # an operator entry between rows 1 and 2 joins the first two parts,
         # so it couples no two of them; read-only, so the memo stores c0 and
         # c1, whose endpoints a pair with an operator still solves on each call
-        c0 = np.zeros((4, 4))
+        n = spectra.SMALL_ROWS + 2
+        c0 = np.zeros((n, n))
         c0[0, :2], c0[1, :2], c0[2, 2], c0[3, 3] = [0.5, 0.3], [0.2, -0.4], 0.6, 0.3
+        c0[4:, 4:] = np.diag(np.linspace(0.2, 0.1, n - 4))
         c0 /= np.linalg.norm(c0)
-        c1 = c0[[2, 1, 0, 3]]
+        c1 = c0[[2, 1, 4, 3, *range(5, n), 0]]  # the cycle 0 -> 2 -> 4 -> ... -> n - 1 -> 0 links the rows
         c0.setflags(write=False)
         c1.setflags(write=False)
-        op = np.diag([1.0, 1.0, 2.0, 0.0])
+        op = np.diag([1.0, 1.0, 2.0, 0.0] + [0.0] * (n - 4))
         op[1, 2] = op[2, 1] = link
         pair = sweep.PairSpec(lambda: (c0, c1), "rho0 split", sector_operator=op)
         for _ in range(2):  # cold, then with both states stored
             gram = gram_blocks(c0, c1, op)
-            assert gram.block_sizes == (3, 1) and None not in gram.states
+            assert gram.block_sizes == (n - 1, 1) and None not in gram.states
             spec = gram.spectrum(gram.endpoint(0))
-            assert sorted(sorted(p.tolist()) for rows, _ in spec.groups for p in rows) == parts
+            got = sorted(sorted(p.tolist()) for rows, _ in spec.groups for p in rows)
+            assert got == parts + [[i] for i in range(4, n)]
             got, want = sweep._criterion(pair, gram), pair_block_criterion(pair, gram)
             for name in ("s0", "s_ns", "s_r"):
                 assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
@@ -199,13 +203,17 @@ def test_component_labels_match_a_search(seed):
 
 
 def test_own_blocks_keep_a_layout_without_zeros():
+    # blocks of n and n + 1 rows, larger than SMALL_ROWS: the even rows, and
+    # the odd ones with row 2n
     rng = np.random.default_rng(5)
-    layout = [np.array([[0, 2]]), np.array([[1, 3, 4]])]
-    mats = [rng.standard_normal((1, 2, 2)), rng.standard_normal((1, 3, 3))]
+    n = spectra.SMALL_ROWS + 1
+    even, odd = list(range(0, 2 * n, 2)), list(range(1, 2 * n, 2))
+    layout = [np.array([even]), np.array([odd + [2 * n]])]
+    mats = [rng.standard_normal((1, n, n)), rng.standard_normal((1, n + 1, n + 1))]
     assert own_blocks(layout, mats) is None
-    mats[1][0, 0, 2] = mats[1][0, 2, 0] = 0.0  # one zero pair, still linked through row 1
+    mats[1][0, 0, n] = mats[1][0, n, 0] = 0.0  # one zero pair, still linked through row 1
     assert own_blocks(layout, mats) is None
-    mats[1][0, 1, 2] = mats[1][0, 2, 1] = 0.0  # row 4 alone now
+    mats[1][0, 1:n, n] = mats[1][0, n, 1:n] = 0.0  # row 2n alone now
     parts = own_blocks(layout, mats)
-    assert [p.tolist() for p in parts] == [[[4]], [[0, 2], [1, 3]]]
-    assert [m.shape for m in spectra.cut_blocks(layout, mats, parts)] == [(1, 1, 1), (2, 2, 2)]
+    assert [p.tolist() for p in parts] == [[[2 * n]], [even, odd]]
+    assert [m.shape for m in spectra.cut_blocks(layout, mats, parts)] == [(1, 1, 1), (2, n, n)]

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from entconvex.spectra import (
     BLOCK_LINK_TOL,
+    SMALL_ROWS,
     SUPPORT_FLOOR,
     HermitianMatrix,
     NonHermitianError,
@@ -19,7 +20,7 @@ from entconvex.spectra import (
     gram_blocks,
     von_neumann_entropy,
 )
-from oracles import components_by_search, reconstruct, reduce_pure_state
+from oracles import above_small_rows, components_by_search, reconstruct, reduce_pure_state
 
 
 def _density(mat):
@@ -232,19 +233,22 @@ class TestGramBlocks:
             assert np.array_equal(spec.eigenvectors, eigendecompose(dense).eigenvectors)
 
     def test_endpoint_of_blocks_matches_dense(self):
-        # two blocks, solved apart and embedded, against the dense density
+        # two blocks, solved apart and embedded, against the dense density;
+        # rows of zeros, blocks of one row each, lift the pair past SMALL_ROWS
         c0 = np.zeros((3, 3))
         c0[:2, :2] = [[0.6, 0.2], [0.1, 0.5]]
         c0[2, 2] = 0.3
         c0 /= np.linalg.norm(c0)
+        (c0,) = above_small_rows(c0)
+        zeros = len(c0) - 3
         gram = gram_blocks(c0, c0)
-        assert sorted(gram.block_sizes) == [1, 2]
+        assert sorted(gram.block_sizes) == [1] * (1 + zeros) + [2]
         rho = gram.endpoint(0)
         spec = gram.spectrum(rho)
         dense = reduce_pure_state(c0)
         # each block's eigenvectors stay in its rows; the dense view embeds them
-        assert [u.shape for _, u in spec.groups] == [(1, 1, 1), (1, 2, 2)]
-        assert [m.shape for m in rho] == [(1, 1, 1), (1, 2, 2)]
+        assert [u.shape for _, u in spec.groups] == [(1 + zeros, 1, 1), (1, 2, 2)]
+        assert [m.shape for m in rho] == [(1 + zeros, 1, 1), (1, 2, 2)]
         for (rows, _), m in zip(spec.groups, rho):
             np.testing.assert_allclose(m[0], dense.entries[np.ix_(rows[0], rows[0])], rtol=0, atol=1e-15)
         np.testing.assert_allclose(spec.eigenvalues, eigendecompose(dense).eigenvalues, rtol=0, atol=1e-15)
@@ -289,6 +293,9 @@ class TestComponents:
         keep = rng.random((rows, cols)) < 0.3
         c0 = np.where(keep, rng.standard_normal((rows, cols)), 0.0)
         c1 = np.where(keep, 1e-9 * rng.standard_normal((rows, cols)), 0.0)
+        # rows of zeros past SMALL_ROWS, isolated rows of the link graph
+        zeros = np.zeros((SMALL_ROWS + 1 - rows, cols))
+        c0, c1 = np.vstack([c0, zeros]), np.vstack([c1, zeros])
         gram = gram_blocks(c0, c1)
         a = np.abs(c0) + np.abs(c1)
         g = a @ a.T

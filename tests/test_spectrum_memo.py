@@ -12,7 +12,7 @@ from entconvex import benchmarks, spectra, sweep
 from entconvex.criterion import refine_blocks_by_sector
 from entconvex.lgmodes import LGMode
 from entconvex.oscillator import OscBasisSpec, OscState
-from entconvex.spectra import MEMO_ENTRY_BYTES, eigh_blocks, gram_blocks
+from entconvex.spectra import MEMO_ENTRY_BYTES, SMALL_ROWS, eigh_blocks, gram_blocks
 from entconvex.sweep import (
     angular_pair,
     criterion_vs_observation,
@@ -21,7 +21,7 @@ from entconvex.sweep import (
     pair_criterion,
     spherium_pair,
 )
-from oracles import gram_blocks_unmemoized
+from oracles import above_small_rows, gram_blocks_unmemoized
 
 
 @pytest.fixture
@@ -35,6 +35,10 @@ def solves(monkeypatch, empty_state_memo):
 
     monkeypatch.setattr(spectra, "eigh_blocks", counted)
     return calls
+
+
+# rows of the synthetic arrays: the memo stores no array of at most SMALL_ROWS rows
+ROWS = SMALL_ROWS + 3
 
 
 def _arrays(spec):
@@ -246,13 +250,16 @@ def _assert_same_gram(got, want):
 
 def _partly_linked():
     # inputs whose link graph is not complete: sectors, blocks, isolated
-    # rows; the last two are read-only, so the memo stores them
+    # rows; the last three are read-only, so the memo stores them.  Table
+    # 5's angular pair is lifted past the small-pair rule by rows of zeros
     rng = np.random.default_rng(11)
-    c = np.zeros((6, 5))
+    c = np.zeros((ROWS, 5))
     c[:3, :2] = rng.standard_normal((3, 2))
     c[3:5, 2:] = rng.standard_normal((2, 3))
     pairs = [benchmarks.reference_table(1)[0].pair, benchmarks.reference_table(5)[1].pair, spherium_pair(2)]
     amplitudes = [(*p.amplitudes(), p.sector_operator) for p in pairs]
+    assert amplitudes[1][2] is None
+    amplitudes[1] = (*above_small_rows(*amplitudes[1][:2]), None)
     d = c.copy()
     d[:3] *= -0.5
     c.setflags(write=False)
@@ -324,8 +331,8 @@ def test_writeable_arrays_and_views_are_never_aliased(own_terms):
     # neither is stored: each call forms their own terms again and leaves no state
     memo = spectra._state_memo
     rng = np.random.default_rng(3)
-    c = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
-    owned = rng.standard_normal((8, 6)) + 0j
+    c = rng.standard_normal((ROWS, 6)) + 1j * rng.standard_normal((ROWS, 6))
+    owned = rng.standard_normal((ROWS, 6)) + 0j
     owned.setflags(write=False)
     view = owned[:, :]
     assert not view.flags.writeable and not view.flags.owndata
@@ -341,11 +348,30 @@ def test_writeable_arrays_and_views_are_never_aliased(own_terms):
     assert gram.states[1] is None and list(memo._states) == [id(owned)]
 
 
+def test_small_arrays_bypass_the_memo(own_terms):
+    # read-only arrays of at most SMALL_ROWS rows, as every angular state
+    # is, are never stored: each call forms their own terms again and
+    # leaves no state; one row more and the same content is stored
+    memo = spectra._state_memo
+    pair = angular_pair(4, 3, 2)
+    c0, c1 = pair.amplitudes()
+    assert len(c0) <= SMALL_ROWS and not c0.flags.writeable and c0.flags.owndata
+    for _ in range(2):
+        assert gram_blocks(c0, c1).states == (None, None)
+    report = pair_criterion(pair)
+    assert pair_criterion(pair) == report
+    assert own_terms == [] and not memo._states
+    lifted = above_small_rows(c0, c1)
+    states = gram_blocks(*lifted).states
+    assert None not in states and states == tuple(map(memo.find, lifted))
+    assert own_terms == list(map(id, lifted))
+
+
 def test_recurring_arrays_are_found_by_identity_and_held_weakly(solves, own_terms):
     # stored on the first sighting, then found by id: one own term, one spectrum
     memo = spectra._state_memo
     rng = np.random.default_rng(4)
-    cached, other = rng.standard_normal((8, 6)), rng.standard_normal((8, 6))
+    cached, other = rng.standard_normal((ROWS, 6)), rng.standard_normal((ROWS, 6))
     cached.setflags(write=False)
     specs = []
     for _ in range(3):
@@ -362,7 +388,7 @@ def test_recurring_arrays_are_found_by_identity_and_held_weakly(solves, own_term
 def test_a_state_goes_when_its_array_is_freed(empty_state_memo):
     memo = spectra._state_memo
     rng = np.random.default_rng(6)
-    kept, freed = (_read_only_copy(rng.standard_normal((8, 6))) for _ in range(2))
+    kept, freed = (_read_only_copy(rng.standard_normal((ROWS, 6))) for _ in range(2))
     gram = gram_blocks(kept, freed)
     gram.spectrum(gram.endpoint(1))
     st = memo.find(freed)
@@ -399,7 +425,7 @@ def test_freeing_a_stored_array_inside_a_locked_step(empty_state_memo, monkeypat
     # is cleared, so a deadlock fails this test rather than hanging the rest
     memo = spectra._state_memo
     rng = np.random.default_rng(7)
-    held = [_read_only_copy(rng.standard_normal((8, 6)))]
+    held = [_read_only_copy(rng.standard_normal((ROWS, 6)))]
     gram_blocks(held[0], held[0])
     freed_id, gone = id(held[0]), weakref.ref(held[0])
     dropped_inside = []
@@ -418,7 +444,7 @@ def test_freeing_a_stored_array_inside_a_locked_step(empty_state_memo, monkeypat
             self.lock.release()
 
     monkeypatch.setattr(memo, "_lock", FreeingLock(threading.Lock()))
-    c0, c1 = (_read_only_copy(rng.standard_normal((8, 6))) for _ in range(2))
+    c0, c1 = (_read_only_copy(rng.standard_normal((ROWS, 6))) for _ in range(2))
     out = []
 
     def run():

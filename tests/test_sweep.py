@@ -25,6 +25,7 @@ from entconvex.oscillator import OscState, coefficient_tensor
 from entconvex.spherium import SpheriumState
 from entconvex.spectra import (
     RANGE_TOL,
+    SMALL_ROWS,
     SUPPORT_FLOOR,
     GramBlocks,
     HermitianMatrix,
@@ -48,6 +49,7 @@ from entconvex.sweep import (
     spherium_pair,
 )
 from oracles import (
+    above_small_rows,
     block_density,
     dense_entropy_curve,
     dense_not_shared_entropy,
@@ -220,6 +222,7 @@ class TestBlockCurve:
     def test_planted_blocks_match_dense(self, planted):
         c0, c1, nblocks = planted
         _assume_no_cancellation(c0, c1)
+        c0, c1 = above_small_rows(c0, c1)  # rows of zeros: blocks of one row past SMALL_ROWS
         pair = _pair(c0, c1)
         curve = entropy_curve(pair, GRID)
         np.testing.assert_allclose(curve.entropies, dense_entropy_curve(pair, GRID), rtol=0, atol=1e-12)
@@ -333,9 +336,11 @@ class TestBlockCurve:
 
     def test_rejects_negative_eigenvalue(self, monkeypatch):
         # an exchange pair whose solved blocks hold a zero eigenvalue: the
-        # shifted zero, repeated for its partner, is caught
-        pair = angular_pair(5, 3, -1, -2)
-        assert any((r == 2).any() for r in gram_blocks(*pair.amplitudes()).repeats)
+        # shifted zero, repeated for its partner, is caught; lifted past
+        # the small-pair rule by rows of zeros, so that its blocks pair
+        c0, c1 = above_small_rows(*angular_pair(5, 3, -1, -2).amplitudes())
+        pair = _pair(c0, c1)
+        assert any((r == 2).any() for r in gram_blocks(c0, c1).repeats)
         solve = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solve(a) - 1e-9)
         with pytest.raises(NotDensityMatrixError):
@@ -606,7 +611,10 @@ def planted_sector_pairs(draw):
       each step below the 1e-8 degeneracy gap, so they form one degeneracy
       block whose positional means differ from its rows' own eigenvalues;
       the partner is of the same size there, so its Theta terms are active;
-    - the other rows ("bulk") have spaced eigenvalues.
+    - the other rows ("bulk") have spaced eigenvalues;
+    - blocks of one row each ("pad") lift the pair past the small-pair
+      rule (``SMALL_ROWS``), at eigenvalues 1e-4 apart between the chain
+      and the rest.
     Within each block, rho0 and rho1 are rotated among the bulk and
     lam_d rows of one sector, so both commute with the diagonal of the
     sector operator; the chain rows are left in place.  The operator also
@@ -621,11 +629,12 @@ def planted_sector_pairs(draw):
     rng = np.random.default_rng(seed)
     lam_d = 0.05
     chain = np.cumsum([0.8e-8, *rng.uniform(0.3e-8, 0.9e-8, 2)])[::-1]
-    # rows as (block, sector, role, eigenvalue); roles: d, chain, bulk
+    # rows as (block, sector, role, eigenvalue); roles: d, chain, bulk, pad
     rows = [(0, s, "d", lam_d), (0, t, "d", lam_d), (0, s, "chain", chain[0]),
             (1, s, "d", lam_d), (1, t, "chain", chain[1]), (2, s, "chain", chain[2])]
     for block, n in enumerate(extra + [fourth]):
         rows += [(block, draw(st.sampled_from([-1, 0, 1])), "bulk", 0.0) for _ in range(n)]
+    rows += [(4 + k, 0, "pad", 1e-4 * (k + 1)) for k in range(SMALL_ROWS + 1 - len(rows))]
     bulk = [i for i, r in enumerate(rows) if r[2] == "bulk"]
     spaced = rng.permutation(len(bulk)) + 1.0
     lam = np.array([r[3] for r in rows])
@@ -725,6 +734,8 @@ class TestBlockCriterion:
         # degeneracy block spans A and B.  An operator entry between two
         # blocks links their rows in the trace-out, so the blocks merge and
         # the operator couples no two of them
+        # the rows from 5 on are zeros, blocks of one row with eigenvalue 0
+        # that lift the pair past the small-pair rule
         h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         c0 = np.zeros((5, 5))
         c0[:2, :2] = np.diag([0.6, 0.4]) @ h
@@ -732,17 +743,19 @@ class TestBlockCriterion:
         c0[4, 4] = 0.5
         c0 /= np.linalg.norm(c0)
         c1 = c0[[1, 0, 3, 2, 4]]
+        c0, c1 = above_small_rows(c0, c1)
+        zeros = (1,) * (len(c0) - 5)
         gram = gram_blocks(c0, c1)
-        assert gram.block_sizes == (2, 2, 1)
-        assert [len(b) for b in gram.spectrum(gram.endpoint(0)).blocks] == [2, 1, 1, 1]
-        op = np.diag([1.0, -1.0, 1.0, -1.0, 0.0])
-        assert gram_blocks(c0, c1, op).block_sizes == (2, 2, 1)
+        assert gram.block_sizes == (2, 2, 1) + zeros
+        assert [len(b) for b in gram.spectrum(gram.endpoint(0)).blocks] == [2, 1, 1, 1, len(zeros)]
+        op = np.diag([1.0, -1.0, 1.0, -1.0, 0.0] + [0.0] * len(zeros))
+        assert gram_blocks(c0, c1, op).block_sizes == (2, 2, 1) + zeros
         _assert_criterion_matches_dense(PairSpec(lambda: (c0, c1), "diagonal", sector_operator=op))
         op[0, 4] = op[4, 0] = 0.5
-        assert gram_blocks(c0, c1, op).block_sizes == (3, 2)
+        assert gram_blocks(c0, c1, op).block_sizes == (3, 2) + zeros
         _assert_criterion_matches_dense(PairSpec(lambda: (c0, c1), "A-C", sector_operator=op))
         op[1, 3] = op[3, 1] = 0.5
-        assert gram_blocks(c0, c1, op).block_sizes == (5,)
+        assert gram_blocks(c0, c1, op).block_sizes == (5,) + zeros
         _assert_criterion_matches_dense(PairSpec(lambda: (c0, c1), "A-B", sector_operator=op))
 
     @pytest.mark.parametrize(
@@ -1002,15 +1015,16 @@ def test_shared_trace_out_gives_the_pairs_own_criterion(table):
 
 def test_gram_passed_in_reads_no_amplitudes():
     # two amplitude blocks of non-orthogonal states: the curve's three
-    # traces come from the trace-out, summed over its blocks
+    # traces come from the trace-out, summed over its blocks; the rows from
+    # 6 on are zeros, blocks of one row past SMALL_ROWS
     rng = np.random.default_rng(71)
-    c0, c1 = np.zeros((2, 6, 5), dtype=complex)
+    c0, c1 = np.zeros((2, SMALL_ROWS + 1, 5), dtype=complex)
     for c in (c0, c1):
         c[:3, :2] = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        c[3:, 2:] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        c[3:6, 2:] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     pair = PairSpec(amplitudes=lambda: (c0, c1), label="two blocks")
     gram = gram_blocks(c0, c1)
-    assert gram.block_sizes == (3, 3)
+    assert gram.block_sizes == (3, 3) + (1,) * (SMALL_ROWS - 5)
     want = [np.vdot(c0, c0).real, np.vdot(c1, c1).real, 2.0 * np.vdot(c1, c0).real]
     np.testing.assert_allclose(gram.norms, want, rtol=1e-14, atol=0)
 
