@@ -24,6 +24,14 @@ into the connected components of that nonzero pattern
 (:func:`own_blocks`).  Blocks with no zero entry (LG, the coupled
 oscillator) are solved whole.
 
+The trace-out (:func:`gram_blocks`) finds a pair's amplitude blocks in
+two levels: the connected components of the exact nonzero pattern of
+both states, on boolean arrays, then the threshold of their Gram bound
+inside each component only, over its rows and touched columns; one
+routine (:func:`components`, rows joined through shared columns) serves
+both.  Spherium's states are 0.6% nonzero, so no product spans all 529
+columns.
+
 Small pairs are solved whole (the small-pair rule, ``SMALL_ROWS``): a
 pair of at most ``SMALL_ROWS`` rows, as every angular one, is one block,
 found without a link graph, and a block of at most ``SMALL_ROWS`` rows,
@@ -77,6 +85,9 @@ SMALL_ROWS = 25
 # the per-state memo (_StateMemo) stores no amplitude matrix, and no
 # layout's own terms, above this (dense-tables' are all above)
 MEMO_ENTRY_BYTES = 64 * 1024
+# sum |c|^2 of an array that no product needs whole is summed in runs of at
+# most this many entries (_sum_squares), which numpy's pairwise tree holds
+SUM_CHUNK = 2**14
 
 
 class NonHermitianError(ValueError):
@@ -334,27 +345,46 @@ def eigendecompose(m: HermitianMatrix) -> Spectrum:
     return m.spectrum
 
 
-def components(linked: np.ndarray) -> list[np.ndarray]:
-    """Connected components of a symmetric boolean link matrix, ordered by first index.
+def components(pattern: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the rows of a boolean pattern, joined through any shared column.
 
-    The rows linked to no other row are singletons, taken in one step; a
-    frontier search runs from the first row left of each other component.
+    Rows i and k are joined when some column holds True in both; a row
+    with no True is a component of its own.  A symmetric link matrix is
+    the pattern with its diagonal set.  The components are ordered by
+    first row, each ascending.
+
+    Every row starts as its own label; each step gives each column the
+    least label of its rows and each row the least label of its columns,
+    then follows every label to its own until none moves (a label is
+    always a row of the same component).  The search stops when a step
+    changes no label, each then the first row of its component.  A step
+    costs the pattern's True entries, so a long chain of rows, as
+    spherium's, takes a few steps, not one per link; a dense block takes
+    two.
     """
-    other = linked.copy()
-    np.fill_diagonal(other, False)
-    single = ~other.any(axis=1)
-    parts = list(np.flatnonzero(single)[:, None])
-    todo = ~single
-    while todo.any():
-        start = todo.argmax()
-        members = linked[start].copy()
-        frontier = members
-        while (frontier := linked[frontier].any(axis=0) & ~members).any():
-            members |= frontier
-        todo &= ~members
-        parts.append(np.flatnonzero(members))
-    parts.sort(key=lambda p: p[0])
-    return parts
+    n, width = pattern.shape
+    if n == 0:
+        return []
+    label = np.arange(n)
+    flat = np.flatnonzero(pattern)
+    if flat.size:
+        i = flat // width  # row-major: ascending
+        j = flat - i * width
+        starts = np.flatnonzero(np.concatenate([[True], i[1:] != i[:-1]]))  # each touching row's first entry
+        touching = i[starts]
+        least = np.empty(width, dtype=np.intp)
+        while True:
+            least.fill(n)
+            np.minimum.at(least, j, label[i])
+            step = label.copy()
+            step[touching] = np.minimum(label[touching], np.minimum.reduceat(least[j], starts))
+            while not np.array_equal(root := step[step], step):
+                step = root
+            if np.array_equal(step, label):
+                break
+            label = step
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
 def size_groups(parts) -> list[np.ndarray]:
@@ -546,12 +576,43 @@ def cut_blocks(layout, stacks, parts) -> tuple[np.ndarray, ...]:
     return tuple(flat[base[p][:, :, None] + local[p][:, None, :]] for p in parts)
 
 
-def _magnitude(c: np.ndarray, st: _State | None) -> tuple[np.ndarray, float]:
-    """|c| and sum |c|^2: the stored ones, or formed here."""
+def _sum_squares(c: np.ndarray) -> float:
+    """sum |c|^2 as ``np.sum(np.abs(c) ** 2)`` forms it, to the bit, with no full-size |c|.
+
+    numpy sums a C-contiguous array pairwise over its flat entries: the
+    first half, cut to a multiple of 8, plus the rest, down to runs of at
+    most 128.  The halves are taken here down to ``SUM_CHUNK`` entries,
+    each summed by numpy as an array of its own, which is the same tree.
+    A real array's |c|^2 is c * c to the bit.  Arrays of at most
+    ``SUM_CHUNK`` entries and other layouts are summed whole, as before.
+    """
+    if c.size <= SUM_CHUNK or not c.flags.c_contiguous:
+        return np.sum(np.abs(c) ** 2)
+    flat = c.reshape(-1)
+    square = (lambda x: np.abs(x) ** 2) if np.iscomplexobj(c) else np.square
+
+    def pairwise(lo, hi):
+        if hi - lo <= SUM_CHUNK:
+            return np.sum(square(flat[lo:hi]))
+        half = (hi - lo) // 2
+        half -= half % 8
+        return pairwise(lo, lo + half) + pairwise(lo + half, hi)
+
+    return pairwise(0, flat.size)
+
+
+def _magnitude(c: np.ndarray, st: _State | None, whole: bool) -> tuple[np.ndarray | None, float]:
+    """|c| and sum |c|^2: the stored ones, or formed here.
+
+    |c| is formed over the whole array only when the memo will store it or
+    ``whole`` asks for it, and is None otherwise (:func:`_sum_squares`).
+    """
     if st is not None:
         return st.magnitude, st.norm2
-    a = np.abs(c)
-    return a, np.sum(a ** 2)
+    if whole or _storable(c):
+        a = np.abs(c)
+        return a, np.sum(a ** 2)
+    return None, _sum_squares(c)
 
 
 def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None) -> GramBlocks:
@@ -571,13 +632,32 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     block: it forms no G, runs no component or exchange search, and its
     ``dropped`` is 0.0.
 
+    The blocks are found in two levels (:func:`_link_blocks`).  Level 1
+    takes the connected components of the exact nonzero pattern of c0 and
+    c1, rows joined by a shared column or a nonzero operator entry, on
+    boolean arrays (:func:`components`).  Rows of different components
+    share no column, so their entry of G is exactly 0.0.  Level 2 forms G
+    inside each component only, over its rows and touched columns, and
+    applies the threshold there, against the largest entry over all
+    components.  Spherium's states hold 1,703 nonzeros of 529 x 529; the
+    M = +-1 pair has four components of 121-144 rows, and the threshold
+    splits 143 + 1 off the largest.  Amplitudes with no zero entry (LG,
+    the coupled oscillator) are the one-component case: G over every
+    column, as before.  An entry of G over fewer columns can round
+    differently in its last bit, since BLAS blocks a sum by its length;
+    on every model pair tested the blocks and ``dropped`` equal those of G
+    over every column bit for bit, and on arbitrary input ``dropped`` is
+    equal to rounding.
+
     What each state determines alone, |c|, sum |c|^2 and, per block
     layout, its own term c c^dagger and endpoint, comes from the per-state
     memo (:class:`_StateMemo`) and, for an array the memo stores, is formed
     only on its first sight; only the link graph and the cross term are
-    formed for every pair.  Each own term is a product over the columns
-    its state touches on the group's rows, and the cross term over those
-    both states touch, so the terms do not depend on the partner and a
+    formed for every pair.  No |c| of a whole array is formed unless the
+    memo stores it or one component spans the array, and sum |c|^2 is
+    numpy's sum to the bit (:func:`_sum_squares`).  Each own term is a
+    product over the columns its state touches on the group's rows, and
+    the cross term over those both states touch, so the terms do not depend on the partner and a
     stored own term is the one a fresh trace-out forms.
 
     Identical particles pair blocks.  When rows and columns run over one
@@ -592,7 +672,8 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     Weyl, moves no eigenvalue by more than the rounding of solving the
     stood-in side directly.  Amplitudes with no zero entry (LG, the coupled
     oscillator) and layouts whose blocks all have fewer than
-    ``EXCHANGE_MIN_ROWS`` rows skip the search: LG is not square, every
+    ``EXCHANGE_MIN_ROWS`` rows skip the search, which takes the exact
+    nonzero pattern as its support: LG is not square, every
     oscillator block touches every column, and small blocks cost less to
     solve than to pair.  Every block's terms are still formed, so
     ``norms``, the endpoints and the criterion do not move.
@@ -604,53 +685,34 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     if sector is not None and np.shape(sector) != (len(c0), len(c0)):
         raise ValueError(f"sector operator shape {np.shape(sector)} does not match {len(c0)} rows")
     st0, st1 = _state_memo.find(c0), _state_memo.find(c1)
-    a, n0 = _magnitude(c0, st0)  # n0: the builder's sum |c|^2
-    b, n1 = _magnitude(c1, st1)
     dim = len(c0)
+    dense = bool(c0.all() and c1.all())  # no zero entry, as LG's: one component over every column
+    a, n0 = _magnitude(c0, st0, dense and dim > SMALL_ROWS)  # n0: the builder's sum |c|^2
+    b, n1 = _magnitude(c1, st1, dense and dim > SMALL_ROWS)
     if dim <= SMALL_ROWS:  # a small pair is one block: no link graph, no search
-        blocks, dropped = [np.arange(dim)], 0.0
+        touched = None if dense else (c0.any(axis=0), c1.any(axis=0))
+        layout, touched, sizes, dropped, counts, exchange = [np.arange(dim)[None]], [touched], (dim,), 0.0, None, 0.0
     else:
         kept = st0 is not None or _storable(c0)  # |c0| is or will be stored
-        s = a + b if kept else np.add(a, b, out=a)
-        g = s @ s.T
-        top = float(g.max())
-        linked = g > BLOCK_LINK_TOL * top
-        if np.count_nonzero(linked) == linked.size:  # one block: no search, no link between blocks
-            blocks, dropped = [np.arange(dim)], 0.0
-        else:
-            blocks = components(linked if sector is None else linked | (sector != 0))
-            label = np.empty(dim, dtype=np.intp)
-            label[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), [len(p) for p in blocks])
-            np.putmask(g, label[:, None] == label, 0.0)  # the links within a block
-            dropped = float(g.max()) / top if top > 0.0 else 0.0
-    layout = size_groups(blocks)
+        layout, touched, sizes, dropped, counts, exchange = _link_blocks(c0, c1, a, b, sector, dense, kept)
     key = tuple(tuple(map(tuple, rows.tolist())) for rows in layout)
     own0, own1 = _state_memo.layout(st0, key), _state_memo.layout(st1, key)
+    # the memo stores a state's own terms for a layout it does not hold yet
+    keep0 = own0 is None and (st0 is not None or _storable(c0))
+    keep1 = own1 is None and (st1 is not None or _storable(c1))
     groups, terms0, terms1 = [], [], []
     n01 = 0.0
-    dense = c0.all() and c1.all()  # no zero entry, as LG's: every product over all columns
-    for i, rows in enumerate(layout):
-        a0, a1 = c0[rows], c1[rows]  # (blocks, size, columns)
-        if not dense:  # the columns each state touches on these rows
-            t0, t1 = a0.any(axis=(0, 1)), a1.any(axis=(0, 1))
-            both = t0 & t1
-        if dense or both.all():  # every product as it always was
-            b0, b1 = a0, a1
-        else:
-            b0, b1 = a0.compress(both, axis=2), a1.compress(both, axis=2)
-            a0 = a0 if t0.all() else a0.compress(t0, axis=2)
-            a1 = a1 if t1.all() else a1.compress(t1, axis=2)
-        b1h = b1.conj().swapaxes(1, 2)
-        cross = b0 @ b1h
-        x = cross + cross.conj().swapaxes(1, 2)
+    for i, (rows, cols) in enumerate(zip(layout, touched)):
+        t, u, x = _group_terms(c0, c1, rows, cols, own0 is None, own1 is None)
+        t = t if own0 is None else own0["own"][i]
+        u = u if own1 is None else own1["own"][i]
         n01 += float(np.trace(x, axis1=1, axis2=2).real.sum())
-        terms0.append(a0 @ a0.conj().swapaxes(1, 2) if own0 is None else own0["own"][i])
-        a1h = b1h if a1 is b1 else a1.conj().swapaxes(1, 2)
-        terms1.append(a1 @ a1h if own1 is None else own1["own"][i])
-        groups.append((rows, np.stack([terms0[-1], terms1[-1], x])))
-    if own0 is None:
+        terms0.append(t if keep0 else None)
+        terms1.append(u if keep1 else None)
+        groups.append((rows, np.stack([t, u, x])))
+    if keep0:
         st0 = _state_memo.store(st0, c0, a, n0, key, tuple(terms0))
-    if own1 is None:
+    if keep1:
         st1 = _state_memo.store(st1, c1, b, n1, key, tuple(terms1))
     op = None
     if sector is not None:  # every nonzero entry, NaN included, lies in one of these blocks
@@ -660,23 +722,131 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
         dev = max(np.max(np.abs(o - o.conj().swapaxes(1, 2))) for o in op)
         if dev > HERMITICITY_TOL * max(1.0, *(np.max(np.abs(o)) for o in op)):
             raise NonHermitianError(f"sector operator hermiticity deviation {dev:.3e}")
+    repeats = None if counts is None else tuple(counts[rows[:, 0]] for rows in layout)
+    return GramBlocks(tuple(groups), sizes, dropped, dim, c0.shape[1],
+                      (n0, n1, n01), op, (st0, st1), key, repeats, exchange)
+
+
+def _link_blocks(c0, c1, a, b, sector, dense, kept):
+    """The amplitude blocks of a pair of more than ``SMALL_ROWS`` rows, in two levels (:func:`gram_blocks`).
+
+    ``a`` and ``b`` are |c0| and |c1|, each None where it was not formed;
+    ``kept`` tells that ``a`` is stored, so not to be overwritten.
+    Returns the layout, the rows of each size group; per group the
+    columns c0 and c1 touch on its rows, a pair of boolean masks, or None
+    for every column; the blocks' sizes in order of first row; the
+    largest dropped link, relative; the exchange counts of each
+    row's block (None when no pair is accepted) and the largest accepted
+    exchange defect (:func:`exchange_repeats`).  Every full-size mask
+    and product it forms is gone when it returns.
+    """
+    dim = len(c0)
+    links = None
+    if sector is not None:  # the operator's links, each row linked to itself
+        links = sector != 0
+        np.fill_diagonal(links, False)
+        joins = links.any(axis=0)  # the columns that link two rows
+        np.fill_diagonal(links, True)
+    # level 1: the exact pattern's components, each with G over its rows and touched columns
+    if dense:
+        s = a + b if kept else np.add(a, b, out=a)
+        spans = [(np.arange(dim), s @ s.T)]
+        del s
+    else:
+        nz0, nz1 = c0 != 0, c1 != 0
+        pattern = nz0 | nz1
+        # an operator column that links two rows joins them as an amplitude column does
+        joined = pattern if links is None or not joins.any() else np.hstack([pattern, links[:, joins]])
+        spans = []
+        for rows in components(joined):
+            ix = np.ix_(rows, np.flatnonzero(pattern[rows].any(axis=0)))
+            s = (np.abs(c0[ix]) if a is None else a[ix]) + (np.abs(c1[ix]) if b is None else b[ix])
+            spans.append((rows, s @ s.T))
+        del joined
+    # level 2: G's links above the threshold, inside each component
+    top = max(float(g.max()) for _, g in spans)
+    if len(spans) == 1:
+        linked = spans[0][1] > BLOCK_LINK_TOL * top
+    else:
+        linked = np.zeros((dim, dim), dtype=bool)
+        for rows, g in spans:
+            linked[np.ix_(rows, rows)] = g > BLOCK_LINK_TOL * top
+    if np.count_nonzero(linked) == linked.size:  # one block: no search, no link between blocks
+        parts, dropped = [np.arange(dim)], 0.0
+    else:
+        if links is not None:
+            linked |= links
+        np.fill_diagonal(linked, True)
+        parts = components(linked)
+        label = np.empty(dim, dtype=np.intp)
+        label[np.concatenate(parts)] = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+        dropped = 0.0
+        for rows, g in spans:  # the largest link between blocks; components share none
+            within = label[rows]
+            np.putmask(g, within[:, None] == within, 0.0)
+            dropped = max(dropped, float(g.max()))
+        dropped = dropped / top if top > 0.0 else 0.0
+    del spans, linked
+    layout = size_groups(parts)
+    touched = [None] * len(layout)
+    if not dense:
+        touched = [(nz0[rows].any(axis=(0, 1)), nz1[rows].any(axis=(0, 1))) for rows in layout]
+    counts, exchange = None, 0.0
     # exchange pairs, where rows and columns run over one basis and some
     # block is large enough to be worth the search
-    repeats, exchange = None, 0.0
-    if not dense and len(blocks) > 1 and layout[-1].shape[1] >= EXCHANGE_MIN_ROWS and len(c0) == c0.shape[1]:
-        counts, exchange = exchange_repeats(c0, c1, s, label, len(blocks))
+    if not dense and len(parts) > 1 and layout[-1].shape[1] >= EXCHANGE_MIN_ROWS and dim == c0.shape[1]:
+        counts, exchange = exchange_repeats(c0, c1, pattern, label, len(parts))
         if counts is not None:
-            repeats = tuple(counts[label[rows[:, 0]]] for rows in layout)
-    return GramBlocks(tuple(groups), tuple(len(p) for p in blocks), dropped, dim, c0.shape[1],
-                      (n0, n1, n01), op, (st0, st1), key, repeats, exchange)
+            counts = counts[label]
+    return layout, touched, tuple(len(p) for p in parts), dropped, counts, exchange
+
+
+def _group_terms(c0, c1, rows, touched, own0=True, own1=True):
+    """c0c0^dagger, c1c1^dagger and c0c1^dagger + c1c0^dagger on one size group, each (blocks, size, size).
+
+    ``touched`` holds the columns c0 and c1 touch on the rows, or is None
+    for every column.  Each own term is a product over the columns its
+    state touches, and the cross term over those both touch, so the terms
+    do not depend on the partner.  An own term not asked for (``own0``,
+    ``own1`` false: the memo holds it) is None.
+    """
+    # one gather at a time, each dropped once its product is formed
+    if touched is None:
+        t0 = t1 = None
+        b0, b1 = c0[rows], c1[rows]  # (blocks, size, columns)
+    else:
+        t0, t1 = touched
+        both = t0 & t1
+        b0, b1 = _columns(c0, rows, both), _columns(c1, rows, both)
+    b1h = b1.conj().swapaxes(1, 2)
+    cross = b0 @ b1h
+    x = cross + cross.conj().swapaxes(1, 2)
+    del cross
+    t = u = None
+    if own0:
+        a0 = b0 if t0 is None or np.array_equal(t0, both) else _columns(c0, rows, t0)
+        t = a0 @ a0.conj().swapaxes(1, 2)
+        del a0
+    del b0
+    if own1:
+        a1 = b1 if t1 is None or np.array_equal(t1, both) else _columns(c1, rows, t1)
+        a1h = b1h if a1 is b1 else a1.conj().swapaxes(1, 2)
+        u = a1 @ a1h
+    return t, u, x
+
+
+def _columns(c: np.ndarray, rows: np.ndarray, touched: np.ndarray) -> np.ndarray:
+    """``c`` on the rows of a size group, shape (blocks, size, columns), over the ``touched`` columns."""
+    return c[rows] if touched.all() else c[rows[:, :, None], np.flatnonzero(touched)]
 
 
 def exchange_repeats(c0: np.ndarray, c1: np.ndarray, support: np.ndarray, label: np.ndarray, n: int):
     """How many times each block's eigenvalues count in the alpha curve, and the largest accepted defect.
 
     ``c0`` and ``c1`` are square, rows and columns over one basis;
-    ``support`` is |c0| + |c1|, whose nonzero entries are the exact
-    pattern of both, and ``label`` gives each row's block of ``n``.  A
+    ``support`` is nonzero exactly where c0 or c1 is (the trace-out
+    passes the boolean pattern), and ``label`` gives each row's block of
+    ``n``.  A
     block b pairs with the set P of blocks holding its columns when b is
     not in P and every block of P touches only b's rows.  If then both
     states satisfy c = sign c^T with one sign on the coupling, so does
@@ -704,7 +874,7 @@ def exchange_repeats(c0: np.ndarray, c1: np.ndarray, support: np.ndarray, label:
     accepted, and the largest accepted ratio of bound to rounding, 0.0
     when none.
     """
-    i, j = np.divmod(np.flatnonzero(support.ravel() > 0.0), len(support))  # the nonzero entries of c0 or c1
+    i, j = np.divmod(np.flatnonzero(support), len(support))  # the nonzero entries of c0 or c1
     bi, bj = label[i], label[j]
     touch = np.zeros((n, n), dtype=bool)
     touch[bi, bj] = True  # touch[b, q]: block b's columns meet block q's rows

@@ -196,12 +196,21 @@ def multiply_r12(entries: tuple[np.ndarray, np.ndarray, np.ndarray], lcut: int,
     the bit.  Input entries must have l <= 2 (the Gaunt table's side); the
     caller chooses ``lcut`` large enough to hold the products.
     """
+    terms = _r12_terms(entries, lcut, max(lmaxes))
+    return [_scatter(terms, basis_size(lcut), lmax, entries[2].dtype) for lmax in lmaxes]
+
+
+def _r12_terms(entries, lcut: int, top: int):
+    """The terms of :func:`multiply_r12` up to order ``top``, in scatter order.
+
+    Returns their output rows and columns, the order l of the distance
+    expansion each comes from, and their values.
+    """
     rows, cols, vals = entries
     if max(rows.max(initial=0), cols.max(initial=0)) >= basis_size(GAUNT_J):
         raise ValueError(f"r12 products take input entries with l <= {GAUNT_J} only")
     shell, mag = _harmonics(basis_size(GAUNT_J))
     l1, m1, l2, m2 = shell[rows], mag[rows], shell[cols], mag[cols]
-    top = max(lmaxes)
     l, m = _harmonics(basis_size(top))  # the terms (l, m) of the expansion
     table = gaunt_table(top)
     left = table[l1, l1 + m1][:, mirror_rows(l.size)]  # Y_{l1 m1} Y_{l,-m}
@@ -216,15 +225,46 @@ def multiply_r12(entries: tuple[np.ndarray, np.ndarray, np.ndarray], lcut: int,
     keep = (terms != 0) & (La <= lcut)[..., None] & (Lb <= lcut)[:, :, None, :]
     ia, ib, order = (np.broadcast_to(x, terms.shape)[keep]
                      for x in (ia, ib, l[:, None, None]))
-    terms = terms[keep]
+    return ia, ib, order, terms[keep]
+
+
+def _scatter(terms, dim: int, lmax: int, dtype) -> np.ndarray:
+    """The dim x dim sum of the terms of order at most ``lmax``, one ordered ``np.add.at``."""
+    ia, ib, order, values = terms
+    out = np.zeros((dim, dim), dtype=dtype)
+    sel = order <= lmax
+    np.add.at(out, (ia[sel], ib[sel]), values[sel])
+    return out
+
+
+def _correlated(M: int, lmax: int) -> tuple[np.ndarray, float, float]:
+    """The correlated state (1 + r12/4) times the pair of ``M`` at order
+    ``lmax``, not yet normalized, its norm, and the relative norm it loses
+    when the distance series stops at ``lmax - 4``.
+
+    The state is one dense array; the shorter series' norm is taken over
+    its nonzero entries only, each summed as the dense scatter sums it, so
+    the tail is that of two dense arrays to rounding.
+    """
+    # (1 + r12/4) times the pair, in place: the scatter starts from +0.0, so
+    # adding the pair's entries after the quarter is the dense sum to the bit
+    pair = coupled_pair_entries(M)
+    rows, cols, vals = pair
+    lcut = lmax + COUPLED_L2
     dim = basis_size(lcut)
-    outs = []
-    for lmax in lmaxes:
-        out = np.zeros((dim, dim), dtype=vals.dtype)
-        sel = order <= lmax
-        np.add.at(out, (ia[sel], ib[sel]), terms[sel])
-        outs.append(out)
-    return outs
+    terms = _r12_terms(pair, lcut, lmax)
+    amp = _scatter(terms, dim, lmax, vals.dtype)
+    amp /= CORRELATION_SCALE
+    amp[rows, cols] += vals
+    ia, ib, order, values = terms
+    sel = order <= lmax - 4
+    at, slot = np.unique(np.concatenate([ia[sel] * dim + ib[sel], rows * dim + cols]), return_inverse=True)
+    short = np.zeros(at.size, dtype=vals.dtype)
+    np.add.at(short, slot[:np.count_nonzero(sel)], values[sel])
+    short /= CORRELATION_SCALE
+    short[slot[np.count_nonzero(sel):]] += vals
+    norm = np.linalg.norm(amp)
+    return amp, norm, abs(np.linalg.norm(short) - norm) / norm
 
 
 @dataclass(frozen=True)
@@ -251,17 +291,8 @@ class SpheriumState:
 
 @lru_cache(maxsize=32)
 def _state_coefficients(M: int, lmax: int) -> np.ndarray:
-    # (1 + r12/4) times the pair, in place: the scatter starts from +0.0, so
-    # adding the pair's entries after the quarter is the dense sum to the bit
-    pair = coupled_pair_entries(M)
-    rows, cols, vals = pair
     # the angular tail of the distance series must be converged in norm
-    amp, amp_lo = multiply_r12(pair, lmax + COUPLED_L2, (lmax, lmax - 4))
-    for r in (amp, amp_lo):
-        r /= CORRELATION_SCALE
-        r[rows, cols] += vals
-    norm = np.linalg.norm(amp)
-    tail = abs(np.linalg.norm(amp_lo) - norm) / norm
+    amp, norm, tail = _correlated(M, lmax)
     if tail > NORM_TAIL_TOL:
         raise ValueError(f"norm tail {tail:.3e} beyond {NORM_TAIL_TOL}; raise lmax")
     amp /= norm

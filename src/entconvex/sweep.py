@@ -69,11 +69,14 @@ class Mirror:
         c = c0.conj() if self.conj else c0
         if self.flip is not None:
             c = c[np.ix_(self.flip(c.shape[0]), self.flip(c.shape[1]))]
+        # every sign in place on the one image array; 0.0 - c, not -c: a
+        # directly built state holds no negative zeros
         if self.parity is not None:
             negate = np.outer(self.parity(c.shape[0]), self.parity(c.shape[1])) != self.sign
-            c = np.where(negate, 0.0 - c, c)
+            c = c.copy() if np.may_share_memory(c, c0) else c
+            np.subtract(0.0, c, out=c, where=negate)
         elif self.sign < 0:
-            c = 0.0 - c  # not -c: a directly built state holds no negative zeros
+            c = np.subtract(0.0, c, out=None if np.may_share_memory(c, c0) else c)
         c.setflags(write=False)
         return c
 

@@ -35,6 +35,7 @@ from entconvex.oscillator import (
 )
 from entconvex.spectra import (
     BLOCK_LINK_TOL,
+    EXCHANGE_MIN_ROWS,
     LN2,
     RANGE_TOL,
     SMALL_ROWS,
@@ -44,8 +45,8 @@ from entconvex.spectra import (
     Spectrum,
     eigendecompose,
     eigh_blocks,
-    components,
     entropy_bits,
+    exchange_repeats,
     gap_clusters,
     gram_blocks,
     size_groups,
@@ -154,7 +155,8 @@ def components_by_search(linked: np.ndarray) -> list[np.ndarray]:
     """Connected components of a symmetric boolean link matrix, ordered by first index.
 
     A frontier search from every row not yet seen, singletons included: the
-    oracle of :func:`entconvex.spectra.components`.
+    oracle of :func:`entconvex.spectra.components`, whose pattern P links
+    the rows of P P^T > 0.
     """
     n = len(linked)
     seen = np.zeros(n, dtype=bool)
@@ -175,12 +177,15 @@ def components_by_search(linked: np.ndarray) -> list[np.ndarray]:
 
 def gram_blocks_unmemoized(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None) -> GramBlocks:
     """The trace-out as :func:`entconvex.spectra.gram_blocks` formed it for
-    every pair before the per-state memo: |c|, sum |c|^2 and both own terms
-    formed here, and the blocks always found by :func:`components`, one
-    block included.  Each own term runs over the columns its state touches
-    on the group's rows, and the cross term over those both touch, when
-    that is fewer than all.  The oracle of the memo and of the one-block
-    exit."""
+    every pair before the per-state memo and before its search by the exact
+    pattern's components: |c|, sum |c|^2 and both own terms formed here, G
+    = (|c0| + |c1|)(|c0| + |c1|)^T over every row and column, and the
+    blocks always found by :func:`components_by_search`, one block
+    included.  Each own term runs over the columns its state touches on
+    the group's rows, and the cross term over those both touch, when that
+    is fewer than all.  Exchange pairs are sought as the trace-out seeks
+    them, with |c0| + |c1| as the support.  The oracle of the memo, of the
+    one-block exit and of the two-level search."""
     a = np.abs(c0)
     n0 = np.sum(a ** 2)
     b = np.abs(c1)
@@ -189,7 +194,7 @@ def gram_blocks_unmemoized(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | 
     g = a @ a.T
     top = float(g.max())
     linked = g > BLOCK_LINK_TOL * top
-    blocks = components(linked if sector is None else linked | (sector != 0))
+    blocks = components_by_search(linked if sector is None else linked | (sector != 0))
     sizes = [len(b) for b in blocks]
     label = np.empty(len(g), dtype=np.intp)
     label[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), sizes)
@@ -197,7 +202,8 @@ def gram_blocks_unmemoized(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | 
     dropped = float(g.max()) / top if top > 0.0 else 0.0
     groups = []
     n01 = 0.0
-    for rows in size_groups(blocks):
+    layout = size_groups(blocks)
+    for rows in layout:
         a0, a1 = c0[rows], c1[rows]
         t0, t1 = a0.any(axis=(0, 1)), a1.any(axis=(0, 1))
         pairs = ((a0, t0), (a1, t1), (a0, t0 & t1), (a1, t0 & t1))
@@ -207,7 +213,14 @@ def gram_blocks_unmemoized(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | 
         n01 += float(np.trace(x, axis1=1, axis2=2).real.sum())
         groups.append((rows, np.stack([x0 @ x0.conj().swapaxes(1, 2), x1 @ x1.conj().swapaxes(1, 2), x])))
     op = None if sector is None else tuple(sector[rows[:, :, None], rows[:, None, :]] for rows, _ in groups)
-    return GramBlocks(tuple(groups), tuple(sizes), dropped, len(g), c0.shape[1], (n0, n1, n01), op)
+    repeats, exchange = None, 0.0
+    square = len(c0) == c0.shape[1]
+    if not (c0.all() and c1.all()) and len(blocks) > 1 and max(sizes) >= EXCHANGE_MIN_ROWS and square:
+        counts, exchange = exchange_repeats(c0, c1, a, label, len(blocks))
+        if counts is not None:
+            repeats = tuple(counts[label[rows[:, 0]]] for rows in layout)
+    return GramBlocks(tuple(groups), tuple(sizes), dropped, len(g), c0.shape[1], (n0, n1, n01), op,
+                      repeats=repeats, exchange_dropped=exchange)
 
 
 def pair_block_criterion(pair, gram: GramBlocks) -> CriterionReport:

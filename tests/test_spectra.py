@@ -267,21 +267,46 @@ def symmetric_links(draw):
     return upper | upper.T | np.diag(diag)
 
 
+@st.composite
+def patterns(draw):
+    """A rectangular boolean pattern of 1-12 rows and 0-15 columns, some rows empty."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(0, 15)))
+    density = draw(st.sampled_from([0.0, 0.05, 0.15, 0.4]))
+    return draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0))) < density
+
+
 class TestComponents:
     @given(symmetric_links())
     @settings(max_examples=200, deadline=None)
     def test_equals_frontier_search_from_every_row(self, linked):
-        got = components(linked)
+        # a link matrix is the pattern with its diagonal set
+        got = components(linked | np.eye(len(linked), dtype=bool))
         want = components_by_search(linked)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
+    @given(patterns())
+    @settings(max_examples=300, deadline=None)
+    def test_rectangular_pattern_joins_rows_through_shared_columns(self, pattern):
+        got = components(pattern)
+        want = components_by_search(pattern.astype(int) @ pattern.T.astype(int) > 0)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_long_chain_is_one_component(self):
+        # row k shares column k with row k + 1: a chain of 200 links
+        pattern = np.eye(200, dtype=bool) | np.eye(200, k=-1, dtype=bool)
+        assert [p.tolist() for p in components(pattern[::-1])] == [list(range(200))]
+
     def test_isolated_rows_without_self_links(self):
         linked = np.zeros((5, 5), dtype=bool)
         linked[1, 3] = linked[3, 1] = True  # rows 1 and 3 carry no self-link
         linked[4, 4] = True
-        assert [p.tolist() for p in components(linked)] == [[0], [1, 3], [2], [4]]
+        assert [p.tolist() for p in components(linked | np.eye(5, dtype=bool))] == [[0], [1, 3], [2], [4]]
+        # as a pattern, rows 1 and 3 share no column
+        assert [p.tolist() for p in components(linked)] == [[0], [1], [2], [3], [4]]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)

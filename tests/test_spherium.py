@@ -172,6 +172,40 @@ class TestDistanceExpansion:
         assert 0 < len(calls) <= 3
 
 
+def _dense_tail(M, lmax):
+    """The norm tail from two dense arrays, one per order of the distance series."""
+    rows, cols, vals = pair = coupled_pair_entries(M)
+    amp, amp_lo = multiply_r12(pair, lmax + spherium.COUPLED_L2, (lmax, lmax - 4))
+    for r in (amp, amp_lo):
+        r /= spherium.CORRELATION_SCALE
+        r[rows, cols] += vals
+    norm = np.linalg.norm(amp)
+    return amp, abs(np.linalg.norm(amp_lo) - norm) / norm
+
+
+class TestNormTail:
+    @pytest.mark.parametrize("M", [-2, -1, 0, 1, 2])
+    def test_tail_from_one_dense_array(self, M):
+        # the shorter series is summed over its nonzero entries only: the
+        # state is the two-array state to the bit and the tail equal to rounding
+        for lmax in (4, 5, 8, 12, 20):
+            amp, norm, tail = spherium._correlated(M, lmax)
+            want, want_tail = _dense_tail(M, lmax)
+            assert amp.tobytes() == want.tobytes() and norm == np.linalg.norm(want)
+            assert tail == pytest.approx(want_tail, rel=1e-9, abs=1e-15)
+
+    def test_raises_where_two_arrays_raise(self):
+        raised = []
+        for lmax in range(4, 21):
+            tail = _dense_tail(1, lmax)[1]
+            try:
+                spherium._state_coefficients.__wrapped__(1, lmax)
+            except ValueError:
+                raised.append(lmax)
+            assert (lmax in raised) == (tail > spherium.NORM_TAIL_TOL)
+        assert raised  # the check is live at small lmax
+
+
 class TestWaveFunction:
     def test_expansion_matches_pointwise_oracle(self):
         state = SpheriumState(1, lmax=20)

@@ -919,6 +919,43 @@ class TestMirrorPairs:
 
     @pytest.mark.parametrize(
         "make_pair",
+        [lambda: spherium_pair(1), lambda: spherium_pair(-2), _row(2, 0), _row(1, 0),
+         lambda: angular_pair(3, 2, 2), lambda: angular_pair(4, 3, 1), lambda: lg_pair(LGMode(1, 1), LGMode(1, -1))],
+        ids=["spherium-1", "spherium-2", "oscillator-table-2", "oscillator-table-1", "angular-odd", "angular-even",
+             "lg"],
+    )
+    def test_image_is_the_two_array_image(self, make_pair):
+        # the signs applied in place give the image that 0.0 - c over a
+        # second array gave, to the bit and with no negative zero
+        pair = make_pair()
+        c0, c1 = pair.amplitudes()
+        t = pair.mirror
+        c = c0.conj() if t.conj else c0
+        if t.flip is not None:
+            c = c[np.ix_(t.flip(c.shape[0]), t.flip(c.shape[1]))]
+        if t.parity is not None:
+            c = np.where(np.outer(t.parity(c.shape[0]), t.parity(c.shape[1])) != t.sign, 0.0 - c, c)
+        elif t.sign < 0:
+            c = 0.0 - c
+        assert c1.dtype == c.dtype and c1.tobytes() == c.tobytes()
+        assert not c1.flags.writeable and not np.may_share_memory(c1, c0) or c1 is c0
+
+    def test_spherium_image_is_one_array(self):
+        c0 = SpheriumState(1).coefficients()
+        mirror = spherium_pair(1).mirror
+        mirror(c0)  # index tables outside the trace
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            image = mirror(c0)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert image.nbytes <= peak < 1.5 * image.nbytes
+
+    @pytest.mark.parametrize(
+        "make_pair",
         [
             _row(1, 1), _row(1, 2), _row(4, 2),
             lambda: lg_pair(LGMode(2, 1), LGMode(2, 2)),
