@@ -227,14 +227,16 @@ BIAS_STRENGTH = 0.01  # size of the random intra-block rotations of the biased p
 
 
 def orthonormalize(a: np.ndarray) -> np.ndarray:
-    """Q of the QR factorization of each square matrix in a stack, with diag(R) > 0.
+    """Thin Q of the QR factorization of each d x c matrix in a stack, with diag(R) > 0.
 
     Classical Gram-Schmidt with one reorthogonalization pass (CGS2) over
-    the columns, vectorized over the stack, which is moved to the trailing
-    axes so that every step acts on contiguous runs of the stack.  A
-    full-rank input gives Q orthonormal to working precision; it equals
-    Householder QR's Q with each column rephased so that the diagonal of R
-    is positive real.
+    the c <= d columns, vectorized over the stack, which is moved to the
+    trailing axes so that every step acts on contiguous runs of the stack.
+    A full-rank input gives Q with orthonormal columns to working
+    precision; it equals the first c columns of Householder QR's Q with
+    each column rephased so that the diagonal of R is positive real.
+    Column j of Q depends on the first j + 1 columns of the input only, so
+    the first c columns of a d x d input give the first c columns of its Q.
     """
     q = np.moveaxis(np.asarray(a, dtype=complex), (-2, -1), (0, 1)).copy()
     q_conj = np.empty_like(q)
@@ -248,24 +250,33 @@ def orthonormalize(a: np.ndarray) -> np.ndarray:
     return np.moveaxis(q, (0, 1), (-2, -1))
 
 
-def _expectations(fams: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Real diagonals of F^dagger rho F for every family F and state rho.
+def _expectations(fams: np.ndarray, states: np.ndarray, traces: np.ndarray) -> np.ndarray:
+    """Real diagonals of F^dagger rho F for every unitary family F and state rho.
 
-    ``fams`` stacks the families (as columns) by block and sample, shape
-    (blocks, n, d, d); ``states`` holds each state's block, shape
-    (states, blocks, d, d).  One matrix product per state block covers all
-    n families.  Returns shape (states, blocks, n, d).
+    ``fams`` stacks the first d - 1 columns of each family by block and
+    sample, shape (blocks, n, d, d - 1); ``states`` holds each state's
+    block, shape (states, blocks, d, d), and ``traces`` the real parts of
+    their traces, shape (states, blocks).  One matrix product per state
+    block covers the d - 1 columns of all n families.  The last column's
+    value is the trace less the others': F is unitary, so the diagonal of
+    F^dagger rho F sums to Tr rho whatever the last column is, and the
+    completed value differs from the product's by rounding alone, about
+    d eps |Tr rho|.  Returns shape (states, blocks, n, d).
     """
-    m, n, d, _ = fams.shape
-    rows = np.swapaxes(fams, 1, 2).reshape(m, d, n * d)
-    prod = (states @ rows).reshape(len(states), m, d, n, d)
-    return np.sum(rows.conj().reshape(m, d, n, d) * prod, axis=-3).real
+    m, n, d, c = fams.shape
+    rows = np.swapaxes(fams, 1, 2).reshape(m, d, n * c)
+    prod = (states @ rows).reshape(len(states), m, d, n, c)
+    head = np.sum(rows.conj().reshape(m, d, n, c) * prod, axis=-3).real
+    last = traces[:, :, None] - np.sum(head, axis=-1)
+    return np.concatenate([head, last[..., None]], axis=-1)
 
 
-def _haar_expectations(rng, n, rho0, rho1):
-    dim = len(rho0)
-    g = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
-    return _expectations(orthonormalize(g)[None], np.stack([rho0, rho1])[:, None])[:, 0]
+def _haar_expectations(rng, n, states, traces):
+    """Expectations of both states, shape (2, 1, dim, dim), under n Haar-random bases."""
+    dim = states.shape[-1]
+    re, im = rng.standard_normal((2, n, dim, dim))
+    fams = orthonormalize(re[..., :-1] + 1j * im[..., :-1])
+    return _expectations(fams[None], states, traces)[:, 0]
 
 
 def _block_expectations(rng, n, diag, stacks, balanced_first):
@@ -273,22 +284,26 @@ def _block_expectations(rng, n, diag, stacks, balanced_first):
 
     ``diag`` holds the real diagonals of a0 and a1, shape (2, dim), the
     expectations under R = I.  ``stacks`` holds, per block size d in
-    ascending order, the rotated blocks' columns, shape (blocks, d), and
-    both states' blocks, shape (2, blocks, d, d).  Per size, draws a real
-    and then an imaginary (blocks, n, d, d) normal array G and takes
-    R_b = Q of I + BIAS_STRENGTH G; all blocks of one size are rotated and
-    scored in one stacked call, so a sample costs O(sum d^3) over the
-    rotated blocks only.  Every other column keeps its diagonal value.
-    With ``balanced_first`` the first rotation is the identity.
+    ascending order, the rotated blocks' columns, shape (blocks, d), both
+    states' blocks, shape (2, blocks, d, d), and their real traces, shape
+    (2, blocks).  Per size, draws a real and an imaginary (blocks, n, d, d)
+    normal array G in one call and takes R_b = Q of I + BIAS_STRENGTH G;
+    only the first d - 1 columns of R_b are formed and scored, and the last
+    column's expectation is completed from the trace
+    (:func:`_expectations`).  All blocks of one size are rotated and scored
+    in one stacked call, so a sample costs O(sum d^3) over the rotated
+    blocks only.  Every other column keeps its diagonal value.  With
+    ``balanced_first`` the first rotation is the identity.
     """
     out = np.repeat(diag[:, None], n, axis=1)
-    for cols, states in stacks:
+    for cols, states, traces in stacks:
         k, d = cols.shape
-        g = rng.standard_normal((k, n, d, d)) + 1j * rng.standard_normal((k, n, d, d))
-        rot = orthonormalize(np.eye(d) + BIAS_STRENGTH * g)
+        re, im = BIAS_STRENGTH * rng.standard_normal((2, k, n, d, d))
+        re += np.eye(d)
+        rot = orthonormalize(re[..., :-1] + 1j * im[..., :-1])
         if balanced_first:
-            rot[:, 0] = np.eye(d)
-        out[:, :, cols] = np.swapaxes(_expectations(rot, states), 1, 2)
+            rot[:, 0] = np.eye(d)[:, :-1]
+        out[:, :, cols] = np.swapaxes(_expectations(rot, states, traces), 1, 2)
     return out
 
 
@@ -324,6 +339,12 @@ def random_projector_probe(
     included, stays below SUPPORT_FLOOR whatever R_b is.  Its log weight is
     then 0.0, and so is each of its terms of S_tilde: the minimum and every
     checkpoint are bit-identical to rotating the block.
+
+    Both modes score a family from its first d - 1 columns per block (d =
+    dim for a Haar basis), and take the last column's expectation as the
+    block's trace less the others' (:func:`_expectations`).  For a unitary
+    family the diagonal of F^dagger rho F sums to Tr rho exactly, so this
+    moves each expectation by rounding only, about d eps |Tr rho|.
     """
     if mode not in ("haar", "biased"):
         raise ValueError("mode must be 'haar' or 'biased'")
@@ -346,7 +367,13 @@ def random_projector_probe(
             for block in spec0.blocks
             if len(block) > 1 and np.linalg.norm(states[0][np.ix_(block, block)]) > 0.5 * SUPPORT_FLOOR
         ]
-        stacks = [(cols, states[:, cols[:, :, None], cols[:, None, :]]) for cols in size_groups(rotated)]
+        stacks = [
+            (cols, states[:, cols[:, :, None], cols[:, None, :]], diag[:, cols].sum(axis=-1))
+            for cols in size_groups(rotated)
+        ]
+    else:
+        states = np.stack([rho0.entries, rho1.entries])[:, None]
+        traces = np.trace(states, axis1=-2, axis2=-1).real
 
     best = math.inf
     checkpoints: list[tuple[int, float]] = []
@@ -355,7 +382,7 @@ def random_projector_probe(
     while done < samples:
         n = min(PROBE_BATCH, samples - done)
         if mode == "haar":
-            p, q1 = _haar_expectations(rng, n, rho0.entries, rho1.entries)
+            p, q1 = _haar_expectations(rng, n, states, traces)
         else:
             p, q1 = _block_expectations(rng, n, diag, stacks, balanced_first=done == 0)
         p = np.clip(p, 0.0, 1.0)

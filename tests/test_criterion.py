@@ -298,6 +298,12 @@ def _planted_pair(tiny=None):
     return rho0, rho1
 
 
+def _mixed_qubit_pair():
+    """rho0 = I/2, one degenerate block of 2, and a partner traceless off it."""
+    h = np.array([[0.3, 0.4 - 0.5j], [0.4 + 0.5j, -0.3]])
+    return _density(np.eye(2) / 2.0), _density(np.eye(2) / 2.0 + 0.01 * h)
+
+
 def _angular_states(l, L):
     pair = angular_pair(l, L, L)
     return pair.builder(1.0), pair.builder(0.0)
@@ -316,6 +322,11 @@ PROBE_PAIRS = {
     # a block of 3 below the support floor whose norm exceeds half of it:
     # rotated and scored, its expectations still carry no log weight
     "planted-1-2-3-subfloor": lambda: _planted_pair(tiny=0.8 * SUPPORT_FLOOR),
+    # the Haar basis is scored from d - 1 = 0 columns, the trace alone;
+    # the biased probe rotates nothing
+    "dim-1": lambda: (_density([[1.0]]), _density([[1.0]])),
+    # d - 1 = 1 column in both modes: the Haar basis, and the one block of 2
+    "dim-2": _mixed_qubit_pair,
 }
 
 
@@ -373,9 +384,10 @@ class TestProbeSkipsNullBlocks:
         for fname in ("orthonormalize", "_expectations"):
             real = getattr(criterion, fname)
 
+            # thin stacks: the first d - 1 columns of each d x d rotation
             def spy(a, *rest, _real=real):
-                assert a.shape[-2] == a.shape[-1]
-                seen.append((a.shape[0], a.shape[-1]))
+                assert a.shape[-1] == a.shape[-2] - 1
+                seen.append((a.shape[0], a.shape[-2]))
                 return _real(a, *rest)
 
             monkeypatch.setattr(criterion, fname, spy)
@@ -435,3 +447,35 @@ class TestOrthonormalize:
         q = orthonormalize(a)
         assert _gram_error(q) <= 1e-14
         np.testing.assert_allclose(q, _qr_positive(a), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("d, c", [(2, 1), (3, 1), (3, 2), (12, 1), (12, 6), (12, 11)])
+    @pytest.mark.parametrize("strength", [0.01, None])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_thin_stack(self, d, c, strength, seed):
+        # the first c columns of a d x d stack give the first c columns of its Q;
+        # strength None is a Ginibre stack, else a step from the identity
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((500, d, d)) + 1j * rng.standard_normal((500, d, d))
+        a = g if strength is None else np.eye(d) + strength * g
+        q = orthonormalize(a[..., :c])
+        assert q.shape == (500, d, c)
+        assert _gram_error(q) <= 1e-14
+        np.testing.assert_allclose(q, _qr_positive(a)[..., :c], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("d", [2, 3, 12])
+    @pytest.mark.parametrize("strength", [0.01, None])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_trace_completed_expectations(self, d, strength, seed):
+        # the last column's expectation, the trace less the other d - 1,
+        # against the diagonal of Q^dagger A Q for the full Householder Q
+        rng = np.random.default_rng(seed)
+        states = np.stack([[_random_density(rng, d).entries for _ in range(4)] for _ in range(2)])
+        g = rng.standard_normal((4, 100, d, d)) + 1j * rng.standard_normal((4, 100, d, d))
+        a = g if strength is None else np.eye(d) + strength * g
+        q = _qr_positive(a)
+        want = np.einsum("bnia,sbij,bnja->sbna", q.conj(), states, q).real
+        traces = np.trace(states, axis1=-2, axis2=-1).real
+        got = criterion._expectations(orthonormalize(a[..., :-1]), states, traces)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
