@@ -156,7 +156,7 @@ def not_shared_entropy(spec0: Spectrum, rho1) -> float:
     twofold-degeneracy case analysis.  Every eigenvector lies in one
     amplitude block, so Tr(Pi rho1 Pi) is the sum of its columns' partner
     weights, Re diag(U^dagger rho1_b U), and lambda is the mean of the
-    block's eigenvalues.
+    block's eigenvalues, which ``spec0`` keeps (:attr:`Spectrum.block_stats`).
 
     ``rho1`` is the partner's density in the layout of ``spec0.groups``,
     one (blocks, size, size) stack per group; a dense density ``r`` of a
@@ -165,9 +165,7 @@ def not_shared_entropy(spec0: Spectrum, rho1) -> float:
     eigenprojectors that respect the sectors of a conserved quantity.
     """
     q = _partner_weights(spec0, rho1)
-    starts = np.array([b[0] for b in spec0.blocks])
-    sizes = np.diff(starts, append=spec0.dim)
-    lam = np.add.reduceat(spec0.eigenvalues, starts) / sizes
+    starts, sizes, lam = spec0.block_stats
     tr = np.add.reduceat(q, starts)
     keep = lam > SUPPORT_FLOOR
     terms = np.maximum(sizes[keep] * lam[keep] - tr[keep], 0.0) * np.log(1.0 / lam[keep])

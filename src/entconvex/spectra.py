@@ -6,7 +6,9 @@ functions are pure, so they can be shared freely between threads.
 
 A scan meets one state in many pairs, so everything one amplitude matrix
 determines on its own is formed once per process and reused bit for bit
-(:class:`_StateMemo`): |c|, sum |c|^2, and, per block layout, its own
+(:class:`_StateMemo`): its finiteness and density, |c|, sum |c|^2, the
+floor of |c||c|^T, which proves a pair of two dense states one block
+without a link graph, and, per block layout, its own
 term c c^dagger, its endpoint density and, for pairs without a sector
 operator, that density's spectrum.  Only read-only arrays that own their
 data, have more than ``SMALL_ROWS`` rows and hold at most
@@ -49,6 +51,7 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -156,6 +159,12 @@ class Spectrum:
     ``blocks`` partitions the positions into runs of near-degenerate
     eigenvalues (refined: their sub-blocks), in order.  The support is the
     positions with eigenvalue above ``SUPPORT_FLOOR``.
+
+    What the eigenvalues and blocks fix alone is formed on first use and
+    kept: :attr:`entropy` and :attr:`block_stats`.  A stored endpoint
+    spectrum (:class:`_StateMemo`) so forms them once per process.  A
+    ``dataclasses.replace``, as the sector refinement makes, is a new
+    spectrum and forms them again, from its own blocks.
     """
 
     eigenvalues: np.ndarray
@@ -173,6 +182,21 @@ class Spectrum:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @cached_property
+    def entropy(self) -> float:
+        """The entropy in bits (:func:`entropy_bits`)."""
+        return float(entropy_bits(self.eigenvalues))
+
+    @cached_property
+    def block_stats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each degeneracy block's first position, size and mean eigenvalue, read-only."""
+        starts = np.array([b[0] for b in self.blocks])
+        sizes = np.diff(starts, append=self.dim)
+        lam = np.add.reduceat(self.eigenvalues, starts) / sizes
+        for a in (starts, sizes, lam):
+            a.setflags(write=False)
+        return starts, sizes, lam
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -239,19 +263,32 @@ class _State:
     """What one amplitude matrix determines on its own, as :class:`_StateMemo` holds it.
 
     ``ref`` is a weak reference to the array, ``magnitude`` its |c| and
-    ``norm2`` its sum |c|^2.  ``layouts`` maps a block layout, the rows of
-    the size groups, to a dict of the state's own terms ``"own"`` (c
-    c^dagger, one stack per size group), its ``"endpoint"`` blocks
+    ``norm2`` its sum |c|^2.  ``floor`` is None when the array has a zero
+    entry; otherwise it holds the smallest entry of |c||c|^T and the
+    largest on its diagonal, from which :func:`gram_blocks` proves a pair
+    of two such states one block.  The array passed the finiteness check
+    before it was stored, and ``floor`` records its density, so neither
+    is read from the array again.  ``layouts`` maps a block layout, the
+    rows of the size groups, to a dict of the state's own terms ``"own"``
+    (c c^dagger, one stack per size group), its ``"endpoint"`` blocks
     (:func:`_endpoint_blocks`, read-only) and, once solved, their
     ``"spectrum"``.
     """
 
-    __slots__ = ("ref", "magnitude", "norm2", "layouts")
+    __slots__ = ("ref", "magnitude", "norm2", "floor", "layouts")
 
-    def __init__(self, c, magnitude, norm2, table):
+    def __init__(self, c, magnitude, norm2, floor, table):
         self.ref = weakref.ref(c, lambda _, key=id(c): table.pop(key, None))
-        self.magnitude, self.norm2 = magnitude, norm2
+        self.magnitude, self.norm2, self.floor = magnitude, norm2, floor
         self.layouts: dict[tuple, dict] = {}
+
+
+def _floor(c: np.ndarray, magnitude: np.ndarray) -> tuple[float, float] | None:
+    """The smallest entry of |c||c|^T and the largest on its diagonal, or None where ``c`` has a zero entry."""
+    if not c.all():
+        return None
+    p = magnitude @ magnitude.T
+    return float(p.min()), float(p.diagonal().max())
 
 
 def _storable(c: np.ndarray) -> bool:
@@ -274,7 +311,10 @@ class _StateMemo:
     met again, so storing them would only cost.  A hit
     assumes the array was not written after it was stored, which only
     ``setflags(write=True)``, or a writeable view taken before it was made
-    read-only, could do.  A layout is stored only when its own terms hold
+    read-only, could do.  Its finiteness and its density (no zero entry)
+    are facts of first sight: the trace-out checks them on the array once,
+    before it is stored, and reads them from the state after
+    (:attr:`_State.floor`).  A layout is stored only when its own terms hold
     at most ``MEMO_ENTRY_BYTES`` and the state does not vanish.
     ``len()`` is the number of stored spectra.  Lookups read the table
     without the lock and every store holds it; the arithmetic runs outside
@@ -301,13 +341,15 @@ class _StateMemo:
         return None if st is None else st.layouts.get(layout)
 
     def store(self, st, c, magnitude, norm2, layout, own) -> _State | None:
-        """Store what the trace-out formed of ``c``: a state when ``st``, its
-        ``find``, is None, and its own terms and endpoint for ``layout``.
+        """Store what the trace-out formed of ``c``: a state, with its floor
+        (:func:`_floor`), when ``st``, its ``find``, is None, and its own
+        terms and endpoint for ``layout``.
 
         Returns the state, or None when ``c`` bypasses the memo.
         """
         if st is None and not _storable(c):
             return None
+        floor = _floor(c, magnitude) if st is None else None
         entry = None
         if sum(m.nbytes for m in own) <= MEMO_ENTRY_BYTES and norm2 > 0.0:
             entry = {"own": own, "endpoint": _endpoint_blocks(own, norm2)}
@@ -317,7 +359,7 @@ class _StateMemo:
             if st is None:  # another thread may have stored it meanwhile
                 st = self.find(c)
             if st is None:
-                st = self._states[id(c)] = _State(c, magnitude, norm2, self._states)
+                st = self._states[id(c)] = _State(c, magnitude, norm2, floor, self._states)
             if entry is not None:
                 st.layouts.setdefault(layout, entry)
         return st
@@ -630,7 +672,10 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     so each term, and the operator's blocks, is one batched product per size.
     A pair of at most ``SMALL_ROWS`` rows, as every angular one, is one
     block: it forms no G, runs no component or exchange search, and its
-    ``dropped`` is 0.0.
+    ``dropped`` is 0.0.  So is a pair of two stored states with no zero
+    entry and no sector operator whose memo proves G's threshold passed
+    by every entry (:func:`_proved_one_block`): the search would exit on
+    one block with the same fields, as on every LG pair met again.
 
     The blocks are found in two levels (:func:`_link_blocks`).  Level 1
     takes the connected components of the exact nonzero pattern of c0 and
@@ -643,18 +688,20 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     M = +-1 pair has four components of 121-144 rows, and the threshold
     splits 143 + 1 off the largest.  Amplitudes with no zero entry (LG,
     the coupled oscillator) are the one-component case: G over every
-    column, as before.  An entry of G over fewer columns can round
-    differently in its last bit, since BLAS blocks a sum by its length;
-    on every model pair tested the blocks and ``dropped`` equal those of G
-    over every column bit for bit, and on arbitrary input ``dropped`` is
-    equal to rounding.
+    column, as before, unless the memo proves them one block first.  An
+    entry of G over fewer columns can round differently in its last bit,
+    since BLAS blocks a sum by its length; on every model pair tested the
+    blocks and ``dropped`` equal those of G over every column bit for bit,
+    and on arbitrary input ``dropped`` is equal to rounding.
 
-    What each state determines alone, |c|, sum |c|^2 and, per block
-    layout, its own term c c^dagger and endpoint, comes from the per-state
-    memo (:class:`_StateMemo`) and, for an array the memo stores, is formed
-    only on its first sight; only the link graph and the cross term are
-    formed for every pair.  No |c| of a whole array is formed unless the
-    memo stores it or one component spans the array, and sum |c|^2 is
+    What each state determines alone, its finiteness and density, |c|,
+    sum |c|^2, the floor of |c||c|^T and, per block layout, its own term c
+    c^dagger and endpoint, comes from the per-state memo
+    (:class:`_StateMemo`) and, for an array the memo stores, is formed
+    only on its first sight; only the link graph, unless the floors prove
+    one block, and the cross term are formed for every pair.  No |c| of a
+    whole array is formed unless the memo stores it or one component
+    spans the array, and sum |c|^2 is
     numpy's sum to the bit (:func:`_sum_squares`).  Each own term is a
     product over the columns its state touches on the group's rows, and
     the cross term over those both states touch, so the terms do not depend on the partner and a
@@ -680,16 +727,18 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     """
     if c0.ndim != 2 or c0.shape != c1.shape:
         raise ValueError(f"amplitudes must be 2-d arrays of one shape: {c0.shape} != {c1.shape}")
-    if not (np.isfinite(c0).all() and np.isfinite(c1).all()):
+    st0, st1 = _state_memo.find(c0), _state_memo.find(c1)
+    # finiteness and density are facts of first sight: a stored state holds them
+    if not all(st is not None or np.isfinite(c).all() for c, st in ((c0, st0), (c1, st1))):
         raise ValueError("amplitudes must be finite")
     if sector is not None and np.shape(sector) != (len(c0), len(c0)):
         raise ValueError(f"sector operator shape {np.shape(sector)} does not match {len(c0)} rows")
-    st0, st1 = _state_memo.find(c0), _state_memo.find(c1)
     dim = len(c0)
-    dense = bool(c0.all() and c1.all())  # no zero entry, as LG's: one component over every column
+    # no zero entry, as LG's: one component over every column
+    dense = all(c.all() if st is None else st.floor is not None for c, st in ((c0, st0), (c1, st1)))
     a, n0 = _magnitude(c0, st0, dense and dim > SMALL_ROWS)  # n0: the builder's sum |c|^2
     b, n1 = _magnitude(c1, st1, dense and dim > SMALL_ROWS)
-    if dim <= SMALL_ROWS:  # a small pair is one block: no link graph, no search
+    if dim <= SMALL_ROWS or sector is None and _proved_one_block(st0, st1):  # no link graph, no search
         touched = None if dense else (c0.any(axis=0), c1.any(axis=0))
         layout, touched, sizes, dropped, counts, exchange = [np.arange(dim)[None]], [touched], (dim,), 0.0, None, 0.0
     else:
@@ -725,6 +774,22 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     repeats = None if counts is None else tuple(counts[rows[:, 0]] for rows in layout)
     return GramBlocks(tuple(groups), sizes, dropped, dim, c0.shape[1],
                       (n0, n1, n01), op, (st0, st1), key, repeats, exchange)
+
+
+def _proved_one_block(st0: _State | None, st1: _State | None) -> bool:
+    """Whether two stored states with no zero entry are one block by their floors alone (:func:`gram_blocks`).
+
+    Every entry of G = (|c0| + |c1|)(|c0| + |c1|)^T is at least the sum of
+    the states' smallest entries of |c||c|^T, and its largest at most its
+    largest diagonal entry, at most twice the sum of their largest
+    diagonal entries (:attr:`_State.floor`).  When the first sum exceeds
+    4 ``BLOCK_LINK_TOL`` times the second, every entry of G is more than
+    twice the threshold, so rounding cannot drop a link.
+    """
+    if st0 is None or st1 is None or st0.floor is None or st1.floor is None:
+        return False
+    (low0, diag0), (low1, diag1) = st0.floor, st1.floor
+    return low0 + low1 > 4.0 * BLOCK_LINK_TOL * (diag0 + diag1)
 
 
 def _link_blocks(c0, c1, a, b, sector, dense, kept):
@@ -927,5 +992,8 @@ def entropy_bits(w: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(s: Spectrum) -> float:
-    """S = -sum lambda_i log2(lambda_i) of a spectrum, in bits (:func:`entropy_bits`)."""
-    return float(entropy_bits(s.eigenvalues))
+    """S = -sum lambda_i log2(lambda_i) of a spectrum, in bits (:func:`entropy_bits`).
+
+    Formed once per spectrum and kept (:attr:`Spectrum.entropy`).
+    """
+    return s.entropy

@@ -8,6 +8,7 @@ between the endpoint entropies, not via second differences.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -253,12 +254,14 @@ def entropy_curve(
     the first ceil(grid_size / 2) points, those with alpha <= 1/2, are
     solved, and the point at 1 - alpha takes the entropy of the one at
     alpha.  The cancellation check still covers the whole grid.
+
+    The grid, its coefficients per point and the ``alphas`` tuple are
+    formed once per grid size and shared, read-only (:func:`_grid`).
     """
     if grid_size < 5:
         raise ValueError("grid size must be at least 5")
     gram = gram_blocks(*pair.amplitudes(), pair.sector_operator) if gram is None else gram
-    alphas = np.linspace(0.0, 1.0, grid_size)
-    coef = np.stack([alphas, 1.0 - alphas, np.sqrt(alphas * (1.0 - alphas))], axis=1)
+    alphas, coef, grid = _grid(grid_size)
     n00, n11, _ = gram.norms  # traces of the three terms
     norm2 = coef @ np.array(gram.norms)
     parts2 = (np.sqrt(alphas * n00) + np.sqrt((1.0 - alphas) * n11)) ** 2
@@ -293,7 +296,7 @@ def entropy_curve(
     if points < grid_size:  # a mirror pair: the point at 1 - alpha takes the entropy at alpha
         ents += ents[grid_size - points - 1::-1]
     return EntropyCurve(
-        alphas=tuple(alphas.tolist()),
+        alphas=grid,
         entropies=tuple(ents),
         s0=ents[-1],
         s1=ents[0],
@@ -305,6 +308,21 @@ def entropy_curve(
         imag_dropped=imag_dropped,
         exchange_dropped=gram.exchange_dropped,
     )
+
+
+@functools.cache
+def _grid(grid_size: int) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
+    """The uniform alpha grid, its coefficients (alpha, 1 - alpha, sqrt(alpha (1 - alpha))) per
+    point, shape (grid_size, 3), both read-only, and the grid as a tuple.
+
+    Formed once per grid size and kept for the life of the process: a
+    run uses one or two sizes, each O(grid_size).
+    """
+    alphas = np.linspace(0.0, 1.0, grid_size)
+    coef = np.stack([alphas, 1.0 - alphas, np.sqrt(alphas * (1.0 - alphas))], axis=1)
+    alphas.setflags(write=False)
+    coef.setflags(write=False)
+    return alphas, coef, tuple(alphas.tolist())
 
 
 def _counted_groups(gram: GramBlocks):
@@ -332,7 +350,8 @@ def _repeated(w: np.ndarray, repeat: np.ndarray | None) -> np.ndarray:
 
 def _solve_chunk(coef: np.ndarray, terms: np.ndarray, out: np.ndarray) -> None:
     """One ``eigvalsh`` call: a size group's eigenvalues at the grid points ``coef``, into ``out``."""
-    out[...] = np.linalg.eigvalsh(np.tensordot(coef, terms, axes=1)).reshape(len(coef), -1)
+    mats = (coef @ terms.reshape(3, -1)).reshape(len(coef), *terms.shape[1:])
+    out[...] = np.linalg.eigvalsh(mats).reshape(len(coef), -1)
 
 
 def _drain(queue: deque) -> None:
@@ -351,7 +370,7 @@ def _solve_on_all_cpus(chunks: list) -> None:
     One queue holds the chunks, ordered by points x size**3; the caller
     and one helper thread per further usable CPU (:func:`_usable_cpus`),
     started here and joined before this returns, take chunks from it until
-    it is empty, each chunk's ``tensordot`` and ``eigvalsh`` in the thread
+    it is empty, each chunk's product and ``eigvalsh`` in the thread
     that took it.  numpy releases the GIL in both.  A failed chunk empties
     the queue, so every thread stops after its current chunk, and the
     first error is raised once all have stopped.  With one usable CPU no
@@ -408,6 +427,8 @@ def _imag_ratio(terms: np.ndarray, traced: int) -> float:
     diag = np.sqrt(np.diagonal(terms[:2], axis1=2, axis2=3).real).sum(axis=0)
     bound = n / (1.0 - n) * (diag[:, :, None] * diag[:, None, :])
     excess = np.abs(terms.imag)
+    if bound.all():
+        return float((excess / bound).max())
     past = np.where(excess > 0.0, math.inf, 0.0)  # where the bound is 0
     return float(np.divide(excess, bound, out=past, where=bound > 0.0).max())
 

@@ -177,26 +177,27 @@ def test_non_square_amplitudes_solve_every_block():
 
 
 def test_skipped_blocks_reach_no_solve(monkeypatch):
-    # spherium M = +-1 is full rank, so the terms handed to tensordot are
-    # the counted blocks' own, bit for bit, and no other block's
+    # spherium M = +-1 is full rank, so the terms handed to each grid call
+    # are the counted blocks' own, bit for bit, and no other block's
     pair = spherium_pair(1)
     gram = gram_blocks(*pair.amplitudes(), pair.sector_operator)
     counted = [terms[:, rep > 0] for (_, terms), rep in zip(gram.groups, gram.repeats) if rep.any()]
     seen, solved = [], []
-    tensordot, eigvalsh = np.tensordot, np.linalg.eigvalsh
+    solve_chunk, eigvalsh = sweep._solve_chunk, np.linalg.eigvalsh
 
-    def spy_tensordot(coef, terms, axes):
+    def spy_solve_chunk(coef, terms, out):
         seen.append(terms)
-        return tensordot(coef, terms, axes)
+        return solve_chunk(coef, terms, out)
 
     def spy_eigvalsh(a):
         solved.append(a.shape)
         return eigvalsh(a)
 
     monkeypatch.setattr(sweep, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(np, "tensordot", spy_tensordot)
+    monkeypatch.setattr(sweep, "_solve_chunk", spy_solve_chunk)
     monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
     curve = entropy_curve(pair, gram=gram)
+    assert len(seen) == len(solved) > 0
     assert all(any(t.shape == c.shape and np.array_equal(t, c) for c in counted) for t in seen)
     assert sum(s[0] * s[1] for s in solved) == curve.solved_points * sum(c.shape[1] for c in counted)
     assert sorted({s[-1] for s in solved}) == [121, 132]

@@ -8,11 +8,11 @@ import weakref
 import numpy as np
 import pytest
 
-from entconvex import benchmarks, spectra, sweep
+from entconvex import benchmarks, criterion, spectra, sweep
 from entconvex.criterion import refine_blocks_by_sector
 from entconvex.lgmodes import LGMode
 from entconvex.oscillator import OscBasisSpec, OscState
-from entconvex.spectra import MEMO_ENTRY_BYTES, SMALL_ROWS, eigh_blocks, gram_blocks
+from entconvex.spectra import MEMO_ENTRY_BYTES, SMALL_ROWS, eigh_blocks, entropy_bits, gram_blocks
 from entconvex.sweep import (
     angular_pair,
     criterion_vs_observation,
@@ -269,7 +269,12 @@ def _partly_linked():
 
 def test_one_block_exit_keeps_every_field(monkeypatch, empty_state_memo):
     # every scan pair links all 32 rows: one block, found without a search,
-    # and every field is the searched, unmemoized trace-out's, cold or warm
+    # and every field is the searched, unmemoized trace-out's, cold or warm.
+    # A pair whose two arrays are both stored is proved one block by the
+    # memo and never enters the link graph; one seen for the first time,
+    # as every pair of a cleared memo and each of table 4's mirror images,
+    # built afresh for every pair, still does
+    memo = spectra._state_memo
     pairs = _lg_scan()
     want = [gram_blocks_unmemoized(*p.amplitudes()) for p in pairs]
     assert all(w.block_sizes == (32,) and w.dropped == 0.0 for w in want)
@@ -277,12 +282,82 @@ def test_one_block_exit_keeps_every_field(monkeypatch, empty_state_memo):
     def refuse(linked):
         raise AssertionError("searched a complete link graph")
 
+    searched = []
+
+    def spy(*args, _search=spectra._link_blocks):
+        searched.append(True)
+        return _search(*args)
+
     monkeypatch.setattr(spectra, "components", refuse)
-    for warm in (False, True):
+    monkeypatch.setattr(spectra, "_link_blocks", spy)
+    for run in ("cold", "warm", "warm again"):
+        entered = []
         for pair, w in zip(pairs, want):
-            if not warm:
-                spectra._state_memo.clear()
-            _assert_same_gram(gram_blocks(*pair.amplitudes()), w)
+            if run == "cold":
+                memo.clear()
+            c0, c1 = pair.amplitudes()
+            first_sight = memo.find(c0) is None or memo.find(c1) is None
+            searched.clear()
+            _assert_same_gram(gram_blocks(c0, c1), w)
+            assert len(searched) == first_sight, pair.label
+            if searched:
+                entered.append(pair)
+        if run == "cold":
+            assert len(entered) == len(pairs)
+        if run == "warm again":
+            assert len(entered) == 3 and all(pair.mirror is not None for pair in entered)
+
+
+def test_a_planted_two_block_pair_of_stored_dense_arrays_is_searched(monkeypatch, empty_state_memo):
+    # two stored arrays with no zero entry whose rows fall into two groups,
+    # linked only through entries of about 1e-20: the floors prove nothing,
+    # so the search runs on every sight and finds the two blocks of the
+    # unmemoized trace-out, every field equal
+    rng = np.random.default_rng(12)
+    half = ROWS // 2
+    arrays = []
+    for _ in range(2):
+        c = 1e-20 * (1.0 + rng.random((ROWS, 6))) + 0j
+        c[:half, :3] = rng.standard_normal((half, 3)) + 2j * rng.standard_normal((half, 3))
+        c[half:, 3:] = rng.standard_normal((ROWS - half, 3))
+        c.setflags(write=False)
+        assert c.all() and c.nbytes <= MEMO_ENTRY_BYTES
+        arrays.append(c)
+    want = gram_blocks_unmemoized(*arrays)
+    assert want.block_sizes == (half, ROWS - half)
+    searched = []
+
+    def spy(*args, _search=spectra._link_blocks):
+        searched.append(True)
+        return _search(*args)
+
+    monkeypatch.setattr(spectra, "_link_blocks", spy)
+    for sight in range(3):
+        gram = gram_blocks(*arrays)
+        assert len(searched) == sight + 1
+        _assert_same_gram(gram, want)
+    st0, st1 = gram.states
+    assert st0 is not None and st1 is not None
+    assert st0.floor is not None and st1.floor is not None
+    assert not spectra._proved_one_block(st0, st1)
+
+
+@pytest.mark.parametrize("writeable", [True, False], ids=["writeable", "read-only"])
+def test_a_nan_array_raises_and_is_never_stored(empty_state_memo, writeable):
+    # finiteness is checked on every array the memo does not hold; a
+    # read-only array fails the check before it could be stored, so no
+    # state vouches for it later
+    rng = np.random.default_rng(13)
+    good = _read_only_copy(rng.standard_normal((ROWS, 6)))
+    bad = rng.standard_normal((ROWS, 6))
+    bad[4, 2] = np.nan
+    bad.setflags(write=writeable)
+    gram_blocks(good, good)
+    for pair in ((good, bad), (bad, good), (bad, bad)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="amplitudes must be finite"):
+                gram_blocks(*pair)
+    assert spectra._state_memo.find(bad) is None and list(spectra._state_memo._states) == [id(good)]
 
 
 @pytest.mark.parametrize("index", range(5))
@@ -499,3 +574,63 @@ def test_large_arrays_are_never_content_keyed(solves, make_pair):
     reports = [pair_criterion(pair) for _ in range(2)]
     assert reports[0] == reports[1]
     assert not spectra._state_memo._states and len(solves) == 2
+
+
+# ---------------------------------------------------------------------------
+# what a spectrum fixes alone: its entropy and its blocks' statistics, kept
+
+
+def _fresh_stats(spec):
+    """The block statistics as the criterion formed them before they were kept."""
+    starts = np.array([b[0] for b in spec.blocks])
+    sizes = np.diff(starts, append=spec.dim)
+    return starts, sizes, np.add.reduceat(spec.eigenvalues, starts) / sizes
+
+
+def _fresh_s_ns(spec0, rho1):
+    """S_NS with fresh statistics: :func:`not_shared_entropy`'s arithmetic without the kept ones."""
+    q = criterion._partner_weights(spec0, rho1)
+    starts, sizes, lam = _fresh_stats(spec0)
+    tr = np.add.reduceat(q, starts)
+    keep = lam > spectra.SUPPORT_FLOOR
+    terms = np.maximum(sizes[keep] * lam[keep] - tr[keep], 0.0) * np.log(1.0 / lam[keep])
+    return (float(np.add.accumulate(terms)[-1]) if terms.size else 0.0) / spectra.LN2
+
+
+def test_kept_entropy_and_block_stats_are_the_fresh_ones(empty_state_memo):
+    specs = []
+    for pair in (lg_pair(LGMode(2, 1), LGMode(3, -1)), benchmarks.reference_table(2)[3].pair,
+                 spherium_pair(1), angular_pair(3, 2, 2)):
+        gram = gram_blocks(*pair.amplitudes(), pair.sector_operator)
+        specs += [gram.spectrum(gram.endpoint(0)), gram.spectrum(gram.endpoint(1))]
+    specs.append(spectra.eigendecompose(angular_pair(2, 2, 1).builder(1.0)))
+    for spec in specs:
+        assert spec.entropy == float(entropy_bits(spec.eigenvalues))
+        assert spectra.von_neumann_entropy(spec) is spec.entropy
+        stats = spec.block_stats
+        assert spec.block_stats is stats and all(not a.flags.writeable for a in stats)
+        assert all(_same_array(a, b) for a, b in zip(stats, _fresh_stats(spec), strict=True))
+
+
+@pytest.mark.parametrize(
+    "make_pair",
+    [lambda: benchmarks.reference_table(2)[3].pair, lambda: spherium_pair(1), lambda: spherium_pair(-1)],
+    ids=["table-2-3", "spherium-1", "spherium-minus-1"],
+)
+def test_a_refined_spectrum_keeps_the_stats_of_its_own_blocks(empty_state_memo, make_pair):
+    # the reference's statistics are formed before it is refined; the
+    # refinement's replace is a new spectrum, which forms its own from its
+    # sub-blocks, and S_NS is the fresh arithmetic's to the bit
+    pair = make_pair()
+    gram = gram_blocks(*pair.amplitudes(), pair.sector_operator)
+    spec0 = gram.spectrum(gram.endpoint(0))
+    before, s0 = spec0.block_stats, spec0.entropy
+    refined = refine_blocks_by_sector(spec0, gram.restrict(gram.sector, spec0))
+    assert refined.blocks != spec0.blocks
+    assert len(refined.block_stats[0]) == len(refined.blocks) > len(before[0])
+    assert all(_same_array(a, b) for a, b in zip(refined.block_stats, _fresh_stats(refined), strict=True))
+    assert refined.entropy == s0
+    rho1 = gram.restrict(gram.endpoint(1), refined)
+    s_ns = criterion.not_shared_entropy(refined, rho1)
+    assert s_ns == _fresh_s_ns(refined, rho1)
+    assert sweep._criterion(pair, gram).s_ns == min(s_ns, s0)
