@@ -267,7 +267,20 @@ def _partly_linked():
     return amplitudes + [(c, d, None), (c, c, None)]
 
 
-def test_one_block_exit_keeps_every_field(monkeypatch, empty_state_memo):
+@pytest.fixture
+def searched(monkeypatch):
+    """One entry per call of the trace-out's link-graph search, ``spectra._link_blocks``."""
+    calls = []
+
+    def spy(*args, _search=spectra._link_blocks):
+        calls.append(True)
+        return _search(*args)
+
+    monkeypatch.setattr(spectra, "_link_blocks", spy)
+    return calls
+
+
+def test_one_block_exit_keeps_every_field(monkeypatch, empty_state_memo, searched):
     # every scan pair links all 32 rows: one block, found without a search,
     # and every field is the searched, unmemoized trace-out's, cold or warm.
     # A pair whose two arrays are both stored is proved one block by the
@@ -282,14 +295,7 @@ def test_one_block_exit_keeps_every_field(monkeypatch, empty_state_memo):
     def refuse(linked):
         raise AssertionError("searched a complete link graph")
 
-    searched = []
-
-    def spy(*args, _search=spectra._link_blocks):
-        searched.append(True)
-        return _search(*args)
-
     monkeypatch.setattr(spectra, "components", refuse)
-    monkeypatch.setattr(spectra, "_link_blocks", spy)
     for run in ("cold", "warm", "warm again"):
         entered = []
         for pair, w in zip(pairs, want):
@@ -308,7 +314,7 @@ def test_one_block_exit_keeps_every_field(monkeypatch, empty_state_memo):
             assert len(entered) == 3 and all(pair.mirror is not None for pair in entered)
 
 
-def test_a_planted_two_block_pair_of_stored_dense_arrays_is_searched(monkeypatch, empty_state_memo):
+def test_a_planted_two_block_pair_of_stored_dense_arrays_is_searched(empty_state_memo, searched):
     # two stored arrays with no zero entry whose rows fall into two groups,
     # linked only through entries of about 1e-20: the floors prove nothing,
     # so the search runs on every sight and finds the two blocks of the
@@ -325,13 +331,6 @@ def test_a_planted_two_block_pair_of_stored_dense_arrays_is_searched(monkeypatch
         arrays.append(c)
     want = gram_blocks_unmemoized(*arrays)
     assert want.block_sizes == (half, ROWS - half)
-    searched = []
-
-    def spy(*args, _search=spectra._link_blocks):
-        searched.append(True)
-        return _search(*args)
-
-    monkeypatch.setattr(spectra, "_link_blocks", spy)
     for sight in range(3):
         gram = gram_blocks(*arrays)
         assert len(searched) == sight + 1
