@@ -269,40 +269,61 @@ def _expectations(fams: np.ndarray, states: np.ndarray, traces: np.ndarray) -> n
     return np.concatenate([head, last[..., None]], axis=-1)
 
 
-def _haar_expectations(rng, n, states, traces):
-    """Expectations of both states, shape (2, 1, dim, dim), under n Haar-random bases."""
-    dim = states.shape[-1]
-    re, im = rng.standard_normal((2, n, dim, dim))
-    fams = orthonormalize(re[..., :-1] + 1j * im[..., :-1])
-    return _expectations(fams[None], states, traces)[:, 0]
+def _s_tilde(expect: np.ndarray) -> np.ndarray:
+    """S_tilde's terms over the last axis, summed, in bits.
 
-
-def _block_expectations(rng, n, diag, stacks, balanced_first):
-    """Expectations of a0 and a1 under n block-diagonal rotations R.
-
-    ``diag`` holds the real diagonals of a0 and a1, shape (2, dim), the
-    expectations under R = I.  ``stacks`` holds, per block size d in
-    ascending order, the rotated blocks' columns, shape (blocks, d), both
-    states' blocks, shape (2, blocks, d, d), and their real traces, shape
-    (2, blocks).  Per size, draws a real and an imaginary (blocks, n, d, d)
-    normal array G in one call and takes R_b = Q of I + BIAS_STRENGTH G;
-    only the first d - 1 columns of R_b are formed and scored, and the last
-    column's expectation is completed from the trace
-    (:func:`_expectations`).  All blocks of one size are rotated and scored
-    in one stacked call, so a sample costs O(sum d^3) over the rotated
-    blocks only.  Every other column keeps its diagonal value.  With
-    ``balanced_first`` the first rotation is the identity.
+    ``expect`` stacks the expectations <rho0>_a and <rho1>_a, shape
+    (2, ..., columns); the share of the columns is -sum max(p - q1, 0)
+    log2 p, with p clipped to [0, 1] and no log weight at p <=
+    SUPPORT_FLOOR.  Serves the fixed share of a biased probe and every
+    batch of either mode.
     """
-    out = np.repeat(diag[:, None], n, axis=1)
-    for cols, states, traces in stacks:
-        k, d = cols.shape
-        re, im = BIAS_STRENGTH * rng.standard_normal((2, k, n, d, d))
-        re += np.eye(d)
-        rot = orthonormalize(re[..., :-1] + 1j * im[..., :-1])
+    p, q1 = expect
+    p = np.clip(p, 0.0, 1.0)
+    excess = np.maximum(p - q1, 0.0)
+    logs = np.where(p > SUPPORT_FLOOR, np.log(np.maximum(p, 1e-300)), 0.0)
+    return -np.sum(excess * logs, axis=-1) / LN2
+
+
+def _haar_expectations(rng, n, states, traces):
+    """Expectations of both states, shape (2, n, dim), under n Haar-random bases.
+
+    Draws a real and an imaginary (n, dim, dim - 1) normal array in one
+    call, the first dim - 1 columns of a Ginibre matrix; its Q's first
+    dim - 1 columns are those of a Haar basis, and the last column's
+    expectation is completed from the trace (:func:`_expectations`).
+    """
+    dim = states.shape[-1]
+    re, im = rng.standard_normal((2, n, dim, dim - 1))
+    return _expectations(orthonormalize(re + 1j * im)[None], states, traces)[:, 0]
+
+
+def _block_expectations(rng, n, stacks, balanced_first):
+    """Expectations of a0 and a1 on the rotated columns under n rotations R.
+
+    ``stacks`` holds, per block size d in ascending order, both states'
+    rotated blocks of that size, shape (2, blocks, d, d), and their real
+    traces, shape (2, blocks).  Per size, draws a real and an imaginary
+    (blocks, n, d, d - 1) normal array G in one call and takes the first
+    d - 1 columns of R_b = Q of I + BIAS_STRENGTH G from I[:, :d - 1] +
+    BIAS_STRENGTH G, since column j of Q depends on input columns <= j
+    only (:func:`orthonormalize`); the last column's expectation is
+    completed from the trace (:func:`_expectations`).  All blocks of one
+    size are rotated and scored in one stacked call, so a sample costs
+    O(sum d^3) over the rotated blocks only.  With ``balanced_first`` the
+    first rotation is the identity.  Returns shape (2, n, columns): the
+    rotated columns of each size stack, block by block, concatenated.
+    """
+    parts = []
+    for states, traces in stacks:
+        k, d = states.shape[1], states.shape[-1]
+        re, im = BIAS_STRENGTH * rng.standard_normal((2, k, n, d, d - 1))
+        re += np.eye(d)[:, :-1]
+        rot = orthonormalize(re + 1j * im)
         if balanced_first:
             rot[:, 0] = np.eye(d)[:, :-1]
-        out[:, :, cols] = np.swapaxes(_expectations(rot, states, traces), 1, 2)
-    return out
+        parts.append(np.swapaxes(_expectations(rot, states, traces), 1, 2).reshape(2, n, k * d))
+    return np.concatenate(parts, axis=-1) if parts else np.zeros((2, n, 0))
 
 
 def random_projector_probe(
@@ -326,23 +347,26 @@ def random_projector_probe(
     A biased family is B R, with B the balanced eigenbasis and R
     block-diagonal over the degeneracy blocks, so both states are rotated
     into B once and each family is scored block by block, at O(sum d^3)
-    instead of O(dim^3).  Every expectation starts from the diagonals of
-    the rotated states, and only blocks of size d > 1 inside the support
-    are rotated (:func:`_block_expectations`); the random stream holds
-    their normals alone.  A 1x1 block's diagonal is its value under any R.
-    A block outside the support has ||a0_b||_F <= SUPPORT_FLOOR / 2 for the
-    reference's block a0_b.  For every unit vector r, <r, a0_b r> <=
-    ||a0_b||_2 <= ||a0_b||_F, and the computed value carries at most d eps
-    relative rounding on top, so every p of the block, its diagonal
-    included, stays below SUPPORT_FLOOR whatever R_b is.  Its log weight is
-    then 0.0, and so is each of its terms of S_tilde: the minimum and every
-    checkpoint are bit-identical to rotating the block.
+    instead of O(dim^3).  Only blocks of size d > 1 inside the support are
+    rotated (:func:`_block_expectations`); the random stream holds, per
+    batch and per rotated block size, their normals alone.  Every other
+    column keeps its diagonal value under any R, so its share of S_tilde
+    is formed once per probe from the diagonals of the rotated states, and
+    each batch scores the rotated columns only.  A 1x1 block's diagonal is
+    its value under any R.  A block outside the support has ||a0_b||_F <=
+    SUPPORT_FLOOR / 2 for the reference's block a0_b.  For every unit
+    vector r, <r, a0_b r> <= ||a0_b||_2 <= ||a0_b||_F, and the computed
+    value carries at most d eps relative rounding on top, so every p of
+    the block, its diagonal included, stays below SUPPORT_FLOOR whatever
+    R_b is.  Its log weight is then 0.0, and so is each of its terms of
+    S_tilde: leaving it unrotated moves nothing but the order of the sum.
 
-    Both modes score a family from its first d - 1 columns per block (d =
-    dim for a Haar basis), and take the last column's expectation as the
-    block's trace less the others' (:func:`_expectations`).  For a unitary
-    family the diagonal of F^dagger rho F sums to Tr rho exactly, so this
-    moves each expectation by rounding only, about d eps |Tr rho|.
+    Both modes draw and score a family from its first d - 1 columns per
+    block (d = dim for a Haar basis), and take the last column's
+    expectation as the block's trace less the others'
+    (:func:`_expectations`).  For a unitary family the diagonal of
+    F^dagger rho F sums to Tr rho exactly, so this moves each expectation
+    by rounding only, about d eps |Tr rho|.
     """
     if mode not in ("haar", "biased"):
         raise ValueError("mode must be 'haar' or 'biased'")
@@ -356,6 +380,7 @@ def random_projector_probe(
     bound = s - 2.0 * s_ns
 
     rng = np.random.default_rng(seed)
+    fixed = 0.0
     if mode == "biased":
         base = balanced_eigenbasis(spec0, rho1)
         states = np.stack([base.conj().T @ rho.entries @ base for rho in (rho0, rho1)])
@@ -365,8 +390,10 @@ def random_projector_probe(
             for block in spec0.blocks
             if len(block) > 1 and np.linalg.norm(states[0][np.ix_(block, block)]) > 0.5 * SUPPORT_FLOOR
         ]
+        moved = np.isin(np.arange(rho0.dim), [i for block in rotated for i in block])
+        fixed = _s_tilde(diag[:, ~moved])
         stacks = [
-            (cols, states[:, cols[:, :, None], cols[:, None, :]], diag[:, cols].sum(axis=-1))
+            (states[:, cols[:, :, None], cols[:, None, :]], diag[:, cols].sum(axis=-1))
             for cols in size_groups(rotated)
         ]
     else:
@@ -380,13 +407,10 @@ def random_projector_probe(
     while done < samples:
         n = min(PROBE_BATCH, samples - done)
         if mode == "haar":
-            p, q1 = _haar_expectations(rng, n, states, traces)
+            expect = _haar_expectations(rng, n, states, traces)
         else:
-            p, q1 = _block_expectations(rng, n, diag, stacks, balanced_first=done == 0)
-        p = np.clip(p, 0.0, 1.0)
-        excess = np.maximum(p - q1, 0.0)
-        logs = np.where(p > SUPPORT_FLOOR, np.log(np.maximum(p, 1e-300)), 0.0)
-        stilde = -np.sum(excess * logs, axis=1) / LN2
+            expect = _block_expectations(rng, n, stacks, balanced_first=done == 0)
+        stilde = fixed + _s_tilde(expect)
         running = np.minimum(np.minimum.accumulate(s - 2.0 * stilde), best)
         while next_checkpoint <= done + n:
             checkpoints.append((next_checkpoint, float(running[next_checkpoint - done - 1])))

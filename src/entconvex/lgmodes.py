@@ -117,15 +117,3 @@ def mode_columns(l: int, m: int, n_basis: int, order: int) -> np.ndarray:
     c = v.conj() / nrm
     c.setflags(write=False)
     return c
-
-
-def mode_norm_capture(mode: LGMode, n_basis: int = DEFAULT_BASIS_SIZE,
-                      order: int = DEFAULT_QUADRATURE_ORDER) -> float:
-    """Share of the mode norm the Hermite basis captures, against 16 more functions.
-
-    A diagnostic: it reads the squared norms of the profiles before
-    :func:`mode_columns` normalizes them.
-    """
-    v = _mode_profile(mode.l, mode.m, n_basis, order)
-    big = _mode_profile(mode.l, mode.m, n_basis + 16, order)
-    return float(np.sum(np.abs(v) ** 2) / np.sum(np.abs(big) ** 2))

@@ -21,7 +21,13 @@ from entconvex.criterion import (
     criterion_report,
     refine_blocks_by_sector,
 )
-from entconvex.lgmodes import LGMode, lg_evaluate
+from entconvex.lgmodes import (
+    DEFAULT_BASIS_SIZE,
+    DEFAULT_QUADRATURE_ORDER,
+    LGMode,
+    _mode_profile,
+    lg_evaluate,
+)
 from entconvex.oscillator import (
     OscBasisSpec,
     OscState,
@@ -325,6 +331,18 @@ def mode_columns_per_mode(l: int, m: int, n_basis: int, order: int) -> np.ndarra
     return v.conj() / math.sqrt(np.sum(np.abs(v) ** 2).real)
 
 
+def mode_norm_capture(mode: LGMode, n_basis: int = DEFAULT_BASIS_SIZE,
+                      order: int = DEFAULT_QUADRATURE_ORDER) -> float:
+    """Share of the mode norm the Hermite basis captures, against 16 more functions.
+
+    A diagnostic: it reads the squared norms of the profiles before
+    :func:`entconvex.lgmodes.mode_columns` normalizes them.
+    """
+    v = _mode_profile(mode.l, mode.m, n_basis, order)
+    big = _mode_profile(mode.l, mode.m, n_basis + 16, order)
+    return float(np.sum(np.abs(v) ** 2) / np.sum(np.abs(big) ** 2))
+
+
 def block_density(pair, alpha: float) -> HermitianMatrix:
     """The package's own reduced density at ``alpha``, embedded densely.
 
@@ -534,10 +552,15 @@ def _block_sum(diag: np.ndarray, lam: float) -> float:
 
 
 def _haar_batch(rng: np.random.Generator, batch: int, dim: int) -> np.ndarray:
-    g = rng.standard_normal((batch, dim, dim)) + 1j * rng.standard_normal((batch, dim, dim))
-    q, r = np.linalg.qr(g)
-    phases = np.exp(-1j * np.angle(np.einsum("bii->bi", r)))
-    return q * phases[:, None, :]
+    """Batch of Haar-random unitaries completed from dim - 1 Ginibre columns.
+
+    One real and then one imaginary (batch, dim, dim - 1) normal array is
+    drawn; Householder QR in complete mode gives a unitary whose first
+    dim - 1 columns span the same nested subspaces as the draw.
+    """
+    shape = (batch, dim, dim - 1)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return np.linalg.qr(g, mode="complete")[0]
 
 
 def _block_rotation_batch(
@@ -550,16 +573,17 @@ def _block_rotation_batch(
     """Batch of block-diagonal unitaries: a small random rotation per rotated block.
 
     The blocks are taken by ascending size; per size, one real and then one
-    imaginary (blocks, batch, d, d) normal array is drawn.  Every other
-    column keeps the identity.
+    imaginary (blocks, batch, d, d - 1) normal array G is drawn, and each
+    block's rotation is the complete Householder Q of I[:, :d - 1] +
+    strength G.  Every other column keeps the identity.
     """
     out = np.broadcast_to(np.eye(dim, dtype=complex), (batch, dim, dim)).copy()
     for d in sorted({len(block) for block in rotated}):
         group = [list(block) for block in rotated if len(block) == d]
-        shape = (len(group), batch, d, d)
+        shape = (len(group), batch, d, d - 1)
         g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for cols, gb in zip(group, g):
-            q, _ = np.linalg.qr(np.eye(d)[None, :, :] + strength * gb)
+            q, _ = np.linalg.qr(np.eye(d)[:, :-1] + strength * gb, mode="complete")
             out[:, np.ix_(cols, cols)[0], np.ix_(cols, cols)[1]] = q
     return out
 
@@ -574,10 +598,13 @@ def dense_projector_probe(
     """The probe with dense families: each sample is a full dim x dim unitary.
 
     Draws the same random numbers as
-    :func:`entconvex.criterion.random_projector_probe`, builds every family
-    densely (Householder QR, the balanced basis times a scattered
-    block-diagonal rotation) and scores it against the dense states, one
-    sample at a time for the checkpoints; the package probe must agree.
+    :func:`entconvex.criterion.random_projector_probe`, the first d - 1
+    columns of each drawn block or basis, completes every family densely
+    (complete Householder QR, the balanced basis times a scattered
+    block-diagonal rotation) and scores every column of it against the
+    dense states, one sample at a time for the checkpoints; the package
+    probe, which scores the rotated columns only and completes the last
+    from the trace, must agree.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -11,11 +11,10 @@ from entconvex.lgmodes import (
     _genlaguerre,
     lg_evaluate,
     mode_columns,
-    mode_norm_capture,
 )
 from entconvex.spectra import eigendecompose, von_neumann_entropy
 from entconvex.sweep import lg_pair, pair_criterion
-from oracles import block_density, mode_columns_per_mode
+from oracles import block_density, mode_columns_per_mode, mode_norm_capture
 
 # the criterion-6 scan's modes; table 4's are among them
 SCAN_MODES = [(l, m) for l in range(5) for m in range(-4, 5) if m != 0]
