@@ -164,7 +164,7 @@ def reject_unread(args, dests, reader: str) -> None:
 def build_pair(args):
     """PairSpec from --model plus the per-model quantum-number flags.
 
-    A model flag that the chosen model does not read is a usage error.
+    An unread model flag, or one state twice (M = 0 and its default -M), is a usage error.
     """
     model = args.model
     if model is None:
@@ -175,6 +175,7 @@ def build_pair(args):
     if model == "angular":
         if args.l is None or args.L is None or args.M is None:
             raise ValueError("angular pairs need --l --L --M")
+        _distinct(args.M, -args.M if args.Mprime is None else args.Mprime)
         return angular_pair(args.l, args.L, args.M, args.Mprime)
     if model == "oscillator":
         from .oscillator import OscBasisSpec, OscState
@@ -190,11 +191,13 @@ def build_pair(args):
             -args.p if args.p2 is None else args.p2,
             lam,
         )
+        _distinct(s0, s1)
         basis = None if args.basis_size is None else OscBasisSpec(n_per_coordinate=args.basis_size)
         return oscillator_pair(s0, s1, basis)
     if model == "spherium":
         if args.M is None:
             raise ValueError("spherium pairs need --M")
+        _distinct(args.M, -args.M if args.Mprime is None else args.Mprime)
         return spherium_pair(args.M, args.Mprime, lmax=args.lmax)
     from .lgmodes import LGMode
 
@@ -204,7 +207,15 @@ def build_pair(args):
         args.l if args.l2 is None else args.l2,
         -args.m if args.m2 is None else args.m2,
     )
-    return lg_pair(LGMode(args.l, args.m), mode1, n_basis=args.basis_size)
+    mode0 = LGMode(args.l, args.m)
+    _distinct(mode0, mode1)
+    return lg_pair(mode0, mode1, n_basis=args.basis_size)
+
+
+def _distinct(state0, state1) -> None:
+    """Reject a pair of one state twice: its curve is flat, so no verdict means anything."""
+    if state0 == state1:
+        raise ValueError(f"the two states coincide: {state0} twice")
 
 
 # ---------------------------------------------------------------------------

@@ -339,10 +339,13 @@ def random_projector_probe(
     sampled family.  ``mode='haar'`` draws rotation-invariant random bases;
     ``mode='biased'`` draws random eigenprojector families of the
     reference, obtained from small intra-block rotations around the
-    balanced family (included as the first sample).  Only eigenprojector
-    families satisfy ``S - 2*S_tilde >= S - 2*S_NS``; leaving that
-    manifold lowers the sampled value by about the squared step size, so
-    the educated sampler stays on it.
+    balanced family (included as the first sample).  S_NS is the least
+    S_tilde over eigenprojector families, so ``S - 2*S_NS`` is their largest
+    ``S - 2*S_tilde``, not a floor (l = 3, L = M = 2: the family that
+    diagonalizes rho1 in each degeneracy block reads -0.086 bits, the bound
+    +0.645).  The biased samples stay on the plateau around the balanced
+    family, where S_tilde is constant; leaving the eigenprojector manifold
+    lowers the sampled value by about the squared step size.
 
     A biased family is B R, with B the balanced eigenbasis and R
     block-diagonal over the degeneracy blocks, so both states are rotated

@@ -29,10 +29,11 @@ oscillator) are solved whole.
 The trace-out (:func:`gram_blocks`) finds a pair's amplitude blocks in
 two levels: the connected components of the exact nonzero pattern of
 both states, on boolean arrays, then the threshold of their Gram bound
-inside each component only, over its rows and touched columns; one
-routine (:func:`components`, rows joined through shared columns) serves
-both.  Spherium's states are 0.6% nonzero, so no product spans all 529
-columns.
+inside each component only, over its rows and touched columns.  One
+routine (:func:`components`, rows joined through shared columns) finds
+every block structure: both trace-out levels and, per size group on its
+stack of blocks, the own-block split of endpoints and range steps.
+Spherium's states are 0.6% nonzero, so no product spans all 529 columns.
 
 Small pairs are solved whole (the small-pair rule, ``SMALL_ROWS``): a
 pair of at most ``SMALL_ROWS`` rows, as every angular one, is one block,
@@ -392,8 +393,11 @@ def components(pattern: np.ndarray) -> list[np.ndarray]:
 
     Rows i and k are joined when some column holds True in both; a row
     with no True is a component of its own.  A symmetric link matrix is
-    the pattern with its diagonal set.  The components are ordered by
-    first row, each ascending.
+    the pattern with its diagonal set.  ``pattern`` may be a stack, shape
+    (..., n, width): each member's rows join only through that member's
+    own columns, and a row is numbered by its flat position b * n + r.
+    The components are ordered by first row, each ascending, so those of
+    one member come in member order.
 
     Every row starts as its own label; each step gives each column the
     least label of its rows and each row the least label of its columns,
@@ -404,19 +408,21 @@ def components(pattern: np.ndarray) -> list[np.ndarray]:
     spherium's, takes a few steps, not one per link; a dense block takes
     two.
     """
-    n, width = pattern.shape
-    if n == 0:
+    n, width = pattern.shape[-2:]
+    rows = math.prod(pattern.shape[:-1])
+    if rows == 0:
         return []
-    label = np.arange(n)
+    label = np.arange(rows)
     flat = np.flatnonzero(pattern)
     if flat.size:
         i = flat // width  # row-major: ascending
         j = flat - i * width
+        j += (label // n * width)[i]  # each member's own columns
         starts = np.flatnonzero(np.concatenate([[True], i[1:] != i[:-1]]))  # each touching row's first entry
         touching = i[starts]
-        least = np.empty(width, dtype=np.intp)
+        least = np.empty(rows // n * width, dtype=np.intp)
         while True:
-            least.fill(n)
+            least.fill(rows)
             np.minimum.at(least, j, label[i])
             step = label.copy()
             step[touching] = np.minimum(label[touching], np.minimum.reduceat(least[j], starts))
@@ -426,32 +432,15 @@ def components(pattern: np.ndarray) -> list[np.ndarray]:
                 break
             label = step
     order = np.argsort(label, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    # slices at the cuts: np.split costs about four times as much per part
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), rows]
+    return [order[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def size_groups(parts) -> list[np.ndarray]:
     """The index arrays of each size, stacked to shape (parts, size), by ascending size."""
     sizes = sorted({len(p) for p in parts})
     return [np.stack([p for p in parts if len(p) == size]) for size in sizes]
-
-
-def component_labels(linked: np.ndarray) -> np.ndarray:
-    """The first row of each row's connected component, per block of a stack.
-
-    ``linked`` holds symmetric boolean link matrices, shape (blocks, size,
-    size).  Each step gives a row the smallest label among its own and its
-    links', then the label of that label, until no label changes; a label
-    is always a row of the same component, so the fixed point is its
-    first row.
-    """
-    size = linked.shape[-1]
-    label = np.arange(size)
-    while True:
-        least = np.where(linked, label[..., None, :], size).min(axis=2)
-        np.minimum(least, label, out=least)
-        if (least == label).all():
-            return least
-        label = np.take_along_axis(least, least, axis=1)
 
 
 def own_blocks(layout, mats, sector=None) -> list[np.ndarray] | None:
@@ -461,34 +450,28 @@ def own_blocks(layout, mats, sector=None) -> list[np.ndarray] | None:
     size), and ``mats`` the blocks, shape (blocks, size, size).  Each
     block splits into the connected components of its entries that are
     not exactly zero, and of the nonzero entries of ``sector``, operator
-    blocks in the same layout, so that it couples no two parts.  Returns
-    the parts' rows per size, shape (parts, size), by ascending size, the
-    parts of one size in group, block and first-row order; or None when
-    no block splits.  A group with no zero entry is one zero test, and a
-    group of blocks of at most ``SMALL_ROWS`` rows is kept whole untested.
+    blocks in the same layout, so that it couples no two parts: one
+    :func:`components` call per group, on its stack of link matrices with
+    each diagonal set, so that a row with a zero diagonal keeps its links.
+    Returns the parts' rows per size, shape (parts, size), by ascending
+    size (:func:`size_groups`), the parts of one size in group, block and
+    first-row order; or None when no block splits.  A group with no zero
+    entry is one zero test, and a group of blocks of at most
+    ``SMALL_ROWS`` rows is kept whole untested.
     """
-    labels, split = [], False  # per group the first row of each row's part, 0 for whole blocks
+    parts, split = [], False
     for i, (rows, m) in enumerate(zip(layout, mats)):
-        label = 0  # solved whole: small, or no zero entry
         if rows.shape[1] > SMALL_ROWS:
             linked = m != 0 if sector is None else (m != 0) | (sector[i] != 0)
             if np.count_nonzero(linked) < linked.size:
-                label = component_labels(linked)
-                split = split or bool(label.any())  # a label past 0: a second part in its block
-        labels.append(label)
-    if not split:
-        return None
-    flat = np.concatenate([rows.reshape(-1) for rows in layout])
-    keys, base = [], 0
-    for rows, label in zip(layout, labels):  # a part's key: its group, block and first row
-        keys.append(np.broadcast_to(base + np.arange(len(rows))[:, None] * rows.shape[1] + label, rows.shape))
-        base += rows.size
-    key = np.concatenate([k.reshape(-1) for k in keys])
-    order = np.argsort(key, kind="stable")
-    key, flat = key[order], flat[order]
-    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-    counts = np.diff(starts, append=len(key))
-    return [flat[starts[counts == size][:, None] + np.arange(size)] for size in sorted(set(counts.tolist()))]
+                diag = np.arange(rows.shape[1])
+                linked[:, diag, diag] = True
+                found = components(linked)
+                split = split or len(found) > len(rows)
+                parts += [rows.reshape(-1)[p] for p in found]
+                continue
+        parts += list(rows)  # solved whole: small, or no zero entry
+    return size_groups(parts) if split else None
 
 
 @dataclass(frozen=True)

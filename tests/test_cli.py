@@ -206,6 +206,24 @@ def test_bad_size_is_usage_error(capsys, command, model):
     assert err.startswith("error:") and out == ""
 
 
+# one state twice: the default partner -M of M = 0, an LG mode given as its
+# own partner, and the oscillator's m = p = 0, whose default partner is itself
+SELF_PAIRS = {
+    "angular": "--model angular --l 1 --L 1 --M 0",
+    "spherium": "--model spherium --M 0",
+    "lg": "--model lg --l 1 --m 1 --l2 1 --m2 1",
+    "oscillator": "--model oscillator --n 0 --m 0 --l 1 --p 0",
+}
+
+
+@pytest.mark.parametrize("command", ["curve", "criterion", "probe"])
+@pytest.mark.parametrize("model", sorted(SELF_PAIRS))
+def test_self_pair_is_usage_error(capsys, command, model):
+    code, out, err = run(capsys, command, *SELF_PAIRS[model].split(), *SAMPLES[command])
+    assert code == 2 and out == ""
+    assert err.startswith("error: the two states coincide")
+
+
 # a valid pair of each model, and flags of other models that it does not read
 UNREAD = [
     pytest.param("--model angular --l 3 --L 1 --M 1", "--basis-size 0 --lmax 2", id="angular"),

@@ -7,7 +7,7 @@ import pytest
 
 from entconvex import benchmarks, spectra, sweep
 from entconvex.lgmodes import LGMode
-from entconvex.spectra import RANGE_TOL, component_labels, gram_blocks, own_blocks
+from entconvex.spectra import RANGE_TOL, components, gram_blocks, own_blocks
 from entconvex.sweep import angular_pair, entropy_curve, lg_pair, pair_criterion, spherium_pair
 from oracles import components_by_search, pair_block_criterion, plain_on_range
 
@@ -158,24 +158,28 @@ class TestAgainstPairBlockOracles:
 
 
 class TestSplitStaysOffLGAndTheOscillator:
-    """No LG or coupled-oscillator criterion searches or cuts parts: one zero test per group."""
+    """No LG or coupled-oscillator criterion splits or cuts parts: each own-block
+    split finds none (one zero test per group, or one search that keeps the
+    blocks whole), so the layout is solved as it is."""
 
     @pytest.fixture
     def searched(self, monkeypatch):
         calls = []
+        own, cut = spectra.own_blocks, spectra.cut_blocks
 
-        def spy(name):
-            real = getattr(spectra, name)
+        def counted_own(*args, **kwargs):
+            parts = own(*args, **kwargs)
+            if parts is not None:
+                calls.append("own_blocks")
+            return parts
 
-            def counted(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
+        def counted_cut(*args, **kwargs):
+            calls.append("cut_blocks")
+            return cut(*args, **kwargs)
 
-            monkeypatch.setattr(spectra, name, counted)
-
-        for name in ("component_labels", "cut_blocks"):
-            spy(name)
-        monkeypatch.setattr(sweep, "cut_blocks", spectra.cut_blocks)
+        for module in (spectra, sweep):
+            monkeypatch.setattr(module, "own_blocks", counted_own)
+            monkeypatch.setattr(module, "cut_blocks", counted_cut)
         return calls
 
     def test_lg_scan(self, searched, empty_state_memo):
@@ -192,14 +196,67 @@ class TestSplitStaysOffLGAndTheOscillator:
 
 @pytest.mark.parametrize("seed", range(20))
 def test_component_labels_match_a_search(seed):
+    # the first row of each row's component in a stack of three link
+    # matrices, their diagonals set as own_blocks sets them: row r of block
+    # b is row b * n + r, and no two blocks share a component
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 13))
     linked = rng.random((3, n, n)) < rng.choice([0.05, 0.2, 0.5])
     linked |= linked.swapaxes(1, 2)
-    labels = component_labels(linked)
-    for block, label in zip(linked, labels):
-        for part in components_by_search(block | np.eye(n, dtype=bool)):
-            assert np.all(label[part] == part[0])
+    label = np.empty(3 * n, dtype=np.intp)
+    for part in components(linked | np.eye(n, dtype=bool)):
+        label[part] = part[0]
+    for b, block in enumerate(linked):
+        for part in components_by_search(block):
+            assert np.all(label[b * n + part] == b * n + part[0])
+
+
+def _parts_by_search(layout, mats, sector):
+    """Each block's parts by a frontier search, grouped as own_blocks groups them, or None."""
+    parts = []
+    for i, (rows, m) in enumerate(zip(layout, mats)):
+        for b, block in enumerate(m):
+            if rows.shape[1] <= spectra.SMALL_ROWS:
+                parts.append(rows[b])
+                continue
+            linked = block != 0 if sector is None else (block != 0) | (sector[i][b] != 0)
+            parts += [rows[b][p] for p in components_by_search(linked)]
+    if len(parts) == sum(len(rows) for rows in layout):
+        return None
+    return [np.stack([p for p in parts if len(p) == size]) for size in sorted({len(p) for p in parts})]
+
+
+DENSE_TABLES = [(2, r) for r in range(4)] + [(3, r) for r in range(2)]
+
+
+@pytest.mark.parametrize("table, row", DENSE_TABLES, ids=[f"table-{t}-{r}" for t, r in DENSE_TABLES])
+def test_dense_tables_parts_in_search_order(monkeypatch, empty_state_memo, table, row):
+    # eigh_blocks breaks eigenvalue ties in part order, so S_NS to the bit
+    # rests on it: every endpoint and range-step split gives each block's
+    # parts by a frontier search, in group, block and first-row order
+    calls = []
+    own = spectra.own_blocks
+
+    def recorded(where):
+        def call(layout, mats, sector=None):
+            parts = own(layout, mats, sector)
+            calls.append((where, parts, _parts_by_search(layout, mats, sector)))
+            return parts
+        return call
+
+    monkeypatch.setattr(spectra, "own_blocks", recorded("endpoint"))
+    monkeypatch.setattr(sweep, "own_blocks", recorded("range step"))
+    sweep.criterion_vs_observation(benchmarks.reference_table(table)[row].pair)
+    assert {where for where, _, _ in calls} == {"endpoint", "range step"}
+    for where, got, want in calls:
+        assert (got is None) == (want is None), where
+        if got is not None:
+            assert len(got) == len(want), where
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), where
+    # spherium's endpoints and range steps split (table 3), the oscillator's
+    # range-step blocks of 128 into two of 64 (table 2)
+    assert any(got is not None for _, got, _ in calls)
 
 
 def test_own_blocks_keep_a_layout_without_zeros():

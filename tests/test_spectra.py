@@ -275,6 +275,14 @@ def patterns(draw):
     return draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0))) < density
 
 
+@st.composite
+def pattern_stacks(draw):
+    """A stack of 1-4 rectangular boolean patterns of one shape, 1-12 rows and 0-15 columns."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(0, 15)))
+    density = draw(st.sampled_from([0.0, 0.05, 0.15, 0.4]))
+    return draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0))) < density
+
+
 class TestComponents:
     @given(symmetric_links())
     @settings(max_examples=200, deadline=None)
@@ -294,6 +302,21 @@ class TestComponents:
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @given(pattern_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_stack_joins_rows_within_each_member(self, stack):
+        # row r of member b is row b * n + r; no two members share a column
+        n = stack.shape[1]
+        got = components(stack)
+        want = [part + b * n for b, pattern in enumerate(stack)
+                for part in components_by_search(pattern.astype(int) @ pattern.T.astype(int) > 0)]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        # more leading axes number the rows the same way
+        deeper = components(stack[None])
+        assert len(deeper) == len(got) and all(np.array_equal(a, b) for a, b in zip(deeper, got))
 
     def test_long_chain_is_one_component(self):
         # row k shares column k with row k + 1: a chain of 200 links
