@@ -5,19 +5,20 @@ types defined here.  All values are immutable after construction and the
 functions are pure, so they can be shared freely between threads.
 
 A scan meets one state in many pairs, so everything one amplitude matrix
-determines on its own is formed once per process and reused bit for bit
-(:class:`_StateMemo`): its finiteness and density, |c|, sum |c|^2, the
-floor of |c||c|^T, which proves a pair of two dense states one block
-without a link graph, and, per block layout, its own
-term c c^dagger, its endpoint density and, for pairs without a sector
-operator, that density's spectrum.  Only read-only arrays that own their
-data, have more than ``SMALL_ROWS`` rows and hold at most
-``MEMO_ENTRY_BYTES`` are stored, on their first sighting; one is found
-by its identity, which assumes it is not written again, and its state
-goes when the array is freed.  No layout whose own terms hold more than
-``MEMO_ENTRY_BYTES`` is stored, and a lock guards the memo.  Every stored
-value is the output of the same call, on the same inputs, as without the
-memo, so no result changes by a bit.
+determines on its own goes into one record per array (:class:`_State`):
+its finiteness and density and sum |c|^2 and, where the memo keeps the
+record (:class:`_StateMemo`), |c|, the floor of |c||c|^T, which proves a
+pair of two dense states one block without a link graph, and, once a
+pair finds its rows one block, its whole own term c c^dagger, its
+endpoint density and, for pairs without a sector operator, that
+density's spectrum.  The memo keeps the records of read-only arrays that
+own their data, have more than ``SMALL_ROWS`` rows and hold at most
+``MEMO_ENTRY_BYTES``, from their first sighting; one is found by its
+array's identity, which assumes the array is not written again, and
+goes when the array is freed.  No own term above ``MEMO_ENTRY_BYTES`` is
+kept, and a lock guards the memo.  Every kept value is the output of
+the same call, on the same inputs, as without the memo, so no result
+changes by a bit.
 Every endpoint is solved on its own exact blocks
 (:meth:`GramBlocks.spectrum`).  Where the rows carry an m1 label
 (angular, spherium), each state's density is exactly zero between rows
@@ -71,14 +72,9 @@ BLOCK_LINK_TOL = 1e-15
 # its block's largest is outside the range the alpha curve is solved on
 RANGE_TOL = 1e-16
 LN2 = math.log(2.0)  # entropies are in bits: nats / LN2
-# exchange pairs of blocks are sought only where a block has at least this
-# many rows: below it the search (about 50 us) costs more than the solves
-# it saves, on planted pairs of 41 grid points the crossover lay at blocks
-# of 4 to 6 rows (one BLAS thread)
-EXCHANGE_MIN_ROWS = 5
 # the small-pair rule: a pair of at most this many rows is one block, a
 # block of at most this many rows is solved whole, with no own-block split
-# or range step, and the memo stores no array of at most this many rows.
+# or range step, and the memo keeps no record of an array of at most this many rows.
 # Measured crossover (warm, one BLAS thread, 15 interleaved rounds,
 # against the paths without the rule): angular verdicts of 3 to 25 rows
 # (l = 1 to 12) gain x1.39 to x1.08, and table 1 row 0's curve, blocks of
@@ -86,8 +82,8 @@ EXCHANGE_MIN_ROWS = 5
 # with the rule (no range step, no memo), and already at 0.61x at 16, so
 # the rule stops below 32
 SMALL_ROWS = 25
-# the per-state memo (_StateMemo) stores no amplitude matrix, and no
-# layout's own terms, above this (dense-tables' are all above)
+# the per-state memo (_StateMemo) keeps no record of an amplitude matrix,
+# and no own term, above this (dense-tables' are all above)
 MEMO_ENTRY_BYTES = 64 * 1024
 # sum |c|^2 of an array that no product needs whole is summed in runs of at
 # most this many entries (_sum_squares), which numpy's pairwise tree holds
@@ -247,8 +243,9 @@ def gap_clusters(w: np.ndarray, tol: float) -> list[tuple[int, ...]]:
 def _endpoint_blocks(own, n2) -> tuple[np.ndarray, ...]:
     """The reduced density of one state from its own terms, one stack of blocks per size group.
 
-    Divided by sum |c|^2, then by the whole trace, then symmetrized, the
-    order of ``PairSpec.builder`` and its reference
+    Divided by sum |c|^2 ``n2``, then by the whole trace, then symmetrized:
+    the one normalization of every endpoint, :meth:`GramBlocks.endpoint`'s
+    and ``PairSpec.builder``'s, whose reference is
     ``tests/oracles.py::reduce_pure_state``.
     """
     mats = [t / n2 for t in own]
@@ -261,67 +258,59 @@ def _endpoint_blocks(own, n2) -> tuple[np.ndarray, ...]:
 
 
 class _State:
-    """What one amplitude matrix determines on its own, as :class:`_StateMemo` holds it.
+    """What one amplitude array determines on its own: its record, made by :meth:`_StateMemo.state`.
 
-    ``ref`` is a weak reference to the array, ``magnitude`` its |c| and
-    ``norm2`` its sum |c|^2.  ``floor`` is None when the array has a zero
-    entry; otherwise it holds the smallest entry of |c||c|^T and the
-    largest on its diagonal, from which :func:`gram_blocks` proves a pair
-    of two such states one block.  The array passed the finiteness check
-    before it was stored, and ``floor`` records its density, so neither
-    is read from the array again.  ``layouts`` maps a block layout, the
-    rows of the size groups, to a dict of the state's own terms ``"own"``
-    (c c^dagger, one stack per size group), its ``"endpoint"`` blocks
-    (:func:`_endpoint_blocks`, read-only) and, once solved, their
-    ``"spectrum"``.
+    Making a record checks that the array is finite.  Every record holds
+    ``dense``, whether the array has no zero entry, and ``norm2``, its sum
+    |c|^2 (:func:`_sum_squares`), so neither is read from the array again.
+    A record the memo keeps also holds ``ref``, a weak reference to the
+    array, ``magnitude``, its |c|, and ``floor``: for a dense array, the
+    smallest entry of |c||c|^T and the largest on its diagonal, from which
+    :func:`gram_blocks` proves a pair of two such records one block.  Once
+    a pair has found the array's rows to be one block, a kept record holds
+    the whole array's own term ``own``, c c^dagger as a stack of one
+    block, its ``endpoint`` blocks (:func:`_endpoint_blocks`, read-only)
+    and, once solved, their ``spectrum``.  Each of these is None until it
+    is formed, and stays None in a record the memo does not keep.
     """
 
-    __slots__ = ("ref", "magnitude", "norm2", "floor", "layouts")
+    __slots__ = ("dense", "norm2", "ref", "magnitude", "floor", "own", "endpoint", "spectrum")
 
-    def __init__(self, c, magnitude, norm2, floor, table):
-        self.ref = weakref.ref(c, lambda _, key=id(c): table.pop(key, None))
-        self.magnitude, self.norm2, self.floor = magnitude, norm2, floor
-        self.layouts: dict[tuple, dict] = {}
-
-
-def _floor(c: np.ndarray, magnitude: np.ndarray) -> tuple[float, float] | None:
-    """The smallest entry of |c||c|^T and the largest on its diagonal, or None where ``c`` has a zero entry."""
-    if not c.all():
-        return None
-    p = magnitude @ magnitude.T
-    return float(p.min()), float(p.diagonal().max())
+    def __init__(self, c: np.ndarray):
+        if not np.isfinite(c).all():
+            raise ValueError("amplitudes must be finite")
+        self.dense, self.norm2 = bool(c.all()), _sum_squares(c)
+        self.ref = self.magnitude = self.floor = self.own = self.endpoint = self.spectrum = None
 
 
 def _storable(c: np.ndarray) -> bool:
-    """Whether :class:`_StateMemo` stores ``c``: read-only, owning its data, of
-    more than ``SMALL_ROWS`` rows and at most ``MEMO_ENTRY_BYTES``."""
+    """Whether :class:`_StateMemo` keeps the record of ``c``: read-only, owning
+    its data, of more than ``SMALL_ROWS`` rows and at most ``MEMO_ENTRY_BYTES``."""
     flags = c.flags
     return not flags.writeable and flags.owndata and len(c) > SMALL_ROWS and c.nbytes <= MEMO_ENTRY_BYTES
 
 
 class _StateMemo:
-    """Everything one amplitude matrix determines on its own, formed once per process.
+    """One record per amplitude array (:class:`_State`), kept for the arrays a scan meets again.
 
-    A read-only array that owns its data, has more than ``SMALL_ROWS`` rows
-    and holds at most ``MEMO_ENTRY_BYTES`` (the models' cached arrays) is
-    stored on its first sighting and found by its id, checked against a
-    weak reference, so the memo keeps no array alive; the reference's
-    callback drops the state when the array is freed.  Any other array
-    bypasses the memo, so it holds one state per such live array.  A small
-    pair's arrays, as angular's, are built afresh for each pair and never
-    met again, so storing them would only cost.  A hit
-    assumes the array was not written after it was stored, which only
+    The record of a read-only array that owns its data, has more than
+    ``SMALL_ROWS`` rows and holds at most ``MEMO_ENTRY_BYTES`` (the models'
+    cached arrays) is kept on its first sighting and found by the array's
+    id, checked against a weak reference, so the memo keeps no array
+    alive; the reference's callback drops the record when the array is
+    freed.  Any other array gets a fresh record on each call, which the
+    memo does not keep, so it holds one record per such live array.  A
+    small pair's arrays, as angular's, are built afresh for each pair and
+    never met again, so keeping them would only cost.  A hit assumes the
+    array was not written after its record was kept, which only
     ``setflags(write=True)``, or a writeable view taken before it was made
-    read-only, could do.  Its finiteness and its density (no zero entry)
-    are facts of first sight: the trace-out checks them on the array once,
-    before it is stored, and reads them from the state after
-    (:attr:`_State.floor`).  A layout is stored only when its own terms hold
-    at most ``MEMO_ENTRY_BYTES`` and the state does not vanish.
-    ``len()`` is the number of stored spectra.  Lookups read the table
-    without the lock and every store holds it; the arithmetic runs outside
-    it, and the first value stored wins, so every caller gets the same
-    arrays.  The callback only pops the state's entry and never takes the
-    lock, since it can run inside a locked step.
+    read-only, could do.  A record's own term and endpoint are kept only
+    when they hold at most ``MEMO_ENTRY_BYTES`` and the state does not
+    vanish.  ``len()`` is the number of kept spectra.  Lookups read the
+    table without the lock and every store holds it; the arithmetic runs
+    outside it, and the first value stored wins, so every caller gets the
+    same arrays.  The callback only pops the record's entry and never
+    takes the lock, since it can run inside a locked step.
     """
 
     def __init__(self):
@@ -329,50 +318,54 @@ class _StateMemo:
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return sum("spectrum" in entry for st in list(self._states.values()) for entry in st.layouts.values())
+        return sum(st.spectrum is not None for st in list(self._states.values()))
 
     def find(self, c: np.ndarray) -> _State | None:
-        """The stored state of ``c``, or None."""
+        """The kept record of ``c``, or None."""
         st = self._states.get(id(c))
         return st if st is not None and st.ref() is c else None
 
-    @staticmethod
-    def layout(st: _State | None, layout: tuple) -> dict | None:
-        """The stored entry of ``layout`` in ``st``, or None."""
-        return None if st is None else st.layouts.get(layout)
-
-    def store(self, st, c, magnitude, norm2, layout, own) -> _State | None:
-        """Store what the trace-out formed of ``c``: a state, with its floor
-        (:func:`_floor`), when ``st``, its ``find``, is None, and its own
-        terms and endpoint for ``layout``.
-
-        Returns the state, or None when ``c`` bypasses the memo.
-        """
-        if st is None and not _storable(c):
-            return None
-        floor = _floor(c, magnitude) if st is None else None
-        entry = None
-        if sum(m.nbytes for m in own) <= MEMO_ENTRY_BYTES and norm2 > 0.0:
-            entry = {"own": own, "endpoint": _endpoint_blocks(own, norm2)}
-            for m in entry["endpoint"]:
-                m.setflags(write=False)
+    def state(self, c: np.ndarray) -> _State:
+        """The record of ``c``: the kept one, or a new one, kept when :func:`_storable` accepts ``c``."""
+        st = self.find(c)
+        if st is not None:
+            return st
+        st = _State(c)
+        if not _storable(c):
+            return st
+        st.magnitude = np.abs(c)
+        if st.dense:
+            p = st.magnitude @ st.magnitude.T
+            st.floor = float(p.min()), float(p.diagonal().max())
         with self._lock:
-            if st is None:  # another thread may have stored it meanwhile
-                st = self.find(c)
-            if st is None:
-                st = self._states[id(c)] = _State(c, magnitude, norm2, floor, self._states)
-            if entry is not None:
-                st.layouts.setdefault(layout, entry)
+            kept = self.find(c)  # another thread may have kept one meanwhile
+            if kept is not None:
+                return kept
+            st.ref = weakref.ref(c, lambda _, key=id(c), table=self._states: table.pop(key, None))
+            self._states[id(c)] = st
         return st
 
-    def spectrum(self, entry: dict, solve) -> Spectrum:
-        """The spectrum of ``entry``, a stored layout: the stored one, or
-        ``solve()``, the spectrum of its endpoint blocks, stored."""
-        spec = entry.get("spectrum")
+    def keep_own(self, st: _State, own: np.ndarray) -> None:
+        """Keep ``own``, the whole-array own term of a kept record ``st``, and its
+        endpoint, unless ``st`` holds one."""
+        if st.ref is None or st.own is not None or own.nbytes > MEMO_ENTRY_BYTES or not st.norm2 > 0.0:
+            return
+        endpoint = _endpoint_blocks([own], st.norm2)
+        for m in endpoint:
+            m.setflags(write=False)
+        with self._lock:
+            if st.own is None:  # the endpoint first: a record with an own term has its endpoint
+                st.endpoint, st.own = endpoint, own
+
+    def spectrum(self, st: _State, solve) -> Spectrum:
+        """The spectrum of ``st``'s kept endpoint: the kept one, or ``solve()``, kept."""
+        spec = st.spectrum
         if spec is None:
             solved = solve()
-            with self._lock:  # another thread may have stored one
-                spec = entry.setdefault("spectrum", solved)
+            with self._lock:  # another thread may have kept one
+                if st.spectrum is None:
+                    st.spectrum = solved
+                spec = st.spectrum
         return spec
 
     def clear(self) -> None:
@@ -487,9 +480,7 @@ class GramBlocks:
     three terms: sum |c|^2 of c0 and of c1, and 2 Re <c1|c0> summed over
     the blocks.  ``sector`` holds, per group, the sector operator's blocks,
     shape (blocks, size, size), or is None when no operator was given.
-    ``states`` holds the memo states of c0 and c1 (:class:`_StateMemo`),
-    None where the array bypasses the memo, and ``layout`` the key of the
-    groups' rows in them.
+    ``states`` holds the records of c0 and c1 (:class:`_State`).
     ``repeats`` holds, per group, how many times each block's eigenvalues
     count in the alpha curve, shape (blocks,): 2 for the solved side of an
     exchange pair, 0 for the side it stands in for, 1 otherwise; None when
@@ -504,27 +495,25 @@ class GramBlocks:
     traced: int
     norms: tuple[float, float, float]
     sector: tuple[np.ndarray, ...] | None
-    states: tuple[_State | None, _State | None] = field(default=(None, None), repr=False, compare=False)
-    layout: tuple = field(default=(), repr=False, compare=False)
+    states: tuple[_State, _State] = field(repr=False, compare=False)
     repeats: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
     exchange_dropped: float = 0.0
 
     def endpoint(self, state: int) -> tuple[np.ndarray, ...]:
         """The reduced density of c0 or c1, one stack of blocks per size group.
 
-        Normalized as ``PairSpec.builder`` and its reference
-        ``tests/oracles.py::reduce_pure_state`` do (:func:`_endpoint_blocks`).
-        With one block this is their arithmetic to the bit, which S_NS of
-        some LG pairs (one block of 32) needs.  No dim x dim matrix is
-        formed.  A stored state gives back its stored, read-only blocks
-        (:class:`_StateMemo`).
+        Normalized by :func:`_endpoint_blocks`, which ``PairSpec.builder``
+        calls too; with one block this is the builder's density to the bit,
+        which S_NS of some LG pairs (one block of 32) needs.  No dim x dim
+        matrix is formed.  With one block, a kept record gives back its
+        kept, read-only blocks (:class:`_StateMemo`).
         """
         n2 = self.norms[state]
         if not n2 > 0.0:
             raise ValueError("state vanishes")
-        entry = _state_memo.layout(self.states[state], self.layout)
-        if entry is not None:
-            return entry["endpoint"]
+        st = self.states[state]
+        if st.endpoint is not None and len(self.block_sizes) == 1:
+            return st.endpoint
         return _endpoint_blocks([terms[state] for _, terms in self.groups], n2)
 
     def spectrum(self, blocks: tuple[np.ndarray, ...]) -> Spectrum:
@@ -543,7 +532,7 @@ class GramBlocks:
         ``PairSpec.builder``.  :meth:`restrict` cuts the
         partner's blocks to the parts.
 
-        Without a sector operator, a stored endpoint, the very tuple
+        Without a sector operator, a kept endpoint, the very tuple
         :meth:`endpoint` returned, is split and solved once per process:
         every later call gets the same read-only spectrum
         (:class:`_StateMemo`).  Other blocks, and every endpoint of a pair
@@ -553,9 +542,8 @@ class GramBlocks:
         rows = [g[0] for g in self.groups]
         if self.sector is None:
             for st in self.states:
-                entry = _state_memo.layout(st, self.layout)
-                if entry is not None and entry["endpoint"] is blocks:
-                    return _state_memo.spectrum(entry, lambda: _own_spectrum(rows, blocks))
+                if st.endpoint is blocks:
+                    return _state_memo.spectrum(st, lambda: _own_spectrum(rows, blocks))
         return _own_spectrum(rows, blocks, self.sector)
 
     def restrict(self, stacks: tuple[np.ndarray, ...], spec: Spectrum) -> tuple[np.ndarray, ...]:
@@ -613,31 +601,21 @@ def _sum_squares(c: np.ndarray) -> float:
     """
     if c.size <= SUM_CHUNK or not c.flags.c_contiguous:
         return np.sum(np.abs(c) ** 2)
-    flat = c.reshape(-1)
-    square = (lambda x: np.abs(x) ** 2) if np.iscomplexobj(c) else np.square
-
-    def pairwise(lo, hi):
-        if hi - lo <= SUM_CHUNK:
-            return np.sum(square(flat[lo:hi]))
-        half = (hi - lo) // 2
-        half -= half % 8
-        return pairwise(lo, lo + half) + pairwise(lo + half, hi)
-
-    return pairwise(0, flat.size)
+    return _pairwise_squares(c.reshape(-1), 0, c.size)
 
 
-def _magnitude(c: np.ndarray, st: _State | None, whole: bool) -> tuple[np.ndarray | None, float]:
-    """|c| and sum |c|^2: the stored ones, or formed here.
+def _pairwise_squares(flat: np.ndarray, lo: int, hi: int):
+    """sum |flat[lo:hi]|^2 in numpy's pairwise tree, down to runs of ``SUM_CHUNK`` entries (:func:`_sum_squares`).
 
-    |c| is formed over the whole array only when the memo will store it or
-    ``whole`` asks for it, and is None otherwise (:func:`_sum_squares`).
+    A function of the module, not a closure that calls itself, which would
+    hold the array in a reference cycle until the garbage collector runs.
     """
-    if st is not None:
-        return st.magnitude, st.norm2
-    if whole or _storable(c):
-        a = np.abs(c)
-        return a, np.sum(a ** 2)
-    return None, _sum_squares(c)
+    if hi - lo <= SUM_CHUNK:
+        x = flat[lo:hi]
+        return np.sum(np.abs(x) ** 2 if np.iscomplexobj(x) else np.square(x))
+    half = (hi - lo) // 2
+    half -= half % 8
+    return _pairwise_squares(flat, lo, lo + half) + _pairwise_squares(flat, lo + half, hi)
 
 
 def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None) -> GramBlocks:
@@ -655,10 +633,11 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     so each term, and the operator's blocks, is one batched product per size.
     A pair of at most ``SMALL_ROWS`` rows, as every angular one, is one
     block: it forms no G, runs no component or exchange search, and its
-    ``dropped`` is 0.0.  So is a pair of two stored states with no zero
-    entry and no sector operator whose memo proves G's threshold passed
-    by every entry (:func:`_proved_one_block`): the search would exit on
-    one block with the same fields, as on every LG pair met again.
+    ``dropped`` is 0.0.  So is a pair of two kept records of arrays with
+    no zero entry and no sector operator whose floors prove G's threshold
+    passed by every entry (:func:`_proved_one_block`): the search would
+    exit on one block with the same fields, as on every LG pair, met
+    first or again.
 
     The blocks are found in two levels (:func:`_link_blocks`).  Level 1
     takes the connected components of the exact nonzero pattern of c0 and
@@ -677,18 +656,18 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     blocks and ``dropped`` equal those of G over every column bit for bit,
     and on arbitrary input ``dropped`` is equal to rounding.
 
-    What each state determines alone, its finiteness and density, |c|,
-    sum |c|^2, the floor of |c||c|^T and, per block layout, its own term c
-    c^dagger and endpoint, comes from the per-state memo
-    (:class:`_StateMemo`) and, for an array the memo stores, is formed
-    only on its first sight; only the link graph, unless the floors prove
-    one block, and the cross term are formed for every pair.  No |c| of a
-    whole array is formed unless the memo stores it or one component
-    spans the array, and sum |c|^2 is
-    numpy's sum to the bit (:func:`_sum_squares`).  Each own term is a
-    product over the columns its state touches on the group's rows, and
-    the cross term over those both states touch, so the terms do not depend on the partner and a
-    stored own term is the one a fresh trace-out forms.
+    What each state determines alone comes from its record
+    (:class:`_State`): its finiteness and density and sum |c|^2 and, for
+    an array the memo keeps, |c|, the floor of |c||c|^T and, once a pair
+    finds its rows one block, its whole own term c c^dagger and endpoint,
+    each formed on first sight only.  Only the link graph, unless the
+    floors prove one block, and the cross term are formed for every pair.
+    No |c| of a whole array is formed unless the memo keeps it or one
+    component spans the array, and sum |c|^2 is numpy's sum to the bit
+    (:func:`_sum_squares`).  Each own term is a product over the columns
+    its state touches on the group's rows, and the cross term over those
+    both states touch, so the terms do not depend on the partner and a
+    kept own term is the one a fresh trace-out forms.
 
     Identical particles pair blocks.  When rows and columns run over one
     basis (square amplitudes) and both states are exchange-symmetric or
@@ -701,51 +680,37 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
     66 <-> 66.  A pair is accepted only while the exchange defect, by
     Weyl, moves no eigenvalue by more than the rounding of solving the
     stood-in side directly.  Amplitudes with no zero entry (LG, the coupled
-    oscillator) and layouts whose blocks all have fewer than
-    ``EXCHANGE_MIN_ROWS`` rows skip the search, which takes the exact
-    nonzero pattern as its support: LG is not square, every
-    oscillator block touches every column, and small blocks cost less to
-    solve than to pair.  Every block's terms are still formed, so
-    ``norms``, the endpoints and the criterion do not move.
+    oscillator) skip the search, which takes the exact nonzero pattern as
+    its support: LG is not square, and every oscillator block touches
+    every column.  Every block's terms are still formed, so ``norms``, the
+    endpoints and the criterion do not move.
     """
     if c0.ndim != 2 or c0.shape != c1.shape:
         raise ValueError(f"amplitudes must be 2-d arrays of one shape: {c0.shape} != {c1.shape}")
-    st0, st1 = _state_memo.find(c0), _state_memo.find(c1)
-    # finiteness and density are facts of first sight: a stored state holds them
-    if not all(st is not None or np.isfinite(c).all() for c, st in ((c0, st0), (c1, st1))):
-        raise ValueError("amplitudes must be finite")
+    st0, st1 = _state_memo.state(c0), _state_memo.state(c1)  # each checks its array is finite
     if sector is not None and np.shape(sector) != (len(c0), len(c0)):
         raise ValueError(f"sector operator shape {np.shape(sector)} does not match {len(c0)} rows")
     dim = len(c0)
-    # no zero entry, as LG's: one component over every column
-    dense = all(c.all() if st is None else st.floor is not None for c, st in ((c0, st0), (c1, st1)))
-    a, n0 = _magnitude(c0, st0, dense and dim > SMALL_ROWS)  # n0: the builder's sum |c|^2
-    b, n1 = _magnitude(c1, st1, dense and dim > SMALL_ROWS)
+    dense = st0.dense and st1.dense  # no zero entry, as LG's: one component over every column
     if dim <= SMALL_ROWS or sector is None and _proved_one_block(st0, st1):  # no link graph, no search
         touched = None if dense else (c0.any(axis=0), c1.any(axis=0))
         layout, touched, sizes, dropped, counts, exchange = [np.arange(dim)[None]], [touched], (dim,), 0.0, None, 0.0
     else:
-        kept = st0 is not None or _storable(c0)  # |c0| is or will be stored
-        layout, touched, sizes, dropped, counts, exchange = _link_blocks(c0, c1, a, b, sector, dense, kept)
-    key = tuple(tuple(map(tuple, rows.tolist())) for rows in layout)
-    own0, own1 = _state_memo.layout(st0, key), _state_memo.layout(st1, key)
-    # the memo stores a state's own terms for a layout it does not hold yet
-    keep0 = own0 is None and (st0 is not None or _storable(c0))
-    keep1 = own1 is None and (st1 is not None or _storable(c1))
-    groups, terms0, terms1 = [], [], []
+        layout, touched, sizes, dropped, counts, exchange = _link_blocks(
+            c0, c1, st0.magnitude, st1.magnitude, sector, dense)
+    whole = len(sizes) == 1  # one block, one group: a record's own term is the whole array's
+    own0, own1 = (st0.own, st1.own) if whole else (None, None)
+    groups = []
     n01 = 0.0
-    for i, (rows, cols) in enumerate(zip(layout, touched)):
+    for rows, cols in zip(layout, touched):
         t, u, x = _group_terms(c0, c1, rows, cols, own0 is None, own1 is None)
-        t = t if own0 is None else own0["own"][i]
-        u = u if own1 is None else own1["own"][i]
+        t = own0 if t is None else t
+        u = own1 if u is None else u
         n01 += float(np.trace(x, axis1=1, axis2=2).real.sum())
-        terms0.append(t if keep0 else None)
-        terms1.append(u if keep1 else None)
         groups.append((rows, np.stack([t, u, x])))
-    if keep0:
-        st0 = _state_memo.store(st0, c0, a, n0, key, tuple(terms0))
-    if keep1:
-        st1 = _state_memo.store(st1, c1, b, n1, key, tuple(terms1))
+    if whole:
+        _state_memo.keep_own(st0, t)
+        _state_memo.keep_own(st1, u)
     op = None
     if sector is not None:  # every nonzero entry, NaN included, lies in one of these blocks
         op = tuple(sector[rows[:, :, None], rows[:, None, :]] for rows, _ in groups)
@@ -756,11 +721,11 @@ def gram_blocks(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | None = None
             raise NonHermitianError(f"sector operator hermiticity deviation {dev:.3e}")
     repeats = None if counts is None else tuple(counts[rows[:, 0]] for rows in layout)
     return GramBlocks(tuple(groups), sizes, dropped, dim, c0.shape[1],
-                      (n0, n1, n01), op, (st0, st1), key, repeats, exchange)
+                      (st0.norm2, st1.norm2, n01), op, (st0, st1), repeats, exchange)
 
 
-def _proved_one_block(st0: _State | None, st1: _State | None) -> bool:
-    """Whether two stored states with no zero entry are one block by their floors alone (:func:`gram_blocks`).
+def _proved_one_block(st0: _State, st1: _State) -> bool:
+    """Whether two kept records of dense arrays are one block by their floors alone (:func:`gram_blocks`).
 
     Every entry of G = (|c0| + |c1|)(|c0| + |c1|)^T is at least the sum of
     the states' smallest entries of |c||c|^T, and its largest at most its
@@ -769,17 +734,16 @@ def _proved_one_block(st0: _State | None, st1: _State | None) -> bool:
     4 ``BLOCK_LINK_TOL`` times the second, every entry of G is more than
     twice the threshold, so rounding cannot drop a link.
     """
-    if st0 is None or st1 is None or st0.floor is None or st1.floor is None:
+    if st0.floor is None or st1.floor is None:
         return False
     (low0, diag0), (low1, diag1) = st0.floor, st1.floor
     return low0 + low1 > 4.0 * BLOCK_LINK_TOL * (diag0 + diag1)
 
 
-def _link_blocks(c0, c1, a, b, sector, dense, kept):
+def _link_blocks(c0, c1, a, b, sector, dense):
     """The amplitude blocks of a pair of more than ``SMALL_ROWS`` rows, in two levels (:func:`gram_blocks`).
 
-    ``a`` and ``b`` are |c0| and |c1|, each None where it was not formed;
-    ``kept`` tells that ``a`` is stored, so not to be overwritten.
+    ``a`` and ``b`` are |c0| and |c1|, each None where the memo keeps no record.
     Returns the layout, the rows of each size group; per group the
     columns c0 and c1 touch on its rows, a pair of boolean masks, or None
     for every column; the blocks' sizes in order of first row; the
@@ -797,7 +761,7 @@ def _link_blocks(c0, c1, a, b, sector, dense, kept):
         np.fill_diagonal(links, True)
     # level 1: the exact pattern's components, each with G over its rows and touched columns
     if dense:
-        s = a + b if kept else np.add(a, b, out=a)
+        s = (np.abs(c0) if a is None else a) + (np.abs(c1) if b is None else b)
         spans = [(np.arange(dim), s @ s.T)]
         del s
     else:
@@ -840,9 +804,8 @@ def _link_blocks(c0, c1, a, b, sector, dense, kept):
     if not dense:
         touched = [(nz0[rows].any(axis=(0, 1)), nz1[rows].any(axis=(0, 1))) for rows in layout]
     counts, exchange = None, 0.0
-    # exchange pairs, where rows and columns run over one basis and some
-    # block is large enough to be worth the search
-    if not dense and len(parts) > 1 and layout[-1].shape[1] >= EXCHANGE_MIN_ROWS and dim == c0.shape[1]:
+    # exchange pairs, where rows and columns run over one basis
+    if not dense and len(parts) > 1 and dim == c0.shape[1]:
         counts, exchange = exchange_repeats(c0, c1, pattern, label, len(parts))
         if counts is not None:
             counts = counts[label]

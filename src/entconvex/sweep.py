@@ -25,6 +25,7 @@ from .spectra import (
     SMALL_ROWS,
     GramBlocks,
     HermitianMatrix,
+    _endpoint_blocks,
     cut_blocks,
     entropy_bits,
     gram_blocks,
@@ -116,18 +117,18 @@ class PairSpec:
         """Dense reduced density of one state: c0 at alpha = 1, c1 at alpha = 0.
 
         Only the projector probe reads a dense density, and only at an
-        endpoint; any other alpha raises ``ValueError``.  c c^dagger is
-        divided by sum |c|^2, then by its trace, the order that
-        :meth:`entconvex.spectra.GramBlocks.endpoint` keeps to the bit, so
-        the result does not depend on the scale of c.  The density at an
-        interior alpha comes from :func:`entconvex.spectra.gram_blocks`,
-        as the curve forms it.
+        endpoint; any other alpha raises ``ValueError``.  c c^dagger, one
+        block, is normalized by :func:`entconvex.spectra._endpoint_blocks`,
+        as :meth:`entconvex.spectra.GramBlocks.endpoint` normalizes its
+        blocks, so the result does not depend on the scale of c.  The
+        density at an interior alpha comes from
+        :func:`entconvex.spectra.gram_blocks`, as the curve forms it.
         """
         if alpha not in (0.0, 1.0):
             raise ValueError(f"the dense density exists only for an endpoint, alpha 1 or 0: {alpha!r}")
         c = np.asarray(self.amplitudes()[0 if alpha == 1.0 else 1], dtype=complex)
-        rho = c @ c.conj().T / np.sum(np.abs(c) ** 2)
-        return HermitianMatrix(rho / np.real(np.trace(rho)))
+        (rho,) = _endpoint_blocks([(c @ c.conj().T)[None]], np.sum(np.abs(c) ** 2))
+        return HermitianMatrix(rho[0])
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ from entconvex.oscillator import (
 )
 from entconvex.spectra import (
     BLOCK_LINK_TOL,
-    EXCHANGE_MIN_ROWS,
     LN2,
     RANGE_TOL,
     SMALL_ROWS,
@@ -49,6 +48,7 @@ from entconvex.spectra import (
     GramBlocks,
     HermitianMatrix,
     Spectrum,
+    _State,
     eigendecompose,
     eigh_blocks,
     entropy_bits,
@@ -190,7 +190,8 @@ def gram_blocks_unmemoized(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | 
     included.  Each own term runs over the columns its state touches on
     the group's rows, and the cross term over those both touch, when that
     is fewer than all.  Exchange pairs are sought as the trace-out seeks
-    them, with |c0| + |c1| as the support.  The oracle of the memo, of the
+    them, with |c0| + |c1| as the support.  Its records are fresh ones,
+    which the memo does not keep.  The oracle of the memo, of the
     one-block exit and of the two-level search."""
     a = np.abs(c0)
     n0 = np.sum(a ** 2)
@@ -221,12 +222,12 @@ def gram_blocks_unmemoized(c0: np.ndarray, c1: np.ndarray, sector: np.ndarray | 
     op = None if sector is None else tuple(sector[rows[:, :, None], rows[:, None, :]] for rows, _ in groups)
     repeats, exchange = None, 0.0
     square = len(c0) == c0.shape[1]
-    if not (c0.all() and c1.all()) and len(blocks) > 1 and max(sizes) >= EXCHANGE_MIN_ROWS and square:
+    if not (c0.all() and c1.all()) and len(blocks) > 1 and square:
         counts, exchange = exchange_repeats(c0, c1, a, label, len(blocks))
         if counts is not None:
             repeats = tuple(counts[label[rows[:, 0]]] for rows in layout)
     return GramBlocks(tuple(groups), tuple(sizes), dropped, len(g), c0.shape[1], (n0, n1, n01), op,
-                      repeats=repeats, exchange_dropped=exchange)
+                      (_State(c0), _State(c1)), repeats, exchange)
 
 
 def pair_block_criterion(pair, gram: GramBlocks) -> CriterionReport:

@@ -63,9 +63,8 @@ def test_spherium_pairs(M, Mprime, solved, use_sectors):
 
 def test_angular_pairs_that_pair_match_dense():
     # every pair M > M' of l <= 6, lifted past the small-pair rule with rows
-    # of zeros: 188 of the 2,933 pair, all exactly; the others have no
-    # partners or only blocks below EXCHANGE_MIN_ROWS rows, which are solved
-    # whole
+    # of zeros: 2,615 of the 2,933 pair, all exactly (188 with a block of
+    # five rows or more); the others have no partners
     pairs = [angular_pair(l, L, M, Mp) for l in range(1, 7) for L in range(1, 2 * l + 1)
              for M in range(-L, L + 1) for Mp in range(-L, M)]
     paired = 0
@@ -77,7 +76,7 @@ def test_angular_pairs_that_pair_match_dense():
         paired += 1
         assert gram.exchange_dropped == 0.0
         _assert_matches_dense(_pair(c0, c1, pair.label), gram)
-    assert (len(pairs), paired) == (2933, 188)
+    assert (len(pairs), paired) == (2933, 2615)
 
 
 def _planted(rng, sign, complex_, a=6, b=5, own=spectra.SMALL_ROWS):
@@ -145,22 +144,24 @@ def test_perturbed_coupling_solves_its_blocks():
     _assert_matches_dense(_pair(c0, c1), gram)
 
 
+# the sizes of the blocks solved twice and of those they stand in for
+SMALL_EXCHANGES = {(2, 3, 3): ([1, 1], [1, 1]), (3, 2, 2): ([1], [2]), (3, 1, 1): ([3], [4])}
+
+
 @pytest.mark.parametrize("args, sizes", [((2, 3, 3), (1,) * 5), ((3, 2, 2), (2, 2, 2, 1)), ((3, 1, 1), (4, 3))])
 def test_small_blocks_solve_every_block(args, sizes):
-    # exchange pairs (one-row blocks; 1 <-> 2; 3 <-> 4) of blocks below
-    # EXCHANGE_MIN_ROWS rows: cheaper to solve than to pair.  Lifted past
-    # the small-pair rule by rows of zeros, each a block of one row
+    # exchange pairs (one-row blocks; 1 <-> 2; 3 <-> 4) of blocks of fewer
+    # than five rows are taken like larger ones, and every block is solved
+    # or stood in for.  Lifted past the small-pair rule by rows of zeros,
+    # each a block of one row
     pair = angular_pair(*args)
     small = len(pair.amplitudes()[0])
     c0, c1 = above_small_rows(*pair.amplitudes())
-    assert max(sizes) < spectra.EXCHANGE_MIN_ROWS
     gram = gram_blocks(c0, c1)
-    assert gram.block_sizes == sizes + (1,) * (len(c0) - small) and gram.repeats is None
+    assert gram.block_sizes == sizes + (1,) * (len(c0) - small)
+    counts = {rows: n for rows, n in _counts(gram).items() if max(rows) < small}
+    assert tuple(sorted(len(rows) for rows, n in counts.items() if n == k) for k in (2, 0)) == SMALL_EXCHANGES[args]
     _assert_matches_dense(_pair(c0, c1, pair.label), gram)
-    wide = np.zeros((len(c0) + spectra.EXCHANGE_MIN_ROWS,) * 2)
-    wide[:len(c0), :len(c0)] = c0
-    wide[len(c0):, len(c0):] = 0.1  # an unpaired block large enough for the search
-    assert gram_blocks(wide, np.pad(c1, (0, spectra.EXCHANGE_MIN_ROWS))).repeats is not None
 
 
 def test_non_square_amplitudes_solve_every_block():

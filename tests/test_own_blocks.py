@@ -115,8 +115,9 @@ class TestAgainstPairBlockOracles:
         # rows 0-2 and 4 on are one amplitude block, larger than SMALL_ROWS,
         # which rho0 splits into {0, 1}, {2} and one part per row from 4 on;
         # an operator entry between rows 1 and 2 joins the first two parts,
-        # so it couples no two of them; read-only, so the memo stores c0 and
-        # c1, whose endpoints a pair with an operator still solves on each call
+        # so it couples no two of them; read-only, so the memo keeps the
+        # records of c0 and c1, whose endpoints a pair with an operator still
+        # solves on each call
         n = spectra.SMALL_ROWS + 2
         c0 = np.zeros((n, n))
         c0[0, :2], c0[1, :2], c0[2, 2], c0[3, 3] = [0.5, 0.3], [0.2, -0.4], 0.6, 0.3
@@ -128,9 +129,10 @@ class TestAgainstPairBlockOracles:
         op = np.diag([1.0, 1.0, 2.0, 0.0] + [0.0] * (n - 4))
         op[1, 2] = op[2, 1] = link
         pair = sweep.PairSpec(lambda: (c0, c1), "rho0 split", sector_operator=op)
-        for _ in range(2):  # cold, then with both states stored
+        for _ in range(2):  # cold, then with both records kept
             gram = gram_blocks(c0, c1, op)
-            assert gram.block_sizes == (n - 1, 1) and None not in gram.states
+            assert gram.block_sizes == (n - 1, 1)
+            assert gram.states == (spectra._state_memo.find(c0), spectra._state_memo.find(c1)) != (None, None)
             spec = gram.spectrum(gram.endpoint(0))
             got = sorted(sorted(p.tolist()) for rows, _ in spec.groups for p in rows)
             assert got == parts + [[i] for i in range(4, n)]

@@ -80,8 +80,10 @@ def test_the_rule_switches_at_small_rows(monkeypatch, rows):
     gram = gram_blocks(c0, c1)
     assert (gram.block_sizes == (rows,)) == small and (len(searched) == 0) == small
     assert gram.dropped == 0.0
+    # past SMALL_ROWS its one-row blocks stand in for the exchange partners of two rows
+    assert (gram.repeats is None) == small
     curve = entropy_curve(pair, GRID, gram=gram)
-    assert ranged == [] and curve.solved_sizes == tuple(sorted(set(gram.block_sizes)))
+    assert ranged == [] and curve.solved_sizes == tuple(rows.shape[1] for rows, _, _ in sweep._counted_groups(gram))
     np.testing.assert_allclose(curve.entropies, dense_entropy_curve(pair, GRID), rtol=0, atol=1e-12)
     # one block of rank at most 6: compressed onto its range only past SMALL_ROWS
     rng = np.random.default_rng(rows)

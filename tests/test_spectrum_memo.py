@@ -143,13 +143,13 @@ def _read_only_copy(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def test_threads_trace_out_and_solve_while_states_are_dropped(own_terms):
+def test_threads_trace_out_and_solve_while_states_are_dropped(kept):
     # four threads run the trace-out and the criterion of 22 pairs of eight
     # LG modes, each pair three times, on fresh read-only copies of the
-    # amplitudes, so each run stores two new states and drops them when it
-    # frees its copies, while other threads store and solve; every
-    # trace-out is the unmemoized one and every report the serial one of a
-    # memo cleared before the pair
+    # amplitudes, so each run keeps two new records, with their own terms,
+    # and drops them when it frees its copies, while other threads keep and
+    # solve; every trace-out is the unmemoized one and every report the
+    # serial one of a memo cleared before the pair
     from concurrent.futures import ThreadPoolExecutor
 
     memo = spectra._state_memo
@@ -162,12 +162,13 @@ def test_threads_trace_out_and_solve_while_states_are_dropped(own_terms):
         gram = gram_blocks_unmemoized(*pair.amplitudes())
         want.append((gram, sweep._criterion(pair, gram_blocks(*pair.amplitudes()))))
     memo.clear()
-    own_terms.clear()
+    kept.clear()
 
     def run(i):
         pair = pairs[i]
-        gram = gram_blocks(*map(_read_only_copy, pair.amplitudes()))
-        assert all(st is not None for st in gram.states)
+        copies = [_read_only_copy(c) for c in pair.amplitudes()]
+        gram = gram_blocks(*copies)
+        assert all(st is memo.find(c) and st.own is not None for c, st in zip(copies, gram.states, strict=True))
         return i, gram, sweep._criterion(pair, gram)
 
     order = [i for _ in range(3) for i in range(len(pairs))]
@@ -181,27 +182,54 @@ def test_threads_trace_out_and_solve_while_states_are_dropped(own_terms):
     for i, gram, report in got:
         _assert_same_gram(gram, want[i][0])
         assert report == want[i][1]
-    assert len(own_terms) == 2 * len(order)  # each run stored both its copies
+    assert len(kept) == 2 * len(order)  # each run kept the records of both its copies
     assert not memo._states
 
 
-@pytest.mark.parametrize(
-    "states, rotates",
-    [(((0, 1, 0, 0), (0, -1, 0, 0)), False), (((0, 0, 2, -2), (0, 0, 2, 2)), True)],
-    ids=["0,1,0,0", "0,0,2,-2"],
-)
-def test_sector_refinement_leaves_the_stored_entry_unchanged(solves, states, rotates):
-    # at lambda = 0 in a basis of 8 functions per coordinate both amplitude
-    # matrices (64 x 64, real) are stored; a pair with a sector operator
-    # solves its endpoint on every call, with the operator's links, and
-    # stores no spectrum, so the refinement, which in the second pair also
-    # rotates columns, leaves the stored own terms and endpoint unchanged
+def _oscillator_sector_pair(states):
     pair = oscillator_pair(*(OscState(*q) for q in states), basis=OscBasisSpec(8))
-    gram = gram_blocks(*pair.amplitudes(), pair.sector_operator)
-    entry = spectra._state_memo.layout(gram.states[0], gram.layout)
-    stored = [*entry["own"], *entry["endpoint"]]
+    return (*pair.amplitudes(), pair.sector_operator)
+
+
+def _planted_sector_pair():
+    # two dense read-only arrays, the first with a doubly degenerate Schmidt
+    # value, and a random symmetric operator that splits that degeneracy
+    rng = np.random.default_rng(14)
+    u, _ = np.linalg.qr(rng.standard_normal((ROWS, 3)))
+    v, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+    c0 = u @ np.diag([1.0, 1.0, 0.5]) @ v.T
+    c1 = rng.standard_normal((ROWS, 6))
+    sector = rng.standard_normal((ROWS, ROWS))
+    for c in (c0, c1):
+        c.setflags(write=False)
+    return c0, c1, sector + sector.T
+
+
+@pytest.mark.parametrize(
+    "make_pair, rotates, whole",
+    [(lambda: _oscillator_sector_pair(((0, 1, 0, 0), (0, -1, 0, 0))), False, False),
+     (lambda: _oscillator_sector_pair(((0, 0, 2, -2), (0, 0, 2, 2))), True, False),
+     (_planted_sector_pair, True, True)],
+    ids=["0,1,0,0", "0,0,2,-2", "planted"],
+)
+def test_sector_refinement_leaves_the_stored_entry_unchanged(solves, make_pair, rotates, whole):
+    # both arrays' records are kept: at lambda = 0 in a basis of 8
+    # functions per coordinate the oscillator's (64 x 64, real), whose
+    # rows fall into several blocks, so that the records keep no own term,
+    # and a planted pair of one block, whose records keep their own terms
+    # and endpoints.  A pair with a sector operator solves its endpoint on
+    # every call, with the operator's links, and keeps no spectrum, so the
+    # refinement, which in the last two pairs also rotates columns, leaves
+    # every kept array unchanged
+    c0, c1, sector = make_pair()
+    gram = gram_blocks(c0, c1, sector)
+    records = gram.states
+    assert records == (spectra._state_memo.find(c0), spectra._state_memo.find(c1))
+    assert all((st.own is not None) == whole for st in records)
+    stored = [a for st in records for a in (st.magnitude, st.own, *(st.endpoint or ())) if a is not None]
     before = [a.copy() for a in stored]
     spec = gram.spectrum(gram.endpoint(0))
+    assert (gram.endpoint(0) is records[0].endpoint) == whole
     blocks = spec.blocks
     refined = refine_blocks_by_sector(spec, gram.restrict(gram.sector, spec))
     assert refined.blocks != blocks
@@ -209,7 +237,7 @@ def test_sector_refinement_leaves_the_stored_entry_unchanged(solves, states, rot
     again = gram.spectrum(gram.endpoint(0))
     assert again is not spec and len(solves) == 2 and len(spectra._state_memo) == 0
     _assert_bitwise(again, spec)
-    assert "spectrum" not in entry and spec.blocks == blocks
+    assert all(st.spectrum is None for st in records) and spec.blocks == blocks
     assert all(np.array_equal(a, b) for a, b in zip(stored, before, strict=True))
 
 
@@ -218,17 +246,31 @@ def test_sector_refinement_leaves_the_stored_entry_unchanged(solves, states, rot
 
 
 @pytest.fixture
-def own_terms(monkeypatch, empty_state_memo):
-    """The id of every stored array whose own terms the trace-out forms: one ``store`` each."""
+def kept(monkeypatch, empty_state_memo):
+    """The id of every array whose record the memo keeps, one entry per record kept."""
     calls = []
 
-    def counted(self, st, c, *args, _store=spectra._StateMemo.store):
-        st = _store(self, st, c, *args)
-        if st is not None:
+    def counted(self, c, _state=spectra._StateMemo.state):
+        new = self.find(c) is None
+        st = _state(self, c)
+        if new and st is self.find(c):
             calls.append(id(c))  # not the array, which the memo holds weakly
         return st
 
-    monkeypatch.setattr(spectra._StateMemo, "store", counted)
+    monkeypatch.setattr(spectra._StateMemo, "state", counted)
+    return calls
+
+
+@pytest.fixture
+def own_terms(monkeypatch, empty_state_memo):
+    """The id of the array of every own term c c^dagger the trace-out forms, one entry per size group."""
+    calls = []
+
+    def counted(c0, c1, rows, touched, own0=True, own1=True, _terms=spectra._group_terms):
+        calls.extend(id(c) for c, own in ((c0, own0), (c1, own1)) if own)
+        return _terms(c0, c1, rows, touched, own0, own1)
+
+    monkeypatch.setattr(spectra, "_group_terms", counted)
     return calls
 
 
@@ -282,11 +324,11 @@ def searched(monkeypatch):
 
 def test_one_block_exit_keeps_every_field(monkeypatch, empty_state_memo, searched):
     # every scan pair links all 32 rows: one block, found without a search,
-    # and every field is the searched, unmemoized trace-out's, cold or warm.
-    # A pair whose two arrays are both stored is proved one block by the
-    # memo and never enters the link graph; one seen for the first time,
-    # as every pair of a cleared memo and each of table 4's mirror images,
-    # built afresh for every pair, still does
+    # and every field is that of a forced search and of the searched,
+    # unmemoized trace-out, cold or warm.  The memo keeps both records of
+    # every pair before the proof runs, so the floors prove it one block
+    # on first sight too, as in a cleared memo and for each of table 4's
+    # mirror images, built afresh for every pair: no pair forms G
     memo = spectra._state_memo
     pairs = _lg_scan()
     want = [gram_blocks_unmemoized(*p.amplitudes()) for p in pairs]
@@ -296,22 +338,20 @@ def test_one_block_exit_keeps_every_field(monkeypatch, empty_state_memo, searche
         raise AssertionError("searched a complete link graph")
 
     monkeypatch.setattr(spectra, "components", refuse)
-    for run in ("cold", "warm", "warm again"):
-        entered = []
+    with monkeypatch.context() as forced:
+        forced.setattr(spectra, "_proved_one_block", lambda st0, st1: False)
+        searches = []
         for pair, w in zip(pairs, want):
+            searches.append(gram_blocks(*pair.amplitudes()))
+            _assert_same_gram(searches[-1], w)
+    assert len(searched) == len(pairs)
+    searched.clear()
+    for run in ("cold", "warm", "warm again"):
+        for pair, search in zip(pairs, searches):
             if run == "cold":
                 memo.clear()
-            c0, c1 = pair.amplitudes()
-            first_sight = memo.find(c0) is None or memo.find(c1) is None
-            searched.clear()
-            _assert_same_gram(gram_blocks(c0, c1), w)
-            assert len(searched) == first_sight, pair.label
-            if searched:
-                entered.append(pair)
-        if run == "cold":
-            assert len(entered) == len(pairs)
-        if run == "warm again":
-            assert len(entered) == 3 and all(pair.mirror is not None for pair in entered)
+            _assert_same_gram(gram_blocks(*pair.amplitudes()), search)
+            assert not searched, (run, pair.label)
 
 
 def test_a_planted_two_block_pair_of_stored_dense_arrays_is_searched(empty_state_memo, searched):
@@ -336,7 +376,7 @@ def test_a_planted_two_block_pair_of_stored_dense_arrays_is_searched(empty_state
         assert len(searched) == sight + 1
         _assert_same_gram(gram, want)
     st0, st1 = gram.states
-    assert st0 is not None and st1 is not None
+    assert st0 is spectra._state_memo.find(arrays[0]) and st1 is spectra._state_memo.find(arrays[1])
     assert st0.floor is not None and st1.floor is not None
     assert not spectra._proved_one_block(st0, st1)
 
@@ -368,14 +408,15 @@ def test_partly_linked_inputs_keep_every_field(empty_state_memo, index):
         _assert_same_gram(gram_blocks(c0, c1, sector), want)
 
 
-def test_own_terms_are_formed_once_per_state(own_terms):
+def test_own_terms_are_formed_once_per_state(kept, own_terms):
     # the scan plus table 4: 710 state sightings of 36 distinct matrices, all
     # cached arrays of mode_columns but the images of table 4's three mirror
-    # pairs, which are built afresh for each evaluation and so are new states
+    # pairs, which are built afresh for each evaluation and so get new
+    # records; each record's own term is formed on its first sight only
     pairs = _lg_scan()
     for pair in pairs:
         criterion_vs_observation(pair)
-    assert len(own_terms) == 36 + 3
+    assert len(kept) == 36 + 3 and sorted(own_terms) == sorted(kept)
     assert len({c.tobytes() for pair in pairs for c in pair.amplitudes()}) == 36
     assert sum(pair.mirror is not None for pair in pairs) == 3
     assert len(spectra._state_memo) == 36  # a mirror pair's S1 is S0: no image is solved
@@ -401,8 +442,8 @@ def test_reports_and_curves_equal_a_memo_cleared_before_each_pair(empty_state_me
     assert _results(pairs, cold=False) == warm
 
 
-def test_writeable_arrays_and_views_are_never_aliased(own_terms):
-    # neither is stored: each call forms their own terms again and leaves no state
+def test_writeable_arrays_and_views_are_never_aliased(kept, own_terms):
+    # neither record is kept: each call forms their own terms again and leaves no record
     memo = spectra._state_memo
     rng = np.random.default_rng(3)
     c = rng.standard_normal((ROWS, 6)) + 1j * rng.standard_normal((ROWS, 6))
@@ -412,37 +453,38 @@ def test_writeable_arrays_and_views_are_never_aliased(own_terms):
     assert not view.flags.writeable and not view.flags.owndata
     for _ in range(3):
         gram = gram_blocks(c, view)
-        assert gram.states == (None, None)
-    assert own_terms == [] and not memo._states and memo.find(c) is None and memo.find(view) is None
+        assert all(st.ref is None and st.own is None for st in gram.states)
+    assert own_terms == [id(c), id(view)] * 3
+    assert kept == [] and not memo._states and memo.find(c) is None and memo.find(view) is None
     c[2, 3] += 1.0  # a written writeable array gives the trace-out of its new content
     _assert_same_gram(gram_blocks(c, view), gram_blocks_unmemoized(c, view))
-    # a read-only array that owns its data is stored on its first sighting
+    # a read-only array that owns its data is kept on its first sighting
     gram = gram_blocks(owned, view)
-    assert own_terms == [id(owned)] and gram.states[0] is memo.find(owned) is not None
-    assert gram.states[1] is None and list(memo._states) == [id(owned)]
+    assert kept == [id(owned)] and gram.states[0] is memo.find(owned) is not None
+    assert gram.states[1].ref is None and list(memo._states) == [id(owned)]
 
 
-def test_small_arrays_bypass_the_memo(own_terms):
-    # read-only arrays of at most SMALL_ROWS rows, as every angular state
-    # is, are never stored: each call forms their own terms again and
-    # leaves no state; one row more and the same content is stored
+def test_small_arrays_bypass_the_memo(kept):
+    # the records of read-only arrays of at most SMALL_ROWS rows, as every
+    # angular state is, are never kept: each call makes them again and
+    # leaves no record; one row more and the same content's are kept
     memo = spectra._state_memo
     pair = angular_pair(4, 3, 2)
     c0, c1 = pair.amplitudes()
     assert len(c0) <= SMALL_ROWS and not c0.flags.writeable and c0.flags.owndata
     for _ in range(2):
-        assert gram_blocks(c0, c1).states == (None, None)
+        assert all(st.ref is None for st in gram_blocks(c0, c1).states)
     report = pair_criterion(pair)
     assert pair_criterion(pair) == report
-    assert own_terms == [] and not memo._states
+    assert kept == [] and not memo._states
     lifted = above_small_rows(c0, c1)
     states = gram_blocks(*lifted).states
-    assert None not in states and states == tuple(map(memo.find, lifted))
-    assert own_terms == list(map(id, lifted))
+    assert None not in map(memo.find, lifted) and states == tuple(map(memo.find, lifted))
+    assert kept == list(map(id, lifted))
 
 
-def test_recurring_arrays_are_found_by_identity_and_held_weakly(solves, own_terms):
-    # stored on the first sighting, then found by id: one own term, one spectrum
+def test_recurring_arrays_are_found_by_identity_and_held_weakly(solves, kept, own_terms):
+    # kept on the first sighting, then found by id: one own term, one spectrum
     memo = spectra._state_memo
     rng = np.random.default_rng(4)
     cached, other = rng.standard_normal((ROWS, 6)), rng.standard_normal((ROWS, 6))
@@ -451,7 +493,7 @@ def test_recurring_arrays_are_found_by_identity_and_held_weakly(solves, own_term
     for _ in range(3):
         gram = gram_blocks(cached, other)
         specs.append(gram.spectrum(gram.endpoint(0)))
-    assert own_terms == [id(cached)] and len(solves) == 1
+    assert kept == [id(cached)] and own_terms.count(id(cached)) == 1 and len(solves) == 1
     assert all(spec is specs[0] for spec in specs)
     # the memo holds no reference to the array
     gone = weakref.ref(cached)
@@ -475,16 +517,17 @@ def test_a_state_goes_when_its_array_is_freed(empty_state_memo):
     assert memo.find(kept) is gram.states[0]
 
 
-def test_an_equal_fresh_copy_misses_but_reports_bitwise(solves, own_terms):
-    # a fresh read-only copy of a stored mode array is another state, whose
-    # own terms, endpoint and spectrum are formed again by the same calls
+def test_an_equal_fresh_copy_misses_but_reports_bitwise(solves, kept, own_terms):
+    # a fresh read-only copy of a kept mode array gets a record of its own,
+    # whose own term, endpoint and spectrum are formed again by the same calls
     pair = lg_pair(LGMode(2, 1), LGMode(3, -1))
     report = pair_criterion(pair)
     c0, c1 = pair.amplitudes()
     copy = _read_only_copy(c0)
     gram = gram_blocks(copy, c1)
-    assert gram.states[0] is not None and gram.states[0] is not spectra._state_memo.find(c0)
-    assert own_terms == [id(c0), id(c1), id(copy)]
+    memo = spectra._state_memo
+    assert gram.states[0] is memo.find(copy) is not None and gram.states[0] is not memo.find(c0)
+    assert kept == own_terms == [id(c0), id(c1), id(copy)]
     assert sweep._criterion(pair, gram) == report and len(solves) == 3
     stored = gram_blocks(c0, c1)
     _assert_bitwise(gram.spectrum(gram.endpoint(0)), stored.spectrum(stored.endpoint(0)))
@@ -540,8 +583,8 @@ def test_freeing_a_stored_array_inside_a_locked_step(empty_state_memo, monkeypat
 
 def test_evaluating_a_mirror_pair_again_adds_no_state(empty_state_memo):
     # the mirror image is a fresh array on every call: an LG image (small)
-    # is stored and goes when the evaluation frees it, and table 1's arrays
-    # (large) are never stored
+    # gets a kept record, which goes when the evaluation frees it, and
+    # table 1's arrays (large) never do
     memo = spectra._state_memo
     for pair, states in ((lg_pair(LGMode(1, 2), LGMode(1, -2)), 1), (benchmarks.reference_table(1)[0].pair, 0)):
         assert pair.mirror is not None
@@ -550,10 +593,10 @@ def test_evaluating_a_mirror_pair_again_adds_no_state(empty_state_memo):
         assert len(memo._states) == states
         for _ in range(2):
             assert pair_criterion(pair) == report and len(memo._states) == states
-        image = pair.amplitudes()[1]
+        c0, image = pair.amplitudes()
         held = weakref.ref(image)
-        gram = gram_blocks(*pair.amplitudes(), pair.sector_operator)
-        assert (gram.states[1] is not None) == (states > 0)
+        gram = gram_blocks(c0, image, pair.sector_operator)
+        assert (gram.states[1] is memo.find(image)) == (states > 0)
         del image, gram
         assert held() is None and len(memo._states) == states
 
